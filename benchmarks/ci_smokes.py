@@ -14,6 +14,9 @@ schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
 a heterogeneous-victim campaign must merge into one vectorised pass and
 stay bit-identical both with the C kernel and on the NumPy fallback,
 and the vectorised schedule compiler must match the reference replay.
+The ``sanitize`` smoke rebuilds that kernel with AddressSanitizer and
+UBSan and runs the kernel, batch-equivalence and batched golden tests
+against it: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write, resumed to byte-identical figures,
@@ -1073,11 +1076,147 @@ def smoke_predict(json_dir: str) -> list[str]:
     return failures
 
 
+#: Tests the sanitize smoke runs against the instrumented kernel, and the
+#: one its self-check runs against a deliberately broken build.
+_SANITIZE_TESTS = (
+    "tests/cpu/test_lane_kernel.py",
+    "tests/property/test_batch_equivalence.py",
+    "tests/integration/test_golden_sim.py::test_golden_bit_identity_batched",
+)
+_SANITIZE_SELF_CHECK = (
+    "tests/cpu/test_lane_kernel.py::TestKernelVsFallback"
+    "::test_padded_heterogeneous_victims",
+)
+
+
+def _sanitized_run(source: str, tests: tuple, workdir: str) -> dict:
+    """Build ``source`` with ASan and UBSan into an empty kernel cache,
+    under the file name ``lane_kernel.load()`` looks for, then run pytest
+    on ``tests`` against it in a subprocess.  Sanitizer reports go to log
+    files: pytest's fd capture swallows a report written to stderr when
+    the sanitizer aborts the process."""
+    from repro.cpu import lane_kernel
+
+    cache = os.path.join(workdir, "kernel")
+    logs = os.path.join(workdir, "logs")
+    os.makedirs(cache)
+    os.makedirs(logs)
+    src_path = os.path.join(workdir, "lane_kernel.c")
+    with open(src_path, "w", encoding="utf-8") as fh:
+        fh.write(source)
+    lib_path = os.path.join(cache, lane_kernel._object_name(lane_kernel._source()))
+    subprocess.run(
+        [
+            "gcc", "-O1", "-g", "-fsanitize=address,undefined",
+            "-fno-sanitize-recover=all", "-shared", "-fPIC",
+            "-o", lib_path, src_path,
+        ],
+        check=True,
+        capture_output=True,
+    )
+    runtimes = [
+        subprocess.run(
+            ["gcc", f"-print-file-name={name}"],
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+        for name in ("libasan.so", "libubsan.so")
+    ]
+    env = _env()
+    env.pop("REPRO_NO_CKERNEL", None)
+    env.update(
+        REPRO_KERNEL_CACHE=cache,
+        LD_PRELOAD=" ".join(runtimes),
+        ASAN_OPTIONS=f"detect_leaks=0:log_path={os.path.join(logs, 'asan')}",
+        UBSAN_OPTIONS=f"print_stacktrace=1:log_path={os.path.join(logs, 'ubsan')}",
+    )
+    # A kernel that fails to load is dropped and rebuilt unsanitized by the
+    # tests, which would then pass vacuously: require a clean load first.
+    probe = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; from repro.cpu import lane_kernel; "
+            "sys.exit(lane_kernel.load() is None)",
+        ],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    reports = []
+    for name in sorted(os.listdir(logs)):
+        with open(os.path.join(logs, name), encoding="utf-8", errors="replace") as fh:
+            reports.append(fh.read())
+    return {
+        "loaded": probe.returncode == 0 and os.path.exists(lib_path),
+        "returncode": proc.returncode,
+        "tail": (proc.stdout + proc.stderr)[-2000:],
+        "reports": reports,
+    }
+
+
+def smoke_sanitize(json_dir: str) -> list[str]:
+    """Memory-safety gate for the compiled lane kernel.
+
+    The kernel source is rebuilt with ``-O1 -g
+    -fsanitize=address,undefined -fno-sanitize-recover=all`` and picked
+    up through the existing ``REPRO_KERNEL_CACHE`` lookup; the kernel,
+    batch-equivalence and batched golden tests must pass with no
+    sanitizer report.  A self-check first builds it with a one-past-end
+    write injected (``l <= L`` in the fetch-base refresh) and requires
+    ASan to report the heap-buffer-overflow.
+    """
+    from repro.cpu import lane_kernel
+
+    source = lane_kernel._source()
+    target = "for (int64_t l = 0; l < L; l++) fetch_base[l]"
+    injected = source.replace(target, target.replace("l < L", "l <= L"))
+    failures: list[str] = []
+    runs: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        if injected == source:
+            failures.append("self-check: the injection site left the kernel source")
+        else:
+            check = _sanitized_run(
+                injected, _SANITIZE_SELF_CHECK, os.path.join(tmp, "self-check")
+            )
+            runs["self_check"] = check
+            if check["returncode"] == 0 or not any(
+                "heap-buffer-overflow" in report for report in check["reports"]
+            ):
+                failures.append(
+                    "self-check: the injected one-past-end write went "
+                    f"undetected (exit {check['returncode']})\n{check['tail']}"
+                )
+        run = _sanitized_run(source, _SANITIZE_TESTS, os.path.join(tmp, "kernel"))
+        runs["kernel"] = run
+    if not run["loaded"]:
+        failures.append("the sanitized kernel did not load; nothing was checked")
+    if run["returncode"] != 0 or run["reports"]:
+        failures.append(
+            f"sanitized tests exited {run['returncode']} with "
+            f"{len(run['reports'])} sanitizer report(s):\n"
+            + "\n".join(run["reports"])
+            + f"\n{run['tail']}"
+        )
+    _write(json_dir, "sanitize", {"runs": runs, "ok": not failures})
+    return failures
+
+
 SMOKES = {
     "goldens": smoke_goldens,
     "kips": smoke_kips,
     "lane-batch": smoke_lane_batch,
     "kernel": smoke_kernel,
+    "sanitize": smoke_sanitize,
     "store": smoke_store,
     "mega-batch": smoke_mega_batch,
     "campaign": smoke_campaign,

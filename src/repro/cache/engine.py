@@ -516,15 +516,39 @@ class FusedHierarchy:
 # the sequential engine's clock order and every LRU decision — including
 # the invalid-way preference, encoded by initialising invalid usable ways
 # to a stamp below any real one, and disabled ways to one above all
-# (``BIG_STAMP``) — is bit-identical.  Statistics are not accumulated per
-# event; instead the per-event lane masks (hit, victim-hit, L2-hit,
-# eviction, writeback) are recorded as rows of boolean matrices and the
-# counters are reconstructed by column sums at run end.
+# (``BIG_STAMP``) — is bit-identical.  Statistics are per-lane int64
+# counters (:data:`LANE_COUNTERS`), one block per port, accumulated by
+# whichever miss service runs — the NumPy closure below or the C lane
+# kernel — so their memory is O(lanes), independent of trace length.
 
 #: Stamp sentinel ordering: disabled ways stay above every real stamp
 #: (never chosen by the LRU argmin), invalid usable ways below (always
 #: preferred, first index winning ties exactly like the sequential scan).
 BIG_STAMP = 1 << 62
+
+#: Row order of a bulk port's ``counts`` block (``[counter, lane]``
+#: int64).  The C lane kernel indexes the same rows; every other
+#: statistic is derived from these at :meth:`BulkLanes.finalize`.
+LANE_COUNTERS = (
+    "misses",
+    "bypassed",
+    "evictions",
+    "writebacks",
+    "victim_hits",
+    "victim_evictions",
+    "l2_hits",
+    "l2_evictions",
+)
+(
+    _CNT_MISSES,
+    _CNT_BYPASSED,
+    _CNT_EVICTIONS,
+    _CNT_WRITEBACKS,
+    _CNT_VICTIM_HITS,
+    _CNT_VICTIM_EVICTIONS,
+    _CNT_L2_HITS,
+    _CNT_L2_EVICTIONS,
+) = range(len(LANE_COUNTERS))
 
 
 class VectorCache:
@@ -777,21 +801,13 @@ def bulk_lanes_eligible(hierarchies: list[MemoryHierarchy]) -> bool:
 
 
 class _BulkPort:
-    """One compiled multi-lane port: the event-service closure plus the
-    recorded per-event masks its counters are reconstructed from."""
+    """One compiled multi-lane port: its L1 and victim state, latencies
+    beyond L1 (victim, L2, memory — scaled like the service's result),
+    the per-lane ``counts`` block (rows in :data:`LANE_COUNTERS` order),
+    and the NumPy miss-event ``service`` closure.  The C lane kernel
+    services misses itself from the same state and counters."""
 
-    __slots__ = (
-        "service",
-        "hit_rows",
-        "l2hit_rows",
-        "evict_rows",
-        "wb_rows",
-        "vhit_rows",
-        "vevict_rows",
-        "bypass_events",
-        "event_count",
-        "boundary_event",
-    )
+    __slots__ = ("service", "l1", "victims", "latency", "counts")
 
 
 def _compile_bulk_port(
@@ -800,7 +816,6 @@ def _compile_bulk_port(
     victims: VectorVictims | None,
     port0,
     lanes: int,
-    max_events: int,
     scratch: dict,
     lat_scale: int = 1,
 ) -> _BulkPort:
@@ -810,44 +825,31 @@ def _compile_bulk_port(
     L1 (``cnt`` = hit-lane count, ``eq`` the probe's comparison matrix).
     It performs the victim swap, the shared-L2 access, the L1 refill, and
     the evictee insertion for every missing lane with lane-masked vector
-    operations, records the per-event masks, and returns the per-lane
-    latency *beyond* the L1 latency (zero at hit lanes) when asked —
-    pre-multiplied by ``lat_scale``, the batched pipeline's commit-width
-    timing scale.
+    operations, adds each missing lane's events to ``counts``, and
+    returns the per-lane latency *beyond* the L1 latency (zero at hit
+    lanes) when asked — pre-multiplied by ``lat_scale``, the batched
+    pipeline's commit-width timing scale.
     """
     bulk = _BulkPort()
-    # Counters are reconstructed from per-event mask rows summed once at
-    # run end — O(accesses x lanes) boolean memory (a few tens of MB at
-    # paper fidelity) traded for zero per-event counter arithmetic.
-    # 10M+-instruction traces would want chunked flushing here.
-    bulk.hit_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    bulk.l2hit_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    bulk.evict_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    bulk.wb_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    if victims is not None:
-        bulk.vhit_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-        bulk.vevict_rows = np.zeros((max_events + 1, lanes), dtype=np.bool_)
-    else:
-        bulk.vhit_rows = None
-        bulk.vevict_rows = None
-    bulk.bypass_events = []  # rare: (event_index, bypass-mask) pairs
-    bulk.event_count = [0]
-    bulk.boundary_event = [0]
-
-    hit_rows = bulk.hit_rows
-    l2hit_rows = bulk.l2hit_rows
-    evict_rows = bulk.evict_rows
-    wb_rows = bulk.wb_rows
-    vhit_rows = bulk.vhit_rows
-    vevict_rows = bulk.vevict_rows
-    bypass_events = bulk.bypass_events
-    event_cell = bulk.event_count
-
-    l1_lat = port0.l1_latency
+    bulk.l1 = l1
+    bulk.victims = victims
     victim_lat = port0.victim_latency
     l2_lat = port0.l2_latency
     memory_lat = port0.memory_latency
     mem_minus_l2 = memory_lat - l2_lat
+    bulk.latency = tuple(
+        lat * lat_scale for lat in (victim_lat, l2_lat, memory_lat)
+    )
+    counts = np.zeros((len(LANE_COUNTERS), lanes), dtype=np.int64)
+    bulk.counts = counts
+    n_miss = counts[_CNT_MISSES]
+    n_bypassed = counts[_CNT_BYPASSED]
+    n_evict = counts[_CNT_EVICTIONS]
+    n_wb = counts[_CNT_WRITEBACKS]
+    n_vhit = counts[_CNT_VICTIM_HITS]
+    n_vevict = counts[_CNT_VICTIM_EVICTIONS]
+    n_l2hit = counts[_CNT_L2_HITS]
+    n_l2evict = counts[_CNT_L2_EVICTIONS]
 
     l1_tags, l1_last = l1.tags, l1.last
     l1_dirty, l1_fillt = l1.dirty, l1.fillt
@@ -867,12 +869,16 @@ def _compile_bulk_port(
         vins_buf = scratch["vins"]
 
     ar = scratch["ar"]
+    hit_buf = scratch["hit"]
     miss_buf = scratch["miss"]
+    vhit_buf = scratch["vhit"]
+    h2_buf = scratch["h2"]
     l2need_buf = scratch["l2need"]
     fill2 = scratch["fill2"]
     nb = scratch["nb"]
     nb2 = scratch["nb2"]
     ev_buf = scratch["ev"]
+    ev1_buf = scratch["ev1"]
     wb_buf = scratch["wb"]
     amin1 = scratch["amin1"]
     amin2 = scratch["amin2"]
@@ -889,7 +895,6 @@ def _compile_bulk_port(
     #: read-only constant and every ``logical_and`` against it is skipped.
     all_true = scratch["all_true"]
     eq2_buf = np.empty((lanes, l2_ways), dtype=np.bool_)
-    l2ev_rows = scratch["l2ev_rows"]
 
     # Flat 1-D views + one precomputed per-lane offset vector per level:
     # the lane-major layout means a single flat index (``lane_offset +
@@ -928,6 +933,7 @@ def _compile_bulk_port(
     sc_b = np.array(0, np.int64)
     sc_stamp = np.array(0, np.int64)
     c_zero = np.array(0, np.int64)
+    c_one = np.array(1, np.int64)
     c_neg1 = np.array(-1, np.int64)
     c_true = np.array(True)
     c_vempty = np.array(
@@ -939,16 +945,16 @@ def _compile_bulk_port(
     c_tagshift = np.array(l1_tag_shift, np.int64)
 
     def service(stamp, block, base, s, base2, tag2, tag, eq, cnt, is_write, want_lat):
-        ei = event_cell[0]
-        event_cell[0] = ei + 1
         sc_stamp[()] = stamp
         all_miss = cnt == 0
         # ---- hit-lane updates + miss mask ---------------------------------
         if all_miss:
             miss = all_true  # shared constant, never written
+            add(n_miss, c_one, out=n_miss)
         else:
-            hit = eq.any(1, out=hit_rows[ei])
+            hit = eq.any(1, out=hit_buf)
             miss = logical_not(hit, out=miss_buf)
+            add(n_miss, miss, out=n_miss)
             # Matched positions only — miss lanes have no match, so the
             # masked copy needs no dump diversion.
             copyto(l1_last[:, base : base + l1_ways], sc_stamp, where=eq)
@@ -960,11 +966,12 @@ def _compile_bulk_port(
             sc_b[()] = block
             veq = scratch["veq"][:, :v_entries]
             np.equal(v_tags_main, sc_b, out=veq)
-            vhit = veq.any(1, out=vhit_rows[ei])
+            vhit = veq.any(1, out=vhit_buf)
             if not all_miss:
                 logical_and(vhit, miss, out=vhit)
             vcnt = count_nonzero(vhit)
             if vcnt:
+                add(n_vhit, vhit, out=n_vhit)
                 vslot = np.argmax(veq, axis=1, out=amin1)
                 add(vslot, ar_vrows, out=vfa)
                 logical_not(vhit, out=nb)
@@ -982,14 +989,16 @@ def _compile_bulk_port(
         # ---- shared L2 ----------------------------------------------------
         sc_b[()] = tag2
         np.equal(l2_tags[:, base2 : base2 + l2_ways], sc_b, out=eq2_buf)
-        h2 = eq2_buf.any(1, out=l2hit_rows[ei])
+        h2 = eq2_buf.any(1, out=h2_buf)
         if need_all:
             # Every lane probed the L2: matched positions need no mask.
             copyto(l2_last[:, base2 : base2 + l2_ways], sc_stamp, where=eq2_buf)
+            add(n_l2hit, h2, out=n_l2hit)
             fill2_m = logical_not(h2, out=fill2)
         else:
             logical_and(h2, l2need, out=h2)
             if count_nonzero(h2):
+                add(n_l2hit, h2, out=n_l2hit)
                 # Mask out lanes that did not probe the L2 (an L1-hit lane
                 # may still hold the block; its recency must not move).
                 logical_and(eq2_buf, l2need[:, None], out=eq2_buf)
@@ -1011,12 +1020,12 @@ def _compile_bulk_port(
                 copyto(fa, l2_dump_vec, where=nb2)  # divert to the dump slot
                 et2 = l2_tags_flat.take(fa, out=et2_buf)
                 np.greater_equal(et2, c_zero, out=ev_buf)
-                # L2 evictions fold into this port's eviction matrix; the
-                # L2 is never dirty (fills are reads), so no writebacks.
-                logical_and(ev_buf, fill2_m, out=l2ev_rows[ei])
+                logical_and(ev_buf, fill2_m, out=ev_buf)
             else:
                 et2 = l2_tags_flat.take(fa, out=et2_buf)
-                np.greater_equal(et2, c_zero, out=l2ev_rows[ei])
+                np.greater_equal(et2, c_zero, out=ev_buf)
+            # The L2 is never dirty (fills are reads): no writebacks.
+            add(n_l2evict, ev_buf, out=n_l2evict)
             l2_tags_flat[fa] = sc_b  # sc_b still holds tag2
             l2_last_flat[fa] = sc_stamp
             l2_fillt_flat[fa] = sc_stamp
@@ -1042,24 +1051,26 @@ def _compile_bulk_port(
         if s in bypass_sets:
             gathered = l1_last_flat.take(fb)
             byp = (gathered >= BIG_STAMP) & miss
-            bypass_events.append((ei, byp))
+            add(n_bypassed, byp, out=n_bypassed)
             fill1 = miss & ~byp
             fill1_all = False
         else:
             fill1 = miss
         if fill1_all:
             et = l1_tags_flat.take(fb, out=et_buf)
-            ev = np.greater_equal(et, c_zero, out=evict_rows[ei])
+            ev = np.greater_equal(et, c_zero, out=ev1_buf)
         else:
             logical_not(fill1, out=nb)
             copyto(fb, l1_dump_vec, where=nb)  # divert hit lanes to the dump
             et = l1_tags_flat.take(fb, out=et_buf)
             np.greater_equal(et, c_zero, out=ev_buf)
-            ev = logical_and(ev_buf, fill1, out=evict_rows[ei])
+            ev = logical_and(ev_buf, fill1, out=ev1_buf)
         n_ev = count_nonzero(ev)
         if n_ev:
+            add(n_evict, ev, out=n_evict)
             wb = l1_dirty_flat.take(fb, out=wb_buf)
-            logical_and(wb, ev, out=wb_rows[ei])
+            logical_and(wb, ev, out=wb)
+            add(n_wb, wb, out=n_wb)
             # ---- evictee -> victim cache (no dedup: L1 residency and the
             # victim contents are disjoint by construction, exactly as on
             # the sequential path where the dedup branch is unreachable) --
@@ -1079,7 +1090,8 @@ def _compile_bulk_port(
                 copyto(vfb, v_dump_vec, where=nb)
                 vt = v_tags_flat.take(vfb, out=et2_buf)
                 np.greater_equal(vt, c_zero, out=ev_buf)
-                logical_and(ev_buf, ins, out=vevict_rows[ei])
+                logical_and(ev_buf, ins, out=ev_buf)
+                add(n_vevict, ev_buf, out=n_vevict)
                 v_tags_flat[vfb] = et
                 v_stamp_flat[vfb] = sc_stamp
         # ---- L1 fill scatter (same flat index as the gathers) -------------
@@ -1107,8 +1119,6 @@ class BulkLanes:
     def __init__(
         self,
         hierarchies: list[MemoryHierarchy],
-        max_i_events: int,
-        max_d_events: int,
         lat_scale: int = 1,
     ) -> None:
         if not hierarchies:
@@ -1138,45 +1148,31 @@ class BulkLanes:
             self.victims_i.entries if self.victims_i is not None else 0,
             self.victims_d.entries if self.victims_d is not None else 0,
         )
-        scratch = {
-            "ar": np.arange(lanes),
-            "miss": np.empty(lanes, dtype=np.bool_),
-            "l2need": np.empty(lanes, dtype=np.bool_),
-            "fill2": np.empty(lanes, dtype=np.bool_),
-            "nb": np.empty(lanes, dtype=np.bool_),
-            "nb2": np.empty(lanes, dtype=np.bool_),
-            "ev": np.empty(lanes, dtype=np.bool_),
-            "wb": np.empty(lanes, dtype=np.bool_),
-            "amin1": np.empty(lanes, dtype=np.intp),
-            "amin2": np.empty(lanes, dtype=np.intp),
-            "flat_a": np.empty(lanes, dtype=np.int64),
-            "flat_b": np.empty(lanes, dtype=np.int64),
-            "flat_va": np.empty(lanes, dtype=np.int64),
-            "flat_vb": np.empty(lanes, dtype=np.int64),
-            "et": np.empty(lanes, dtype=np.int64),
-            "et2": np.empty(lanes, dtype=np.int64),
-            "t64": np.empty(lanes, dtype=np.int64),
-            "t64b": np.empty(lanes, dtype=np.int64),
-            "veq": np.empty((lanes, max_victim + 1), dtype=np.bool_),
-            "vins": np.empty(lanes, dtype=np.bool_),
-            "all_true": np.ones(lanes, dtype=np.bool_),
-        }
-        # L2 evictions recorded per port (the L2 is shared; its counters
-        # sum both ports' rows).
-        scratch_i = dict(scratch)
-        scratch_i["l2ev_rows"] = np.zeros((max_i_events + 1, lanes), dtype=np.bool_)
-        scratch_d = dict(scratch)
-        scratch_d["l2ev_rows"] = np.zeros((max_d_events + 1, lanes), dtype=np.bool_)
-        self._l2ev_i = scratch_i["l2ev_rows"]
-        self._l2ev_d = scratch_d["l2ev_rows"]
+        bool_buffers = (
+            "hit", "miss", "vhit", "l2need", "h2", "fill2", "nb", "nb2",
+            "ev", "ev1", "wb", "vins",
+        )
+        int_buffers = (
+            "flat_a", "flat_b", "flat_va", "flat_vb", "et", "et2", "t64", "t64b",
+        )
+        scratch = {name: np.empty(lanes, dtype=np.bool_) for name in bool_buffers}
+        scratch.update(
+            {name: np.empty(lanes, dtype=np.int64) for name in int_buffers}
+        )
+        scratch.update(
+            ar=np.arange(lanes),
+            amin1=np.empty(lanes, dtype=np.intp),
+            amin2=np.empty(lanes, dtype=np.intp),
+            veq=np.empty((lanes, max_victim + 1), dtype=np.bool_),
+            all_true=np.ones(lanes, dtype=np.bool_),
+        )
         self.iport = _compile_bulk_port(
             self.l1i,
             self.l2,
             self.victims_i,
             hierarchies[0].iport,
             lanes,
-            max_i_events,
-            scratch_i,
+            scratch,
             lat_scale,
         )
         self.dport = _compile_bulk_port(
@@ -1185,108 +1181,69 @@ class BulkLanes:
             self.victims_d,
             hierarchies[0].dport,
             lanes,
-            max_d_events,
-            scratch_d,
+            scratch,
             lat_scale,
         )
 
     def mark_boundary(self) -> None:
-        """Record the warmup/measured boundary: counters reconstruct from
-        events at or after this point only (state effects keep the full
-        history, exactly like the sequential statistics reset)."""
-        self.iport.boundary_event[0] = self.iport.event_count[0]
-        self.dport.boundary_event[0] = self.dport.event_count[0]
-
-    @staticmethod
-    def _port_counters(bulk: _BulkPort, l2ev_rows, measured_accesses: int):
-        """Reconstruct one port's per-lane counters from the event rows."""
-        e0 = bulk.boundary_event[0]
-        e1 = bulk.event_count[0]
-        n_events = e1 - e0
-        hits_at_events = bulk.hit_rows[e0:e1].sum(0)
-        misses = n_events - hits_at_events
-        bypassed = 0
-        for ei, mask in bulk.bypass_events:
-            if ei >= e0:
-                bypassed = bypassed + mask.astype(np.int64)
-        l1 = {
-            "accesses": measured_accesses,
-            "misses": misses,
-            "bypassed": bypassed,
-            "evictions": bulk.evict_rows[e0:e1].sum(0),
-            "writebacks": bulk.wb_rows[e0:e1].sum(0),
-        }
-        if bulk.vhit_rows is not None:
-            vhits = bulk.vhit_rows[e0:e1].sum(0)
-            victim = {
-                "accesses": misses,
-                "hits": vhits,
-                "fills": l1["evictions"],
-                "evictions": bulk.vevict_rows[e0:e1].sum(0),
-            }
-        else:
-            vhits = 0
-            victim = None
-        l2_accesses = misses - vhits
-        l2_hits = bulk.l2hit_rows[e0:e1].sum(0)
-        l2 = {
-            "accesses": l2_accesses,
-            "hits": l2_hits,
-            "misses": l2_accesses - l2_hits,
-            "evictions": l2ev_rows[e0:e1].sum(0),
-        }
-        return l1, victim, l2
+        """The warmup/measured boundary: zero every per-lane counter
+        (state effects keep the full history, exactly like the
+        sequential statistics reset)."""
+        self.iport.counts.fill(0)
+        self.dport.counts.fill(0)
 
     def finalize(self, measured_i_accesses: int, measured_d_accesses: int, clock: int) -> None:
-        """Reconstruct every lane's statistics from the recorded event
-        masks and write statistics *and* cache contents back to the
-        object hierarchies (mirror of :meth:`FusedHierarchy.sync`)."""
-        l1i_c, vic_i_c, l2_i_c = self._port_counters(
-            self.iport, self._l2ev_i, measured_i_accesses
+        """Derive every lane's statistics from the per-lane counters and
+        write statistics *and* cache contents back to the object
+        hierarchies (mirror of :meth:`FusedHierarchy.sync`)."""
+        sides = (
+            (self.iport.counts.tolist(), measured_i_accesses),
+            (self.dport.counts.tolist(), measured_d_accesses),
         )
-        l1d_c, vic_d_c, l2_d_c = self._port_counters(
-            self.dport, self._l2ev_d, measured_d_accesses
-        )
-
-        def at(value, lane):
-            return int(value[lane]) if isinstance(value, np.ndarray) else int(value)
-
         for lane, hierarchy in enumerate(self.hierarchies):
-            for cache, counters in ((hierarchy.l1i, l1i_c), (hierarchy.l1d, l1d_c)):
+            l2_accesses = l2_hits = l2_evictions = 0
+            for (counts, accesses), cache, port, victim in zip(
+                sides,
+                (hierarchy.l1i, hierarchy.l1d),
+                (hierarchy.iport, hierarchy.dport),
+                (hierarchy.victim_i, hierarchy.victim_d),
+            ):
+                misses = counts[_CNT_MISSES][lane]
+                evictions = counts[_CNT_EVICTIONS][lane]
                 stats = cache.stats
-                stats.accesses = at(counters["accesses"], lane)
-                stats.misses = at(counters["misses"], lane)
-                stats.hits = stats.accesses - stats.misses
-                stats.bypassed_fills = at(counters["bypassed"], lane)
-                stats.fills = stats.misses - stats.bypassed_fills
-                stats.evictions = at(counters["evictions"], lane)
-                stats.writebacks = at(counters["writebacks"], lane)
+                stats.accesses = accesses
+                stats.misses = misses
+                stats.hits = accesses - misses
+                stats.bypassed_fills = counts[_CNT_BYPASSED][lane]
+                stats.fills = misses - stats.bypassed_fills
+                stats.evictions = evictions
+                stats.writebacks = counts[_CNT_WRITEBACKS][lane]
+                vhits = 0
+                if victim is not None:
+                    vhits = counts[_CNT_VICTIM_HITS][lane]
+                    stats = victim.stats
+                    stats.accesses = misses
+                    stats.hits = vhits
+                    stats.misses = misses - vhits
+                    stats.fills = evictions
+                    stats.evictions = counts[_CNT_VICTIM_EVICTIONS][lane]
+                    stats.bypassed_fills = 0
+                    stats.writebacks = 0
+                # Every L1 miss the victim cache did not serve probes the L2.
+                port_l2_accesses = misses - vhits
+                port_l2_hits = counts[_CNT_L2_HITS][lane]
+                port.memory_accesses = port_l2_accesses - port_l2_hits
+                l2_accesses += port_l2_accesses
+                l2_hits += port_l2_hits
+                l2_evictions += counts[_CNT_L2_EVICTIONS][lane]
             stats = hierarchy.l2.stats
-            stats.accesses = at(l2_i_c["accesses"], lane) + at(l2_d_c["accesses"], lane)
-            stats.hits = at(l2_i_c["hits"], lane) + at(l2_d_c["hits"], lane)
-            stats.misses = stats.accesses - stats.hits
+            stats.accesses = l2_accesses
+            stats.hits = l2_hits
+            stats.misses = l2_accesses - l2_hits
             stats.fills = stats.misses
-            stats.evictions = at(l2_i_c["evictions"], lane) + at(
-                l2_d_c["evictions"], lane
-            )
+            stats.evictions = l2_evictions
             stats.bypassed_fills = 0
             stats.writebacks = 0
-            hierarchy.iport.memory_accesses = at(l2_i_c["misses"], lane)
-            hierarchy.dport.memory_accesses = at(l2_d_c["misses"], lane)
-            for victim, counters in (
-                (hierarchy.victim_i, vic_i_c),
-                (hierarchy.victim_d, vic_d_c),
-            ):
-                if victim is None:
-                    continue
-                stats = victim.stats
-                stats.accesses = at(counters["accesses"], lane)
-                stats.hits = at(counters["hits"], lane)
-                stats.misses = stats.accesses - stats.hits
-                stats.fills = at(counters["fills"], lane)
-                stats.evictions = at(counters["evictions"], lane)
-                stats.bypassed_fills = 0
-                stats.writebacks = 0
         self.l1i.sync(clock)
         self.l1d.sync(clock)
         self.l2.sync(clock)

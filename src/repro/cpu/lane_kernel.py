@@ -4,19 +4,22 @@ The pure-NumPy lane loop pays ~0.3µs of ufunc dispatch per call and an
 irreducible ~15 serial calls per instruction, which floors its mega-batch
 break-even around 6-7 lanes.  This module compiles (at first use, with
 the system ``gcc``) a small C kernel that advances *all* lanes through
-the per-instruction timing recurrence — dispatch maxima, FU-pool and
-issue-port argmin-replace, commit, redirects, and the all-hit L1 probe
-fast path — and returns to Python only at the rare points that need the
-vectorised event machinery:
+the whole trace: the per-instruction timing recurrence — dispatch
+maxima, FU-pool and issue-port argmin-replace, commit, redirects — the
+L1 probes, and the miss service of every lane that misses L1 (victim
+extract-on-hit, the shared-L2 probe and LRU refill, the L1 LRU refill
+with its fill bypass at fully-disabled sets, evictee insertion into the
+padded victim slots, writebacks).  It works on the bulk engine's
+``VectorCache``/``VectorVictims`` arrays with the same recency stamps
+and tie-breaks as the NumPy ``service`` closure in
+:mod:`repro.cache.engine`, and accumulates the same per-lane counter
+blocks (:data:`repro.cache.engine.LANE_COUNTERS`), so statistics cost
+O(lanes) memory whatever the trace length.  A miss latency (scaled by
+the commit width) is added to the lane's fetch clock on the I side and
+to the load's completion on the D side.
 
-* the warmup/measured boundary (cycle-base snapshot + counter reset),
-* an I-cache access where at least one lane misses,
-* a D-cache access where at least one lane misses (the kernel *peeks*
-  the probe before dispatching; Python runs only the vectorised cache
-  service, stores the per-lane latency vector in the ``P_DLAT`` buffer,
-  sets ``DLAT_READY``, and re-enters — the kernel then finishes the
-  instruction itself, so a miss costs one service call, not a full
-  NumPy instruction replay).
+The kernel returns to Python only at the warmup/measured boundary
+(cycle-base snapshot and counter reset) and at trace end.
 
 State is shared, not marshalled: the kernel receives one ``int64`` "ctx"
 array holding scalars, cursors, and the raw addresses of the NumPy lane
@@ -24,18 +27,20 @@ arrays (``ndarray.ctypes.data``), so a call costs one ctypes dispatch
 (~1µs) regardless of lane count.  All arithmetic is 64-bit integer and
 every tie-break (first-minimum argmin, first-match argmax) matches the
 NumPy loop exactly, keeping results bit-identical — golden-pinned by the
-same tests that pin the NumPy path, and re-checked kernel-vs-fallback in
-``tests/cpu/test_lane_kernel.py``.
+same tests that pin the NumPy path, re-checked kernel-vs-fallback in
+``tests/cpu/test_lane_kernel.py`` and against the object engine over
+fuzzed hierarchies in ``tests/property/test_batch_equivalence.py``.
 
 The kernel is optional: no compiler, a failed build, or the environment
 override ``REPRO_NO_CKERNEL=1`` all fall back to the NumPy loop
 transparently.  Compiled objects are cached under the system temp
-directory keyed by a source hash, so rebuilds only happen when the
-kernel source changes.
+directory (``REPRO_KERNEL_CACHE`` overrides it) keyed by a source hash,
+so rebuilds only happen when the kernel source changes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -43,14 +48,13 @@ import subprocess
 import tempfile
 import warnings
 
-__all__ = ["load", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY",
-           "RET_IACCESS", "RET_DMISS"]
+from repro.cache.engine import BIG_STAMP, LANE_COUNTERS
+
+__all__ = ["load", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY"]
 
 #: Return codes (ctx[RET] after a kernel call).
 RET_DONE = 0
 RET_BOUNDARY = 1
-RET_IACCESS = 2
-RET_DMISS = 3
 
 #: ``cur_sp`` sentinel forcing a fetch-base refresh (below any real
 #: static fetch offset).
@@ -59,25 +63,32 @@ CUR_SP_INVALID = -(1 << 62)
 _SCALARS = (
     # constants
     "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "DHIT",
-    "IWAYS", "DWAYS", "ISTRIDE", "DSTRIDE", "NPORTS",
+    "NPORTS", "L2WAYS", "L2STRIDE", "L2SETMASK", "L2IDXBITS",
     # cursors / results (mutable across calls)
-    "I_CUR", "IA_CUR", "RD_CUR", "CUR_SP", "BOUNDARY", "RET", "CNT_OUT",
-    "DLAT_READY",
+    "I_CUR", "IA_CUR", "RD_CUR", "CUR_SP", "BOUNDARY", "RET",
 )
 _TABLES = (
     ("EXECLAT", 9),  # (latency - 1) * W per instruction class
     ("FUOF", 9),     # class -> FU pool index
     ("POOLW", 4),    # FU pool widths
 )
+#: One block per L1 port ("I_*", then "D_*"): L1 geometry, the padded
+#: victim slot axis (VENTRIES 0 = no victim cache on this port), the
+#: latencies beyond L1 scaled by the commit width, and the addresses of
+#: the port's L1/victim arrays and its [counter][lane] counter block.
+_PORT_FIELDS = (
+    "WAYS", "STRIDE", "SETMASK", "IDXBITS",
+    "VENTRIES", "VSTRIDE", "VEMPTY", "VLAT", "L2LAT", "MEMLAT",
+    "P_TAGS", "P_LAST", "P_DIRTY", "P_FILLT",
+    "P_VTAGS", "P_VSTAMP", "P_VINS", "P_CNT",
+)
 _POINTERS = (
     "P_CLS", "P_SPS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
-    "P_DBASES", "P_DTAGS", "P_IAIDX", "P_IABASES", "P_IATAGS",
-    "P_RDIDX", "P_RDSNEXT",
+    "P_DBLOCKS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT",
     "P_REG", "P_ROB", "P_IQINT", "P_IQFP",
     "P_POOL0", "P_POOL1", "P_POOL2", "P_POOL3", "P_PORTS",
     "P_DYN", "P_FETCHBASE", "P_V",
-    "P_ITAGS", "P_ILAST", "P_DTAGS2D", "P_DLAST", "P_DDIRTY",
-    "P_EQI", "P_EQD", "P_DLAT",
+    "P_L2TAGS", "P_L2LAST", "P_L2FILLT",
 )
 
 #: Name -> ctx slot index; the C ``#define`` block is generated from this
@@ -90,6 +101,10 @@ for _name in _SCALARS:
 for _name, _width in _TABLES:
     CTX[_name] = _slot
     _slot += _width
+for _side in ("I", "D"):
+    for _name in _PORT_FIELDS:
+        CTX[f"{_side}_{_name}"] = _slot
+        _slot += 1
 for _name in _POINTERS:
     CTX[_name] = _slot
     _slot += 1
@@ -97,10 +112,148 @@ CTX_SLOTS = _slot
 
 
 _C_BODY = r"""
+#include <stddef.h>
 #include <stdint.h>
 
 #define I64P(k) ((int64_t *)(intptr_t)ctx[k])
 #define U8P(k) ((uint8_t *)(intptr_t)ctx[k])
+
+/* One L1 port's lane state (see _PORT_FIELDS).  Arrays are lane-major:
+   lane l's L1 entry j sits at l * stride + j, its victim slot j at
+   l * vstride + j, its counter k at cnt[k * L + l]. */
+typedef struct {
+    int64_t ways, stride, set_mask, index_bits;
+    int64_t ventries, vstride, vempty, vlat, l2lat, memlat;
+    int64_t *tags, *last, *fillt;
+    uint8_t *dirty;
+    int64_t *vtags, *vstamp;
+    const uint8_t *vins; /* NULL: every lane has a victim cache */
+    int64_t *cnt;
+} port_t;
+
+typedef struct {
+    int64_t ways, stride, set_mask, index_bits;
+    int64_t *tags, *last, *fillt;
+} l2_t;
+
+static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
+    p->ways = ctx[at + PORT_WAYS];
+    p->stride = ctx[at + PORT_STRIDE];
+    p->set_mask = ctx[at + PORT_SETMASK];
+    p->index_bits = ctx[at + PORT_IDXBITS];
+    p->ventries = ctx[at + PORT_VENTRIES];
+    p->vstride = ctx[at + PORT_VSTRIDE];
+    p->vempty = ctx[at + PORT_VEMPTY];
+    p->vlat = ctx[at + PORT_VLAT];
+    p->l2lat = ctx[at + PORT_L2LAT];
+    p->memlat = ctx[at + PORT_MEMLAT];
+    p->tags = I64P(at + PORT_P_TAGS);
+    p->last = I64P(at + PORT_P_LAST);
+    p->dirty = U8P(at + PORT_P_DIRTY);
+    p->fillt = I64P(at + PORT_P_FILLT);
+    p->vtags = I64P(at + PORT_P_VTAGS);
+    p->vstamp = I64P(at + PORT_P_VSTAMP);
+    p->vins = U8P(at + PORT_P_VINS);
+    p->cnt = I64P(at + PORT_P_CNT);
+}
+
+/* L1 probe of lane l: stamp (and, for a store, dirty) the matching way;
+   returns whether the lane hit. */
+static inline int probe(const port_t *p, int64_t l, int64_t base,
+                        int64_t tag, int64_t stamp, int is_write) {
+    const int64_t off = l * p->stride + base;
+    int hit = 0;
+    for (int64_t k = 0; k < p->ways; k++)
+        if (p->tags[off + k] == tag) {
+            p->last[off + k] = stamp;
+            if (is_write) p->dirty[off + k] = 1;
+            hit = 1;
+        }
+    return hit;
+}
+
+/* Miss service of lane l, in the NumPy service closure's order: victim
+   extract-on-hit, else the shared L2 (probe, LRU refill on a miss);
+   then the L1 LRU refill — bypassed when the chosen way is disabled —
+   with its evictee inserted into the victim slots.  Returns the latency
+   beyond L1, scaled by the commit width. */
+static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
+                       int64_t L, int64_t block, int64_t stamp,
+                       int is_write) {
+    int64_t *cnt = p->cnt + l;
+    int64_t lat;
+    int vhit = 0;
+    cnt[CNT_MISSES * L]++;
+    if (p->ventries) {
+        int64_t *vt = p->vtags + l * p->vstride;
+        for (int64_t j = 0; j < p->ventries; j++)
+            if (vt[j] == block) {
+                vt[j] = -1;
+                p->vstamp[l * p->vstride + j] = p->vempty;
+                vhit = 1;
+                break;
+            }
+    }
+    if (vhit) {
+        cnt[CNT_VICTIM_HITS * L]++;
+        lat = p->vlat;
+    } else {
+        const int64_t off2 =
+            l * l2->stride + (block & l2->set_mask) * l2->ways;
+        const int64_t tag2 = block >> l2->index_bits;
+        int64_t *t2 = l2->tags + off2;
+        int64_t *s2 = l2->last + off2;
+        int hit2 = 0;
+        for (int64_t k = 0; k < l2->ways; k++)
+            if (t2[k] == tag2) {
+                s2[k] = stamp;
+                hit2 = 1;
+            }
+        if (hit2) {
+            cnt[CNT_L2_HITS * L]++;
+            lat = p->l2lat;
+        } else {
+            int64_t w = 0;
+            for (int64_t k = 1; k < l2->ways; k++)
+                if (s2[k] < s2[w]) w = k;
+            if (t2[w] >= 0) cnt[CNT_L2_EVICTIONS * L]++;
+            t2[w] = tag2;
+            s2[w] = stamp;
+            l2->fillt[off2 + w] = stamp;
+            lat = p->memlat;
+        }
+    }
+    const int64_t s = block & p->set_mask;
+    const int64_t off = l * p->stride + s * p->ways;
+    const int64_t *s1 = p->last + off;
+    int64_t w = 0;
+    for (int64_t k = 1; k < p->ways; k++)
+        if (s1[k] < s1[w]) w = k;
+    if (s1[w] >= BIG_STAMP_C) { /* every way of the set is disabled */
+        cnt[CNT_BYPASSED * L]++;
+        return lat;
+    }
+    const int64_t victim_tag = p->tags[off + w];
+    if (victim_tag >= 0) {
+        cnt[CNT_EVICTIONS * L]++;
+        if (p->dirty[off + w]) cnt[CNT_WRITEBACKS * L]++;
+        if (p->ventries && (p->vins == NULL || p->vins[l])) {
+            int64_t *vt = p->vtags + l * p->vstride;
+            int64_t *vs = p->vstamp + l * p->vstride;
+            int64_t j = 0;
+            for (int64_t k = 1; k < p->ventries; k++)
+                if (vs[k] < vs[j]) j = k;
+            if (vt[j] >= 0) cnt[CNT_VICTIM_EVICTIONS * L]++;
+            vt[j] = (victim_tag << p->index_bits) | s;
+            vs[j] = stamp;
+        }
+    }
+    p->tags[off + w] = block >> p->index_bits;
+    p->last[off + w] = stamp;
+    p->dirty[off + w] = (uint8_t)is_write;
+    p->fillt[off + w] = stamp;
+    return lat;
+}
 
 void repro_run_lanes(int64_t *ctx) {
     const int64_t n = ctx[N];
@@ -111,14 +264,16 @@ void repro_run_lanes(int64_t *ctx) {
     const int64_t fdelay = ctx[FDELAY];
     const int64_t K = ctx[KSTAMP];
     const int64_t dhit = ctx[DHIT];
-    const int64_t iways = ctx[IWAYS];
-    const int64_t dways = ctx[DWAYS];
-    const int64_t istride = ctx[ISTRIDE];
-    const int64_t dstride = ctx[DSTRIDE];
     const int64_t nports = ctx[NPORTS];
     const int64_t *execlat = ctx + EXECLAT;
     const int64_t *fuof = ctx + FUOF;
     const int64_t *poolw = ctx + POOLW;
+    port_t ip, dp;
+    load_port(&ip, ctx, I_PORT);
+    load_port(&dp, ctx, D_PORT);
+    const l2_t l2 = {ctx[L2WAYS], ctx[L2STRIDE], ctx[L2SETMASK],
+                     ctx[L2IDXBITS], I64P(P_L2TAGS), I64P(P_L2LAST),
+                     I64P(P_L2FILLT)};
 
     const int64_t *cls_c = I64P(P_CLS);
     const int64_t *sps_c = I64P(P_SPS);
@@ -127,11 +282,9 @@ void repro_run_lanes(int64_t *ctx) {
     const int64_t *dest = I64P(P_DEST);
     const int64_t *robcol = I64P(P_ROBCOL);
     const int64_t *iqcol = I64P(P_IQCOL);
-    const int64_t *dbases = I64P(P_DBASES);
-    const int64_t *dtagc = I64P(P_DTAGS);
+    const int64_t *dblocks = I64P(P_DBLOCKS);
     const int64_t *ia_idx = I64P(P_IAIDX);
-    const int64_t *ia_bases = I64P(P_IABASES);
-    const int64_t *ia_tags = I64P(P_IATAGS);
+    const int64_t *ia_lines = I64P(P_IALINES);
     const int64_t *rd_idx = I64P(P_RDIDX);
     const int64_t *rd_snext = I64P(P_RDSNEXT);
     int64_t *reg = I64P(P_REG);
@@ -144,14 +297,6 @@ void repro_run_lanes(int64_t *ctx) {
     int64_t *dyn = I64P(P_DYN);
     int64_t *fetch_base = I64P(P_FETCHBASE);
     int64_t *v = I64P(P_V);
-    const int64_t *itags = I64P(P_ITAGS);
-    int64_t *ilast = I64P(P_ILAST);
-    const int64_t *dtags = I64P(P_DTAGS2D);
-    int64_t *dlast = I64P(P_DLAST);
-    uint8_t *ddirty = U8P(P_DDIRTY);
-    uint8_t *eqi = U8P(P_EQI);
-    uint8_t *eqd = U8P(P_EQD);
-    const int64_t *dlat = I64P(P_DLAT);
 
     int64_t i = ctx[I_CUR];
     int64_t ia_cur = ctx[IA_CUR];
@@ -161,65 +306,31 @@ void repro_run_lanes(int64_t *ctx) {
     int64_t next_ia = ia_idx[ia_cur];
     int64_t next_rd = rd_idx[rd_cur];
     int64_t ret = RET_DONE_C;
-    int64_t cnt = 0;
-    int64_t pending_dlat = ctx[DLAT_READY];
 
     for (; i < n; i++) {
         if (i == boundary) { ret = RET_BOUNDARY_C; goto save; }
         if (i == next_ia) {
-            /* ---- I-cache access point: probe every lane's set ------ */
-            const int64_t base = ia_bases[ia_cur];
-            const int64_t tag = ia_tags[ia_cur];
-            cnt = 0;
-            for (int64_t l = 0; l < L; l++) {
-                const int64_t *trow = itags + l * istride + base;
-                uint8_t *erow = eqi + l * iways;
-                for (int64_t k = 0; k < iways; k++) {
-                    uint8_t e = trow[k] == tag;
-                    erow[k] = e;
-                    cnt += e;
-                }
-            }
-            if (cnt != L) { ret = RET_IACCESS_C; goto save; }
+            /* ---- I-cache access point: probe, or service, every lane -- */
+            const int64_t line = ia_lines[ia_cur];
+            const int64_t base = (line & ip.set_mask) * ip.ways;
+            const int64_t tag = line >> ip.index_bits;
             const int64_t stamp = K + 2 * i;
-            for (int64_t l = 0; l < L; l++) {
-                const uint8_t *erow = eqi + l * iways;
-                int64_t *lrow = ilast + l * istride + base;
-                for (int64_t k = 0; k < iways; k++)
-                    if (erow[k]) lrow[k] = stamp;
-            }
+            for (int64_t l = 0; l < L; l++)
+                if (!probe(&ip, l, base, tag, stamp, 0)) {
+                    dyn[l] += service(&ip, &l2, l, L, line, stamp, 0);
+                    cur_sp = CUR_SP_INVALID_C; /* refresh fetch base */
+                }
             ia_cur++;
             next_ia = ia_idx[ia_cur];
         }
         const int64_t cls = cls_c[i];
-        int64_t dbase = 0;
-        int dres = 0;
-        if (cls == 4 || cls == 5) {
-            if (pending_dlat) {
-                /* re-entry after a D-miss: the vectorised service has
-                   already refilled, stamped, and (for loads) left the
-                   per-lane latency vector in `dlat` — finish the
-                   instruction here instead of a NumPy replay. */
-                dres = 1;
-                pending_dlat = 0;
-            } else {
-                /* ---- D-probe peek *before* dispatch: on any-lane miss
-                   Python runs the service, then re-enters with
-                   DLAT_READY set ------------------------------------ */
-                dbase = dbases[i];
-                const int64_t tag = dtagc[i];
-                cnt = 0;
-                for (int64_t l = 0; l < L; l++) {
-                    const int64_t *trow = dtags + l * dstride + dbase;
-                    uint8_t *erow = eqd + l * dways;
-                    for (int64_t k = 0; k < dways; k++) {
-                        uint8_t e = trow[k] == tag;
-                        erow[k] = e;
-                        cnt += e;
-                    }
-                }
-                if (cnt != L) { ret = RET_DMISS_C; goto save; }
-            }
+        const int is_mem = cls == 4 || cls == 5;
+        const int is_store = cls == 5;
+        int64_t dblock = 0, dbase = 0, dtag = 0;
+        if (is_mem) {
+            dblock = dblocks[i];
+            dbase = (dblock & dp.set_mask) * dp.ways;
+            dtag = dblock >> dp.index_bits;
         }
         const int64_t sp = sps_c[i];
         if (sp != cur_sp) {
@@ -272,29 +383,14 @@ void repro_run_lanes(int64_t *ctx) {
             pl[bi] = issued;
             pt[qi] = issued;
             iqrow[l] = issued;
-            /* execute / complete (probe all-hit, or serviced miss) --- */
+            /* execute / complete: D-probe, miss service on a miss ---- */
             int64_t cw;
-            if (cls == 4) {
-                cw = issued + dhit;
-                if (dres) {
-                    cw += dlat[l];
-                } else {
-                    const uint8_t *erow = eqd + l * dways;
-                    int64_t *lrow = dlast + l * dstride + dbase;
-                    for (int64_t k = 0; k < dways; k++)
-                        if (erow[k]) lrow[k] = stamp_d;
-                }
-            } else if (cls == 5) {
-                cw = issued; /* retires via the store buffer */
-                if (!dres) {
-                    const uint8_t *erow = eqd + l * dways;
-                    const int64_t off = l * dstride + dbase;
-                    for (int64_t k = 0; k < dways; k++)
-                        if (erow[k]) {
-                            dlast[off + k] = stamp_d;
-                            ddirty[off + k] = 1;
-                        }
-                }
+            if (is_mem) {
+                int64_t lat = 0;
+                if (!probe(&dp, l, dbase, dtag, stamp_d, is_store))
+                    lat = service(&dp, &l2, l, L, dblock, stamp_d, is_store);
+                /* a store retires via the store buffer */
+                cw = is_store ? issued : issued + dhit + lat;
             } else {
                 cw = issued + elat;
             }
@@ -321,8 +417,6 @@ save:
     ctx[IA_CUR] = ia_cur;
     ctx[RD_CUR] = rd_cur;
     ctx[CUR_SP] = cur_sp;
-    ctx[CNT_OUT] = cnt; /* hit-lane count of the event being returned */
-    ctx[DLAT_READY] = 0;
     ctx[RET] = ret;
 }
 """
@@ -330,11 +424,17 @@ save:
 
 def _source() -> str:
     defines = [f"#define {name} {slot}" for name, slot in CTX.items()]
+    defines += [f"#define PORT_{name} {j}" for j, name in enumerate(_PORT_FIELDS)]
+    defines.append(f"#define I_PORT {CTX['I_' + _PORT_FIELDS[0]]}")
+    defines.append(f"#define D_PORT {CTX['D_' + _PORT_FIELDS[0]]}")
+    defines += [
+        f"#define CNT_{name.upper()} {row}"
+        for row, name in enumerate(LANE_COUNTERS)
+    ]
+    defines.append(f"#define BIG_STAMP_C INT64_C({BIG_STAMP})")
     defines.append(f"#define RET_DONE_C {RET_DONE}")
     defines.append(f"#define RET_BOUNDARY_C {RET_BOUNDARY}")
-    defines.append(f"#define RET_IACCESS_C {RET_IACCESS}")
-    defines.append(f"#define RET_DMISS_C {RET_DMISS}")
-    defines.append(f"#define CUR_SP_INVALID_C (-(INT64_C(1) << 62))")
+    defines.append("#define CUR_SP_INVALID_C (-(INT64_C(1) << 62))")
     return "\n".join(defines) + "\n" + _C_BODY
 
 
@@ -360,23 +460,31 @@ def _warn_fallback(message: str) -> None:
     )
 
 
+def _object_name(source: str) -> str:
+    """File name of the compiled object cached for ``source`` — the name
+    :func:`load` looks for under the kernel cache directory."""
+    return f"lane_kernel_{hashlib.sha256(source.encode()).hexdigest()[:16]}.so"
+
+
 def _build() -> "ctypes.CDLL | None":
     source = _source()
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     cache_dir = os.environ.get("REPRO_KERNEL_CACHE") or os.path.join(
         tempfile.gettempdir(), f"repro-lane-kernel-{os.getuid()}"
     )
-    lib_path = os.path.join(cache_dir, f"lane_kernel_{digest}.so")
+    lib_path = os.path.join(cache_dir, _object_name(source))
     if not os.path.exists(lib_path):
+        # Source and object both go to process-unique names and only the
+        # finished object is renamed into place (atomic under POSIX):
+        # concurrent workers building the same digest can neither
+        # truncate each other's source under gcc nor load a half-written
+        # object.
+        stem = f"{lib_path[:-3]}.{os.getpid()}"
+        src_path = f"{stem}.c"
+        tmp_path = f"{stem}.so.tmp"
         try:
             os.makedirs(cache_dir, exist_ok=True)
-            src_path = os.path.join(cache_dir, f"lane_kernel_{digest}.c")
             with open(src_path, "w") as fh:
                 fh.write(source)
-            # Build to a unique temp name, then rename: atomic under
-            # POSIX, so concurrent worker processes never load a
-            # half-written object.
-            tmp_path = f"{lib_path}.{os.getpid()}.tmp"
             subprocess.run(
                 ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_path, src_path],
                 check=True,
@@ -395,12 +503,20 @@ def _build() -> "ctypes.CDLL | None":
         except (OSError, subprocess.SubprocessError) as exc:
             _warn_fallback(f"lane-kernel build unavailable ({exc!r})")
             return None
+        finally:
+            for path in (src_path, tmp_path):
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
     try:
-        lib = ctypes.CDLL(lib_path)
-    except OSError as exc:
+        fn = ctypes.CDLL(lib_path).repro_run_lanes
+    except (OSError, AttributeError) as exc:
+        # An unloadable cached object, or one without the entry point,
+        # would fail every later process too: drop it so the next load
+        # rebuilds.
         _warn_fallback(f"lane-kernel load failed ({exc!r})")
+        with contextlib.suppress(OSError):
+            os.unlink(lib_path)
         return None
-    fn = lib.repro_run_lanes
     fn.argtypes = [ctypes.c_void_p]
     fn.restype = None
     return fn

@@ -874,19 +874,18 @@ class OutOfOrderPipeline:
         freshly-created arrays whose addresses it contains — the caller
         must keep that list alive for the duration of the run.  ``env``
         is :meth:`_run_lanes`'s local namespace (the arrays are shared,
-        not copied: Python event tails and the kernel mutate the same
-        state).  Per-trace columns are converted to int64 arrays once and
-        memoised on the trace/schedule objects.
+        not copied: the kernel mutates the bulk engine's cache state and
+        counters in place).  Per-trace columns are converted to int64
+        arrays once and memoised on the trace object.
         """
         C = lane_kernel.CTX
 
         def i64(x):
             return np.ascontiguousarray(np.asarray(x, dtype=np.int64))
 
-        src1s, src2s, dests = env["src1s"], env["src2s"], env["dests"]
         key = (
             cfg.rob_entries, cfg.iq_int_entries, cfg.iq_fp_entries,
-            env["d_shift"], env["d_geom"].index_bits, env["d_geom"].ways,
+            env["d_shift"],
         )
         cache = trace.__dict__.setdefault("_kernel_columns_i64", {})
         cols = cache.get(key)
@@ -894,40 +893,36 @@ class OutOfOrderPipeline:
             cols = tuple(
                 i64(c)
                 for c in (
-                    trace.iclass, src1s, src2s, dests,
-                    env["rob_col"], env["iq_col"],
-                    env["d_bases"], env["d_tagcol"],
+                    trace.iclass, env["src1s"], env["src2s"], env["dests"],
+                    env["rob_col"], env["iq_col"], env["d_blocks"],
                 )
             )
             cache[key] = cols
-        cls_a, src1_a, src2_a, dest_a, robcol_a, iqcol_a, dbase_a, dtag_a = cols
+        cls_a, src1_a, src2_a, dest_a, robcol_a, iqcol_a, dblock_a = cols
 
         # Sparse per-schedule columns are small (one entry per I-access /
         # redirect); converting per call keeps the cache simple.
         keepalive = [
-            i64(env["sps"]), i64(env["ia_indices"]), i64(env["ia_bases"]),
-            i64(env["ia_tags"]), i64(env["rd_indices"]),
-            i64(env["rd_static_next"]),
+            i64(env["sps"]), i64(env["ia_indices"]), i64(env["ia_lines"]),
+            i64(env["rd_indices"]), i64(env["rd_static_next"]),
         ]
-        sps_a, iaidx_a, iabase_a, iatag_a, rdidx_a, rdnext_a = keepalive
+        sps_a, iaidx_a, ialine_a, rdidx_a, rdnext_a = keepalive
 
         ctx = np.zeros(lane_kernel.CTX_SLOTS, dtype=np.int64)
         commit_width = cfg.commit_width
-        ctx[C["N"]] = len(trace)
-        ctx[C["NLANES"]] = env["n_lanes"]
-        ctx[C["WSCALE"]] = commit_width
-        ctx[C["WM1"]] = commit_width - 1
-        ctx[C["WPOW2"]] = int(env["w_pow2"])
-        ctx[C["FDELAY"]] = env["frontend_delay"]
-        ctx[C["KSTAMP"]] = env["K"]
-        ctx[C["DHIT"]] = env["d_hit_adder"]
-        ctx[C["IWAYS"]] = env["i_ways"]
-        ctx[C["DWAYS"]] = env["d_ways"]
-        ctx[C["ISTRIDE"]] = lanes.l1i.n + 1
-        ctx[C["DSTRIDE"]] = lanes.l1d.n + 1
-        ctx[C["NPORTS"]] = cfg.issue_width
-        ctx[C["CUR_SP"]] = lane_kernel.CUR_SP_INVALID
-        ctx[C["BOUNDARY"]] = env["boundary"]
+        l2 = lanes.l2
+        for name, value in (
+            ("N", len(trace)), ("NLANES", env["n_lanes"]),
+            ("WSCALE", commit_width), ("WM1", commit_width - 1),
+            ("WPOW2", int(env["w_pow2"])), ("FDELAY", env["frontend_delay"]),
+            ("KSTAMP", env["K"]), ("DHIT", env["d_hit_adder"]),
+            ("NPORTS", cfg.issue_width),
+            ("L2WAYS", l2.ways), ("L2STRIDE", l2.n + 1),
+            ("L2SETMASK", l2.set_mask), ("L2IDXBITS", l2.tag_shift),
+            ("CUR_SP", lane_kernel.CUR_SP_INVALID),
+            ("BOUNDARY", env["boundary"]),
+        ):
+            ctx[C[name]] = value
         for j, lat in enumerate(env["exec_lat"]):
             ctx[C["EXECLAT"] + j] = (lat - 1) * commit_width
         for j, fu in enumerate(env["fu_of"]):
@@ -935,22 +930,44 @@ class OutOfOrderPipeline:
         for j, pool in enumerate(env["pools"]):
             ctx[C["POOLW"] + j] = pool.shape[1]
             ctx[C[f"P_POOL{j}"]] = pool.ctypes.data
+        for side, port in (("I", lanes.iport), ("D", lanes.dport)):
+            l1, victims = port.l1, port.victims
+            fields = {
+                "WAYS": l1.ways, "STRIDE": l1.n + 1,
+                "SETMASK": l1.set_mask, "IDXBITS": l1.tag_shift,
+                "VLAT": port.latency[0], "L2LAT": port.latency[1],
+                "MEMLAT": port.latency[2],
+                "P_TAGS": l1.tags.ctypes.data, "P_LAST": l1.last.ctypes.data,
+                "P_DIRTY": l1.dirty.ctypes.data,
+                "P_FILLT": l1.fillt.ctypes.data,
+                "P_CNT": port.counts.ctypes.data,
+            }
+            if victims is not None:  # else VENTRIES 0: no victim slots
+                fields.update(
+                    VENTRIES=victims.entries,
+                    VSTRIDE=victims.entries + 1,
+                    VEMPTY=victims.empty_stamp,
+                    P_VTAGS=victims.tags.ctypes.data,
+                    P_VSTAMP=victims.stamp.ctypes.data,
+                    P_VINS=(
+                        0 if victims.insertable is None
+                        else victims.insertable.ctypes.data
+                    ),
+                )
+            for name, value in fields.items():
+                ctx[C[f"{side}_{name}"]] = value
         for name, arr in (
             ("P_CLS", cls_a), ("P_SPS", sps_a), ("P_SRC1", src1_a),
             ("P_SRC2", src2_a), ("P_DEST", dest_a), ("P_ROBCOL", robcol_a),
-            ("P_IQCOL", iqcol_a), ("P_DBASES", dbase_a), ("P_DTAGS", dtag_a),
-            ("P_IAIDX", iaidx_a), ("P_IABASES", iabase_a),
-            ("P_IATAGS", iatag_a), ("P_RDIDX", rdidx_a),
-            ("P_RDSNEXT", rdnext_a),
+            ("P_IQCOL", iqcol_a), ("P_DBLOCKS", dblock_a),
+            ("P_IAIDX", iaidx_a), ("P_IALINES", ialine_a),
+            ("P_RDIDX", rdidx_a), ("P_RDSNEXT", rdnext_a),
             ("P_REG", env["reg_ready"]), ("P_ROB", env["rob_ring"]),
             ("P_IQINT", env["int_iq"]), ("P_IQFP", env["fp_iq"]),
             ("P_PORTS", env["ports"]), ("P_DYN", env["dyn"]),
             ("P_FETCHBASE", env["fetch_base"]), ("P_V", env["v"]),
-            ("P_ITAGS", env["i_tags2d"]), ("P_ILAST", env["i_last2d"]),
-            ("P_DTAGS2D", env["d_tags2d"]), ("P_DLAST", env["d_last2d"]),
-            ("P_DDIRTY", env["d_dirty2d"]),
-            ("P_EQI", env["eqbuf_i"]), ("P_EQD", env["eqbuf_d"]),
-            ("P_DLAT", env["dlat_buf"]),
+            ("P_L2TAGS", l2.tags), ("P_L2LAST", l2.last),
+            ("P_L2FILLT", l2.fillt),
         ):
             ctx[C[name]] = arr.ctypes.data
         return ctx, keepalive
@@ -1023,17 +1040,8 @@ class OutOfOrderPipeline:
         ia2_bases = ((_lines & (l2_geom.num_sets - 1)) * l2_geom.ways).tolist()
         ia2_tags = (_lines >> l2_geom.index_bits).tolist()
 
-        _cls_arr = np.asarray(classes, dtype=np.int64)
-        total_d = int(np.count_nonzero((_cls_arr == 4) | (_cls_arr == 5)))
-        total_i = len(ia_lines)
-
         commit_width = cfg.commit_width
-        lanes = BulkLanes(
-            [p.hierarchy for p in pipelines],
-            total_i,
-            total_d,
-            lat_scale=commit_width,
-        )
+        lanes = BulkLanes([p.hierarchy for p in pipelines], lat_scale=commit_width)
         i_tags2d = lanes.l1i.tags
         i_last2d = lanes.l1i.last
         i_ways = lanes.l1i.ways
@@ -1123,79 +1131,32 @@ class OutOfOrderPipeline:
         s_cell = np.array(0, I64)  # per-access scalar operand (base/tag/...)
         s_stamp = np.array(0, I64)  # current recency stamp (0-d copyto source)
 
+        def mark_boundary():
+            np.subtract(v, 1, out=t)
+            np.floor_divide(t, commit_width, out=t)
+            cycles_base[:] = t
+            lanes.mark_boundary()
+
         kernel = lane_kernel.load()
         if kernel is not None:
-            # ---- compiled driver: the C kernel advances all lanes and
-            # returns only at the boundary and at any-lane-miss events.
-            # A D-miss costs exactly one vectorised service call: the
-            # per-lane latency vector goes back through `dlat_buf` and
-            # the kernel finishes the instruction itself (DLAT_READY).
-            dlat_buf = np.zeros(n_lanes, I64)
+            # ---- compiled path: the C kernel advances and services
+            # every lane, returning early only at the warmup boundary.
             ctx, _keepalive = OutOfOrderPipeline._kernel_context(
                 trace, cfg, lanes, locals()
             )
-            C = lane_kernel.CTX
-            c_icur = C["I_CUR"]
-            c_iacur = C["IA_CUR"]
-            c_cursp = C["CUR_SP"]
-            c_ret = C["RET"]
-            c_cnt = C["CNT_OUT"]
-            c_dlat_ready = C["DLAT_READY"]
             ctx_ptr = ctx.ctypes.data
-            while True:
+            kernel(ctx_ptr)
+            if ctx[lane_kernel.CTX["RET"]] == lane_kernel.RET_BOUNDARY:
+                mark_boundary()
+                ctx[lane_kernel.CTX["BOUNDARY"]] = -1
                 kernel(ctx_ptr)
-                ret = int(ctx[c_ret])
-                if ret == lane_kernel.RET_DONE:
-                    break
-                i = int(ctx[c_icur])
-                if ret == lane_kernel.RET_BOUNDARY:
-                    np.subtract(v, 1, out=t)
-                    np.floor_divide(t, commit_width, out=t)
-                    cycles_base[:] = t
-                    lanes.mark_boundary()
-                    ctx[C["BOUNDARY"]] = -1
-                    continue
-                if ret == lane_kernel.RET_IACCESS:
-                    ia_cursor = int(ctx[c_iacur])
-                    dyn += service_i(
-                        K + 2 * i, ia_lines[ia_cursor], ia_bases[ia_cursor],
-                        ia_sets[ia_cursor], ia2_bases[ia_cursor],
-                        ia2_tags[ia_cursor], ia_tags[ia_cursor],
-                        eqbuf_i, int(ctx[c_cnt]), False, True,
-                    )
-                    ctx[c_iacur] = ia_cursor + 1
-                    ctx[c_cursp] = lane_kernel.CUR_SP_INVALID
-                    continue
-                # ---- RET_DMISS: one vectorised service call; the kernel
-                # finishes the instruction with the latency vector ------
-                stamp = K + 2 * i + 1
-                cnt = int(ctx[c_cnt])
-                if classes[i] == 4:  # LOAD
-                    np.copyto(
-                        dlat_buf,
-                        service_d(
-                            stamp, d_blocks[i], d_bases[i], d_sets[i],
-                            d2_bases[i], d2_tagcol[i], d_tagcol[i],
-                            eqbuf_d, cnt, False, True,
-                        ),
-                    )
-                else:  # STORE (the kernel only defers on cls 4/5)
-                    service_d(
-                        stamp, d_blocks[i], d_bases[i], d_sets[i],
-                        d2_bases[i], d2_tagcol[i], d_tagcol[i],
-                        eqbuf_d, cnt, True, False,
-                    )
-                ctx[c_dlat_ready] = 1
         else:
           for i, (cls, sp, r1, r2, rd, rs, slot) in enumerate(
             zip(classes, sps, src1s, src2s, dests, rob_col, iq_col)
           ):
             if i == next_pre:
                 if i == boundary:
-                    np.subtract(v, 1, out=t)
-                    np.floor_divide(t, commit_width, out=t)
-                    cycles_base[:] = t
-                    lanes.mark_boundary()
+                    mark_boundary()
                     boundary = -1
                 if i == next_ia:
                     # ---- I-cache access point (precomputed line change) ---
@@ -1347,8 +1308,8 @@ class OutOfOrderPipeline:
                 maximum(dyn, t, out=dyn)
                 cur_sp = None  # dyn moved: refresh fetch_base
 
-        # Reconstruct per-lane statistics from the recorded event masks and
-        # write state + stats back to the object hierarchies.
+        # Derive per-lane statistics from the counters and write state +
+        # stats back to the object hierarchies.
         lanes.finalize(
             schedule.iaccess_measured,
             schedule.daccess_measured,

@@ -9,9 +9,12 @@ fallbacks, and post-batch warm reuse.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu.trace import Trace
 from repro.experiments.configs import (
     HV_BASELINE,
     LV_BASELINE,
@@ -22,6 +25,7 @@ from repro.experiments.configs import (
     LV_WORD,
 )
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
+from repro.workloads.generator import generate_trace
 
 SETTINGS = RunnerSettings(
     n_instructions=4_000,
@@ -223,6 +227,56 @@ def test_partially_warm_victim_cache_appends_before_evicting(runner):
     assert results == expected
     for p, q in zip(pipelines, expected):
         assert p.hierarchy.stats().snapshot() == q.hierarchy_stats
+
+
+def _repeated(trace: Trace, times: int) -> Trace:
+    """``trace`` played ``times`` over: the footprint stays the same, so
+    cache contents (and their write-back) stop growing after one play."""
+    return Trace(
+        pc=trace.pc * times,
+        iclass=trace.iclass * times,
+        mem_addr=trace.mem_addr * times,
+        src1=trace.src1 * times,
+        src2=trace.src2 * times,
+        dest=trace.dest * times,
+        taken=trace.taken * times,
+        name=f"{trace.name}x{times}",
+    )
+
+
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+def test_lane_memory_does_not_grow_with_trace_length(runner, monkeypatch, kernel):
+    """Per-lane statistics live in O(lanes) counters: the memory 24 extra
+    lanes cost must not grow with trace length (per-event mask rows grew
+    by a few bytes per lane per instruction)."""
+    if kernel == "numpy":
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    short = generate_trace("gzip", 1_000, seed=5)
+    traces = {1: short, 4: _repeated(short, 4)}
+
+    def batch(times: int, lanes: int):
+        pipelines = [
+            runner.build_pipeline(LV_BLOCK_V10, m % SETTINGS.n_fault_maps)
+            for m in range(lanes)
+        ]
+        return lambda: OutOfOrderPipeline.run_batch(
+            pipelines, traces[times], measure_from=250, min_lanes=1
+        )
+
+    def peak(times: int, lanes: int) -> int:
+        run = batch(times, lanes)
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for times in traces:  # memoised schedules and columns: built untraced
+        batch(times, 8)()
+    growth_32 = peak(4, 32) - peak(1, 32)
+    growth_8 = peak(4, 8) - peak(1, 8)
+    assert growth_32 - growth_8 < 100_000
 
 
 def test_batched_state_supports_warm_reuse(runner):

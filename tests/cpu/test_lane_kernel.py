@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+import warnings
 
 import pytest
 
@@ -161,3 +162,38 @@ class TestBuildFailureWarning:
         monkeypatch.setattr(lane_kernel.subprocess, "run", no_gcc)
         with pytest.warns(RuntimeWarning, match="NumPy lane loop"):
             assert lane_kernel.load() is None
+
+    @kernel_available
+    def test_concurrent_build_cannot_truncate_the_compiled_source(
+        self, monkeypatch, tmp_path
+    ):
+        """Another worker building the same digest truncates the shared
+        ``lane_kernel_<digest>.c`` just before this process's gcc runs.
+        The build must not cache an object without the entry point."""
+        shared_source = tmp_path / lane_kernel._object_name(
+            lane_kernel._source()
+        ).replace(".so", ".c")
+        real_run = subprocess.run
+
+        def racing_gcc(*args, **kwargs):
+            shared_source.write_text("")  # the other worker's open(..., "w")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(lane_kernel.subprocess, "run", racing_gcc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lane_kernel.load() is not None
+
+    @kernel_available
+    def test_object_without_entry_point_falls_back_and_is_dropped(
+        self, tmp_path
+    ):
+        bad = tmp_path / lane_kernel._object_name(lane_kernel._source())
+        empty = tmp_path / "empty.c"
+        empty.write_text("")
+        subprocess.run(
+            ["gcc", "-shared", "-fPIC", "-o", str(bad), str(empty)], check=True
+        )
+        with pytest.warns(RuntimeWarning, match="repro_run_lanes"):
+            assert lane_kernel.load() is None
+        assert not bad.exists()
