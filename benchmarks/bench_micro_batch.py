@@ -1,31 +1,27 @@
-"""Lane-batching microbenchmark: KIPS per lane width and the break-even.
+"""Lane-batching microbenchmark: KIPS per lane width against the object loop.
 
-Measures the lane-batched campaign engine
-(:meth:`OutOfOrderPipeline.run_batch`) against the sequential fused path
+Measures the compiled lane kernel (:meth:`OutOfOrderPipeline.run_batch`)
 on one fault-dependent campaign point: the same trace simulated over
-``--maps`` fault-map pairs, dispatched in batches of 1 (the legacy
-per-map path) and each requested width.  Reported per lane width:
+``--maps`` fault-map pairs, dispatched in kernel passes of each requested
+width (1 = one single-lane pass per map), against the reference — one
+sequential ``engine="object"`` run per map, which is also what every
+simulation costs on a host without ``gcc``.  Reported per row:
 
 * ``kips``    — aggregate simulated instructions per second across lanes;
 * ``seconds`` — wall-clock for the whole point;
-* ``speedup`` — vs the sequential (width-1) dispatch.
+* ``speedup`` — vs the sequential object runs.
 
-Per config the bench also reports ``break_even_lanes`` — the
-interpolated lane count where a batched pass first matches sequential
-wall-clock (with the compiled lane kernel this sits near 3; the
-``MIN_BATCH_LANES`` default in ``repro.campaign.session`` cites it) —
-and a ``hetero`` section demonstrating that a ``--maps 2`` campaign
-over mixed victim sizings (0/8/16 entries) pads to one slot axis and
-merges into a *single* vectorised pass group.
+A ``hetero`` section demonstrates that a ``--maps 2`` campaign over
+mixed victim sizings (0/8/16 entries) pads to one slot axis and merges
+into a *single* kernel pass group.
 
-Every batched result is checked for **bit-identity** against the
-sequential runs; a divergence exits non-zero (that is the CI failure
-condition — timing never is).
+Every kernel result is checked for **bit-identity** against the object
+runs; a divergence exits non-zero (that is the CI failure condition —
+timing never is).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_micro_batch.py
-    PYTHONPATH=src python benchmarks/bench_micro_batch.py --no-kernel
     PYTHONPATH=src python benchmarks/bench_micro_batch.py --smoke --json out.json
 """
 
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -65,14 +60,8 @@ def _parse_args(argv) -> argparse.Namespace:
     )
     parser.add_argument(
         "--lanes",
-        default="1,2,4,8,50",
+        default="1,8,50",
         help="comma list of lane widths to measure (each capped at --maps)",
-    )
-    parser.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help="disable the compiled lane kernel (REPRO_NO_CKERNEL=1) to "
-        "measure the pure-NumPy fallback's crossover",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, help="timed repetitions (best kept)"
@@ -87,45 +76,34 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+#: The reference row: one sequential ``engine="object"`` run per map.
+OBJECT = "object"
+
+
 def _run_point(runner, config, trace, warmup, map_count, width):
-    """One campaign point at the given lane width; returns (seconds, results)."""
+    """One campaign point in kernel passes of ``width`` lanes (or, for
+    :data:`OBJECT`, sequential object runs); returns (seconds, results)."""
     indices = list(range(map_count))
     results = []
     start = time.perf_counter()
+    if width == OBJECT:
+        for m in indices:
+            pipeline = runner.build_pipeline(config, m, engine="object")
+            results.append(pipeline.run(trace, measure_from=warmup))
+        return time.perf_counter() - start, results
     for begin in range(0, map_count, width):
         chunk = indices[begin : begin + width]
         pipelines = [runner.build_pipeline(config, m) for m in chunk]
-        if width == 1:
-            results.append(pipelines[0].run(trace, measure_from=warmup))
-        else:
-            results.extend(
-                OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=warmup)
-            )
+        results.extend(
+            OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=warmup)
+        )
     return time.perf_counter() - start, results
-
-
-def _break_even(widths, rows) -> "float | None":
-    """The interpolated lane count where batched speedup crosses 1.0
-    (``None`` when no measured width reaches it)."""
-    prev_w, prev_s = None, None
-    for width in widths:
-        speedup = rows[str(width)]["speedup"]
-        if width == 1 or speedup is None:
-            continue
-        if speedup >= 1.0:
-            if prev_s is None or prev_s >= 1.0:
-                return float(width)
-            # linear interpolation in (width, speedup) between samples
-            frac = (1.0 - prev_s) / (speedup - prev_s)
-            return round(prev_w + frac * (width - prev_w), 1)
-        prev_w, prev_s = width, speedup
-    return None
 
 
 def _run_hetero(args, instructions, warmup) -> dict:
     """A --maps 2 campaign over mixed victim sizings (0/8/16 entries):
-    the padded slot axis must merge all six lanes into ONE vectorised
-    pass group, bit-identical to the six sequential runs."""
+    the padded slot axis must merge all six lanes into ONE kernel pass
+    group, bit-identical to six sequential object runs."""
     from repro.campaign.session import Session
     from repro.campaign.spec import CampaignSpec
 
@@ -136,12 +114,15 @@ def _run_hetero(args, instructions, warmup) -> dict:
         n_fault_maps=2,
         benchmarks=(args.benchmark,),
     )
-    sequential = ExperimentRunner(settings, lanes=1, mega_batch=False)
-    reference = {
-        (config.label, m): sequential.run(args.benchmark, config, m)
-        for config in configs
-        for m in range(2)
-    }
+    with Session(settings) as session:
+        trace = session.trace(args.benchmark)
+        reference = {
+            (config.label, m): session.build_pipeline(
+                config, m, engine="object"
+            ).run(trace, measure_from=warmup)
+            for config in configs
+            for m in range(2)
+        }
     with Session(settings) as session:
         spec = CampaignSpec.from_settings(settings, configs)
         plan = session.plan(spec)
@@ -168,8 +149,6 @@ def _run_hetero(args, instructions, warmup) -> dict:
 
 
 def run_bench(args) -> dict:
-    if args.no_kernel:
-        os.environ["REPRO_NO_CKERNEL"] = "1"
     from repro.cpu import lane_kernel
 
     if args.smoke:
@@ -196,39 +175,33 @@ def run_bench(args) -> dict:
     divergences = 0
     for config in BENCH_CONFIGS:
         runner.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
-        # Repetitions interleave the widths so per-repetition speedup
+        # Repetitions interleave the rows so per-repetition speedup
         # ratios are robust against machine-load drift; the reported
         # speedup is the median ratio, the KIPS the best run.
-        times: dict[int, list[float]] = {w: [] for w in widths}
-        outputs: dict[int, list] = {}
+        rows_measured = [OBJECT, *widths]
+        times: dict = {w: [] for w in rows_measured}
+        outputs: dict = {}
         for _ in range(repeats):
-            for width in widths:
+            for width in rows_measured:
                 elapsed, results = _run_point(
                     runner, config, trace, warmup, maps, width
                 )
                 times[width].append(elapsed)
                 outputs[width] = results
-        reference = outputs[widths[0]] if widths[0] == 1 else None
         rows: dict[str, dict] = {}
-        for width in widths:
-            identical = reference is None or outputs[width] == reference
+        for width in rows_measured:
+            identical = outputs[width] == outputs[OBJECT]
             if not identical:
                 divergences += 1
-            best = min(times[width])
-            if width == 1 or 1 not in times:
-                speedup = 1.0 if width == 1 else None
-            else:
-                ratios = sorted(
-                    seq / bat for seq, bat in zip(times[1], times[width])
-                )
-                speedup = round(ratios[len(ratios) // 2], 2)
+            ratios = sorted(
+                ref / run for ref, run in zip(times[OBJECT], times[width])
+            )
             rows[str(width)] = {
-                "kips": round(total / best / 1e3, 1),
-                "seconds": round(best, 3),
-                "speedup": speedup,
+                "kips": round(total / min(times[width]) / 1e3, 1),
+                "seconds": round(min(times[width]), 3),
+                "speedup": round(ratios[len(ratios) // 2], 2),
                 "identical": identical,
             }
-        rows["break_even_lanes"] = _break_even(widths, rows)
         configs[config.label] = rows
     hetero = _run_hetero(args, instructions, warmup)
     if not hetero["identical"]:
@@ -245,7 +218,6 @@ def run_bench(args) -> dict:
         "lanes": widths,
         "configs": configs,
         "speedup_full_batch": configs[BENCH_CONFIGS[0].label][top]["speedup"],
-        "break_even_lanes": configs[BENCH_CONFIGS[0].label]["break_even_lanes"],
         "hetero": hetero,
         "divergences": divergences,
     }
@@ -263,17 +235,13 @@ def main(argv=None) -> int:
     for label, rows in summary["configs"].items():
         print(f"{label}:")
         for width, row in rows.items():
-            if width == "break_even_lanes":
-                continue
             ok = "yes" if row["identical"] else "DIVERGED"
-            speed = f"{row['speedup']:.2f}x" if row["speedup"] else "  ref"
+            name = width if width == OBJECT else f"lanes={width}"
             print(
-                f"  lanes={width:>3}  {row['kips']:>9.1f} KIPS"
-                f"  {row['seconds']:>7.3f}s  {speed:>7}  ok={ok}"
+                f"  {name:>9}  {row['kips']:>9.1f} KIPS"
+                f"  {row['seconds']:>7.3f}s  {row['speedup']:>6.2f}x  ok={ok}"
             )
-        be = rows["break_even_lanes"]
-        print(f"  break-even: {be if be is not None else '> max measured'} lanes")
-    print(f"full-batch speedup: {summary['speedup_full_batch']}x")
+    print(f"full-batch speedup over object runs: {summary['speedup_full_batch']}x")
     hetero = summary["hetero"]
     print(
         f"hetero victim merge (--maps {hetero['maps']}, "
@@ -292,7 +260,7 @@ def main(argv=None) -> int:
     if summary["divergences"]:
         print(
             f"ERROR: {summary['divergences']} lane width(s) diverged from the "
-            "sequential fused engine",
+            "sequential object engine",
             file=sys.stderr,
         )
         return 1

@@ -11,12 +11,13 @@ figures must be byte-identical with ``--mega-batch`` and
 ``Session.run(spec)`` path and the legacy ``ExperimentRunner`` path must
 produce byte-identical figure JSON, and dedup re-runs must execute zero
 schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
-a heterogeneous-victim campaign must merge into one vectorised pass and
-stay bit-identical both with the C kernel and on the NumPy fallback,
-and the vectorised schedule compiler must match the reference replay.
-The ``sanitize`` smoke rebuilds that kernel with AddressSanitizer and
-UBSan and runs the kernel, batch-equivalence and batched golden tests
-against it: a sanitizer report fails the gate.
+a heterogeneous-victim campaign must merge into one kernel pass,
+bit-identical to ``engine="object"`` runs; under ``REPRO_NO_CKERNEL=1``
+the same campaign must run through the object loop to byte-identical
+figures; and the vectorised schedule compiler must match the reference
+replay.  The ``sanitize`` smoke rebuilds that kernel with
+AddressSanitizer and UBSan and runs the kernel, fuzzed-equivalence and
+golden tests against it: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write, resumed to byte-identical figures,
@@ -92,7 +93,6 @@ def smoke_goldens(json_dir: str) -> list[str]:
             "pytest",
             "-q",
             "tests/integration/test_golden_sim.py",
-            "tests/cache/test_engine.py",
         ],
         cwd=ROOT,
         env=_env(),
@@ -128,7 +128,7 @@ def smoke_kips(json_dir: str) -> list[str]:
 
 def smoke_lane_batch(json_dir: str) -> list[str]:
     """Lane-batch equivalence: one campaign point at several lane widths
-    must match the sequential fused engine lane for lane."""
+    must match sequential ``engine="object"`` runs lane for lane."""
     import bench_micro_batch
 
     path = os.path.join(json_dir, "batch-smoke.json")
@@ -245,7 +245,7 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     if divergences:
         failures.append(
             f"{divergences}/{compared} mega-batched results diverged from "
-            "the sequential fused engine"
+            "the sequential per-point path"
         )
     if mega.simulations_executed != executed or mega.simulations_executed != compared:
         failures.append(
@@ -377,10 +377,11 @@ def smoke_kernel(json_dir: str) -> list[str]:
 
     A heterogeneous-victim campaign (block disabling plus the 6T and
     10T victim-cache rows over two fault maps — six lanes) must merge
-    into ONE vectorised pass group and scatter back bit-identical to
-    the sequential fused runs, twice: once with the compiled C lane
-    kernel active (when buildable) and once forced onto the NumPy
-    fallback (``REPRO_NO_CKERNEL=1``).  The vectorised pass-1 schedule
+    into ONE kernel pass and scatter back bit-identical to sequential
+    ``engine="object"`` runs.  The fallback leg repeats it under
+    ``REPRO_NO_CKERNEL=1``: every lane must then plan and run as its own
+    object-loop pass, still bit-identical, and Fig. 10 rendered in both
+    legs must be byte-identical.  The vectorised pass-1 schedule
     compiler must also match the reference replay, ``.npz`` payload
     included.
     """
@@ -389,10 +390,10 @@ def smoke_kernel(json_dir: str) -> list[str]:
     import numpy as np
 
     from repro.campaign.session import Session
-    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.spec import CampaignSpec, RunnerSettings
     from repro.cpu import frontend, lane_kernel
     from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
-    from repro.experiments.runner import ExperimentRunner, RunnerSettings
+    from repro.experiments.figures import fig10_data
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -403,12 +404,16 @@ def smoke_kernel(json_dir: str) -> list[str]:
     configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
     items = [(config, m) for config in configs for m in range(2)]
 
-    sequential = ExperimentRunner(settings, lanes=1, mega_batch=False)
+    reference_session = Session(settings)
+    trace = reference_session.trace("gzip")
     reference = {
-        (config.label, m): sequential.run("gzip", config, m) for config, m in items
+        (config.label, m): reference_session.build_pipeline(
+            config, m, engine="object"
+        ).run(trace, measure_from=settings.warmup_instructions)
+        for config, m in items
     }
 
-    def hetero_pass() -> dict:
+    def leg() -> dict:
         with Session(settings) as session:
             plan = session.plan(CampaignSpec.from_settings(settings, configs))
             for group in plan.groups:
@@ -420,41 +425,52 @@ def smoke_kernel(json_dir: str) -> list[str]:
             )
             return {
                 "groups": len(plan.groups),
-                "merged": all(g.merged for g in plan.groups),
+                "merged": [g.merged for g in plan.groups],
                 "passes": session.schedule_passes,
                 "divergences": divergences,
+                "figure": fig10_data(session).to_csv(),
             }
 
     failures: list[str] = []
     kernel_active = lane_kernel.load() is not None
-    runs = {"kernel": hetero_pass()}
+    runs = {"kernel": leg()}
     saved = os.environ.get("REPRO_NO_CKERNEL")
     os.environ["REPRO_NO_CKERNEL"] = "1"
     try:
-        runs["fallback"] = hetero_pass()
+        runs["fallback"] = leg()
     finally:
         if saved is None:
             del os.environ["REPRO_NO_CKERNEL"]
         else:
             os.environ["REPRO_NO_CKERNEL"] = saved
-    for engine, run in runs.items():
+    figures_identical = runs["kernel"].pop("figure") == runs["fallback"].pop("figure")
+    if not figures_identical:
+        failures.append("Fig. 10 bytes differ between the kernel and fallback legs")
+    # (groups, merged flags, passes): one merged kernel pass, or one
+    # per-point group per config with one object-loop pass per lane (both
+    # legs on a host without the kernel).
+    per_point = (len(configs), [False] * len(configs), len(items))
+    expected = {
+        "kernel": (1, [True], 1) if kernel_active else per_point,
+        "fallback": per_point,
+    }
+    for name, run in runs.items():
         if run["divergences"]:
             failures.append(
-                f"{engine} engine: {run['divergences']}/{len(items)} lanes "
-                "diverged from the sequential fused runs"
+                f"{name} leg: {run['divergences']}/{len(items)} lanes "
+                "diverged from the sequential object runs"
             )
-        if run["groups"] != 1 or not run["merged"] or run["passes"] != 1:
+        if (run["groups"], run["merged"], run["passes"]) != expected[name]:
             failures.append(
-                f"{engine} engine: hetero campaign took {run['passes']} passes "
+                f"{name} leg: hetero campaign took {run['passes']} passes "
                 f"in {run['groups']} group(s) (merged={run['merged']}), "
-                "expected one merged pass"
+                f"expected (groups, merged, passes) = {expected[name]}"
             )
 
-    trace = sequential.trace("gzip")
-    offset_bits = sequential.build_pipeline(
+    offset_bits = reference_session.build_pipeline(
         LV_BLOCK, 0
     ).hierarchy.l1i.geometry.offset_bits
-    config = sequential.pipeline_config
+    config = reference_session.pipeline_config
     vec = frontend._build_schedule(trace, config, offset_bits, 1_000)
     ref = frontend._build_schedule_reference(trace, config, offset_bits, 1_000)
     compile_identical = vec == ref
@@ -480,6 +496,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
             "kernel_active": kernel_active,
             "lanes": len(items),
             "runs": runs,
+            "figure_bytes_identical": figures_identical,
             "schedule_compile_identical": compile_identical,
             "npz_identical": npz_identical,
             "ok": not failures,
@@ -1076,12 +1093,14 @@ def smoke_predict(json_dir: str) -> list[str]:
     return failures
 
 
-#: Tests the sanitize smoke runs against the instrumented kernel, and the
-#: one its self-check runs against a deliberately broken build.
+#: Tests the sanitize smoke runs against the instrumented kernel (every
+#: kernel-eligible golden scenario reaches it, single and batched, and the
+#: property suite fuzzes the whole eligible space), and the one its
+#: self-check runs against a deliberately broken build.
 _SANITIZE_TESTS = (
     "tests/cpu/test_lane_kernel.py",
     "tests/property/test_batch_equivalence.py",
-    "tests/integration/test_golden_sim.py::test_golden_bit_identity_batched",
+    "tests/integration/test_golden_sim.py",
 )
 _SANITIZE_SELF_CHECK = (
     "tests/cpu/test_lane_kernel.py::TestKernelVsFallback"
@@ -1169,8 +1188,8 @@ def smoke_sanitize(json_dir: str) -> list[str]:
     The kernel source is rebuilt with ``-O1 -g
     -fsanitize=address,undefined -fno-sanitize-recover=all`` and picked
     up through the existing ``REPRO_KERNEL_CACHE`` lookup; the kernel,
-    batch-equivalence and batched golden tests must pass with no
-    sanitizer report.  A self-check first builds it with a one-past-end
+    property (including the eligible-space fuzz) and golden tests must
+    pass with no sanitizer report.  A self-check first builds it with a one-past-end
     write injected (``l <= L`` in the fetch-base refresh) and requires
     ASan to report the heap-buffer-overflow.
     """

@@ -13,13 +13,12 @@ hierarchy layer does the shifting once so the hot loop stays cheap.
 State is stored **flat**: ``_tags``/``_dirty``/``_last_touch``/
 ``_fill_time`` are single lists indexed ``set * ways + way``, and an
 invalid way holds the sentinel tag -1 (block-address tags are
-non-negative, so the sentinel can never alias a resident block).  This
-layout is shared by reference with the fused engine
-(:mod:`repro.cache.engine`) — compiling a hierarchy is O(1) and the
-object model stays authoritative during fused runs — and makes the hit
-probe one C-speed slice membership test.  A way that is *disabled* also
-holds -1 forever: fills never select it, so lookups need no usable-way
-filtering at all.
+non-negative, so the sentinel can never alias a resident block).  The
+lane engine (:mod:`repro.cache.engine`) lays the same layout out as one
+row per lane and writes a kernel run's contents back through
+:meth:`SetAssociativeCache.adopt_flat_state`.  A way that is *disabled*
+also holds -1 forever: fills never select it, so lookups need no
+usable-way filtering at all.
 """
 
 from __future__ import annotations
@@ -229,8 +228,7 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Invalidate everything (keeps stats).  Mutates the state lists and
-        residency dict in place — a compiled engine holding references
-        stays coherent."""
+        residency dict in place, so holders of references stay coherent."""
         n = len(self._tags)
         self._tags[:] = [-1] * n
         self._dirty[:] = [False] * n
@@ -246,11 +244,11 @@ class SetAssociativeCache:
         resident: dict[int, int] | None = None,
     ) -> None:
         """Replace this cache's contents with externally-evolved flat state
-        (the lane-batched engine's write-back path).  The lists are copied
-        in place so compiled engines holding references stay coherent, and
-        the residency index is rebuilt from the adopted tags — or adopted
-        from ``resident`` when the caller already derived it (the lane
-        engine computes it vectorised)."""
+        (the lane engine's write-back path).  The lists are copied in
+        place so holders of references stay coherent, and the residency
+        index is rebuilt from the adopted tags — or adopted from
+        ``resident`` when the caller already derived it (the lane engine
+        computes it vectorised)."""
         n = len(self._tags)
         if len(tags) != n:
             raise ValueError(f"flat state has {len(tags)} ways, expected {n}")

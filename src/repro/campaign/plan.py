@@ -58,10 +58,9 @@ class PlanGroup:
 
     ``merged`` groups are cross-point mega-batches — every lane shares
     one non-``None`` batch ``signature`` and is driven through a single
-    vectorised schedule pass (``MIN_MEGA_LANES`` floor).  Unmerged
-    groups hold the lanes of one campaign point (or one unvectorisable
-    configuration) and execute through the per-point lane-batch path
-    with its ``MIN_BATCH_LANES`` crossover.
+    lane-kernel pass.  Unmerged groups hold the lanes of one campaign
+    point (or one configuration the kernel cannot take) and execute
+    through the per-point lane-batch path.
     """
 
     benchmark: str
@@ -202,7 +201,7 @@ class Planner:
                     items=items,
                     # Unmerged groups are single-config; their signature
                     # still decides whether the per-point path can take
-                    # the vectorised engine.
+                    # the lane kernel.
                     signature=key[1] if merged else session.batch_signature(
                         items[0].config
                     ),
@@ -221,28 +220,12 @@ class Planner:
 
     def _group_passes(self, group: PlanGroup) -> int:
         """Schedule passes executing ``group`` will cost, mirroring the
-        executors' accounting (``Session.execute_group``)."""
-        lanes = self.session.lanes
-        min_mega = self.session.min_mega_lanes
-        min_batch = self.session.min_batch_lanes
+        executors' accounting (``Session.execute_group``): one per lane
+        chunk when the kernel takes the group, else one per item."""
         n = len(group)
-        if group.merged:
-            width = lanes or n
-            passes = 0
-            for start in range(0, n, width):
-                chunk = min(width, n - start)
-                passes += chunk if chunk < min_mega else 1
-            return passes
-        if group.items[0].map_index is None:
+        if group.items[0].map_index is None and not group.merged:
             return 1  # fault-independent singleton
         if group.signature is None:
-            return n  # engine's transparent sequential fallback
-        width = lanes or n
-        passes = 0
-        for start in range(0, n, width):
-            chunk = min(width, n - start)
-            if width == 1 or chunk == 1 or (lanes is None and chunk < min_batch):
-                passes += chunk
-            else:
-                passes += 1
-        return passes
+            return n  # one object-loop run per item
+        width = self.session.lanes or n
+        return (n + width - 1) // width

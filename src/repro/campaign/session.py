@@ -58,37 +58,10 @@ from repro.campaign.events import (
 )
 from repro.campaign.plan import Plan, PlanGroup, Planner, WorkItem
 from repro.campaign.resilience import CampaignError, Quarantined
-from repro.campaign.spec import CampaignSpec, RunnerSettings, adopt_execution
+from repro.campaign.spec import CampaignSpec, RunnerSettings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.executors import Executor
-
-
-#: Below this many lanes a batched pass loses to per-map runs.  With the
-#: compiled lane kernel (``repro.cpu.lane_kernel``) fusing the per-op
-#: dispatch, a vectorised pass costs ~2.5-3x one scalar schedule walk
-#: regardless of width, so the crossover sits near 3 lanes
-#: (``benchmarks/bench_micro_batch.py`` reports ``break_even_lanes``;
-#: the ``kernel`` CI smoke re-measures it into ``kernel-smoke.json``).
-#: 4 keeps a
-#: small margin for kernel-less hosts' NumPy fallback.  Applied only
-#: when no explicit lane width was requested — an explicit ``lanes >=
-#: 2`` always batches — and results are bit-identical either way.
-#: Override per campaign with ``RunnerSettings(min_batch_lanes=...)``,
-#: ``--min-batch-lanes``, or ``REPRO_MIN_BATCH_LANES``.
-MIN_BATCH_LANES = 4
-
-#: Minimum merged width at which a *mega* group takes the vectorised
-#: path.  Deliberately below ``MIN_BATCH_LANES``: mega-batching's
-#: contract is the schedule-pass *floor* (one pass per trace-group,
-#: strictly fewer passes than campaign points; the CI mega smoke pins
-#: it), so two-lane merged groups batch even on kernel-less hosts where
-#: that trades a little quick-fidelity wall-clock for the floor.
-#: ``lanes=1`` or ``mega_batch=False`` restore the per-point crossover
-#: behaviour; singletons always run sequentially.  Override with
-#: ``RunnerSettings(min_mega_lanes=...)``, ``--min-mega-lanes``, or
-#: ``REPRO_MIN_MEGA_LANES``.
-MIN_MEGA_LANES = 2
 
 
 @dataclass(frozen=True)
@@ -178,10 +151,11 @@ class Session:
         #: executor adds workers' results as it checkpoints them.  Store
         #: hits never count.
         self.simulations_executed = 0
-        #: Walks of a compiled front-end schedule this session paid for:
-        #: +1 per sequential :meth:`OutOfOrderPipeline.run` and +1 per
-        #: *vectorised* :meth:`OutOfOrderPipeline.run_batch` pass however
-        #: many lanes it drives.  The mega-batch smoke asserts a
+        #: Passes over a trace this session paid for: +1 per
+        #: :meth:`OutOfOrderPipeline.run` (a one-lane kernel pass or an
+        #: object-loop run) and +1 per lane-kernel
+        #: :meth:`OutOfOrderPipeline.run_batch` pass however many lanes it
+        #: drives.  The mega-batch smoke asserts a
         #: multi-point campaign needs strictly fewer passes than points.
         self.schedule_passes = 0
         #: Quarantine ledger: every task a resilient executor gave up on
@@ -190,24 +164,6 @@ class Session:
         #: results around a failure are always durable in the store.
         self.failures: list[Quarantined] = []
         self._closed = False
-
-    # ----- batching crossovers --------------------------------------------------
-
-    @property
-    def min_batch_lanes(self) -> int:
-        """Effective per-point batching crossover: the settings override
-        when given, else the measured module default (resolved at use so
-        tests may patch :data:`MIN_BATCH_LANES`)."""
-        if self.settings.min_batch_lanes is not None:
-            return self.settings.min_batch_lanes
-        return MIN_BATCH_LANES
-
-    @property
-    def min_mega_lanes(self) -> int:
-        """Effective merged-group crossover (see :attr:`min_batch_lanes`)."""
-        if self.settings.min_mega_lanes is not None:
-            return self.settings.min_mega_lanes
-        return MIN_MEGA_LANES
 
     # ----- remote sessions ------------------------------------------------------
 
@@ -366,15 +322,14 @@ class Session:
         warmup = self.settings.warmup_instructions
         for start in range(0, len(pending), width):
             chunk = pending[start : start + width]
-            too_narrow = self.lanes is None and len(chunk) < self.min_batch_lanes
-            if width == 1 or len(chunk) == 1 or too_narrow:
+            if len(chunk) == 1:
                 for m in chunk:
                     results[m] = self.simulate(benchmark, config, m)
                 continue
             pipelines = [self.build_pipeline(config, m) for m in chunk]
             if OutOfOrderPipeline._can_run_batch(pipelines):
                 self.schedule_passes += 1
-            else:  # run_batch's transparent sequential fallback
+            else:  # run_batch's transparent per-pipeline fallback
                 self.schedule_passes += len(chunk)
             outs = OutOfOrderPipeline.run_batch(
                 pipelines, self.trace(benchmark), measure_from=warmup
@@ -390,7 +345,7 @@ class Session:
     def batch_signature(self, config: RunConfig) -> "tuple | None":
         """The batch-compatibility signature of ``config``'s lanes (see
         :meth:`OutOfOrderPipeline.batch_key`), or ``None`` when they
-        cannot take the vectorised path.  The signature is a pure
+        cannot take the lane kernel.  The signature is a pure
         function of the configuration's *structure* — latencies,
         geometries, victim sizing, replacement policies — never of the
         fault draw, so one representative pipeline decides it for every
@@ -406,24 +361,21 @@ class Session:
         self, benchmark: str, items: "list[tuple[RunConfig, int | None]]"
     ) -> list[SimResult]:
         """Execute one mega-batch: all ``(config, map_index)`` lanes of
-        a trace-group in (ideally) a single vectorised schedule pass.
+        a trace-group in (ideally) a single lane-kernel pass.
 
         Lanes already in the store are never re-simulated.  The rest are
         sub-grouped by :meth:`batch_signature` — a heterogeneous item
         list (say a word-disabling lane among block-disabling ones)
         splits into compatible sub-batches instead of tripping the
-        engine's sequential fallback — sliced to :attr:`lanes` width,
+        engine's per-pipeline fallback — sliced to :attr:`lanes` width,
         driven through :meth:`OutOfOrderPipeline.run_batch`, and
         scattered back to the store under their own per-point keys.
         Results return in ``items`` order, bit-identical to per-point
         :meth:`simulate` calls.
 
-        Unlike the per-point :meth:`simulate_maps` crossover
-        (``MIN_BATCH_LANES``), merged groups batch from
-        ``MIN_MEGA_LANES`` lanes up — the schedule-pass floor is the
-        contract, wall-clock breaks even near ~10 merged lanes (see the
-        ``MIN_MEGA_LANES`` note).  An explicit ``lanes=1`` still forces
-        the legacy per-map path.
+        Singleton chunks — and configurations without a batch
+        signature — run through :meth:`simulate`.  An explicit
+        ``lanes=1`` therefore forces the per-map path.
         """
         results: dict[str, SimResult | None] = {}
         subgroups: dict["tuple | None", list] = {}
@@ -451,7 +403,7 @@ class Session:
             width = self.lanes or len(pending)
             for start in range(0, len(pending), width):
                 chunk = pending[start : start + width]
-                if signature is None or len(chunk) < self.min_mega_lanes:
+                if signature is None or len(chunk) == 1:
                     for config, m, key in chunk:
                         results[key] = self.simulate(benchmark, config, m)
                     continue
@@ -471,9 +423,9 @@ class Session:
     ) -> list[tuple[WorkItem, SimResult]]:
         """Execute one plan group through the path its shape dictates:
         merged groups through the cross-point :meth:`run_group` pass,
-        per-point groups through :meth:`simulate_maps` (keeping the
-        ``MIN_BATCH_LANES`` crossover) or the single :meth:`simulate`
-        point.  Returns item/result pairs in plan order."""
+        per-point groups through :meth:`simulate_maps` or the single
+        :meth:`simulate` point.  Returns item/result pairs in plan
+        order."""
         if group.merged:
             results = self.run_group(
                 group.benchmark,
@@ -525,12 +477,10 @@ class Session:
         first iteration.
         """
         # Benchmarks only scope the campaign (a spec may sweep a subset of
-        # the session's suite) and execution knobs never ride specs; the
-        # fidelity fields must agree or the spec's task keys would not be
-        # this session's keys.
+        # the session's suite); the fidelity fields must agree or the
+        # spec's task keys would not be this session's keys.
         theirs = dataclasses.replace(
-            adopt_execution(spec.settings(), self.settings),
-            benchmarks=self.settings.benchmarks,
+            spec.settings(), benchmarks=self.settings.benchmarks
         )
         if theirs != self.settings:
             raise ValueError(
@@ -593,10 +543,9 @@ class Session:
         """A session at ``spec``'s fidelity sharing this session's store
         and trace cache (content-hash keys keep mixed-fidelity campaigns
         from colliding).  The derived session never closes the shared
-        store.  Execution knobs (batching crossovers) carry over from
-        this session — they are not part of a spec's fidelity."""
+        store."""
         return Session(
-            adopt_execution(spec.settings(), self.settings),
+            spec.settings(),
             pipeline_config=self.pipeline_config,
             store=self.store,
             trace_cache=self.traces.cache_dir,
@@ -616,8 +565,8 @@ class Session:
 
         Public so benches and studies can time construction + run (one
         campaign point) without going through the result store; ``engine``
-        selects the memory-hierarchy execution engine (the KIPS
-        microbenchmark compares them).
+        selects the execution engine (``"object"`` forces the reference
+        loop; the KIPS microbenchmark compares them).
         """
         scheme = SCHEMES.create(config.scheme)
         operating: OperatingPoint = (

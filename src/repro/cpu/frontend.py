@@ -4,8 +4,8 @@ Everything the pipeline front end does — gshare direction prediction, the
 return-address stack, the line predictor, fetch-group breaks at line
 boundaries/taken branches/redirects, and fetch-width overflow stalls — is a
 pure function of the *trace*: predictors train on (pc, taken) streams and
-never observe timing or cache state.  The fused pipeline therefore replays
-the front end **once per trace** and compiles it into flat arrays the hot
+never observe timing or cache state.  The lane kernel therefore replays
+the front end **once per trace** and compiles it into flat arrays its hot
 loop consumes with O(1) work per instruction:
 
 * ``static_fetch[i]`` — the cumulative statically-known fetch-cycle bumps
@@ -16,12 +16,12 @@ loop consumes with O(1) work per instruction:
   (a max, applied at the recorded redirect points).
 * ``iaccess_index`` / ``iaccess_line`` — the exact I-cache access points
   (line changes, including the forced re-fetch after a redirect) and the
-  line fetched at each; the hot loop probes the I-cache only there.
+  line fetched at each; the kernel probes the I-cache only there.
 * ``redirect_index`` / ``redirect_static_next`` — instructions whose
   resolution redirects fetch (gshare mispredicts, RAS mispredicts), with
   the static offset of the following instruction so the rebase is O(1).
 * measured-region predictor statistics, plus the trained predictor
-  end-state so a pipeline can expose warm predictors after a fast run
+  end-state so a pipeline can expose warm predictors after a kernel run
   exactly as the object path would.
 
 Schedules are memoised on the trace object keyed by the front-end
@@ -74,33 +74,20 @@ _SCHED_PREFIX = "sched-"
 #: Module-level cache-activity counters (CLI summaries and tests).
 SCHEDULE_CACHE_STATS = {"loaded": 0, "persisted": 0, "discarded": 0}
 
-#: reg_ready sentinel slots used by the remapped operand columns: reads of
-#: "no register" land on a pinned zero, writes of "no destination" land on
-#: a junk sink, so the hot loop needs no >= 0 guards at all.
+#: reg_ready sentinel slots used by the kernel's remapped operand columns:
+#: reads of "no register" land on a pinned zero, writes of "no destination"
+#: land on a junk sink, so the hot loop needs no >= 0 guards at all.
 READ_SENTINEL = 64
 WRITE_SENTINEL = 65
 REG_FILE_SLOTS = 66
-
-
-def operand_columns(trace: Trace) -> tuple[list[int], list[int], list[int]]:
-    """(src1, src2, dest) with ``NO_REGISTER`` remapped to the sentinels
-    above — memoised on the trace (pure function of it)."""
-    cached = trace.__dict__.get("_operand_columns")
-    if cached is None:
-        src1 = [READ_SENTINEL if r < 0 else r for r in trace.src1]
-        src2 = [READ_SENTINEL if r < 0 else r for r in trace.src2]
-        dest = [WRITE_SENTINEL if r < 0 else r for r in trace.dest]
-        cached = (src1, src2, dest)
-        trace._operand_columns = cached
-    return cached
 
 
 @dataclass(eq=False)
 class FrontEndSchedule:
     """Compiled front-end behaviour of one (trace, config, measure_from)."""
 
-    # --- per-instruction (int64 array; the scalar hot loop reads the
-    # memoised list view below, the lane-batched loop the array) ------------
+    # --- per-instruction (an integer array, or a list from the reference
+    # builder) ----------------------------------------------------------------
     static_fetch: "np.ndarray | list[int]"
     # --- sparse events (index lists end with a sentinel of n) ---------------
     iaccess_index: list[int]
@@ -119,23 +106,11 @@ class FrontEndSchedule:
     # hot loop counts only misses and reconstructs the rest at run end) ----
     iaccess_measured: int
     daccess_measured: int
-    # --- trained end-state, installed on the pipeline after a fast run ------
+    # --- trained end-state, installed on the pipeline after a kernel run ----
     gshare_table: bytes
     gshare_history: int
     ras_stack: tuple[int, ...]
     lp_table: tuple[int, ...]
-
-    @property
-    def static_fetch_list(self) -> list[int]:
-        """``static_fetch`` as a plain list of Python ints — what the
-        scalar per-instruction loops index (list access beats ndarray
-        scalar access in CPython).  Memoised per schedule."""
-        cached = self.__dict__.get("_static_fetch_list")
-        if cached is None:
-            raw = self.static_fetch
-            cached = raw if type(raw) is list else np.asarray(raw).tolist()
-            self.__dict__["_static_fetch_list"] = cached
-        return cached
 
     def __eq__(self, other: object):  # static_fetch may be list or ndarray
         if not isinstance(other, FrontEndSchedule):
@@ -172,59 +147,51 @@ class FrontEndSchedule:
         line_predictor.misses = self.lp_misses
 
 
-def structural_columns(
-    trace: Trace, rob_entries: int, iq_int_entries: int, iq_fp_entries: int
-) -> tuple[list[int], list[int]]:
-    """(rob_slot, iq_slot) per instruction — ring positions are a pure
-    function of the class sequence, so they vectorise once per trace.
+def lane_columns(
+    trace: Trace, config: PipelineConfig, d_offset_bits: int
+) -> tuple[np.ndarray, ...]:
+    """The lane kernel's per-instruction int64 columns: class, src1, src2
+    and dest (``NO_REGISTER`` remapped to the sentinels above), ROB slot,
+    issue-queue slot, and D-cache block address.
 
-    ``iq_slot[i]`` is instruction *i*'s slot in *its own* queue (FP classes
-    2-3 rotate through the FP queue, everything else through the INT one).
-    Memoised on the trace keyed by the ring sizes.
+    Ring positions are a pure function of the class sequence:
+    ``iq_slot[i]`` is instruction *i*'s slot in *its own* queue (FP
+    classes 2-3 rotate through the FP queue, everything else through the
+    INT one).  Non-memory rows carry the block of ``mem_addr == -1``,
+    which the kernel never reads.  Built with NumPy straight from the
+    trace and memoised on it per ring sizes and D-cache block size.
     """
-    cache = trace.__dict__.get("_structural_columns")
-    if cache is None:
-        cache = {}
-        trace._structural_columns = cache
-    key = (rob_entries, iq_int_entries, iq_fp_entries)
+    cache = trace.__dict__.setdefault("_lane_columns", {})
+    key = (
+        config.rob_entries, config.iq_int_entries, config.iq_fp_entries,
+        d_offset_bits,
+    )
     columns = cache.get(key)
     if columns is None:
-        n = len(trace)
-        rob_col = (np.arange(n, dtype=np.int64) % rob_entries).tolist()
-        classes = np.asarray(trace.iclass, dtype=np.int64)
+        classes = _frontend_arrays(trace)[1]
+
+        def registers(column, sentinel):
+            regs = np.asarray(column, dtype=np.int64)
+            return np.where(regs < 0, sentinel, regs)
+
         is_fp = (classes == 2) | (classes == 3)
         fp_rank = np.cumsum(is_fp) - 1
         int_rank = np.cumsum(~is_fp) - 1
-        iq_col = np.where(
-            is_fp, fp_rank % iq_fp_entries, int_rank % iq_int_entries
-        ).tolist()
-        columns = (rob_col, iq_col)
-        cache[key] = columns
-    return columns
-
-
-def dcache_columns(
-    trace: Trace, offset_bits: int, index_bits: int, ways: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(block, set, base, tag) per instruction for one D-cache geometry —
-    pure address arithmetic, vectorised once per trace and memoised (the
-    lane-batched loop shares the columns across every lane).  Non-memory
-    rows carry garbage derived from ``mem_addr == -1`` and are never read.
-    """
-    cache = trace.__dict__.get("_dcache_columns")
-    if cache is None:
-        cache = {}
-        trace._dcache_columns = cache
-    key = (offset_bits, index_bits, ways)
-    columns = cache.get(key)
-    if columns is None:
-        blocks = np.asarray(trace.mem_addr, dtype=np.int64) >> offset_bits
-        sets = blocks & ((1 << index_bits) - 1)
-        columns = (
-            blocks.tolist(),
-            sets.tolist(),
-            (sets * ways).tolist(),
-            (blocks >> index_bits).tolist(),
+        columns = tuple(
+            np.ascontiguousarray(column, dtype=np.int64)
+            for column in (
+                classes,
+                registers(trace.src1, READ_SENTINEL),
+                registers(trace.src2, READ_SENTINEL),
+                registers(trace.dest, WRITE_SENTINEL),
+                np.arange(len(classes)) % config.rob_entries,
+                np.where(
+                    is_fp,
+                    fp_rank % config.iq_fp_entries,
+                    int_rank % config.iq_int_entries,
+                ),
+                np.asarray(trace.mem_addr, dtype=np.int64) >> d_offset_bits,
+            )
         )
         cache[key] = columns
     return columns
@@ -340,6 +307,7 @@ def schedule_disk_key(
 
 #: FrontEndSchedule fields persisted as integer arrays / scalars; the
 #: remaining three (gshare_table, ras_stack, lp_table) need type fix-ups.
+#: The array fields are also the lane kernel's schedule columns.
 _ARRAY_FIELDS = (
     "static_fetch",
     "iaccess_index",
@@ -359,6 +327,20 @@ _SCALAR_FIELDS = (
     "daccess_measured",
     "gshare_history",
 )
+
+
+def schedule_columns(schedule: FrontEndSchedule) -> tuple[np.ndarray, ...]:
+    """The schedule's per-instruction and sparse columns, in
+    :data:`_ARRAY_FIELDS` order, as contiguous int64 arrays — the lane
+    kernel's view of a schedule, memoised on it."""
+    cached = schedule.__dict__.get("_lane_columns")
+    if cached is None:
+        cached = tuple(
+            np.ascontiguousarray(getattr(schedule, name), dtype=np.int64)
+            for name in _ARRAY_FIELDS
+        )
+        schedule.__dict__["_lane_columns"] = cached
+    return cached
 
 
 def save_schedule(schedule: FrontEndSchedule, path_or_file) -> None:
@@ -388,8 +370,8 @@ def load_schedule(path: str) -> FrontEndSchedule:
             "lp_table": tuple(data["lp_table"].tolist()),
         }
         for name in _ARRAY_FIELDS:
-            if name == "static_fetch":  # consumed as an array (or lazily
-                kwargs[name] = data[name]  # as a list) — skip the convert
+            if name == "static_fetch":  # consumed as an array: no convert
+                kwargs[name] = data[name]
             else:
                 kwargs[name] = data[name].tolist()
         for name in _SCALAR_FIELDS:

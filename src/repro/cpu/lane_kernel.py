@@ -1,18 +1,17 @@
-"""Compiled C core for the lane-batched pipeline loop.
+"""Compiled C lane kernel: the timing recurrence for every eligible run.
 
-The pure-NumPy lane loop pays ~0.3µs of ufunc dispatch per call and an
-irreducible ~15 serial calls per instruction, which floors its mega-batch
-break-even around 6-7 lanes.  This module compiles (at first use, with
-the system ``gcc``) a small C kernel that advances *all* lanes through
-the whole trace: the per-instruction timing recurrence — dispatch
-maxima, FU-pool and issue-port argmin-replace, commit, redirects — the
-L1 probes, and the miss service of every lane that misses L1 (victim
-extract-on-hit, the shared-L2 probe and LRU refill, the L1 LRU refill
-with its fill bypass at fully-disabled sets, evictee insertion into the
-padded victim slots, writebacks).  It works on the bulk engine's
-``VectorCache``/``VectorVictims`` arrays with the same recency stamps
-and tie-breaks as the NumPy ``service`` closure in
-:mod:`repro.cache.engine`, and accumulates the same per-lane counter
+This module compiles (at first use, with the system ``gcc``) a small C
+kernel that advances *all* lanes of a pass through the whole trace — one
+lane for a single :meth:`~repro.cpu.pipeline.OutOfOrderPipeline.run`,
+many for a ``run_batch``: the per-instruction timing recurrence —
+dispatch maxima, FU-pool and issue-port argmin-replace, commit,
+redirects — the L1 probes, and the miss service of every lane that
+misses L1 (victim extract-on-hit, the shared-L2 probe and LRU refill,
+the L1 LRU refill with its fill bypass at fully-disabled sets, evictee
+insertion into the padded victim slots, writebacks).  It works on the
+bulk engine's ``VectorCache``/``VectorVictims`` arrays
+(:mod:`repro.cache.engine`) with recency stamps whose order matches the
+object path's clocks, first-minimum tie-breaks, and per-lane counter
 blocks (:data:`repro.cache.engine.LANE_COUNTERS`), so statistics cost
 O(lanes) memory whatever the trace length.  A miss latency (scaled by
 the commit width) is added to the lane's fetch clock on the I side and
@@ -25,17 +24,17 @@ State is shared, not marshalled: the kernel receives one ``int64`` "ctx"
 array holding scalars, cursors, and the raw addresses of the NumPy lane
 arrays (``ndarray.ctypes.data``), so a call costs one ctypes dispatch
 (~1µs) regardless of lane count.  All arithmetic is 64-bit integer and
-every tie-break (first-minimum argmin, first-match argmax) matches the
-NumPy loop exactly, keeping results bit-identical — golden-pinned by the
-same tests that pin the NumPy path, re-checked kernel-vs-fallback in
-``tests/cpu/test_lane_kernel.py`` and against the object engine over
-fuzzed hierarchies in ``tests/property/test_batch_equivalence.py``.
+every tie-break matches the object loop exactly, keeping results
+bit-identical — golden-pinned in ``tests/integration/test_golden_sim.py``
+and checked against ``engine="object"`` over fuzzed pipelines and
+hierarchies in ``tests/property/test_batch_equivalence.py``.
 
 The kernel is optional: no compiler, a failed build, or the environment
-override ``REPRO_NO_CKERNEL=1`` all fall back to the NumPy loop
-transparently.  Compiled objects are cached under the system temp
-directory (``REPRO_KERNEL_CACHE`` overrides it) keyed by a source hash,
-so rebuilds only happen when the kernel source changes.
+override ``REPRO_NO_CKERNEL=1`` make :func:`load` return ``None``, and
+every pipeline then runs the object loop — same results, bit for bit.
+Compiled objects are cached under the system temp directory
+(``REPRO_KERNEL_CACHE`` overrides it) keyed by a source hash, so
+rebuilds only happen when the kernel source changes.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ static inline int probe(const port_t *p, int64_t l, int64_t base,
     return hit;
 }
 
-/* Miss service of lane l, in the NumPy service closure's order: victim
+/* Miss service of lane l, in the object CachePort's order: victim
    extract-on-hit, else the shared L2 (probe, LRU refill on a miss);
    then the L1 LRU refill — bypassed when the chosen way is disabled —
    with its evictee inserted into the victim slots.  Returns the latency
@@ -445,16 +444,17 @@ _warned = False
 
 def _warn_fallback(message: str) -> None:
     """One warning per process when the kernel is unavailable: a broken
-    toolchain in one pool worker used to mean a *silent* NumPy fallback
-    (and a mysteriously slow campaign) — now the gcc stderr tail names
-    the cause the first time it happens."""
+    toolchain in one pool worker used to mean a *silent* fallback (and a
+    mysteriously slow campaign) — now the gcc stderr tail names the
+    cause the first time it happens."""
     global _warned
     if _warned:
         return
     _warned = True
     warnings.warn(
-        f"{message}; falling back to the bit-identical NumPy lane loop "
-        "(slower). Set REPRO_NO_CKERNEL=1 to silence this warning.",
+        f"{message}; every simulation falls back to the bit-identical "
+        "object loop (slower). Set REPRO_NO_CKERNEL=1 to silence this "
+        "warning.",
         RuntimeWarning,
         stacklevel=4,
     )

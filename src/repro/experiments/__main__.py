@@ -132,30 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="fault-map lanes per batched simulation pass (default: all "
-        "pending maps of a campaign point, falling back to per-map runs "
-        "below the efficiency crossover — ~4 lanes with the compiled "
-        "lane kernel; an explicit N >= 2 always batches; 1 = legacy "
-        "per-map path)",
-    )
-    parser.add_argument(
-        "--min-batch-lanes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the per-point batching crossover: pending chunks "
-        "narrower than N run per-map instead of vectorised (default: "
-        "the measured MIN_BATCH_LANES, currently 4; results are "
-        "bit-identical at any value)",
-    )
-    parser.add_argument(
-        "--min-mega-lanes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the merged-group crossover: mega-batch groups "
-        "narrower than N run per-lane (default: MIN_MEGA_LANES, "
-        "currently 2)",
+        help="fault-map lanes per compiled lane-kernel pass (default: "
+        "every pending lane of a campaign point or mega-batch group in "
+        "one pass; 1 = one pass per map; results are bit-identical at "
+        "any width; without the kernel every lane runs the object loop)",
     )
     parser.add_argument(
         "--mega-batch",
@@ -236,16 +216,6 @@ def _settings_from_args(args: argparse.Namespace) -> RunnerSettings:
         seed=args.seed if args.seed is not None else base.seed,
         warmup_instructions=(
             args.warmup if args.warmup is not None else base.warmup_instructions
-        ),
-        min_batch_lanes=(
-            args.min_batch_lanes
-            if args.min_batch_lanes is not None
-            else base.min_batch_lanes
-        ),
-        min_mega_lanes=(
-            args.min_mega_lanes
-            if args.min_mega_lanes is not None
-            else base.min_mega_lanes
         ),
     )
 
@@ -551,14 +521,6 @@ def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="warmup instructions before the measured region",
-    )
-    parser.add_argument(
-        "--min-batch-lanes", type=_positive_int, default=None, metavar="N",
-        help="per-point batching crossover override",
-    )
-    parser.add_argument(
-        "--min-mega-lanes", type=_positive_int, default=None, metavar="N",
-        help="merged-group crossover override",
     )
 
 

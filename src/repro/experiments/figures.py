@@ -31,7 +31,7 @@ from repro.analysis.incremental import incremental_capacity_curve
 from repro.analysis.urn import expected_capacity_fraction, faulty_block_fraction_curve
 from repro.analysis.word_disable import whole_cache_failure_curve
 from repro.campaign.session import NormalizedSeries, Session
-from repro.campaign.spec import CampaignSpec, RunnerSettings, adopt_execution
+from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.experiments.configs import (
     HV_BASELINE,
     HV_BASELINE_V,
@@ -130,7 +130,7 @@ def _prepare(session, target: str, spec: CampaignSpec | None):
     if spec is None:
         spec = figure_spec(target, session.settings)
     elif dataclasses.replace(
-        adopt_execution(spec.settings(), session.settings),
+        spec.settings(),
         benchmarks=session.settings.benchmarks,
     ) != session.settings:
         # Benchmarks only scope the campaign (Session.run normalises them

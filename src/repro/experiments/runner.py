@@ -18,8 +18,8 @@ New code should use :class:`~repro.campaign.session.Session` and
         for event in session.run(session.spec(configs)):
             ...
 
-``RunnerSettings``, ``NormalizedSeries``, and the lane-crossover
-constants are re-exported from their new homes unchanged.
+``RunnerSettings`` and ``NormalizedSeries`` are re-exported from their
+new homes unchanged.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from repro.faults.fault_map import FaultMapPair
 
 from repro.campaign.events import PlanReady, Progress
 from repro.campaign.plan import Plan
-from repro.campaign.session import (
-    MIN_BATCH_LANES,
-    MIN_MEGA_LANES,
-    NormalizedSeries,
-    Session,
-)
+from repro.campaign.session import NormalizedSeries, Session
 from repro.campaign.spec import RunnerSettings
 
 __all__ = [
@@ -48,8 +43,6 @@ __all__ = [
     "RunnerSettings",
     "NormalizedSeries",
     "LaneGroup",
-    "MIN_BATCH_LANES",
-    "MIN_MEGA_LANES",
 ]
 
 

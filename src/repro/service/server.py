@@ -61,7 +61,7 @@ from repro.campaign.events import (
 )
 from repro.campaign.plan import Plan, PlanGroup, WorkItem
 from repro.campaign.resilience import Quarantined
-from repro.campaign.spec import CampaignSpec, adopt_execution
+from repro.campaign.spec import CampaignSpec
 from repro.service import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -145,12 +145,12 @@ class CampaignServer:
         (cached) derived session over the same store and trace cache."""
         base = self.session
         theirs = dataclasses.replace(
-            adopt_execution(spec.settings(), base.settings),
+            spec.settings(),
             benchmarks=base.settings.benchmarks,
         )
         if theirs == base.settings:
             return base
-        wanted = adopt_execution(spec.settings(), base.settings)
+        wanted = spec.settings()
         if wanted not in self._derived:
             self._derived[wanted] = base.derived(spec)
         return self._derived[wanted]

@@ -6,6 +6,7 @@ import pytest
 from repro.campaign.plan import Planner
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
+from repro.cpu import lane_kernel
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -45,6 +46,9 @@ class TestResolution:
         assert plan.dedup_hits == 0
         assert plan.pending == 8
 
+    @pytest.mark.skipif(
+        lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+    )
     def test_structural_twins_merge_across_points(self, session):
         # Victim sizings pad to one slot axis, so the V$ variants ride
         # in the same mega-group as the baseline and plain block lanes.
@@ -96,28 +100,44 @@ class TestResolution:
 
 
 class TestPredictedPasses:
-    def test_prediction_matches_execution(self, session):
-        plan = resolve(session)
+    """Predicted passes equal executed passes, with the lane kernel on
+    (this class) and off (:class:`TestPredictedPassesWithoutKernel`)."""
+
+    kernel = True
+
+    @pytest.fixture(autouse=True)
+    def kernel_switch(self, monkeypatch):
+        if not self.kernel:
+            monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        elif lane_kernel.load() is None:
+            pytest.skip("no compiled lane kernel on this host")
+
+    def execute(self, session, plan):
+        """Run every group; without the kernel, check the plan first:
+        every group per-point, one pass per pending item."""
+        if not self.kernel:
+            assert not any(group.merged for group in plan.groups)
+            assert plan.predicted_passes == plan.pending
         for group in plan.groups:
             session.execute_group(group)
         assert session.schedule_passes == plan.predicted_passes
-        points = len(CONFIGS) * len(SETTINGS.benchmarks)
-        assert plan.predicted_passes < points
+
+    def test_prediction_matches_execution(self, session):
+        plan = resolve(session)
+        self.execute(session, plan)
+        if self.kernel:
+            points = len(CONFIGS) * len(SETTINGS.benchmarks)
+            assert plan.predicted_passes < points
 
     def test_prediction_matches_execution_per_point(self):
         session = Session(SETTINGS, mega_batch=False)
-        plan = resolve(session)
-        for group in plan.groups:
-            session.execute_group(group)
-        assert session.schedule_passes == plan.predicted_passes
+        self.execute(session, resolve(session))
 
     def test_prediction_with_explicit_single_lane(self):
         session = Session(SETTINGS, lanes=1)
         plan = resolve(session)
-        assert plan.predicted_passes == plan.pending  # all sequential
-        for group in plan.groups:
-            session.execute_group(group)
-        assert session.schedule_passes == plan.predicted_passes
+        assert plan.predicted_passes == plan.pending  # one pass per lane
+        self.execute(session, plan)
 
     def test_padded_victim_merge_prediction_matches_execution(self, session):
         """Regression: a mixed 0/8/16-entry victim campaign merges into
@@ -125,18 +145,24 @@ class TestPredictedPasses:
         with what the executor then actually spends (one pass)."""
         configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
         plan = resolve(session, configs)
-        assert len(plan.groups) == 1 and plan.groups[0].merged
-        assert len(plan.groups[0]) == len(configs) * SETTINGS.n_fault_maps
-        assert plan.predicted_passes == 1
-        for group in plan.groups:
-            session.execute_group(group)
-        assert session.schedule_passes == plan.predicted_passes
+        if self.kernel:
+            assert len(plan.groups) == 1 and plan.groups[0].merged
+            assert len(plan.groups[0]) == len(configs) * SETTINGS.n_fault_maps
+            assert plan.predicted_passes == 1
+        self.execute(session, plan)
 
     def test_empty_plan_predicts_zero(self, session):
         session.run_all(session.spec(CONFIGS))
         plan = resolve(session)
         assert plan.pending == 0
         assert plan.predicted_passes == 0
+
+
+class TestPredictedPassesWithoutKernel(TestPredictedPasses):
+    """``REPRO_NO_CKERNEL=1``: batch keys are ``None``, so every item
+    plans and runs as its own object-loop pass."""
+
+    kernel = False
 
 
 class TestWorkerBatches:

@@ -1,9 +1,9 @@
 """Lane-batched execution: equivalence, fallbacks, and state write-back.
 
-The batched engine's contract is bit-identity with N sequential fused
-runs — cycles, every statistic, and the hierarchy state left behind.
-These tests drive heterogeneous lane mixes (different fault maps,
-different victim sizings), the warmup boundary, the eligibility
+The lane kernel's contract is bit-identity with N sequential runs of the
+object engine — cycles, every statistic, and the hierarchy state left
+behind.  These tests drive heterogeneous lane mixes (different fault
+maps, different victim sizings), the warmup boundary, the eligibility
 fallbacks, and post-batch warm reuse.
 """
 
@@ -13,6 +13,7 @@ import tracemalloc
 
 import pytest
 
+from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import (
@@ -26,6 +27,11 @@ from repro.experiments.configs import (
 )
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.generator import generate_trace
+
+#: For the tests that need batch keys (which exist only with the kernel).
+requires_kernel = pytest.mark.skipif(
+    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+)
 
 SETTINGS = RunnerSettings(
     n_instructions=4_000,
@@ -42,19 +48,20 @@ def runner() -> ExperimentRunner:
 
 
 def _sequential(runner, config, indices, benchmark="gzip"):
+    """The reference: one object-engine run per lane."""
     trace = runner.trace(benchmark)
     return [
-        runner.build_pipeline(config, m).run(trace, measure_from=WARMUP)
+        runner.build_pipeline(config, m, engine="object").run(
+            trace, measure_from=WARMUP
+        )
         for m in indices
     ]
 
 
-def _batched(runner, config, indices, benchmark="gzip", **kwargs):
+def _batched(runner, config, indices, benchmark="gzip"):
     trace = runner.trace(benchmark)
     pipelines = [runner.build_pipeline(config, m) for m in indices]
-    return OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=WARMUP, **kwargs
-    )
+    return OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
 
 
 @pytest.mark.parametrize(
@@ -67,13 +74,7 @@ def test_lanes_match_sequential_runs(runner, config):
     )
 
 
-def test_single_lane_forced_through_vector_path(runner):
-    """min_lanes=1 pushes even a singleton batch down the vectorised
-    path (the default falls back for tiny batches)."""
-    expected = _sequential(runner, LV_BLOCK, [2])
-    assert _batched(runner, LV_BLOCK, [2], min_lanes=1) == expected
-
-
+@requires_kernel
 def test_mixed_victim_sizes_batch_vectorised(runner):
     """Lanes with different victim sizings (0/8/16 entries) pad to one
     slot axis and batch as a single vectorised group — bit-identical to
@@ -133,7 +134,9 @@ def test_fault_disabled_l2_falls_back(runner):
     pipelines = [build(), build()]
     assert not OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == build().run(trace, measure_from=WARMUP)
+    reference = build()
+    assert reference.batch_key() is None  # the object loop is the only engine
+    assert results[0] == reference.run(trace, measure_from=WARMUP)
     assert results[0] == results[1]
 
 
@@ -154,7 +157,9 @@ def test_measure_from_zero_and_validation(runner):
     pipelines = [runner.build_pipeline(LV_BLOCK, m) for m in range(2)]
     cold = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     expected = [
-        runner.build_pipeline(LV_BLOCK, m).run(trace, measure_from=0)
+        runner.build_pipeline(LV_BLOCK, m, engine="object").run(
+            trace, measure_from=0
+        )
         for m in range(2)
     ]
     assert cold == expected
@@ -166,6 +171,7 @@ def test_measure_from_zero_and_validation(runner):
         )
 
 
+@requires_kernel
 def test_mixed_scheme_lanes_batch_vectorised(runner):
     """Lanes need not share a configuration: the fault-free baseline and
     block-disabling fault maps carry equal batch keys (same latencies,
@@ -184,6 +190,7 @@ def test_mixed_scheme_lanes_batch_vectorised(runner):
     assert results[1:] == _sequential(runner, LV_BLOCK, [0, 1])
 
 
+@requires_kernel
 def test_reused_pipeline_has_no_batch_key(runner):
     warm = runner.build_pipeline(LV_BLOCK, 0)
     assert warm.batch_key() is not None
@@ -201,6 +208,7 @@ def test_high_voltage_lanes(runner):
     )
 
 
+@requires_kernel
 def test_partially_warm_victim_cache_appends_before_evicting(runner):
     """A pre-filled victim cache must behave like the sequential list:
     inserts land in empty slots first (append semantics), never evicting
@@ -216,7 +224,7 @@ def test_partially_warm_victim_cache_appends_before_evicting(runner):
 
     expected = []
     for m in range(2):
-        p = runner.build_pipeline(LV_BLOCK_V10, m)
+        p = runner.build_pipeline(LV_BLOCK_V10, m, engine="object")
         prefill(p)
         expected.append(p.run(trace, measure_from=WARMUP))
     pipelines = [runner.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
@@ -244,13 +252,11 @@ def _repeated(trace: Trace, times: int) -> Trace:
     )
 
 
-@pytest.mark.parametrize("kernel", ["c", "numpy"])
-def test_lane_memory_does_not_grow_with_trace_length(runner, monkeypatch, kernel):
+@requires_kernel
+def test_lane_memory_does_not_grow_with_trace_length(runner):
     """Per-lane statistics live in O(lanes) counters: the memory 24 extra
     lanes cost must not grow with trace length (per-event mask rows grew
     by a few bytes per lane per instruction)."""
-    if kernel == "numpy":
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     short = generate_trace("gzip", 1_000, seed=5)
     traces = {1: short, 4: _repeated(short, 4)}
 
@@ -260,7 +266,7 @@ def test_lane_memory_does_not_grow_with_trace_length(runner, monkeypatch, kernel
             for m in range(lanes)
         ]
         return lambda: OutOfOrderPipeline.run_batch(
-            pipelines, traces[times], measure_from=250, min_lanes=1
+            pipelines, traces[times], measure_from=250
         )
 
     def peak(times: int, lanes: int) -> int:
@@ -281,12 +287,12 @@ def test_lane_memory_does_not_grow_with_trace_length(runner, monkeypatch, kernel
 
 def test_batched_state_supports_warm_reuse(runner):
     """After a batched run, each lane's hierarchy must behave exactly as
-    if it had been run sequentially: a second (warm, generic-loop) run
+    if it had been run sequentially: a second (warm, object-loop) run
     over the same hierarchies stays bit-identical."""
     trace = runner.trace("gzip")
     reference = []
     for m in range(2):
-        p = runner.build_pipeline(LV_BLOCK_V6, m)
+        p = runner.build_pipeline(LV_BLOCK_V6, m, engine="object")
         reference.append(
             (p.run(trace, measure_from=WARMUP), p.run(trace, measure_from=WARMUP))
         )

@@ -1,11 +1,12 @@
-"""The compiled lane kernel: gating, caching, and bit-identity with the
-pure-NumPy fallback loop.
+"""The compiled lane kernel: gating, routing, caching, and bit-identity
+with the object engine.
 
 The kernel is an optional accelerator — ``REPRO_NO_CKERNEL=1``, a
-missing compiler, or a failed build must all leave behaviour unchanged.
-These tests pin the load gates and, when a kernel is available, drive
-the same batches through both paths and require byte-identical results
-(cycles and every statistic).
+missing compiler, or a failed build must all leave behaviour unchanged,
+with every pipeline on the object loop.  These tests pin the load gates
+and which runs reach the kernel, and, when a kernel is available, drive
+the same lanes through the kernel and through ``engine="object"`` and
+require byte-identical results (cycles and every statistic).
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import warnings
 
 import pytest
 
+from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.cpu import lane_kernel
+from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BLOCK,
@@ -44,12 +48,18 @@ def runner() -> ExperimentRunner:
     return ExperimentRunner(SETTINGS)
 
 
-def _run_batch(runner, config, indices, benchmark="gzip"):
+def _run_batch(runner, items, engine="fused", benchmark="gzip"):
+    """``(results, pipelines)`` for ``(config, map_index)`` lanes: one
+    kernel pass by default, one object-loop run per lane with
+    ``engine="object"``."""
     trace = runner.trace(benchmark)
-    pipelines = [runner.build_pipeline(config, m) for m in indices]
-    results = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=WARMUP, min_lanes=1
-    )
+    pipelines = [runner.build_pipeline(c, m, engine=engine) for c, m in items]
+    if engine == "object":
+        results = [p.run(trace, measure_from=WARMUP) for p in pipelines]
+    else:
+        results = OutOfOrderPipeline.run_batch(
+            pipelines, trace, measure_from=WARMUP
+        )
     return results, pipelines
 
 
@@ -70,48 +80,128 @@ class TestGating:
 
 @kernel_available
 class TestKernelVsFallback:
+    """The kernel against its fallback, the object engine."""
+
     @pytest.mark.parametrize(
         "config", [LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL]
     )
     def test_results_bit_identical(self, runner, config, monkeypatch):
-        indices = range(SETTINGS.n_fault_maps)
-        with_kernel, _ = _run_batch(runner, config, indices)
+        items = [(config, m) for m in range(SETTINGS.n_fault_maps)]
+        with_kernel, _ = _run_batch(runner, items)
+        assert with_kernel == _run_batch(runner, items, engine="object")[0]
+        # REPRO_NO_CKERNEL sends the same batch through the object loop.
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         assert lane_kernel.load() is None
-        without, _ = _run_batch(runner, config, indices)
-        assert with_kernel == without
+        assert _run_batch(runner, items)[0] == with_kernel
 
-    def test_hierarchy_state_writeback_matches(self, runner, monkeypatch):
-        """Both paths must leave identical cache statistics behind on
-        every lane's hierarchy (the post-batch warm-reuse contract)."""
-        indices = range(SETTINGS.n_fault_maps)
-        _, with_kernel = _run_batch(runner, LV_BLOCK, indices)
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        _, without = _run_batch(runner, LV_BLOCK, indices)
-        for pk, pn in zip(with_kernel, without):
-            assert pk.hierarchy.stats() == pn.hierarchy.stats()
+    def test_hierarchy_state_writeback_matches(self, runner):
+        """Both engines must leave identical cache statistics and
+        contents behind on every lane's hierarchy (the post-batch
+        warm-reuse contract)."""
+        items = [(LV_BLOCK, m) for m in range(SETTINGS.n_fault_maps)]
+        _, with_kernel = _run_batch(runner, items)
+        _, reference = _run_batch(runner, items, engine="object")
+        for pk, po in zip(with_kernel, reference):
+            assert pk.hierarchy.stats() == po.hierarchy.stats()
+            for ck, co in zip(
+                (pk.hierarchy.l1i, pk.hierarchy.l1d, pk.hierarchy.l2),
+                (po.hierarchy.l1i, po.hierarchy.l1d, po.hierarchy.l2),
+            ):
+                assert ck._tags == co._tags and ck._dirty == co._dirty
+                assert ck._resident == co._resident
 
-    def test_padded_heterogeneous_victims(self, runner, monkeypatch):
+    def test_padded_heterogeneous_victims(self, runner):
         """A mixed 0/8/16-entry victim batch exercises the padded slot
-        axis through the kernel's D-miss resume protocol."""
-        trace = runner.trace("gzip")
+        axis of the kernel's miss service."""
+        items = [(LV_BLOCK, 0), (LV_BLOCK_V6, 0), (LV_BLOCK_V10, 0), (LV_BLOCK_V10, 1)]
+        with_kernel, _ = _run_batch(runner, items)
+        assert with_kernel == _run_batch(runner, items, engine="object")[0]
 
-        def build():
-            return [
-                runner.build_pipeline(LV_BLOCK, 0),
-                runner.build_pipeline(LV_BLOCK_V6, 0),
-                runner.build_pipeline(LV_BLOCK_V10, 0),
-                runner.build_pipeline(LV_BLOCK_V10, 1),
-            ]
 
-        with_kernel = OutOfOrderPipeline.run_batch(
-            build(), trace, measure_from=WARMUP, min_lanes=1
+class _CountingKernel:
+    """Wraps the function ``lane_kernel.load()`` returns, counting calls."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+        self.calls = 0
+
+    def __call__(self, ctx_ptr) -> None:
+        self.calls += 1
+        self.kernel(ctx_ptr)
+
+
+@kernel_available
+class TestRouting:
+    """Exactly the pipelines with a batch key run in the kernel; ``run``
+    drives it directly, never through ``run_batch``."""
+
+    @pytest.fixture()
+    def counter(self, monkeypatch):
+        counting = _CountingKernel(lane_kernel.load())
+        original_load = lane_kernel.load
+
+        def load():
+            return counting if original_load() is not None else None
+
+        monkeypatch.setattr(lane_kernel, "load", load)
+        return counting
+
+    @pytest.fixture(autouse=True)
+    def no_run_batch(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run() went through run_batch")
+
+        monkeypatch.setattr(OutOfOrderPipeline, "run_batch", staticmethod(forbidden))
+
+    @staticmethod
+    def _hierarchy(**kwargs) -> MemoryHierarchy:
+        kwargs.setdefault("l1i", SetAssociativeCache(L1_GEOMETRY, name="l1i"))
+        kwargs.setdefault("l1d", SetAssociativeCache(L1_GEOMETRY, name="l1d"))
+        kwargs.setdefault("l2", L2_GEOMETRY)
+        return MemoryHierarchy(latencies=LOW_VOLTAGE.latencies(), **kwargs)
+
+    def test_block_disabling_runs_in_the_kernel(self, runner, counter):
+        pipeline = runner.build_pipeline(LV_BLOCK, 0)
+        assert pipeline.batch_key() is not None
+        pipeline.run(runner.trace("gzip"), measure_from=WARMUP)
+        assert counter.calls == 2  # warmup prefix, then the measured region
+
+    def _assert_object_loop(self, pipeline, runner, counter) -> None:
+        assert pipeline.batch_key() is None
+        pipeline.run(runner.trace("gzip"), measure_from=WARMUP)
+        assert counter.calls == 0
+
+    def test_prefetcher_runs_the_object_loop(self, runner, counter):
+        pipeline = OutOfOrderPipeline(
+            runner.pipeline_config, self._hierarchy(prefetch_degree=1)
         )
+        self._assert_object_loop(pipeline, runner, counter)
+
+    def test_fifo_l1_runs_the_object_loop(self, runner, counter):
+        l1d = SetAssociativeCache(L1_GEOMETRY, policy="fifo", name="l1d")
+        pipeline = OutOfOrderPipeline(runner.pipeline_config, self._hierarchy(l1d=l1d))
+        self._assert_object_loop(pipeline, runner, counter)
+
+    def test_block_disabled_l2_runs_the_object_loop(self, runner, counter):
+        enabled = [[w != 0 for w in range(L2_GEOMETRY.ways)]] * L2_GEOMETRY.num_sets
+        l2 = SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2")
+        pipeline = OutOfOrderPipeline(runner.pipeline_config, self._hierarchy(l2=l2))
+        self._assert_object_loop(pipeline, runner, counter)
+
+    def test_reused_pipeline_runs_the_object_loop(self, runner, counter):
+        pipeline = runner.build_pipeline(LV_BLOCK, 0)
+        pipeline.run(runner.trace("gzip"), measure_from=WARMUP)
+        counter.calls = 0
+        self._assert_object_loop(pipeline, runner, counter)
+
+    def test_object_engine_runs_the_object_loop(self, runner, counter):
+        pipeline = runner.build_pipeline(LV_BLOCK, 0, engine="object")
+        self._assert_object_loop(pipeline, runner, counter)
+
+    def test_env_override_runs_the_object_loop(self, runner, counter, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        without = OutOfOrderPipeline.run_batch(
-            build(), trace, measure_from=WARMUP, min_lanes=1
-        )
-        assert with_kernel == without
+        pipeline = runner.build_pipeline(LV_BLOCK, 0)
+        self._assert_object_loop(pipeline, runner, counter)
 
 
 @kernel_available
@@ -160,7 +250,7 @@ class TestBuildFailureWarning:
             raise FileNotFoundError("No such file or directory: 'gcc'")
 
         monkeypatch.setattr(lane_kernel.subprocess, "run", no_gcc)
-        with pytest.warns(RuntimeWarning, match="NumPy lane loop"):
+        with pytest.warns(RuntimeWarning, match="object loop"):
             assert lane_kernel.load() is None
 
     @kernel_available

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BASELINE,
@@ -44,6 +45,12 @@ def _all_items(settings, configs):
             yield config, None
 
 
+#: Merging needs batch keys, which exist only with the compiled kernel.
+requires_kernel = pytest.mark.skipif(
+    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+)
+
+
 @pytest.fixture()
 def runner() -> ExperimentRunner:
     return ExperimentRunner(SETTINGS)
@@ -66,6 +73,7 @@ class TestSignatures:
             LV_BLOCK
         )
 
+    @requires_kernel
     def test_structural_differences_split(self, runner):
         signatures = {
             runner.batch_signature(c)
@@ -88,6 +96,7 @@ class TestSignatures:
 
 
 class TestPlanning:
+    @requires_kernel
     def test_groups_merge_across_points(self, runner):
         plan = runner.plan_mega_batches(CONFIGS)
         merged = {
@@ -124,6 +133,7 @@ class TestPlanning:
 
 
 class TestGroupExecution:
+    @requires_kernel
     def test_mixed_config_group_matches_sequential(self, runner, reference):
         items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
         results = runner.run_lane_group("gzip", items)
@@ -137,6 +147,7 @@ class TestGroupExecution:
                 (config.label, m)
             ]
 
+    @requires_kernel
     def test_heterogeneous_items_split_by_signature(self, runner, reference):
         # A word-disabling lane among block-disabling ones must not trip
         # the engine's sequential fallback: it splits into its own
@@ -184,6 +195,7 @@ class TestGroupExecution:
 
 
 class TestRunMega:
+    @requires_kernel
     def test_fewer_schedule_passes_than_points(self, runner, reference):
         executed = runner.run_mega(CONFIGS)
         assert executed == len(list(_all_items(SETTINGS, CONFIGS)))
@@ -212,6 +224,7 @@ class TestRunMega:
 
 
 class TestParallelMega:
+    @requires_kernel
     def test_worker_batches_are_trace_groups(self, runner):
         batches = plan_worker_batches(runner, CONFIGS)
         flat = [task for batch in batches for task in batch]
@@ -222,6 +235,7 @@ class TestParallelMega:
         # At least one dispatch unit spans several campaign points.
         assert any(len(labels) > 1 for labels in labels_per_batch)
 
+    @requires_kernel
     def test_parallel_prefill_matches_sequential(self, reference):
         parallel = ExperimentRunner(SETTINGS)
         executed = prefill_cache(parallel, CONFIGS, workers=2)

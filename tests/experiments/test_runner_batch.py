@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.campaign.session as session_module
-import repro.experiments.runner as runner_module
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
@@ -15,15 +13,6 @@ SETTINGS = RunnerSettings(
     n_fault_maps=5,
     benchmarks=("gzip",),
 )
-
-
-@pytest.fixture(autouse=True)
-def _wide_open_batching(monkeypatch):
-    """The suite's tiny map counts sit below the production crossover;
-    drop it so these tests exercise the vectorised path.  Sessions
-    resolve the crossover from the session module at use time, so
-    patching there reaches every runner built below."""
-    monkeypatch.setattr(session_module, "MIN_BATCH_LANES", 2)
 
 
 def test_batched_results_match_legacy_path():
@@ -83,90 +72,3 @@ def test_normalized_series_identical_across_paths():
 def test_invalid_lane_width_rejected():
     with pytest.raises(ValueError):
         ExperimentRunner(SETTINGS, lanes=0)
-
-
-def test_narrow_chunks_use_per_map_path(monkeypatch):
-    """Below the crossover the runner must not pay vectorisation
-    overhead: the batched engine is never invoked."""
-    monkeypatch.setattr(session_module, "MIN_BATCH_LANES", 16)
-    runner = ExperimentRunner(SETTINGS)
-
-    def boom(*args, **kwargs):  # pragma: no cover - guard
-        raise AssertionError("vectorised path used below the crossover")
-
-    monkeypatch.setattr(
-        runner_module.OutOfOrderPipeline, "run_batch", staticmethod(boom)
-    )
-    results = runner.run_batch("gzip", LV_BLOCK)
-    assert len(results) == SETTINGS.n_fault_maps
-
-
-def test_settings_crossover_override_beats_module_default(monkeypatch):
-    """``RunnerSettings(min_batch_lanes=...)`` wins over the module
-    constant: raising it keeps this suite's 5-map chunks sequential even
-    with the fixture's wide-open module patch."""
-    settings = RunnerSettings(
-        n_instructions=SETTINGS.n_instructions,
-        warmup_instructions=SETTINGS.warmup_instructions,
-        n_fault_maps=SETTINGS.n_fault_maps,
-        benchmarks=SETTINGS.benchmarks,
-        min_batch_lanes=16,
-    )
-    runner = ExperimentRunner(settings)
-    assert runner.session.min_batch_lanes == 16
-
-    def boom(*args, **kwargs):  # pragma: no cover - guard
-        raise AssertionError("vectorised path used despite the override")
-
-    monkeypatch.setattr(
-        runner_module.OutOfOrderPipeline, "run_batch", staticmethod(boom)
-    )
-    results = runner.run_batch("gzip", LV_BLOCK)
-    assert len(results) == settings.n_fault_maps
-
-
-def test_crossover_overrides_never_enter_specs():
-    """The batching knobs are execution policy, not campaign identity:
-    two sessions differing only in crossovers produce identical specs
-    (and therefore identical store task keys)."""
-    plain = ExperimentRunner(SETTINGS)
-    tuned = ExperimentRunner(
-        RunnerSettings(
-            n_instructions=SETTINGS.n_instructions,
-            warmup_instructions=SETTINGS.warmup_instructions,
-            n_fault_maps=SETTINGS.n_fault_maps,
-            benchmarks=SETTINGS.benchmarks,
-            min_batch_lanes=2,
-            min_mega_lanes=8,
-        )
-    )
-    assert tuned.session.min_batch_lanes == 2
-    assert tuned.session.min_mega_lanes == 8
-    assert plain.session.spec((LV_BLOCK,)) == tuned.session.spec((LV_BLOCK,))
-    assert plain.session.task_key("gzip", LV_BLOCK, 0) == tuned.session.task_key(
-        "gzip", LV_BLOCK, 0
-    )
-
-
-def test_crossover_overrides_accepted_by_session_run():
-    """A session with crossover overrides must run its own specs: the
-    spec-reconstructed settings hold the knob defaults, so the fidelity
-    check has to adopt the session's execution knobs before comparing
-    (regression: ``--min-batch-lanes`` used to raise the
-    wrong-fidelity ValueError on every figure)."""
-    settings = RunnerSettings(
-        n_instructions=SETTINGS.n_instructions,
-        warmup_instructions=SETTINGS.warmup_instructions,
-        n_fault_maps=SETTINGS.n_fault_maps,
-        benchmarks=SETTINGS.benchmarks,
-        min_batch_lanes=1,
-        min_mega_lanes=999,
-    )
-    with session_module.Session(settings) as session:
-        spec = session.spec((LV_BLOCK,))
-        for _event in session.run(spec):
-            pass
-        derived = session.derived(spec)
-        assert derived.min_batch_lanes == 1
-        assert derived.min_mega_lanes == 999
-        assert session.store.get(session.task_key("gzip", LV_BLOCK, 0)) is not None

@@ -1,16 +1,16 @@
 """Golden simulation scenarios: the bit-identity contract of the simulator.
 
 Each scenario builds a complete (pipeline config, memory hierarchy, trace,
-measured region) quadruple covering every behavioural corner the fused
-engine must reproduce exactly: all disabling schemes at both voltages,
+measured region) quadruple covering every behavioural corner the lane
+kernel must reproduce exactly: all disabling schemes at both voltages,
 victim caches of several sizes, prefetching, every replacement policy,
 fault-thinned and fully-disabled sets, and non-Table-II pipeline widths
-(which exercise the generic min-scan fallbacks).
+(which exercise the generic min-scans).
 
 ``golden_sim.json`` locks the cycle counts, branch statistics, and full
 hierarchy stats these scenarios produced on the pre-engine object path.
-``test_golden_sim.py`` asserts that both the object path and the fused
-engine still reproduce them bit-for-bit.
+``test_golden_sim.py`` asserts that both the object path and the default
+engine (the lane kernel where eligible) still reproduce them bit-for-bit.
 
 Regenerate (only when the simulator's bits change *on purpose*)::
 

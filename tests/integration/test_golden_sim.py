@@ -4,9 +4,11 @@
 ``golden_scenarios.py``).  Every scenario — all disabling schemes at both
 voltages, victim caches, prefetching, all replacement policies, thinned and
 fully-disabled sets, non-Table-II widths — must reproduce its cycles,
-branch statistics, and full hierarchy statistics exactly, on the object
-path *and* on the fused engine.  Any divergence is a simulator-semantics
-change and fails CI (stats divergence, not timing).
+branch statistics, and full hierarchy statistics exactly: on
+``engine="object"``, on the default engine (the C lane kernel for every
+kernel-eligible scenario, the object loop for the rest), and batched.
+Any divergence is a simulator-semantics change and fails CI (stats
+divergence, not timing).
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ def test_golden_bit_identity(name, engine, golden, traces):
 
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
 def test_golden_bit_identity_batched(name, golden, traces):
-    """Every scenario must also reproduce its goldens through the
-    lane-batched engine: two identical lanes run in one batch, and both
-    must match the locked record exactly.  Scenarios the vectorised path
-    cannot take (prefetchers, non-LRU policies) exercise the sequential
-    fallback — same contract either way."""
+    """Every scenario must also reproduce its goldens through
+    ``run_batch``: two identical lanes run in one kernel pass, and both
+    must match the locked record exactly.  Scenarios the kernel cannot
+    take (prefetchers, non-LRU policies) exercise the per-pipeline
+    object-loop fallback — same contract either way."""
     from repro.cpu.pipeline import OutOfOrderPipeline
 
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
@@ -75,8 +77,8 @@ def test_golden_bit_identity_batched(name, golden, traces):
 
 def test_pipeline_reuse_stays_identical(traces):
     """A pipeline reused across runs must behave like the object path:
-    the second run starts with trained predictors and warm caches (it
-    falls off the schedule-driven fast path onto the generic fused loop)."""
+    the second run starts with trained predictors and warm caches (the
+    first run is a kernel pass, the second runs the object loop)."""
     name = "lv-baseline"
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
     trace = traces[trace_name]

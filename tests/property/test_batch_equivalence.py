@@ -1,30 +1,31 @@
-"""Property-based equivalence: fused/batched runs vs per-op sequential.
+"""Property-based equivalence: lane-kernel runs vs the object engine.
 
-The lane-batched engine (and, where available, the compiled lane
-kernel riding inside it) promises bit-identity with N sequential fused
-runs on *any* trace, not just the generator's benchmark profiles.
-Hypothesis drives randomly-structured traces — arbitrary class mixes,
-register patterns, branch shapes, and memory streams — through both
-paths across heterogeneous victim-cache lanes and asserts the results
-are equal, cycles and statistics alike.  A second suite fuzzes the
-hierarchies themselves — thinned, single-way and fully-disabled L1 sets
-in some lanes only, 0/8/16-entry victim caches — against the object
-engine, with the compiled lane kernel and on the NumPy fallback.
+The compiled lane kernel promises bit-identity with the object engine on
+*any* trace, not just the generator's benchmark profiles.  Hypothesis
+drives randomly-structured traces — arbitrary class mixes, register
+patterns, branch shapes, and memory streams — through both engines
+across heterogeneous victim-cache lanes and asserts the results are
+equal, cycles and statistics alike.  Further suites fuzz the hierarchies
+themselves — thinned, single-way and fully-disabled L1 sets in some
+lanes only, 0/8/16-entry victim caches — and the whole kernel-eligible
+space: pipeline widths, FU pools, ring sizes, front-end depths, cache
+geometries and latencies, trace lengths and warmup boundaries, through
+both ``run()`` and ``run_batch()``.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cpu.config import PAPER_PIPELINE
+from repro.cpu import lane_kernel
+from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.cpu.isa import NO_REGISTER, InstrClass
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
@@ -40,6 +41,10 @@ SETTINGS = RunnerSettings(
 )
 
 RUNNER = ExperimentRunner(SETTINGS)
+
+requires_kernel = pytest.mark.skipif(
+    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+)
 
 #: (config, map_index) lanes mixing victim sizings (0/8/16 entries) so
 #: every example also exercises the padded victim slot axis.
@@ -86,12 +91,14 @@ def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
     trace = random_trace(seed, n)
     measure_from = int(n * warm_frac)
     sequential = [
-        RUNNER.build_pipeline(config, m).run(trace, measure_from=measure_from)
+        RUNNER.build_pipeline(config, m, engine="object").run(
+            trace, measure_from=measure_from
+        )
         for config, m in LANE_ITEMS
     ]
     pipelines = [RUNNER.build_pipeline(config, m) for config, m in LANE_ITEMS]
     batched = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=measure_from, min_lanes=1
+        pipelines, trace, measure_from=measure_from
     )
     assert batched == sequential
 
@@ -100,12 +107,10 @@ def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
 @settings(max_examples=8, deadline=None)
 def test_same_map_lanes_agree_on_random_traces(seed):
     """Identical lanes through one batch must produce identical results
-    (catches any cross-lane state bleed in the fused kernels)."""
+    (catches any cross-lane state bleed in the lane kernel)."""
     trace = random_trace(seed, 400)
     pipelines = [RUNNER.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
-    results = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=0, min_lanes=1
-    )
+    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     assert results[0] == results[1] == results[2]
 
 
@@ -157,6 +162,7 @@ def _small_pipeline(lane, engine: str) -> OutOfOrderPipeline:
     return OutOfOrderPipeline(PAPER_PIPELINE, hierarchy, engine=engine)
 
 
+@requires_kernel
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=200, max_value=600),
@@ -171,11 +177,121 @@ def test_fuzzed_hierarchies_match_the_object_engine(seed, n, warm_frac, lanes):
         _small_pipeline(lane, "object").run(trace, measure_from=measure_from)
         for lane in lanes
     ]
-    for no_kernel in ("", "1"):  # the C kernel (when built), then NumPy
-        with mock.patch.dict(os.environ, {"REPRO_NO_CKERNEL": no_kernel}):
-            pipelines = [_small_pipeline(lane, "fused") for lane in lanes]
-            assert OutOfOrderPipeline._can_run_batch(pipelines)
-            batched = OutOfOrderPipeline.run_batch(
-                pipelines, trace, measure_from=measure_from, min_lanes=1
+    pipelines = [_small_pipeline(lane, "fused") for lane in lanes]
+    assert OutOfOrderPipeline._can_run_batch(pipelines)
+    batched = OutOfOrderPipeline.run_batch(
+        pipelines, trace, measure_from=measure_from
+    )
+    assert batched == expected
+
+
+# ----- the whole kernel-eligible space ---------------------------------------
+
+#: Commit widths 3 and 5 take the kernel's non-power-of-two ROB-bound
+#: branch; widths are drawn from them half the time.
+WIDTH = st.integers(1, 8)
+COMMIT_WIDTH = st.sampled_from([3, 5]) | WIDTH
+POOL = st.integers(1, 5)
+
+PIPELINE_CONFIGS = st.builds(
+    PipelineConfig,
+    fetch_width=WIDTH,
+    issue_width=WIDTH,
+    commit_width=COMMIT_WIDTH,
+    int_alu_units=POOL,
+    int_mul_units=POOL,
+    fp_alu_units=POOL,
+    fp_mul_units=POOL,
+    rob_entries=st.integers(4, 128),
+    iq_int_entries=st.integers(1, 40),
+    iq_fp_entries=st.integers(1, 40),
+    frontend_stages=st.integers(0, 7),
+)
+
+WAYS = st.sampled_from([1, 2, 4, 8])
+BLOCK_BYTES = st.sampled_from([32, 64, 128])
+
+
+@st.composite
+def geometries(draw, sets: "tuple[int, ...]") -> CacheGeometry:
+    ways = draw(WAYS)
+    block_bytes = draw(BLOCK_BYTES)
+    return CacheGeometry(
+        size_bytes=draw(st.sampled_from(sets)) * ways * block_bytes,
+        ways=ways,
+        block_bytes=block_bytes,
+    )
+
+
+LATENCIES = st.builds(
+    LatencyConfig,
+    l1i=st.integers(1, 4),
+    l1d=st.integers(1, 4),
+    victim=st.integers(0, 2),
+    l2=st.integers(0, 25),
+    memory=st.integers(0, 120),
+)
+
+
+@st.composite
+def eligible_lanes(draw) -> "tuple[PipelineConfig, list]":
+    """A pipeline config plus 1-3 lanes of hierarchy factories sharing
+    every structural parameter of the batch key: geometries and
+    latencies agree, thinning and victim sizes differ per lane."""
+    config = draw(PIPELINE_CONFIGS)
+    l1i_geometry = draw(geometries((4, 8, 16, 32, 64)))
+    l1d_geometry = draw(geometries((4, 8, 16, 32, 64)))
+    l2_geometry = draw(geometries((16, 32, 64, 128)))
+    latencies = draw(LATENCIES)
+
+    def l1(geometry, name):
+        thinning = draw(st.sampled_from([None, 0.2, 0.5, 0.9]))
+        if thinning is None:
+            return lambda: SetAssociativeCache(geometry, name=name)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        enabled = rng.random((geometry.num_sets, geometry.ways)) > thinning
+        return lambda: SetAssociativeCache(geometry, enabled_ways=enabled, name=name)
+
+    lanes = []
+    for _ in range(draw(st.integers(1, 3))):
+        make_i, make_d = l1(l1i_geometry, "l1i"), l1(l1d_geometry, "l1d")
+        victims = draw(st.sampled_from([0, 1, 8, 16]))
+        lanes.append(
+            lambda make_i=make_i, make_d=make_d, victims=victims: MemoryHierarchy(
+                make_i(),
+                make_d(),
+                l2_geometry,
+                latencies,
+                victim_entries_i=victims,
+                victim_entries_d=victims,
             )
-        assert batched == expected, f"REPRO_NO_CKERNEL={no_kernel!r}"
+        )
+    return config, lanes
+
+
+@requires_kernel
+@given(
+    drawn=eligible_lanes(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=700),
+    boundary=st.sampled_from(["start", "third", "last"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
+    config, lanes = drawn
+    trace = random_trace(seed, n)
+    measure_from = {"start": 0, "third": n // 3, "last": n - 1}[boundary]
+    expected = [
+        OutOfOrderPipeline(config, make(), engine="object").run(
+            trace, measure_from=measure_from
+        )
+        for make in lanes
+    ]
+    single = [OutOfOrderPipeline(config, make()) for make in lanes]
+    assert all(p.batch_key() is not None for p in single)
+    assert [p.run(trace, measure_from=measure_from) for p in single] == expected
+    batch = [OutOfOrderPipeline(config, make()) for make in lanes]
+    assert OutOfOrderPipeline._can_run_batch(batch)
+    assert OutOfOrderPipeline.run_batch(
+        batch, trace, measure_from=measure_from
+    ) == expected
