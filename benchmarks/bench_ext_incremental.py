@@ -12,9 +12,9 @@ from _bench_utils import emit, series_mean
 from repro.experiments.figures import extension_incremental_performance
 
 
-def test_ext_incremental_performance(benchmark, runner):
+def test_ext_incremental_performance(benchmark, session):
     result = benchmark.pedantic(
-        extension_incremental_performance, args=(runner,), rounds=1, iterations=1
+        extension_incremental_performance, args=(session,), rounds=1, iterations=1
     )
     emit(result)
 

@@ -11,8 +11,8 @@ from _bench_utils import emit, series_mean
 from repro.experiments.figures import fig8_data
 
 
-def test_fig8_low_voltage_normalized(benchmark, runner):
-    result = benchmark.pedantic(fig8_data, args=(runner,), rounds=1, iterations=1)
+def test_fig8_low_voltage_normalized(benchmark, session):
+    result = benchmark.pedantic(fig8_data, args=(session,), rounds=1, iterations=1)
     emit(result)
 
     word = series_mean(result, "word disabling")

@@ -10,8 +10,8 @@ from _bench_utils import emit, series_mean
 from repro.experiments.figures import fig9_data
 
 
-def test_fig9_low_voltage_victim_baseline(benchmark, runner):
-    result = benchmark.pedantic(fig9_data, args=(runner,), rounds=1, iterations=1)
+def test_fig9_low_voltage_victim_baseline(benchmark, session):
+    result = benchmark.pedantic(fig9_data, args=(session,), rounds=1, iterations=1)
     emit(result)
 
     word = series_mean(result, "word disabling")

@@ -10,8 +10,8 @@ from _bench_utils import emit, series_mean
 from repro.experiments.figures import fig10_data
 
 
-def test_fig10_victim_cell_choice(benchmark, runner):
-    result = benchmark.pedantic(fig10_data, args=(runner,), rounds=1, iterations=1)
+def test_fig10_victim_cell_choice(benchmark, session):
+    result = benchmark.pedantic(fig10_data, args=(session,), rounds=1, iterations=1)
     emit(result)
 
     word = series_mean(result, "word disabling")

@@ -12,8 +12,8 @@ from _bench_utils import emit, series_mean
 from repro.experiments.figures import fig11_data
 
 
-def test_fig11_high_voltage(benchmark, runner):
-    result = benchmark.pedantic(fig11_data, args=(runner,), rounds=1, iterations=1)
+def test_fig11_high_voltage(benchmark, session):
+    result = benchmark.pedantic(fig11_data, args=(session,), rounds=1, iterations=1)
     emit(result)
 
     # Block-disabling == baseline, exactly, benchmark by benchmark.

@@ -11,8 +11,8 @@ from _bench_utils import emit, series_mean
 from repro.experiments.figures import fig12_data
 
 
-def test_fig12_high_voltage_victim_baseline(benchmark, runner):
-    result = benchmark.pedantic(fig12_data, args=(runner,), rounds=1, iterations=1)
+def test_fig12_high_voltage_victim_baseline(benchmark, session):
+    result = benchmark.pedantic(fig12_data, args=(session,), rounds=1, iterations=1)
     emit(result)
 
     for value in result.series["block disabling"]:

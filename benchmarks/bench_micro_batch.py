@@ -32,6 +32,7 @@ import json
 import sys
 import time
 
+from repro.campaign import RunnerSettings, Session
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BLOCK,
@@ -39,7 +40,6 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     RunConfig,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 #: Fault-dependent configs benchmarked: the plain block-disabling row and
 #: the 6T victim-cache row (the paper's densest fault-dependent machinery).
@@ -80,7 +80,7 @@ def _parse_args(argv) -> argparse.Namespace:
 OBJECT = "object"
 
 
-def _run_point(runner, config, trace, warmup, map_count, width):
+def _run_point(session, config, trace, warmup, map_count, width):
     """One campaign point in kernel passes of ``width`` lanes (or, for
     :data:`OBJECT`, sequential object runs); returns (seconds, results)."""
     indices = list(range(map_count))
@@ -88,12 +88,12 @@ def _run_point(runner, config, trace, warmup, map_count, width):
     start = time.perf_counter()
     if width == OBJECT:
         for m in indices:
-            pipeline = runner.build_pipeline(config, m, engine="object")
+            pipeline = session.build_pipeline(config, m, engine="object")
             results.append(pipeline.run(trace, measure_from=warmup))
         return time.perf_counter() - start, results
     for begin in range(0, map_count, width):
         chunk = indices[begin : begin + width]
-        pipelines = [runner.build_pipeline(config, m) for m in chunk]
+        pipelines = [session.build_pipeline(config, m) for m in chunk]
         results.extend(
             OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=warmup)
         )
@@ -104,7 +104,6 @@ def _run_hetero(args, instructions, warmup) -> dict:
     """A --maps 2 campaign over mixed victim sizings (0/8/16 entries):
     the padded slot axis must merge all six lanes into ONE kernel pass
     group, bit-identical to six sequential object runs."""
-    from repro.campaign.session import Session
     from repro.campaign.spec import CampaignSpec
 
     configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
@@ -167,14 +166,14 @@ def run_bench(args) -> dict:
         n_fault_maps=maps,
         benchmarks=(args.benchmark,),
     )
-    runner = ExperimentRunner(settings)
-    trace = runner.trace(args.benchmark)
+    session = Session(settings)
+    trace = session.trace(args.benchmark)
     total = len(trace) * maps
 
     configs: dict[str, dict] = {}
     divergences = 0
     for config in BENCH_CONFIGS:
-        runner.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
+        session.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
         # Repetitions interleave the rows so per-repetition speedup
         # ratios are robust against machine-load drift; the reported
         # speedup is the median ratio, the KIPS the best run.
@@ -184,7 +183,7 @@ def run_bench(args) -> dict:
         for _ in range(repeats):
             for width in rows_measured:
                 elapsed, results = _run_point(
-                    runner, config, trace, warmup, maps, width
+                    session, config, trace, warmup, maps, width
                 )
                 times[width].append(elapsed)
                 outputs[width] = results

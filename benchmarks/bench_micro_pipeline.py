@@ -39,6 +39,7 @@ import json
 import sys
 import time
 
+from repro.campaign import RunnerSettings, Session
 from repro.experiments.configs import (
     HV_BASELINE,
     LV_BASELINE,
@@ -48,7 +49,6 @@ from repro.experiments.configs import (
     LV_WORD,
     RunConfig,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 #: Scheme set benchmarked: the headline Table III rows.  The LV baseline is
 #: the acceptance config (its speedup is reported as ``baseline_speedup``).
@@ -82,7 +82,7 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _bench_schedule_compile(runner, trace, warmup, repeats) -> dict:
+def _bench_schedule_compile(session, trace, warmup, repeats) -> dict:
     """Pass-1 schedule compilation: vectorised builder vs the
     per-instruction reference replay, plus ``.npz`` payload identity."""
     from io import BytesIO
@@ -91,8 +91,8 @@ def _bench_schedule_compile(runner, trace, warmup, repeats) -> dict:
 
     from repro.cpu import frontend
 
-    config = runner.pipeline_config
-    offset_bits = runner.build_pipeline(
+    config = session.pipeline_config
+    offset_bits = session.build_pipeline(
         BENCH_CONFIGS[0], 0 if BENCH_CONFIGS[0].needs_fault_map else None
     ).hierarchy.l1i.geometry.offset_bits
 
@@ -144,8 +144,8 @@ def run_bench(args) -> dict:
         n_fault_maps=1,
         benchmarks=(args.benchmark,),
     )
-    runner = ExperimentRunner(settings)
-    trace = runner.trace(args.benchmark)  # generated once or trace-cache hit
+    session = Session(settings)
+    trace = session.trace(args.benchmark)  # generated once or trace-cache hit
     total = len(trace)
 
     schemes: dict[str, dict] = {}
@@ -158,7 +158,7 @@ def run_bench(args) -> dict:
             best = float("inf")
             result = None
             for rep in range(repeats + 1):  # +1 untimed warm-up rep
-                pipeline = runner.build_pipeline(config, map_index, engine=engine)
+                pipeline = session.build_pipeline(config, map_index, engine=engine)
                 t0 = time.perf_counter()
                 result = pipeline.run(trace, measure_from=warmup)
                 elapsed = time.perf_counter() - t0
@@ -178,7 +178,7 @@ def run_bench(args) -> dict:
             "identical": identical,
         }
 
-    compile_row = _bench_schedule_compile(runner, trace, warmup, repeats)
+    compile_row = _bench_schedule_compile(session, trace, warmup, repeats)
     if not (compile_row["identical"] and compile_row["npz_identical"]):
         divergences += 1
 
@@ -189,8 +189,8 @@ def run_bench(args) -> dict:
         "warmup": warmup,
         "repeats": repeats,
         "smoke": bool(args.smoke),
-        "traces_generated": runner.traces.generated,
-        "traces_loaded": runner.traces.loaded,
+        "traces_generated": session.traces.generated,
+        "traces_loaded": session.traces.loaded,
         "schemes": schemes,
         "schedule_compile": compile_row,
         "baseline_speedup": schemes[baseline_key]["speedup"],

@@ -7,10 +7,9 @@ identical gate on a laptop, and adds the mega-batch equivalence smoke (a
 multi-point campaign plan must scatter back bit-identical results with
 strictly fewer schedule passes than campaign points, and the CLI's
 figures must be byte-identical with ``--mega-batch`` and
-``--no-mega-batch``) plus the campaign smoke: the declarative
-``Session.run(spec)`` path and the legacy ``ExperimentRunner`` path must
-produce byte-identical figure JSON, and dedup re-runs must execute zero
-schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
+``--no-mega-batch``) plus the campaign smoke: the Fig. 8 JSON a
+``Session`` renders must match a pinned sha256 digest, and dedup re-runs
+must execute zero schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
 a heterogeneous-victim campaign must merge into one kernel pass,
 bit-identical to ``engine="object"`` runs; under ``REPRO_NO_CKERNEL=1``
 the same campaign must run through the object loop to byte-identical
@@ -19,10 +18,11 @@ replay.  The ``sanitize`` smoke rebuilds that kernel with
 AddressSanitizer and UBSan and runs the kernel, fuzzed-equivalence and
 golden tests against it: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
-per disk backend, a pool campaign checkpointing under I/O fault
+per writable disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write, resumed to byte-identical figures,
-then repaired and verified clean, and the jsonl → sqlite → jsonl
-migration round-trip must be lossless.
+then repaired and verified clean; the jsonl → sqlite → jsonl migration
+round-trip must be lossless, and a read-only sharded copy migrated in
+place to jsonl must serve the same figures from pure store hits.
 
 Each smoke writes ``<name>-smoke.json`` into ``--json-dir`` (default:
 current directory) — the workflow uploads them as per-commit artifacts so
@@ -215,7 +215,8 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         LV_INCREMENTAL,
         LV_WORD,
     )
-    from repro.experiments.runner import ExperimentRunner, RunnerSettings
+    from repro.campaign.session import Session
+    from repro.campaign.spec import RunnerSettings
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -226,9 +227,9 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     configs = (LV_BASELINE, LV_WORD, LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL)
     points = len(settings.benchmarks) * len(configs)
 
-    mega = ExperimentRunner(settings)
-    executed = mega.run_mega(configs)
-    sequential = ExperimentRunner(settings, lanes=1, mega_batch=False)
+    mega = Session(settings)
+    executed = mega.run_all(mega.spec(configs)).pending
+    sequential = Session(settings, lanes=1, mega_batch=False)
 
     divergences = 0
     compared = 0
@@ -238,7 +239,9 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         )
         for m in indices:
             compared += 1
-            if mega.run("gzip", config, m) != sequential.run("gzip", config, m):
+            if mega.simulate("gzip", config, m) != sequential.simulate(
+                "gzip", config, m
+            ):
                 divergences += 1
 
     failures: list[str] = []
@@ -292,22 +295,27 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     return failures
 
 
-def smoke_campaign(json_dir: str) -> list[str]:
-    """Campaign API v2 equivalence.
+#: sha256 of the Fig. 8 JSON the campaign smoke renders.  Every grouping
+#: policy (mega-batched, per-point, ``lanes=1``) produces these bytes; a
+#: change that moves them changes simulated results.
+FIG8_DIGEST = "128dcac91b6fd06a7a1c31495b159425215b50daf4027b1a7bb7ad19f4d1d085"
 
-    The new ``Session.run(spec)`` streaming path and the legacy
-    ``ExperimentRunner`` path must produce byte-identical figure JSON
-    for every performance figure they share, and a dedup re-run of an
-    already-stored campaign must resolve to an empty plan and execute
-    zero schedule passes.  The CLI's ``--dry-run`` must simulate
-    nothing.
+
+def smoke_campaign(json_dir: str) -> list[str]:
+    """Campaign figure bytes and dedup.
+
+    The Fig. 8 JSON a ``Session`` renders (``json.dumps`` of the
+    ``FigureResult`` with sorted keys) must hash to :data:`FIG8_DIGEST`,
+    and a dedup re-run of an already-stored campaign must resolve to an
+    empty plan and execute zero schedule passes.  The CLI's
+    ``--dry-run`` must simulate nothing.
     """
     import dataclasses
+    import hashlib
 
     from repro.campaign.session import Session
     from repro.campaign.spec import RunnerSettings
     from repro.experiments.figures import fig8_data, figure_spec
-    from repro.experiments.runner import ExperimentRunner
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -316,22 +324,14 @@ def smoke_campaign(json_dir: str) -> list[str]:
         benchmarks=("gzip",),
     )
 
-    def figure_json(result) -> str:
-        return json.dumps(dataclasses.asdict(result), sort_keys=True)
-
     failures: list[str] = []
 
-    legacy = ExperimentRunner(settings)
-    legacy_json = figure_json(fig8_data(legacy))
-
     session = Session(settings)
-    session_json = figure_json(fig8_data(session))
-    if session_json != legacy_json:
+    figure_json = json.dumps(dataclasses.asdict(fig8_data(session)), sort_keys=True)
+    digest = hashlib.sha256(figure_json.encode()).hexdigest()
+    if digest != FIG8_DIGEST:
         failures.append(
-            "Session and legacy ExperimentRunner figure JSON differ:\n"
-            + "\n".join(
-                difflib.unified_diff([legacy_json], [session_json], lineterm="")
-            )
+            f"Fig. 8 JSON digest {digest} != pinned {FIG8_DIGEST}:\n{figure_json}"
         )
 
     # Dedup re-run: pure store hits, empty plan, zero new schedule passes.
@@ -361,8 +361,8 @@ def smoke_campaign(json_dir: str) -> list[str]:
         json_dir,
         "campaign",
         {
-            "figure_json_identical": session_json == legacy_json,
-            "legacy_schedule_passes": legacy.schedule_passes,
+            "figure_digest": digest,
+            "figure_digest_matches": digest == FIG8_DIGEST,
             "session_schedule_passes": passes_before,
             "rerun_pending": rerun_plan.pending,
             "rerun_schedule_passes": rerun_passes,
@@ -605,21 +605,28 @@ def smoke_chaos(json_dir: str) -> list[str]:
 
 
 def smoke_store_chaos(json_dir: str) -> list[str]:
-    """Crash-consistent storage gate, per backend.
+    """Crash-consistent storage gate, per writable backend.
 
-    For each disk backend (jsonl / sharded / sqlite): a pool campaign
+    For each writable disk backend (jsonl / sqlite): a pool campaign
     checkpointing under I/O fault injection is SIGKILLed as soon as its
     store file materialises; a chaos-free resume against the survivor
     directory must regenerate figures byte-identical to a storeless
     reference run; ``store repair`` then ``store verify`` must leave
-    zero undetected-corrupt records.  Finally the repaired jsonl store
+    zero undetected-corrupt records.  The repaired jsonl store then
     round-trips jsonl → sqlite → jsonl losslessly (sorted record lines
-    byte-identical — the checksums are backend-independent) and figures
-    re-derived from each migrated copy are pure store hits, still
-    byte-identical.
+    byte-identical — the checksums are backend-independent), and a
+    sharded copy of it (laid out by the test helper: this build writes
+    no sharded stores) migrates in place to jsonl, after which
+    auto-detection must resolve jsonl.  Figures re-derived from each
+    migrated copy are pure store hits, still byte-identical.
     """
     import signal
     import time
+
+    sys.path.insert(0, os.path.join(ROOT, "tests", "store"))
+    from store_helpers import write_sharded
+
+    from repro.store import detect_backend, open_store
 
     failures: list[str] = []
     summary: dict = {"backends": {}}
@@ -646,7 +653,6 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
         # bytes reach the durable file (not merely once the store opens).
         write_probes = {
             "jsonl": lambda d: has_bytes(d, "results.jsonl"),
-            "sharded": lambda d: has_bytes(d, "shards", "shard-*.jsonl"),
             "sqlite": lambda d: has_bytes(d, "results.sqlite-wal"),
         }
         for backend, probe in write_probes.items():
@@ -733,7 +739,26 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
                 "jsonl -> sqlite -> jsonl migration round-trip is not "
                 "byte-identical record for record"
             )
-        for directory in (sqlite_dir, back_dir):
+
+        # A sharded copy of the resumed store, migrated in place to jsonl:
+        # the next open must resolve to the migrated jsonl log.
+        sharded_dir = os.path.join(tmp, "sharded-in-place")
+        with open_store(jsonl_dir) as resumed:
+            write_sharded(sharded_dir, [(k, resumed.get(k)) for k in resumed.keys()])
+        proc = _cli(["store", "migrate", sharded_dir, "--to", "jsonl"])
+        if proc.returncode != 0:
+            failures.append(
+                f"in-place migrate of the sharded copy exited {proc.returncode}:"
+                f"\n{proc.stdout}{proc.stderr}"
+            )
+        resolved = detect_backend(sharded_dir)
+        if resolved != "jsonl":
+            failures.append(
+                f"after in-place migration {sharded_dir} resolves to {resolved!r}"
+            )
+        summary["sharded_in_place_resolves"] = resolved
+
+        for directory in (sqlite_dir, back_dir, sharded_dir):
             rerun = _cli(
                 _STORE_ARGS + ["--store", directory, "--trace-cache", traces]
             )
@@ -756,15 +781,15 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
 def smoke_service(json_dir: str) -> list[str]:
     """Campaign service gate: server + concurrent clients + worker chaos.
 
-    A campaign server (DistributedExecutor, 2 partition-writing workers)
-    runs under ``REPRO_CHAOS`` worker-crash injection while two
-    concurrent ``submit`` clients send overlapping specs.  Each client
-    must receive a complete event stream (one PointResult per distinct
-    key of its spec); the server must execute the overlap once
-    (executed_A + executed_B == |union| < total_A + total_B); a figure
-    re-render from the server's store must be pure store hits and
-    byte-identical to a chaos-free serial reference; ``store verify``
-    must find the store clean.
+    A campaign server (sqlite store, DistributedExecutor, 2
+    partition-writing workers) runs under ``REPRO_CHAOS`` worker-crash
+    injection while two concurrent ``submit`` clients send overlapping
+    specs.  Each client must receive a complete event stream (one
+    PointResult per distinct key of its spec); the server must execute
+    the overlap once (executed_A + executed_B == |union| < total_A +
+    total_B); a figure re-render from the server's store must be pure
+    store hits and byte-identical to a chaos-free serial reference;
+    ``store verify`` must find the store clean.
     """
     import signal
     import time
@@ -787,7 +812,7 @@ def smoke_service(json_dir: str) -> list[str]:
             [
                 sys.executable, "-m", "repro.experiments", "serve",
                 "--port", "0", "--workers", "2",
-                "--store", store, "--store-backend", "sharded",
+                "--store", store, "--store-backend", "sqlite",
                 "--trace-cache", traces, *fig_args,
             ],
             cwd=ROOT,

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Campaign API v2: declarative specs, the unified planner, and the
-streaming Session facade.
+"""The campaign API: declarative specs, the planner, and the streaming
+Session.
 
 Walks the campaign layer end to end:
 
@@ -14,8 +14,8 @@ Walks the campaign layer end to end:
    events as simulations land in the store;
 4. re-run the same spec: pure store hits, an empty plan, zero schedule
    passes;
-5. post-process the stored results into the paper's normalized series —
-   the same store keys the legacy ``ExperimentRunner`` reads and writes.
+5. post-process the stored results into the paper's normalized series,
+   read back from the store by the same content-hash keys.
 
 Run:  PYTHONPATH=src python examples/campaign_api.py
 """
@@ -25,10 +25,10 @@ from repro.campaign import (
     PlanReady,
     PointResult,
     Progress,
+    RunnerSettings,
     Session,
 )
 from repro.experiments import LV_BASELINE, LV_BLOCK, LV_BLOCK_V10, LV_WORD
-from repro.experiments.runner import RunnerSettings
 
 # --- 1. a campaign is data ----------------------------------------------------
 settings = RunnerSettings(

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Low-voltage scheme comparison on a benchmark subset (mini Fig. 8/9).
 
-Uses the experiment runner exactly as the figure benches do, on a
-configurable benchmark subset, and prints the per-benchmark normalized
-performance of every Table III low-voltage configuration — including the
-incremental word-disabling extension the paper only analyses.
+Runs one campaign through a :class:`~repro.campaign.session.Session`
+exactly as the figures do, on a configurable benchmark subset, then
+prints the per-benchmark normalized performance of every Table III
+low-voltage configuration — including the incremental word-disabling
+extension the paper only analyses.
 
 Run:  python examples/low_voltage_sweep.py [bench1,bench2,...]
 """
 
 import sys
 
+from repro.campaign import RunnerSettings, Session
 from repro.experiments import (
     LV_BASELINE,
     LV_BLOCK,
@@ -19,8 +21,6 @@ from repro.experiments import (
     LV_INCREMENTAL,
     LV_WORD,
     LV_WORD_V,
-    ExperimentRunner,
-    RunnerSettings,
 )
 
 benchmarks = ("crafty", "gzip", "mcf", "swim", "wupwise", "galgel")
@@ -30,14 +30,16 @@ if len(sys.argv) > 1:
 settings = RunnerSettings(
     n_instructions=30_000, n_fault_maps=4, benchmarks=benchmarks
 )
-runner = ExperimentRunner(settings)
+session = Session(settings)
 print(
     f"low-voltage sweep: {len(benchmarks)} benchmarks, "
     f"{settings.n_fault_maps} fault maps, {settings.n_instructions} instructions"
 )
 
 configs = [LV_WORD, LV_WORD_V, LV_BLOCK, LV_BLOCK_V10, LV_BLOCK_V6, LV_INCREMENTAL]
-series = {c.label: runner.normalized_series(c, LV_BASELINE) for c in configs}
+# One mega-batched campaign fills the store; the series are store reads.
+session.run_all(session.spec([LV_BASELINE, *configs]))
+series = {c.label: session.normalized_series(c, LV_BASELINE) for c in configs}
 
 header = f"{'benchmark':12s}" + "".join(f"{c.label[:18]:>20s}" for c in configs)
 print("\n" + header)

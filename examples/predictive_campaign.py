@@ -26,11 +26,11 @@ from repro.campaign import (
     BatchProposed,
     CampaignSpec,
     Converged,
+    RunnerSettings,
     Session,
     SurrogateFit,
 )
 from repro.experiments import LV_BASELINE, LV_BLOCK, LV_BLOCK_V10, LV_WORD
-from repro.experiments.runner import RunnerSettings
 from repro.predict import ActiveCampaign, PredictSettings
 from repro.service.server import ServerThread
 

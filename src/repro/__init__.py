@@ -22,8 +22,10 @@ The package implements, from scratch, everything the paper builds on:
 
 Quickstart::
 
-    from repro import ExperimentRunner, fig8_data
-    print(fig8_data(ExperimentRunner()).to_text())
+    from repro import Session, fig8_data
+
+    with Session() as session:
+        print(fig8_data(session).to_text())
 """
 
 from repro.analysis import (
@@ -61,7 +63,8 @@ from repro.cpu import (
     Trace,
 )
 from repro.campaign import CampaignSpec, Session
-from repro.experiments import ExperimentRunner, FigureResult, RunnerSettings
+from repro.campaign.spec import RunnerSettings
+from repro.experiments import FigureResult
 from repro.experiments.figures import (
     fig1_data,
     fig3_data,
@@ -143,7 +146,6 @@ __all__ = [
     "OverheadModel",
     "CampaignSpec",
     "Session",
-    "ExperimentRunner",
     "RunnerSettings",
     "FigureResult",
     "fig1_data",

@@ -1,8 +1,8 @@
-"""Campaign API v2: declarative specs, a unified planner, and a
-streaming Session facade.
+"""The campaign API: declarative specs, one planner, and a streaming
+Session.
 
-The campaign layer turns experiment sweeps into data plus one execution
-seam:
+The campaign layer is the only way to run an experiment sweep; it turns
+the sweep into data plus one execution seam:
 
 * :class:`~repro.campaign.spec.CampaignSpec` — a frozen,
   JSON-round-trippable description of a campaign (benchmarks, Table III
@@ -15,11 +15,11 @@ seam:
 * :class:`~repro.campaign.session.Session` — opens store, trace cache,
   and fault maps once; ``session.run(spec)`` streams typed
   :mod:`~repro.campaign.events` with schedule-pass counters through a
-  pluggable :class:`~repro.campaign.executors.Executor`.
+  pluggable :class:`~repro.campaign.executors.Executor`; every plan
+  group, whatever its shape, executes through ``Session.run_group``.
 
-The legacy :class:`repro.experiments.runner.ExperimentRunner` survives
-as a thin compatibility shim over a Session; both paths are golden-pinned
-bit-identical (``benchmarks/ci_smokes.py campaign``).
+Figure bytes are pinned by a digest in ``benchmarks/ci_smokes.py
+campaign``.
 """
 
 from repro.campaign.events import (

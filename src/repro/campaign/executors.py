@@ -5,9 +5,10 @@ events: it drives every plan group, checkpoints results into the
 session's store, keeps the session's simulation/schedule-pass counters
 truthful, and yields :class:`~repro.campaign.events.PointResult` /
 :class:`~repro.campaign.events.Progress` as work lands.  Both built-in
-executors consume the *same* plan objects from the unified planner —
-the pool merely ships ``Plan.worker_batches`` slices to workers — so
-serial and parallel campaigns are bit-identical by construction.  The
+executors consume the *same* plan objects from the planner — the pool
+merely ships ``Plan.worker_batches`` slices to workers — and every group
+or slice executes through ``Session.run_group``, so serial and parallel
+campaigns are bit-identical by construction.  The
 :class:`~repro.service.distributed.DistributedExecutor` subclasses the
 pool executor at the ``_land_chunk``/``_drain_complete`` seams: its
 workers checkpoint into per-worker store partitions and the results
@@ -129,7 +130,6 @@ def _worker_init(
     pipeline_config,
     trace_cache: "str | None" = None,
     lanes: "int | None" = None,
-    mega_batch: bool = True,
     chaos_epoch: int = 0,
 ) -> None:
     global _WORKER_SESSION
@@ -144,18 +144,15 @@ def _worker_init(
         pipeline_config=pipeline_config,
         trace_cache=trace_cache,
         lanes=lanes,
-        mega_batch=mega_batch,
     )
 
 
 def run_batch_locally(
     session: "Session", batch: list[Task]
 ) -> list[tuple[Task, SimResult]]:
-    """Run one dispatch batch through a session (worker or parent).
-
-    Mega-batching sessions take the trace-group path — the batch may mix
-    configurations and fault-independent lanes; otherwise the batch is a
-    same-point group dispatched through the per-point lane batch.
+    """Run one dispatch batch — a slice of one plan group, so every task
+    shares a benchmark — through :meth:`Session.run_group` in a session
+    (worker or parent).
 
     This is the fault-injection seam: when ``REPRO_CHAOS`` is armed,
     every task consults the deterministic chaos schedule before the
@@ -164,15 +161,8 @@ def run_batch_locally(
     if chaos.config_from_env() is not None:
         for task in batch:
             chaos.maybe_inject(session.task_key(*task))
-    benchmark, config, first_index = batch[0]
-    if session.mega_batch:
-        items = [(config, map_index) for (_, config, map_index) in batch]
-        results = session.run_group(benchmark, items)
-        return list(zip(batch, results))
-    if first_index is None:
-        return [(batch[0], session.simulate(benchmark, config, None))]
-    indices = [task[2] for task in batch]
-    results = session.simulate_maps(benchmark, config, indices)
+    items = [(config, map_index) for (_, config, map_index) in batch]
+    results = session.run_group(batch[0][0], items)
     return list(zip(batch, results))
 
 
@@ -305,10 +295,8 @@ class PoolExecutor(Executor):
                 session.pipeline_config,
                 session.traces.cache_dir,
                 # Workers inherit the explicit lane width so a narrow
-                # lanes=N request still batches inside the pool, and the
-                # mega flag so trace-group payloads take the group path.
+                # lanes=N request still batches inside the pool.
                 session.lanes,
-                session.mega_batch,
                 epoch,
             ),
         )

@@ -1,10 +1,6 @@
-"""The unified campaign planner: spec + store -> explicit Plan.
+"""The campaign planner: spec + store -> explicit Plan.
 
-Before this layer existed, planning was implemented twice —
-``ExperimentRunner.plan_mega_batches`` for the serial path and
-``repro.experiments.parallel.plan_worker_batches`` for the process pool —
-and each figure/CLI call re-derived its own work list.  :class:`Planner`
-is now the single place campaign work is resolved:
+:class:`Planner` is the single place campaign work is resolved:
 
 1. enumerate every (benchmark, config, map_index) point the
    :class:`~repro.campaign.spec.CampaignSpec` needs,
@@ -17,8 +13,9 @@ is now the single place campaign work is resolved:
 
 The resulting :class:`Plan` is a frozen value consumed *identically* by
 the serial and process-pool executors (``Plan.worker_batches`` slices
-the same groups into pool dispatch units), rendered by the CLI's
-``--dry-run``, and asserted on by tests.
+the same groups into pool dispatch units; every slice runs through
+``Session.run_group``), rendered by the CLI's ``--dry-run``, and
+asserted on by tests.
 """
 
 from __future__ import annotations
@@ -59,8 +56,8 @@ class PlanGroup:
     ``merged`` groups are cross-point mega-batches — every lane shares
     one non-``None`` batch ``signature`` and is driven through a single
     lane-kernel pass.  Unmerged groups hold the lanes of one campaign
-    point (or one configuration the kernel cannot take) and execute
-    through the per-point lane-batch path.
+    point (or one configuration the kernel cannot take).  Both execute
+    through ``Session.run_group``.
     """
 
     benchmark: str
@@ -151,16 +148,11 @@ class Planner:
     def __init__(self, session: "Session") -> None:
         self.session = session
 
-    def resolve(
-        self, spec: CampaignSpec, mega_batch: "bool | None" = None
-    ) -> Plan:
+    def resolve(self, spec: CampaignSpec) -> Plan:
         """The explicit :class:`Plan` for ``spec`` against the session's
-        store, grouped exactly as the executors will run it.
-        ``mega_batch`` overrides the session's cross-point merging policy
-        (the legacy per-point planning views use ``False``)."""
+        store, grouped exactly as the executors will run it (cross-point
+        merging follows ``session.mega_batch``)."""
         session = self.session
-        if mega_batch is None:
-            mega_batch = session.mega_batch
         groups: dict[tuple, list[WorkItem]] = {}
         order: list[tuple] = []
         seen_keys: set[str] = set()
@@ -179,7 +171,7 @@ class Planner:
                 dedup += 1
                 continue
             signature = session.batch_signature(config)
-            if mega_batch and signature is not None:
+            if session.mega_batch and signature is not None:
                 # Merged (mega) groups key on (trace, signature) — a
                 # 2-tuple; per-point groups carry their config in a
                 # 3-tuple so they never collide.
@@ -223,8 +215,6 @@ class Planner:
         executors' accounting (``Session.execute_group``): one per lane
         chunk when the kernel takes the group, else one per item."""
         n = len(group)
-        if group.items[0].map_index is None and not group.merged:
-            return 1  # fault-independent singleton
         if group.signature is None:
             return n  # one object-loop run per item
         width = self.session.lanes or n

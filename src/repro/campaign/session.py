@@ -4,11 +4,13 @@ A :class:`Session` opens everything a campaign needs exactly once — the
 result store, the persistent trace/schedule caches, the fault-map
 provider — and exposes the whole experiment surface behind two layers:
 
-* **point API** (:meth:`simulate`, :meth:`simulate_maps`,
-  :meth:`run_group`) — the simulation primitives the legacy
-  ``ExperimentRunner`` facade delegates to, bit-identical to the
-  pre-campaign-layer paths and sharing its store-dedup, lane-batching,
-  and mega-batching semantics;
+* **point API** (:meth:`simulate`, :meth:`run_group`) — the simulation
+  primitives: one lazy point, or one group of ``(config, map_index)``
+  lanes over a trace driven through as few lane-kernel passes as their
+  batch signatures allow.  Every plan group — a cross-point mega-batch
+  or the lanes of one campaign point — executes through
+  :meth:`run_group`, store-deduped and bit-identical to per-point
+  :meth:`simulate` calls;
 * **campaign API** (:meth:`plan`, :meth:`run`) — declarative:
   :meth:`run` takes a :class:`~repro.campaign.spec.CampaignSpec`,
   resolves it through the unified :class:`~repro.campaign.plan.Planner`,
@@ -130,8 +132,8 @@ class Session:
             self.store = _chaos.ChaosStore(self.store, _chaos_config)
         #: Fault-map lanes simulated per batched pipeline pass: ``None``
         #: (default) batches every pending map of a campaign point into
-        #: one :meth:`OutOfOrderPipeline.run_batch` call; ``1`` keeps the
-        #: legacy one-map-per-run path.
+        #: one :meth:`OutOfOrderPipeline.run_batch` call; ``1`` runs one
+        #: map per pass.
         if lanes is not None and lanes < 1:
             raise ValueError("lanes must be positive")
         self.lanes = lanes
@@ -287,59 +289,6 @@ class Session:
             self.trace(benchmark), measure_from=self.settings.warmup_instructions
         )
 
-    def simulate_maps(
-        self,
-        benchmark: str,
-        config: RunConfig,
-        map_indices: "list[int] | range | None" = None,
-    ) -> list[SimResult]:
-        """Simulate many fault-map lanes of one (benchmark, config) point
-        in a single schedule pass (:meth:`OutOfOrderPipeline.run_batch`).
-
-        ``map_indices`` defaults to every map of the campaign
-        (``range(n_fault_maps)``).  Lanes already in the store are never
-        re-simulated; the rest are dispatched in batches of
-        :attr:`lanes` maps (all pending maps by default) and checkpointed
-        batch-by-batch.  Results return in ``map_indices`` order,
-        bit-identical to per-map :meth:`simulate` calls.
-        Fault-independent configurations collapse to the single
-        :meth:`simulate` point.
-        """
-        if not config.needs_fault_map:
-            return [self.simulate(benchmark, config)]
-        if map_indices is None:
-            map_indices = range(self.settings.n_fault_maps)
-        map_indices = list(map_indices)
-        results: dict[int, SimResult] = {}
-        pending: list[int] = []
-        for m in map_indices:
-            cached = self.store.get(self.task_key(benchmark, config, m))
-            if cached is not None:
-                results[m] = cached
-            elif m not in results and m not in pending:
-                pending.append(m)
-        width = self.lanes or len(pending) or 1
-        warmup = self.settings.warmup_instructions
-        for start in range(0, len(pending), width):
-            chunk = pending[start : start + width]
-            if len(chunk) == 1:
-                for m in chunk:
-                    results[m] = self.simulate(benchmark, config, m)
-                continue
-            pipelines = [self.build_pipeline(config, m) for m in chunk]
-            if OutOfOrderPipeline._can_run_batch(pipelines):
-                self.schedule_passes += 1
-            else:  # run_batch's transparent per-pipeline fallback
-                self.schedule_passes += len(chunk)
-            outs = OutOfOrderPipeline.run_batch(
-                pipelines, self.trace(benchmark), measure_from=warmup
-            )
-            for m, result in zip(chunk, outs):
-                self.store.put(self.task_key(benchmark, config, m), result)
-                self.simulations_executed += 1
-                results[m] = result
-        return [results[m] for m in map_indices]
-
     # ----- mega-batching: cross-point lane groups -------------------------------
 
     def batch_signature(self, config: RunConfig) -> "tuple | None":
@@ -360,8 +309,10 @@ class Session:
     def run_group(
         self, benchmark: str, items: "list[tuple[RunConfig, int | None]]"
     ) -> list[SimResult]:
-        """Execute one mega-batch: all ``(config, map_index)`` lanes of
-        a trace-group in (ideally) a single lane-kernel pass.
+        """Execute one group: all ``(config, map_index)`` lanes of a
+        trace-group in (ideally) a single lane-kernel pass.  A per-point
+        group is the one-signature case: the fault-map lanes of one
+        configuration.
 
         Lanes already in the store are never re-simulated.  The rest are
         sub-grouped by :meth:`batch_signature` — a heterogeneous item
@@ -382,7 +333,6 @@ class Session:
         sub_order: list["tuple | None"] = []
         resolved: list[str] = []
         for config, m in items:
-            m = self._normalize_map_index(config, m)
             key = self.task_key(benchmark, config, m)
             resolved.append(key)
             if key in results:
@@ -396,6 +346,7 @@ class Session:
             if signature not in subgroups:
                 subgroups[signature] = []
                 sub_order.append(signature)
+            m = self._normalize_map_index(config, m)
             subgroups[signature].append((config, m, key))
         warmup = self.settings.warmup_instructions
         for signature in sub_order:
@@ -421,22 +372,11 @@ class Session:
     def execute_group(
         self, group: PlanGroup
     ) -> list[tuple[WorkItem, SimResult]]:
-        """Execute one plan group through the path its shape dictates:
-        merged groups through the cross-point :meth:`run_group` pass,
-        per-point groups through :meth:`simulate_maps` or the single
-        :meth:`simulate` point.  Returns item/result pairs in plan
-        order."""
-        if group.merged:
-            results = self.run_group(
-                group.benchmark,
-                [(item.config, item.map_index) for item in group.items],
-            )
-            return list(zip(group.items, results))
-        config = group.items[0].config
-        if group.items[0].map_index is None:
-            return [(group.items[0], self.simulate(group.benchmark, config))]
-        indices = [item.map_index for item in group.items]
-        results = self.simulate_maps(group.benchmark, config, indices)
+        """Execute one plan group through :meth:`run_group`; returns
+        item/result pairs in plan order."""
+        results = self.run_group(
+            group.benchmark, [(item.config, item.map_index) for item in group.items]
+        )
         return list(zip(group.items, results))
 
     # ----- campaign API ---------------------------------------------------------
@@ -617,20 +557,20 @@ class Session:
             benchmarks = self.settings.benchmarks
         averages = []
         minimums = []
+        maps = (
+            range(self.settings.n_fault_maps) if config.needs_fault_map else [None]
+        )
         for benchmark in benchmarks:
             base_cycles = self.simulate(benchmark, baseline).cycles
-            if config.needs_fault_map:
-                # One lane-batched pass drives every fault map of the
-                # point (store hits excluded), instead of n_fault_maps
-                # separate schedule walks.
-                normalized = [
-                    base_cycles / result.cycles
-                    for result in self.simulate_maps(benchmark, config)
-                ]
-            else:
-                normalized = [
-                    base_cycles / self.simulate(benchmark, config).cycles
-                ]
+            # One lane-batched pass drives every fault map of the point
+            # (store hits excluded), instead of n_fault_maps separate
+            # schedule walks.
+            normalized = [
+                base_cycles / result.cycles
+                for result in self.run_group(
+                    benchmark, [(config, m) for m in maps]
+                )
+            ]
             averages.append(sum(normalized) / len(normalized))
             minimums.append(min(normalized))
         return NormalizedSeries(

@@ -6,8 +6,7 @@ Table III configurations, how many fault-map pairs, and the fidelity
 knobs (trace length, warmup, pfail, master seed).  This module makes
 that data first-class:
 
-* :class:`RunnerSettings` — fidelity and scope of a campaign (moved here
-  from ``repro.experiments.runner``, which re-exports it unchanged).
+* :class:`RunnerSettings` — fidelity and scope of a campaign.
 * :class:`CampaignSpec` — a frozen, JSON-round-trippable description of
   one campaign: settings fields plus the configurations to sweep and an
   optional figure tag.  Figures, CLI invocations, tests, and benches all

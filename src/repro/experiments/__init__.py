@@ -1,19 +1,17 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-The declarative campaign layer lives in :mod:`repro.campaign`
-(``CampaignSpec`` / ``Planner`` / ``Session``); this package keeps the
+The campaign API lives in :mod:`repro.campaign` (``CampaignSpec`` /
+``Planner`` / ``Session`` and the executors); this package keeps the
 figure registries, the Table III configurations, the content-hash task
-keys, and the legacy :class:`ExperimentRunner` facade over it.  The
-persistence layer is :mod:`repro.store` (the old
-``repro.experiments.store`` path survives as a deprecated shim).
+keys, the ablation studies, and the CLI.  The persistence layer is
+:mod:`repro.store`.
 
 Import layering: the campaign layer depends on this package's *leaf*
-modules (``configs``, ``keys``, ``providers``), while ``figures``,
-``runner``, and ``parallel`` depend on the campaign layer.  Only the
-leaves are imported eagerly here; the campaign-backed names resolve
-lazily on first attribute access (PEP 562), so ``import
-repro.experiments.configs`` from inside :mod:`repro.campaign` never
-re-enters a half-initialised module.
+modules (``configs``, ``keys``, ``providers``), while ``figures`` and
+``report`` depend on the campaign layer.  Only the leaves are imported
+eagerly here; the campaign-backed names resolve lazily on first
+attribute access (PEP 562), so ``import repro.experiments.configs`` from
+inside :mod:`repro.campaign` never re-enters a half-initialised module.
 """
 
 import importlib
@@ -54,13 +52,9 @@ from repro.store import (
 _LAZY = {
     "CampaignSpec": "repro.campaign.spec",
     "Session": "repro.campaign.session",
-    "ExperimentRunner": "repro.experiments.runner",
-    "RunnerSettings": "repro.experiments.runner",
-    "NormalizedSeries": "repro.experiments.runner",
-    "plan_tasks": "repro.experiments.parallel",
-    "pending_tasks": "repro.experiments.parallel",
-    "prefill_cache": "repro.experiments.parallel",
-    "run_studies": "repro.experiments.parallel",
+    "RunnerSettings": "repro.campaign",
+    "NormalizedSeries": "repro.campaign",
+    "run_studies": "repro.experiments.ablation",
     "ANALYTICAL_FIGURES": "repro.experiments.figures",
     "PERFORMANCE_FIGURES": "repro.experiments.figures",
     "figure_spec": "repro.experiments.figures",

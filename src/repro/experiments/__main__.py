@@ -50,7 +50,7 @@ from repro.campaign.executors import PoolExecutor
 from repro.campaign.resilience import CampaignError, RetryPolicy
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
-from repro.experiments.ablation import ABLATION_STUDIES
+from repro.experiments.ablation import ABLATION_STUDIES, run_studies
 from repro.experiments.characterize import characterization_table
 from repro.experiments.figures import (
     ANALYTICAL_FIGURES,
@@ -59,8 +59,13 @@ from repro.experiments.figures import (
 )
 from repro.experiments.providers import TRACE_CACHE_ENV
 from repro.experiments.report import REPORT_CONFIGS, reproduction_report
-from repro.experiments.runner import ExperimentRunner
-from repro.store import DiskStore, MemoryStore, ResultStore, open_store
+from repro.store import (
+    DiskStore,
+    MemoryStore,
+    ReadOnlyStoreError,
+    ResultStore,
+    open_store,
+)
 from repro.workloads.spec2000 import ALL_BENCHMARKS
 
 
@@ -170,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--store-backend",
-        choices=("auto", "jsonl", "sharded", "sqlite"),
+        choices=("auto", "jsonl", "sqlite"),
         default=None,
         help="storage backend for --store (default: $REPRO_STORE_BACKEND, "
         "else auto-detect from the directory, else jsonl; see "
@@ -307,7 +312,7 @@ def _run_main(raw_argv: list[str]) -> int:
     trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
     if trace_cache:
         # Export for child processes (parallel ablation studies build their
-        # own runners from the environment).
+        # own inputs from the environment).
         os.environ[TRACE_CACHE_ENV] = trace_cache
 
     # The union campaign every requested performance target needs — one
@@ -408,8 +413,6 @@ def _run_main(raw_argv: list[str]) -> int:
     ablation_targets = [t for t in targets if t in ABLATION_STUDIES]
     ablation_results: dict[str, object] = {}
     if args.workers > 1 and len(ablation_targets) > 1:
-        from repro.experiments.parallel import run_studies
-
         ablation_results = run_studies(
             ablation_targets,
             workers=args.workers,
@@ -435,6 +438,11 @@ def _run_main(raw_argv: list[str]) -> int:
             file=sys.stderr,
         )
         code = 3
+    except ReadOnlyStoreError as exc:
+        # The store auto-detected as the read-only sharded layout and the
+        # campaign needed to write a point; the message names the migrate.
+        print(f"[campaign] {exc}", file=sys.stderr)
+        code = 2
     except KeyboardInterrupt:
         # Session.run already flushed the store and printed the resume
         # hint; exit with the conventional interrupt status.
@@ -470,7 +478,7 @@ def _render_targets(
 ) -> int:
     for target in targets:
         if target == "report":
-            print(reproduction_report(ExperimentRunner.from_session(ready_session())))
+            print(reproduction_report(ready_session()))
             print()
             continue
         if target == "characterize":
@@ -538,7 +546,7 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store-backend",
-        choices=("auto", "jsonl", "sharded", "sqlite"),
+        choices=("auto", "jsonl", "sqlite"),
         default=None,
         help="storage backend for --store (default: $REPRO_STORE_BACKEND, "
         "else auto-detect)",

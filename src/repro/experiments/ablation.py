@@ -12,9 +12,17 @@ but does not simulate:
   recover it?
 * :func:`energy_study` — the Fig. 1 motivation quantified: energy per task
   of each scheme at the low-voltage operating point vs staying at Vcc-min.
+
+The studies build their own traces and fault maps (different seeds and
+warmup than the figure campaign) and bypass the result store, so
+:func:`run_studies` parallelises them one study per worker process.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Callable
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
@@ -326,3 +334,41 @@ ABLATION_STUDIES = {
     "abl-blocksize-prefetch": blocksize_prefetch_study,
     "abl-energy": energy_study,
 }
+
+
+def _study_worker(name: str):
+    return name, ABLATION_STUDIES[name]()
+
+
+def run_studies(
+    names: list[str],
+    workers: int | None = None,
+    progress: "Callable[[int, int], None] | None" = None,
+) -> dict[str, FigureResult]:
+    """Run named ablation studies concurrently, one study per worker.
+
+    Returns ``{name: FigureResult}``; callers print in their own order.
+    ``workers=None`` uses the CPU count; ``progress(done, total)`` is
+    called as each study finishes.
+    """
+    unique = list(dict.fromkeys(names))
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(unique))
+    results: dict[str, FigureResult] = {}
+    if workers <= 1:
+        for i, name in enumerate(unique):
+            results[name] = _study_worker(name)[1]
+            if progress is not None:
+                progress(i + 1, len(unique))
+        return results
+    done = 0
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_study_worker, name) for name in unique]
+        for future in as_completed(futures):
+            name, result = future.result()
+            results[name] = result
+            done += 1
+            if progress is not None:
+                progress(done, len(unique))
+    return results

@@ -10,13 +10,12 @@ ignore both arguments (accepted for registry uniformity).  Performance
 figures are a declarative :class:`~repro.campaign.spec.CampaignSpec`
 (:func:`figure_spec`) plus a *pure post-processing function*: the spec
 is streamed through the campaign :class:`~repro.campaign.session.Session`
-(filling the result store, mega-batched), after which the series are
-computed from pure store hits.  ``session`` accepts a
-:class:`~repro.campaign.session.Session`, a legacy
-:class:`~repro.experiments.runner.ExperimentRunner` (its session is
-used), or ``None`` (a fresh environment-configured session); ``spec``
-overrides the campaign — a spec at a different fidelity runs in a
-derived session over the same store.
+(filling the result store), after which the series are computed from
+pure store hits.  ``session`` is a
+:class:`~repro.campaign.session.Session` or ``None`` (a fresh
+environment-configured session); ``spec`` overrides the campaign — a
+spec at a different fidelity runs in a derived session over the same
+store.
 """
 
 from __future__ import annotations
@@ -111,14 +110,9 @@ def configs_for_targets(targets) -> tuple:
     return tuple(needed)
 
 
-def _coerce_session(session) -> Session:
-    """Accept a Session, a legacy ExperimentRunner facade, or None."""
-    if session is None:
-        return Session()
-    inner = getattr(session, "session", None)  # ExperimentRunner shim
-    if isinstance(inner, Session):
-        return inner
-    return session
+def _coerce_session(session: "Session | None") -> Session:
+    """The given session, or a fresh environment-configured one."""
+    return Session() if session is None else session
 
 
 def _prepare(session, target: str, spec: CampaignSpec | None):

@@ -1,13 +1,11 @@
 """Content-hash task keys: the identity of one simulation point.
 
-Moved here from ``repro.experiments.store`` (which now only re-exports
-the :mod:`repro.store` persistence API plus these keys, under a
-:class:`DeprecationWarning`).  Keys are about *experiments* — what a
-simulation computes — not about storage, so they live beside the config
-and provider modules rather than inside the persistence package.
+Keys are about *experiments* — what a simulation computes — not about
+storage, so they live beside the config and provider modules rather
+than inside the persistence package (:mod:`repro.store`).
 
 :func:`task_key` hashes the *fidelity* fields of
-:class:`~repro.experiments.runner.RunnerSettings` (trace length, warmup,
+:class:`~repro.campaign.spec.RunnerSettings` (trace length, warmup,
 pfail, master seed) plus the benchmark, the physical content of the
 :class:`~repro.experiments.configs.RunConfig` (scheme, voltage, victim
 entries — not the cosmetic label), and the fault-map index.  Fields that
@@ -29,8 +27,8 @@ from typing import TYPE_CHECKING
 from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.experiments.configs import RunConfig
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
-    from repro.experiments.runner import RunnerSettings
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
+    from repro.campaign.spec import RunnerSettings
 
 #: Bump when the simulator's bits change incompatibly (invalidates keys —
 #: every stored result keys off this, so old stores simply stop matching).
@@ -65,7 +63,7 @@ def task_key(
 
     Identical across processes, interpreter restarts, and config *labels*
     (two RunConfigs that build the same simulator share a key).
-    ``pipeline_config`` defaults to the paper's Table II pipeline; a runner
+    ``pipeline_config`` defaults to the paper's Table II pipeline; a session
     with a non-default pipeline gets disjoint keys, so mixed-pipeline
     campaigns can share one store without cross-contamination.
     """

@@ -3,12 +3,10 @@
 Both inputs to a simulation are pure functions of
 :class:`~repro.campaign.spec.RunnerSettings` (seeded generators), so
 they are *regenerated*, never shipped between processes or persisted
-alongside results.  These providers own the memoisation that used to live
-inside ``ExperimentRunner``; a campaign
-:class:`~repro.campaign.session.Session` (and the legacy runner facade
-over it) is a thin façade over a :class:`TraceProvider`, a
-:class:`FaultMapProvider`, and a
-:class:`~repro.store.ResultStore`, opened once per session.
+alongside results.  A campaign :class:`~repro.campaign.session.Session`
+owns one :class:`TraceProvider`, one :class:`FaultMapProvider` and a
+:class:`~repro.store.ResultStore`, opened once per session, and every
+pool worker's private session owns its own pair.
 
 Persistent trace cache
 ----------------------

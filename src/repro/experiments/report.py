@@ -1,7 +1,8 @@
 """Reproduction report: every paper headline vs this build's measurement.
 
 :func:`reproduction_report` runs the analytical checks instantly and, given
-a runner, the simulation-based ones, then renders a pass/fail scorecard —
+a campaign :class:`~repro.campaign.session.Session`, the simulation-based
+ones, then renders a pass/fail scorecard —
 the programmatic version of EXPERIMENTS.md.  Used by the CLI target
 ``report`` and by release checks.
 """
@@ -14,6 +15,7 @@ from repro.analysis.capacity_dist import CapacityDistribution
 from repro.analysis.urn import expected_faulty_blocks_exact, pfail_for_capacity
 from repro.analysis.victim import paper_victim_analysis
 from repro.analysis.word_disable import whole_cache_failure_probability
+from repro.campaign.session import Session
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BASELINE_V,
@@ -22,7 +24,6 @@ from repro.experiments.configs import (
     LV_WORD,
     LV_WORD_V,
 )
-from repro.experiments.runner import ExperimentRunner
 from repro.faults.geometry import PAPER_L1_GEOMETRY
 from repro.overhead.transistors import OverheadModel
 
@@ -118,14 +119,14 @@ def analytical_lines() -> list[ReportLine]:
     ]
 
 
-def simulation_lines(runner: ExperimentRunner) -> list[ReportLine]:
+def simulation_lines(session: Session) -> list[ReportLine]:
     """The simulation-shape claims (Section VI).  Tolerances are generous:
     the substrate is a different simulator over synthetic workloads."""
-    word8 = runner.normalized_series(LV_WORD, LV_BASELINE)
-    block8 = runner.normalized_series(LV_BLOCK, LV_BASELINE)
-    block_v8 = runner.normalized_series(LV_BLOCK_V10, LV_BASELINE)
-    word9 = runner.normalized_series(LV_WORD_V, LV_BASELINE_V)
-    block9 = runner.normalized_series(LV_BLOCK_V10, LV_BASELINE_V)
+    word8 = session.normalized_series(LV_WORD, LV_BASELINE)
+    block8 = session.normalized_series(LV_BLOCK, LV_BASELINE)
+    block_v8 = session.normalized_series(LV_BLOCK_V10, LV_BASELINE)
+    word9 = session.normalized_series(LV_WORD_V, LV_BASELINE_V)
+    block9 = session.normalized_series(LV_BLOCK_V10, LV_BASELINE_V)
     lines = [
         ReportLine(
             "Fig 8", "word-disabling average penalty 11.2%",
@@ -163,14 +164,14 @@ def simulation_lines(runner: ExperimentRunner) -> list[ReportLine]:
     return lines
 
 
-def reproduction_report(runner: ExperimentRunner | None = None) -> str:
-    """Render the scorecard; simulation lines only when a runner is given."""
+def reproduction_report(session: Session | None = None) -> str:
+    """Render the scorecard; simulation lines only when a session is given."""
     lines = analytical_lines()
     header = ["Reproduction scorecard — ISPASS 2010 'Performance-Effective "
               "Operation below Vcc-min'", "=" * 100]
     body = [line.render() for line in lines]
-    if runner is not None:
-        sim = simulation_lines(runner)
+    if session is not None:
+        sim = simulation_lines(session)
         body.append("-" * 100)
         body.extend(line.render() for line in sim)
         lines = lines + sim

@@ -9,8 +9,8 @@ deployment instead — the shape a multi-machine fan-out needs — while
 running on the same process pool:
 
 * every worker opens its **own store partition** under a partition root
-  (``<root>/worker-<epoch>-<pid>``, any :mod:`repro.store` backend;
-  ``sharded`` by default) and checkpoints each simulation there
+  (``<root>/worker-<epoch>-<pid>``, a jsonl store — one writer per
+  partition, so nothing contends) and checkpoints each simulation there
   *before* acknowledging it;
 * workers return tiny ``(task, key)`` **acks** over IPC, never results;
 * when the pool drains, the parent **merges** the partitions: the union
@@ -59,10 +59,8 @@ def _partition_worker_init(
     pipeline_config,
     trace_cache,
     lanes,
-    mega_batch,
     chaos_epoch,
     partition_root,
-    backend,
     fsync,
 ) -> None:
     """Worker initializer: a private Session whose store is this
@@ -84,10 +82,9 @@ def _partition_worker_init(
     _executors._WORKER_SESSION = Session(
         settings,
         pipeline_config=pipeline_config,
-        store=open_store(partition, backend=backend, fsync=fsync),
+        store=open_store(partition, backend="jsonl", fsync=fsync),
         trace_cache=trace_cache,
         lanes=lanes,
-        mega_batch=mega_batch,
     )
     # The worker session owns its partition store (Session treats handed-
     # in stores as shared); make close() actually close it.
@@ -128,10 +125,8 @@ class DistributedExecutor(PoolExecutor):
     run and removed after the merge.  Point it at a durable directory to
     keep partitions inspectable — ``python -m repro.experiments store
     merge DIR --from ROOT`` folds them manually, which is also the
-    recovery path if the parent dies mid-merge.  ``partition_backend``
-    picks the per-worker store backend (default ``sharded``, the
-    multi-writer-friendly one); ``partition_fsync`` forces per-put
-    fsync inside partitions.
+    recovery path if the parent dies mid-merge.  ``partition_fsync``
+    forces per-put fsync inside partitions.
     """
 
     def __init__(
@@ -139,14 +134,12 @@ class DistributedExecutor(PoolExecutor):
         workers: "int | None" = None,
         retry: "RetryPolicy | None" = None,
         partition_dir: "str | os.PathLike | None" = None,
-        partition_backend: str = "sharded",
         partition_fsync: bool = False,
     ) -> None:
         super().__init__(workers=workers, retry=retry)
         self.partition_dir = (
             None if partition_dir is None else os.fspath(partition_dir)
         )
-        self.partition_backend = partition_backend
         self.partition_fsync = partition_fsync
         self._partition_root: "str | None" = None
         #: key -> task, insertion-ordered: every ack the drain loop saw.
@@ -165,10 +158,8 @@ class DistributedExecutor(PoolExecutor):
                 session.pipeline_config,
                 session.traces.cache_dir,
                 session.lanes,
-                session.mega_batch,
                 epoch,
                 self._partition_root,
-                self.partition_backend,
                 self.partition_fsync,
             ),
         )
@@ -205,9 +196,7 @@ class DistributedExecutor(PoolExecutor):
         (lost partition files) is quarantined — the in-process replay
         re-simulates it."""
         assert self._partition_root is not None
-        results = load_partitions(
-            self._partition_root, backend=self.partition_backend
-        )
+        results = load_partitions(self._partition_root, backend="jsonl")
         for key, task in self._acked.items():
             result = results.get(key)
             if result is None:

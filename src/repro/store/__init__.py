@@ -1,4 +1,5 @@
-"""Crash-consistent result storage: checksummed records, three backends.
+"""Crash-consistent result storage: checksummed records, two writable
+backends and one read-only migration source.
 
 This package is the persistence layer the campaign system treats as
 ground truth.  It applies the paper's thesis — keep operating correctly
@@ -37,13 +38,13 @@ writer loses at most its final, partially-written line; loading skips
 (and counts) anything undecodable and repairs a confirmed-torn tail with
 a single ``O_APPEND`` write.
 
-**sharded backend** (:class:`~repro.store.sharded.ShardedDiskStore`).
+**sharded layout, read-only** (:class:`~repro.store.sharded.ShardedDiskStore`).
 ``<dir>/shards/shard-<x>.jsonl`` for ``x`` in ``0..f`` — the jsonl log
-split by the first hex character of the key (sha256 keys spread
-uniformly), plus ``<dir>/shards/MANIFEST.json`` recording the layout.
-Appends take an ``flock`` on the shard file, so concurrent campaigns
-racing one directory serialise per shard instead of interleaving torn
-lines; compaction is per-shard and atomic.
+split by the first hex character of the key, plus
+``<dir>/shards/MANIFEST.json`` recording the layout.  Earlier builds
+wrote it; this one reads it so ``store verify`` and ``store migrate DIR
+--to jsonl`` still work, and every write raises
+:class:`~repro.store.sharded.ReadOnlyStoreError` with that migrate hint.
 
 **sqlite backend** (:class:`~repro.store.sqlite.SqliteStore`).
 ``<dir>/results.sqlite`` — WAL-mode database, one row per key
@@ -53,7 +54,7 @@ around writes so concurrent writers queue instead of failing.
 
 :func:`open_store` picks the backend: an explicit ``backend=`` argument
 or ``REPRO_STORE_BACKEND`` wins; otherwise the directory's existing
-files decide (sqlite > sharded > jsonl), and a fresh directory defaults
+files decide (sqlite > jsonl > sharded), and a fresh directory defaults
 to jsonl.  ``fsync=True`` (or ``REPRO_STORE_FSYNC=1``) makes every
 ``put`` durable through the OS cache; the default relies on the pool
 executor's chunk-boundary fsync instead.
@@ -78,7 +79,7 @@ from repro.store.format import (
     result_to_dict,
 )
 from repro.store.jsonl import RESULTS_FILENAME, DiskStore
-from repro.store.sharded import SHARD_COUNT, ShardedDiskStore
+from repro.store.sharded import SHARD_COUNT, ReadOnlyStoreError, ShardedDiskStore
 from repro.store.sqlite import SQLITE_FILENAME, SqliteStore
 
 import os as _os
@@ -87,8 +88,9 @@ import os as _os
 STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
 STORE_FSYNC_ENV = "REPRO_STORE_FSYNC"
 
-#: The disk-backed store implementations ``open_store`` can build.
-BACKENDS = ("jsonl", "sharded", "sqlite")
+#: The writable disk-backed stores ``open_store`` can build (the
+#: ``sharded`` layout only opens read-only, as a migration source).
+BACKENDS = ("jsonl", "sqlite")
 
 
 def fsync_from_env() -> bool:
@@ -99,16 +101,17 @@ def fsync_from_env() -> bool:
 
 def detect_backend(directory: "str | _os.PathLike") -> "str | None":
     """The backend whose files already live under ``directory``, or
-    ``None`` for a fresh directory.  Precedence sqlite > sharded > jsonl
-    matches migration order: migrating a jsonl campaign dir in place
-    would otherwise keep resolving to the stale jsonl log."""
+    ``None`` for a fresh directory.  Precedence sqlite > jsonl > sharded
+    matches migration order: a store migrated in place (jsonl to sqlite,
+    or out of the read-only sharded layout) wins the next open instead
+    of the files it was copied from."""
     directory = _os.fspath(directory)
     if _os.path.exists(_os.path.join(directory, SQLITE_FILENAME)):
         return "sqlite"
-    if _os.path.isdir(_os.path.join(directory, "shards")):
-        return "sharded"
     if _os.path.exists(_os.path.join(directory, RESULTS_FILENAME)):
         return "jsonl"
+    if _os.path.isdir(_os.path.join(directory, "shards")):
+        return "sharded"
     return None
 
 
@@ -121,10 +124,11 @@ def open_store(
     when ``directory`` is ``None``/empty), behind the backend-agnostic
     :class:`ResultStore` API.
 
-    ``backend`` is ``"jsonl"``, ``"sharded"``, ``"sqlite"``, or
-    ``None``/``"auto"`` — defaulting to ``$REPRO_STORE_BACKEND``, then to
-    whatever already lives under ``directory``, then to jsonl.  ``fsync``
-    (default ``$REPRO_STORE_FSYNC``) makes every ``put`` fsync.
+    ``backend`` is ``"jsonl"``, ``"sqlite"``, ``"sharded"`` (an existing
+    sharded store, read-only), or ``None``/``"auto"`` — defaulting to
+    ``$REPRO_STORE_BACKEND``, then to whatever already lives under
+    ``directory``, then to jsonl.  ``fsync`` (default
+    ``$REPRO_STORE_FSYNC``) makes every ``put`` fsync.
 
     Stores are context managers::
 
@@ -141,12 +145,13 @@ def open_store(
         fsync = fsync_from_env()
     if backend == "jsonl":
         return DiskStore(directory, fsync=fsync)
-    if backend == "sharded":
-        return ShardedDiskStore(directory, fsync=fsync)
     if backend == "sqlite":
         return SqliteStore(directory, fsync=fsync)
+    if backend == "sharded":
+        return ShardedDiskStore(directory)
     raise ValueError(
-        f"unknown store backend {backend!r} (expected one of {BACKENDS} or 'auto')"
+        f"unknown store backend {backend!r} (expected one of {BACKENDS}, "
+        "'sharded' (read-only) or 'auto')"
     )
 
 
@@ -162,6 +167,7 @@ __all__ = [
     "DiskStore",
     "MalformedRecord",
     "MemoryStore",
+    "ReadOnlyStoreError",
     "RecordError",
     "ResultStore",
     "ShardedDiskStore",

@@ -104,7 +104,7 @@ def record_checksum(key: str, payload: dict, schema: int = RECORD_SCHEMA_VERSION
 
     Canonical form: sorted keys, no whitespace — independent of which
     backend stored the record or how its JSON was pretty-printed, so the
-    checksum survives jsonl <-> sharded <-> sqlite migration verbatim.
+    checksum survives migration between backends verbatim.
     """
     canonical = json.dumps(
         {"key": key, "result": payload, "schema": schema},

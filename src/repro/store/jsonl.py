@@ -2,10 +2,10 @@
 
 :class:`JsonlLog` is the shared file engine — one append-only log of
 encoded records (see :mod:`repro.store.format`) with damage-classifying
-loads, crash-safe tail repair, optional per-append ``flock`` and fsync,
-and atomic compaction.  :class:`DiskStore` is one log at
-``<dir>/results.jsonl``; :class:`~repro.store.sharded.ShardedDiskStore`
-is sixteen of them.
+loads, crash-safe tail repair, optional per-append fsync, and atomic
+compaction.  :class:`DiskStore` is one log at ``<dir>/results.jsonl``;
+the read-only :class:`~repro.store.sharded.ShardedDiskStore` reads
+sixteen of them.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from repro.store.format import (
     result_to_dict,
 )
 
-try:  # pragma: no cover - platform gate (POSIX everywhere we run)
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None
-
 #: File name of the append-only result log inside a campaign directory.
 RESULTS_FILENAME = "results.jsonl"
 
@@ -46,17 +41,14 @@ class JsonlLog:
 
     Loading classifies every line (malformed / corrupt / stale / legacy
     — see :class:`~repro.store.format.RecordError`) into counters
-    instead of failing, and repairs a *confirmed* torn tail.  Appends go
-    through one persistent ``O_APPEND`` handle — a single buffered write
-    plus flush per record, optionally under an ``flock`` (concurrent
-    writers serialise instead of interleaving torn lines) and optionally
-    fsynced per append.
+    instead of failing; a writer then repairs a *confirmed* torn tail.
+    Appends go through one persistent ``O_APPEND`` handle — a single
+    buffered write plus flush per record, optionally fsynced per append.
     """
 
-    def __init__(self, path: str, fsync: bool = False, lock: bool = False) -> None:
+    def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
-        self.lock = lock and fcntl is not None
         self._fh = None
         # Whether our *own* last raw write left the file without a
         # terminator (an injected torn/partial write).  The next write
@@ -71,7 +63,7 @@ class JsonlLog:
 
     def load(self) -> "list[DecodedRecord]":
         """Every readable record in file order (damage counted, never
-        fatal), repairing a confirmed-torn tail afterwards."""
+        fatal).  Reads only; see :meth:`repair_tail`."""
         if not os.path.exists(self.path):
             return []
         records: list[DecodedRecord] = []
@@ -89,10 +81,9 @@ class JsonlLog:
                 except RecordError:
                     self.malformed += 1
         self.legacy += sum(1 for record in records if record.legacy)
-        self._repair_tail()
         return records
 
-    def _repair_tail(self) -> None:
+    def repair_tail(self) -> None:
         """Terminate a crash-torn final line so the next append starts a
         fresh record instead of fusing onto (and losing along with) the
         truncated tail.
@@ -168,16 +159,10 @@ class JsonlLog:
         if self._dirty_tail and text:
             text = "\n" + text
         fh = self._handle()
-        if self.lock:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        try:
-            fh.write(text)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        finally:
-            if self.lock:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+        fh.write(text)
+        fh.flush()
+        if self.fsync:
+            os.fsync(fh.fileno())
         self._dirty_tail = not text.endswith("\n")
 
     # ----- lifecycle ------------------------------------------------------------
@@ -253,6 +238,7 @@ class DiskStore(MemoryStore):
         )
         self.duplicate_lines = 0
         self._load()
+        self._log.repair_tail()
 
     # Handle/path introspection (tests and tools peek at these).
     @property
@@ -283,9 +269,6 @@ class DiskStore(MemoryStore):
     def _logs(self) -> "list[JsonlLog]":
         return [self._log]
 
-    def _log_for(self, key: str) -> JsonlLog:
-        return self._log
-
     def _load(self) -> None:
         for log in self._logs():
             for record in log.load():
@@ -312,7 +295,7 @@ class DiskStore(MemoryStore):
         )
 
     def put(self, key: str, result: SimResult) -> None:
-        self._log_for(key).append(key, result_to_dict(result))
+        self._log.append(key, result_to_dict(result))
         super().put(key, result)
 
     # ----- chaos injection seams (repro.testing.chaos.ChaosStore) ---------------
@@ -321,13 +304,13 @@ class DiskStore(MemoryStore):
         """Plant a torn write: the first half of the encoded record, no
         newline — what a crash mid-append leaves behind."""
         line = encode_record(key, result_to_dict(result))
-        self._log_for(key).append_raw(line[: len(line) // 2])
+        self._log.append_raw(line[: len(line) // 2])
 
     def partial_put(self, key: str, result: SimResult) -> None:
         """Plant an unterminated append: the full record without its
         newline (a buffered write split by a crash), while the writer
         believes the put succeeded (the in-memory index is updated)."""
-        self._log_for(key).append_raw(encode_record(key, result_to_dict(result)))
+        self._log.append_raw(encode_record(key, result_to_dict(result)))
         MemoryStore.put(self, key, result)
 
     # ----- lifecycle ------------------------------------------------------------
@@ -341,20 +324,17 @@ class DiskStore(MemoryStore):
             log.close()
 
     def compact(self) -> int:
-        """Rewrite the log(s) without duplicate, undecodable, corrupt,
-        or stale lines (one v2 line per key, current in-memory value,
+        """Rewrite the log without duplicate, undecodable, corrupt, or
+        stale lines (one v2 line per key, current in-memory value,
         insertion order — legacy v1 lines upgrade in place) and return
-        the number of lines dropped.  Atomic per log file.  Opt-in:
+        the number of lines dropped.  Atomic (temp file + rename).  Opt-in:
         appends from writers racing the rename can be lost, so compact
         only quiesced campaign directories."""
         removed = self.duplicate_lines + sum(
             log.malformed + log.corrupt + log.stale for log in self._logs()
         )
-        self._rewrite_all()
-        self.duplicate_lines = 0
-        return removed
-
-    def _rewrite_all(self) -> None:
         self._log.rewrite(
             (key, result_to_dict(result)) for key, result in self._results.items()
         )
+        self.duplicate_lines = 0
+        return removed

@@ -1,32 +1,23 @@
-"""Sharded JSONL backend: sixteen per-prefix logs under ``<dir>/shards/``.
+"""Sharded JSONL stores, read-only: sixteen per-prefix logs under ``<dir>/shards/``.
 
-One big ``results.jsonl`` serialises every writer on a single file and
-makes compaction an all-or-nothing rewrite.  Sharding splits the log by
-the first hex character of the task key — content-hash keys (sha256)
-spread uniformly, so a 16-way split cuts per-file contention and
-compaction cost by ~16x — while keeping every crash-consistency property
-of the single-file log, per shard:
-
-* appends take an ``flock`` on the shard file, so concurrent campaigns
-  racing one directory serialise per shard instead of interleaving
-  torn lines (writers on *different* shards never contend at all);
-* a killed writer loses at most one partially-written line per shard;
-* compaction rewrites one shard at a time, each atomically — damage in
-  one shard never risks the other fifteen.
-
-``<dir>/shards/MANIFEST.json`` records the layout so tooling (and
-future layouts with different shard counts) can validate before
-touching anything.
+Earlier builds could write a campaign store as sixteen logs split by the
+first hex character of the task key, ``<dir>/shards/shard-<x>.jsonl``
+for ``x`` in ``0..f``, plus ``<dir>/shards/MANIFEST.json`` recording the
+layout.  That layout existed so many processes could append to one
+directory; per-worker jsonl partitions and WAL sqlite cover that case,
+so this build only *reads* it.  :class:`ShardedDiskStore` loads an
+existing ``shards/`` directory with the same damage classification as
+the jsonl backend — ``store verify`` reports on it and ``store migrate
+DIR --to jsonl`` (or ``--to sqlite``) converts it losslessly — and every
+write raises :class:`ReadOnlyStoreError` naming that migration.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 from repro.store.base import MemoryStore
-from repro.store.format import RECORD_SCHEMA_VERSION, result_to_dict
 from repro.store.jsonl import DiskStore, JsonlLog
 
 #: Number of shards (one per first hex character of the task key).
@@ -41,17 +32,18 @@ MANIFEST_FILENAME = "MANIFEST.json"
 _SHARD_CHARS = "0123456789abcdef"
 
 
-def shard_for(key: str) -> str:
-    """The shard character owning ``key``.
+class ReadOnlyStoreError(RuntimeError):
+    """A write to a read-only (sharded) store.  Deliberately not an
+    :class:`OSError`: executors retry those as transient write failures,
+    and retrying cannot make a read-only store writable."""
 
-    Task keys are sha256 hex, so the first character is already a
-    uniform 4-bit hash; any other key shape is re-hashed so every legal
-    key still lands in exactly one shard.
-    """
-    first = key[0].lower()
-    if first in _SHARD_CHARS:
-        return first
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[0]
+
+def read_only_error(directory: str) -> ReadOnlyStoreError:
+    """The error every write to the sharded store at ``directory`` raises."""
+    return ReadOnlyStoreError(
+        f"{directory}: sharded stores are read-only; convert it with "
+        f"`python -m repro.experiments store migrate {directory} --to jsonl`"
+    )
 
 
 def shard_filename(char: str) -> str:
@@ -59,86 +51,56 @@ def shard_filename(char: str) -> str:
 
 
 class ShardedDiskStore(DiskStore):
-    """Sixteen :class:`~repro.store.jsonl.JsonlLog` files keyed by task
-    key prefix, behind the same :class:`DiskStore` surface (same record
-    format, same damage classification, same last-write-wins dedup)."""
+    """The sixteen shard logs of an existing sharded store, read into one
+    :class:`DiskStore` index (same record format, same damage
+    classification, same last-write-wins dedup).  Reads only: ``put``,
+    the chaos write seams and ``compact`` raise
+    :class:`ReadOnlyStoreError`."""
 
-    def __init__(self, directory: "str | os.PathLike", fsync: bool = False) -> None:
+    def __init__(self, directory: "str | os.PathLike") -> None:
         MemoryStore.__init__(self)
         self.directory = os.fspath(directory)
-        self.description = f"{self.directory} (sharded x{SHARD_COUNT})"
+        self.description = f"{self.directory} (sharded x{SHARD_COUNT}, read-only)"
         self.shard_dir = os.path.join(self.directory, SHARDS_DIRNAME)
-        os.makedirs(self.shard_dir, exist_ok=True)
-        self._check_manifest()
-        self._shards = {
-            char: JsonlLog(
-                os.path.join(self.shard_dir, shard_filename(char)),
-                fsync=fsync,
-                lock=True,
+        if not os.path.isdir(self.shard_dir):
+            raise ReadOnlyStoreError(
+                f"{self.directory}: no sharded store to open; sharded stores "
+                "are read-only, so new stores use the jsonl or sqlite backend"
             )
+        self._check_manifest()
+        self._shards = [
+            JsonlLog(os.path.join(self.shard_dir, shard_filename(char)))
             for char in _SHARD_CHARS
-        }
+        ]
         self.duplicate_lines = 0
         self._load()
 
-    # ----- manifest -------------------------------------------------------------
-
     def _check_manifest(self) -> None:
-        """Write the layout manifest on first open; on later opens,
-        refuse to guess if an existing manifest declares a different
-        layout (a future shard count would scatter keys differently, and
-        appending under the wrong layout would duplicate keys across
-        shards)."""
+        """Refuse to guess when the manifest declares a different layout
+        (another shard count scatters keys differently).  A missing or
+        unreadable manifest is tolerated: the shard files are read
+        either way."""
         path = os.path.join(self.shard_dir, MANIFEST_FILENAME)
-        manifest = {
-            "format": "repro-sharded-store",
-            "record_schema": RECORD_SCHEMA_VERSION,
-            "shard_count": SHARD_COUNT,
-            "shard_by": "key[0] (hex)",
-        }
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    existing = json.load(fh)
-            except (OSError, ValueError):
-                existing = None  # unreadable manifest: rewrite below
-            if existing is not None:
-                count = existing.get("shard_count")
-                if count != SHARD_COUNT:
-                    raise ValueError(
-                        f"{path}: sharded store has shard_count={count!r}, "
-                        f"this build expects {SHARD_COUNT}"
-                    )
-                return
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-
-    # ----- DiskStore seams ------------------------------------------------------
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except (OSError, ValueError):
+            return
+        count = manifest.get("shard_count")
+        if count != SHARD_COUNT:
+            raise ValueError(
+                f"{path}: sharded store has shard_count={count!r}, "
+                f"this build expects {SHARD_COUNT}"
+            )
 
     @property
     def path(self) -> str:
         return self.shard_dir
 
-    @property
-    def _fh(self):
-        for log in self._shards.values():
-            if log._fh is not None and not log._fh.closed:
-                return log._fh
-        return None
-
     def _logs(self) -> "list[JsonlLog]":
-        return list(self._shards.values())
+        return self._shards
 
-    def _log_for(self, key: str) -> JsonlLog:
-        return self._shards[shard_for(key)]
+    def _refuse(self, *_args):
+        raise read_only_error(self.directory)
 
-    def _rewrite_all(self) -> None:
-        by_shard: dict[str, list[tuple[str, dict]]] = {c: [] for c in _SHARD_CHARS}
-        for key, result in self._results.items():
-            by_shard[shard_for(key)].append((key, result_to_dict(result)))
-        for char, log in self._shards.items():
-            if by_shard[char] or os.path.exists(log.path):
-                log.rewrite(by_shard[char])
+    put = torn_put = partial_put = compact = _refuse

@@ -111,7 +111,12 @@ class SqliteStore(MemoryStore):
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
-            conn = sqlite3.connect(self.db_path, timeout=self.timeout)
+            # The campaign server checkpoints from its campaign threads,
+            # one campaign at a time, not from the thread that opened the
+            # store; the connection is never used by two threads at once.
+            conn = sqlite3.connect(
+                self.db_path, timeout=self.timeout, check_same_thread=False
+            )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
             conn.execute(

@@ -16,8 +16,8 @@ is *contained* — the affected records are never served — so verify's
 exit status is about whether a ``repair`` would change anything.
 
 ``repair`` is an atomic rewrite keeping exactly the readable records
-(per log file / per shard; the sqlite backend deletes its unreadable
-rows and vacuums), upgrading legacy v1 records to the checksummed
+(the jsonl log via temp file + rename; the sqlite backend deletes its
+unreadable rows and vacuums), upgrading legacy v1 records to the checksummed
 format.  ``compact`` is the same rewrite invoked for space (duplicate
 collapse) rather than damage.
 
@@ -26,8 +26,12 @@ backend and verifies the copy key-by-key before reporting success.  The
 record checksum is computed over backend-independent canonical JSON, so
 a lossless migration preserves every checksum.  Migrating in place
 (no ``--dest``) lays the new backend's files alongside the old ones;
-backend auto-detection prefers sqlite > sharded > jsonl precisely so
+backend auto-detection prefers sqlite > jsonl > sharded precisely so
 the migrated store wins on the next open.
+
+A sharded store is read-only: ``verify`` and ``migrate`` read it, while
+``repair``, ``compact`` and ``merge`` into it exit 2 with the hint to
+``migrate DIR --to jsonl`` first.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import sys
 import warnings
 
 from repro.store.base import ResultStore
+from repro.store.sharded import ReadOnlyStoreError, ShardedDiskStore, read_only_error
 
 
 def _open(directory: str, backend: "str | None"):
@@ -48,7 +53,7 @@ def _open(directory: str, backend: "str | None"):
 
 
 def _backend_name(store: ResultStore) -> str:
-    from repro.store import DiskStore, ShardedDiskStore, SqliteStore
+    from repro.store import DiskStore, SqliteStore
 
     if isinstance(store, SqliteStore):
         return "sqlite"
@@ -70,6 +75,15 @@ def _open_reporting(directory: str, backend: "str | None") -> ResultStore:
     return store
 
 
+def _open_writable(directory: str, backend: "str | None") -> ResultStore:
+    """:func:`_open_reporting` for the commands that rewrite a store; a
+    read-only (sharded) store raises its migrate hint instead."""
+    store = _open_reporting(directory, backend)
+    if isinstance(store, ShardedDiskStore):
+        raise read_only_error(store.directory)
+    return store
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     with _open_reporting(args.directory, args.backend) as store:
         health = store.health()
@@ -88,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    with _open_reporting(args.directory, args.backend) as store:
+    with _open_writable(args.directory, args.backend) as store:
         before = store.health()
         print(f"{_backend_name(store)} store at {store.description}")
         print(f"before: {before.describe()}")
@@ -112,7 +126,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    with _open_reporting(args.directory, args.backend) as store:
+    with _open_writable(args.directory, args.backend) as store:
         removed = store.compact()
         print(f"{_backend_name(store)} store at {store.description}")
         print(f"compact: removed {removed} line(s)/row(s), kept {len(store)}")
@@ -151,7 +165,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         print("migrate: verified — every record reads back identically")
         if same_dir:
             print(f"migrate: old {src_name} files left in place; "
-                  f"auto-detection now resolves {args.directory} to {args.to}")
+                  "auto-detection now resolves "
+                  f"{args.directory} to {detect_backend(args.directory)}")
         return 0
 
 
@@ -222,7 +237,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     if not partitions:
         print(f"merge: no partition stores under {args.source_root}")
         return 1
-    with _open_reporting(args.directory, args.backend) as dest:
+    with _open_writable(args.directory, args.backend) as dest:
         before = len(dest)
         copied = merge_stores(dest, partitions)
         print(f"{_backend_name(dest)} store at {dest.description}")
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--to",
         required=True,
-        choices=("jsonl", "sharded", "sqlite"),
+        choices=("jsonl", "sqlite"),
         help="destination backend",
     )
     p.add_argument(
@@ -308,7 +323,11 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     if args.backend == "auto":
         args.backend = None
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReadOnlyStoreError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via -m

@@ -1,5 +1,5 @@
-"""The unified Planner: grouping, dedup holes, predicted passes, and the
-serial/parallel plan-object equivalence the redesign pins."""
+"""The Planner: grouping, dedup holes, predicted passes, and the pool's
+dispatch slices of the same plan."""
 
 import pytest
 
@@ -15,8 +15,6 @@ from repro.experiments.configs import (
     LV_INCREMENTAL,
     LV_WORD,
 )
-from repro.experiments.parallel import plan_worker_batches
-from repro.experiments.runner import ExperimentRunner
 
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
@@ -87,17 +85,6 @@ class TestResolution:
             labels = {item.config.label for item in group.items}
             assert len(labels) == 1
 
-    def test_plan_matches_legacy_lane_groups(self, session):
-        """The ExperimentRunner shim's plan_mega_batches is a pure view
-        of the unified planner's groups."""
-        runner = ExperimentRunner(session=session)
-        legacy = runner.plan_mega_batches(CONFIGS)
-        plan = resolve(session)
-        assert [
-            (g.benchmark, tuple((i.config, i.map_index) for i in g.items))
-            for g in plan.groups
-        ] == [(g.benchmark, g.items) for g in legacy]
-
 
 class TestPredictedPasses:
     """Predicted passes equal executed passes, with the lane kernel on
@@ -166,15 +153,6 @@ class TestPredictedPassesWithoutKernel(TestPredictedPasses):
 
 
 class TestWorkerBatches:
-    def test_pool_consumes_the_same_plan_objects(self, session):
-        """plan_worker_batches (the pool's dispatch view) is exactly the
-        unified plan's groups sliced to the session's lane width."""
-        plan = resolve(session)
-        runner = ExperimentRunner(session=session)
-        assert plan.worker_batches(session.lanes) == plan_worker_batches(
-            runner, CONFIGS
-        )
-
     def test_lane_width_slices_groups(self, session):
         plan = resolve(session)
         batches = plan.worker_batches(lanes=1)

@@ -12,7 +12,6 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_WORD,
 )
-from repro.experiments.runner import ExperimentRunner
 from repro.store import DiskStore, MemoryStore, open_store
 
 SETTINGS = RunnerSettings(
@@ -32,7 +31,7 @@ def session() -> Session:
 
 @pytest.fixture(scope="module")
 def reference() -> dict:
-    """Sequential per-point results (the legacy path) for every item."""
+    """Sequential per-point results (one simulate call each) for every item."""
     sequential = Session(SETTINGS, lanes=1, mega_batch=False)
     out = {}
     for config in CONFIGS:
@@ -121,22 +120,6 @@ class TestStreaming:
                 assert session.cached("gzip", config, m) == reference[
                     (config.label, m)
                 ]
-
-
-class TestLegacyEquivalence:
-    def test_runner_shim_shares_the_session(self, session):
-        runner = ExperimentRunner.from_session(session)
-        result = runner.run("gzip", LV_BLOCK, 0)
-        assert session.cached("gzip", LV_BLOCK, 0) == result
-        assert runner.simulations_executed == session.simulations_executed == 1
-        runner.simulations_executed = 0  # legacy writers (prefill) still work
-        assert session.simulations_executed == 0
-
-    def test_session_and_runner_paths_share_keys(self, session):
-        runner = ExperimentRunner(SETTINGS)
-        assert runner.task_key("gzip", LV_BLOCK, 1) == session.task_key(
-            "gzip", LV_BLOCK, 1
-        )
 
 
 class TestLifecycle:

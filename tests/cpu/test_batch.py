@@ -13,6 +13,7 @@ import tracemalloc
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
@@ -25,7 +26,6 @@ from repro.experiments.configs import (
     LV_INCREMENTAL,
     LV_WORD,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.generator import generate_trace
 
 #: For the tests that need batch keys (which exist only with the kernel).
@@ -43,72 +43,72 @@ WARMUP = SETTINGS.warmup_instructions
 
 
 @pytest.fixture(scope="module")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(SETTINGS)
+def session() -> Session:
+    return Session(SETTINGS)
 
 
-def _sequential(runner, config, indices, benchmark="gzip"):
+def _sequential(session, config, indices, benchmark="gzip"):
     """The reference: one object-engine run per lane."""
-    trace = runner.trace(benchmark)
+    trace = session.trace(benchmark)
     return [
-        runner.build_pipeline(config, m, engine="object").run(
+        session.build_pipeline(config, m, engine="object").run(
             trace, measure_from=WARMUP
         )
         for m in indices
     ]
 
 
-def _batched(runner, config, indices, benchmark="gzip"):
-    trace = runner.trace(benchmark)
-    pipelines = [runner.build_pipeline(config, m) for m in indices]
+def _batched(session, config, indices, benchmark="gzip"):
+    trace = session.trace(benchmark)
+    pipelines = [session.build_pipeline(config, m) for m in indices]
     return OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
 
 
 @pytest.mark.parametrize(
     "config", [LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10, LV_INCREMENTAL]
 )
-def test_lanes_match_sequential_runs(runner, config):
+def test_lanes_match_sequential_runs(session, config):
     indices = range(SETTINGS.n_fault_maps)
-    assert _batched(runner, config, indices) == _sequential(
-        runner, config, indices
+    assert _batched(session, config, indices) == _sequential(
+        session, config, indices
     )
 
 
 @requires_kernel
-def test_mixed_victim_sizes_batch_vectorised(runner):
+def test_mixed_victim_sizes_batch_vectorised(session):
     """Lanes with different victim sizings (0/8/16 entries) pad to one
     slot axis and batch as a single vectorised group — bit-identical to
     their sequential runs."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     pipelines = [
-        runner.build_pipeline(LV_BLOCK, 0),
-        runner.build_pipeline(LV_BLOCK_V6, 0),
-        runner.build_pipeline(LV_BLOCK_V6, 1),
-        runner.build_pipeline(LV_BLOCK_V10, 0),
-        runner.build_pipeline(LV_BLOCK_V10, 1),
+        session.build_pipeline(LV_BLOCK, 0),
+        session.build_pipeline(LV_BLOCK_V6, 0),
+        session.build_pipeline(LV_BLOCK_V6, 1),
+        session.build_pipeline(LV_BLOCK_V10, 0),
+        session.build_pipeline(LV_BLOCK_V10, 1),
     ]
     assert OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(runner, LV_BLOCK, [0])[0]
-    assert results[1:3] == _sequential(runner, LV_BLOCK_V6, [0, 1])
-    assert results[3:] == _sequential(runner, LV_BLOCK_V10, [0, 1])
+    assert results[0] == _sequential(session, LV_BLOCK, [0])[0]
+    assert results[1:3] == _sequential(session, LV_BLOCK_V6, [0, 1])
+    assert results[3:] == _sequential(session, LV_BLOCK_V10, [0, 1])
 
 
-def test_mixed_latencies_fall_back(runner):
+def test_mixed_latencies_fall_back(session):
     """Word-disabling's +1-cycle L1 makes its lanes latency-incompatible
     with the baseline; the batch must fall back, not mis-share state."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     pipelines = [
-        runner.build_pipeline(LV_BASELINE, None),
-        runner.build_pipeline(LV_WORD, None),
+        session.build_pipeline(LV_BASELINE, None),
+        session.build_pipeline(LV_WORD, None),
     ]
     assert not OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(runner, LV_BASELINE, [None])[0]
-    assert results[1] == _sequential(runner, LV_WORD, [None])[0]
+    assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
+    assert results[1] == _sequential(session, LV_WORD, [None])[0]
 
 
-def test_fault_disabled_l2_falls_back(runner):
+def test_fault_disabled_l2_falls_back(session):
     """The bulk L2 refill has no fill-bypass port, so hierarchies with a
     fault-disabled L2 must take the sequential fallback and still match
     per-lane runs exactly."""
@@ -118,7 +118,7 @@ def test_fault_disabled_l2_falls_back(runner):
     from repro.cache.set_assoc import SetAssociativeCache
     from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
 
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
 
     def build():
         rng = np.random.default_rng(3)
@@ -129,7 +129,7 @@ def test_fault_disabled_l2_falls_back(runner):
             SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2"),
             LOW_VOLTAGE.latencies(),
         )
-        return OutOfOrderPipeline(runner.pipeline_config, hierarchy)
+        return OutOfOrderPipeline(session.pipeline_config, hierarchy)
 
     pipelines = [build(), build()]
     assert not OutOfOrderPipeline._can_run_batch(pipelines)
@@ -140,11 +140,11 @@ def test_fault_disabled_l2_falls_back(runner):
     assert results[0] == results[1]
 
 
-def test_reused_pipeline_falls_back(runner):
-    trace = runner.trace("gzip")
-    warm = runner.build_pipeline(LV_BLOCK, 0)
+def test_reused_pipeline_falls_back(session):
+    trace = session.trace("gzip")
+    warm = session.build_pipeline(LV_BLOCK, 0)
     warm.run(trace, measure_from=WARMUP)
-    fresh = runner.build_pipeline(LV_BLOCK, 1)
+    fresh = session.build_pipeline(LV_BLOCK, 1)
     assert not OutOfOrderPipeline._can_run_batch([warm, fresh])
 
 
@@ -152,12 +152,12 @@ def test_empty_batch():
     assert OutOfOrderPipeline.run_batch([], None) == []
 
 
-def test_measure_from_zero_and_validation(runner):
-    trace = runner.trace("applu")
-    pipelines = [runner.build_pipeline(LV_BLOCK, m) for m in range(2)]
+def test_measure_from_zero_and_validation(session):
+    trace = session.trace("applu")
+    pipelines = [session.build_pipeline(LV_BLOCK, m) for m in range(2)]
     cold = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     expected = [
-        runner.build_pipeline(LV_BLOCK, m, engine="object").run(
+        session.build_pipeline(LV_BLOCK, m, engine="object").run(
             trace, measure_from=0
         )
         for m in range(2)
@@ -165,55 +165,55 @@ def test_measure_from_zero_and_validation(runner):
     assert cold == expected
     with pytest.raises(ValueError):
         OutOfOrderPipeline._run_lanes(
-            [runner.build_pipeline(LV_BLOCK, m) for m in range(2)],
+            [session.build_pipeline(LV_BLOCK, m) for m in range(2)],
             trace,
             len(trace),
         )
 
 
 @requires_kernel
-def test_mixed_scheme_lanes_batch_vectorised(runner):
+def test_mixed_scheme_lanes_batch_vectorised(session):
     """Lanes need not share a configuration: the fault-free baseline and
     block-disabling fault maps carry equal batch keys (same latencies,
     geometries, victim sizing), so the mega planner may drive them as
     one vectorised pass — bit-identical to their sequential runs."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     pipelines = [
-        runner.build_pipeline(LV_BASELINE, None),
-        runner.build_pipeline(LV_BLOCK, 0),
-        runner.build_pipeline(LV_BLOCK, 1),
+        session.build_pipeline(LV_BASELINE, None),
+        session.build_pipeline(LV_BLOCK, 0),
+        session.build_pipeline(LV_BLOCK, 1),
     ]
     assert pipelines[0].batch_key() == pipelines[1].batch_key() is not None
     assert OutOfOrderPipeline._can_run_batch(pipelines)
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(runner, LV_BASELINE, [None])[0]
-    assert results[1:] == _sequential(runner, LV_BLOCK, [0, 1])
+    assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
+    assert results[1:] == _sequential(session, LV_BLOCK, [0, 1])
 
 
 @requires_kernel
-def test_reused_pipeline_has_no_batch_key(runner):
-    warm = runner.build_pipeline(LV_BLOCK, 0)
+def test_reused_pipeline_has_no_batch_key(session):
+    warm = session.build_pipeline(LV_BLOCK, 0)
     assert warm.batch_key() is not None
-    warm.run(runner.trace("gzip"), measure_from=WARMUP)
+    warm.run(session.trace("gzip"), measure_from=WARMUP)
     assert warm.batch_key() is None
 
 
-def test_high_voltage_lanes(runner):
+def test_high_voltage_lanes(session):
     """Fault-free lanes (identical contents) batch too — the degenerate
     but common normalisation-baseline case."""
-    expected = _sequential(runner, HV_BASELINE, [None, None], benchmark="applu")
+    expected = _sequential(session, HV_BASELINE, [None, None], benchmark="applu")
     assert (
-        _batched(runner, HV_BASELINE, [None, None], benchmark="applu")
+        _batched(session, HV_BASELINE, [None, None], benchmark="applu")
         == expected
     )
 
 
 @requires_kernel
-def test_partially_warm_victim_cache_appends_before_evicting(runner):
+def test_partially_warm_victim_cache_appends_before_evicting(session):
     """A pre-filled victim cache must behave like the sequential list:
     inserts land in empty slots first (append semantics), never evicting
     warm entries while capacity remains."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
 
     def prefill(pipeline):
         # Seed both victim caches with blocks the trace will not touch
@@ -224,10 +224,10 @@ def test_partially_warm_victim_cache_appends_before_evicting(runner):
 
     expected = []
     for m in range(2):
-        p = runner.build_pipeline(LV_BLOCK_V10, m, engine="object")
+        p = session.build_pipeline(LV_BLOCK_V10, m, engine="object")
         prefill(p)
         expected.append(p.run(trace, measure_from=WARMUP))
-    pipelines = [runner.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
+    pipelines = [session.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
     for p in pipelines:
         prefill(p)
     assert OutOfOrderPipeline._can_run_batch(pipelines)
@@ -253,7 +253,7 @@ def _repeated(trace: Trace, times: int) -> Trace:
 
 
 @requires_kernel
-def test_lane_memory_does_not_grow_with_trace_length(runner):
+def test_lane_memory_does_not_grow_with_trace_length(session):
     """Per-lane statistics live in O(lanes) counters: the memory 24 extra
     lanes cost must not grow with trace length (per-event mask rows grew
     by a few bytes per lane per instruction)."""
@@ -262,7 +262,7 @@ def test_lane_memory_does_not_grow_with_trace_length(runner):
 
     def batch(times: int, lanes: int):
         pipelines = [
-            runner.build_pipeline(LV_BLOCK_V10, m % SETTINGS.n_fault_maps)
+            session.build_pipeline(LV_BLOCK_V10, m % SETTINGS.n_fault_maps)
             for m in range(lanes)
         ]
         return lambda: OutOfOrderPipeline.run_batch(
@@ -285,18 +285,18 @@ def test_lane_memory_does_not_grow_with_trace_length(runner):
     assert growth_32 - growth_8 < 100_000
 
 
-def test_batched_state_supports_warm_reuse(runner):
+def test_batched_state_supports_warm_reuse(session):
     """After a batched run, each lane's hierarchy must behave exactly as
     if it had been run sequentially: a second (warm, object-loop) run
     over the same hierarchies stays bit-identical."""
-    trace = runner.trace("gzip")
+    trace = session.trace("gzip")
     reference = []
     for m in range(2):
-        p = runner.build_pipeline(LV_BLOCK_V6, m, engine="object")
+        p = session.build_pipeline(LV_BLOCK_V6, m, engine="object")
         reference.append(
             (p.run(trace, measure_from=WARMUP), p.run(trace, measure_from=WARMUP))
         )
-    pipelines = [runner.build_pipeline(LV_BLOCK_V6, m) for m in range(2)]
+    pipelines = [session.build_pipeline(LV_BLOCK_V6, m) for m in range(2)]
     first = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
     for m, p in enumerate(pipelines):
         assert first[m] == reference[m][0]

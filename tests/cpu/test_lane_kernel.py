@@ -19,6 +19,7 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
 from repro.cpu.pipeline import OutOfOrderPipeline
@@ -28,7 +29,6 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_INCREMENTAL,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SETTINGS = RunnerSettings(
     n_instructions=4_000,
@@ -44,16 +44,16 @@ kernel_available = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(SETTINGS)
+def session() -> Session:
+    return Session(SETTINGS)
 
 
-def _run_batch(runner, items, engine="fused", benchmark="gzip"):
+def _run_batch(session, items, engine="fused", benchmark="gzip"):
     """``(results, pipelines)`` for ``(config, map_index)`` lanes: one
     kernel pass by default, one object-loop run per lane with
     ``engine="object"``."""
-    trace = runner.trace(benchmark)
-    pipelines = [runner.build_pipeline(c, m, engine=engine) for c, m in items]
+    trace = session.trace(benchmark)
+    pipelines = [session.build_pipeline(c, m, engine=engine) for c, m in items]
     if engine == "object":
         results = [p.run(trace, measure_from=WARMUP) for p in pipelines]
     else:
@@ -85,22 +85,22 @@ class TestKernelVsFallback:
     @pytest.mark.parametrize(
         "config", [LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL]
     )
-    def test_results_bit_identical(self, runner, config, monkeypatch):
+    def test_results_bit_identical(self, session, config, monkeypatch):
         items = [(config, m) for m in range(SETTINGS.n_fault_maps)]
-        with_kernel, _ = _run_batch(runner, items)
-        assert with_kernel == _run_batch(runner, items, engine="object")[0]
+        with_kernel, _ = _run_batch(session, items)
+        assert with_kernel == _run_batch(session, items, engine="object")[0]
         # REPRO_NO_CKERNEL sends the same batch through the object loop.
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         assert lane_kernel.load() is None
-        assert _run_batch(runner, items)[0] == with_kernel
+        assert _run_batch(session, items)[0] == with_kernel
 
-    def test_hierarchy_state_writeback_matches(self, runner):
+    def test_hierarchy_state_writeback_matches(self, session):
         """Both engines must leave identical cache statistics and
         contents behind on every lane's hierarchy (the post-batch
         warm-reuse contract)."""
         items = [(LV_BLOCK, m) for m in range(SETTINGS.n_fault_maps)]
-        _, with_kernel = _run_batch(runner, items)
-        _, reference = _run_batch(runner, items, engine="object")
+        _, with_kernel = _run_batch(session, items)
+        _, reference = _run_batch(session, items, engine="object")
         for pk, po in zip(with_kernel, reference):
             assert pk.hierarchy.stats() == po.hierarchy.stats()
             for ck, co in zip(
@@ -110,12 +110,12 @@ class TestKernelVsFallback:
                 assert ck._tags == co._tags and ck._dirty == co._dirty
                 assert ck._resident == co._resident
 
-    def test_padded_heterogeneous_victims(self, runner):
+    def test_padded_heterogeneous_victims(self, session):
         """A mixed 0/8/16-entry victim batch exercises the padded slot
         axis of the kernel's miss service."""
         items = [(LV_BLOCK, 0), (LV_BLOCK_V6, 0), (LV_BLOCK_V10, 0), (LV_BLOCK_V10, 1)]
-        with_kernel, _ = _run_batch(runner, items)
-        assert with_kernel == _run_batch(runner, items, engine="object")[0]
+        with_kernel, _ = _run_batch(session, items)
+        assert with_kernel == _run_batch(session, items, engine="object")[0]
 
 
 class _CountingKernel:
@@ -160,48 +160,48 @@ class TestRouting:
         kwargs.setdefault("l2", L2_GEOMETRY)
         return MemoryHierarchy(latencies=LOW_VOLTAGE.latencies(), **kwargs)
 
-    def test_block_disabling_runs_in_the_kernel(self, runner, counter):
-        pipeline = runner.build_pipeline(LV_BLOCK, 0)
+    def test_block_disabling_runs_in_the_kernel(self, session, counter):
+        pipeline = session.build_pipeline(LV_BLOCK, 0)
         assert pipeline.batch_key() is not None
-        pipeline.run(runner.trace("gzip"), measure_from=WARMUP)
+        pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 2  # warmup prefix, then the measured region
 
-    def _assert_object_loop(self, pipeline, runner, counter) -> None:
+    def _assert_object_loop(self, pipeline, session, counter) -> None:
         assert pipeline.batch_key() is None
-        pipeline.run(runner.trace("gzip"), measure_from=WARMUP)
+        pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 0
 
-    def test_prefetcher_runs_the_object_loop(self, runner, counter):
+    def test_prefetcher_runs_the_object_loop(self, session, counter):
         pipeline = OutOfOrderPipeline(
-            runner.pipeline_config, self._hierarchy(prefetch_degree=1)
+            session.pipeline_config, self._hierarchy(prefetch_degree=1)
         )
-        self._assert_object_loop(pipeline, runner, counter)
+        self._assert_object_loop(pipeline, session, counter)
 
-    def test_fifo_l1_runs_the_object_loop(self, runner, counter):
+    def test_fifo_l1_runs_the_object_loop(self, session, counter):
         l1d = SetAssociativeCache(L1_GEOMETRY, policy="fifo", name="l1d")
-        pipeline = OutOfOrderPipeline(runner.pipeline_config, self._hierarchy(l1d=l1d))
-        self._assert_object_loop(pipeline, runner, counter)
+        pipeline = OutOfOrderPipeline(session.pipeline_config, self._hierarchy(l1d=l1d))
+        self._assert_object_loop(pipeline, session, counter)
 
-    def test_block_disabled_l2_runs_the_object_loop(self, runner, counter):
+    def test_block_disabled_l2_runs_the_object_loop(self, session, counter):
         enabled = [[w != 0 for w in range(L2_GEOMETRY.ways)]] * L2_GEOMETRY.num_sets
         l2 = SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2")
-        pipeline = OutOfOrderPipeline(runner.pipeline_config, self._hierarchy(l2=l2))
-        self._assert_object_loop(pipeline, runner, counter)
+        pipeline = OutOfOrderPipeline(session.pipeline_config, self._hierarchy(l2=l2))
+        self._assert_object_loop(pipeline, session, counter)
 
-    def test_reused_pipeline_runs_the_object_loop(self, runner, counter):
-        pipeline = runner.build_pipeline(LV_BLOCK, 0)
-        pipeline.run(runner.trace("gzip"), measure_from=WARMUP)
+    def test_reused_pipeline_runs_the_object_loop(self, session, counter):
+        pipeline = session.build_pipeline(LV_BLOCK, 0)
+        pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         counter.calls = 0
-        self._assert_object_loop(pipeline, runner, counter)
+        self._assert_object_loop(pipeline, session, counter)
 
-    def test_object_engine_runs_the_object_loop(self, runner, counter):
-        pipeline = runner.build_pipeline(LV_BLOCK, 0, engine="object")
-        self._assert_object_loop(pipeline, runner, counter)
+    def test_object_engine_runs_the_object_loop(self, session, counter):
+        pipeline = session.build_pipeline(LV_BLOCK, 0, engine="object")
+        self._assert_object_loop(pipeline, session, counter)
 
-    def test_env_override_runs_the_object_loop(self, runner, counter, monkeypatch):
+    def test_env_override_runs_the_object_loop(self, session, counter, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        pipeline = runner.build_pipeline(LV_BLOCK, 0)
-        self._assert_object_loop(pipeline, runner, counter)
+        pipeline = session.build_pipeline(LV_BLOCK, 0)
+        self._assert_object_loop(pipeline, session, counter)
 
 
 @kernel_available

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.experiments.figures import (
     ANALYTICAL_FIGURES,
     PERFORMANCE_FIGURES,
@@ -16,12 +17,11 @@ from repro.experiments.figures import (
     table1_data,
 )
 from repro.experiments.results import FigureResult
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(
+def session():
+    return Session(
         RunnerSettings(n_instructions=4000, n_fault_maps=2, benchmarks=("crafty", "swim"))
     )
 
@@ -129,8 +129,8 @@ class TestPerformanceFigures:
             "ext-incremental",
         }
 
-    def test_fig8_series_names(self, runner):
-        result = fig8_data(runner)
+    def test_fig8_series_names(self, session):
+        result = fig8_data(session)
         assert list(result.series) == [
             "word disabling",
             "block disabling avg",
@@ -140,26 +140,26 @@ class TestPerformanceFigures:
         ]
         assert result.index == ["crafty", "swim"]
 
-    def test_fig8_min_below_avg(self, runner):
-        result = fig8_data(runner)
+    def test_fig8_min_below_avg(self, session):
+        result = fig8_data(session)
         for avg, minimum in zip(
             result.series["block disabling avg"], result.series["block disabling min"]
         ):
             assert minimum <= avg + 1e-12
 
-    def test_fig11_block_disable_is_baseline(self, runner):
-        result = fig11_data(runner)
+    def test_fig11_block_disable_is_baseline(self, session):
+        result = fig11_data(session)
         for value in result.series["block disabling"]:
             assert value == pytest.approx(1.0)
 
-    def test_fig11_word_disable_below_one(self, runner):
-        result = fig11_data(runner)
+    def test_fig11_word_disable_below_one(self, session):
+        result = fig11_data(session)
         for value in result.series["word disabling"]:
             assert value < 1.0
 
-    def test_all_performance_figures_run(self, runner):
+    def test_all_performance_figures_run(self, session):
         for figure_fn in PERFORMANCE_FIGURES.values():
-            result = figure_fn(runner)
+            result = figure_fn(session)
             assert result.series
             text = result.to_text()
             assert result.figure_id in text
@@ -170,11 +170,11 @@ class TestPerformanceFigures:
         a derived one."""
         from repro.experiments.figures import figure_spec
 
-        session = ExperimentRunner(
+        session = Session(
             RunnerSettings(
                 n_instructions=4000, n_fault_maps=2, benchmarks=("crafty", "swim")
             )
-        ).session
+        )
         spec = figure_spec(
             "fig11",
             RunnerSettings(

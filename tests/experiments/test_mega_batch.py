@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import PoolExecutor, Progress, RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
@@ -21,8 +22,6 @@ from repro.experiments.configs import (
     LV_INCREMENTAL,
     LV_WORD,
 )
-from repro.experiments.parallel import plan_worker_batches, prefill_cache
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
@@ -51,32 +50,42 @@ requires_kernel = pytest.mark.skipif(
 )
 
 
+def _plan_groups(session, configs):
+    """The session's plan for ``configs`` as ``(config, map_index)``
+    tuples, one per group."""
+    plan = session.plan(session.spec(configs))
+    return [
+        tuple((item.config, item.map_index) for item in group.items)
+        for group in plan.groups
+    ]
+
+
 @pytest.fixture()
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(SETTINGS)
+def session() -> Session:
+    return Session(SETTINGS)
 
 
 @pytest.fixture(scope="module")
 def reference() -> dict:
-    """Sequential per-point results (the legacy path) for every item."""
-    sequential = ExperimentRunner(SETTINGS, lanes=1, mega_batch=False)
+    """Sequential per-point results (one simulate call each) for every item."""
+    sequential = Session(SETTINGS, lanes=1, mega_batch=False)
     return {
-        (config.label, m): sequential.run("gzip", config, m)
+        (config.label, m): sequential.simulate("gzip", config, m)
         for config, m in _all_items(SETTINGS, CONFIGS)
     }
 
 
 class TestSignatures:
-    def test_structural_twins_share_a_signature(self, runner):
+    def test_structural_twins_share_a_signature(self, session):
         # Fault-free baseline lanes ride along with block-disabling maps.
-        assert runner.batch_signature(LV_BASELINE) == runner.batch_signature(
+        assert session.batch_signature(LV_BASELINE) == session.batch_signature(
             LV_BLOCK
         )
 
     @requires_kernel
-    def test_structural_differences_split(self, runner):
+    def test_structural_differences_split(self, session):
         signatures = {
-            runner.batch_signature(c)
+            session.batch_signature(c)
             for c in (LV_BLOCK, LV_WORD, LV_BLOCK_V10, LV_BLOCK_V6)
         }
         # word-disabling still splits off (+1-cycle L1 and halved cache);
@@ -84,24 +93,22 @@ class TestSignatures:
         # share the block-disabling signature — two distinct batches.
         assert len(signatures) == 2
         assert (
-            runner.batch_signature(LV_BLOCK)
-            == runner.batch_signature(LV_BLOCK_V6)
-            == runner.batch_signature(LV_BLOCK_V10)
+            session.batch_signature(LV_BLOCK)
+            == session.batch_signature(LV_BLOCK_V6)
+            == session.batch_signature(LV_BLOCK_V10)
         )
 
-    def test_signature_is_map_independent(self, runner):
-        key0 = runner.build_pipeline(LV_BLOCK, 0).batch_key()
-        key1 = runner.build_pipeline(LV_BLOCK, 1).batch_key()
-        assert key0 == key1 == runner.batch_signature(LV_BLOCK)
+    def test_signature_is_map_independent(self, session):
+        key0 = session.build_pipeline(LV_BLOCK, 0).batch_key()
+        key1 = session.build_pipeline(LV_BLOCK, 1).batch_key()
+        assert key0 == key1 == session.batch_signature(LV_BLOCK)
 
 
 class TestPlanning:
     @requires_kernel
-    def test_groups_merge_across_points(self, runner):
-        plan = runner.plan_mega_batches(CONFIGS)
-        merged = {
-            tuple((c.label, m) for c, m in group.items) for group in plan
-        }
+    def test_groups_merge_across_points(self, session):
+        plan = _plan_groups(session, CONFIGS)
+        merged = {tuple((c.label, m) for c, m in group) for group in plan}
         assert (
             ("baseline", None),
             ("block disabling", 0),
@@ -110,68 +117,68 @@ class TestPlanning:
             ("block disabling+V$ 10T", 1),
         ) in merged
         # Plans cover exactly the campaign's work items, once each.
-        items = [item for group in plan for item in group.items]
+        items = [item for group in plan for item in group]
         assert len(items) == len(list(_all_items(SETTINGS, CONFIGS)))
 
-    def test_store_holes_are_dropped_first(self, runner):
-        runner.run("gzip", LV_BLOCK, 0)
-        plan = runner.plan_mega_batches((LV_BASELINE, LV_BLOCK))
-        items = [item for group in plan for item in group.items]
+    def test_store_holes_are_dropped_first(self, session):
+        session.simulate("gzip", LV_BLOCK, 0)
+        plan = _plan_groups(session, (LV_BASELINE, LV_BLOCK))
+        items = [item for group in plan for item in group]
         assert (LV_BLOCK, 0) not in items
         assert (LV_BLOCK, 1) in items
 
     def test_mega_off_plans_per_point(self):
-        runner = ExperimentRunner(SETTINGS, mega_batch=False)
-        plan = runner.plan_mega_batches(CONFIGS)
+        session = Session(SETTINGS, mega_batch=False)
+        plan = _plan_groups(session, CONFIGS)
         for group in plan:
-            assert len({config.label for config, _ in group.items}) == 1
+            assert len({config.label for config, _ in group}) == 1
 
-    def test_duplicate_configs_collapse(self, runner):
-        plan = runner.plan_mega_batches((LV_BLOCK, LV_BLOCK))
-        items = [item for group in plan for item in group.items]
+    def test_duplicate_configs_collapse(self, session):
+        plan = _plan_groups(session, (LV_BLOCK, LV_BLOCK))
+        items = [item for group in plan for item in group]
         assert len(items) == SETTINGS.n_fault_maps
 
 
 class TestGroupExecution:
     @requires_kernel
-    def test_mixed_config_group_matches_sequential(self, runner, reference):
+    def test_mixed_config_group_matches_sequential(self, session, reference):
         items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
-        results = runner.run_lane_group("gzip", items)
+        results = session.run_group("gzip", items)
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
         # One vectorised pass, scattered to the per-point store keys.
-        assert runner.schedule_passes == 1
+        assert session.schedule_passes == 1
         for config, m in items:
-            assert runner.cached("gzip", config, m) == reference[
+            assert session.cached("gzip", config, m) == reference[
                 (config.label, m)
             ]
 
     @requires_kernel
-    def test_heterogeneous_items_split_by_signature(self, runner, reference):
+    def test_heterogeneous_items_split_by_signature(self, session, reference):
         # A word-disabling lane among block-disabling ones must not trip
         # the engine's sequential fallback: it splits into its own
         # (singleton, sequential) sub-batch.
         items = [(LV_BLOCK, 0), (LV_WORD, None), (LV_BLOCK, 1)]
-        results = runner.run_lane_group("gzip", items)
+        results = session.run_group("gzip", items)
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
-        assert runner.schedule_passes == 2  # one batched + one sequential
+        assert session.schedule_passes == 2  # one batched + one sequential
 
-    def test_store_holes_in_the_middle_of_a_group(self, runner, reference):
-        runner.store_result(
+    def test_store_holes_in_the_middle_of_a_group(self, session, reference):
+        session.store_result(
             "gzip", LV_BLOCK, 0, reference[("block disabling", 0)]
         )
         items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
-        results = runner.run_lane_group("gzip", items)
+        results = session.run_group("gzip", items)
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
-        assert runner.simulations_executed == 2  # the hole was a pure hit
+        assert session.simulations_executed == 2  # the hole was a pure hit
 
     def test_explicit_single_lane_stays_sequential(self, reference):
-        runner = ExperimentRunner(SETTINGS, lanes=1)
+        session = Session(SETTINGS, lanes=1)
         items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
@@ -180,43 +187,44 @@ class TestGroupExecution:
         original = OutOfOrderPipeline.run_batch
         OutOfOrderPipeline.run_batch = staticmethod(boom)
         try:
-            results = runner.run_lane_group("gzip", items)
+            results = session.run_group("gzip", items)
         finally:
             OutOfOrderPipeline.run_batch = original
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
 
-    def test_duplicate_items_simulate_once(self, runner):
+    def test_duplicate_items_simulate_once(self, session):
         items = [(LV_BLOCK, 0), (LV_BLOCK, 0), (LV_BLOCK, 1)]
-        results = runner.run_lane_group("gzip", items)
+        results = session.run_group("gzip", items)
         assert results[0] == results[1]
-        assert runner.simulations_executed == 2
+        assert session.simulations_executed == 2
 
 
 class TestRunMega:
     @requires_kernel
-    def test_fewer_schedule_passes_than_points(self, runner, reference):
-        executed = runner.run_mega(CONFIGS)
+    def test_fewer_schedule_passes_than_points(self, session, reference):
+        executed = session.run_all(session.spec(CONFIGS)).pending
         assert executed == len(list(_all_items(SETTINGS, CONFIGS)))
         points = len(CONFIGS) * len(SETTINGS.benchmarks)
-        assert runner.schedule_passes < points
+        assert session.schedule_passes < points
         for config, m in _all_items(SETTINGS, CONFIGS):
-            assert runner.cached("gzip", config, m) == reference[
+            assert session.cached("gzip", config, m) == reference[
                 (config.label, m)
             ]
 
-    def test_rerun_is_pure_store_hits(self, runner):
-        runner.run_mega(CONFIGS)
-        executed = runner.simulations_executed
-        assert runner.run_mega(CONFIGS) == 0
-        assert runner.simulations_executed == executed
+    def test_rerun_is_pure_store_hits(self, session):
+        session.run_all(session.spec(CONFIGS))
+        executed = session.simulations_executed
+        assert session.run_all(session.spec(CONFIGS)).pending == 0
+        assert session.simulations_executed == executed
 
-    def test_progress_reaches_total(self, runner):
-        calls: list[tuple[int, int]] = []
-        runner.run_mega(
-            CONFIGS, progress=lambda done, total: calls.append((done, total))
-        )
+    def test_progress_reaches_total(self, session):
+        calls = [
+            (event.done, event.total)
+            for event in session.run(session.spec(CONFIGS))
+            if isinstance(event, Progress)
+        ]
         assert calls
         assert calls[-1][0] == calls[-1][1] == len(
             list(_all_items(SETTINGS, CONFIGS))
@@ -225,8 +233,8 @@ class TestRunMega:
 
 class TestParallelMega:
     @requires_kernel
-    def test_worker_batches_are_trace_groups(self, runner):
-        batches = plan_worker_batches(runner, CONFIGS)
+    def test_worker_batches_are_trace_groups(self, session):
+        batches = session.plan(session.spec(CONFIGS)).worker_batches(session.lanes)
         flat = [task for batch in batches for task in batch]
         assert len(flat) == len(list(_all_items(SETTINGS, CONFIGS)))
         labels_per_batch = [
@@ -237,8 +245,10 @@ class TestParallelMega:
 
     @requires_kernel
     def test_parallel_prefill_matches_sequential(self, reference):
-        parallel = ExperimentRunner(SETTINGS)
-        executed = prefill_cache(parallel, CONFIGS, workers=2)
+        parallel = Session(SETTINGS)
+        executed = parallel.run_all(
+            parallel.spec(CONFIGS), executor=PoolExecutor(2)
+        ).pending
         assert executed == len(list(_all_items(SETTINGS, CONFIGS)))
         for config, m in _all_items(SETTINGS, CONFIGS):
             assert parallel.cached("gzip", config, m) == reference[

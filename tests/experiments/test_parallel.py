@@ -1,19 +1,18 @@
-"""Tests for the streaming parallel simulation driver."""
+"""Tests for the streaming process-pool campaign path."""
 
 import os
 
-import pytest
-
-from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_BLOCK_V6, LV_WORD
-from repro.experiments.parallel import (
-    adaptive_chunksize,
-    pending_tasks,
-    plan_batches,
-    plan_tasks,
-    prefill_cache,
-    run_studies,
+from repro.campaign import (
+    CampaignSpec,
+    PoolExecutor,
+    Progress,
+    RunnerSettings,
+    SerialExecutor,
+    Session,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
+from repro.campaign.executors import adaptive_chunksize
+from repro.experiments.ablation import run_studies
+from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_BLOCK_V6, LV_WORD
 from repro.store import DiskStore
 
 SMALL = RunnerSettings(
@@ -24,87 +23,103 @@ SMALL = RunnerSettings(
 )
 
 
+def work_items(configs):
+    return list(CampaignSpec.from_settings(SMALL, configs).work_items())
+
+
+def prefill(session, configs, executor=None) -> int:
+    """Run the campaign for ``configs``; return how many points it executed."""
+    return session.run_all(session.spec(configs), executor=executor).pending
+
+
+def per_point_batches(session, configs):
+    """The pool's dispatch units for a per-point (unmerged) plan."""
+    return session.plan(session.spec(configs)).worker_batches(session.lanes)
+
+
 class TestPlanning:
     def test_task_counts(self):
-        tasks = plan_tasks(SMALL, (LV_BASELINE, LV_WORD, LV_BLOCK))
+        tasks = work_items((LV_BASELINE, LV_WORD, LV_BLOCK))
         # 2 benchmarks x (1 baseline + 1 word + 2 block maps) = 8.
         assert len(tasks) == 8
 
     def test_deduplication(self):
-        tasks = plan_tasks(SMALL, (LV_BASELINE, LV_BASELINE))
+        tasks = work_items((LV_BASELINE, LV_BASELINE))
         assert len(tasks) == 2
 
     def test_fault_free_configs_get_none_index(self):
-        tasks = plan_tasks(SMALL, (LV_WORD,))
+        tasks = work_items((LV_WORD,))
         assert all(index is None for (_, _, index) in tasks)
 
     def test_fault_configs_enumerate_maps(self):
-        tasks = plan_tasks(SMALL, (LV_BLOCK,))
+        tasks = work_items((LV_BLOCK,))
         indices = sorted(index for (b, _, index) in tasks if b == "crafty")
         assert indices == [0, 1]
 
 
 class TestPrefill:
     def test_single_process_fallback(self):
-        runner = ExperimentRunner(SMALL)
-        executed = prefill_cache(runner, (LV_BASELINE, LV_BLOCK), workers=1)
+        session = Session(SMALL)
+        executed = prefill(session, (LV_BASELINE, LV_BLOCK), PoolExecutor(1))
         assert executed == 6  # 2 baseline + 4 block runs
         # Cache hit: a second call does nothing.
-        assert prefill_cache(runner, (LV_BASELINE, LV_BLOCK), workers=1) == 0
+        assert prefill(session, (LV_BASELINE, LV_BLOCK), PoolExecutor(1)) == 0
 
     def test_parallel_matches_single_process(self):
         """Two workers produce bit-identical results to in-process runs."""
-        serial = ExperimentRunner(SMALL)
-        parallel = ExperimentRunner(SMALL)
-        prefill_cache(serial, (LV_BASELINE, LV_BLOCK), workers=1)
-        executed = prefill_cache(parallel, (LV_BASELINE, LV_BLOCK), workers=2)
+        serial = Session(SMALL)
+        parallel = Session(SMALL)
+        prefill(serial, (LV_BASELINE, LV_BLOCK), SerialExecutor())
+        executed = prefill(parallel, (LV_BASELINE, LV_BLOCK), PoolExecutor(2))
         assert executed == 6
         for bench in SMALL.benchmarks:
             assert (
-                serial.run(bench, LV_BASELINE).cycles
-                == parallel.run(bench, LV_BASELINE).cycles
+                serial.simulate(bench, LV_BASELINE).cycles
+                == parallel.simulate(bench, LV_BASELINE).cycles
             )
             for m in range(SMALL.n_fault_maps):
                 assert (
-                    serial.run(bench, LV_BLOCK, m).cycles
-                    == parallel.run(bench, LV_BLOCK, m).cycles
+                    serial.simulate(bench, LV_BLOCK, m).cycles
+                    == parallel.simulate(bench, LV_BLOCK, m).cycles
                 )
 
     def test_figures_read_from_prefilled_cache(self):
-        runner = ExperimentRunner(SMALL)
-        prefill_cache(runner, (LV_BASELINE, LV_WORD, LV_BLOCK), workers=2)
-        series = runner.normalized_series(LV_BLOCK, LV_BASELINE)
+        session = Session(SMALL)
+        prefill(session, (LV_BASELINE, LV_WORD, LV_BLOCK), PoolExecutor(2))
+        executed = session.simulations_executed
+        series = session.normalized_series(LV_BLOCK, LV_BASELINE)
         assert len(series.average) == 2
+        assert session.simulations_executed == executed
 
     def test_parallel_streams_into_disk_store(self, tmp_path):
         """Workers' results land in the persistent store and are
         bit-identical to the serial path."""
-        serial = ExperimentRunner(SMALL)
-        prefill_cache(serial, (LV_BASELINE, LV_BLOCK), workers=1)
-        parallel = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        assert prefill_cache(parallel, (LV_BASELINE, LV_BLOCK), workers=2) == 6
-        reopened = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
+        serial = Session(SMALL)
+        prefill(serial, (LV_BASELINE, LV_BLOCK))
+        parallel = Session(SMALL, store=DiskStore(tmp_path))
+        assert prefill(parallel, (LV_BASELINE, LV_BLOCK), PoolExecutor(2)) == 6
+        reopened = Session(SMALL, store=DiskStore(tmp_path))
         for bench in SMALL.benchmarks:
             assert (
-                reopened.run(bench, LV_BASELINE)
-                == serial.run(bench, LV_BASELINE)
+                reopened.simulate(bench, LV_BASELINE)
+                == serial.simulate(bench, LV_BASELINE)
             )
             for m in range(SMALL.n_fault_maps):
                 assert (
-                    reopened.run(bench, LV_BLOCK, m)
-                    == serial.run(bench, LV_BLOCK, m)
+                    reopened.simulate(bench, LV_BLOCK, m)
+                    == serial.simulate(bench, LV_BLOCK, m)
                 )
         assert reopened.simulations_executed == 0
 
     def test_progress_callback_reaches_total(self):
-        runner = ExperimentRunner(SMALL)
-        calls: list[tuple[int, int]] = []
-        prefill_cache(
-            runner,
-            (LV_BASELINE, LV_BLOCK),
-            workers=2,
-            progress=lambda done, total: calls.append((done, total)),
-        )
+        session = Session(SMALL)
+        calls = [
+            (event.done, event.total)
+            for event in session.run(
+                session.spec((LV_BASELINE, LV_BLOCK)), executor=PoolExecutor(2)
+            )
+            if isinstance(event, Progress)
+        ]
         assert calls
         assert all(total == 6 for _, total in calls)
         dones = [done for done, _ in calls]
@@ -112,22 +127,23 @@ class TestPrefill:
         assert dones[-1] == 6
 
     def test_prefill_counts_executions_on_runner(self):
-        runner = ExperimentRunner(SMALL)
-        prefill_cache(runner, (LV_BASELINE, LV_BLOCK), workers=2)
-        assert runner.simulations_executed == 6
+        session = Session(SMALL)
+        prefill(session, (LV_BASELINE, LV_BLOCK), PoolExecutor(2))
+        assert session.simulations_executed == 6
 
-    def test_pending_tasks_skips_stored_results(self):
-        runner = ExperimentRunner(SMALL)
-        runner.run("crafty", LV_BASELINE)
-        tasks = pending_tasks(runner, (LV_BASELINE, LV_BLOCK))
+    def test_plan_skips_stored_results(self):
+        session = Session(SMALL)
+        session.simulate("crafty", LV_BASELINE)
+        plan = session.plan(session.spec((LV_BASELINE, LV_BLOCK)))
+        tasks = [item.task for group in plan.groups for item in group.items]
         assert ("crafty", LV_BASELINE, None) not in tasks
         assert len(tasks) == 5
 
 
 class TestBatchPlanning:
     def test_groups_by_benchmark_and_physical_config(self):
-        runner = ExperimentRunner(SMALL)
-        batches = plan_batches(runner, (LV_BASELINE, LV_BLOCK, LV_BLOCK_V6))
+        session = Session(SMALL, mega_batch=False)
+        batches = per_point_batches(session, (LV_BASELINE, LV_BLOCK, LV_BLOCK_V6))
         # Per benchmark: one singleton baseline batch plus one batch per
         # fault-dependent config holding both map lanes.
         assert len(batches) == 2 * 3
@@ -137,22 +153,22 @@ class TestBatchPlanning:
             assert len({(t[0], t[1]) for t in batch}) == 1
 
     def test_stored_lanes_excluded_before_grouping(self):
-        runner = ExperimentRunner(SMALL)
-        runner.run("crafty", LV_BLOCK, 0)
-        batches = plan_batches(runner, (LV_BLOCK,))
+        session = Session(SMALL, mega_batch=False)
+        session.simulate("crafty", LV_BLOCK, 0)
+        batches = per_point_batches(session, (LV_BLOCK,))
         crafty = [b for b in batches if b[0][0] == "crafty"]
         assert len(crafty) == 1
         assert [t[2] for t in crafty[0]] == [1]
 
     def test_lane_width_splits_groups(self):
-        runner = ExperimentRunner(SMALL, lanes=1)
-        batches = plan_batches(runner, (LV_BLOCK,))
+        session = Session(SMALL, lanes=1, mega_batch=False)
+        batches = per_point_batches(session, (LV_BLOCK,))
         assert all(len(b) == 1 for b in batches)
         assert sum(len(b) for b in batches) == 4  # 2 benchmarks x 2 maps
 
     def test_fault_independent_tasks_stay_singletons(self):
-        runner = ExperimentRunner(SMALL)
-        batches = plan_batches(runner, (LV_BASELINE, LV_WORD))
+        session = Session(SMALL, mega_batch=False)
+        batches = per_point_batches(session, (LV_BASELINE, LV_WORD))
         assert all(len(b) == 1 for b in batches)
         assert sum(len(b) for b in batches) == 4
 
@@ -191,12 +207,12 @@ def test_prefill_aggregates_worker_trace_counters(tmp_path):
         benchmarks=("gzip", "crafty"),
     )
     cache_dir = os.fspath(tmp_path)
-    first = ExperimentRunner(settings, trace_cache=cache_dir)
-    prefill_cache(first, (LV_BASELINE,), workers=2)
+    first = Session(settings, trace_cache=cache_dir)
+    prefill(first, (LV_BASELINE,), PoolExecutor(2))
     assert first.traces.generated + first.traces.loaded >= 2
 
-    second = ExperimentRunner(settings, trace_cache=cache_dir)
-    prefill_cache(second, (LV_BASELINE,), workers=2)
+    second = Session(settings, trace_cache=cache_dir)
+    prefill(second, (LV_BASELINE,), PoolExecutor(2))
     # Store is fresh (memory), so simulations rerun — but every trace must
     # now come from the shared cache.
     assert second.traces.generated == 0

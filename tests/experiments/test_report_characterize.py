@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.experiments.characterize import behaviour_space_check, characterization_table
 from repro.experiments.report import (
     ReportLine,
@@ -9,7 +10,6 @@ from repro.experiments.report import (
     reproduction_report,
     simulation_lines,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 
 class TestReportLine:
@@ -48,8 +48,8 @@ class TestAnalyticalScorecard:
 
 class TestSimulationScorecard:
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ExperimentRunner(
+    def session(self):
+        return Session(
             RunnerSettings(
                 n_instructions=15_000,
                 n_fault_maps=2,
@@ -58,14 +58,14 @@ class TestSimulationScorecard:
             )
         )
 
-    def test_simulation_lines_have_expected_claims(self, runner):
-        lines = simulation_lines(runner)
+    def test_simulation_lines_have_expected_claims(self, session):
+        lines = simulation_lines(session)
         claims = [line.claim for line in lines]
         assert any("word-disabling average penalty" in c for c in claims)
         assert any("crafty" in c for c in claims)
 
-    def test_full_report_renders(self, runner):
-        text = reproduction_report(runner)
+    def test_full_report_renders(self, session):
+        text = reproduction_report(session)
         assert "Fig 8" in text
         assert "claims reproduced" in text
 

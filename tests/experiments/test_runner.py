@@ -1,7 +1,8 @@
-"""Tests for the experiment runner (small settings for speed)."""
+"""Tests for the campaign session's point API (small settings for speed)."""
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.core.schemes import VoltageMode
 from repro.experiments.configs import (
     HV_BASELINE,
@@ -13,7 +14,6 @@ from repro.experiments.configs import (
     LV_WORD,
     RunConfig,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SMALL = RunnerSettings(
     n_instructions=4000, n_fault_maps=2, benchmarks=("crafty", "swim")
@@ -21,8 +21,8 @@ SMALL = RunnerSettings(
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(SMALL)
+def session():
+    return Session(SMALL)
 
 
 class TestSettings:
@@ -69,59 +69,59 @@ class TestRunConfig:
 
 
 class TestRunner:
-    def test_trace_caching(self, runner):
-        assert runner.trace("crafty") is runner.trace("crafty")
+    def test_trace_caching(self, session):
+        assert session.trace("crafty") is session.trace("crafty")
 
-    def test_fault_map_count(self, runner):
-        assert len(runner.fault_maps()) == 2
+    def test_fault_map_count(self, session):
+        assert len(session.fault_maps()) == 2
 
-    def test_result_caching(self, runner):
-        a = runner.run("swim", LV_BASELINE)
-        b = runner.run("swim", LV_BASELINE)
+    def test_result_caching(self, session):
+        a = session.simulate("swim", LV_BASELINE)
+        b = session.simulate("swim", LV_BASELINE)
         assert a is b
 
-    def test_fault_config_requires_index(self, runner):
+    def test_fault_config_requires_index(self, session):
         with pytest.raises(ValueError):
-            runner.run("swim", LV_BLOCK)
+            session.simulate("swim", LV_BLOCK)
 
-    def test_map_index_ignored_for_fixed_configs(self, runner):
-        a = runner.run("swim", LV_BASELINE, map_index=0)
-        b = runner.run("swim", LV_BASELINE, map_index=1)
+    def test_map_index_ignored_for_fixed_configs(self, session):
+        a = session.simulate("swim", LV_BASELINE, map_index=0)
+        b = session.simulate("swim", LV_BASELINE, map_index=1)
         assert a is b
 
-    def test_word_disable_slower_than_baseline_low_voltage(self, runner):
-        base = runner.run("crafty", LV_BASELINE)
-        word = runner.run("crafty", LV_WORD)
+    def test_word_disable_slower_than_baseline_low_voltage(self, session):
+        base = session.simulate("crafty", LV_BASELINE)
+        word = session.simulate("crafty", LV_WORD)
         assert word.cycles > base.cycles
 
-    def test_block_disable_between_baseline_and_word(self, runner):
-        base = runner.run("crafty", LV_BASELINE)
-        block = runner.run("crafty", LV_BLOCK, map_index=0)
+    def test_block_disable_between_baseline_and_word(self, session):
+        base = session.simulate("crafty", LV_BASELINE)
+        block = session.simulate("crafty", LV_BLOCK, map_index=0)
         assert block.cycles >= base.cycles
 
-    def test_high_voltage_block_equals_baseline(self, runner):
+    def test_high_voltage_block_equals_baseline(self, session):
         """Block-disabling at high voltage is *exactly* the baseline: same
         latencies, full cache, disable bits ignored."""
-        base = runner.run("crafty", HV_BASELINE)
-        block = runner.run("crafty", HV_BLOCK)
+        base = session.simulate("crafty", HV_BASELINE)
+        block = session.simulate("crafty", HV_BLOCK)
         assert block.cycles == base.cycles
 
-    def test_high_voltage_word_pays_alignment_cycle(self, runner):
-        base = runner.run("crafty", HV_BASELINE)
-        word = runner.run("crafty", HV_WORD)
+    def test_high_voltage_word_pays_alignment_cycle(self, session):
+        base = session.simulate("crafty", HV_BASELINE)
+        word = session.simulate("crafty", HV_WORD)
         assert word.cycles > base.cycles
 
-    def test_normalized_series_structure(self, runner):
-        series = runner.normalized_series(LV_WORD, LV_BASELINE)
+    def test_normalized_series_structure(self, session):
+        series = session.normalized_series(LV_WORD, LV_BASELINE)
         assert series.benchmarks == ("crafty", "swim")
         assert len(series.average) == 2
         assert all(0.0 < v <= 1.2 for v in series.average)
         assert all(m <= a + 1e-12 for m, a in zip(series.minimum, series.average))
 
-    def test_normalized_series_rejects_fault_baseline(self, runner):
+    def test_normalized_series_rejects_fault_baseline(self, session):
         with pytest.raises(ValueError):
-            runner.normalized_series(LV_WORD, LV_BLOCK)
+            session.normalized_series(LV_WORD, LV_BLOCK)
 
-    def test_mean_penalty(self, runner):
-        series = runner.normalized_series(LV_WORD, LV_BASELINE)
+    def test_mean_penalty(self, session):
+        series = session.normalized_series(LV_WORD, LV_BASELINE)
         assert series.mean_penalty == pytest.approx(1.0 - series.mean_average)

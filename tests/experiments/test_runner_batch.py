@@ -1,11 +1,13 @@
-"""ExperimentRunner.run_batch: store dedup, lane widths, figure identity."""
+"""Session.run_group over one campaign point's fault-map lanes: identity
+with the one-map-per-pass path, store dedup, lane widths,
+fault-independent collapse, subset and order."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
@@ -15,60 +17,68 @@ SETTINGS = RunnerSettings(
 )
 
 
+def _lanes(config, maps=range(SETTINGS.n_fault_maps)):
+    return [(config, m) for m in maps]
+
+
 def test_batched_results_match_legacy_path():
-    legacy = ExperimentRunner(SETTINGS, lanes=1)
-    batched = ExperimentRunner(SETTINGS)
+    """One batched pass equals the one-map-per-pass path (``lanes=1``)."""
+    sequential = Session(SETTINGS, lanes=1)
+    batched = Session(SETTINGS)
     expected = [
-        legacy.run("gzip", LV_BLOCK, m) for m in range(SETTINGS.n_fault_maps)
+        sequential.simulate("gzip", LV_BLOCK, m)
+        for m in range(SETTINGS.n_fault_maps)
     ]
-    assert batched.run_batch("gzip", LV_BLOCK) == expected
+    assert batched.run_group("gzip", _lanes(LV_BLOCK)) == expected
     # Everything was stored under the same keys the per-map path uses.
     for m in range(SETTINGS.n_fault_maps):
         assert batched.cached("gzip", LV_BLOCK, m) == expected[m]
 
 
 def test_batch_skips_stored_lanes():
-    runner = ExperimentRunner(SETTINGS)
-    runner.run("gzip", LV_BLOCK, 1)
-    runner.run("gzip", LV_BLOCK, 3)
-    executed_before = runner.simulations_executed
-    results = runner.run_batch("gzip", LV_BLOCK)
+    session = Session(SETTINGS)
+    session.simulate("gzip", LV_BLOCK, 1)
+    session.simulate("gzip", LV_BLOCK, 3)
+    executed_before = session.simulations_executed
+    results = session.run_group("gzip", _lanes(LV_BLOCK))
     assert len(results) == SETTINGS.n_fault_maps
-    assert runner.simulations_executed == executed_before + 3
+    assert session.simulations_executed == executed_before + 3
     # A second pass is a pure store read.
-    assert runner.run_batch("gzip", LV_BLOCK) == results
-    assert runner.simulations_executed == executed_before + 3
+    assert session.run_group("gzip", _lanes(LV_BLOCK)) == results
+    assert session.simulations_executed == executed_before + 3
 
 
 def test_lane_width_bounds_batches():
-    narrow = ExperimentRunner(SETTINGS, lanes=2)
-    wide = ExperimentRunner(SETTINGS)
-    assert narrow.run_batch("gzip", LV_BLOCK) == wide.run_batch("gzip", LV_BLOCK)
+    narrow = Session(SETTINGS, lanes=2)
+    wide = Session(SETTINGS)
+    assert narrow.run_group("gzip", _lanes(LV_BLOCK)) == wide.run_group(
+        "gzip", _lanes(LV_BLOCK)
+    )
 
 
 def test_fault_independent_config_collapses():
-    runner = ExperimentRunner(SETTINGS)
-    results = runner.run_batch("gzip", LV_WORD)
-    assert results == [runner.run("gzip", LV_WORD)]
-    assert runner.simulations_executed == 1
+    session = Session(SETTINGS)
+    results = session.run_group("gzip", _lanes(LV_WORD))
+    assert results == [session.simulate("gzip", LV_WORD)] * SETTINGS.n_fault_maps
+    assert session.simulations_executed == 1
 
 
 def test_subset_and_order_preserved():
-    runner = ExperimentRunner(SETTINGS)
-    subset = runner.run_batch("gzip", LV_BLOCK, [3, 0, 3])
-    assert subset[0] == runner.run("gzip", LV_BLOCK, 3)
-    assert subset[1] == runner.run("gzip", LV_BLOCK, 0)
+    session = Session(SETTINGS)
+    subset = session.run_group("gzip", _lanes(LV_BLOCK, [3, 0, 3]))
+    assert subset[0] == session.simulate("gzip", LV_BLOCK, 3)
+    assert subset[1] == session.simulate("gzip", LV_BLOCK, 0)
     assert subset[2] == subset[0]
 
 
 def test_normalized_series_identical_across_paths():
-    legacy = ExperimentRunner(SETTINGS, lanes=1)
-    batched = ExperimentRunner(SETTINGS)
-    assert legacy.normalized_series(
+    sequential = Session(SETTINGS, lanes=1)
+    batched = Session(SETTINGS)
+    assert sequential.normalized_series(
         LV_BLOCK, LV_BASELINE
     ) == batched.normalized_series(LV_BLOCK, LV_BASELINE)
 
 
 def test_invalid_lane_width_rejected():
     with pytest.raises(ValueError):
-        ExperimentRunner(SETTINGS, lanes=0)
+        Session(SETTINGS, lanes=0)

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.cpu.pipeline import SimResult
 from repro.experiments.configs import (
     LV_BASELINE,
@@ -15,8 +16,6 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_WORD,
 )
-from repro.experiments.parallel import pending_tasks, prefill_cache
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.experiments.keys import task_key
 from repro.store import (
     DiskStore,
@@ -84,7 +83,7 @@ class TestTaskKey:
         assert task_key(rescoped, "crafty", LV_BLOCK, 0) == base
 
     def test_pipeline_config_changes_key(self):
-        """Runners with different pipelines must not read each other's
+        """Sessions with different pipelines must not read each other's
         results out of a shared store."""
         from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 
@@ -96,9 +95,9 @@ class TestTaskKey:
     def test_runner_with_custom_pipeline_gets_disjoint_store_rows(self, tmp_path):
         from repro.cpu.config import PipelineConfig
 
-        default = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        default.run("crafty", LV_BASELINE)
-        narrow = ExperimentRunner(
+        default = Session(SMALL, store=DiskStore(tmp_path))
+        default.simulate("crafty", LV_BASELINE)
+        narrow = Session(
             SMALL,
             pipeline_config=PipelineConfig(issue_width=2),
             store=DiskStore(tmp_path),
@@ -119,7 +118,7 @@ class TestTaskKey:
         """The key is a content hash, not a Python hash: a fresh
         interpreter computes the identical string."""
         code = (
-            "from repro.experiments.runner import RunnerSettings\n"
+            "from repro.campaign.spec import RunnerSettings\n"
             "from repro.experiments.keys import task_key\n"
             "from repro.experiments.configs import LV_BLOCK\n"
             "s = RunnerSettings(n_instructions=3000, n_fault_maps=2,\n"
@@ -359,40 +358,40 @@ class TestStoreLifecycle:
 
 class TestCampaignResume:
     def test_runner_reads_through_disk_store(self, tmp_path):
-        first = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        result = first.run("crafty", LV_BLOCK, 0)
+        first = Session(SMALL, store=DiskStore(tmp_path))
+        result = first.simulate("crafty", LV_BLOCK, 0)
         assert first.simulations_executed == 1
-        second = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        assert second.run("crafty", LV_BLOCK, 0) == result
+        second = Session(SMALL, store=DiskStore(tmp_path))
+        assert second.simulate("crafty", LV_BLOCK, 0) == result
         assert second.simulations_executed == 0
 
     def test_interrupted_campaign_completes_only_remainder(self, tmp_path):
         """Kill-and-rerun: results checkpointed before the 'crash' are
         never simulated again."""
-        killed = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        tasks = pending_tasks(killed, (LV_BASELINE, LV_BLOCK))
+        killed = Session(SMALL, store=DiskStore(tmp_path))
+        tasks = _pending(killed, (LV_BASELINE, LV_BLOCK))
         assert len(tasks) == 6
         for task in tasks[:4]:  # the part that "finished" before the kill
-            killed.run(*task)
-        resumed = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        executed = prefill_cache(resumed, (LV_BASELINE, LV_BLOCK), workers=1)
-        assert executed == 2
-        assert prefill_cache(resumed, (LV_BASELINE, LV_BLOCK), workers=1) == 0
+            killed.simulate(*task)
+        resumed = Session(SMALL, store=DiskStore(tmp_path))
+        spec = resumed.spec((LV_BASELINE, LV_BLOCK))
+        assert resumed.run_all(spec).pending == 2
+        assert resumed.run_all(spec).pending == 0
 
     def test_store_shared_across_config_objects_with_same_content(self, tmp_path):
         from repro.core.schemes import VoltageMode
         from repro.experiments.configs import RunConfig
 
-        runner = ExperimentRunner(SMALL, store=DiskStore(tmp_path))
-        runner.run("crafty", LV_BLOCK_V10, 0)
+        session = Session(SMALL, store=DiskStore(tmp_path))
+        session.simulate("crafty", LV_BLOCK_V10, 0)
         clone = RunConfig(
             "same cache, new label",
             LV_BLOCK_V10.scheme,
             VoltageMode.LOW,
             LV_BLOCK_V10.victim_entries,
         )
-        assert runner.cached("crafty", clone, 0) is not None
-        assert pending_tasks(runner, (clone,)) == [
+        assert session.cached("crafty", clone, 0) is not None
+        assert _pending(session, (clone,)) == [
             ("crafty", clone, 1),
             ("swim", clone, 0),
             ("swim", clone, 1),
@@ -466,28 +465,10 @@ class TestCLICampaign:
         assert not (tmp_path / "results.jsonl").exists()
 
 
-class TestDeprecatedShim:
-    """``repro.experiments.store`` survives as a warning re-export shim."""
-
-    def test_import_warns_and_re_exports(self):
-        # A fresh interpreter so the module-level warning actually fires
-        # (this process has long since cached the module).
-        code = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    import repro.experiments.store as shim\n"
-            "assert any(issubclass(w.category, DeprecationWarning)\n"
-            "           for w in caught), caught\n"
-            "assert 'repro.store' in str(caught[0].message)\n"
-            "import repro.store, repro.experiments.keys\n"
-            "assert shim.DiskStore is repro.store.DiskStore\n"
-            "assert shim.open_store is repro.store.open_store\n"
-            "assert shim.task_key is repro.experiments.keys.task_key\n"
-            "assert shim.STORE_SCHEMA_VERSION == "
-            "repro.experiments.keys.STORE_SCHEMA_VERSION\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
+def _pending(session: Session, configs) -> list:
+    """The plan's pending tasks for ``configs``, in plan order."""
+    plan = session.plan(session.spec(configs))
+    return [item.task for group in plan.groups for item in group.items]
 
 
 def _fields(settings: RunnerSettings) -> dict:

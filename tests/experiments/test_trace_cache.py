@@ -6,9 +6,9 @@ import os
 
 import pytest
 
+from repro.campaign import RunnerSettings, Session
 from repro.cpu.config import L1_GEOMETRY
 from repro.experiments.providers import TRACE_CACHE_ENV, TraceProvider, trace_key
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 
 
 def settings(**overrides) -> RunnerSettings:
@@ -64,12 +64,12 @@ class TestTraceCache:
         assert reloaded.name == trace.name
 
     def test_cached_trace_simulates_identically(self, tmp_path):
-        cold = ExperimentRunner(settings(), trace_cache=os.fspath(tmp_path))
-        warm = ExperimentRunner(settings(), trace_cache=os.fspath(tmp_path))
+        cold = Session(settings(), trace_cache=os.fspath(tmp_path))
+        warm = Session(settings(), trace_cache=os.fspath(tmp_path))
         from repro.experiments.configs import LV_BASELINE
 
-        a = cold.run("gzip", LV_BASELINE)
-        b = warm.run("gzip", LV_BASELINE)
+        a = cold.simulate("gzip", LV_BASELINE)
+        b = warm.simulate("gzip", LV_BASELINE)
         assert warm.traces.loaded == 1
         assert a == b
 

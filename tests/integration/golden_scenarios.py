@@ -83,7 +83,7 @@ def _scheme_hierarchy(
     imap: FaultMap | None,
     dmap: FaultMap | None,
 ) -> MemoryHierarchy:
-    """Mirror of ``ExperimentRunner._simulate``'s construction."""
+    """Mirror of ``Session.build_pipeline``'s construction."""
     scheme = SCHEMES.create(scheme_name)
     operating: OperatingPoint = (
         LOW_VOLTAGE if voltage is VoltageMode.LOW else HIGH_VOLTAGE

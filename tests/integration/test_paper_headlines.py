@@ -16,13 +16,13 @@ from repro.analysis import (
     whole_cache_failure_probability,
 )
 from repro.analysis.victim import paper_victim_analysis
+from repro.campaign import RunnerSettings, Session
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
     LV_BLOCK_V10,
     LV_WORD,
 )
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.faults import PAPER_L1_GEOMETRY
 from repro.overhead.transistors import OverheadModel
 
@@ -77,8 +77,8 @@ class TestSectionVIShape:
     six representative benchmarks, three fault maps, 20k instructions."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ExperimentRunner(
+    def session(self):
+        return Session(
             RunnerSettings(
                 n_instructions=20_000,
                 n_fault_maps=3,
@@ -86,35 +86,35 @@ class TestSectionVIShape:
             )
         )
 
-    def test_scheme_ordering(self, runner):
+    def test_scheme_ordering(self, session):
         """word-disable < block-disable < block-disable+V$ on average —
         the paper's central result."""
-        word = runner.normalized_series(LV_WORD, LV_BASELINE)
-        block = runner.normalized_series(LV_BLOCK, LV_BASELINE)
-        block_v = runner.normalized_series(LV_BLOCK_V10, LV_BASELINE)
+        word = session.normalized_series(LV_WORD, LV_BASELINE)
+        block = session.normalized_series(LV_BLOCK, LV_BASELINE)
+        block_v = session.normalized_series(LV_BLOCK_V10, LV_BASELINE)
         assert word.mean_average < block.mean_average < block_v.mean_average
 
-    def test_loss_magnitudes_in_paper_range(self, runner):
+    def test_loss_magnitudes_in_paper_range(self, session):
         """Average penalties in the paper's neighbourhood (11.2% / 8.3% /
         5.3%); we accept generous bands since the benchmark subset is small."""
-        word = runner.normalized_series(LV_WORD, LV_BASELINE)
-        block_v = runner.normalized_series(LV_BLOCK_V10, LV_BASELINE)
+        word = session.normalized_series(LV_WORD, LV_BASELINE)
+        block_v = session.normalized_series(LV_BLOCK_V10, LV_BASELINE)
         assert 0.04 < word.mean_penalty < 0.25
         assert block_v.mean_penalty < word.mean_penalty
         assert block_v.mean_penalty < 0.12
 
-    def test_victim_cache_raises_minimum(self, runner):
+    def test_victim_cache_raises_minimum(self, session):
         """Section VI-A: the victim cache fixes block-disabling's worst-case
         (minimum) performance."""
-        block = runner.normalized_series(LV_BLOCK, LV_BASELINE)
-        block_v = runner.normalized_series(LV_BLOCK_V10, LV_BASELINE)
+        block = session.normalized_series(LV_BLOCK, LV_BASELINE)
+        block_v = session.normalized_series(LV_BLOCK_V10, LV_BASELINE)
         for without, with_v in zip(block.minimum, block_v.minimum):
             assert with_v >= without - 0.02
 
-    def test_streaming_benchmarks_insensitive(self, runner):
+    def test_streaming_benchmarks_insensitive(self, session):
         """swim/mcf: compulsory/capacity-bound traffic means every scheme
         sits close to the baseline."""
-        word = runner.normalized_series(LV_WORD, LV_BASELINE)
+        word = session.normalized_series(LV_WORD, LV_BASELINE)
         for bench, value in zip(word.benchmarks, word.average):
             if bench in ("swim", "mcf"):
                 assert value > 0.93

@@ -24,13 +24,13 @@ from hypothesis import strategies as st
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.cpu.isa import NO_REGISTER, InstrClass
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
 from repro.faults.geometry import CacheGeometry
 
 SETTINGS = RunnerSettings(
@@ -40,7 +40,7 @@ SETTINGS = RunnerSettings(
     benchmarks=("gzip",),
 )
 
-RUNNER = ExperimentRunner(SETTINGS)
+SESSION = Session(SETTINGS)
 
 requires_kernel = pytest.mark.skipif(
     lane_kernel.load() is None, reason="no compiled lane kernel on this host"
@@ -91,12 +91,12 @@ def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
     trace = random_trace(seed, n)
     measure_from = int(n * warm_frac)
     sequential = [
-        RUNNER.build_pipeline(config, m, engine="object").run(
+        SESSION.build_pipeline(config, m, engine="object").run(
             trace, measure_from=measure_from
         )
         for config, m in LANE_ITEMS
     ]
-    pipelines = [RUNNER.build_pipeline(config, m) for config, m in LANE_ITEMS]
+    pipelines = [SESSION.build_pipeline(config, m) for config, m in LANE_ITEMS]
     batched = OutOfOrderPipeline.run_batch(
         pipelines, trace, measure_from=measure_from
     )
@@ -109,7 +109,7 @@ def test_same_map_lanes_agree_on_random_traces(seed):
     """Identical lanes through one batch must produce identical results
     (catches any cross-lane state bleed in the lane kernel)."""
     trace = random_trace(seed, 400)
-    pipelines = [RUNNER.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
+    pipelines = [SESSION.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
     results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
     assert results[0] == results[1] == results[2]
 

@@ -2,7 +2,7 @@
 
 However a campaign's work items are sliced into mega-batches — any
 grouping, any order, any subset already sitting in the store as
-"holes" — :meth:`ExperimentRunner.run_lane_group` must scatter back
+"holes" — :meth:`Session.run_group` must scatter back
 results bit-identical to the sequential per-point path.  This is the
 planner's core invariant: grouping is a pure performance decision and
 can never change a simulated bit.
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_INCREMENTAL
-from repro.experiments.runner import ExperimentRunner, RunnerSettings
+from repro.campaign import RunnerSettings, Session
 
 TINY = RunnerSettings(
     n_instructions=1_200,
@@ -39,9 +39,9 @@ _REFERENCE: dict = {}
 
 def _reference() -> dict:
     if not _REFERENCE:
-        sequential = ExperimentRunner(TINY, lanes=1, mega_batch=False)
+        sequential = Session(TINY, lanes=1, mega_batch=False)
         for config, m in ITEMS:
-            _REFERENCE[(config.label, m)] = sequential.run("gzip", config, m)
+            _REFERENCE[(config.label, m)] = sequential.simulate("gzip", config, m)
     return _REFERENCE
 
 
@@ -69,18 +69,18 @@ def partitions(draw):
 def test_any_partition_scatters_bit_identical(partition):
     groups, holes = partition
     reference = _reference()
-    runner = ExperimentRunner(TINY)
+    session = Session(TINY)
     for config, m in holes:
-        runner.store_result("gzip", config, m, reference[(config.label, m)])
+        session.store_result("gzip", config, m, reference[(config.label, m)])
     for group in groups:
-        results = runner.run_lane_group("gzip", list(group))
+        results = session.run_group("gzip", list(group))
         assert results == [
             reference[(config.label, m)] for config, m in group
         ]
     # Post-scatter, the store holds the full campaign, every point
     # bit-identical to the sequential path, holes untouched.
     for config, m in ITEMS:
-        assert runner.cached("gzip", config, m) == reference[
+        assert session.cached("gzip", config, m) == reference[
             (config.label, m)
         ]
-    assert runner.simulations_executed == len(ITEMS) - len(holes)
+    assert session.simulations_executed == len(ITEMS) - len(holes)

@@ -173,7 +173,7 @@ class TestWorkerSignalHygiene:
 
 class TestPartitionMerge:
     def _write_partition(self, root, name, records):
-        store = open_store(os.fspath(root / name), backend="sharded")
+        store = open_store(os.fspath(root / name), backend="jsonl")
         for key, result in records.items():
             store.put(key, result)
         store.close()

@@ -1,11 +1,12 @@
-"""Backend contract: jsonl, sharded, and sqlite behind one API.
+"""Backend contract: jsonl and sqlite behind one API, sharded read-only.
 
-Every disk backend must satisfy the same observable contract —
+Every writable disk backend must satisfy the same observable contract —
 durable puts, reopen fidelity, last-write-wins duplicates, damage
 classification via ``health()``, atomic compaction — so the suite
-parametrizes over all three and asserts identical behaviour, then pins
-each backend's own mechanics (shard routing and manifest, sqlite
-upsert/busy-retry, fsync knob plumbing).
+parametrizes over both and asserts identical behaviour, then pins each
+backend's own mechanics (sqlite upsert/busy-retry, fsync knob plumbing)
+and the read-only sharded layout (manifest check, per-shard damage
+containment, every write refused with the migrate hint).
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import warnings
 
 import pytest
 
+from repro.campaign import PoolExecutor, RunnerSettings, Session
+from repro.campaign.events import StoreRecovered
+from repro.experiments.configs import LV_BASELINE, LV_WORD
 from repro.store import (
     BACKENDS,
     RESULTS_FILENAME,
@@ -25,6 +29,7 @@ from repro.store import (
     STORE_FSYNC_ENV,
     DiskStore,
     MemoryStore,
+    ReadOnlyStoreError,
     ShardedDiskStore,
     SqliteStore,
     detect_backend,
@@ -32,9 +37,9 @@ from repro.store import (
     open_store,
 )
 from repro.store.format import RECORD_SCHEMA_VERSION, result_to_dict
-from repro.store.sharded import MANIFEST_FILENAME, SHARD_COUNT, shard_for
+from repro.store.sharded import MANIFEST_FILENAME, SHARD_COUNT, shard_filename
 
-from store_helpers import fill, make_key, make_result
+from store_helpers import fill, make_key, make_result, write_sharded
 
 
 def open_backend(backend: str, directory, **kwargs):
@@ -110,8 +115,8 @@ class TestEnvKnobs:
 
     def test_explicit_backend_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(STORE_BACKEND_ENV, "sqlite")
-        with open_store(str(tmp_path), backend="sharded") as store:
-            assert isinstance(store, ShardedDiskStore)
+        with open_store(str(tmp_path), backend="jsonl") as store:
+            assert type(store) is DiskStore
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown store backend"):
@@ -144,52 +149,92 @@ class TestEnvKnobs:
 
 
 class TestSharded:
-    def test_records_land_in_their_shard(self, tmp_path):
-        with open_backend("sharded", tmp_path) as store:
-            pairs = fill(store, 24)
-        for key, result in pairs:
-            shard_path = tmp_path / "shards" / f"shard-{shard_for(key)}.jsonl"
-            entries = [
-                json.loads(line)
-                for line in shard_path.read_text().splitlines()
-            ]
-            assert any(e["key"] == key for e in entries)
+    """The read-only sharded layout, laid out by ``write_sharded``."""
 
-    def test_manifest_written_and_validated(self, tmp_path):
-        with open_backend("sharded", tmp_path):
-            pass
-        manifest_path = tmp_path / "shards" / MANIFEST_FILENAME
-        manifest = json.loads(manifest_path.read_text())
+    def test_manifest_written_and_validated(self, tmp_path, records):
+        shard_dir = write_sharded(tmp_path, records)
+        with ShardedDiskStore(tmp_path) as store:
+            assert len(store) == len(records)
+        manifest_path = os.path.join(shard_dir, MANIFEST_FILENAME)
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
         assert manifest["shard_count"] == SHARD_COUNT
         manifest["shard_count"] = 64
-        manifest_path.write_text(json.dumps(manifest))
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
         with pytest.raises(ValueError, match="shard_count"):
             ShardedDiskStore(tmp_path)
 
-    def test_non_hex_keys_still_route(self, tmp_path):
-        with open_backend("sharded", tmp_path) as store:
-            store.put("ZZZ-not-hex", make_result(1))
-            assert store.get("ZZZ-not-hex") == make_result(1)
-        with open_backend("sharded", tmp_path) as reopened:
-            assert reopened.get("ZZZ-not-hex") == make_result(1)
-
     def test_damage_in_one_shard_spares_the_rest(self, tmp_path):
-        with open_backend("sharded", tmp_path) as store:
-            pairs = fill(store, 24)
-            victim = tmp_path / "shards" / f"shard-{shard_for(pairs[0][0])}.jsonl"
-        victim.write_text("garbage\n" + victim.read_text())
+        pairs = [(make_key(i), make_result(i)) for i in range(24)]
+        shard_dir = write_sharded(tmp_path, pairs)
+        victim = os.path.join(shard_dir, shard_filename(pairs[0][0][0]))
+        with open(victim) as fh:
+            body = fh.read()
+        with open(victim, "w") as fh:
+            fh.write("garbage\n" + body)
         with open_backend("sharded", tmp_path) as reopened:
             health = reopened.health()
             assert health.malformed == 1
             assert health.records == 24  # the garbage shadowed nothing
-            assert reopened.compact() == 1
-        with open_backend("sharded", tmp_path) as healed:
-            assert not healed.health().damaged
-            assert len(healed) == 24
+            for key, result in pairs:
+                assert reopened.get(key) == result
 
-    def test_shard_appends_take_flock(self, tmp_path):
+    def test_auto_detection_resolves_sharded(self, tmp_path, records):
+        write_sharded(tmp_path, records)
+        assert detect_backend(tmp_path) == "sharded"
+        with open_store(str(tmp_path)) as auto:
+            assert isinstance(auto, ShardedDiskStore)
+            assert sorted(auto.keys()) == sorted(k for k, _ in records)
+
+    def test_every_write_is_refused_with_the_migrate_hint(self, tmp_path, records):
+        write_sharded(tmp_path, records)
+        key, result = records[0]
         with open_backend("sharded", tmp_path) as store:
-            assert all(log.lock for log in store._logs())
+            for write in (store.put, store.torn_put, store.partial_put):
+                with pytest.raises(ReadOnlyStoreError, match="migrate .* --to jsonl"):
+                    write(key, result)
+            with pytest.raises(ReadOnlyStoreError, match="store migrate"):
+                store.compact()
+        # Not an OSError: executors retry those as transient write faults.
+        assert not issubclass(ReadOnlyStoreError, OSError)
+
+    def test_load_never_writes(self, tmp_path, records):
+        """A torn tail stays torn: repairing it would be a write."""
+        shard_dir = write_sharded(tmp_path, records)
+        victim = os.path.join(shard_dir, shard_filename(records[0][0][0]))
+        with open(victim, "a") as fh:
+            fh.write('{"key": "torn')
+        with open(victim, "rb") as fh:
+            before = fh.read()
+        with open_backend("sharded", tmp_path) as store:
+            assert store.health().malformed == 1
+        with open(victim, "rb") as fh:
+            assert fh.read() == before
+
+    def test_pool_campaign_fails_without_store_retries(self, tmp_path, records):
+        """The refusal is not a transient write error: the pool's
+        checkpoint path must not absorb it as a ``StoreRecovered``."""
+        write_sharded(tmp_path, records)
+        settings = RunnerSettings(
+            n_instructions=1_500,
+            warmup_instructions=300,
+            n_fault_maps=1,
+            benchmarks=("gzip",),
+        )
+        session = Session(settings, store=open_store(str(tmp_path)))
+        spec = session.spec((LV_BASELINE, LV_WORD))
+        events = []
+        with pytest.raises(ReadOnlyStoreError, match="--to jsonl"):
+            for event in session.run(spec, executor=PoolExecutor(2)):
+                events.append(event)
+        assert not any(isinstance(event, StoreRecovered) for event in events)
+        assert len(session.store) == len(records)
+
+    def test_no_sharded_store_to_open(self, tmp_path):
+        with pytest.raises(ReadOnlyStoreError, match="read-only"):
+            open_backend("sharded", tmp_path)
+        assert not os.path.exists(os.path.join(tmp_path, "shards"))
 
 
 class TestSqlite:
@@ -259,6 +304,28 @@ class TestSqlite:
             blocker.rollback()
             blocker.close()
             store.close()
+
+    def test_put_from_another_thread(self, tmp_path):
+        """The campaign server checkpoints from a campaign thread."""
+        import threading
+
+        with SqliteStore(tmp_path) as store:
+            fill(store, 1)
+            errors = []
+
+            def put():
+                try:
+                    store.put(make_key(7), make_result(7))
+                except Exception as exc:  # pragma: no cover - the failure mode
+                    errors.append(exc)
+
+            thread = threading.Thread(target=put)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert not errors
+        with SqliteStore(tmp_path) as reopened:
+            assert reopened.get(make_key(7)) == make_result(7)
 
     def test_wal_mode_enabled(self, tmp_path):
         with open_backend("sqlite", tmp_path) as store:

@@ -4,8 +4,9 @@ The durability claim of every backend is exhaustively checked by
 simulating a crash at *every byte offset* of the persisted state: the
 store must always open without raising, recover every record whose
 write completed, never invent or mutate a record, and lose at most the
-final in-flight one.  The same property holds per shard for the sharded
-backend and for a truncated WAL journal on the sqlite backend.
+final in-flight one.  The same property holds per shard for the
+read-only sharded layout (which must open without writing) and for a
+truncated WAL journal on the sqlite backend.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import warnings
 import pytest
 
 from repro.store import DiskStore, ShardedDiskStore, SqliteStore
-from repro.store.sharded import shard_filename, shard_for
+from repro.store.sharded import shard_filename
 from repro.store.sqlite import SQLITE_FILENAME
 
-from store_helpers import fill, make_key, make_result
+from store_helpers import fill, make_key, make_result, write_sharded
 
 
 def complete_lines(data: bytes) -> "list[bytes]":
@@ -34,11 +35,15 @@ def quiet_open(cls, directory):
         return cls(directory)
 
 
-def check_truncations(tmp_path, cls, log_path, pairs, sibling_records=0):
+def check_truncations(
+    tmp_path, cls, log_path, pairs, sibling_records=0, appendable=True
+):
     """Assert the crash property at every byte offset of ``log_path``.
 
     ``sibling_records`` counts records living outside the truncated file
     (the other shards of a sharded store) that must survive untouched.
+    ``appendable`` also checks that a new record lands intact after the
+    crash (writable backends only).
     """
     original = log_path.read_bytes()
     # The probe append inside each iteration mutates files other than
@@ -71,9 +76,12 @@ def check_truncations(tmp_path, cls, log_path, pairs, sibling_records=0):
 
             # The log stays appendable after the crash: tail repair means
             # a new record lands intact and survives reopen.
-            store.put(make_key(999), make_result(999))
+            if appendable:
+                store.put(make_key(999), make_result(999))
         finally:
             store.close()
+        if not appendable:
+            continue
         reopened = quiet_open(cls, tmp_path)
         try:
             assert reopened.get(make_key(999)) == make_result(999), f"offset {offset}"
@@ -95,19 +103,18 @@ class TestJsonlTruncation:
 
 class TestShardedTruncation:
     def test_every_byte_offset_of_one_shard(self, tmp_path):
-        source = tmp_path / "source"
-        with ShardedDiskStore(source) as store:
-            pairs = fill(store, 12)
-        victim_char = shard_for(pairs[0][0])
-        victim_keys = {k for k, _ in pairs if shard_for(k) == victim_char}
+        pairs = [(make_key(i), make_result(i)) for i in range(12)]
         work = tmp_path / "work"
-        shutil.copytree(source, work)
+        write_sharded(work, pairs)
+        victim_char = pairs[0][0][0]
+        victim_keys = {k for k, _ in pairs if k[0] == victim_char}
         check_truncations(
             work,
             ShardedDiskStore,
             work / "shards" / shard_filename(victim_char),
             pairs,
             sibling_records=len(pairs) - len(victim_keys),
+            appendable=False,
         )
 
 

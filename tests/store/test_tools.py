@@ -3,7 +3,8 @@
 Exercises the CLI exactly as an operator would — through ``main(argv)``
 and through the ``python -m repro.experiments store`` dispatch — against
 real damaged directories, asserting exit codes, report text, and the
-on-disk outcome (repair heals, migrate is lossless and verified).
+on-disk outcome (repair heals, migrate is lossless and verified, a
+read-only sharded store refuses every rewrite with the migrate hint).
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import json
 
 import pytest
 
-from repro.store import RESULTS_FILENAME, open_store
+from repro.store import RESULTS_FILENAME, DiskStore, detect_backend, open_store
 from repro.store.format import RECORD_SCHEMA_VERSION
 from repro.store.tools import main
 
-from store_helpers import fill, make_key, make_result
+from store_helpers import fill, make_key, make_result, write_sharded
 
 
 @pytest.fixture
@@ -91,12 +92,12 @@ class TestRepair:
                 assert store.get(key) == result
 
     def test_repair_clean_store_is_noop(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="sharded") as store:
+        with open_store(str(tmp_path), backend="jsonl") as store:
             fill(store, 4)
-        before = (tmp_path / "shards").stat().st_mtime_ns
+        before = (tmp_path / RESULTS_FILENAME).stat().st_mtime_ns
         assert main(["repair", str(tmp_path)]) == 0
         assert "nothing to do" in capsys.readouterr().out
-        assert (tmp_path / "shards").stat().st_mtime_ns == before
+        assert (tmp_path / RESULTS_FILENAME).stat().st_mtime_ns == before
 
     def test_repair_upgrades_legacy(self, tmp_path, capsys):
         with open_store(str(tmp_path), backend="jsonl") as store:
@@ -132,14 +133,18 @@ class TestCompact:
 
 class TestMigrate:
     @pytest.mark.parametrize(
-        "src,dst", [("jsonl", "sqlite"), ("jsonl", "sharded"),
-                    ("sharded", "sqlite"), ("sqlite", "jsonl")]
+        "src,dst", [("jsonl", "sqlite"), ("sharded", "sqlite"),
+                    ("sqlite", "jsonl"), ("sharded", "jsonl")]
     )
     def test_migration_is_lossless_and_verified(self, tmp_path, capsys, src, dst):
         source = tmp_path / "src"
         dest = tmp_path / "dst"
-        with open_store(str(source), backend=src) as store:
-            pairs = fill(store, 8)
+        pairs = [(make_key(i), make_result(i)) for i in range(8)]
+        if src == "sharded":
+            write_sharded(source, pairs)
+        else:
+            with open_store(str(source), backend=src) as store:
+                fill(store, 8)
         assert main(
             ["migrate", str(source), "--to", dst, "--dest", str(dest)]
         ) == 0
@@ -160,6 +165,28 @@ class TestMigrate:
             assert type(store).__name__ == "SqliteStore"
             for key, result in pairs:
                 assert store.get(key) == result
+
+    def test_in_place_migration_out_of_sharded_resolves_jsonl(
+        self, tmp_path, capsys, records
+    ):
+        write_sharded(tmp_path, records)
+        assert main(["migrate", str(tmp_path), "--to", "jsonl"]) == 0
+        out = capsys.readouterr().out
+        assert f"auto-detection now resolves {tmp_path} to jsonl" in out
+        assert detect_backend(tmp_path) == "jsonl"
+        with open_store(str(tmp_path)) as store:
+            assert type(store) is DiskStore
+            assert sorted(store.keys()) == sorted(k for k, _ in records)
+            for key, result in records:
+                assert store.get(key) == result
+        # A rerun finds the directory already migrated.
+        assert main(["migrate", str(tmp_path), "--to", "jsonl"]) == 1
+        assert "nothing to do" in capsys.readouterr().out
+
+    def test_sharded_is_not_a_destination(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["migrate", str(tmp_path), "--to", "sharded"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_round_trip_jsonl_sqlite_jsonl_is_byte_stable(self, tmp_path):
         a = tmp_path / "a"
@@ -190,6 +217,54 @@ class TestMigrate:
         with open_store(str(dest)) as migrated:
             assert not migrated.health().damaged
             assert migrated.get(pairs[0][0]) is None
+
+
+class TestReadOnlySharded:
+    """Verify reads a sharded store; every rewrite fails with the hint."""
+
+    def test_verify_reports_clean(self, tmp_path, capsys, records):
+        write_sharded(tmp_path, records)
+        assert main(["verify", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "sharded store" in out and "read-only" in out
+        assert f"{len(records)} record(s)" in out
+        assert "verify: clean" in out
+
+    @pytest.mark.parametrize("command", ["repair", "compact"])
+    def test_rewrites_fail_with_the_migrate_hint(
+        self, tmp_path, capsys, records, command
+    ):
+        write_sharded(tmp_path, records)
+        shards = tmp_path / "shards"
+        before = {p.name: p.read_bytes() for p in shards.iterdir()}
+        assert main([command, str(tmp_path)]) == 2
+        assert f"store migrate {tmp_path} --to jsonl" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in shards.iterdir()} == before
+
+    def test_merge_into_sharded_fails_with_the_migrate_hint(
+        self, tmp_path, capsys, records
+    ):
+        store_dir = tmp_path / "store"
+        write_sharded(store_dir, records)
+        with open_store(str(tmp_path / "parts" / "worker-0-1"), backend="jsonl") as part:
+            part.put(make_key(99), make_result(99))
+        assert main(
+            ["merge", str(store_dir), "--from", str(tmp_path / "parts")]
+        ) == 2
+        assert "--to jsonl" in capsys.readouterr().err
+        assert not (store_dir / RESULTS_FILENAME).exists()
+
+
+    def test_campaign_needing_a_write_exits_2_with_the_hint(
+        self, tmp_path, capsys, records
+    ):
+        from repro.experiments.__main__ import main as experiments_main
+
+        write_sharded(tmp_path, records)
+        argv = ["fig8", "--instructions", "1000", "--maps", "1",
+                "--benchmarks", "gzip", "--store", str(tmp_path)]
+        assert experiments_main(argv) == 2
+        assert f"store migrate {tmp_path} --to jsonl" in capsys.readouterr().err
 
 
 class TestExperimentsDispatch:
