@@ -19,7 +19,8 @@ AddressSanitizer and UBSan and runs the kernel, fuzzed-equivalence and
 golden tests against it: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per writable disk backend, a pool campaign checkpointing under I/O fault
-injection is SIGKILLed mid-write, resumed to byte-identical figures,
+injection is SIGKILLed mid-write with its whole process group (no pool
+worker may survive), resumed to byte-identical figures,
 then repaired and verified clean; the jsonl → sqlite → jsonl migration
 round-trip must be lossless, and a read-only sharded copy migrated in
 place to jsonl must serve the same figures from pure store hits.
@@ -604,12 +605,31 @@ def smoke_chaos(json_dir: str) -> list[str]:
     return failures
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs in process group ``pgid`` that are still running (zombies
+    only await reaping by their new parent and do not count)."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited meanwhile
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            live.append(int(entry))
+    return live
+
+
 def smoke_store_chaos(json_dir: str) -> list[str]:
     """Crash-consistent storage gate, per writable backend.
 
     For each writable disk backend (jsonl / sqlite): a pool campaign
-    checkpointing under I/O fault injection is SIGKILLed as soon as its
-    store file materialises; a chaos-free resume against the survivor
+    checkpointing under I/O fault injection is SIGKILLed, with its whole
+    process group, as soon as its store file materialises, and no
+    process of that group (the pool workers) may outlive it; a
+    chaos-free resume against the survivor
     directory must regenerate figures byte-identical to a storeless
     reference run; ``store repair`` then ``store verify`` must leave
     zero undetected-corrupt records.  The repaired jsonl store then
@@ -661,6 +681,8 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
                 "--store", directory, "--store-backend", backend,
                 "--trace-cache", traces,
             ]
+            # Its own session, so the pool workers share the victim's
+            # process group and die with it.
             victim = subprocess.Popen(
                 [sys.executable, "-m", "repro.experiments", *_STORE_ARGS,
                  *persist, "--workers", "2"],
@@ -668,6 +690,7 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
                 env=chaos_env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
+                start_new_session=True,
             )
             # Kill mid-write: the moment record bytes hit the store the
             # campaign is inside its checkpoint path.  A campaign that
@@ -675,11 +698,30 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
             deadline = time.monotonic() + 60.0
             while victim.poll() is None and time.monotonic() < deadline:
                 if probe(directory):
-                    victim.send_signal(signal.SIGKILL)
+                    try:
+                        os.killpg(victim.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass  # the campaign finished first
                     break
                 time.sleep(0.02)
             victim.wait(timeout=60.0)
             killed = victim.returncode == -signal.SIGKILL
+            # SIGKILL lands asynchronously: give the group a moment to go.
+            settle = time.monotonic() + 10.0
+            survivors = _live_group_members(victim.pid)
+            while survivors and time.monotonic() < settle:
+                time.sleep(0.05)
+                survivors = _live_group_members(victim.pid)
+            if survivors:
+                failures.append(
+                    f"{backend}: victim's process group outlived SIGKILL: "
+                    f"pids {survivors}"
+                )
+                for pid in survivors:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
 
             resume = _cli(_STORE_ARGS + persist)
             if resume.returncode != 0:
@@ -709,6 +751,7 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
                                 f"\n{verify.stdout}{verify.stderr}")
             summary["backends"][backend] = {
                 "killed_mid_write": killed,
+                "group_survivors": len(survivors),
                 "resume_byte_identical": identical,
                 "repair_rc": repair.returncode,
                 "verify_rc": verify.returncode,

@@ -9,10 +9,13 @@ hierarchies — one per fault-map lane — out as the arrays the compiled C
 lane kernel (:mod:`repro.cpu.lane_kernel`) probes, refills and counts
 on, then writes every lane's statistics and cache contents back.
 
-Every per-way quantity becomes a NumPy array with a *lane* dimension.
-Recency is tracked with *stamps* instead of per-lane clocks: the stamp of
-an access is a trace-static, strictly increasing function of the
-instruction index, identical in every lane.  Within one lane each cache
+Every per-way quantity becomes a NumPy array with a *lane* dimension
+whose rows have the layout of the object caches' typed buffers, so state
+moves into and out of a pass as one buffer copy per lane and cache
+(:class:`VectorCache`).  Recency is tracked with *stamps* instead of
+per-lane clocks: the stamp of an access is a trace-static, strictly
+increasing function of the instruction index, identical in every lane,
+starting just above every lane's clock.  Within one lane each cache
 sees at most one stamped event per instruction, so stamp order equals
 the object path's clock order and every LRU decision — including the
 invalid-way preference, encoded by initialising invalid usable ways to a
@@ -72,7 +75,11 @@ class VectorCache:
     Every array is lane-major — ``tags``/``last``/``dirty``/``fillt``
     all ``[lane, flat_index]`` — so lane ``l``'s way ``w`` of set ``s``
     sits at ``l * n + s * ways + w`` in all four arrays, and a set's ways
-    are contiguous for the kernel's probe and LRU argmin.
+    are contiguous for the kernel's probe and LRU argmin.  A lane row has
+    exactly the layout of its object cache's typed buffers (see
+    :mod:`repro.cache.set_assoc`), so construction stacks one
+    :func:`numpy.frombuffer` copy of each lane's buffers and
+    :meth:`sync` writes one row back per buffer.
     """
 
     __slots__ = (
@@ -85,8 +92,6 @@ class VectorCache:
         "last",
         "dirty",
         "fillt",
-        "orig_last",
-        "pristine",
     )
 
     def __init__(self, caches: list[SetAssociativeCache]) -> None:
@@ -98,28 +103,17 @@ class VectorCache:
         self.ways = geometry.ways
         self.set_mask = geometry.num_sets - 1
         self.tag_shift = geometry.index_bits
-        n = geometry.num_sets * geometry.ways
-        self.n = n
-        lanes = len(caches)
-        self.tags = np.full((lanes, n), -1, dtype=np.int64)
-        self.last = np.zeros((lanes, n), dtype=np.int64)
-        self.dirty = np.zeros((lanes, n), dtype=np.bool_)
-        self.fillt = np.zeros((lanes, n), dtype=np.int64)
-        # A pristine cache's flat state is all defaults (-1/0/False/0);
-        # skipping its list -> array conversion makes compiling a fresh
-        # campaign batch O(lanes), which matters for the 2MB L2 — and the
-        # flag lets sync() write back only the touched entries.
-        self.pristine = []
-        for lane, cache in enumerate(caches):
-            if not cache._resident and cache._clock == 0:
-                self.pristine.append(True)
-                continue
-            self.pristine.append(False)
-            self.tags[lane] = cache._tags
-            self.last[lane] = cache._last_touch
-            self.dirty[lane] = cache._dirty
-            self.fillt[lane] = cache._fill_time
-        self.orig_last = self.last.copy()
+        self.n = geometry.num_sets * geometry.ways
+
+        def stacked(field: str, dtype: type) -> np.ndarray:
+            return np.stack(
+                [np.frombuffer(getattr(cache, field), dtype) for cache in caches]
+            )
+
+        self.tags = stacked("_tags", np.int64)
+        self.last = stacked("_last_touch", np.int64)
+        self.dirty = stacked("_dirty", np.bool_)
+        self.fillt = stacked("_fill_time", np.int64)
         # Stamp sentinels (see module docstring).
         self.last[self.tags == -1] = -1
         for lane, cache in enumerate(caches):
@@ -130,60 +124,24 @@ class VectorCache:
         return max(cache._clock for cache in self.caches)
 
     def sync(self, clock: int) -> None:
-        """Write every lane's contents back to its object cache.  Stamp
-        sentinels at still-invalid/disabled positions are replaced by the
-        original values (those ways were never touched)."""
-        n = self.n
+        """Write every lane's contents back to its object cache: the tags,
+        dirty and fill-time rows whole, the recency row at valid ways
+        only.  Elsewhere ``last`` holds the stamp sentinels; the object
+        cache's own recency buffer, which the pass never touched, still
+        holds the original values there.  The residency index is rebuilt
+        from the valid tags."""
         ways = self.ways
         tag_shift = self.tag_shift
         valid = self.tags >= 0
-        sparse = n > 4096 and all(self.pristine)
-        if sparse:
-            # Large caches that started pristine (the usual 2MB L2 of a
-            # fresh campaign batch): every list entry outside the filled
-            # positions still holds its default, so write back only the
-            # valid entries instead of converting 32k-entry columns.
-            for lane, cache in enumerate(self.caches):
-                index = np.flatnonzero(valid[lane])
-                idx_list = index.tolist()
-                tag_vals = self.tags[lane, index]
-                blocks = (tag_vals << tag_shift) | (index // ways)
-                tags_list = cache._tags
-                last_list = cache._last_touch
-                fillt_list = cache._fill_time
-                dirty_list = cache._dirty
-                for j, tag, last, fillt, dirt in zip(
-                    idx_list,
-                    tag_vals.tolist(),
-                    self.last[lane, index].tolist(),
-                    self.fillt[lane, index].tolist(),
-                    self.dirty[lane, index].tolist(),
-                ):
-                    tags_list[j] = tag
-                    last_list[j] = last
-                    fillt_list[j] = fillt
-                    dirty_list[j] = dirt
-                cache._clock = clock
-                resident = cache._resident
-                resident.clear()
-                resident.update(zip(blocks.tolist(), idx_list))
-            return
-        merged = np.where(valid, self.last, self.orig_last)
-        # Whole-matrix conversions: one C-level tolist per array beats a
-        # per-lane conversion loop by a wide margin.
-        tags_rows = self.tags
-        tags_lists = tags_rows.tolist()
-        dirty_lists = self.dirty.tolist()
-        merged_lists = merged.tolist()
-        fillt_lists = self.fillt.tolist()
         for lane, cache in enumerate(self.caches):
-            index = np.flatnonzero(valid[lane])
-            blocks = (tags_rows[lane, index] << tag_shift) | (index // ways)
+            lane_valid = valid[lane]
+            index = np.flatnonzero(lane_valid)
+            blocks = (self.tags[lane, index] << tag_shift) | (index // ways)
             cache.adopt_flat_state(
-                tags_lists[lane],
-                dirty_lists[lane],
-                merged_lists[lane],
-                fillt_lists[lane],
+                self.tags[lane],
+                self.dirty[lane],
+                np.where(lane_valid, self.last[lane], cache._last_touch),
+                self.fillt[lane],
                 clock,
                 resident=dict(zip(blocks.tolist(), index.tolist())),
             )
@@ -344,12 +302,15 @@ class BulkLanes:
         self.victims_d = (
             VectorVictims(vd) if any(v is not None for v in vd) else None
         )
-        #: Stamps start above twice every initial clock so they dominate
-        #: every pre-existing recency value in every lane (see module
-        #: comment; instruction i stamps 2i/2i+1 on the I/D side).
+        #: Stamps start one above every lane's clock, so they exceed every
+        #: recency value the caches already hold (instruction i stamps
+        #: ``stamp_base + 2i``/``+ 2i + 1`` on the I/D side, and the pass
+        #: leaves each clock at ``stamp_base + 2n``, past the last stamp).
+        #: Chained passes over one hierarchy thus grow the clock by
+        #: ``2n + 1`` each and stay far below ``BIG_STAMP``.
         self.stamp_base = (
-            2 * max(self.l1i.max_clock(), self.l1d.max_clock(), self.l2.max_clock())
-            + 2
+            max(self.l1i.max_clock(), self.l1d.max_clock(), self.l2.max_clock())
+            + 1
         )
         self.iport = _BulkPort(
             self.l1i, self.victims_i, hierarchies[0].iport, lanes, lat_scale

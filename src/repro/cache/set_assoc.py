@@ -10,18 +10,26 @@ geometry with all ways enabled; the baseline enables everything.
 Addresses are *block addresses* (byte address >> offset bits) — the
 hierarchy layer does the shifting once so the hot loop stays cheap.
 
-State is stored **flat**: ``_tags``/``_dirty``/``_last_touch``/
-``_fill_time`` are single lists indexed ``set * ways + way``, and an
-invalid way holds the sentinel tag -1 (block-address tags are
-non-negative, so the sentinel can never alias a resident block).  The
-lane engine (:mod:`repro.cache.engine`) lays the same layout out as one
-row per lane and writes a kernel run's contents back through
-:meth:`SetAssociativeCache.adopt_flat_state`.  A way that is *disabled*
-also holds -1 forever: fills never select it, so lookups need no
-usable-way filtering at all.
+State is stored **flat**: ``_tags``/``_last_touch``/``_fill_time`` are
+``array('q')`` buffers and ``_dirty`` a ``bytearray``, each indexed
+``set * ways + way``, and an invalid way holds the sentinel tag -1
+(block-address tags are non-negative, so the sentinel can never alias a
+resident block).  A way that is *disabled* also holds -1 forever: fills
+never select it, so lookups need no usable-way filtering at all.
+
+The buffers are laid out exactly like one lane row of the lane engine
+(:mod:`repro.cache.engine`): int64 and one byte per way.  A kernel pass
+copies each cache in with :func:`numpy.frombuffer` and writes its
+contents back through :meth:`SetAssociativeCache.adopt_flat_state`, one
+row copy per buffer.  Typed buffers hold no Python objects, so the
+cyclic garbage collector never walks cache state, however many 2MB L2s
+a campaign keeps alive.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import compress
 
 import numpy as np
 
@@ -59,12 +67,12 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         num_sets = geometry.num_sets
         ways = geometry.ways
+        all_ways = tuple(range(ways))
 
         if enabled_ways is None:
             # The fully-enabled case (baseline, word-disable, every
             # high-voltage cache, the L2) skips the matrix entirely.
             self._enabled = None
-            all_ways = tuple(range(ways))
             self._usable_ways: list[tuple[int, ...]] = [all_ways] * num_sets
             self._fully_enabled: list[bool] = [True] * num_sets
         else:
@@ -79,8 +87,7 @@ class SetAssociativeCache:
             # only; tuples are cheaper to iterate and can never be mutated
             # by a scheme).
             self._usable_ways = [
-                tuple(np.flatnonzero(enabled_ways[s]).tolist())
-                for s in range(num_sets)
+                tuple(compress(all_ways, row)) for row in enabled_ways.tolist()
             ]
             self._fully_enabled = [
                 len(usable) == ways for usable in self._usable_ways
@@ -94,10 +101,10 @@ class SetAssociativeCache:
         # invalid and disabled ways, so the lookup probe needs no
         # validity or usability scan.
         n = num_sets * ways
-        self._tags: list[int] = [-1] * n
-        self._dirty: list[bool] = [False] * n
-        self._last_touch: list[int] = [0] * n
-        self._fill_time: list[int] = [0] * n
+        self._tags = array("q", [-1]) * n
+        self._dirty = bytearray(n)
+        self._last_touch = array("q", [0]) * n
+        self._fill_time = array("q", [0]) * n
         # Residency index: block address -> flat way index.  Kept exactly
         # in sync with ``_tags`` by fill/invalidate/flush, it turns the
         # hit probe into a single dict lookup (how fast software cache
@@ -207,7 +214,7 @@ class SetAssociativeCache:
         index = base + victim_way
         tags[index] = tag
         self._resident[block_addr] = index
-        self._dirty[index] = is_write
+        self._dirty[index] = 1 if is_write else 0
         self._last_touch[index] = self._clock
         self._fill_time[index] = self._clock
         self.stats.fills += 1
@@ -227,35 +234,40 @@ class SetAssociativeCache:
         return block_addr in self._resident
 
     def flush(self) -> None:
-        """Invalidate everything (keeps stats).  Mutates the state lists and
-        residency dict in place, so holders of references stay coherent."""
+        """Invalidate everything (keeps stats).  Mutates the state buffers
+        and residency dict in place, so holders of references stay
+        coherent."""
         n = len(self._tags)
-        self._tags[:] = [-1] * n
-        self._dirty[:] = [False] * n
+        self._tags[:] = array("q", [-1]) * n
+        self._dirty[:] = bytes(n)
         self._resident.clear()
 
     def adopt_flat_state(
         self,
-        tags: list[int],
-        dirty: list[bool],
-        last_touch: list[int],
-        fill_time: list[int],
+        tags: list[int] | np.ndarray,
+        dirty: list[bool] | np.ndarray,
+        last_touch: list[int] | np.ndarray,
+        fill_time: list[int] | np.ndarray,
         clock: int,
         resident: dict[int, int] | None = None,
     ) -> None:
         """Replace this cache's contents with externally-evolved flat state
-        (the lane engine's write-back path).  The lists are copied in
-        place so holders of references stay coherent, and the residency
-        index is rebuilt from the adopted tags — or adopted from
-        ``resident`` when the caller already derived it (the lane engine
-        computes it vectorised)."""
+        (the lane engine's write-back path).  Each row — a list or a
+        NumPy row — is copied into the existing buffers in place, so
+        holders of references stay coherent, and the residency index is
+        rebuilt from the adopted tags — or adopted from ``resident`` when
+        the caller already derived it (the lane engine computes it
+        vectorised)."""
         n = len(self._tags)
         if len(tags) != n:
             raise ValueError(f"flat state has {len(tags)} ways, expected {n}")
-        self._tags[:] = tags
-        self._dirty[:] = dirty
-        self._last_touch[:] = last_touch
-        self._fill_time[:] = fill_time
+        for buffer, dtype, row in (
+            (self._tags, np.int64, tags),
+            (self._dirty, np.bool_, dirty),
+            (self._last_touch, np.int64, last_touch),
+            (self._fill_time, np.int64, fill_time),
+        ):
+            np.frombuffer(buffer, dtype)[:] = row
         self._clock = clock
         if resident is None:
             self.rebuild_residency()

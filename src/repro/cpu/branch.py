@@ -21,7 +21,7 @@ class GsharePredictor:
         self.history_bits = history_bits
         self._size = 1 << history_bits
         self._mask = self._size - 1
-        self._table = bytearray([2] * self._size)  # weakly taken
+        self._table = bytearray(b"\x02") * self._size  # weakly taken
         self._history = 0
         self.predictions = 0
         self.mispredictions = 0

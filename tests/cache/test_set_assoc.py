@@ -1,8 +1,11 @@
 """Tests for the set-associative cache with disabled ways."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.faults import CacheGeometry
 
@@ -202,3 +205,71 @@ class TestRefillSemantics:
         evicted = cache.fill(block_in_set(0, 99))
         assert evicted != victim_candidate  # LRU refresh took effect
         assert cache.contains(victim_candidate)
+
+
+class TestTypedBufferState:
+    """Flat state lives in typed buffers laid out like a lane-engine row:
+    int64 ``array``s and a ``bytearray`` of dirty bits."""
+
+    @staticmethod
+    def buffers(cache: SetAssociativeCache) -> tuple:
+        return (cache._tags, cache._dirty, cache._last_touch, cache._fill_time)
+
+    @staticmethod
+    def warm_cache() -> SetAssociativeCache:
+        cache = SetAssociativeCache(GEOMETRY)
+        for tag in range(12):
+            cache.fill(block_in_set(tag % 3, tag), is_write=tag % 2 == 0)
+        return cache
+
+    def test_cyclic_gc_reaches_no_per_way_object(self):
+        # An ``array`` is a GC-tracked heap type whose traversal visits
+        # only its type; a ``bytearray`` is not tracked at all.  Lists
+        # would hand the collector every way.
+        for cache in (SetAssociativeCache(GEOMETRY), self.warm_cache()):
+            for buffer in self.buffers(cache):
+                assert all(isinstance(r, type) for r in gc.get_referents(buffer))
+
+    def test_adopt_from_list_and_numpy_row_agree(self):
+        source = self.warm_cache()
+        rows = [list(buffer) for buffer in self.buffers(source)]
+        from_lists = SetAssociativeCache(GEOMETRY)
+        from_lists.adopt_flat_state(*rows, clock=source._clock)
+        from_numpy = SetAssociativeCache(GEOMETRY)
+        from_numpy.adopt_flat_state(
+            *(np.array(row, dtype=dtype) for row, dtype in zip(
+                rows, (np.int64, np.bool_, np.int64, np.int64)
+            )),
+            clock=source._clock,
+        )
+        for cache in (from_lists, from_numpy):
+            assert self.buffers(cache) == self.buffers(source)
+            assert cache._resident == source._resident
+            assert cache._clock == source._clock
+
+    def test_flush_clears_the_buffers_in_place(self):
+        cache = self.warm_cache()
+        buffers = self.buffers(cache)
+        cache.flush()
+        assert all(a is b for a, b in zip(self.buffers(cache), buffers))
+        assert set(cache._tags) == {-1} and not any(cache._dirty)
+        assert cache.resident_blocks() == set()
+        assert not cache.lookup(block_in_set(0, 0))
+
+    def test_numpy_bool_is_write_is_stored(self):
+        cache = SetAssociativeCache(GEOMETRY)
+        a, b = block_in_set(0, 1), block_in_set(1, 1)
+        cache.fill(a, is_write=np.True_)
+        cache.fill(b, is_write=np.False_)
+        assert cache._dirty[cache._resident[a]] == 1
+        assert cache._dirty[cache._resident[b]] == 0
+        assert cache.lookup(b, is_write=np.True_)
+        assert cache._dirty[cache._resident[b]] == 1
+        hierarchy = MemoryHierarchy(
+            SetAssociativeCache(GEOMETRY),
+            SetAssociativeCache(GEOMETRY),
+            CacheGeometry(size_bytes=64 * 1024, ways=8, block_bytes=64),
+            LatencyConfig(),
+        )
+        hierarchy.access_data(a, np.True_)
+        assert hierarchy.l1d._dirty[hierarchy.l1d._resident[a]] == 1

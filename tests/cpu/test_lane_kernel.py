@@ -11,6 +11,7 @@ require byte-identical results (cycles and every statistic).
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import warnings
@@ -22,7 +23,9 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
+from repro.cpu.isa import InstrClass
 from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu.trace import Trace
 from repro.experiments.configs import (
     LV_BLOCK,
     LV_BLOCK_V6,
@@ -61,6 +64,31 @@ def _run_batch(session, items, engine="fused", benchmark="gzip"):
             pipelines, trace, measure_from=WARMUP
         )
     return results, pipelines
+
+
+def _warm(hierarchy: MemoryHierarchy, trace: Trace, count: int) -> None:
+    """Drive the first ``count`` instructions of ``trace`` through the
+    object hierarchy: every fetch, load and store (stores dirty blocks)."""
+    i_shift = hierarchy.l1i.geometry.offset_bits
+    d_shift = hierarchy.l1d.geometry.offset_bits
+    for pc, cls, addr in zip(
+        trace.pc[:count], trace.iclass[:count], trace.mem_addr[:count]
+    ):
+        hierarchy.access_instruction(pc >> i_shift)
+        if cls in (InstrClass.LOAD, InstrClass.STORE):
+            hierarchy.access_data(addr >> d_shift, cls == InstrClass.STORE)
+
+
+def _contents(hierarchy: MemoryHierarchy) -> list:
+    """Every cache's tags, dirty bits and residency, and the victim
+    caches' LRU order: what a pass leaves behind besides statistics."""
+    state = [
+        (list(c._tags), list(c._dirty), c._resident)
+        for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+    ]
+    for victim in (hierarchy.victim_i, hierarchy.victim_d):
+        state.append(None if victim is None else list(victim._tags))
+    return state
 
 
 class TestGating:
@@ -109,6 +137,67 @@ class TestKernelVsFallback:
             ):
                 assert ck._tags == co._tags and ck._dirty == co._dirty
                 assert ck._resident == co._resident
+
+    @pytest.mark.parametrize(
+        "config", [LV_BLOCK, LV_BLOCK_V10, LV_BLOCK_V6, LV_INCREMENTAL]
+    )
+    def test_prewarmed_hierarchies_match_the_object_engine(self, session, config):
+        """A kernel pass over hierarchies that already hold contents —
+        dirty blocks, victim entries, recency from another benchmark —
+        beside a pristine lane, copies them in and writes them back
+        exactly like the object engine.  A second, object-loop pass
+        over both sides then checks the written-back recency, which
+        orders every later LRU decision."""
+        warm, trace = session.trace("mcf"), session.trace("gzip")
+        sides = {}
+        for engine in ("fused", "object"):
+            pipelines = [
+                session.build_pipeline(config, m, engine=engine)
+                for m in range(SETTINGS.n_fault_maps)
+            ]
+            for m, p in enumerate(pipelines):
+                _warm(p.hierarchy, warm, 1_500 * m)  # lane 0 stays pristine
+            if engine == "object":
+                first = [p.run(trace, measure_from=WARMUP) for p in pipelines]
+            else:
+                assert OutOfOrderPipeline._can_run_batch(pipelines)
+                first = OutOfOrderPipeline.run_batch(
+                    pipelines, trace, measure_from=WARMUP
+                )
+                # Written back in place: the collector still reaches no
+                # per-way object (an ``array`` visits only its type).
+                for p in pipelines:
+                    for c in (p.hierarchy.l1i, p.hierarchy.l1d, p.hierarchy.l2):
+                        for buffer in (c._tags, c._dirty, c._last_touch, c._fill_time):
+                            assert all(
+                                isinstance(r, type) for r in gc.get_referents(buffer)
+                            )
+            contents = [_contents(p.hierarchy) for p in pipelines]
+            second = [p.run(trace, measure_from=WARMUP) for p in pipelines]
+            sides[engine] = (first, contents, second)
+        assert sides["fused"] == sides["object"]
+
+    def test_chained_passes_over_one_hierarchy(self, session):
+        """Fresh pipelines chained over one hierarchy, each a kernel pass,
+        keep matching the object engine.  (Regression: the stamp base was
+        twice the caches' clock, so stamps doubled every pass; from about
+        pass 52 they passed ``BIG_STAMP`` and LRU started picking
+        disabled ways.)"""
+        columns = session.trace("mcf").to_arrays()
+        trace = Trace.from_arrays({k: v[:500] for k, v in columns.items()}, "mcf")
+        hierarchies = {
+            engine: session.build_pipeline(LV_BLOCK, 0, engine=engine).hierarchy
+            for engine in ("fused", "object")
+        }
+        for _ in range(64):
+            kernel_result, object_result = (
+                OutOfOrderPipeline(session.pipeline_config, h, engine=engine).run(
+                    trace, measure_from=100
+                )
+                for engine, h in hierarchies.items()
+            )
+            assert kernel_result == object_result
+        assert _contents(hierarchies["fused"]) == _contents(hierarchies["object"])
 
     def test_padded_heterogeneous_victims(self, session):
         """A mixed 0/8/16-entry victim batch exercises the padded slot
