@@ -3,11 +3,12 @@
 The GitHub workflow used to inline four shell steps (golden bit-identity,
 KIPS microbench, lane-batch equivalence, campaign store/trace-cache);
 this driver checks them in so ``python benchmarks/ci_smokes.py`` runs the
-identical gate on a laptop, and adds the mega-batch equivalence smoke (a
-multi-point campaign plan must scatter back bit-identical results with
-strictly fewer schedule passes than campaign points, and the CLI's
-figures must be byte-identical with ``--mega-batch`` and
-``--no-mega-batch``) plus the campaign smoke: the Fig. 8 JSON a
+identical gate on a laptop, and adds the cross-point lane-pass smoke,
+``mega-batch`` (a multi-point campaign plan must scatter back
+bit-identical results with strictly fewer schedule passes than campaign
+points, its figures must be byte-identical with one-lane passes, and a
+campaign one map wider than ``PASS_LANES`` must run in its predicted
+passes, none wider than the cap), plus the campaign smoke: the Fig. 8 JSON a
 ``Session`` renders must match a pinned sha256 digest, and dedup re-runs
 must execute zero schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
 a heterogeneous-victim campaign must merge into one kernel pass,
@@ -199,16 +200,49 @@ def smoke_store(json_dir: str) -> list[str]:
     return failures
 
 
-def smoke_mega_batch(json_dir: str) -> list[str]:
-    """Mega-batch equivalence across a multi-point plan.
+def _render_at_width(settings, figures, width=None) -> tuple[str, dict]:
+    """Render ``figures`` through a fresh in-memory session with the
+    planner's pass width patched to ``width`` (``None``: the default);
+    returns the figure text and every stored record."""
+    from repro.campaign import plan
+    from repro.campaign.session import Session
+    from repro.experiments.figures import ANALYTICAL_FIGURES, PERFORMANCE_FIGURES
 
-    In-process: every work item of a several-config, two-map campaign —
-    the shape that used to pay one schedule pass per point — must come
-    back bit-identical to the sequential per-point path
-    (``divergences == 0``) while executing strictly fewer schedule
-    passes than campaign points.  CLI: figure output must be
-    byte-identical with and without ``--mega-batch``.
+    default = plan.PASS_LANES
+    plan.PASS_LANES = default if width is None else width
+    try:
+        with Session(settings) as session:
+            text = "".join(
+                (
+                    ANALYTICAL_FIGURES[name]()
+                    if name in ANALYTICAL_FIGURES
+                    else PERFORMANCE_FIGURES[name](session)
+                ).to_text()
+                for name in figures
+            )
+            store = session.store
+            return text, {key: store.get(key) for key in store.keys()}
+    finally:
+        plan.PASS_LANES = default
+
+
+def smoke_mega_batch(json_dir: str) -> list[str]:
+    """Cross-point lane passes across a multi-point plan.
+
+    Every work item of a several-config, two-map campaign — the shape
+    that used to pay one schedule pass per point — must come back
+    bit-identical to per-point ``simulate`` calls (``divergences == 0``)
+    while executing strictly fewer schedule passes than campaign points.
+    The store smoke's figures (``fig3 fig8``) and their store records
+    must be byte-identical with one-lane passes (``PASS_LANES = 1``) and
+    at the default width.  A wide campaign — one benchmark,
+    ``PASS_LANES + 1`` maps — must run in exactly its predicted passes,
+    none wider than ``PASS_LANES``.
     """
+    from repro.campaign import plan
+    from repro.campaign.session import Session
+    from repro.campaign.spec import RunnerSettings
+    from repro.cpu.pipeline import OutOfOrderPipeline
     from repro.experiments.configs import (
         LV_BASELINE,
         LV_BLOCK,
@@ -216,8 +250,6 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         LV_INCREMENTAL,
         LV_WORD,
     )
-    from repro.campaign.session import Session
-    from repro.campaign.spec import RunnerSettings
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -228,9 +260,9 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     configs = (LV_BASELINE, LV_WORD, LV_BLOCK, LV_BLOCK_V10, LV_INCREMENTAL)
     points = len(settings.benchmarks) * len(configs)
 
-    mega = Session(settings)
-    executed = mega.run_all(mega.spec(configs)).pending
-    sequential = Session(settings, lanes=1, mega_batch=False)
+    merged = Session(settings)
+    executed = merged.run_all(merged.spec(configs)).pending
+    sequential = Session(settings)
 
     divergences = 0
     compared = 0
@@ -240,7 +272,7 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
         )
         for m in indices:
             compared += 1
-            if mega.simulate("gzip", config, m) != sequential.simulate(
+            if merged.simulate("gzip", config, m) != sequential.simulate(
                 "gzip", config, m
             ):
                 divergences += 1
@@ -248,37 +280,70 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
     failures: list[str] = []
     if divergences:
         failures.append(
-            f"{divergences}/{compared} mega-batched results diverged from "
-            "the sequential per-point path"
+            f"{divergences}/{compared} merged results diverged from "
+            "per-point simulate calls"
         )
-    if mega.simulations_executed != executed or mega.simulations_executed != compared:
+    if merged.simulations_executed != executed or merged.simulations_executed != compared:
         failures.append(
-            f"mega plan executed {executed} simulations, expected {compared}"
+            f"merged plan executed {executed} simulations, expected {compared}"
         )
-    if mega.schedule_passes >= points:
+    if merged.schedule_passes >= points:
         failures.append(
-            f"mega campaign took {mega.schedule_passes} schedule passes for "
-            f"{points} points (must be strictly fewer)"
+            f"merged campaign took {merged.schedule_passes} schedule passes "
+            f"for {points} points (must be strictly fewer)"
         )
 
-    cli_identical = True
-    with tempfile.TemporaryDirectory() as traces:
-        shared = _STORE_ARGS + ["--no-store", "--trace-cache", traces]
-        with_mega = _cli(shared + ["--mega-batch"])
-        without = _cli(shared + ["--no-mega-batch"])
-        for name, proc in (("mega", with_mega), ("no-mega", without)):
-            if proc.returncode != 0:
-                failures.append(f"CLI {name} run exited {proc.returncode}: {proc.stderr}")
-        if with_mega.stdout != without.stdout:
-            cli_identical = False
-            diff = "\n".join(
-                difflib.unified_diff(
-                    without.stdout.splitlines(),
-                    with_mega.stdout.splitlines(),
-                    lineterm="",
-                )
+    # The store smoke's CLI figures, in process: one-lane passes against
+    # the default width.
+    cli_settings = RunnerSettings(
+        n_instructions=2_000, n_fault_maps=2, benchmarks=("gzip",)
+    )
+    figures = ("fig3", "fig8")
+    default_text, default_records = _render_at_width(cli_settings, figures)
+    narrow_text, narrow_records = _render_at_width(cli_settings, figures, width=1)
+    width_identical = (
+        default_text == narrow_text and default_records == narrow_records
+    )
+    if default_text != narrow_text:
+        diff = "\n".join(
+            difflib.unified_diff(
+                default_text.splitlines(), narrow_text.splitlines(), lineterm=""
             )
-            failures.append(f"--mega-batch figures differ from --no-mega-batch:\n{diff}")
+        )
+        failures.append(f"PASS_LANES=1 figures differ from the default:\n{diff}")
+    if default_records != narrow_records:
+        failures.append("PASS_LANES=1 store records differ from the default")
+
+    # Wide case: one more map than a pass holds.
+    wide_settings = RunnerSettings(
+        n_instructions=1_000,
+        warmup_instructions=250,
+        n_fault_maps=plan.PASS_LANES + 1,
+        benchmarks=("gzip",),
+    )
+    widths: list[int] = []
+    run_batch = OutOfOrderPipeline.__dict__["run_batch"]
+
+    def recording(pipelines, trace, measure_from=0):
+        widths.append(len(pipelines))
+        return run_batch.__func__(pipelines, trace, measure_from)
+
+    OutOfOrderPipeline.run_batch = staticmethod(recording)
+    try:
+        wide = Session(wide_settings)
+        wide_plan = wide.run_all(wide.spec((LV_BLOCK,)))
+    finally:
+        OutOfOrderPipeline.run_batch = run_batch
+    if wide.schedule_passes != wide_plan.predicted_passes:
+        failures.append(
+            f"wide campaign ran {wide.schedule_passes} schedule passes, "
+            f"predicted {wide_plan.predicted_passes}"
+        )
+    if sum(widths) != wide_settings.n_fault_maps or max(widths) > plan.PASS_LANES:
+        failures.append(
+            f"wide campaign ran passes of {widths} lanes for "
+            f"{wide_settings.n_fault_maps} maps (cap {plan.PASS_LANES})"
+        )
 
     _write(
         json_dir,
@@ -287,18 +352,22 @@ def smoke_mega_batch(json_dir: str) -> list[str]:
             "divergences": divergences,
             "compared": compared,
             "points": points,
-            "schedule_passes_mega": mega.schedule_passes,
+            "schedule_passes_merged": merged.schedule_passes,
             "schedule_passes_sequential": sequential.schedule_passes,
-            "cli_byte_identical": cli_identical,
+            "width1_byte_identical": width_identical,
+            "pass_lanes": plan.PASS_LANES,
+            "wide_pass_widths": widths,
+            "wide_predicted_passes": wide_plan.predicted_passes,
+            "wide_schedule_passes": wide.schedule_passes,
             "ok": not failures,
         },
     )
     return failures
 
 
-#: sha256 of the Fig. 8 JSON the campaign smoke renders.  Every grouping
-#: policy (mega-batched, per-point, ``lanes=1``) produces these bytes; a
-#: change that moves them changes simulated results.
+#: sha256 of the Fig. 8 JSON the campaign smoke renders.  Every pass width
+#: produces these bytes; a change that moves them changes simulated
+#: results.
 FIG8_DIGEST = "128dcac91b6fd06a7a1c31495b159425215b50daf4027b1a7bb7ad19f4d1d085"
 
 
@@ -380,9 +449,9 @@ def smoke_kernel(json_dir: str) -> list[str]:
     10T victim-cache rows over two fault maps — six lanes) must merge
     into ONE kernel pass and scatter back bit-identical to sequential
     ``engine="object"`` runs.  The fallback leg repeats it under
-    ``REPRO_NO_CKERNEL=1``: every lane must then plan and run as its own
-    object-loop pass, still bit-identical, and Fig. 10 rendered in both
-    legs must be byte-identical.  The vectorised pass-1 schedule
+    ``REPRO_NO_CKERNEL=1``: the lanes must then plan as one object-loop
+    group and run one object-loop pass each, still bit-identical, and
+    Fig. 10 rendered in both legs must be byte-identical.  The vectorised pass-1 schedule
     compiler must also match the reference replay, ``.npz`` payload
     included.
     """
@@ -448,12 +517,12 @@ def smoke_kernel(json_dir: str) -> list[str]:
     if not figures_identical:
         failures.append("Fig. 10 bytes differ between the kernel and fallback legs")
     # (groups, merged flags, passes): one merged kernel pass, or one
-    # per-point group per config with one object-loop pass per lane (both
-    # legs on a host without the kernel).
-    per_point = (len(configs), [False] * len(configs), len(items))
+    # object-loop group with one object-loop pass per lane (both legs on
+    # a host without the kernel).
+    object_loop = (1, [False], len(items))
     expected = {
-        "kernel": (1, [True], 1) if kernel_active else per_point,
-        "fallback": per_point,
+        "kernel": (1, [True], 1) if kernel_active else object_loop,
+        "fallback": object_loop,
     }
     for name, run in runs.items():
         if run["divergences"]:

@@ -8,7 +8,7 @@ Walks the campaign layer end to end:
    through JSON — specs are values that can travel between processes,
    files, and sessions;
 2. resolve the spec against a result store into an explicit plan (work
-   items, store-dedup hits, mega-batch groups, predicted passes) without
+   items, store-dedup hits, lane-pass groups, predicted passes) without
    simulating — what the CLI's ``--dry-run`` prints;
 3. stream the campaign through a :class:`Session`, consuming typed
    events as simulations land in the store;

@@ -37,7 +37,8 @@ print(
 )
 
 configs = [LV_WORD, LV_WORD_V, LV_BLOCK, LV_BLOCK_V10, LV_BLOCK_V6, LV_INCREMENTAL]
-# One mega-batched campaign fills the store; the series are store reads.
+# One campaign, merged into lane passes, fills the store; the series are
+# store reads.
 session.run_all(session.spec([LV_BASELINE, *configs]))
 series = {c.label: session.normalized_series(c, LV_BASELINE) for c in configs}
 

@@ -10,8 +10,9 @@ the sweep into data plus one execution seam:
 * :class:`~repro.campaign.plan.Planner` /
   :class:`~repro.campaign.plan.Plan` — the single place a spec is
   resolved against a result store into explicit work: pending items,
-  dedup holes, and ``(trace, batch signature)`` mega-batch groups that
-  the serial and process-pool executors consume identically.
+  dedup holes, and ``(trace, batch signature)`` lane passes of at most
+  ``PASS_LANES`` lanes that the serial and process-pool executors
+  consume identically.
 * :class:`~repro.campaign.session.Session` — opens store, trace cache,
   and fault maps once; ``session.run(spec)`` streams typed
   :mod:`~repro.campaign.events` with schedule-pass counters through a

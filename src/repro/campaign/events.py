@@ -25,7 +25,7 @@ group's batch *signature* is a session-local object (live pipeline
 configs and latency tables, meaningless across processes), so it
 crosses the wire as a stable content-hash digest
 (:func:`signature_digest`): remote consumers can still tell which
-groups would share a mega-batch pass, and everything they act on (work
+groups share a batch signature, and everything they act on (work
 items, keys, counts, grouping) survives byte-exactly.  Schema epoch 2
 added the digest (epoch-1 payloads, which dropped signatures entirely,
 still decode — their groups carry ``None``) and the predict-loop events
@@ -244,7 +244,7 @@ def signature_digest(signature) -> "str | None":
 
     Signatures are session-local tuples of live objects; the digest is
     what crosses the wire — equal signatures hash equal in every
-    process, so remote consumers can still group mega-batchable work.
+    process, so remote consumers can still group lane-compatible work.
     Idempotent: a digest (an already-decoded plan's signature) passes
     through unchanged, and ``None`` stays ``None``.
     """

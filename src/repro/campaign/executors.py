@@ -6,9 +6,9 @@ session's store, keeps the session's simulation/schedule-pass counters
 truthful, and yields :class:`~repro.campaign.events.PointResult` /
 :class:`~repro.campaign.events.Progress` as work lands.  Both built-in
 executors consume the *same* plan objects from the planner — the pool
-merely ships ``Plan.worker_batches`` slices to workers — and every group
-or slice executes through ``Session.run_group``, so serial and parallel
-campaigns are bit-identical by construction.  The
+merely ships ``Plan.worker_batches`` (one task list per group) to
+workers — and every group executes through ``Session.run_group``, so
+serial and parallel campaigns are bit-identical by construction.  The
 :class:`~repro.service.distributed.DistributedExecutor` subclasses the
 pool executor at the ``_land_chunk``/``_drain_complete`` seams: its
 workers checkpoint into per-worker store partitions and the results
@@ -129,7 +129,6 @@ def _worker_init(
     settings,
     pipeline_config,
     trace_cache: "str | None" = None,
-    lanes: "int | None" = None,
     chaos_epoch: int = 0,
 ) -> None:
     global _WORKER_SESSION
@@ -140,19 +139,16 @@ def _worker_init(
     # retried after a crash/hang rebuild re-rolls its injected fate.
     chaos.enter_worker(chaos_epoch)
     _WORKER_SESSION = Session(
-        settings,
-        pipeline_config=pipeline_config,
-        trace_cache=trace_cache,
-        lanes=lanes,
+        settings, pipeline_config=pipeline_config, trace_cache=trace_cache
     )
 
 
 def run_batch_locally(
     session: "Session", batch: list[Task]
 ) -> list[tuple[Task, SimResult]]:
-    """Run one dispatch batch — a slice of one plan group, so every task
-    shares a benchmark — through :meth:`Session.run_group` in a session
-    (worker or parent).
+    """Run one dispatch batch — one plan group (or a bisected part of
+    one), so every task shares a benchmark — through
+    :meth:`Session.run_group` in a session (worker or parent).
 
     This is the fault-injection seam: when ``REPRO_CHAOS`` is armed,
     every task consults the deterministic chaos schedule before the
@@ -251,8 +247,8 @@ class PoolExecutor(Executor):
     """Streaming, fault-tolerant process-pool execution for paper-scale
     campaigns.
 
-    The plan's groups are sliced into worker dispatch units
-    (:meth:`Plan.worker_batches`) and fanned across a
+    The plan's groups become worker dispatch units
+    (:meth:`Plan.worker_batches`) fanned across a
     :class:`ProcessPoolExecutor`; results are checkpointed to the
     parent's store as each chunk completes — not after the pool drains —
     so a killed paper-scale run against a ``DiskStore`` resumes from its
@@ -294,9 +290,6 @@ class PoolExecutor(Executor):
                 session.settings,
                 session.pipeline_config,
                 session.traces.cache_dir,
-                # Workers inherit the explicit lane width so a narrow
-                # lanes=N request still batches inside the pool.
-                session.lanes,
                 epoch,
             ),
         )
@@ -394,7 +387,7 @@ class PoolExecutor(Executor):
     # ----- the drain loop -------------------------------------------------------
 
     def run(self, session: "Session", plan: Plan) -> Iterator[Event]:
-        batches = plan.worker_batches(session.lanes)
+        batches = plan.worker_batches()
         total = plan.pending
         if total == 0:
             return

@@ -7,21 +7,22 @@
 2. collapse duplicate content-hash keys and drop points already in the
    result store (*dedup holes* — a resumed campaign plans only its
    missing lanes),
-3. group the remainder into :class:`PlanGroup`\\ s keyed by
-   ``(trace, batch signature)`` — cross-point mega-batches when the
-   session mega-batches, per-point groups otherwise.
+3. split the remainder into schedule passes with :func:`lane_passes`,
+   the one grouping rule: items merge by ``(trace, batch signature)``
+   across points and figures, and each merged group splits into balanced
+   passes of at most :data:`PASS_LANES` lanes.
 
 The resulting :class:`Plan` is a frozen value consumed *identically* by
-the serial and process-pool executors (``Plan.worker_batches`` slices
-the same groups into pool dispatch units; every slice runs through
-``Session.run_group``), rendered by the CLI's ``--dry-run``, and
-asserted on by tests.
+the serial and process-pool executors (``Plan.worker_batches`` ships one
+group per pool dispatch unit; every group runs through
+``Session.run_group``, which applies the same rule), rendered by the
+CLI's ``--dry-run``, and asserted on by tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.experiments.configs import RunConfig
 
@@ -32,6 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session plans us)
 
 #: One pool dispatch task: (benchmark, config, map_index-or-None).
 Task = tuple[str, RunConfig, "int | None"]
+
+#: Widest schedule pass the planner groups.  Every signature
+#: ``Session.build_pipeline`` produces carries the same Table III
+#: geometries (a 2 MB L2 per lane), so a pass's memory grows with its
+#: lane count whatever the configuration, and the cap counts lanes, not
+#: bytes.  Measured on perfbench's ``lanes50_warm`` (Fig. 8 x gzip,mcf x
+#: 50 maps, seed 2010, 2-core Xeon, medians of 5 runs): one-lane passes
+#: took 1.05 s at 146 MB peak RSS, uncapped 101-lane passes 0.99 s at
+#: 415 MB, and caps from 8 to 34 lanes 0.89-0.96 s at 165-234 MB.  25
+#: takes a paper-scale 50-map point in two passes.
+PASS_LANES = 25
 
 
 @dataclass(frozen=True)
@@ -50,14 +62,13 @@ class WorkItem:
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """One executable unit of a plan: pending work items sharing a
-    benchmark trace.
+    """One schedule pass of a plan: at most :data:`PASS_LANES` pending
+    work items sharing a benchmark trace and a batch signature.
 
-    ``merged`` groups are cross-point mega-batches — every lane shares
-    one non-``None`` batch ``signature`` and is driven through a single
-    lane-kernel pass.  Unmerged groups hold the lanes of one campaign
-    point (or one configuration the kernel cannot take).  Both execute
-    through ``Session.run_group``.
+    ``merged`` groups (``signature`` not ``None``) run as one lane-kernel
+    pass, whatever points and figures their lanes come from.  Unmerged
+    groups hold items the kernel cannot take; each runs the object loop.
+    Both execute through ``Session.run_group``.
     """
 
     benchmark: str
@@ -70,6 +81,12 @@ class PlanGroup:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @property
+    def passes(self) -> int:
+        """Schedule passes executing this group costs: one lane-kernel
+        pass, or one object-loop run per item."""
+        return len(self.items) if self.signature is None else 1
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -97,19 +114,12 @@ class Plan:
         """Simulations the plan will actually execute."""
         return sum(len(group) for group in self.groups)
 
-    def worker_batches(self, lanes: int | None = None) -> list[list[Task]]:
-        """The plan's groups as process-pool dispatch units: each group
-        sliced to an explicit ``lanes`` width (whole groups otherwise),
-        as ``(benchmark, config, map_index)`` task lists.  Serial and
-        pool executors therefore consume the *same* plan objects — the
-        pool merely ships each slice to a worker."""
-        batches: list[list[Task]] = []
-        for group in self.groups:
-            tasks = [item.task for item in group.items]
-            step = lanes or len(tasks)
-            for start in range(0, len(tasks), step):
-                batches.append(tasks[start : start + step])
-        return batches
+    def worker_batches(self) -> list[list[Task]]:
+        """The plan's groups as process-pool dispatch units, one
+        ``(benchmark, config, map_index)`` task list per group.  Serial
+        and pool executors therefore consume the *same* plan objects —
+        the pool merely ships each group to a worker."""
+        return [[item.task for item in group.items] for group in self.groups]
 
     def describe(self) -> str:
         """Multi-line human rendering (the CLI's ``--dry-run`` output)."""
@@ -121,11 +131,11 @@ class Plan:
         merged = sum(1 for g in self.groups if g.merged)
         lines.append(
             f"  groups     : {len(self.groups)} "
-            f"({merged} mega-batched, {len(self.groups) - merged} per-point)"
+            f"({merged} lane-kernel, {len(self.groups) - merged} object-loop)"
         )
         lines.append(f"  predicted schedule passes: {self.predicted_passes}")
         for i, group in enumerate(self.groups, 1):
-            kind = "mega" if group.merged else "point"
+            kind = "kernel" if group.merged else "object"
             labels = ", ".join(group.labels)
             lines.append(
                 f"  [{i:>3}] {group.benchmark}: {len(group)} lane(s) "
@@ -136,25 +146,57 @@ class Plan:
         return "\n".join(lines)
 
 
+def lane_passes(
+    items: "Iterable[WorkItem]",
+    signature: "Callable[[RunConfig], tuple | None]",
+) -> list[PlanGroup]:
+    """The one grouping rule: ``items`` as schedule passes.
+
+    Items merge by ``(benchmark, signature(config))`` in first-seen
+    order — across campaign points and figures — and each merged group
+    splits into ``ceil(n / PASS_LANES)`` contiguous passes whose sizes
+    differ by at most one.  Passes keep the items' order, so a serial
+    campaign stores the same records in the same order at any width.
+    """
+    merged: dict[tuple, list[WorkItem]] = {}
+    for item in items:
+        merged.setdefault((item.benchmark, signature(item.config)), []).append(item)
+    groups: list[PlanGroup] = []
+    for (benchmark, group_signature), members in merged.items():
+        count = -(-len(members) // PASS_LANES)
+        size, extra = divmod(len(members), count)
+        start = 0
+        for index in range(count):
+            end = start + size + (index < extra)
+            groups.append(
+                PlanGroup(
+                    benchmark=benchmark,
+                    merged=group_signature is not None,
+                    items=tuple(members[start:end]),
+                    signature=group_signature,
+                )
+            )
+            start = end
+    return groups
+
+
 class Planner:
     """Resolves :class:`CampaignSpec`\\ s against a session's result store.
 
     The planner borrows the session's key/signature caches (content-hash
-    task keys, per-config batch signatures) and its ``mega_batch`` /
-    grouping policy, but never simulates: resolving a plan costs a store
-    lookup per work item plus one representative pipeline build per new
-    configuration."""
+    task keys, per-config batch signatures) but never simulates:
+    resolving a plan costs a store lookup per work item plus one
+    representative pipeline build per new configuration."""
 
     def __init__(self, session: "Session") -> None:
         self.session = session
 
     def resolve(self, spec: CampaignSpec) -> Plan:
         """The explicit :class:`Plan` for ``spec`` against the session's
-        store, grouped exactly as the executors will run it (cross-point
-        merging follows ``session.mega_batch``)."""
+        store, grouped by :func:`lane_passes` exactly as the executors
+        will run it."""
         session = self.session
-        groups: dict[tuple, list[WorkItem]] = {}
-        order: list[tuple] = []
+        pending: list[WorkItem] = []
         seen_keys: set[str] = set()
         total = 0
         dedup = 0
@@ -170,52 +212,12 @@ class Planner:
             if key in session.store:
                 dedup += 1
                 continue
-            signature = session.batch_signature(config)
-            if session.mega_batch and signature is not None:
-                # Merged (mega) groups key on (trace, signature) — a
-                # 2-tuple; per-point groups carry their config in a
-                # 3-tuple so they never collide.
-                group_key = (benchmark, signature)
-            else:
-                group_key = (benchmark, None, config)
-            if group_key not in groups:
-                groups[group_key] = []
-                order.append(group_key)
-            groups[group_key].append(WorkItem(benchmark, config, m, key))
-        plan_groups = []
-        for key in order:
-            items = tuple(groups[key])
-            merged = len(key) == 2
-            plan_groups.append(
-                PlanGroup(
-                    benchmark=key[0],
-                    merged=merged,
-                    items=items,
-                    # Unmerged groups are single-config; their signature
-                    # still decides whether the per-point path can take
-                    # the lane kernel.
-                    signature=key[1] if merged else session.batch_signature(
-                        items[0].config
-                    ),
-                )
-            )
-        plan_groups = tuple(plan_groups)
+            pending.append(WorkItem(benchmark, config, m, key))
+        groups = tuple(lane_passes(pending, session.batch_signature))
         return Plan(
             spec=spec,
-            groups=plan_groups,
+            groups=groups,
             total_points=total,
             dedup_hits=dedup,
-            predicted_passes=sum(
-                self._group_passes(group) for group in plan_groups
-            ),
+            predicted_passes=sum(group.passes for group in groups),
         )
-
-    def _group_passes(self, group: PlanGroup) -> int:
-        """Schedule passes executing ``group`` will cost, mirroring the
-        executors' accounting (``Session.execute_group``): one per lane
-        chunk when the kernel takes the group, else one per item."""
-        n = len(group)
-        if group.signature is None:
-            return n  # one object-loop run per item
-        width = self.session.lanes or n
-        return (n + width - 1) // width

@@ -5,12 +5,11 @@ result store, the persistent trace/schedule caches, the fault-map
 provider — and exposes the whole experiment surface behind two layers:
 
 * **point API** (:meth:`simulate`, :meth:`run_group`) — the simulation
-  primitives: one lazy point, or one group of ``(config, map_index)``
-  lanes over a trace driven through as few lane-kernel passes as their
-  batch signatures allow.  Every plan group — a cross-point mega-batch
-  or the lanes of one campaign point — executes through
-  :meth:`run_group`, store-deduped and bit-identical to per-point
-  :meth:`simulate` calls;
+  primitives: one lazy point, or a list of ``(config, map_index)`` lanes
+  over a trace, split into schedule passes by the planner's one grouping
+  rule (:func:`~repro.campaign.plan.lane_passes`).  Every plan group
+  executes through :meth:`run_group`, store-deduped and bit-identical to
+  per-point :meth:`simulate` calls;
 * **campaign API** (:meth:`plan`, :meth:`run`) — declarative:
   :meth:`run` takes a :class:`~repro.campaign.spec.CampaignSpec`,
   resolves it through the unified :class:`~repro.campaign.plan.Planner`,
@@ -58,7 +57,7 @@ from repro.campaign.events import (
     StoreCorruption,
     TaskFailed,
 )
-from repro.campaign.plan import Plan, PlanGroup, Planner, WorkItem
+from repro.campaign.plan import Plan, PlanGroup, Planner, WorkItem, lane_passes
 from repro.campaign.resilience import CampaignError, Quarantined
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 
@@ -90,9 +89,10 @@ class Session:
     """One campaign context: store + input providers + counters + planner.
 
     Opens the result store, trace/schedule caches, and fault-map
-    provider once; every experiment — a lazy single point, a per-point
-    lane batch, or a declarative spec streamed through :meth:`run` —
-    reads and writes through the same handles and the same dedup keys.
+    provider once; every experiment — a lazy single point, a list of
+    lanes through :meth:`run_group`, or a declarative spec streamed
+    through :meth:`run` — reads and writes through the same handles and
+    the same dedup keys.
     """
 
     def __init__(
@@ -101,8 +101,6 @@ class Session:
         pipeline_config: PipelineConfig = PAPER_PIPELINE,
         store: ResultStore | None = None,
         trace_cache: str | None = None,
-        lanes: int | None = None,
-        mega_batch: bool = True,
     ) -> None:
         self.settings = settings or RunnerSettings.from_env()
         self.pipeline_config = pipeline_config
@@ -130,17 +128,6 @@ class Session:
             and not isinstance(self.store, _chaos.ChaosStore)
         ):
             self.store = _chaos.ChaosStore(self.store, _chaos_config)
-        #: Fault-map lanes simulated per batched pipeline pass: ``None``
-        #: (default) batches every pending map of a campaign point into
-        #: one :meth:`OutOfOrderPipeline.run_batch` call; ``1`` runs one
-        #: map per pass.
-        if lanes is not None and lanes < 1:
-            raise ValueError("lanes must be positive")
-        self.lanes = lanes
-        #: Whether the planner may merge pending lanes *across* campaign
-        #: points into cross-point mega-batches.  Off, every point pays
-        #: its own schedule pass; results are bit-identical either way.
-        self.mega_batch = mega_batch
         #: Batch signature per RunConfig (memoised — building the
         #: representative pipeline is cheap but not free).
         self._signature_cache: dict[RunConfig, "tuple | None"] = {}
@@ -157,8 +144,7 @@ class Session:
         #: :meth:`OutOfOrderPipeline.run` (a one-lane kernel pass or an
         #: object-loop run) and +1 per lane-kernel
         #: :meth:`OutOfOrderPipeline.run_batch` pass however many lanes it
-        #: drives.  The mega-batch smoke asserts a
-        #: multi-point campaign needs strictly fewer passes than points.
+        #: drives — what ``Plan.predicted_passes`` predicts.
         self.schedule_passes = 0
         #: Quarantine ledger: every task a resilient executor gave up on
         #: across this session's runs (see
@@ -289,7 +275,7 @@ class Session:
             self.trace(benchmark), measure_from=self.settings.warmup_instructions
         )
 
-    # ----- mega-batching: cross-point lane groups -------------------------------
+    # ----- lane groups ----------------------------------------------------------
 
     def batch_signature(self, config: RunConfig) -> "tuple | None":
         """The batch-compatibility signature of ``config``'s lanes (see
@@ -309,64 +295,43 @@ class Session:
     def run_group(
         self, benchmark: str, items: "list[tuple[RunConfig, int | None]]"
     ) -> list[SimResult]:
-        """Execute one group: all ``(config, map_index)`` lanes of a
-        trace-group in (ideally) a single lane-kernel pass.  A per-point
-        group is the one-signature case: the fault-map lanes of one
-        configuration.
+        """Execute ``(config, map_index)`` lanes over one benchmark trace.
 
-        Lanes already in the store are never re-simulated.  The rest are
-        sub-grouped by :meth:`batch_signature` — a heterogeneous item
-        list (say a word-disabling lane among block-disabling ones)
-        splits into compatible sub-batches instead of tripping the
-        engine's per-pipeline fallback — sliced to :attr:`lanes` width,
-        driven through :meth:`OutOfOrderPipeline.run_batch`, and
-        scattered back to the store under their own per-point keys.
-        Results return in ``items`` order, bit-identical to per-point
-        :meth:`simulate` calls.
-
-        Singleton chunks — and configurations without a batch
-        signature — run through :meth:`simulate`.  An explicit
-        ``lanes=1`` therefore forces the per-map path.
+        Lanes already in the store are never re-simulated.  The rest
+        split into schedule passes by
+        :func:`~repro.campaign.plan.lane_passes` — the planner's rule, so
+        a plan group is exactly one pass — and each pass runs through
+        :meth:`OutOfOrderPipeline.run_batch` (one kernel pass, or one
+        object-loop run per lane without a signature), scattering back
+        to the store under per-point keys.  Results return in ``items``
+        order, bit-identical to per-point :meth:`simulate` calls.
         """
         results: dict[str, SimResult | None] = {}
-        subgroups: dict["tuple | None", list] = {}
-        sub_order: list["tuple | None"] = []
+        pending: list[WorkItem] = []
         resolved: list[str] = []
         for config, m in items:
+            m = self._normalize_map_index(config, m)
             key = self.task_key(benchmark, config, m)
             resolved.append(key)
             if key in results:
                 continue
-            cached = self.store.get(key)
-            if cached is not None:
-                results[key] = cached
-                continue
-            results[key] = None  # claimed; simulated below
-            signature = self.batch_signature(config)
-            if signature not in subgroups:
-                subgroups[signature] = []
-                sub_order.append(signature)
-            m = self._normalize_map_index(config, m)
-            subgroups[signature].append((config, m, key))
+            results[key] = self.store.get(key)
+            if results[key] is None:
+                pending.append(WorkItem(benchmark, config, m, key))
         warmup = self.settings.warmup_instructions
-        for signature in sub_order:
-            pending = subgroups[signature]
-            width = self.lanes or len(pending)
-            for start in range(0, len(pending), width):
-                chunk = pending[start : start + width]
-                if signature is None or len(chunk) == 1:
-                    for config, m, key in chunk:
-                        results[key] = self.simulate(benchmark, config, m)
-                    continue
-                pipelines = [self.build_pipeline(c, m) for c, m, _ in chunk]
-                self.schedule_passes += 1
-                outs = OutOfOrderPipeline.run_batch(
-                    pipelines, self.trace(benchmark), measure_from=warmup
-                )
-                for (_, _, key), result in zip(chunk, outs):
-                    self.store.put(key, result)
-                    self.simulations_executed += 1
-                    results[key] = result
+        for group in lane_passes(pending, self.batch_signature):
+            pipelines = [
+                self.build_pipeline(item.config, item.map_index)
+                for item in group.items
+            ]
+            self.schedule_passes += group.passes
+            outs = OutOfOrderPipeline.run_batch(
+                pipelines, self.trace(benchmark), measure_from=warmup
+            )
+            for item, result in zip(group.items, outs):
+                self.store.put(item.key, result)
+                self.simulations_executed += 1
+                results[item.key] = result
         return [results[key] for key in resolved]
 
     def execute_group(
@@ -489,8 +454,6 @@ class Session:
             pipeline_config=self.pipeline_config,
             store=self.store,
             trace_cache=self.traces.cache_dir,
-            lanes=self.lanes,
-            mega_batch=self.mega_batch,
         )
 
     # ----- simulator construction ----------------------------------------------
@@ -562,9 +525,8 @@ class Session:
         )
         for benchmark in benchmarks:
             base_cycles = self.simulate(benchmark, baseline).cycles
-            # One lane-batched pass drives every fault map of the point
-            # (store hits excluded), instead of n_fault_maps separate
-            # schedule walks.
+            # Store hits after a campaign; otherwise the point's pending
+            # maps run in as few lane passes as the grouping rule allows.
             normalized = [
                 base_cycles / result.cycles
                 for result in self.run_group(

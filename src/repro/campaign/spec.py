@@ -136,10 +136,10 @@ class CampaignSpec:
     The spec is the single source of truth for *what* a campaign
     simulates: the configurations to sweep, the benchmarks, and every
     fidelity field of :class:`RunnerSettings`.  It deliberately says
-    nothing about *how* — stores, lane widths, executors, and worker
-    counts belong to the :class:`~repro.campaign.session.Session` that
-    runs it, so the same spec file drives a laptop smoke and a
-    paper-scale process-pool campaign identically.
+    nothing about *how* — stores, executors, and worker counts belong
+    to the :class:`~repro.campaign.session.Session` that runs it, so the
+    same spec file drives a laptop smoke and a paper-scale process-pool
+    campaign identically.
     """
 
     configs: tuple[RunConfig, ...]

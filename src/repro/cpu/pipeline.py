@@ -450,9 +450,9 @@ class OutOfOrderPipeline:
         victim *sizings* may differ per lane, padded by the vector
         engine), and a loadable kernel.  It folds in the shared pipeline
         config, the latency set and the per-level geometries.  The
-        mega-batch planner groups campaign work items by this key, so on
-        a host without the kernel every item plans as a per-point object
-        run.
+        campaign planner merges work items by this key into lane passes,
+        so on a host without the kernel every item plans as an
+        object-loop run.
         """
         h = self.hierarchy
         if self.engine != "fused" or self._runs != 0:

@@ -28,7 +28,8 @@ The CLI is a thin shell over the campaign layer: flags build a
 performance target, the session streams the campaign (serial or through
 a ``--workers N`` process pool), and figures render from pure store
 hits.  ``--dry-run`` prints the resolved plan — work items, store-dedup
-hits, mega-batch groups, predicted schedule passes — without simulating.
+hits, schedule-pass groups, predicted schedule passes — without
+simulating.
 
 Campaigns: pass ``--store DIR`` (or set ``REPRO_STORE``) to persist every
 simulation result under ``DIR``; reruns — including after a crash —
@@ -76,18 +77,9 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate figures/tables from 'Performance-Effective "
-        "Operation below Vcc-min' (ISPASS 2010).",
-    )
-    parser.add_argument(
-        "targets",
-        nargs="+",
-        help="figure ids (fig1, table1, fig3..fig12, ext-incremental), "
-        "'list', 'all-analytical', or 'all-performance'",
-    )
+def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
+    """The fidelity knobs every campaign subcommand shares (same dests,
+    so :func:`_settings_from_args` reads any of their namespaces)."""
     parser.add_argument(
         "--instructions", type=int, default=None, help="trace length per benchmark"
     )
@@ -107,58 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="warmup instructions before the measured region",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process count for parallel simulation (paper-scale runs)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="resilience budget for --workers pools: a failed, crashed, or "
-        "timed-out chunk is retried up to N times (deterministic backoff), "
-        "then bisected to isolate and quarantine the poison task while "
-        "healthy siblings still land (default: 2; 0 disables retries)",
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-chunk watchdog for --workers pools: a chunk still running "
-        "after SECONDS is abandoned and resubmitted instead of hanging the "
-        "campaign (default: no timeout)",
-    )
-    parser.add_argument(
-        "--lanes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="fault-map lanes per compiled lane-kernel pass (default: "
-        "every pending lane of a campaign point or mega-batch group in "
-        "one pass; 1 = one pass per map; results are bit-identical at "
-        "any width; without the kernel every lane runs the object loop)",
-    )
-    parser.add_argument(
-        "--mega-batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="merge every pending lane of a campaign that shares a trace "
-        "and a batch signature — across figures and configurations — "
-        "into one schedule pass (default: on; results are bit-identical "
-        "either way, --no-mega-batch restores one pass per campaign "
-        "point)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="resolve the campaign plan and print it — work items, "
-        "store-dedup hits, mega-batch groups, predicted schedule passes "
-        "— without simulating anything",
-    )
+
+
+def _add_store_flags(parser: argparse.ArgumentParser) -> None:
+    """The store knobs of ``run``, ``serve`` and ``predict`` (same dests,
+    so :func:`_store_from_args` reads any of their namespaces)."""
     store_group = parser.add_mutually_exclusive_group()
     store_group.add_argument(
         "--store",
@@ -190,6 +135,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "instead; per-put fsync trades throughput for power-loss "
         "durability of every single point)",
     )
+
+
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """The trace cache and the ``--workers`` pool's resilience budget,
+    shared by ``run``, ``serve`` and ``predict``."""
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="resilience budget for --workers pools: a failed, crashed, or "
+        "timed-out chunk is retried up to N times (deterministic backoff), "
+        "then bisected to isolate and quarantine the poison task while "
+        "healthy siblings still land (default: 2; 0 disables retries)",
+    )
+    parser.add_argument(
+        "--chunk-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-chunk watchdog for --workers pools: a chunk still running "
+        "after SECONDS is abandoned and resubmitted instead of hanging the "
+        "campaign (default: no timeout)",
+    )
     parser.add_argument(
         "--trace-cache",
         type=str,
@@ -199,6 +168,36 @@ def _build_parser() -> argparse.ArgumentParser:
         ".npz under DIR and reuse them across invocations and parallel "
         "workers (default: $REPRO_TRACE_CACHE if set)",
     )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate figures/tables from 'Performance-Effective "
+        "Operation below Vcc-min' (ISPASS 2010).",
+    )
+    parser.add_argument(
+        "targets",
+        nargs="+",
+        help="figure ids (fig1, table1, fig3..fig12, ext-incremental), "
+        "'list', 'all-analytical', or 'all-performance'",
+    )
+    _add_fidelity_flags(parser)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process count for parallel simulation (paper-scale runs)",
+    )
+    _add_execution_flags(parser)
+    parser.add_argument(
+        "--dry-run",
+        action="store_true",
+        help="resolve the campaign plan and print it — work items, "
+        "store-dedup hits, schedule-pass groups, predicted schedule passes "
+        "— without simulating anything",
+    )
+    _add_store_flags(parser)
     parser.add_argument(
         "--csv",
         type=str,
@@ -328,11 +327,7 @@ def _run_main(raw_argv: list[str]) -> int:
         nonlocal session, session_used
         if session is None:
             session = Session(
-                _settings_from_args(args),
-                store=store,
-                trace_cache=trace_cache,
-                lanes=args.lanes,
-                mega_batch=args.mega_batch,
+                _settings_from_args(args), store=store, trace_cache=trace_cache
             )
         session_used = True
         return session
@@ -404,8 +399,7 @@ def _run_main(raw_argv: list[str]) -> int:
         active = shared_session()
         if not prefilled:
             prefilled = True
-            if args.workers > 1 or args.mega_batch:
-                prefill(active)
+            prefill(active)
         return active
 
     # Ablation studies build their own inputs (no shared session), so with
@@ -511,54 +505,6 @@ def _render_targets(
 # --------------------------------------------------------------------------
 
 
-def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
-    """The fidelity knobs shared with ``run`` (same dests, so
-    :func:`_settings_from_args` reads either namespace)."""
-    parser.add_argument(
-        "--instructions", type=int, default=None, help="trace length per benchmark"
-    )
-    parser.add_argument(
-        "--maps", type=int, default=None, help="fault-map pairs (paper: 50)"
-    )
-    parser.add_argument(
-        "--benchmarks", type=str, default=None, help="comma-separated benchmark subset"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument(
-        "--warmup",
-        type=int,
-        default=None,
-        help="warmup instructions before the measured region",
-    )
-
-
-def _add_store_flags(parser: argparse.ArgumentParser) -> None:
-    """The store knobs shared with ``run`` (same dests, so
-    :func:`_store_from_args` reads either namespace)."""
-    store_group = parser.add_mutually_exclusive_group()
-    store_group.add_argument(
-        "--store", type=str, default=None, metavar="DIR",
-        help="campaign directory (default: $REPRO_STORE if set)",
-    )
-    store_group.add_argument(
-        "--no-store", action="store_true",
-        help="keep results in memory even if REPRO_STORE is set",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("auto", "jsonl", "sqlite"),
-        default=None,
-        help="storage backend for --store (default: $REPRO_STORE_BACKEND, "
-        "else auto-detect)",
-    )
-    parser.add_argument(
-        "--store-fsync",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="fsync every result write",
-    )
-
-
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments serve",
@@ -580,32 +526,13 @@ def _serve_parser() -> argparse.ArgumentParser:
         "in-process serial)",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="resilience budget for --workers pools (see `run --help`)",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk watchdog for --workers pools",
-    )
-    parser.add_argument(
         "--partition-dir", type=str, default=None, metavar="DIR",
         help="durable root for per-worker store partitions (default: a "
         "temporary root per campaign, removed after the merge); recover a "
         "crashed merge with `store merge DIR --from ROOT`",
     )
-    parser.add_argument(
-        "--lanes", type=_positive_int, default=None, metavar="N",
-        help="fault-map lanes per batched simulation pass",
-    )
-    parser.add_argument(
-        "--mega-batch", action=argparse.BooleanOptionalAction, default=True,
-        help="merge pending lanes across campaign points (default: on)",
-    )
-    parser.add_argument(
-        "--trace-cache", type=str, default=None, metavar="DIR",
-        help="persistent trace cache (default: $REPRO_TRACE_CACHE if set)",
-    )
     _add_fidelity_flags(parser)
+    _add_execution_flags(parser)
     _add_store_flags(parser)
     return parser
 
@@ -621,11 +548,7 @@ def _serve_main(argv: list[str]) -> int:
     if trace_cache:
         os.environ[TRACE_CACHE_ENV] = trace_cache
     session = Session(
-        _settings_from_args(args),
-        store=store,
-        trace_cache=trace_cache,
-        lanes=args.lanes,
-        mega_batch=args.mega_batch,
+        _settings_from_args(args), store=store, trace_cache=trace_cache
     )
     executor = None
     if args.workers > 1:
@@ -817,26 +740,6 @@ def _predict_parser() -> argparse.ArgumentParser:
         help="local execution: fan proposed campaigns across N processes",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="resilience budget for --workers pools (see `run --help`)",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk watchdog for --workers pools",
-    )
-    parser.add_argument(
-        "--lanes", type=_positive_int, default=None, metavar="N",
-        help="fault-map lanes per batched simulation pass",
-    )
-    parser.add_argument(
-        "--mega-batch", action=argparse.BooleanOptionalAction, default=True,
-        help="merge pending lanes across campaign points (default: on)",
-    )
-    parser.add_argument(
-        "--trace-cache", type=str, default=None, metavar="DIR",
-        help="persistent trace cache (default: $REPRO_TRACE_CACHE if set)",
-    )
-    parser.add_argument(
         "--csv", action="store_true", help="emit the estimated figure as CSV"
     )
     parser.add_argument(
@@ -845,6 +748,7 @@ def _predict_parser() -> argparse.ArgumentParser:
         "as JSON",
     )
     _add_fidelity_flags(parser)
+    _add_execution_flags(parser)
     _add_store_flags(parser)
     return parser
 
@@ -893,13 +797,7 @@ def _predict_main(argv: list[str]) -> int:
         trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
         if trace_cache:
             os.environ[TRACE_CACHE_ENV] = trace_cache
-        session = Session(
-            settings,
-            store=store,
-            trace_cache=trace_cache,
-            lanes=args.lanes,
-            mega_batch=args.mega_batch,
-        )
+        session = Session(settings, store=store, trace_cache=trace_cache)
     executor = None
     if args.workers > 1 and not args.url:
         executor = PoolExecutor(

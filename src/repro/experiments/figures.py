@@ -117,8 +117,9 @@ def _coerce_session(session: "Session | None") -> Session:
 
 def _prepare(session, target: str, spec: CampaignSpec | None):
     """Resolve the figure's campaign and fill the store: stream the spec
-    through the session (mega-batched, store-deduped; a re-render is
-    pure store hits and zero schedule passes), then hand back the
+    through the session (grouped into lane passes, store-deduped; a
+    re-render is pure store hits and zero schedule passes), then hand
+    back the
     session and benchmark scope the post-processing reads from."""
     session = _coerce_session(session)
     if spec is None:

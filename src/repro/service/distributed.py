@@ -58,7 +58,6 @@ def _partition_worker_init(
     settings,
     pipeline_config,
     trace_cache,
-    lanes,
     chaos_epoch,
     partition_root,
     fsync,
@@ -84,7 +83,6 @@ def _partition_worker_init(
         pipeline_config=pipeline_config,
         store=open_store(partition, backend="jsonl", fsync=fsync),
         trace_cache=trace_cache,
-        lanes=lanes,
     )
     # The worker session owns its partition store (Session treats handed-
     # in stores as shared); make close() actually close it.
@@ -157,7 +155,6 @@ class DistributedExecutor(PoolExecutor):
                 session.settings,
                 session.pipeline_config,
                 session.traces.cache_dir,
-                session.lanes,
                 epoch,
                 self._partition_root,
                 self.partition_fsync,

@@ -3,7 +3,9 @@ dispatch slices of the same plan."""
 
 import pytest
 
-from repro.campaign.plan import Planner
+from repro.campaign import plan as plan_module
+from repro.campaign.executors import PoolExecutor
+from repro.campaign.plan import Planner, WorkItem, lane_passes
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.cpu import lane_kernel
@@ -49,7 +51,7 @@ class TestResolution:
     )
     def test_structural_twins_merge_across_points(self, session):
         # Victim sizings pad to one slot axis, so the V$ variants ride
-        # in the same mega-group as the baseline and plain block lanes.
+        # in the same lane pass as the baseline and plain block lanes.
         plan = resolve(session)
         merged = {
             tuple((item.config.label, item.map_index) for item in group.items)
@@ -77,18 +79,11 @@ class TestResolution:
         assert plan.dedup_hits == 1
         assert plan.pending == 2
 
-    def test_mega_off_plans_per_point(self):
-        session = Session(SETTINGS, mega_batch=False)
-        plan = resolve(session)
-        assert all(not group.merged for group in plan.groups)
-        for group in plan.groups:
-            labels = {item.config.label for item in group.items}
-            assert len(labels) == 1
-
 
 class TestPredictedPasses:
-    """Predicted passes equal executed passes, with the lane kernel on
-    (this class) and off (:class:`TestPredictedPassesWithoutKernel`)."""
+    """Predicted passes equal executed passes, serial and pooled, with
+    the lane kernel on (this class) and off
+    (:class:`TestPredictedPassesWithoutKernel`)."""
 
     kernel = True
 
@@ -101,7 +96,7 @@ class TestPredictedPasses:
 
     def execute(self, session, plan):
         """Run every group; without the kernel, check the plan first:
-        every group per-point, one pass per pending item."""
+        every group an object-loop group, one pass per pending item."""
         if not self.kernel:
             assert not any(group.merged for group in plan.groups)
             assert plan.predicted_passes == plan.pending
@@ -116,19 +111,25 @@ class TestPredictedPasses:
             points = len(CONFIGS) * len(SETTINGS.benchmarks)
             assert plan.predicted_passes < points
 
-    def test_prediction_matches_execution_per_point(self):
-        session = Session(SETTINGS, mega_batch=False)
-        self.execute(session, resolve(session))
-
-    def test_prediction_with_explicit_single_lane(self):
-        session = Session(SETTINGS, lanes=1)
+    def test_prediction_with_explicit_single_lane(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "PASS_LANES", 1)
+        session = Session(SETTINGS)
         plan = resolve(session)
         assert plan.predicted_passes == plan.pending  # one pass per lane
         self.execute(session, plan)
 
+    def test_pool_execution_spends_predicted_passes(self, monkeypatch):
+        # Narrow passes give the pool several groups to fan out in both
+        # legs (without the kernel every item shares one signature).
+        monkeypatch.setattr(plan_module, "PASS_LANES", 3)
+        session = Session(SETTINGS)
+        plan = session.run_all(session.spec(CONFIGS), executor=PoolExecutor(2))
+        assert len(plan.groups) > 1
+        assert session.schedule_passes == plan.predicted_passes
+
     def test_padded_victim_merge_prediction_matches_execution(self, session):
         """Regression: a mixed 0/8/16-entry victim campaign merges into
-        one padded mega-group, and the planner's pass accounting agrees
+        one padded lane pass, and the planner's pass accounting agrees
         with what the executor then actually spends (one pass)."""
         configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
         plan = resolve(session, configs)
@@ -146,16 +147,64 @@ class TestPredictedPasses:
 
 
 class TestPredictedPassesWithoutKernel(TestPredictedPasses):
-    """``REPRO_NO_CKERNEL=1``: batch keys are ``None``, so every item
-    plans and runs as its own object-loop pass."""
+    """``REPRO_NO_CKERNEL=1``: batch keys are ``None``, so the items
+    share object-loop groups and each runs as its own object-loop pass."""
 
     kernel = False
 
 
+class TestLanePasses:
+    """The grouping rule itself, at a 25-lane cap: ``ceil(n / 25)``
+    contiguous passes, larger ones first, sizes within one of each
+    other."""
+
+    @pytest.fixture(autouse=True)
+    def width(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "PASS_LANES", 25)
+
+    @pytest.mark.parametrize(
+        "lanes, sizes",
+        [
+            (1, [1]),
+            (25, [25]),
+            (26, [13, 13]),
+            (50, [25, 25]),
+            (101, [21, 20, 20, 20, 20]),
+        ],
+    )
+    def test_balanced_contiguous_passes(self, lanes, sizes):
+        items = [WorkItem("gzip", LV_BLOCK, m, f"k{m}") for m in range(lanes)]
+        groups = lane_passes(items, lambda config: config.label)
+        assert [len(group) for group in groups] == sizes
+        assert [item for group in groups for item in group.items] == items
+        assert all(group.signature == LV_BLOCK.label for group in groups)
+
+    def test_merges_across_points_per_benchmark_and_signature(self):
+        items = [
+            WorkItem("gzip", LV_BLOCK, 0, "a"),
+            WorkItem("mcf", LV_BLOCK, 0, "b"),
+            WorkItem("gzip", LV_WORD, None, "c"),
+            WorkItem("gzip", LV_BASELINE, None, "d"),
+        ]
+        signature = {LV_BLOCK: "x", LV_BASELINE: "x", LV_WORD: None}.get
+        groups = lane_passes(items, signature)
+        assert [
+            (g.benchmark, g.signature, g.merged, [i.key for i in g.items])
+            for g in groups
+        ] == [
+            ("gzip", "x", True, ["a", "d"]),
+            ("mcf", "x", True, ["b"]),
+            ("gzip", None, False, ["c"]),
+        ]
+        assert [g.passes for g in groups] == [1, 1, 1]
+
+
 class TestWorkerBatches:
-    def test_lane_width_slices_groups(self, session):
+    def test_lane_width_slices_groups(self, session, monkeypatch):
+        monkeypatch.setattr(plan_module, "PASS_LANES", 1)
         plan = resolve(session)
-        batches = plan.worker_batches(lanes=1)
+        batches = plan.worker_batches()
+        assert len(batches) == len(plan.groups)
         assert all(len(batch) == 1 for batch in batches)
         assert sum(len(batch) for batch in batches) == plan.pending
 

@@ -32,7 +32,7 @@ def session() -> Session:
 @pytest.fixture(scope="module")
 def reference() -> dict:
     """Sequential per-point results (one simulate call each) for every item."""
-    sequential = Session(SETTINGS, lanes=1, mega_batch=False)
+    sequential = Session(SETTINGS)
     out = {}
     for config in CONFIGS:
         indices = range(SETTINGS.n_fault_maps) if config.needs_fault_map else (None,)

@@ -175,8 +175,8 @@ def test_measure_from_zero_and_validation(session):
 def test_mixed_scheme_lanes_batch_vectorised(session):
     """Lanes need not share a configuration: the fault-free baseline and
     block-disabling fault maps carry equal batch keys (same latencies,
-    geometries, victim sizing), so the mega planner may drive them as
-    one vectorised pass — bit-identical to their sequential runs."""
+    geometries, victim sizing), so the planner may drive them as one
+    vectorised pass — bit-identical to their sequential runs."""
     trace = session.trace("gzip")
     pipelines = [
         session.build_pipeline(LV_BASELINE, None),

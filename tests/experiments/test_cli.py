@@ -3,6 +3,7 @@
 import pytest
 
 import repro.experiments.__main__ as cli
+from repro.campaign import plan as plan_module
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.resilience import RetryPolicy
 from repro.experiments.__main__ import main
@@ -71,24 +72,35 @@ class TestCLI:
         assert "fig11" in out
         assert "swim" in out
 
-    def test_lanes_flag_reproduces_default_output(self, capsys):
+    @pytest.mark.parametrize("width", [1, 10_000])
+    def test_pass_width_reproduces_default_output(
+        self, capsys, monkeypatch, tmp_path, width
+    ):
+        """Pass width is a pure performance decision: one-lane passes and
+        unbounded ones must reproduce the default's figure bytes and
+        store bytes, at multi-figure scope where campaign points merge
+        (13 maps make the default split its 27-lane group in two)."""
         args = [
             "fig8",
+            "ext-incremental",
             "--instructions",
             "2500",
             "--warmup",
             "500",
             "--maps",
-            "3",
+            "13",
             "--benchmarks",
             "gzip",
         ]
-        assert main(args) == 0
+        assert main(args + ["--store", str(tmp_path / "default")]) == 0
         default_out = capsys.readouterr().out
-        assert main(args + ["--lanes", "2"]) == 0
+        monkeypatch.setattr(plan_module, "PASS_LANES", width)
+        assert main(args + ["--store", str(tmp_path / "width")]) == 0
         assert capsys.readouterr().out == default_out
-        assert main(args + ["--lanes", "1"]) == 0
-        assert capsys.readouterr().out == default_out
+        records = "results.jsonl"
+        assert (tmp_path / "width" / records).read_bytes() == (
+            tmp_path / "default" / records
+        ).read_bytes()
 
     def test_dry_run_prints_plan_without_simulating(self, capsys, tmp_path):
         args = [
@@ -206,27 +218,6 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "interrupted" in err and "resume" in err
 
-    def test_mega_batch_flag_reproduces_default_output(self, capsys):
-        """Cross-point mega-batching (the default) must be byte-identical
-        to the per-point path, at multi-figure scope where campaign
-        points actually merge."""
-        args = [
-            "fig8",
-            "ext-incremental",
-            "--instructions",
-            "2500",
-            "--warmup",
-            "500",
-            "--maps",
-            "2",
-            "--benchmarks",
-            "gzip",
-        ]
-        assert main(args) == 0
-        default_out = capsys.readouterr().out
-        assert main(args + ["--no-mega-batch"]) == 0
-        assert capsys.readouterr().out == default_out
-
 
 class TestSubcommands:
     """The subcommand dispatch: `run` (default + explicit alias),
@@ -264,6 +255,65 @@ class TestSubcommands:
         assert settings.benchmarks == ("gzip",)
         store = cli._store_from_args(args)
         assert type(store).__name__ == "MemoryStore"
+
+    @pytest.mark.parametrize("name", ["run", "serve", "predict"])
+    def test_shared_flags_parse_to_the_same_dests(self, name):
+        """Every flag the campaign subcommands share parses to one dest
+        and default, so the same helpers read any of their namespaces."""
+        make_parser, positional = {
+            "run": (cli._build_parser, ["fig8"]),
+            "serve": (cli._serve_parser, []),
+            "predict": (cli._predict_parser, ["fig8"]),
+        }[name]
+        defaults = {
+            "instructions": None,
+            "maps": None,
+            "benchmarks": None,
+            "seed": None,
+            "warmup": None,
+            "store": None,
+            "no_store": False,
+            "store_backend": None,
+            "store_fsync": None,
+            "trace_cache": None,
+            "max_retries": 2,
+            "chunk_timeout": None,
+        }
+        argv = [
+            "--instructions", "1234",
+            "--maps", "7",
+            "--benchmarks", "gzip,mcf",
+            "--seed", "9",
+            "--warmup", "321",
+            "--store", "DIR",
+            "--store-backend", "sqlite",
+            "--store-fsync",
+            "--trace-cache", "CACHE",
+            "--max-retries", "4",
+            "--chunk-timeout", "2.5",
+        ]
+        parsed = {
+            "instructions": 1234,
+            "maps": 7,
+            "benchmarks": "gzip,mcf",
+            "seed": 9,
+            "warmup": 321,
+            "store": "DIR",
+            "no_store": False,
+            "store_backend": "sqlite",
+            "store_fsync": True,
+            "trace_cache": "CACHE",
+            "max_retries": 4,
+            "chunk_timeout": 2.5,
+        }
+
+        def shared(flags):
+            args = make_parser().parse_args(positional + flags)
+            return {dest: getattr(args, dest) for dest in defaults}
+
+        assert shared([]) == defaults
+        assert shared(argv) == parsed
+        assert shared(["--no-store"]) == {**defaults, "no_store": True}
 
     def test_submit_spec_from_figures_matches_run_union(self):
         from repro.campaign.spec import CampaignSpec

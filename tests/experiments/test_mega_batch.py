@@ -1,10 +1,10 @@
-"""Cross-point mega-batching: signatures, planning, group execution.
+"""Cross-point lane passes: signatures, planning, group execution.
 
-The mega-batch planner merges every pending (config, fault-map) lane of
-a campaign that shares a benchmark trace and a pipeline batch signature
-— across campaign points and figures — into one vectorised schedule
-pass.  These tests pin the grouping rules, the store scatter/dedup, the
-schedule-pass accounting, and bit-identity against the per-point path.
+The planner merges every pending (config, fault-map) lane of a campaign
+that shares a benchmark trace and a pipeline batch signature — across
+campaign points and figures — into lane-kernel schedule passes.  These
+tests pin the grouping rules, the store scatter/dedup, the schedule-pass
+accounting, and bit-identity against per-point ``simulate`` calls.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.campaign import PoolExecutor, Progress, RunnerSettings, Session
 from repro.cpu import lane_kernel
-from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -68,7 +67,7 @@ def session() -> Session:
 @pytest.fixture(scope="module")
 def reference() -> dict:
     """Sequential per-point results (one simulate call each) for every item."""
-    sequential = Session(SETTINGS, lanes=1, mega_batch=False)
+    sequential = Session(SETTINGS)
     return {
         (config.label, m): sequential.simulate("gzip", config, m)
         for config, m in _all_items(SETTINGS, CONFIGS)
@@ -127,12 +126,6 @@ class TestPlanning:
         assert (LV_BLOCK, 0) not in items
         assert (LV_BLOCK, 1) in items
 
-    def test_mega_off_plans_per_point(self):
-        session = Session(SETTINGS, mega_batch=False)
-        plan = _plan_groups(session, CONFIGS)
-        for group in plan:
-            assert len({config.label for config, _ in group}) == 1
-
     def test_duplicate_configs_collapse(self, session):
         plan = _plan_groups(session, (LV_BLOCK, LV_BLOCK))
         items = [item for group in plan for item in group]
@@ -158,13 +151,13 @@ class TestGroupExecution:
     def test_heterogeneous_items_split_by_signature(self, session, reference):
         # A word-disabling lane among block-disabling ones must not trip
         # the engine's sequential fallback: it splits into its own
-        # (singleton, sequential) sub-batch.
+        # one-lane pass.
         items = [(LV_BLOCK, 0), (LV_WORD, None), (LV_BLOCK, 1)]
         results = session.run_group("gzip", items)
         assert results == [
             reference[(config.label, m)] for config, m in items
         ]
-        assert session.schedule_passes == 2  # one batched + one sequential
+        assert session.schedule_passes == 2  # one pass per signature
 
     def test_store_holes_in_the_middle_of_a_group(self, session, reference):
         session.store_result(
@@ -176,23 +169,6 @@ class TestGroupExecution:
             reference[(config.label, m)] for config, m in items
         ]
         assert session.simulations_executed == 2  # the hole was a pure hit
-
-    def test_explicit_single_lane_stays_sequential(self, reference):
-        session = Session(SETTINGS, lanes=1)
-        items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
-
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("vectorised path used with lanes=1")
-
-        original = OutOfOrderPipeline.run_batch
-        OutOfOrderPipeline.run_batch = staticmethod(boom)
-        try:
-            results = session.run_group("gzip", items)
-        finally:
-            OutOfOrderPipeline.run_batch = original
-        assert results == [
-            reference[(config.label, m)] for config, m in items
-        ]
 
     def test_duplicate_items_simulate_once(self, session):
         items = [(LV_BLOCK, 0), (LV_BLOCK, 0), (LV_BLOCK, 1)]
@@ -234,7 +210,7 @@ class TestRunMega:
 class TestParallelMega:
     @requires_kernel
     def test_worker_batches_are_trace_groups(self, session):
-        batches = session.plan(session.spec(CONFIGS)).worker_batches(session.lanes)
+        batches = session.plan(session.spec(CONFIGS)).worker_batches()
         flat = [task for batch in batches for task in batch]
         assert len(flat) == len(list(_all_items(SETTINGS, CONFIGS)))
         labels_per_batch = [

@@ -2,6 +2,7 @@
 
 import os
 
+from repro.campaign import plan as plan_module
 from repro.campaign import (
     CampaignSpec,
     PoolExecutor,
@@ -12,7 +13,7 @@ from repro.campaign import (
 )
 from repro.campaign.executors import adaptive_chunksize
 from repro.experiments.ablation import run_studies
-from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_BLOCK_V6, LV_WORD
+from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 from repro.store import DiskStore
 
 SMALL = RunnerSettings(
@@ -32,9 +33,9 @@ def prefill(session, configs, executor=None) -> int:
     return session.run_all(session.spec(configs), executor=executor).pending
 
 
-def per_point_batches(session, configs):
-    """The pool's dispatch units for a per-point (unmerged) plan."""
-    return session.plan(session.spec(configs)).worker_batches(session.lanes)
+def plan_batches(session, configs):
+    """The pool's dispatch units for the plan of ``configs``."""
+    return session.plan(session.spec(configs)).worker_batches()
 
 
 class TestPlanning:
@@ -141,36 +142,20 @@ class TestPrefill:
 
 
 class TestBatchPlanning:
-    def test_groups_by_benchmark_and_physical_config(self):
-        session = Session(SMALL, mega_batch=False)
-        batches = per_point_batches(session, (LV_BASELINE, LV_BLOCK, LV_BLOCK_V6))
-        # Per benchmark: one singleton baseline batch plus one batch per
-        # fault-dependent config holding both map lanes.
-        assert len(batches) == 2 * 3
-        map_batches = [b for b in batches if b[0][2] is not None]
-        assert all(len(b) == SMALL.n_fault_maps for b in map_batches)
-        for batch in map_batches:
-            assert len({(t[0], t[1]) for t in batch}) == 1
-
     def test_stored_lanes_excluded_before_grouping(self):
-        session = Session(SMALL, mega_batch=False)
+        session = Session(SMALL)
         session.simulate("crafty", LV_BLOCK, 0)
-        batches = per_point_batches(session, (LV_BLOCK,))
+        batches = plan_batches(session, (LV_BLOCK,))
         crafty = [b for b in batches if b[0][0] == "crafty"]
         assert len(crafty) == 1
         assert [t[2] for t in crafty[0]] == [1]
 
-    def test_lane_width_splits_groups(self):
-        session = Session(SMALL, lanes=1, mega_batch=False)
-        batches = per_point_batches(session, (LV_BLOCK,))
+    def test_lane_width_splits_groups(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "PASS_LANES", 1)
+        session = Session(SMALL)
+        batches = plan_batches(session, (LV_BLOCK,))
         assert all(len(b) == 1 for b in batches)
         assert sum(len(b) for b in batches) == 4  # 2 benchmarks x 2 maps
-
-    def test_fault_independent_tasks_stay_singletons(self):
-        session = Session(SMALL, mega_batch=False)
-        batches = per_point_batches(session, (LV_BASELINE, LV_WORD))
-        assert all(len(b) == 1 for b in batches)
-        assert sum(len(b) for b in batches) == 4
 
 
 class TestChunking:

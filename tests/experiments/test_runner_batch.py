@@ -1,12 +1,12 @@
 """Session.run_group over one campaign point's fault-map lanes: identity
-with the one-map-per-pass path, store dedup, lane widths,
+with per-map ``simulate`` calls, store dedup, pass widths,
 fault-independent collapse, subset and order."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.campaign import RunnerSettings, Session
+from repro.campaign import plan as plan_module
+from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 
 SETTINGS = RunnerSettings(
@@ -22,8 +22,8 @@ def _lanes(config, maps=range(SETTINGS.n_fault_maps)):
 
 
 def test_batched_results_match_legacy_path():
-    """One batched pass equals the one-map-per-pass path (``lanes=1``)."""
-    sequential = Session(SETTINGS, lanes=1)
+    """One batched pass equals per-map ``simulate`` calls."""
+    sequential = Session(SETTINGS)
     batched = Session(SETTINGS)
     expected = [
         sequential.simulate("gzip", LV_BLOCK, m)
@@ -48,12 +48,19 @@ def test_batch_skips_stored_lanes():
     assert session.simulations_executed == executed_before + 3
 
 
-def test_lane_width_bounds_batches():
-    narrow = Session(SETTINGS, lanes=2)
-    wide = Session(SETTINGS)
-    assert narrow.run_group("gzip", _lanes(LV_BLOCK)) == wide.run_group(
-        "gzip", _lanes(LV_BLOCK)
-    )
+def test_lane_width_bounds_batches(monkeypatch):
+    expected = Session(SETTINGS).run_group("gzip", _lanes(LV_BLOCK))
+    monkeypatch.setattr(plan_module, "PASS_LANES", 2)
+    widths = []
+    run_batch = OutOfOrderPipeline.run_batch
+
+    def recording(pipelines, trace, measure_from=0):
+        widths.append(len(pipelines))
+        return run_batch(pipelines, trace, measure_from)
+
+    monkeypatch.setattr(OutOfOrderPipeline, "run_batch", staticmethod(recording))
+    assert Session(SETTINGS).run_group("gzip", _lanes(LV_BLOCK)) == expected
+    assert widths == [2, 2, 1]  # 5 maps in balanced passes of at most 2
 
 
 def test_fault_independent_config_collapses():
@@ -71,14 +78,7 @@ def test_subset_and_order_preserved():
     assert subset[2] == subset[0]
 
 
-def test_normalized_series_identical_across_paths():
-    sequential = Session(SETTINGS, lanes=1)
-    batched = Session(SETTINGS)
-    assert sequential.normalized_series(
-        LV_BLOCK, LV_BASELINE
-    ) == batched.normalized_series(LV_BLOCK, LV_BASELINE)
-
-
-def test_invalid_lane_width_rejected():
-    with pytest.raises(ValueError):
-        Session(SETTINGS, lanes=0)
+def test_normalized_series_identical_across_paths(monkeypatch):
+    batched = Session(SETTINGS).normalized_series(LV_BLOCK, LV_BASELINE)
+    monkeypatch.setattr(plan_module, "PASS_LANES", 1)
+    assert Session(SETTINGS).normalized_series(LV_BLOCK, LV_BASELINE) == batched

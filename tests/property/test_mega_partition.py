@@ -1,9 +1,9 @@
-"""Property: mega-batch scattering is partition-invariant.
+"""Property: group scattering is partition-invariant.
 
-However a campaign's work items are sliced into mega-batches — any
-grouping, any order, any subset already sitting in the store as
-"holes" — :meth:`Session.run_group` must scatter back
-results bit-identical to the sequential per-point path.  This is the
+However a campaign's work items are sliced into groups — any grouping,
+any order, any subset already sitting in the store as "holes" —
+:meth:`Session.run_group` must scatter back results bit-identical to
+per-point ``simulate`` calls.  This is the
 planner's core invariant: grouping is a pure performance decision and
 can never change a simulated bit.
 """
@@ -39,7 +39,7 @@ _REFERENCE: dict = {}
 
 def _reference() -> dict:
     if not _REFERENCE:
-        sequential = Session(TINY, lanes=1, mega_batch=False)
+        sequential = Session(TINY)
         for config, m in ITEMS:
             _REFERENCE[(config.label, m)] = sequential.simulate("gzip", config, m)
     return _REFERENCE
@@ -47,7 +47,7 @@ def _reference() -> dict:
 
 @st.composite
 def partitions(draw):
-    """A random ordered partition of ITEMS into mega-batches, plus the
+    """A random ordered partition of ITEMS into groups, plus the
     subset of items pre-seeded into the store (the dedup holes)."""
     order = draw(st.permutations(range(len(ITEMS))))
     labels = draw(
