@@ -890,167 +890,182 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
     return failures
 
 
-def smoke_service(json_dir: str) -> list[str]:
-    """Campaign service gate: server + concurrent clients + worker chaos.
+#: The service smoke's campaign: client A's spec, and client B's, which
+#: overlaps A on every fig8 key.
+_SERVICE_FIG_ARGS = ["--instructions", "2000", "--maps", "2", "--benchmarks", "gzip"]
+_SERVICE_SPEC_A = ["fig8"]
+_SERVICE_SPEC_B = ["fig8", "fig9"]
 
-    A campaign server (sqlite store, DistributedExecutor, 2
-    partition-writing workers) runs under ``REPRO_CHAOS`` worker-crash
-    injection while two concurrent ``submit`` clients send overlapping
-    specs.  Each client must receive a complete event stream (one
-    PointResult per distinct key of its spec); the server must execute
-    the overlap once (executed_A + executed_B == |union| < total_A +
-    total_B); a figure re-render from the server's store must be pure
-    store hits and byte-identical to a chaos-free serial reference;
-    ``store verify`` must find the store clean.
+
+def smoke_service(json_dir: str) -> list[str]:
+    """Campaign service gate, per writable backend: server + concurrent
+    clients + worker chaos.
+
+    For each writable disk backend (jsonl / sqlite), a campaign server
+    (``serve --workers 2``: the same ``PoolExecutor`` as ``run``, whose
+    parent lands every chunk in the shared store as it completes) runs
+    under ``REPRO_CHAOS`` worker-crash injection while two concurrent
+    ``submit`` clients send overlapping specs.  Each client must receive
+    a complete event stream (one PointResult per distinct key of its
+    spec); the server must execute the overlap once (executed_A +
+    executed_B == |union| < total_A + total_B); a figure re-render from
+    the server's store must be pure store hits and byte-identical to a
+    chaos-free serial reference; ``store verify`` must find the store
+    clean.
     """
+    failures: list[str] = []
+    summary: dict = {"backends": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        traces = os.path.join(tmp, "traces")
+        reference = _cli(
+            _SERVICE_SPEC_A + _SERVICE_FIG_ARGS + ["--no-store", "--trace-cache", traces]
+        )
+        if reference.returncode != 0:
+            return [f"reference run exited {reference.returncode}: {reference.stderr}"]
+        for backend in ("jsonl", "sqlite"):
+            store = os.path.join(tmp, backend)
+            failed, summary["backends"][backend] = _service_round(
+                backend, store, traces, reference.stdout
+            )
+            failures.extend(f"{backend}: {failure}" for failure in failed)
+    summary["ok"] = not failures
+    _write(json_dir, "service", summary)
+    return failures
+
+
+def _service_round(
+    backend: str, store: str, traces: str, reference: str
+) -> "tuple[list[str], dict]":
+    """One ``service`` round over a fresh ``backend`` store: serve, two
+    overlapping clients, SIGTERM, then the re-render and ``store
+    verify`` checks.  Returns (failures, the clients' summary)."""
     import signal
     import time
 
     failures: list[str] = []
-    fig_args = ["--instructions", "2000", "--maps", "2", "--benchmarks", "gzip"]
-    spec_a = ["fig8"]
-    spec_b = ["fig8", "fig9"]  # overlaps A on every fig8 key
+    chaos_env = _env()
+    chaos_env["REPRO_CHAOS"] = "crash:0.4,seed:3"
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.experiments", "serve",
+            "--port", "0", "--workers", "2",
+            "--store", store, "--store-backend", backend,
+            "--trace-cache", traces, *_SERVICE_FIG_ARGS,
+        ],
+        cwd=ROOT,
+        env=chaos_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    url = None
+    stats = {}
+    all_keys = set()
+    event_kinds = set()
+    try:
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            line = server.stdout.readline()
+            if line.startswith("serving on "):
+                url = line.split()[-1].strip()
+                break
+            if server.poll() is not None:
+                break
+        if url is None:
+            return ["server never announced its port"], {}
 
-    with tempfile.TemporaryDirectory() as tmp:
-        traces = os.path.join(tmp, "traces")
-        store = os.path.join(tmp, "store")
-        reference = _cli(spec_a + fig_args + ["--no-store", "--trace-cache", traces])
-        if reference.returncode != 0:
-            return [f"reference run exited {reference.returncode}: {reference.stderr}"]
+        def submit(targets):
+            return subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.experiments", "submit",
+                    *targets, *_SERVICE_FIG_ARGS, "--url", url,
+                ],
+                cwd=ROOT,
+                env=_env(),  # clients are chaos-free; faults are server-side
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
 
-        chaos_env = _env()
-        chaos_env["REPRO_CHAOS"] = "crash:0.4,seed:3"
-        server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.experiments", "serve",
-                "--port", "0", "--workers", "2",
-                "--store", store, "--store-backend", "sqlite",
-                "--trace-cache", traces, *fig_args,
-            ],
-            cwd=ROOT,
-            env=chaos_env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-        url = None
-        try:
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                line = server.stdout.readline()
-                if line.startswith("serving on "):
-                    url = line.split()[-1].strip()
-                    break
-                if server.poll() is not None:
-                    break
-            if url is None:
-                return ["server never announced its port"]
+        clients = {"A": submit(_SERVICE_SPEC_A), "B": submit(_SERVICE_SPEC_B)}
+        streams = {}
+        for name, proc in clients.items():
+            out, err = proc.communicate(timeout=600)
+            if proc.returncode != 0:
+                failures.append(f"client {name} exited {proc.returncode}: {err}")
+            streams[name] = [json.loads(l) for l in out.splitlines() if l.strip()]
 
-            def submit(targets):
-                return subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro.experiments", "submit",
-                        *targets, *fig_args, "--url", url,
-                    ],
-                    cwd=ROOT,
-                    env=_env(),  # clients are chaos-free; faults are server-side
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
-
-            clients = {"A": submit(spec_a), "B": submit(spec_b)}
-            streams = {}
-            for name, proc in clients.items():
-                out, err = proc.communicate(timeout=600)
-                if proc.returncode != 0:
-                    failures.append(
-                        f"client {name} exited {proc.returncode}: {err}"
-                    )
-                streams[name] = [json.loads(l) for l in out.splitlines() if l.strip()]
-
-            stats = {}
-            all_keys = set()
-            event_kinds = set()
-            for name, lines in streams.items():
-                events = [l for l in lines if "event" in l]
-                done = next((l for l in lines if l.get("done") is True), None)
-                if done is None:
-                    failures.append(f"client {name} stream has no done line")
-                    continue
-                plans = [e for e in events if e["event"] == "PlanReady"]
-                points = [e for e in events if e["event"] == "PointResult"]
-                event_kinds.update(e["event"] for e in events)
-                total = plans[0]["plan"]["total_points"] if plans else -1
-                keys = {p["key"] for p in points}
-                all_keys |= keys
-                if len(keys) != total:
-                    failures.append(
-                        f"client {name} stream incomplete: {len(keys)} distinct "
-                        f"PointResult keys for {total} plan points"
-                    )
-                if done["failures"] != 0:
-                    failures.append(f"client {name} saw {done['failures']} failures")
-                stats[name] = {"total_points": total, **done}
-
-            if len(stats) == 2:
-                executed = sum(s["simulations_executed"] for s in stats.values())
-                standalone = sum(s["total_points"] for s in stats.values())
-                if executed != len(all_keys):
-                    failures.append(
-                        f"union executed once violated: {executed} executed "
-                        f"vs {len(all_keys)} distinct keys"
-                    )
-                if executed >= standalone:
-                    failures.append(
-                        f"no coalescing: executed {executed} >= standalone "
-                        f"sum {standalone}"
-                    )
-            if not event_kinds & {"WorkerCrashed", "TaskRetried"}:
+        for name, lines in streams.items():
+            events = [l for l in lines if "event" in l]
+            done = next((l for l in lines if l.get("done") is True), None)
+            if done is None:
+                failures.append(f"client {name} stream has no done line")
+                continue
+            plans = [e for e in events if e["event"] == "PlanReady"]
+            points = [e for e in events if e["event"] == "PointResult"]
+            event_kinds.update(e["event"] for e in events)
+            total = plans[0]["plan"]["total_points"] if plans else -1
+            keys = {p["key"] for p in points}
+            all_keys |= keys
+            if len(keys) != total:
                 failures.append(
-                    "chaos fired no WorkerCrashed/TaskRetried events "
-                    f"(kinds seen: {sorted(event_kinds)})"
+                    f"client {name} stream incomplete: {len(keys)} distinct "
+                    f"PointResult keys for {total} plan points"
                 )
-        finally:
-            server.send_signal(signal.SIGTERM)
-            try:
-                server.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait()
-                failures.append("server ignored SIGTERM")
+            if done["failures"] != 0:
+                failures.append(f"client {name} saw {done['failures']} failures")
+            stats[name] = {"total_points": total, **done}
 
-        # Figures from the chaos-survivor store: pure hits, byte-identical.
-        rerun = _cli(spec_a + fig_args + ["--store", store, "--trace-cache", traces])
-        if rerun.returncode != 0:
-            failures.append(f"rerun exited {rerun.returncode}: {rerun.stderr}")
-        if "simulations executed=0" not in rerun.stderr:
-            failures.append(f"rerun re-simulated: {rerun.stderr}")
-        if rerun.stdout != reference.stdout:
-            diff = "\n".join(
-                difflib.unified_diff(
-                    reference.stdout.splitlines(),
-                    rerun.stdout.splitlines(),
-                    lineterm="",
+        if len(stats) == 2:
+            executed = sum(s["simulations_executed"] for s in stats.values())
+            standalone = sum(s["total_points"] for s in stats.values())
+            if executed != len(all_keys):
+                failures.append(
+                    f"union executed once violated: {executed} executed "
+                    f"vs {len(all_keys)} distinct keys"
                 )
-            )
-            failures.append(f"service figures differ from serial reference:\n{diff}")
-        verify = _cli(["store", "verify", store])
-        if verify.returncode != 0:
+            if executed >= standalone:
+                failures.append(
+                    f"no coalescing: executed {executed} >= standalone "
+                    f"sum {standalone}"
+                )
+        if not event_kinds & {"WorkerCrashed", "TaskRetried"}:
             failures.append(
-                f"store verify failed ({verify.returncode}): {verify.stdout}"
+                "chaos fired no WorkerCrashed/TaskRetried events "
+                f"(kinds seen: {sorted(event_kinds)})"
             )
-        _write(
-            json_dir,
-            "service",
-            {
-                "clients": stats,
-                "distinct_keys": len(all_keys),
-                "event_kinds": sorted(event_kinds),
-                "ok": not failures,
-            },
+    finally:
+        server.send_signal(signal.SIGTERM)
+        try:
+            server.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
+            failures.append("server ignored SIGTERM")
+
+    # Figures from the chaos-survivor store: pure hits, byte-identical.
+    rerun = _cli(
+        _SERVICE_SPEC_A + _SERVICE_FIG_ARGS + ["--store", store, "--trace-cache", traces]
+    )
+    if rerun.returncode != 0:
+        failures.append(f"rerun exited {rerun.returncode}: {rerun.stderr}")
+    if "simulations executed=0" not in rerun.stderr:
+        failures.append(f"rerun re-simulated: {rerun.stderr}")
+    if rerun.stdout != reference:
+        diff = "\n".join(
+            difflib.unified_diff(
+                reference.splitlines(), rerun.stdout.splitlines(), lineterm=""
+            )
         )
-    return failures
+        failures.append(f"service figures differ from serial reference:\n{diff}")
+    verify = _cli(["store", "verify", store])
+    if verify.returncode != 0:
+        failures.append(f"store verify failed ({verify.returncode}): {verify.stdout}")
+    return failures, {
+        "clients": stats,
+        "distinct_keys": len(all_keys),
+        "event_kinds": sorted(event_kinds),
+    }
 
 
 def smoke_predict(json_dir: str) -> list[str]:

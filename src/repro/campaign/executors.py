@@ -9,10 +9,9 @@ executors consume the *same* plan objects from the planner — the pool
 merely ships ``Plan.worker_batches`` (one task list per group) to
 workers — and every group executes through ``Session.run_group``, so
 serial and parallel campaigns are bit-identical by construction.  The
-:class:`~repro.service.distributed.DistributedExecutor` subclasses the
-pool executor at the ``_land_chunk``/``_drain_complete`` seams: its
-workers checkpoint into per-worker store partitions and the results
-merge into the session store when the pool drains.
+pool executor is the only process-pool executor: ``run``, ``predict``
+and the campaign server (``serve --workers N``) all build it, and the
+parent process is the store's only writer.
 
 The pool executor is *resilient*: failures are handled per
 :class:`~repro.campaign.resilience.RetryPolicy` — failed chunks retry
@@ -251,7 +250,7 @@ class PoolExecutor(Executor):
     (:meth:`Plan.worker_batches`) fanned across a
     :class:`ProcessPoolExecutor`; results are checkpointed to the
     parent's store as each chunk completes — not after the pool drains —
-    so a killed paper-scale run against a ``DiskStore`` resumes from its
+    so a killed paper-scale run against a disk-backed store resumes from its
     last completed chunk.  Worker trace/schedule counters aggregate into
     the parent session when the pool drains (even on exception paths).
 
@@ -312,7 +311,7 @@ class PoolExecutor(Executor):
             except Exception:  # already dead / mid-teardown
                 pass
 
-    # ----- result landing seams (overridden by DistributedExecutor) -----------
+    # ----- result landing ------------------------------------------------------
 
     def _store_with_retry(
         self, session: "Session", key: str, task: Task, result: SimResult
@@ -348,9 +347,7 @@ class PoolExecutor(Executor):
         ``(task, result)`` pair into the session store (retrying
         transient write failures; quarantining a task whose write budget
         drains), and return the events to stream plus how many points
-        completed.  :class:`~repro.service.distributed.DistributedExecutor`
-        overrides this — its workers ship ``(task, key)`` acks, and the
-        results land at :meth:`_drain_complete`."""
+        completed."""
         events: list[Event] = []
         landed = 0
         for task, result in chunk_results:
@@ -373,16 +370,6 @@ class PoolExecutor(Executor):
             landed += 1
             events.append(PointResult(benchmark, config, map_index, key, result))
         return events, landed
-
-    def _drain_complete(
-        self, session: "Session", quarantine: "list[Quarantined]"
-    ) -> Iterator[Event]:
-        """Executor-specific completion step after the pool has drained
-        and shut down, before the quarantine replay.  The pool executor
-        has nothing left to do (every chunk landed as it completed);
-        the distributed executor merges its per-worker store partitions
-        into the session store here."""
-        return iter(())
 
     # ----- the drain loop -------------------------------------------------------
 
@@ -561,12 +548,6 @@ class PoolExecutor(Executor):
         finally:
             aggregate_counters()
             self._shutdown(pool)
-
-        # Executor-specific completion: the distributed executor merges
-        # its per-worker store partitions into the session store here and
-        # streams the merged PointResults (already counted into ``done``
-        # when their acks landed); the plain pool has nothing left.
-        yield from self._drain_complete(session, quarantine)
 
         # In-process replay of the quarantine ledger: worker-environment
         # failures (chaos injection, broken toolchains) recover here and

@@ -65,6 +65,7 @@ from repro.store import (
     MemoryStore,
     ReadOnlyStoreError,
     ResultStore,
+    SqliteStore,
     open_store,
 )
 from repro.workloads.spec2000 import ALL_BENCHMARKS
@@ -77,14 +78,31 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _non_negative_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return parsed
+
+
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return parsed
+
+
 def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
     """The fidelity knobs every campaign subcommand shares (same dests,
     so :func:`_settings_from_args` reads any of their namespaces)."""
     parser.add_argument(
-        "--instructions", type=int, default=None, help="trace length per benchmark"
+        "--instructions",
+        type=_positive_int,
+        default=None,
+        help="trace length per benchmark",
     )
     parser.add_argument(
-        "--maps", type=int, default=None, help="fault-map pairs (paper: 50)"
+        "--maps", type=_positive_int, default=None, help="fault-map pairs (paper: 50)"
     )
     parser.add_argument(
         "--benchmarks",
@@ -95,7 +113,7 @@ def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(
         "--warmup",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="warmup instructions before the measured region",
     )
@@ -138,11 +156,20 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """The trace cache and the ``--workers`` pool's resilience budget,
-    shared by ``run``, ``serve`` and ``predict``."""
+    """The ``--workers`` pool, its resilience budget and the trace cache,
+    shared by ``run``, ``serve`` and ``predict`` (read back by
+    :func:`_executor_from_args`)."""
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="fan campaigns across N worker processes through the "
+        "resilient process pool (default: 1, in-process serial)",
+    )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_non_negative_int,
         default=2,
         metavar="N",
         help="resilience budget for --workers pools: a failed, crashed, or "
@@ -152,7 +179,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="per-chunk watchdog for --workers pools: a chunk still running "
@@ -183,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'list', 'all-analytical', or 'all-performance'",
     )
     _add_fidelity_flags(parser)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process count for parallel simulation (paper-scale runs)",
-    )
     _add_execution_flags(parser)
     parser.add_argument(
         "--dry-run",
@@ -214,8 +235,10 @@ def _settings_from_args(args: argparse.Namespace) -> RunnerSettings:
     if args.benchmarks:
         benchmarks = tuple(b.strip() for b in args.benchmarks.split(",") if b.strip())
     return RunnerSettings(
-        n_instructions=args.instructions or base.n_instructions,
-        n_fault_maps=args.maps or base.n_fault_maps,
+        n_instructions=(
+            args.instructions if args.instructions is not None else base.n_instructions
+        ),
+        n_fault_maps=args.maps if args.maps is not None else base.n_fault_maps,
         benchmarks=benchmarks,
         seed=args.seed if args.seed is not None else base.seed,
         warmup_instructions=(
@@ -232,6 +255,20 @@ def _store_from_args(args: argparse.Namespace) -> ResultStore:
         args.store or os.environ.get("REPRO_STORE"),
         backend=backend,
         fsync=args.store_fsync,
+    )
+
+
+def _executor_from_args(args: argparse.Namespace) -> "PoolExecutor | None":
+    """The executor ``run``, ``serve`` and ``predict`` simulate through:
+    a :class:`PoolExecutor` for ``--workers`` above 1, else ``None`` (the
+    session's in-process serial default)."""
+    if args.workers == 1:
+        return None
+    return PoolExecutor(
+        args.workers,
+        retry=RetryPolicy(
+            max_attempts=args.max_retries + 1, chunk_timeout=args.chunk_timeout
+        ),
     )
 
 
@@ -355,24 +392,14 @@ def _run_main(raw_argv: list[str]) -> int:
         store.close()
         return 0
 
-    retry_policy = RetryPolicy(
-        max_attempts=max(1, args.max_retries + 1),
-        chunk_timeout=args.chunk_timeout,
-    )
-
     def prefill(active: Session) -> None:
         """Stream the union campaign through the session so every figure
         renders from pure store hits (byte-identical to the lazy path)."""
         if not needed:
             return
         spec = CampaignSpec.from_settings(active.settings, tuple(needed))
-        executor = (
-            PoolExecutor(args.workers, retry=retry_policy)
-            if args.workers > 1
-            else None
-        )
         progress = make_progress("simulations")
-        for event in active.run(spec, executor=executor):
+        for event in active.run(spec, executor=_executor_from_args(args)):
             if isinstance(event, PlanReady) and not event.plan.pending:
                 break
             if isinstance(event, Progress):
@@ -441,7 +468,7 @@ def _run_main(raw_argv: list[str]) -> int:
         # Session.run already flushed the store and printed the resume
         # hint; exit with the conventional interrupt status.
         code = 130
-    if code == 0 and (isinstance(store, DiskStore) or session_used):
+    if code == 0 and (isinstance(store, (DiskStore, SqliteStore)) or session_used):
         executed = session.simulations_executed if session is not None else 0
         passes = session.schedule_passes if session is not None else 0
         summary = (
@@ -517,20 +544,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8631,
         help="bind port (0 picks an ephemeral port, announced on stdout)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="simulate campaigns through a DistributedExecutor fanning "
-        "work across N partition-writing worker processes (default: "
-        "in-process serial)",
-    )
-    parser.add_argument(
-        "--partition-dir", type=str, default=None, metavar="DIR",
-        help="durable root for per-worker store partitions (default: a "
-        "temporary root per campaign, removed after the merge); recover a "
-        "crashed merge with `store merge DIR --from ROOT`",
-    )
     _add_fidelity_flags(parser)
     _add_execution_flags(parser)
     _add_store_flags(parser)
@@ -550,22 +563,15 @@ def _serve_main(argv: list[str]) -> int:
     session = Session(
         _settings_from_args(args), store=store, trace_cache=trace_cache
     )
-    executor = None
-    if args.workers > 1:
-        from repro.service import DistributedExecutor
-
-        executor = DistributedExecutor(
-            args.workers,
-            retry=RetryPolicy(
-                max_attempts=max(1, args.max_retries + 1),
-                chunk_timeout=args.chunk_timeout,
-            ),
-            partition_dir=args.partition_dir,
-        )
     from repro.service.server import serve_blocking
 
     try:
-        serve_blocking(session, executor=executor, host=args.host, port=args.port)
+        serve_blocking(
+            session,
+            executor=_executor_from_args(args),
+            host=args.host,
+            port=args.port,
+        )
     finally:
         session.close()
         store.close()
@@ -736,10 +742,6 @@ def _predict_parser() -> argparse.ArgumentParser:
         "locally (store flags then configure nothing)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="local execution: fan proposed campaigns across N processes",
-    )
-    parser.add_argument(
         "--csv", action="store_true", help="emit the estimated figure as CSV"
     )
     parser.add_argument(
@@ -798,22 +800,12 @@ def _predict_main(argv: list[str]) -> int:
         if trace_cache:
             os.environ[TRACE_CACHE_ENV] = trace_cache
         session = Session(settings, store=store, trace_cache=trace_cache)
-    executor = None
-    if args.workers > 1 and not args.url:
-        executor = PoolExecutor(
-            args.workers,
-            retry=RetryPolicy(
-                max_attempts=max(1, args.max_retries + 1),
-                chunk_timeout=args.chunk_timeout,
-            ),
-        )
-
     loop = ActiveCampaign(
         session,
         spec,
         settings=predict_settings,
         baseline=FIGURE_BASELINES[args.target],
-        executor=executor,
+        executor=None if args.url else _executor_from_args(args),
     )
     from repro.campaign.events import BatchProposed, Converged, SurrogateFit
 

@@ -1,21 +1,16 @@
-"""The campaign service layer: distributed execution and the wire API.
+"""The campaign service layer: the wire API over a shared session.
 
-Three pieces, layered on the seams PRs 5-8 built:
+Two pieces, layered on the campaign and store seams:
 
-* :class:`~repro.service.distributed.DistributedExecutor` — the
-  :class:`~repro.campaign.executors.Executor` that fans
-  ``Plan.worker_batches`` across worker processes *each writing to its
-  own store partition* (any :mod:`repro.store` backend), merging the
-  partitions into the session store when the pool drains.  It subclasses
-  :class:`~repro.campaign.executors.PoolExecutor`, so the retry /
-  watchdog / bisection / quarantine machinery — and the ``REPRO_CHAOS``
-  correctness gates — apply unchanged.
 * :mod:`repro.service.server` — a stdlib-asyncio campaign server
   (``python -m repro.experiments serve``) accepting
   :class:`~repro.campaign.spec.CampaignSpec` JSON from many concurrent
   clients over HTTP and streaming typed campaign events back as NDJSON,
   coalescing overlapping specs against the shared store (in-flight keys
-  are awaited, never re-simulated).
+  are awaited, never re-simulated).  It simulates through any
+  :class:`~repro.campaign.executors.Executor`; ``serve --workers N``
+  uses the same :class:`~repro.campaign.executors.PoolExecutor` as
+  ``run``, so every chunk lands in the shared store as it completes.
 * :class:`~repro.service.client.RemoteSession` — the thin blocking
   client (``Session.connect(url)``), exposing the same streaming
   iterator API as a local ``Session.run``.
@@ -26,6 +21,5 @@ the wire.
 """
 
 from repro.service.client import RemoteSession, connect
-from repro.service.distributed import DistributedExecutor
 
-__all__ = ["DistributedExecutor", "RemoteSession", "connect"]
+__all__ = ["RemoteSession", "connect"]

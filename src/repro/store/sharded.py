@@ -4,8 +4,9 @@ Earlier builds could write a campaign store as sixteen logs split by the
 first hex character of the task key, ``<dir>/shards/shard-<x>.jsonl``
 for ``x`` in ``0..f``, plus ``<dir>/shards/MANIFEST.json`` recording the
 layout.  That layout existed so many processes could append to one
-directory; per-worker jsonl partitions and WAL sqlite cover that case,
-so this build only *reads* it.  :class:`ShardedDiskStore` loads an
+directory; pool workers now hand results to the parent, the store's
+only writer, and WAL sqlite serves concurrent writers, so this build
+only *reads* it.  :class:`ShardedDiskStore` loads an
 existing ``shards/`` directory with the same damage classification as
 the jsonl backend — ``store verify`` reports on it and ``store migrate
 DIR --to jsonl`` (or ``--to sqlite``) converts it losslessly — and every

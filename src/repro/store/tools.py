@@ -1,4 +1,4 @@
-"""Operator tooling for campaign stores: verify, repair, compact, migrate.
+"""Operator tooling for campaign stores: verify, repair, compact, migrate, merge.
 
 Exposed as ``python -m repro.experiments store <command>`` (and
 ``python -m repro.store <command>``)::
@@ -7,7 +7,7 @@ Exposed as ``python -m repro.experiments store <command>`` (and
     store repair  DIR [--backend B]    # drop damaged records, upgrade legacy
     store compact DIR [--backend B]    # rewrite without duplicates/damage
     store migrate DIR --to B [--dest DIR2] [--backend B]
-    store merge   DIR --from ROOT      # fold per-worker partitions into DIR
+    store merge   DIR --from ROOT      # fold every store under ROOT into DIR
 
 ``verify`` classifies every stored record (see
 :class:`~repro.store.base.StoreHealth`): duplicates, checksum failures,
@@ -32,6 +32,10 @@ the migrated store wins on the next open.
 A sharded store is read-only: ``verify`` and ``migrate`` read it, while
 ``repair``, ``compact`` and ``merge`` into it exit 2 with the hint to
 ``migrate DIR --to jsonl`` first.
+
+``merge`` copies into ``DIR`` every record it lacks from each store
+directly under ``ROOT`` — the way to fold stores written on separate
+hosts into one campaign directory.
 """
 
 from __future__ import annotations
@@ -171,14 +175,13 @@ def cmd_migrate(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# Partition merging (the DistributedExecutor's drain step)
+# Store merging
 # --------------------------------------------------------------------------
 
-def partition_dirs(root: "str | os.PathLike") -> "list[str]":
-    """Sorted store directories directly under ``root`` — the per-worker
-    partitions a :class:`~repro.service.distributed.DistributedExecutor`
-    campaign leaves behind.  Only subdirectories whose files actually
-    detect as a store backend count; stray directories are ignored."""
+def store_dirs(root: "str | os.PathLike") -> "list[str]":
+    """Sorted store directories directly under ``root``.  Only
+    subdirectories whose files actually detect as a store backend count;
+    stray directories are ignored."""
     from repro.store import detect_backend
 
     root = os.fspath(root)
@@ -192,57 +195,32 @@ def partition_dirs(root: "str | os.PathLike") -> "list[str]":
     return found
 
 
-def load_partitions(
-    root: "str | os.PathLike", backend: "str | None" = None
-) -> dict:
-    """Union key -> result map over every partition store under ``root``.
-
-    Workers are deterministic — a key appearing in more than one
-    partition (a chunk retried after a crash landed on another worker)
-    carries an identical result, so the union is order-independent; the
-    first partition's copy wins for definiteness."""
-    merged: dict = {}
-    for path in partition_dirs(root):
-        with _open(path, backend) as store:
-            for key in store.keys():
-                if key not in merged:
-                    merged[key] = store.get(key)
-    return merged
-
-
-def merge_stores(dest: ResultStore, sources) -> int:
-    """Copy every record of ``sources`` (stores, or directories to open)
-    into ``dest``, skipping keys ``dest`` already holds (re-putting an
-    existing key is a harmless identical overwrite — skipping merely
-    saves the writes).  Returns the number of records copied."""
+def merge_stores(dest: ResultStore, directories) -> int:
+    """Copy every record of the stores in ``directories`` into ``dest``,
+    skipping keys ``dest`` already holds (re-putting an existing key is a
+    harmless identical overwrite — skipping merely saves the writes).
+    Returns the number of records copied."""
     copied = 0
-    for source in sources:
-        opened = None
-        if not isinstance(source, ResultStore):
-            opened = _open(os.fspath(source), None)
-            source = opened
-        try:
+    for directory in directories:
+        with _open(os.fspath(directory), None) as source:
             for key in source.keys():
                 if key not in dest:
                     dest.put(key, source.get(key))
                     copied += 1
-        finally:
-            if opened is not None:
-                opened.close()
     return copied
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    partitions = partition_dirs(args.source_root)
-    if not partitions:
-        print(f"merge: no partition stores under {args.source_root}")
+    sources = store_dirs(args.source_root)
+    if not sources:
+        print(f"merge: no stores under {args.source_root}")
         return 1
     with _open_writable(args.directory, args.backend) as dest:
         before = len(dest)
-        copied = merge_stores(dest, partitions)
+        copied = merge_stores(dest, sources)
         print(f"{_backend_name(dest)} store at {dest.description}")
         print(
-            f"merge: folded {len(partitions)} partition(s), copied {copied} "
+            f"merge: folded {len(sources)} store(s), copied {copied} "
             f"record(s) ({before} already present, {len(dest)} total)"
         )
     return 0
@@ -251,7 +229,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-store",
-        description="Verify, repair, compact, or migrate a campaign result store.",
+        description="Verify, repair, compact, migrate, or merge campaign result stores.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -305,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "merge",
-        help="fold every per-worker partition store under --from into DIR",
+        help="fold every store directly under --from into DIR",
     )
     common(p)
     p.add_argument(
@@ -313,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="source_root",
         required=True,
         metavar="ROOT",
-        help="directory whose store-bearing subdirectories are the partitions",
+        help="directory whose store-bearing subdirectories are merged",
     )
     p.set_defaults(func=cmd_merge)
     return parser

@@ -10,6 +10,9 @@ Two proof styles back the executor's claims:
 * **Real chaos** — :mod:`repro.testing.chaos` injects faults into real
   pool workers via ``REPRO_CHAOS``; the campaign must still finish
   bit-identical to a clean serial run.
+
+Pool workers must also shed an asyncio parent's signal plumbing, or a
+pool shutdown would stop the campaign server that owns the pool.
 """
 
 import json
@@ -514,6 +517,39 @@ class TestRealChaos:
         stored = [k for k in campaign_keys() if session.store.get(k) is not None]
         assert len(stored) == 5 and failures[0].key not in stored
         assert excinfo.value.summary_lines()
+
+
+class TestWorkerSignalHygiene:
+    def test_shed_restores_default_handlers(self):
+        # A forked worker inherits an asyncio parent's SIGTERM handler
+        # and wakeup fd; keeping them would relay pool-shutdown signals
+        # into the parent's event loop and stop the campaign server
+        # mid-campaign.  The worker initializer must drop both.
+        import signal
+        import socket
+
+        from repro.campaign.executors import _shed_parent_signal_plumbing
+
+        a, b = socket.socketpair()
+        originals = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGINT, signal.SIGTERM)
+        }
+        try:
+            a.setblocking(False)
+            old_fd = signal.set_wakeup_fd(a.fileno())
+            signal.signal(signal.SIGTERM, lambda *args: None)
+            _shed_parent_signal_plumbing()
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_DFL
+            # the wakeup fd is detached: a new set returns "none was set"
+            assert signal.set_wakeup_fd(-1) == -1
+            signal.set_wakeup_fd(old_fd if old_fd != a.fileno() else -1)
+        finally:
+            for signum, handler in originals.items():
+                signal.signal(signum, handler)
+            a.close()
+            b.close()
 
 
 # --------------------------------------------------------------------------

@@ -276,6 +276,7 @@ class TestSubcommands:
             "store_backend": None,
             "store_fsync": None,
             "trace_cache": None,
+            "workers": 1,
             "max_retries": 2,
             "chunk_timeout": None,
         }
@@ -289,6 +290,7 @@ class TestSubcommands:
             "--store-backend", "sqlite",
             "--store-fsync",
             "--trace-cache", "CACHE",
+            "--workers", "3",
             "--max-retries", "4",
             "--chunk-timeout", "2.5",
         ]
@@ -303,6 +305,7 @@ class TestSubcommands:
             "store_backend": "sqlite",
             "store_fsync": True,
             "trace_cache": "CACHE",
+            "workers": 3,
             "max_retries": 4,
             "chunk_timeout": 2.5,
         }
@@ -314,6 +317,39 @@ class TestSubcommands:
         assert shared([]) == defaults
         assert shared(argv) == parsed
         assert shared(["--no-store"]) == {**defaults, "no_store": True}
+
+    @pytest.mark.parametrize(
+        "name,flag,value",
+        [
+            (name, flag, value)
+            for name in ("run", "serve", "submit", "predict")
+            for flag, value in (
+                ("--instructions", "0"),
+                ("--maps", "0"),
+                ("--maps", "-1"),
+                ("--warmup", "-1"),
+                ("--workers", "0"),
+                ("--max-retries", "-4"),
+                ("--chunk-timeout", "0"),
+                ("--chunk-timeout", "-2.5"),
+            )
+            # submit takes the fidelity flags only; execution is the
+            # server's
+            if name != "submit"
+            or flag in ("--instructions", "--maps", "--warmup")
+        ],
+    )
+    def test_bad_numeric_flags_exit_2(self, capsys, name, flag, value):
+        make_parser, positional = {
+            "run": (cli._build_parser, ["fig8"]),
+            "serve": (cli._serve_parser, []),
+            "submit": (cli._submit_parser, ["fig8", "--url", "http://x"]),
+            "predict": (cli._predict_parser, ["fig8"]),
+        }[name]
+        with pytest.raises(SystemExit) as excinfo:
+            make_parser().parse_args(positional + [flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_submit_spec_from_figures_matches_run_union(self):
         from repro.campaign.spec import CampaignSpec

@@ -439,6 +439,18 @@ class TestCLICampaign:
         # Figure output is bit-identical when read back from the store.
         assert first.out == second.out
 
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_summary_prints_for_every_disk_backend(self, tmp_path, capsys, backend):
+        # An analytical-only run simulates nothing, yet a disk-backed
+        # store still gets its summary line, whatever the backend.
+        from repro.experiments.__main__ import main
+
+        argv = ["fig3", "--store", str(tmp_path), "--store-backend", backend]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "[campaign] simulations executed=0 " in err
+        assert f"store={tmp_path}" in err
+
     def test_store_and_no_store_conflict(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 

@@ -4,7 +4,9 @@ The acceptance claims under test:
 
 * a remote campaign is **complete and byte-identical** — every distinct
   key of the client's spec arrives as exactly one ``PointResult`` whose
-  payload equals a standalone local run's;
+  payload equals a standalone local run's — whether the server simulates
+  serially or through the ``PoolExecutor`` that ``serve --workers N``
+  builds, which streams each chunk's results as the chunk lands;
 * two concurrent clients with overlapping specs each get full streams
   while the server executes strictly fewer simulations than the sum of
   standalone runs (the coalescing contract);
@@ -115,9 +117,15 @@ class TestWireBasics:
 
 
 class TestSingleClient:
-    def test_stream_is_complete_and_byte_identical(self):
+    @pytest.mark.parametrize(
+        "make_executor", [SerialExecutor, lambda: PoolExecutor(2)],
+        ids=["serial", "pool"],
+    )
+    def test_stream_is_complete_and_byte_identical(self, make_executor):
         reference = standalone_results(SPEC_A)
-        with Session(SETTINGS) as session, ServerThread(session) as server:
+        with Session(SETTINGS) as session, ServerThread(
+            session, executor=make_executor()
+        ) as server:
             with Session.connect(server.url) as remote:
                 events = list(remote.run(SPEC_A))
             assert isinstance(events[0], PlanReady)
@@ -127,6 +135,9 @@ class TestSingleClient:
             assert (final.done, final.total) == (4, 4)
             assert remote.last_done["simulations_executed"] == 4
             assert remote.last_done["failures"] == 0
+            # the shared store holds exactly the standalone payloads
+            stored = {key: result_to_dict(session.store.get(key)) for key in reference}
+            assert stored == reference
 
     def test_second_run_is_pure_store_hits(self):
         with Session(SETTINGS) as session, ServerThread(session) as server:
@@ -271,6 +282,42 @@ class TestFailureSurface:
                 assert len(points) == 5
                 assert failed[0].key not in points
                 assert remote.last_done["failures"] == 1
+
+
+class TestServeExecutor:
+    def test_point_results_precede_the_last_chunk_progress(
+        self, monkeypatch
+    ):
+        # `serve --workers 2` builds an executor that lands every chunk
+        # as it completes: over a plan of two or more chunks, a
+        # PointResult reaches the stream before the last per-chunk
+        # Progress (the final Progress follows the drain), and Progress
+        # `done` counts climb monotonically to the total.
+        import repro.experiments.__main__ as cli
+        import repro.service.server as server_module
+
+        built = {}
+
+        def capture(session, executor=None, **kwargs):
+            built["executor"] = executor
+
+        monkeypatch.setattr(server_module, "serve_blocking", capture)
+        argv = ["--workers", "2", "--port", "0", "--no-store",
+                "--instructions", "3000", "--warmup", "1000", "--maps", "2",
+                "--benchmarks", "gzip"]
+        assert cli._serve_main(argv) == 0
+        with Session(SETTINGS) as session:
+            spec = session.spec((LV_BASELINE, LV_WORD, LV_BLOCK, LV_BLOCK_V10))
+            assert len(session.plan(spec).worker_batches()) >= 2
+            events = list(session.run(spec, executor=built["executor"]))
+        progress = [i for i, e in enumerate(events) if isinstance(e, Progress)]
+        points = [i for i, e in enumerate(events) if isinstance(e, PointResult)]
+        assert len(progress) >= 3  # one per chunk, then the final one
+        assert len(points) == 6
+        assert points[0] < progress[-2]
+        done_counts = [events[i].done for i in progress]
+        assert done_counts == sorted(done_counts)
+        assert done_counts[-1] == 6
 
 
 class TestServerInternals:

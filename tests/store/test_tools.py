@@ -1,10 +1,11 @@
-"""Operator tooling: store verify / repair / compact / migrate.
+"""Operator tooling: store verify / repair / compact / migrate / merge.
 
 Exercises the CLI exactly as an operator would — through ``main(argv)``
 and through the ``python -m repro.experiments store`` dispatch — against
 real damaged directories, asserting exit codes, report text, and the
-on-disk outcome (repair heals, migrate is lossless and verified, a
-read-only sharded store refuses every rewrite with the migrate hint).
+on-disk outcome (repair heals, migrate is lossless and verified, merge
+copies only what the destination lacks, a read-only sharded store
+refuses every rewrite with the migrate hint).
 """
 
 from __future__ import annotations
@@ -265,6 +266,57 @@ class TestReadOnlySharded:
                 "--benchmarks", "gzip", "--store", str(tmp_path)]
         assert experiments_main(argv) == 2
         assert f"store migrate {tmp_path} --to jsonl" in capsys.readouterr().err
+
+
+class TestMerge:
+    """``store merge DIR --from ROOT`` folds every store directly under
+    ROOT — here one jsonl and one sqlite store, as separate hosts would
+    leave them — into DIR."""
+
+    @pytest.fixture
+    def root(self, tmp_path, records):
+        root = tmp_path / "hosts"
+        with open_store(str(root / "a"), backend="jsonl") as store:
+            for key, result in records[:8]:
+                store.put(key, result)
+        with open_store(str(root / "b"), backend="sqlite") as store:
+            for key, result in records[4:]:
+                store.put(key, result)
+        (root / "stray").mkdir()  # no store files: not a source
+        return root
+
+    def test_merge_stores_copies_only_missing(self, tmp_path, root, records):
+        from repro.store.tools import merge_stores, store_dirs
+
+        sources = store_dirs(str(root))
+        assert sources == [str(root / "a"), str(root / "b")]
+        with open_store(str(tmp_path / "dest"), backend="jsonl") as dest:
+            dest.put(*records[0])  # already present
+            copied = merge_stores(dest, sources)
+            assert copied == len(records) - 1
+            assert {key: dest.get(key) for key in dest.keys()} == dict(records)
+
+    def test_store_merge_cli_folds_every_store_under_root(
+        self, tmp_path, root, records, capsys
+    ):
+        dest = tmp_path / "campaign"
+        with open_store(str(dest), backend="jsonl") as store:
+            store.put(*records[0])
+        assert main(["merge", str(dest), "--from", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "folded 2 store(s)" in out
+        assert f"copied {len(records) - 1} record(s)" in out
+        with open_store(str(dest)) as merged:
+            assert {key: merged.get(key) for key in merged.keys()} == dict(records)
+        assert main(["verify", str(dest)]) == 0
+
+    def test_store_merge_cli_with_no_stores_fails(self, tmp_path, capsys):
+        (tmp_path / "empty" / "stray").mkdir(parents=True)
+        code = main(
+            ["merge", str(tmp_path / "dest"), "--from", str(tmp_path / "empty")]
+        )
+        assert code == 1
+        assert "no stores under" in capsys.readouterr().out
 
 
 class TestExperimentsDispatch:
