@@ -1076,6 +1076,9 @@ def smoke_predict(json_dir: str) -> list[str]:
 
     * converge within its tolerance while simulating at most 50% of the
       grid;
+    * run every proposal, at any map depth, on the smoke's one session:
+      no other ``Session`` is built and each benchmark's trace is
+      generated or loaded once;
     * land every simulated point in the store, so re-planning the full
       grid dedups exactly the loop's labels;
     * be replayable: ``replay_report`` over the loop's store re-derives
@@ -1132,9 +1135,29 @@ def smoke_predict(json_dir: str) -> list[str]:
 
     with tempfile.TemporaryDirectory() as traces:
         with Session(settings, trace_cache=traces) as session:
-            loop = ActiveCampaign(session, spec, predict)
-            report = loop.run_all()
-            loop.close()
+            built = []
+            session_init = Session.__init__
+
+            def counting_init(other, *args, **kwargs):
+                built.append(other)
+                session_init(other, *args, **kwargs)
+
+            Session.__init__ = counting_init
+            try:
+                report = ActiveCampaign(session, spec, predict).run_all()
+            finally:
+                Session.__init__ = session_init
+            if built:
+                failures.append(
+                    f"the active loop built {len(built)} session(s) besides "
+                    "the smoke's own"
+                )
+            acquired = session.traces.generated + session.traces.loaded
+            if acquired != len(benchmarks):
+                failures.append(
+                    f"traces generated+loaded={acquired}, expected one per "
+                    f"benchmark ({len(benchmarks)})"
+                )
             if report.coverage > 0.5:
                 failures.append(
                     f"active loop simulated {report.simulated}/{report.total} "
@@ -1201,9 +1224,7 @@ def smoke_predict(json_dir: str) -> list[str]:
             seed=predict.seed,
         )
         with Session(settings, trace_cache=traces) as control:
-            loop = ActiveCampaign(control, spec, random_settings)
-            random_report = loop.run_all()
-            loop.close()
+            random_report = ActiveCampaign(control, spec, random_settings).run_all()
         random_avg, random_min = figure_error(random_report.estimate, truth)
         if active_avg >= random_avg:
             failures.append(

@@ -72,7 +72,6 @@ with Session(settings) as session:
                 f"{event.total} simulated ({event.coverage:.0%})"
             )
     report = loop.report()
-    loop.close()
     print()
     print(report.figure_result().to_text())
 
@@ -90,7 +89,6 @@ with Session(settings) as backing:
         with Session.connect(server.url) as remote:
             loop = ActiveCampaign(remote, spec, predict, baseline=LV_BASELINE)
             remote_report = loop.run_all()
-            loop.close()
         with urllib.request.urlopen(f"{server.url}/healthz") as response:
             health = json.load(response)
     print("active loop (remote session):")

@@ -24,7 +24,6 @@ satellite), so campaign scripts never leak half-flushed JSONL handles.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -45,7 +44,7 @@ from repro.cpu.pipeline import OutOfOrderPipeline, SimResult
 from repro.cpu.trace import Trace
 from repro.experiments.configs import RunConfig
 from repro.experiments.providers import FaultMapProvider, TraceProvider
-from repro.experiments.keys import task_key
+from repro.experiments.keys import fidelity_fingerprint, task_key
 from repro.store import MemoryStore, ResultStore
 from repro.faults.fault_map import FaultMap, FaultMapPair
 
@@ -92,7 +91,9 @@ class Session:
     provider once; every experiment — a lazy single point, a list of
     lanes through :meth:`run_group`, or a declarative spec streamed
     through :meth:`run` — reads and writes through the same handles and
-    the same dedup keys.
+    the same dedup keys.  A session runs every spec with its
+    :func:`~repro.experiments.keys.fidelity_fingerprint`, over any
+    benchmark subset and any map count.
     """
 
     def __init__(
@@ -151,6 +152,9 @@ class Session:
         #: :class:`~repro.campaign.resilience.Quarantined`).  Healthy
         #: results around a failure are always durable in the store.
         self.failures: list[Quarantined] = []
+        #: Sessions at other fidelities over this one's store, by
+        #: fingerprint (see :meth:`derived`); closed with this session.
+        self._children: dict[tuple, "Session"] = {}
         self._closed = False
 
     # ----- remote sessions ------------------------------------------------------
@@ -184,11 +188,14 @@ class Session:
         self.store.flush()
 
     def close(self) -> None:
-        """Flush and, when this session opened the store itself, close it.
-        Idempotent; the session's in-memory caches stay readable."""
+        """Close the :meth:`derived` children, then flush and, when this
+        session opened the store itself, close it.  Idempotent; the
+        session's in-memory caches stay readable."""
         if self._closed:
             return
         self._closed = True
+        for child in self._children.values():
+            child.close()
         self.store.flush()
         if self.owns_store:
             self.store.close()
@@ -373,21 +380,19 @@ class Session:
         :class:`PointResult`/:class:`Progress` events as simulations
         land in the store.
 
-        A spec whose fidelity differs from this session's settings is
-        rejected — open a :meth:`derived` session for it instead (the
-        store and trace cache are shared, so nothing is recomputed).
+        Any benchmark subset and any map count run here; a spec whose
+        :func:`~repro.experiments.keys.fidelity_fingerprint` differs from
+        this session's is rejected, because its task keys are not this
+        session's — run it on :meth:`derived` instead (same store and
+        trace cache, so nothing is recomputed).
 
         Validation and planning happen *eagerly*, at the call — only the
         execution streams — so a wrong-fidelity spec raises here, not at
         first iteration.
         """
-        # Benchmarks only scope the campaign (a spec may sweep a subset of
-        # the session's suite); the fidelity fields must agree or the
-        # spec's task keys would not be this session's keys.
-        theirs = dataclasses.replace(
-            spec.settings(), benchmarks=self.settings.benchmarks
-        )
-        if theirs != self.settings:
+        if fidelity_fingerprint(spec.settings()) != fidelity_fingerprint(
+            self.settings
+        ):
             raise ValueError(
                 "spec fidelity differs from this session's settings; "
                 "use session.derived(spec) to open a matching session "
@@ -445,16 +450,26 @@ class Session:
         return plan
 
     def derived(self, spec: CampaignSpec) -> "Session":
-        """A session at ``spec``'s fidelity sharing this session's store
-        and trace cache (content-hash keys keep mixed-fidelity campaigns
-        from colliding).  The derived session never closes the shared
-        store."""
-        return Session(
-            spec.settings(),
-            pipeline_config=self.pipeline_config,
-            store=self.store,
-            trace_cache=self.traces.cache_dir,
-        )
+        """The session that runs ``spec``: this one when the fidelity
+        fingerprints match (benchmarks and map count never fork a
+        session), else a child at ``spec``'s fidelity over this session's
+        store and trace cache, memoised per fingerprint and closed with
+        this session (never closing the shared store)."""
+        settings = spec.settings()
+        fingerprint = fidelity_fingerprint(settings)
+        if fingerprint == fidelity_fingerprint(self.settings):
+            return self
+        memo = tuple(sorted(fingerprint.items()))
+        child = self._children.get(memo)
+        if child is None:
+            child = Session(
+                settings,
+                pipeline_config=self.pipeline_config,
+                store=self.store,
+                trace_cache=self.traces.cache_dir,
+            )
+            self._children[memo] = child
+        return child
 
     # ----- simulator construction ----------------------------------------------
 
@@ -476,7 +491,7 @@ class Session:
             LOW_VOLTAGE if config.voltage is VoltageMode.LOW else HIGH_VOLTAGE
         )
         if map_index is not None:
-            pair = self.fault_maps()[map_index]
+            pair = self.maps.pair(map_index)
             imap, dmap = pair.icache, pair.dcache
         elif config.voltage is VoltageMode.LOW:
             # Fault-independent low-voltage schemes (word-disabling's halved
@@ -505,19 +520,15 @@ class Session:
     # ----- normalized series (the figure bars) ---------------------------------
 
     def normalized_series(
-        self,
-        config: RunConfig,
-        baseline: RunConfig,
-        benchmarks: "tuple[str, ...] | None" = None,
+        self, config: RunConfig, baseline: RunConfig
     ) -> NormalizedSeries:
         """Per-benchmark average and minimum performance of ``config``
-        normalized to ``baseline`` (which must be fault-independent).
-        Reads pure store hits after :meth:`run`; simulates lazily
-        otherwise."""
+        normalized to ``baseline`` (which must be fault-independent),
+        over this session's benchmarks and maps.  Reads pure store hits
+        after :meth:`run`; simulates lazily otherwise."""
         if baseline.needs_fault_map:
             raise ValueError("normalisation baseline must be fault-independent")
-        if benchmarks is None:
-            benchmarks = self.settings.benchmarks
+        benchmarks = self.settings.benchmarks
         averages = []
         minimums = []
         maps = (
@@ -537,7 +548,7 @@ class Session:
             minimums.append(min(normalized))
         return NormalizedSeries(
             config_label=config.label,
-            benchmarks=tuple(benchmarks),
+            benchmarks=benchmarks,
             average=tuple(averages),
             minimum=tuple(minimums),
         )

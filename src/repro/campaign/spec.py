@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 from repro.core.schemes import VoltageMode
@@ -76,25 +76,33 @@ class RunnerSettings:
 
     @classmethod
     def from_env(cls) -> "RunnerSettings":
-        """Quick defaults overridden by ``REPRO_*`` environment variables."""
-        base = cls.quick()
-        n_instr = int(os.environ.get("REPRO_INSTR", base.n_instructions))
-        n_maps = int(os.environ.get("REPRO_MAPS", base.n_fault_maps))
-        seed = int(os.environ.get("REPRO_SEED", base.seed))
-        warmup = int(os.environ.get("REPRO_WARMUP", base.warmup_instructions))
-        benchmarks = base.benchmarks
-        env_benchmarks = os.environ.get("REPRO_BENCHMARKS")
-        if env_benchmarks:
-            benchmarks = tuple(
-                name.strip() for name in env_benchmarks.split(",") if name.strip()
-            )
-        return cls(
-            n_instructions=n_instr,
-            n_fault_maps=n_maps,
-            benchmarks=benchmarks,
-            seed=seed,
-            warmup_instructions=warmup,
-        )
+        """Quick defaults overridden by ``REPRO_*`` environment variables
+        (an empty one counts as unset).  A value that does not parse, or
+        that the settings reject, raises ``ValueError`` naming the
+        variable."""
+        settings = cls.quick()
+        for name, (field, parse) in _ENV_FIELDS.items():
+            raw = os.environ.get(name)
+            if raw:
+                try:
+                    settings = replace(settings, **{field: parse(raw)})
+                except ValueError as exc:
+                    raise ValueError(f"{name}={raw!r}: {exc}") from None
+        return settings
+
+
+#: ``REPRO_*`` variable -> (RunnerSettings field, parser) for
+#: :meth:`RunnerSettings.from_env`.
+_ENV_FIELDS = {
+    "REPRO_INSTR": ("n_instructions", int),
+    "REPRO_MAPS": ("n_fault_maps", int),
+    "REPRO_BENCHMARKS": (
+        "benchmarks",
+        lambda raw: tuple(name.strip() for name in raw.split(",") if name.strip()),
+    ),
+    "REPRO_SEED": ("seed", int),
+    "REPRO_WARMUP": ("warmup_instructions", int),
+}
 
 
 # --------------------------------------------------------------------------

@@ -92,6 +92,17 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
+def _benchmark_list(value: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in value.split(",") if name.strip())
+    unknown = [name for name in names if name not in ALL_BENCHMARKS]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown benchmarks: {', '.join(unknown) or repr(value)} "
+            "(see 'python -m repro.experiments list')"
+        )
+    return names
+
+
 def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
     """The fidelity knobs every campaign subcommand shares (same dests,
     so :func:`_settings_from_args` reads any of their namespaces)."""
@@ -106,7 +117,7 @@ def _add_fidelity_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--benchmarks",
-        type=str,
+        type=_benchmark_list,
         default=None,
         help="comma-separated benchmark subset",
     )
@@ -230,16 +241,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _settings_from_args(args: argparse.Namespace) -> RunnerSettings:
-    base = RunnerSettings.from_env()
-    benchmarks = base.benchmarks
-    if args.benchmarks:
-        benchmarks = tuple(b.strip() for b in args.benchmarks.split(",") if b.strip())
+    try:
+        base = RunnerSettings.from_env()
+    except ValueError as exc:  # exit like argparse does on a bad flag
+        print(f"bad environment value: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return RunnerSettings(
         n_instructions=(
             args.instructions if args.instructions is not None else base.n_instructions
         ),
         n_fault_maps=args.maps if args.maps is not None else base.n_fault_maps,
-        benchmarks=benchmarks,
+        benchmarks=(
+            args.benchmarks if args.benchmarks is not None else base.benchmarks
+        ),
         seed=args.seed if args.seed is not None else base.seed,
         warmup_instructions=(
             args.warmup if args.warmup is not None else base.warmup_instructions
@@ -251,11 +265,37 @@ def _store_from_args(args: argparse.Namespace) -> ResultStore:
     if args.no_store:
         return MemoryStore()
     backend = args.store_backend if args.store_backend != "auto" else None
-    return open_store(
-        args.store or os.environ.get("REPRO_STORE"),
-        backend=backend,
-        fsync=args.store_fsync,
+    try:
+        return open_store(
+            args.store or os.environ.get("REPRO_STORE"),
+            backend=backend,
+            fsync=args.store_fsync,
+        )
+    except OSError as exc:
+        print(f"cannot open result store: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _trace_cache_from_args(args: argparse.Namespace) -> "str | None":
+    """``--trace-cache``, else ``$REPRO_TRACE_CACHE``, exported to the
+    environment: traces built outside a provider (the ablation studies',
+    here and in their worker processes) have no cache directory of their
+    own, and find this one there to persist their compiled schedules."""
+    trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
+    if trace_cache:
+        os.environ[TRACE_CACHE_ENV] = trace_cache
+    return trace_cache
+
+
+def _open_session(args: argparse.Namespace, settings: RunnerSettings) -> Session:
+    """The session ``run``, ``serve`` and ``predict`` simulate through,
+    over the store and trace cache their flags name.  The session owns
+    the store, so closing the session closes it."""
+    session = Session(
+        settings, store=_store_from_args(args), trace_cache=_trace_cache_from_args(args)
     )
+    session.owns_store = True
+    return session
 
 
 def _executor_from_args(args: argparse.Namespace) -> "PoolExecutor | None":
@@ -333,11 +373,21 @@ def _run_main(raw_argv: list[str]) -> int:
         print("run 'python -m repro.experiments list' to see options", file=sys.stderr)
         return 2
 
-    try:
+    # The union campaign every requested performance target needs — one
+    # spec, one plan, one streaming run; figures then read store hits.
+    needed = list(configs_for_targets(targets))
+    if "report" in targets:
+        needed.extend(c for c in REPORT_CONFIGS if c not in needed)
+    # Only campaign targets read the settings; the store still opens for
+    # the others, whose summary line reports its size.
+    if needed:
+        session = _open_session(args, _settings_from_args(args))
+        store = session.store
+    else:
+        session = None
         store = _store_from_args(args)
-    except OSError as exc:
-        print(f"cannot open result store: {exc}", file=sys.stderr)
-        return 2
+        _trace_cache_from_args(args)
+    opened = session if session is not None else store
 
     def make_progress(unit: str):
         def progress(done: int, total: int) -> None:
@@ -345,42 +395,15 @@ def _run_main(raw_argv: list[str]) -> int:
 
         return progress
 
-    trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
-    if trace_cache:
-        # Export for child processes (parallel ablation studies build their
-        # own inputs from the environment).
-        os.environ[TRACE_CACHE_ENV] = trace_cache
-
-    # The union campaign every requested performance target needs — one
-    # spec, one plan, one streaming run; figures then read store hits.
-    needed = list(configs_for_targets(targets))
-    if "report" in targets:
-        needed.extend(c for c in REPORT_CONFIGS if c not in needed)
-
-    session: Session | None = None
-    session_used = False
-
-    def shared_session() -> Session:
-        nonlocal session, session_used
-        if session is None:
-            session = Session(
-                _settings_from_args(args), store=store, trace_cache=trace_cache
-            )
-        session_used = True
-        return session
-
     if args.dry_run:
         # Targets that simulate outside the campaign store (own inputs,
         # no store keys) — the plan below cannot cost them.
         non_store = [
             t for t in targets if t in ABLATION_STUDIES or t == "characterize"
         ]
-        if needed:
-            spec = CampaignSpec.from_settings(
-                _settings_from_args(args), tuple(needed)
-            )
-            print(shared_session().plan(spec).describe())
-            shared_session().close()
+        if session is not None:
+            spec = CampaignSpec.from_settings(session.settings, tuple(needed))
+            print(session.plan(spec).describe())
         else:
             print("dry run: requested targets need no store-backed simulations")
         if non_store:
@@ -389,14 +412,12 @@ def _run_main(raw_argv: list[str]) -> int:
                 f"({', '.join(non_store)}) simulate outside the "
                 "campaign store and are not included in this plan"
             )
-        store.close()
+        opened.close()
         return 0
 
     def prefill(active: Session) -> None:
         """Stream the union campaign through the session so every figure
         renders from pure store hits (byte-identical to the lazy path)."""
-        if not needed:
-            return
         spec = CampaignSpec.from_settings(active.settings, tuple(needed))
         progress = make_progress("simulations")
         for event in active.run(spec, executor=_executor_from_args(args)):
@@ -423,11 +444,10 @@ def _run_main(raw_argv: list[str]) -> int:
 
     def ready_session() -> Session:
         nonlocal prefilled
-        active = shared_session()
         if not prefilled:
             prefilled = True
-            prefill(active)
-        return active
+            prefill(session)
+        return session
 
     # Ablation studies build their own inputs (no shared session), so with
     # --workers they run one-study-per-process up front.
@@ -468,7 +488,9 @@ def _run_main(raw_argv: list[str]) -> int:
         # Session.run already flushed the store and printed the resume
         # hint; exit with the conventional interrupt status.
         code = 130
-    if code == 0 and (isinstance(store, (DiskStore, SqliteStore)) or session_used):
+    if code == 0 and (
+        session is not None or isinstance(store, (DiskStore, SqliteStore))
+    ):
         executed = session.simulations_executed if session is not None else 0
         passes = session.schedule_passes if session is not None else 0
         summary = (
@@ -488,9 +510,7 @@ def _run_main(raw_argv: list[str]) -> int:
             # store; their simulations are not in the counts above.
             summary += f" (+{len(ablations_rendered)} ablation studies, not store-backed)"
         print(summary, file=sys.stderr)
-    if session is not None:
-        session.close()
-    store.close()  # the CLI opened the store, so the CLI closes it
+    opened.close()
     return code
 
 
@@ -552,17 +572,7 @@ def _serve_parser() -> argparse.ArgumentParser:
 
 def _serve_main(argv: list[str]) -> int:
     args = _serve_parser().parse_args(argv)
-    try:
-        store = _store_from_args(args)
-    except OSError as exc:
-        print(f"cannot open result store: {exc}", file=sys.stderr)
-        return 2
-    trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
-    if trace_cache:
-        os.environ[TRACE_CACHE_ENV] = trace_cache
-    session = Session(
-        _settings_from_args(args), store=store, trace_cache=trace_cache
-    )
+    session = _open_session(args, _settings_from_args(args))
     from repro.service.server import serve_blocking
 
     try:
@@ -574,7 +584,6 @@ def _serve_main(argv: list[str]) -> int:
         )
     finally:
         session.close()
-        store.close()
     return 0
 
 
@@ -787,19 +796,9 @@ def _predict_main(argv: list[str]) -> int:
         print(f"bad predict settings: {exc}", file=sys.stderr)
         return 2
 
-    store = None
-    if args.url:
-        session = Session.connect(args.url)
-    else:
-        try:
-            store = _store_from_args(args)
-        except OSError as exc:
-            print(f"cannot open result store: {exc}", file=sys.stderr)
-            return 2
-        trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
-        if trace_cache:
-            os.environ[TRACE_CACHE_ENV] = trace_cache
-        session = Session(settings, store=store, trace_cache=trace_cache)
+    session = (
+        Session.connect(args.url) if args.url else _open_session(args, settings)
+    )
     loop = ActiveCampaign(
         session,
         spec,
@@ -845,14 +844,7 @@ def _predict_main(argv: list[str]) -> int:
         )
         code = 3
     finally:
-        loop.close()
-        close = getattr(session, "close", None)
-        if close is not None and not args.url:
-            close()
-        if store is not None:
-            store.close()
-        elif args.url:
-            session.close()
+        session.close()
 
     if code == 0:
         report = loop.report()

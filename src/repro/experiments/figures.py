@@ -1,26 +1,23 @@
 """Per-figure data generation: one function per paper figure/table.
 
 Every figure entry point — analytical (1, 3-7) or simulation-backed
-(8-12) — now has one signature::
+(8-12) — has one signature::
 
-    figN_data(session=None, *, spec=None) -> FigureResult
+    figN_data(session=None) -> FigureResult
 
 Analytical figures evaluate the Section IV closed forms directly and
-ignore both arguments (accepted for registry uniformity).  Performance
+ignore the argument (accepted for registry uniformity).  Performance
 figures are a declarative :class:`~repro.campaign.spec.CampaignSpec`
-(:func:`figure_spec`) plus a *pure post-processing function*: the spec
-is streamed through the campaign :class:`~repro.campaign.session.Session`
-(filling the result store), after which the series are computed from
-pure store hits.  ``session`` is a
-:class:`~repro.campaign.session.Session` or ``None`` (a fresh
-environment-configured session); ``spec`` overrides the campaign — a
-spec at a different fidelity runs in a derived session over the same
-store.
+(:func:`figure_spec`, at the session's settings) plus a *pure
+post-processing function*: the spec is streamed through the campaign
+:class:`~repro.campaign.session.Session` (filling the result store),
+after which the series are computed from pure store hits.  ``session``
+is a :class:`~repro.campaign.session.Session` or ``None`` (a fresh
+environment-configured session).  Another fidelity or benchmark scope
+is another session's figure.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -110,53 +107,29 @@ def configs_for_targets(targets) -> tuple:
     return tuple(needed)
 
 
-def _coerce_session(session: "Session | None") -> Session:
-    """The given session, or a fresh environment-configured one."""
-    return Session() if session is None else session
-
-
-def _prepare(session, target: str, spec: CampaignSpec | None):
-    """Resolve the figure's campaign and fill the store: stream the spec
-    through the session (grouped into lane passes, store-deduped; a
-    re-render is pure store hits and zero schedule passes), then hand
-    back the
-    session and benchmark scope the post-processing reads from."""
-    session = _coerce_session(session)
-    if spec is None:
-        spec = figure_spec(target, session.settings)
-    elif dataclasses.replace(
-        spec.settings(),
-        benchmarks=session.settings.benchmarks,
-    ) != session.settings:
-        # Benchmarks only scope the campaign (Session.run normalises them
-        # the same way); a *fidelity* override runs in a derived session
-        # over the same store/trace cache — content-hash keys keep
-        # fidelities disjoint.
-        session = session.derived(spec)
-    for _event in session.run(spec):
+def _prepare(session: "Session | None", target: str) -> Session:
+    """Fill the store with the figure's campaign: stream its spec through
+    the session (grouped into lane passes, store-deduped; a re-render is
+    pure store hits and zero schedule passes), then hand back the session
+    the post-processing reads from (a fresh environment-configured one
+    when ``session`` is ``None``)."""
+    session = Session() if session is None else session
+    for _event in session.run(figure_spec(target, session.settings)):
         pass
-    return session, spec.benchmarks
+    return session
 
 
-def _series(
-    session: Session,
-    benchmarks: tuple[str, ...],
-    configs: "tuple",
-    baseline,
-) -> "list[NormalizedSeries]":
+def _series(session: Session, configs: "tuple", baseline) -> "list[NormalizedSeries]":
     """Pure post-processing: normalized series per config, reading the
     results :func:`_prepare` just made durable."""
-    return [
-        session.normalized_series(config, baseline, benchmarks=benchmarks)
-        for config in configs
-    ]
+    return [session.normalized_series(config, baseline) for config in configs]
 
 
 # --------------------------------------------------------------------------
 # Fig. 1 — voltage scaling motivation
 # --------------------------------------------------------------------------
 
-def fig1_data(session=None, *, spec=None) -> FigureResult:
+def fig1_data(session=None) -> FigureResult:
     """Fig. 1a/1b: normalized voltage vs frequency, power, and performance,
     with and without sub-Vcc-min operation.
 
@@ -197,7 +170,7 @@ def fig1_data(session=None, *, spec=None) -> FigureResult:
 # Table I — transistor overhead
 # --------------------------------------------------------------------------
 
-def table1_data(session=None, *, spec=None) -> FigureResult:
+def table1_data(session=None) -> FigureResult:
     """Table I: storage-cell transistor cost of each scheme."""
     model = OverheadModel(PAPER_L1_GEOMETRY)
     rows = model.all_rows()
@@ -230,7 +203,7 @@ def table1_data(session=None, *, spec=None) -> FigureResult:
 # Figs. 3-7 — Section IV analysis
 # --------------------------------------------------------------------------
 
-def fig3_data(session=None, *, spec=None) -> FigureResult:
+def fig3_data(session=None) -> FigureResult:
     """Fig. 3: mean fraction of faulty blocks vs pfail (Eq. 2, k = 537)."""
     pfails = np.linspace(0.0, 0.010, 21)
     k = PAPER_L1_GEOMETRY.cells_per_block
@@ -248,7 +221,7 @@ def fig3_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig4_data(session=None, *, spec=None) -> FigureResult:
+def fig4_data(session=None) -> FigureResult:
     """Fig. 4: probability distribution of cache capacity at pfail = 0.001
     (Eq. 3) for the 32KB/64B running example."""
     pfail = 0.001
@@ -276,7 +249,7 @@ def fig4_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig5_data(session=None, *, spec=None) -> FigureResult:
+def fig5_data(session=None) -> FigureResult:
     """Fig. 5: probability of whole-cache failure for word-disabling
     (Eqs. 4-5; 32KB cache, 64B blocks, 8-word subblocks)."""
     pfails = np.linspace(0.0, 0.002, 21)
@@ -293,7 +266,7 @@ def fig5_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig6_data(session=None, *, spec=None) -> FigureResult:
+def fig6_data(session=None) -> FigureResult:
     """Fig. 6: block-disabling capacity vs pfail for 32/64/128B blocks at
     constant cache size and associativity."""
     pfails = np.linspace(0.0, 0.0048, 25)
@@ -312,7 +285,7 @@ def fig6_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig7_data(session=None, *, spec=None) -> FigureResult:
+def fig7_data(session=None) -> FigureResult:
     """Fig. 7: capacity of the incremental word-disabling scheme (Eq. 6)."""
     pfails = np.linspace(0.0, 0.010, 21)
     capacity = incremental_capacity_curve(
@@ -333,12 +306,12 @@ def fig7_data(session=None, *, spec=None) -> FigureResult:
 # Figs. 8-12 — performance evaluation
 # --------------------------------------------------------------------------
 
-def fig8_data(session=None, *, spec=None) -> FigureResult:
+def fig8_data(session=None) -> FigureResult:
     """Fig. 8: below-Vcc-min performance normalized to the baseline
     *without* victim cache."""
-    session, benchmarks = _prepare(session, "fig8", spec)
+    session = _prepare(session, "fig8")
     word, block, block_v = _series(
-        session, benchmarks, (LV_WORD, LV_BLOCK, LV_BLOCK_V10), LV_BASELINE
+        session, (LV_WORD, LV_BLOCK, LV_BLOCK_V10), LV_BASELINE
     )
     result = FigureResult(
         figure_id="fig8",
@@ -364,13 +337,11 @@ def fig8_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig9_data(session=None, *, spec=None) -> FigureResult:
+def fig9_data(session=None) -> FigureResult:
     """Fig. 9: below-Vcc-min performance when *every* configuration,
     including the baseline, has a 10T victim cache."""
-    session, benchmarks = _prepare(session, "fig9", spec)
-    word, block = _series(
-        session, benchmarks, (LV_WORD_V, LV_BLOCK_V10), LV_BASELINE_V
-    )
+    session = _prepare(session, "fig9")
+    word, block = _series(session, (LV_WORD_V, LV_BLOCK_V10), LV_BASELINE_V)
     result = FigureResult(
         figure_id="fig9",
         title="Below Vcc-min results normalized to baseline with victim cache (10T)",
@@ -388,12 +359,12 @@ def fig9_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig10_data(session=None, *, spec=None) -> FigureResult:
+def fig10_data(session=None) -> FigureResult:
     """Fig. 10: 10T vs 6T victim-cache cells for block-disabling at low
     voltage (the 6T victim keeps only 8 usable entries)."""
-    session, benchmarks = _prepare(session, "fig10", spec)
+    session = _prepare(session, "fig10")
     word, block_v10, block_v6 = _series(
-        session, benchmarks, (LV_WORD, LV_BLOCK_V10, LV_BLOCK_V6), LV_BASELINE
+        session, (LV_WORD, LV_BLOCK_V10, LV_BLOCK_V6), LV_BASELINE
     )
     result = FigureResult(
         figure_id="fig10",
@@ -415,13 +386,13 @@ def fig10_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig11_data(session=None, *, spec=None) -> FigureResult:
+def fig11_data(session=None) -> FigureResult:
     """Fig. 11: high-voltage performance normalized to baseline without a
     victim cache — word-disabling pays its alignment cycle; block-disabling
     matches the baseline exactly."""
-    session, benchmarks = _prepare(session, "fig11", spec)
+    session = _prepare(session, "fig11")
     word, block, block_v = _series(
-        session, benchmarks, (HV_WORD, HV_BLOCK, HV_BLOCK_V), HV_BASELINE
+        session, (HV_WORD, HV_BLOCK, HV_BLOCK_V), HV_BASELINE
     )
     result = FigureResult(
         figure_id="fig11",
@@ -439,13 +410,11 @@ def fig11_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def fig12_data(session=None, *, spec=None) -> FigureResult:
+def fig12_data(session=None) -> FigureResult:
     """Fig. 12: high-voltage performance with victim caches everywhere,
     normalized to the baseline with victim cache."""
-    session, benchmarks = _prepare(session, "fig12", spec)
-    word, block = _series(
-        session, benchmarks, (HV_WORD_V, HV_BLOCK_V), HV_BASELINE_V
-    )
+    session = _prepare(session, "fig12")
+    word, block = _series(session, (HV_WORD_V, HV_BLOCK_V), HV_BASELINE_V)
     result = FigureResult(
         figure_id="fig12",
         title="High-voltage results normalized to baseline with victim cache",
@@ -460,13 +429,11 @@ def fig12_data(session=None, *, spec=None) -> FigureResult:
     return result
 
 
-def extension_incremental_performance(session=None, *, spec=None) -> FigureResult:
+def extension_incremental_performance(session=None) -> FigureResult:
     """Beyond the paper: incremental word-disabling evaluated in the
     performance simulator (the paper stops at the Fig. 7 capacity analysis)."""
-    session, benchmarks = _prepare(session, "ext-incremental", spec)
-    word, incremental = _series(
-        session, benchmarks, (LV_WORD, LV_INCREMENTAL), LV_BASELINE
-    )
+    session = _prepare(session, "ext-incremental")
+    word, incremental = _series(session, (LV_WORD, LV_INCREMENTAL), LV_BASELINE)
     result = FigureResult(
         figure_id="ext-incremental",
         title="Extension: incremental word-disabling performance below Vcc-min",
@@ -484,7 +451,7 @@ def extension_incremental_performance(session=None, *, spec=None) -> FigureResul
 
 
 #: Figure registry for the CLI and the bench harness.  Every entry has
-#: the same shape: ``fn(session=None, *, spec=None) -> FigureResult``.
+#: the same shape: ``fn(session=None) -> FigureResult``.
 ANALYTICAL_FIGURES = {
     "fig1": fig1_data,
     "table1": table1_data,

@@ -11,10 +11,15 @@ pfail, master seed) plus the benchmark, the physical content of the
 entries — not the cosmetic label), and the fault-map index.  Fields that
 do not change the simulated bits stay out of the key on purpose:
 ``benchmarks`` only scopes the campaign, and ``n_fault_maps`` is excluded
-because :func:`~repro.faults.fault_map.sample_fault_map_pairs` derives
-pair *i* from an independent seed stream, identical regardless of how
-many pairs are drawn.  A quick ``--maps 6`` campaign therefore seeds the
-first six map columns of a later ``--maps 50`` one.
+because :func:`~repro.faults.fault_map.fault_map_pair` derives pair *i*
+from an independent seed stream, identical regardless of how many pairs
+are drawn.  A quick ``--maps 6`` campaign therefore seeds the first six
+map columns of a later ``--maps 50`` one.
+
+That makes :func:`fidelity_fingerprint` the one rule for which session
+runs a spec: a spec's task keys are a session's exactly when their
+fingerprints are equal, whatever the benchmarks and map count
+(:meth:`~repro.campaign.session.Session.derived`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ def fidelity_fingerprint(settings: "RunnerSettings") -> dict:
     """The RunnerSettings fields that determine simulated bits.
 
     Everything else (``benchmarks`` scope, ``n_fault_maps`` count) only
-    selects *which* simulations run, not what each one computes.
+    selects *which* simulations run, not what each one computes, so two
+    settings with equal fingerprints share task keys — the only test of
+    whether a session can run a spec.
     """
     return {
         "n_instructions": settings.n_instructions,

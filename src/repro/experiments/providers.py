@@ -35,7 +35,7 @@ import zipfile
 
 from repro.cpu.config import L1_GEOMETRY
 from repro.cpu.trace import Trace
-from repro.faults.fault_map import FaultMapPair, sample_fault_map_pairs
+from repro.faults.fault_map import FaultMapPair, fault_map_pair
 from repro.faults.geometry import CacheGeometry
 from repro.workloads.generator import TraceGenerator
 
@@ -194,27 +194,35 @@ class TraceProvider:
 class FaultMapProvider:
     """Memoised fault-map pairs for the campaign's (pfail, seed).
 
-    Pair *i* is drawn from an independent seed stream
-    (:func:`~repro.faults.fault_map.sample_fault_map_pairs`), so it is
-    identical in every process and for every ``n_fault_maps`` >= i+1 —
-    the property the store keys rely on.
+    Pair *i* is drawn from its own seed stream
+    (:func:`~repro.faults.fault_map.fault_map_pair`), so it is identical
+    in every process and for every map count — the property the store
+    keys rely on.  That is also why the provider draws past
+    ``n_fault_maps`` on demand: a session serves specs of any map count
+    at its fidelity.
     """
 
     def __init__(self, settings) -> None:
         self.settings = settings
-        self._pairs: list[FaultMapPair] | None = None
+        self._pairs: list[FaultMapPair] = []
 
-    def pairs(self) -> list[FaultMapPair]:
-        if self._pairs is None:
-            self._pairs = list(
-                sample_fault_map_pairs(
-                    L1_GEOMETRY,
-                    self.settings.pfail,
-                    self.settings.n_fault_maps,
-                    seed=self.settings.seed,
-                )
-            )
-        return self._pairs
+    def pairs(self, count: int | None = None) -> list[FaultMapPair]:
+        """The first ``count`` pairs (default ``n_fault_maps``).  The first
+        draw takes all ``n_fault_maps`` pairs; a larger ``count`` draws
+        only the missing ones."""
+        settings = self.settings
+        count = settings.n_fault_maps if count is None else count
+        drawn = self._pairs
+        if count > len(drawn):
+            # Rebind, never extend in place: the campaign server plans on
+            # one thread while another simulates on the same session, and
+            # two threads extending one list would both append the same
+            # pairs, shifting every later index.
+            drawn = self._pairs = drawn + [
+                fault_map_pair(L1_GEOMETRY, settings.pfail, i, settings.seed)
+                for i in range(len(drawn), max(count, settings.n_fault_maps))
+            ]
+        return drawn[:count]
 
     def pair(self, index: int) -> FaultMapPair:
-        return self.pairs()[index]
+        return self.pairs(index + 1)[index]

@@ -301,6 +301,18 @@ class FaultMapPair:
         return self.icache.pfail
 
 
+def fault_map_pair(
+    geometry: CacheGeometry, pfail: float, index: int, seed: int = 0
+) -> FaultMapPair:
+    """Pair ``index`` of :func:`sample_fault_map_pairs`, from its own
+    PCG64 stream: no pair needs the ones before it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    # One (2, d, k) draw per pair — same stream, same bits as two
+    # sequential generate() calls (see FaultMap.generate_batch).
+    icache, dcache = FaultMap.generate_batch(geometry, pfail, 2, rng)
+    return FaultMapPair(icache=icache, dcache=dcache)
+
+
 def sample_fault_map_pairs(
     geometry: CacheGeometry,
     pfail: float,
@@ -316,8 +328,4 @@ def sample_fault_map_pairs(
     if count < 0:
         raise ValueError("count must be non-negative")
     for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        # One (2, d, k) draw per pair — same stream, same bits as two
-        # sequential generate() calls (see FaultMap.generate_batch).
-        icache, dcache = FaultMap.generate_batch(geometry, pfail, 2, rng)
-        yield FaultMapPair(icache=icache, dcache=dcache)
+        yield fault_map_pair(geometry, pfail, i, seed)

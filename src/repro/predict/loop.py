@@ -15,9 +15,11 @@ much of it as the figure needs:
 3. **Propose** — an acquisition strategy
    (:mod:`~repro.predict.acquisition`) turns the uncertainty field into
    per-cell map-prefix extensions, emitted as ordinary campaign specs.
-4. **Run** — each proposed spec streams through the Session surface
+4. **Run** — each proposed spec streams through the caller's session
    (serial, pool, or a :meth:`Session.connect` remote — the driver
-   never looks behind it).  Store task keys exclude ``n_fault_maps``,
+   never looks behind it).  A session serves any map depth at its
+   fidelity fingerprint, so there is no depth bridging: every proposal
+   runs on the one session.  Store task keys exclude ``n_fault_maps``,
    so partial-depth specs dedup exactly against the full grid and a
    follow-up full run is pure dedup.
 5. **Converge** — the loop stops when the estimate moves less than
@@ -46,6 +48,7 @@ from repro.campaign.events import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.configs import RunConfig
+from repro.experiments.keys import fidelity_fingerprint
 from repro.experiments.results import FigureResult
 
 from repro.predict.acquisition import (
@@ -238,9 +241,9 @@ class ActiveCampaign:
     ``session`` is anything with the Session surface: a local
     :class:`~repro.campaign.session.Session` (serial or pool executor),
     or the :class:`~repro.service.client.RemoteSession` from
-    ``Session.connect``.  Local sessions at a different map depth are
-    bridged with memoised ``session.derived`` sessions over the shared
-    store, exactly as the campaign server does.
+    ``Session.connect``.  A local session must have the spec's fidelity
+    fingerprint; its map count and benchmarks may differ, and every
+    proposed spec runs on it directly.
     """
 
     def __init__(
@@ -257,21 +260,15 @@ class ActiveCampaign:
         self.executor = executor
         self.baseline = self._resolve_baseline(baseline)
         base_settings = getattr(session, "settings", None)
-        if base_settings is not None:
-            # Keys must agree: fidelity may differ from the session only
-            # in map depth (excluded from task keys) — anything else and
-            # `cached` would read the wrong universe.
-            theirs = dataclasses.replace(
-                spec.settings(),
-                benchmarks=base_settings.benchmarks,
-                n_fault_maps=base_settings.n_fault_maps,
+        if base_settings is not None and (
+            fidelity_fingerprint(spec.settings()) != fidelity_fingerprint(base_settings)
+        ):
+            # Otherwise `cached` would read another fidelity's keys.
+            raise ValueError(
+                "spec fidelity differs from the session's settings; open "
+                "the session at the spec's fidelity (store keys would not "
+                "line up)"
             )
-            if theirs != base_settings:
-                raise ValueError(
-                    "spec fidelity differs from the session's settings "
-                    "beyond map depth; open the session at the spec's "
-                    "fidelity (store keys would not line up)"
-                )
         self.featurizer = Featurizer(spec.settings())
         #: The full grid, in plan order.
         self.items: list = list(spec.work_items())
@@ -288,7 +285,6 @@ class ActiveCampaign:
         self._estimate: dict = {}
         self._estimate_vec: np.ndarray | None = None
         self._converged: Converged | None = None
-        self._derived: dict = {}
 
     def _resolve_baseline(self, baseline: RunConfig | None) -> RunConfig:
         configs = tuple(dict.fromkeys(self.spec.configs))
@@ -310,29 +306,6 @@ class ActiveCampaign:
 
     # ----- session plumbing -----------------------------------------------------
 
-    def close(self) -> None:
-        """Close the depth-bridging sessions this loop opened (never the
-        caller's session or its store)."""
-        for derived in self._derived.values():
-            derived.owns_store = False
-            derived.close()
-        self._derived.clear()
-
-    def _runner_for(self, spec: CampaignSpec):
-        base_settings = getattr(self.session, "settings", None)
-        if base_settings is None:
-            return self.session  # remote: the server derives per spec
-        wanted = spec.settings()
-        if dataclasses.replace(
-            wanted, benchmarks=base_settings.benchmarks
-        ) == base_settings:
-            return self.session
-        runner = self._derived.get(wanted)
-        if runner is None:
-            runner = self.session.derived(spec)
-            self._derived[wanted] = runner
-        return runner
-
     def _prime(self) -> None:
         """Adopt store hits as labels (local sessions only: the remote
         server streams its store hits as PointResults instead)."""
@@ -346,11 +319,10 @@ class ActiveCampaign:
                     self.labels[item] = float(result.cycles)
 
     def _run_spec(self, spec: CampaignSpec):
-        runner = self._runner_for(spec)
         kwargs = {}
-        if self.executor is not None and hasattr(runner, "settings"):
+        if self.executor is not None and hasattr(self.session, "settings"):
             kwargs["executor"] = self.executor  # remotes pick their own
-        for event in runner.run(spec, **kwargs):
+        for event in self.session.run(spec, **kwargs):
             if isinstance(event, PointResult):
                 item = (
                     event.benchmark,

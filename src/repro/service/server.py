@@ -34,16 +34,17 @@ Concurrency model: the event loop owns all coalescing state (claims are
 made atomically between awaits); actual simulation runs in a worker
 thread under a global lock (one campaign simulates at a time — the
 Session and its providers are not thread-safe), streaming its events
-back through an ``asyncio.Queue``.  Specs at a different fidelity than
-the server's session get a :meth:`~repro.campaign.session.Session.derived`
-session over the same store and trace cache, so mixed-fidelity clients
-still share everything shareable.
+back through an ``asyncio.Queue``.  Every spec runs on
+:meth:`~repro.campaign.session.Session.derived`: the server's own
+session whenever the spec's fidelity fingerprint is the session's —
+whatever its benchmarks and map count — and a child session over the
+same store and trace cache only for a foreign fingerprint, so
+mixed-fidelity clients still share everything shareable.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import sys
 import threading
@@ -73,9 +74,9 @@ MAX_BODY_BYTES = 4 << 20
 
 
 class CampaignServer:
-    """One listening socket over one shared session (plus derived
-    sessions per foreign fidelity), streaming campaigns to any number of
-    concurrent clients."""
+    """One listening socket over one shared session (plus one child
+    session per foreign fidelity fingerprint), streaming campaigns to
+    any number of concurrent clients."""
 
     def __init__(
         self,
@@ -95,8 +96,6 @@ class CampaignServer:
         self._sim_lock = asyncio.Lock()
         #: task key -> set when the key lands (or its claimer gives up).
         self._inflight: "dict[str, asyncio.Event]" = {}
-        #: derived sessions by their settings value (fidelity coalescing).
-        self._derived: dict = {}
         #: Coalescing/claim counters, all served verbatim on /healthz so
         #: remote clients (the predict loop among them) can observe how
         #: effective dedup is: ``store_hits`` (answered from the store),
@@ -138,23 +137,6 @@ class CampaignServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    # ----- sessions -------------------------------------------------------------
-
-    def _session_for(self, spec: CampaignSpec) -> "Session":
-        """The shared session when the spec matches its fidelity, else a
-        (cached) derived session over the same store and trace cache."""
-        base = self.session
-        theirs = dataclasses.replace(
-            spec.settings(),
-            benchmarks=base.settings.benchmarks,
-        )
-        if theirs == base.settings:
-            return base
-        wanted = spec.settings()
-        if wanted not in self._derived:
-            self._derived[wanted] = base.derived(spec)
-        return self._derived[wanted]
-
     # ----- HTTP plumbing --------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
@@ -182,7 +164,10 @@ class CampaignServer:
                     writer, 404, f"no such endpoint: {method} {path}"
                 )
                 return
-            length = int(headers.get("content-length", "0") or "0")
+            try:
+                length = int(headers.get("content-length") or "0")
+            except ValueError:
+                length = -1  # malformed: rejected below like a negative one
             if length <= 0 or length > MAX_BODY_BYTES:
                 await self._respond_error(
                     writer, 400, "POST /campaign needs a spec JSON body"
@@ -250,7 +235,7 @@ class CampaignServer:
             self.stats["active_clients"] -= 1
 
     async def _run_campaign(self, sender: "_StreamSender", spec: CampaignSpec) -> None:
-        session = self._session_for(spec)
+        session = self.session.derived(spec)
         # Planning reads the store but never simulates; off-thread so a
         # cold trace/signature build cannot stall the event loop.
         plan = await asyncio.to_thread(session.plan, spec)

@@ -1,4 +1,7 @@
-"""The Session facade: streaming events, executor equivalence, lifecycle."""
+"""The Session facade: streaming events, executor equivalence, lifecycle,
+and the one fidelity rule (which session runs a spec)."""
+
+import dataclasses
 
 import pytest
 
@@ -120,6 +123,47 @@ class TestStreaming:
                 assert session.cached("gzip", config, m) == reference[
                     (config.label, m)
                 ]
+
+
+class TestOneFidelityRule:
+    def test_spec_with_more_maps_runs_on_the_session(self, session):
+        deeper = dataclasses.replace(SETTINGS, n_fault_maps=4)
+        spec = CampaignSpec.from_settings(deeper, CONFIGS)
+        points = [e for e in session.run(spec) if isinstance(e, PointResult)]
+        assert len(points) == 2 + 2 * 4  # two fault-free configs, two x 4 maps
+        assert session.simulations_executed == len(points)
+        reference = Session(deeper)
+        reference.run_all(spec)
+        for event in points:
+            assert event.key == reference.task_key(
+                event.benchmark, event.config, event.map_index
+            )
+            assert event.result == reference.cached(
+                event.benchmark, event.config, event.map_index
+            )
+
+    def test_any_scope_derives_the_session_itself(self, session):
+        wider = dataclasses.replace(
+            SETTINGS, n_fault_maps=9, benchmarks=("mcf", "gzip")
+        )
+        assert session.derived(session.spec(CONFIGS)) is session
+        assert session.derived(CampaignSpec.from_settings(wider, CONFIGS)) is session
+
+    def test_foreign_fingerprint_gets_one_child_closed_with_the_session(self):
+        session = Session(SETTINGS, store=MemoryStore())
+        shorter = dataclasses.replace(SETTINGS, n_instructions=2_000)
+        spec = CampaignSpec.from_settings(shorter, (LV_BASELINE,))
+        child = session.derived(spec)
+        assert child is not session
+        assert child.settings == shorter
+        assert child.store is session.store
+        assert child.traces.cache_dir == session.traces.cache_dir
+        rescoped = dataclasses.replace(spec, n_fault_maps=5, benchmarks=("mcf",))
+        assert session.derived(rescoped) is child
+        child.run_all(spec)
+        session.close()
+        assert child._closed
+        assert len(session.store) == 1  # the shared store outlives the child
 
 
 class TestLifecycle:

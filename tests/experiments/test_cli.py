@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 import repro.experiments.__main__ as cli
@@ -297,7 +299,7 @@ class TestSubcommands:
         parsed = {
             "instructions": 1234,
             "maps": 7,
-            "benchmarks": "gzip,mcf",
+            "benchmarks": ("gzip", "mcf"),
             "seed": 9,
             "warmup": 321,
             "store": "DIR",
@@ -350,6 +352,59 @@ class TestSubcommands:
             make_parser().parse_args(positional + [flag, value])
         assert excinfo.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "serve", "submit", "predict"])
+    @pytest.mark.parametrize(
+        "flags,env",
+        [
+            (["--benchmarks", "nope"], {}),
+            (["--benchmarks", "gzip,nope"], {}),
+            ([], {"REPRO_MAPS": "0"}),
+            ([], {"REPRO_INSTR": "abc"}),
+            ([], {"REPRO_BENCHMARKS": "nope"}),
+        ],
+        ids=["flag", "flag-subset", "env-maps", "env-instr", "env-benchmarks"],
+    )
+    def test_bad_benchmarks_and_environment_exit_2(
+        self, capsys, monkeypatch, command, flags, env
+    ):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "serve_blocking", lambda *a, **k: None)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = {
+            "run": ["run", "fig8"],
+            "serve": ["serve", "--port", "0", "--no-store"],
+            "submit": ["submit", "fig8", "--url", "http://127.0.0.1:9"],
+            "predict": ["predict", "fig8", "--no-store"],
+        }[command]
+        try:
+            code = main(argv + flags)
+        except SystemExit as exc:  # both exit the way argparse does
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if flags:
+            assert "argument --benchmarks: unknown benchmarks: nope" in err
+        else:
+            ((name, value),) = env.items()
+            assert err.splitlines() == [err.strip()]
+            assert err.startswith(f"bad environment value: {name}={value!r}: ")
+
+    def test_non_campaign_targets_skip_settings_but_export_the_trace_cache(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.experiments.providers import TRACE_CACHE_ENV
+
+        monkeypatch.setenv("REPRO_MAPS", "0")
+        monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
+        argv = ["fig3", "--no-store", "--trace-cache", str(tmp_path)]
+        assert main(argv) == 0
+        assert "fig3" in capsys.readouterr().out
+        # still exported: ablation studies' traces persist schedules there
+        assert os.environ[TRACE_CACHE_ENV] == str(tmp_path)
 
     def test_submit_spec_from_figures_matches_run_union(self):
         from repro.campaign.spec import CampaignSpec

@@ -163,24 +163,3 @@ class TestPerformanceFigures:
             assert result.series
             text = result.to_text()
             assert result.figure_id in text
-
-    def test_benchmark_subset_spec_stays_on_the_session(self):
-        """A spec that only narrows the benchmark scope (same fidelity)
-        must run on the caller's session — counters included — not fork
-        a derived one."""
-        from repro.experiments.figures import figure_spec
-
-        session = Session(
-            RunnerSettings(
-                n_instructions=4000, n_fault_maps=2, benchmarks=("crafty", "swim")
-            )
-        )
-        spec = figure_spec(
-            "fig11",
-            RunnerSettings(
-                n_instructions=4000, n_fault_maps=2, benchmarks=("swim",)
-            ),
-        )
-        result = fig11_data(session, spec=spec)
-        assert result.index == ["swim"]
-        assert session.simulations_executed > 0  # ran here, not derived

@@ -1,11 +1,16 @@
 """Tests for fault-map generation and queries."""
 
 import gc
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.campaign.spec import RunnerSettings
+from repro.cpu.config import L1_GEOMETRY
+from repro.experiments.providers import FaultMapProvider
 from repro.faults import CacheGeometry, FaultMap, sample_fault_map_pairs
 
 
@@ -197,6 +202,40 @@ class TestFaultMapPairs:
     def test_negative_count_rejected(self, paper_geometry):
         with pytest.raises(ValueError):
             list(sample_fault_map_pairs(paper_geometry, 0.001, -1))
+
+
+class TestFaultMapProvider:
+    def test_concurrent_draws_past_n_fault_maps_keep_every_index(self):
+        """The campaign server plans on one thread while another simulates
+        on the same session: concurrent on-demand draws must never shift
+        a pair off its index."""
+        provider = FaultMapProvider(RunnerSettings(n_fault_maps=1, seed=5))
+        expected = list(sample_fault_map_pairs(L1_GEOMETRY, 0.001, 9, seed=5))
+        wrong: list = []
+
+        def draw(order) -> None:
+            for index in order:
+                pair = provider.pair(index)
+                if not (
+                    np.array_equal(pair.icache.faults, expected[index].icache.faults)
+                    and np.array_equal(pair.dcache.faults, expected[index].dcache.faults)
+                ):
+                    wrong.append(index)
+
+        orders = (range(9), range(8, -1, -1), range(0, 9, 2), range(1, 9, 2))
+        threads = [threading.Thread(target=draw, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(provider.pairs(9)) == 9
 
 
 class TestBatchGeneration:

@@ -7,6 +7,8 @@ The acceptance claims under test:
   ``SurrogateFit`` per round, exactly one terminal ``Converged``;
 * every point the loop simulates lands in the store, so a follow-up
   full-grid campaign is **pure dedup** (``dedup_hits == report.labeled``);
+* proposals at every map depth run on the caller's session: no other
+  session is built and each benchmark's trace is acquired once;
 * the whole run is deterministic — two fresh-store runs of the same
   (spec, settings) produce byte-identical report JSON — and
   ``replay_report`` re-derives the same estimate from the store alone;
@@ -24,6 +26,7 @@ from repro.experiments.configs import (
     LV_BLOCK,
     LV_WORD,
 )
+from repro.experiments.providers import TraceProvider
 from repro.predict.loop import (
     ActiveCampaign,
     PredictSettings,
@@ -118,8 +121,7 @@ class TestValidation:
             benchmarks=("gzip", "mcf"),
         )
         with Session(deeper) as session:
-            campaign = ActiveCampaign(session, SPEC)
-            campaign.close()
+            ActiveCampaign(session, SPEC)
 
     def test_seed_cost_over_budget_rejected(self):
         with Session(SETTINGS) as session:
@@ -146,7 +148,6 @@ class TestLoop:
             )
             events = list(loop.run())
             report = loop.report()
-            loop.close()
             assert report.reason == "exhausted"
             assert report.labeled == report.total == 10
             assert report.predicted == 0
@@ -170,7 +171,6 @@ class TestLoop:
         with Session(SETTINGS) as session:
             loop = ActiveCampaign(session, SPEC, PredictSettings(budget=0.8, **FAST))
             report = loop.run_all()
-            loop.close()
             assert report.reason == "budget"
             assert report.labeled == 8 <= loop.budget_items
             assert report.predicted == 2
@@ -188,7 +188,6 @@ class TestLoop:
                 PredictSettings(budget=0.9, tolerance=10.0, patience=1, **FAST),
             )
             report = loop.run_all()
-            loop.close()
             assert report.reason == "tolerance"
             assert report.delta is not None and report.delta <= 10.0
             assert report.labeled == 9  # seed 8 + one acquisition round
@@ -209,13 +208,11 @@ class TestLoop:
                     reason = event.reason
             assert seen_fit
             assert reason == "stalled"
-            loop.close()
 
     def test_figure_result_renders(self):
         with Session(SETTINGS) as session:
             loop = ActiveCampaign(session, SPEC, PredictSettings(budget=0.8, **FAST))
             report = loop.run_all()
-            loop.close()
             result = report.figure_result()
             assert result.figure_id == "fig8-predicted"
             assert f"{LV_BLOCK.label} min" in result.series
@@ -224,6 +221,42 @@ class TestLoop:
             assert f"{LV_WORD.label} min" not in result.series
             text = result.to_text()
             assert "gzip" in text and "mcf" in text
+
+
+class TestOneSession:
+    def test_every_depth_runs_on_the_callers_session(self, monkeypatch):
+        built: list = []
+        acquired: list = []
+        init = Session.__init__
+        acquire = TraceProvider._acquire
+
+        def counting_init(session, *args, **kwargs):
+            built.append(session)
+            init(session, *args, **kwargs)
+
+        def counting_acquire(provider, benchmark):
+            acquired.append(benchmark)
+            return acquire(provider, benchmark)
+
+        with Session(SETTINGS) as session:
+            monkeypatch.setattr(Session, "__init__", counting_init)
+            monkeypatch.setattr(TraceProvider, "_acquire", counting_acquire)
+            loop = ActiveCampaign(
+                session,
+                SPEC,
+                PredictSettings(budget=1.0, tolerance=1e-9, patience=99, **FAST),
+            )
+            events = list(loop.run())
+        depths = {
+            spec.n_fault_maps
+            for event in events
+            if isinstance(event, BatchProposed)
+            for spec in event.specs
+        }
+        assert depths == {1, 2, 3}  # baselines, the seed prefix, extensions
+        assert loop.report().labeled == 10
+        assert built == []
+        assert sorted(acquired) == ["gzip", "mcf"]
 
 
 class _StallingSession:
@@ -241,9 +274,6 @@ class _StallingSession:
     def cached(self, *item):
         return self._inner.cached(*item)
 
-    def derived(self, spec):
-        return self._inner.derived(spec)
-
     def run(self, spec, **kwargs):
         if self.refuse:
             return iter(())
@@ -258,7 +288,6 @@ class TestDeterminismAndReplay:
                     session, SPEC, PredictSettings(budget=0.9, **FAST)
                 )
                 report = loop.run_all()
-                loop.close()
                 return report
 
         assert one_run().to_json() == one_run().to_json()
@@ -268,7 +297,6 @@ class TestDeterminismAndReplay:
         with Session(SETTINGS) as session:
             loop = ActiveCampaign(session, SPEC, settings)
             report = loop.run_all()
-            loop.close()
             replay = replay_report(session, SPEC, settings)
             assert replay.reason == "replay"
             assert replay.simulated == 0

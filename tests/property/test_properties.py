@@ -23,7 +23,10 @@ from repro.analysis.word_disable import (
 )
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.victim import VictimCache
-from repro.faults import CacheGeometry, FaultMap
+from repro.campaign.spec import RunnerSettings
+from repro.cpu.config import L1_GEOMETRY
+from repro.experiments.providers import FaultMapProvider
+from repro.faults import CacheGeometry, FaultMap, sample_fault_map_pairs
 
 pfails = st.floats(min_value=0.0, max_value=0.05, allow_nan=False)
 small_dk = st.tuples(
@@ -165,6 +168,36 @@ class TestFaultMapProperties:
         has_faulty_word = fm.faulty_word_mask().any(axis=1)
         data_faulty_block = fm.faulty_block_mask(include_tag=False)
         assert np.array_equal(has_faulty_word, data_faulty_block)
+
+    @given(
+        n_fault_maps=st.integers(min_value=1, max_value=3),
+        counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+        pfail=st.sampled_from([0.001, 0.004]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_provider_draws_past_n_fault_maps_match_the_sampler(
+        self, n_fault_maps, counts, pfail, seed
+    ):
+        """Any sequence of provider draws, within ``n_fault_maps`` or past
+        it, serves the pairs one sample_fault_map_pairs call yields, bit
+        for bit."""
+        provider = FaultMapProvider(
+            RunnerSettings(n_fault_maps=n_fault_maps, pfail=pfail, seed=seed)
+        )
+        expected = list(
+            sample_fault_map_pairs(L1_GEOMETRY, pfail, max(counts), seed=seed)
+        )
+        for count in counts:
+            memo = provider._pairs
+            drawn = len(memo)
+            pairs = provider.pairs(count)
+            assert len(memo) == drawn  # rebound, never grown in place
+            assert len(pairs) == count
+            for got, want in zip(pairs, expected):
+                assert np.array_equal(got.icache.faults, want.icache.faults)
+                assert np.array_equal(got.dcache.faults, want.dcache.faults)
+        assert len(provider.pairs()) == n_fault_maps
 
 
 class TestCacheProperties:

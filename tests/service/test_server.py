@@ -12,12 +12,17 @@ The acceptance claims under test:
   standalone runs (the coalescing contract);
 * keys another client is already simulating are *awaited*, never
   re-simulated (forced deterministically with a gated executor);
-* mixed-fidelity clients get derived sessions over the shared store;
+* a client that differs from the server's session only in scope runs on
+  that session; mixed-fidelity clients get one child session per
+  fidelity fingerprint over the shared store;
+* malformed requests get a 400 status line, never a bare error line;
 * terminal failures stream as ``TaskFailed`` and surface client-side as
   ``CampaignError`` — same semantics as local ``Session.run``.
 """
 
+import dataclasses
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -36,7 +41,7 @@ from repro.experiments.configs import (
     LV_WORD,
 )
 from repro.service.client import RemoteCampaignError, RemoteSession, connect
-from repro.service.server import CampaignServer, ServerThread
+from repro.service.server import ServerThread
 from repro.store import result_to_dict
 from repro.testing import chaos
 
@@ -320,19 +325,41 @@ class TestServeExecutor:
         assert done_counts[-1] == 6
 
 
-class TestServerInternals:
-    def test_session_for_reuses_the_base_session(self):
-        with Session(SETTINGS) as session:
-            server = CampaignServer(session)
-            assert server._session_for(SPEC_A) is session
-            small = RunnerSettings(
-                n_instructions=1_500,
-                warmup_instructions=500,
-                n_fault_maps=2,
-                benchmarks=("gzip",),
-            )
-            spec = CampaignSpec.from_settings(small, (LV_BASELINE,))
-            derived = server._session_for(spec)
-            assert derived is not session
-            assert derived.store is session.store
-            assert server._session_for(spec) is derived  # cached
+class TestSessionPerFingerprint:
+    def test_scope_runs_on_the_base_session_and_fidelity_on_one_child(self):
+        rescoped = CampaignSpec.from_settings(
+            dataclasses.replace(SETTINGS, n_fault_maps=3, benchmarks=("mcf",)),
+            (LV_BASELINE, LV_BLOCK),
+        )
+        shorter = dataclasses.replace(SETTINGS, n_instructions=1_500)
+        foreign = CampaignSpec.from_settings(shorter, (LV_BASELINE, LV_BLOCK))
+        with Session(SETTINGS) as session, ServerThread(session) as server:
+            remote = Session.connect(server.url)
+            points = stream_points(remote.run(rescoped))
+            assert set(points) == set(rescoped.task_keys())
+            assert session.simulations_executed == len(points) == 4
+            stream_points(remote.run(foreign))
+            stream_points(remote.run(dataclasses.replace(foreign, n_fault_maps=3)))
+            child = session.derived(foreign)
+            assert child is not session and child.store is session.store
+            # both foreign-fidelity campaigns ran on the one child: 3 + 1
+            assert child.simulations_executed == 4
+            assert session.simulations_executed == 4
+        assert child._closed
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("length", ["abc", "-5", "99999999999"])
+    def test_bad_content_length_gets_400(self, length):
+        with Session(SETTINGS) as session, ServerThread(session) as server:
+            address = ("127.0.0.1", server.server.port)
+            with socket.create_connection(address, timeout=30) as sock:
+                sock.sendall(
+                    b"POST /campaign HTTP/1.1\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"spec JSON body" in reply
