@@ -1267,13 +1267,17 @@ def smoke_predict(json_dir: str) -> list[str]:
 
 
 #: Tests the sanitize smoke runs against the instrumented kernel (every
-#: kernel-eligible golden scenario reaches it, single and batched, and the
-#: property suite fuzzes the whole eligible space), and the one its
-#: self-check runs against a deliberately broken build.
+#: kernel-eligible golden scenario reaches it, single and batched, the
+#: property suite fuzzes the whole eligible space, and the session-lane
+#: tests drive arrays built from enabled-way matrices, victim-less lanes
+#: padded beside 8- and 16-entry ones), and the one its self-check runs
+#: against a deliberately broken build.
 _SANITIZE_TESTS = (
     "tests/cpu/test_lane_kernel.py",
     "tests/property/test_batch_equivalence.py",
     "tests/integration/test_golden_sim.py",
+    "tests/experiments/test_runner_batch.py",
+    "tests/property/test_mega_partition.py",
 )
 _SANITIZE_SELF_CHECK = (
     "tests/cpu/test_lane_kernel.py::TestKernelVsFallback"

@@ -7,22 +7,30 @@ introspect it, the object pipeline loop drives it, and its semantics
 define correctness.  :class:`BulkLanes` lays N structurally identical
 hierarchies — one per fault-map lane — out as the arrays the compiled C
 lane kernel (:mod:`repro.cpu.lane_kernel`) probes, refills and counts
-on, then writes every lane's statistics and cache contents back.
+on.  A lane is built from what differs per lane: its L1I and L1D
+enabled-way matrices (a scheme's disable bits, set at boot) and its
+victim-cache sizes; geometries and latencies are shared by every lane.
 
 Every per-way quantity becomes a NumPy array with a *lane* dimension
-whose rows have the layout of the object caches' typed buffers, so state
-moves into and out of a pass as one buffer copy per lane and cache
-(:class:`VectorCache`).  Recency is tracked with *stamps* instead of
-per-lane clocks: the stamp of an access is a trace-static, strictly
-increasing function of the instruction index, identical in every lane,
-starting just above every lane's clock.  Within one lane each cache
-sees at most one stamped event per instruction, so stamp order equals
-the object path's clock order and every LRU decision — including the
-invalid-way preference, encoded by initialising invalid usable ways to a
-stamp below any real one, and disabled ways to one above all
-(``BIG_STAMP``) — is bit-identical.  Statistics are per-lane int64
-counters (:data:`LANE_COUNTERS`), one block per port, accumulated by the
-kernel, so their memory is O(lanes), independent of trace length.
+whose rows have the layout of the object caches' typed buffers
+(:class:`VectorCache`).  Campaign lanes start from empty caches and end
+at :meth:`BulkLanes.finalize`, which derives each lane's statistics from
+the kernel's counters: no object hierarchy exists on either side of the
+pass.  Caller-owned hierarchies are copied in instead
+(:meth:`BulkLanes.copy_in`, one buffer copy per lane and cache), and
+``finalize`` writes their contents and statistics back.
+
+Recency is tracked with *stamps* instead of per-lane clocks: the stamp
+of an access is a trace-static, strictly increasing function of the
+instruction index, identical in every lane, starting just above every
+lane's clock.  Within one lane each cache sees at most one stamped
+event per instruction, so stamp order equals the object path's clock
+order and every LRU decision — including the invalid-way preference,
+encoded by initialising invalid usable ways to a stamp below any real
+one, and disabled ways to one above all (``BIG_STAMP``) — is
+bit-identical.  Statistics are per-lane int64 counters
+(:data:`LANE_COUNTERS`), one block per port, accumulated by the kernel,
+so their memory is O(lanes), independent of trace length.
 
 Bit-identity with the object path is the contract: cycles, hit/miss/
 eviction/writeback counts, replacement decisions and victim behaviour
@@ -32,12 +40,16 @@ property suites in ``tests/property/`` enforce it.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.cache.hierarchy import CachePort, MemoryHierarchy
+from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.replacement import LRUPolicy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.stats import HierarchyStats
 from repro.cache.victim import VictimCache
+from repro.faults.geometry import CacheGeometry
 
 #: Stamp sentinel ordering: disabled ways stay above every real stamp
 #: (never chosen by the LRU argmin), invalid usable ways below (always
@@ -75,15 +87,16 @@ class VectorCache:
     Every array is lane-major — ``tags``/``last``/``dirty``/``fillt``
     all ``[lane, flat_index]`` — so lane ``l``'s way ``w`` of set ``s``
     sits at ``l * n + s * ways + w`` in all four arrays, and a set's ways
-    are contiguous for the kernel's probe and LRU argmin.  A lane row has
-    exactly the layout of its object cache's typed buffers (see
-    :mod:`repro.cache.set_assoc`), so construction stacks one
-    :func:`numpy.frombuffer` copy of each lane's buffers and
-    :meth:`sync` writes one row back per buffer.
+    are contiguous for the kernel's probe and LRU argmin.  Lanes start
+    empty: tags -1, recency -1 on usable ways and ``BIG_STAMP`` on the
+    ways a lane's enabled-way matrix disables.  A lane row has exactly
+    the layout of an object cache's typed buffers (see
+    :mod:`repro.cache.set_assoc`), so :meth:`copy_in` and
+    :meth:`write_back` move a caller-owned cache as one row copy per
+    buffer.
     """
 
     __slots__ = (
-        "caches",
         "ways",
         "set_mask",
         "tag_shift",
@@ -94,57 +107,60 @@ class VectorCache:
         "fillt",
     )
 
-    def __init__(self, caches: list[SetAssociativeCache]) -> None:
-        geometry = caches[0].geometry
-        for cache in caches:
-            if cache.geometry != geometry:
-                raise ValueError("lane caches must share one geometry")
-        self.caches = list(caches)
+    def __init__(
+        self, geometry: CacheGeometry, enabled: "Sequence[np.ndarray | None]"
+    ) -> None:
+        lanes = len(enabled)
         self.ways = geometry.ways
         self.set_mask = geometry.num_sets - 1
         self.tag_shift = geometry.index_bits
-        self.n = geometry.num_sets * geometry.ways
+        n = self.n = geometry.num_sets * geometry.ways
+        self.tags = np.full((lanes, n), -1, dtype=np.int64)
+        self.last = np.full((lanes, n), -1, dtype=np.int64)
+        self.dirty = np.zeros((lanes, n), dtype=np.bool_)
+        self.fillt = np.zeros((lanes, n), dtype=np.int64)
+        shape = (geometry.num_sets, geometry.ways)
+        for lane, mask in enumerate(enabled):
+            if mask is None:
+                continue
+            mask = np.asarray(mask, dtype=np.bool_)
+            if mask.shape != shape:
+                raise ValueError(
+                    f"enabled-way matrix shape {mask.shape} does not match {shape}"
+                )
+            self.last[lane, ~mask.reshape(-1)] = BIG_STAMP
 
-        def stacked(field: str, dtype: type) -> np.ndarray:
-            return np.stack(
-                [np.frombuffer(getattr(cache, field), dtype) for cache in caches]
-            )
+    def copy_in(self, lane: int, cache: SetAssociativeCache) -> None:
+        """Start lane ``lane`` from ``cache``'s contents: the tags, dirty
+        and fill-time rows whole, the recency row at valid ways only
+        (elsewhere it keeps its stamp sentinels)."""
+        tags = np.frombuffer(cache._tags, np.int64)
+        self.tags[lane] = tags
+        self.dirty[lane] = np.frombuffer(cache._dirty, np.bool_)
+        self.fillt[lane] = np.frombuffer(cache._fill_time, np.int64)
+        np.copyto(
+            self.last[lane], np.frombuffer(cache._last_touch, np.int64), where=tags >= 0
+        )
 
-        self.tags = stacked("_tags", np.int64)
-        self.last = stacked("_last_touch", np.int64)
-        self.dirty = stacked("_dirty", np.bool_)
-        self.fillt = stacked("_fill_time", np.int64)
-        # Stamp sentinels (see module docstring).
-        self.last[self.tags == -1] = -1
-        for lane, cache in enumerate(caches):
-            if cache._enabled is not None:
-                self.last[lane, ~cache._enabled.reshape(-1)] = BIG_STAMP
-
-    def max_clock(self) -> int:
-        return max(cache._clock for cache in self.caches)
-
-    def sync(self, clock: int) -> None:
-        """Write every lane's contents back to its object cache: the tags,
+    def write_back(self, lane: int, cache: SetAssociativeCache, clock: int) -> None:
+        """Write lane ``lane``'s contents back to ``cache``: the tags,
         dirty and fill-time rows whole, the recency row at valid ways
         only.  Elsewhere ``last`` holds the stamp sentinels; the object
         cache's own recency buffer, which the pass never touched, still
         holds the original values there.  The residency index is rebuilt
         from the valid tags."""
-        ways = self.ways
-        tag_shift = self.tag_shift
-        valid = self.tags >= 0
-        for lane, cache in enumerate(self.caches):
-            lane_valid = valid[lane]
-            index = np.flatnonzero(lane_valid)
-            blocks = (self.tags[lane, index] << tag_shift) | (index // ways)
-            cache.adopt_flat_state(
-                self.tags[lane],
-                self.dirty[lane],
-                np.where(lane_valid, self.last[lane], cache._last_touch),
-                self.fillt[lane],
-                clock,
-                resident=dict(zip(blocks.tolist(), index.tolist())),
-            )
+        tags = self.tags[lane]
+        valid = tags >= 0
+        index = np.flatnonzero(valid)
+        blocks = (tags[index] << self.tag_shift) | (index // self.ways)
+        cache.adopt_flat_state(
+            tags,
+            self.dirty[lane],
+            np.where(valid, self.last[lane], cache._last_touch),
+            self.fillt[lane],
+            clock,
+            resident=dict(zip(blocks.tolist(), index.tolist())),
+        )
 
 
 class VectorVictims:
@@ -155,7 +171,7 @@ class VectorVictims:
     carry the stamp sentinel ``empty_stamp = -(entries + 1)`` — strictly
     below every occupied stamp — so they are preferred exactly like an
     append, and a hit extracts by writing the slot back to empty.
-    Initial contents get stamps ``position - entries`` (above the empty
+    Contents copied in get stamps ``position - entries`` (above the empty
     sentinel, below any run stamp), preserving their order.  Slot
     positions themselves carry no meaning — all operations are
     content-based — so lanes stay bit-identical to the sequential list
@@ -166,13 +182,12 @@ class VectorVictims:
     capacity carry tag ``-1`` (probes never match) with stamp
     ``BIG_STAMP`` (strictly above every run stamp, so the insert-path
     ``argmin`` never evicts into them).  Lanes with *no* victim cache
-    (``None``, the 0-entry configuration) additionally skip their
-    inserts via :attr:`insertable`, so 0/8/16-entry configurations —
-    e.g. the paper's three disabling schemes — batch as one lane group.
+    (the 0-entry configuration) additionally skip their inserts via
+    :attr:`insertable`, so 0/8/16-entry configurations — e.g. the
+    paper's three disabling schemes — batch as one lane group.
     """
 
     __slots__ = (
-        "victims",
         "entries",
         "tags",
         "stamp",
@@ -180,25 +195,18 @@ class VectorVictims:
         "insertable",
     )
 
-    def __init__(self, victims: "list[VictimCache | None]") -> None:
-        lane_entries = [v.entries if v is not None else 0 for v in victims]
+    def __init__(self, lane_entries: "Sequence[int]") -> None:
         entries = max(lane_entries)
         if entries == 0:
             raise ValueError("need at least one lane with victim entries")
-        self.victims = list(victims)
         self.entries = entries
         self.empty_stamp = -(entries + 1)
-        lanes = len(victims)
+        lanes = len(lane_entries)
         self.tags = np.full((lanes, entries), -1, dtype=np.int64)
         self.stamp = np.full((lanes, entries), self.empty_stamp, dtype=np.int64)
-        for lane, victim in enumerate(victims):
-            if victim is None:
-                continue
-            cap = victim.entries
-            self.stamp[lane, cap:entries] = BIG_STAMP  # padded slots
-            for j, block in enumerate(victim._tags):  # LRU -> MRU order
-                self.tags[lane, j] = block
-                self.stamp[lane, j] = j - entries
+        for lane, cap in enumerate(lane_entries):
+            if cap:
+                self.stamp[lane, cap:] = BIG_STAMP  # padded slots
         #: Per-lane insert eligibility mask, or ``None`` when every lane
         #: can insert (``argmin`` slot choice is then already exact and
         #: the kernel skips the per-lane check).
@@ -209,17 +217,19 @@ class VectorVictims:
                 [e > 0 for e in lane_entries], dtype=np.bool_
             )
 
-    def sync(self) -> None:
-        for lane, victim in enumerate(self.victims):
-            if victim is None:
-                continue
-            occupied = [
-                (int(self.stamp[lane, j]), int(self.tags[lane, j]))
-                for j in range(victim.entries)
-                if self.tags[lane, j] >= 0
-            ]
-            occupied.sort()
-            victim._tags[:] = [block for _, block in occupied]
+    def copy_in(self, lane: int, victim: VictimCache) -> None:
+        for j, block in enumerate(victim._tags):  # LRU -> MRU order
+            self.tags[lane, j] = block
+            self.stamp[lane, j] = j - self.entries
+
+    def write_back(self, lane: int, victim: VictimCache) -> None:
+        occupied = [
+            (int(self.stamp[lane, j]), int(self.tags[lane, j]))
+            for j in range(victim.entries)
+            if self.tags[lane, j] >= 0
+        ]
+        occupied.sort()
+        victim._tags[:] = [block for _, block in occupied]
 
 
 def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
@@ -255,7 +265,7 @@ class _BulkPort:
         self,
         l1: VectorCache,
         victims: VectorVictims | None,
-        port0: CachePort,
+        latencies: LatencyConfig,
         lanes: int,
         lat_scale: int,
     ) -> None:
@@ -266,41 +276,51 @@ class _BulkPort:
         self.victims = victims
         self.latency = tuple(
             lat * lat_scale
-            for lat in (port0.victim_latency, port0.l2_latency, port0.memory_latency)
+            for lat in (latencies.victim, latencies.l2, latencies.memory)
         )
         self.counts = np.zeros((len(LANE_COUNTERS), lanes), dtype=np.int64)
 
 
 class BulkLanes:
-    """N structurally identical hierarchies compiled for one batched run.
+    """N structurally identical hierarchies compiled for one kernel pass.
 
-    Lanes may differ in cache *contents* — fault maps, enabled ways,
-    victim/L2 residency — and in victim *sizing* (padded to the largest
-    lane, see :class:`VectorVictims`), but share geometry, latencies,
-    and LRU policies (checked by :func:`bulk_signature` as part of the
-    pipeline's ``batch_key``).
+    The one lane constructor: every lane shares the geometries and
+    latencies (checked as part of the pipeline's ``batch_key``) and
+    brings its own per-lane values — its ``(L1I, L1D)`` enabled-way
+    matrices (``None`` enables every way) and its ``(I, D)`` victim
+    entry counts (0 for none; sizings pad to the largest lane, see
+    :class:`VectorVictims`).  Lanes start empty, their stamps based at
+    1, one above a fresh cache's clock.  :meth:`copy_in` starts them
+    from caller-owned hierarchies instead.
     """
 
     def __init__(
         self,
-        hierarchies: list[MemoryHierarchy],
+        geometries: "tuple[CacheGeometry, CacheGeometry, CacheGeometry]",
+        latencies: LatencyConfig,
+        enabled: "Sequence[tuple[np.ndarray | None, np.ndarray | None]]",
+        victim_entries: "Sequence[tuple[int, int]]",
         lat_scale: int = 1,
     ) -> None:
-        if not hierarchies:
+        if not enabled:
             raise ValueError("need at least one lane")
-        self.hierarchies = list(hierarchies)
-        lanes = len(hierarchies)
+        if len(victim_entries) != len(enabled):
+            raise ValueError("need one victim sizing per lane")
+        lanes = len(enabled)
         self.lanes = lanes
-        self.l1i = VectorCache([h.l1i for h in hierarchies])
-        self.l1d = VectorCache([h.l1d for h in hierarchies])
-        self.l2 = VectorCache([h.l2 for h in hierarchies])
-        vi = [h.victim_i for h in hierarchies]
-        vd = [h.victim_d for h in hierarchies]
+        self.geometries = geometries
+        self.latencies = latencies
+        l1i_geometry, l1d_geometry, l2_geometry = geometries
+        self.l1i = VectorCache(l1i_geometry, [pair[0] for pair in enabled])
+        self.l1d = VectorCache(l1d_geometry, [pair[1] for pair in enabled])
+        self.l2 = VectorCache(l2_geometry, [None] * lanes)
+        self.victim_entries_i = [pair[0] for pair in victim_entries]
+        self.victim_entries_d = [pair[1] for pair in victim_entries]
         self.victims_i = (
-            VectorVictims(vi) if any(v is not None for v in vi) else None
+            VectorVictims(self.victim_entries_i) if any(self.victim_entries_i) else None
         )
         self.victims_d = (
-            VectorVictims(vd) if any(v is not None for v in vd) else None
+            VectorVictims(self.victim_entries_d) if any(self.victim_entries_d) else None
         )
         #: Stamps start one above every lane's clock, so they exceed every
         #: recency value the caches already hold (instruction i stamps
@@ -308,15 +328,30 @@ class BulkLanes:
         #: leaves each clock at ``stamp_base + 2n``, past the last stamp).
         #: Chained passes over one hierarchy thus grow the clock by
         #: ``2n + 1`` each and stay far below ``BIG_STAMP``.
-        self.stamp_base = (
-            max(self.l1i.max_clock(), self.l1d.max_clock(), self.l2.max_clock())
-            + 1
-        )
-        self.iport = _BulkPort(
-            self.l1i, self.victims_i, hierarchies[0].iport, lanes, lat_scale
-        )
-        self.dport = _BulkPort(
-            self.l1d, self.victims_d, hierarchies[0].dport, lanes, lat_scale
+        self.stamp_base = 1
+        #: The caller-owned hierarchies :meth:`copy_in` read, which
+        #: :meth:`finalize` writes back to; ``None`` for fresh lanes.
+        self.hierarchies: "list[MemoryHierarchy] | None" = None
+        self.iport = _BulkPort(self.l1i, self.victims_i, latencies, lanes, lat_scale)
+        self.dport = _BulkPort(self.l1d, self.victims_d, latencies, lanes, lat_scale)
+
+    def copy_in(self, hierarchies: "Sequence[MemoryHierarchy]") -> None:
+        """Start each lane from its caller-owned hierarchy — the one its
+        enabled-way matrices and victim sizes came from — and base the
+        stamps one above every cache's clock."""
+        self.hierarchies = list(hierarchies)
+        for lane, hierarchy in enumerate(self.hierarchies):
+            self.l1i.copy_in(lane, hierarchy.l1i)
+            self.l1d.copy_in(lane, hierarchy.l1d)
+            self.l2.copy_in(lane, hierarchy.l2)
+            if hierarchy.victim_i is not None:
+                self.victims_i.copy_in(lane, hierarchy.victim_i)
+            if hierarchy.victim_d is not None:
+                self.victims_d.copy_in(lane, hierarchy.victim_d)
+        self.stamp_base = 1 + max(
+            cache._clock
+            for hierarchy in self.hierarchies
+            for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
         )
 
     def mark_boundary(self) -> None:
@@ -326,63 +361,84 @@ class BulkLanes:
         self.iport.counts.fill(0)
         self.dport.counts.fill(0)
 
-    def finalize(self, measured_i_accesses: int, measured_d_accesses: int, clock: int) -> None:
-        """Derive every lane's statistics from the per-lane counters and
-        write statistics *and* cache contents back to the object
-        hierarchies, so ``hierarchy.stats()`` and cache introspection see
-        the kernel run's outcome."""
+    def finalize(
+        self, measured_i_accesses: int, measured_d_accesses: int, clock: int
+    ) -> list[dict]:
+        """Every lane's ``hierarchy_stats`` snapshot, derived from the
+        per-lane counters with the object caches' arithmetic; a lane
+        without a victim cache on a side reports that side's all-zero
+        victim entry, as :meth:`MemoryHierarchy.stats` does.
+
+        Lanes copied in from caller-owned hierarchies also get their
+        statistics and cache contents written back (``clock`` becomes
+        every cache's clock), so ``hierarchy.stats()``, cache
+        introspection and a later run continue from the kernel pass."""
         sides = (
-            (self.iport.counts.tolist(), measured_i_accesses),
-            (self.dport.counts.tolist(), measured_d_accesses),
+            (self.iport.counts.tolist(), measured_i_accesses, self.victim_entries_i),
+            (self.dport.counts.tolist(), measured_d_accesses, self.victim_entries_d),
         )
-        for lane, hierarchy in enumerate(self.hierarchies):
+        snapshots = []
+        for lane in range(self.lanes):
+            stats = HierarchyStats()
+            memory = []
             l2_accesses = l2_hits = l2_evictions = 0
-            for (counts, accesses), cache, port, victim in zip(
-                sides,
-                (hierarchy.l1i, hierarchy.l1d),
-                (hierarchy.iport, hierarchy.dport),
-                (hierarchy.victim_i, hierarchy.victim_d),
+            for (counts, accesses, victim_entries), l1, victim in zip(
+                sides, (stats.l1i, stats.l1d), (stats.victim_i, stats.victim_d)
             ):
                 misses = counts[_CNT_MISSES][lane]
                 evictions = counts[_CNT_EVICTIONS][lane]
-                stats = cache.stats
-                stats.accesses = accesses
-                stats.misses = misses
-                stats.hits = accesses - misses
-                stats.bypassed_fills = counts[_CNT_BYPASSED][lane]
-                stats.fills = misses - stats.bypassed_fills
-                stats.evictions = evictions
-                stats.writebacks = counts[_CNT_WRITEBACKS][lane]
+                l1.accesses = accesses
+                l1.misses = misses
+                l1.hits = accesses - misses
+                l1.bypassed_fills = counts[_CNT_BYPASSED][lane]
+                l1.fills = misses - l1.bypassed_fills
+                l1.evictions = evictions
+                l1.writebacks = counts[_CNT_WRITEBACKS][lane]
                 vhits = 0
-                if victim is not None:
+                if victim_entries[lane]:
                     vhits = counts[_CNT_VICTIM_HITS][lane]
-                    stats = victim.stats
-                    stats.accesses = misses
-                    stats.hits = vhits
-                    stats.misses = misses - vhits
-                    stats.fills = evictions
-                    stats.evictions = counts[_CNT_VICTIM_EVICTIONS][lane]
-                    stats.bypassed_fills = 0
-                    stats.writebacks = 0
+                    victim.accesses = misses
+                    victim.hits = vhits
+                    victim.misses = misses - vhits
+                    victim.fills = evictions
+                    victim.evictions = counts[_CNT_VICTIM_EVICTIONS][lane]
                 # Every L1 miss the victim cache did not serve probes the L2.
                 port_l2_accesses = misses - vhits
                 port_l2_hits = counts[_CNT_L2_HITS][lane]
-                port.memory_accesses = port_l2_accesses - port_l2_hits
+                memory.append(port_l2_accesses - port_l2_hits)
                 l2_accesses += port_l2_accesses
                 l2_hits += port_l2_hits
                 l2_evictions += counts[_CNT_L2_EVICTIONS][lane]
-            stats = hierarchy.l2.stats
-            stats.accesses = l2_accesses
-            stats.hits = l2_hits
-            stats.misses = l2_accesses - l2_hits
-            stats.fills = stats.misses
-            stats.evictions = l2_evictions
-            stats.bypassed_fills = 0
-            stats.writebacks = 0
-        self.l1i.sync(clock)
-        self.l1d.sync(clock)
-        self.l2.sync(clock)
-        if self.victims_i is not None:
-            self.victims_i.sync()
-        if self.victims_d is not None:
-            self.victims_d.sync()
+            l2 = stats.l2
+            l2.accesses = l2_accesses
+            l2.hits = l2_hits
+            l2.misses = l2_accesses - l2_hits
+            l2.fills = l2.misses
+            l2.evictions = l2_evictions
+            stats.memory_accesses = sum(memory)
+            if self.hierarchies is not None:
+                self._write_back(lane, stats, memory, clock)
+            snapshots.append(stats.snapshot())
+        return snapshots
+
+    def _write_back(
+        self, lane: int, stats: HierarchyStats, memory: list[int], clock: int
+    ) -> None:
+        """Lane ``lane``'s statistics and contents into its caller-owned
+        hierarchy (statistics objects updated in place)."""
+        hierarchy = self.hierarchies[lane]
+        for cache, vector, cache_stats in (
+            (hierarchy.l1i, self.l1i, stats.l1i),
+            (hierarchy.l1d, self.l1d, stats.l1d),
+            (hierarchy.l2, self.l2, stats.l2),
+        ):
+            vars(cache.stats).update(vars(cache_stats))
+            vector.write_back(lane, cache, clock)
+        for victim, vector, victim_stats in (
+            (hierarchy.victim_i, self.victims_i, stats.victim_i),
+            (hierarchy.victim_d, self.victims_d, stats.victim_d),
+        ):
+            if victim is not None:
+                vars(victim.stats).update(vars(victim_stats))
+                vector.write_back(lane, victim)
+        hierarchy.iport.memory_accesses, hierarchy.dport.memory_accesses = memory

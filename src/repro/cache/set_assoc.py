@@ -18,12 +18,13 @@ resident block).  A way that is *disabled* also holds -1 forever: fills
 never select it, so lookups need no usable-way filtering at all.
 
 The buffers are laid out exactly like one lane row of the lane engine
-(:mod:`repro.cache.engine`): int64 and one byte per way.  A kernel pass
-copies each cache in with :func:`numpy.frombuffer` and writes its
-contents back through :meth:`SetAssociativeCache.adopt_flat_state`, one
-row copy per buffer.  Typed buffers hold no Python objects, so the
-cyclic garbage collector never walks cache state, however many 2MB L2s
-a campaign keeps alive.
+(:mod:`repro.cache.engine`): int64 and one byte per way.  Campaign lanes
+never build these caches: their lane rows come from the schemes'
+enabled-way matrices.  A kernel pass over caller-owned pipelines copies
+each cache in with :func:`numpy.frombuffer` and writes its contents back
+through :meth:`SetAssociativeCache.adopt_flat_state`, one row copy per
+buffer.  Typed buffers hold no Python objects, so the cyclic garbage
+collector never walks cache state.
 """
 
 from __future__ import annotations
@@ -252,7 +253,9 @@ class SetAssociativeCache:
         resident: dict[int, int] | None = None,
     ) -> None:
         """Replace this cache's contents with externally-evolved flat state
-        (the lane engine's write-back path).  Each row — a list or a
+        (the lane engine's write-back path, used only for caller-owned
+        pipelines: campaign lanes have no object cache to write to).
+        Each row — a list or a
         NumPy row — is copied into the existing buffers in place, so
         holders of references stay coherent, and the residency index is
         rebuilt from the adopted tags — or adopted from ``resident`` when

@@ -38,11 +38,14 @@ Task = tuple[str, RunConfig, "int | None"]
 #: ``Session.build_pipeline`` produces carries the same Table III
 #: geometries (a 2 MB L2 per lane), so a pass's memory grows with its
 #: lane count whatever the configuration, and the cap counts lanes, not
-#: bytes.  Measured on perfbench's ``lanes50_warm`` (Fig. 8 x gzip,mcf x
-#: 50 maps, seed 2010, 2-core Xeon, medians of 5 runs): one-lane passes
-#: took 1.05 s at 146 MB peak RSS, uncapped 101-lane passes 0.99 s at
-#: 415 MB, and caps from 8 to 34 lanes 0.89-0.96 s at 165-234 MB.  25
-#: takes a paper-scale 50-map point in two passes.
+#: bytes.  A campaign lane's memory is its lane arrays alone, about
+#: 0.8 MB for the L2; no object hierarchy backs it.  Measured on
+#: perfbench's ``lanes50_warm`` (Fig. 8 x gzip,mcf x 50 maps, seed 2010,
+#: 2-core Xeon, medians of 5 runs) while each lane still built an object
+#: hierarchy: one-lane passes took 1.05 s at 146 MB peak RSS, uncapped
+#: 101-lane passes 0.99 s at 415 MB, and caps from 8 to 34 lanes
+#: 0.89-0.96 s at 165-234 MB.  The sweep has not been repeated since.
+#: 25 takes a paper-scale 50-map point in two passes.
 PASS_LANES = 25
 
 

@@ -28,9 +28,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.core import SCHEMES
-from repro.core.schemes import VoltageMode
+from repro.core.schemes import CacheConfiguration, VoltageMode
 from repro.cpu.config import (
     HIGH_VOLTAGE,
     L1_GEOMETRY,
@@ -40,7 +40,7 @@ from repro.cpu.config import (
     OperatingPoint,
     PipelineConfig,
 )
-from repro.cpu.pipeline import OutOfOrderPipeline, SimResult
+from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline, SimResult
 from repro.cpu.trace import Trace
 from repro.experiments.configs import RunConfig
 from repro.experiments.providers import FaultMapProvider, TraceProvider
@@ -308,10 +308,14 @@ class Session:
         split into schedule passes by
         :func:`~repro.campaign.plan.lane_passes` — the planner's rule, so
         a plan group is exactly one pass — and each pass runs through
-        :meth:`OutOfOrderPipeline.run_batch` (one kernel pass, or one
-        object-loop run per lane without a signature), scattering back
-        to the store under per-point keys.  Results return in ``items``
-        order, bit-identical to per-point :meth:`simulate` calls.
+        :meth:`OutOfOrderPipeline.run_batch`, scattering back to the
+        store under per-point keys.  A merged pass hands it one
+        :class:`~repro.cpu.pipeline.KernelLane` per item, built from the
+        scheme's enabled-way matrices: one kernel pass, with statistics
+        from the kernel's counters and no object hierarchy on either
+        side.  Items without a signature still build pipelines, and each
+        runs the object loop.  Results return in ``items`` order,
+        bit-identical to per-point :meth:`simulate` calls.
         """
         results: dict[str, SimResult | None] = {}
         pending: list[WorkItem] = []
@@ -327,13 +331,11 @@ class Session:
                 pending.append(WorkItem(benchmark, config, m, key))
         warmup = self.settings.warmup_instructions
         for group in lane_passes(pending, self.batch_signature):
-            pipelines = [
-                self.build_pipeline(item.config, item.map_index)
-                for item in group.items
-            ]
+            build = self._kernel_lane if group.merged else self.build_pipeline
+            lanes = [build(item.config, item.map_index) for item in group.items]
             self.schedule_passes += group.passes
             outs = OutOfOrderPipeline.run_batch(
-                pipelines, self.trace(benchmark), measure_from=warmup
+                lanes, self.trace(benchmark), measure_from=warmup
             )
             for item, result in zip(group.items, outs):
                 self.store.put(item.key, result)
@@ -486,6 +488,40 @@ class Session:
         selects the execution engine (``"object"`` forces the reference
         loop; the KIPS microbenchmark compares them).
         """
+        cfg_i, cfg_d, latencies, victim_entries = self._configure(config, map_index)
+        hierarchy = MemoryHierarchy(
+            cfg_i.build_cache("l1i", seed=self.settings.seed),
+            cfg_d.build_cache("l1d", seed=self.settings.seed),
+            L2_GEOMETRY,
+            latencies,
+            victim_entries_i=victim_entries,
+            victim_entries_d=victim_entries,
+        )
+        return OutOfOrderPipeline(self.pipeline_config, hierarchy, engine=engine)
+
+    def _kernel_lane(self, config: RunConfig, map_index: int | None) -> KernelLane:
+        """The kernel lane of one configuration point: the pipeline
+        :meth:`build_pipeline` would build, as the per-lane values a
+        lane pass needs, without building its hierarchy."""
+        cfg_i, cfg_d, latencies, victim_entries = self._configure(config, map_index)
+        for cfg in (cfg_i, cfg_d):
+            cfg.require_usable()
+        return KernelLane(
+            self.pipeline_config,
+            latencies,
+            (cfg_i.geometry, cfg_d.geometry, L2_GEOMETRY),
+            cfg_i.enabled_ways,
+            cfg_d.enabled_ways,
+            victim_entries,
+        )
+
+    def _configure(
+        self, config: RunConfig, map_index: int | None
+    ) -> "tuple[CacheConfiguration, CacheConfiguration, LatencyConfig, int]":
+        """One configuration point as its L1I and L1D scheme
+        configurations, its latency set and its victim entries (both
+        sides): everything :meth:`build_pipeline` and
+        :meth:`_kernel_lane` build from, so the two cannot drift."""
         scheme = SCHEMES.create(config.scheme)
         operating: OperatingPoint = (
             LOW_VOLTAGE if config.voltage is VoltageMode.LOW else HIGH_VOLTAGE
@@ -507,15 +543,7 @@ class Session:
             operating.l1_base_latency + cfg_i.latency_adder,
             operating.l1_base_latency + cfg_d.latency_adder,
         )
-        hierarchy = MemoryHierarchy(
-            cfg_i.build_cache("l1i", seed=self.settings.seed),
-            cfg_d.build_cache("l1d", seed=self.settings.seed),
-            L2_GEOMETRY,
-            latencies,
-            victim_entries_i=config.victim_entries,
-            victim_entries_d=config.victim_entries,
-        )
-        return OutOfOrderPipeline(self.pipeline_config, hierarchy, engine=engine)
+        return cfg_i, cfg_d, latencies, config.victim_entries
 
     # ----- normalized series (the figure bars) ---------------------------------
 

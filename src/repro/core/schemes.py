@@ -90,13 +90,17 @@ class CacheConfiguration:
             / (reference.num_blocks * reference.block_bytes)
         )
 
-    def build_cache(self, name: str = "l1", seed: int = 0) -> SetAssociativeCache:
-        """Instantiate the behavioural cache this configuration describes."""
+    def require_usable(self) -> None:
+        """Raise ``ValueError`` when the scheme cannot operate this cache."""
         if not self.usable:
             raise ValueError(
                 f"{self.scheme_name}: cache is unusable at {self.voltage.value} "
                 "voltage (whole-cache failure); cannot build it"
             )
+
+    def build_cache(self, name: str = "l1", seed: int = 0) -> SetAssociativeCache:
+        """Instantiate the behavioural cache this configuration describes."""
+        self.require_usable()
         return SetAssociativeCache(
             self.geometry, enabled_ways=self.enabled_ways, name=name, seed=seed
         )

@@ -360,8 +360,9 @@ def save_schedule(schedule: FrontEndSchedule, path_or_file) -> None:
 
 
 def load_schedule(path: str) -> FrontEndSchedule:
-    """Inverse of :func:`save_schedule` (raises on malformed input)."""
-    with np.load(path) as data:
+    """Inverse of :func:`save_schedule` (raises on malformed input, with
+    the file closed: see :meth:`repro.cpu.trace.Trace.load`)."""
+    with open(path, "rb") as fh, np.load(fh) as data:
         if int(data["schema"]) != SCHEDULE_SCHEMA_VERSION:
             raise ValueError("schedule schema mismatch")
         kwargs: dict = {

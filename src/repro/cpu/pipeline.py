@@ -35,7 +35,9 @@ cycles and every reported statistic:
 * the compiled C lane kernel (:mod:`repro.cpu.lane_kernel`) runs every
   pipeline whose :meth:`OutOfOrderPipeline.batch_key` is not ``None`` —
   alone (:meth:`~OutOfOrderPipeline.run`) or as one lane of a batch
-  (:meth:`~OutOfOrderPipeline.run_batch`);
+  (:meth:`~OutOfOrderPipeline.run_batch`) — and every
+  :class:`KernelLane`, a campaign lane built from a scheme's enabled-way
+  matrices without any object hierarchy;
 * the object loop in :meth:`OutOfOrderPipeline.run` drives the original
   ``MemoryHierarchy.access_*`` call chain.  It is the reference the kernel
   is checked against (``engine="object"`` forces it;
@@ -53,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cache.engine import BulkLanes, bulk_signature
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cpu import lane_kernel
 from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
 from repro.cpu.config import PipelineConfig
@@ -66,6 +68,7 @@ from repro.cpu.frontend import (
 )
 from repro.cpu.isa import EXECUTION_LATENCY, FU_OF_CLASS, InstrClass
 from repro.cpu.trace import Trace
+from repro.faults.geometry import CacheGeometry
 
 #: Valid ``engine`` arguments to :class:`OutOfOrderPipeline`: ``"fused"``
 #: (default) runs the lane kernel whenever :meth:`OutOfOrderPipeline.batch_key`
@@ -103,6 +106,45 @@ class SimResult:
         if self.cycles == 0:
             raise ValueError("cannot normalise a zero-cycle run")
         return other.cycles / self.cycles
+
+
+@dataclass(frozen=True, eq=False)
+class KernelLane:
+    """One campaign lane of a kernel pass, built from what differs per
+    lane: its L1I and L1D enabled-way matrices (``None`` enables every
+    way) and its victim-cache entries (both sides; 0 for none).  The
+    rest — pipeline config, latencies, the L1I/L1D/L2 geometries — is
+    the structure a pipeline's :meth:`OutOfOrderPipeline.batch_key`
+    compares, and every lane of one pass shares it.
+
+    :meth:`OutOfOrderPipeline.run_batch` runs such lanes from empty
+    caches and fresh predictors, like freshly built pipelines, without
+    building an object hierarchy or writing anything back.
+    """
+
+    config: PipelineConfig
+    latencies: LatencyConfig
+    geometries: "tuple[CacheGeometry, CacheGeometry, CacheGeometry]"
+    enabled_i: "np.ndarray | None"
+    enabled_d: "np.ndarray | None"
+    victim_entries: int
+
+    def __post_init__(self) -> None:
+        # The kernel's preconditions that batch_key() checks on pipelines.
+        if self.config.frontend_stages + self.latencies.l1i < 1:
+            raise ValueError("a kernel lane needs a front-end depth of at least 1")
+        if self.victim_entries < 0:
+            raise ValueError(f"victim entries must be >= 0, got {self.victim_entries}")
+
+    @property
+    def structure(self) -> tuple:
+        """What every lane of one pass must share."""
+        return (self.config, self.latencies, self.geometries)
+
+
+def _check_measure_from(n: int, measure_from: int) -> None:
+    if not 0 <= measure_from < n:
+        raise ValueError(f"measure_from must be in [0, {n}), got {measure_from}")
 
 
 class OutOfOrderPipeline:
@@ -485,33 +527,70 @@ class OutOfOrderPipeline:
 
     @staticmethod
     def run_batch(
-        pipelines: "Sequence[OutOfOrderPipeline]",
+        lanes: "Sequence[OutOfOrderPipeline] | Sequence[KernelLane]",
         trace: Trace,
         measure_from: int = 0,
     ) -> list[SimResult]:
-        """Simulate N lanes — one pipeline per fault map — in a single
-        C lane-kernel pass over the shared front-end schedule.
+        """Simulate N lanes — one per fault map — in a single C
+        lane-kernel pass over the shared front-end schedule.
 
         Per-lane state (cache tags/recency, victim entries, ROB/IQ/FU
         occupancy, statistics) lives in NumPy arrays with a lane axis
         that the kernel advances instruction by instruction for every
-        lane.  Results are bit-identical to running each pipeline
-        sequentially (golden-pinned).
+        lane.  Results are bit-identical to running each lane's pipeline
+        sequentially (golden-pinned).  Lanes come in two kinds:
 
-        Lanes need not share a *configuration*: any pipelines with equal
-        non-``None`` :meth:`batch_key` signatures batch together (mixed
-        schemes, mixed victim contents *and sizings* — 0/8/16-entry
-        lanes pad to one slot axis — fault-free baselines), one lane or
-        many.  Other batches — mixed latencies/geometries, prefetchers,
-        non-LRU policies, reused pipelines, no kernel — run each
-        pipeline's :meth:`run` instead, transparently.
+        * :class:`KernelLane` values (what ``Session.run_group`` passes):
+          the lane arrays are built from each lane's enabled-way
+          matrices and victim size, start empty, and statistics come
+          from the kernel's counters.  No object hierarchy is built and
+          nothing is written back.  Every lane must share one
+          :attr:`KernelLane.structure`.
+        * caller-owned pipelines: the same lane arrays are built from
+          each hierarchy's matrices, its contents are copied in, and
+          after the pass contents, statistics and predictor state are
+          written back, so the pipelines end exactly as sequential runs
+          leave them.  Any pipelines with equal non-``None``
+          :meth:`batch_key` signatures batch together (mixed schemes,
+          mixed victim contents *and sizings* — 0/8/16-entry lanes pad
+          to one slot axis — fault-free baselines), one lane or many.
+          Other batches — mixed latencies/geometries, prefetchers,
+          non-LRU policies, reused pipelines, no kernel — run each
+          pipeline's :meth:`run` instead, transparently.
         """
-        pipelines = list(pipelines)
-        if not pipelines:
+        lanes = list(lanes)
+        if not lanes:
             return []
-        if len(trace) == 0 or not OutOfOrderPipeline._can_run_batch(pipelines):
-            return [p.run(trace, measure_from) for p in pipelines]
-        return OutOfOrderPipeline._run_lanes(pipelines, trace, measure_from)
+        if isinstance(lanes[0], KernelLane):
+            return OutOfOrderPipeline._run_kernel_lanes(lanes, trace, measure_from)
+        if len(trace) == 0 or not OutOfOrderPipeline._can_run_batch(lanes):
+            return [p.run(trace, measure_from) for p in lanes]
+        return OutOfOrderPipeline._run_lanes(lanes, trace, measure_from)
+
+    @staticmethod
+    def _run_kernel_lanes(
+        lanes: "list[KernelLane]", trace: Trace, measure_from: int
+    ) -> list[SimResult]:
+        """One kernel pass over campaign lanes: lane arrays from the
+        enabled-way matrices, statistics from the counters."""
+        first = lanes[0]
+        if any(lane.structure != first.structure for lane in lanes[1:]):
+            raise ValueError(
+                "kernel lanes of one pass must share their pipeline config, "
+                "latencies and geometries"
+            )
+        _check_measure_from(len(trace), measure_from)
+        bulk = BulkLanes(
+            first.geometries,
+            first.latencies,
+            [(lane.enabled_i, lane.enabled_d) for lane in lanes],
+            [(lane.victim_entries, lane.victim_entries) for lane in lanes],
+            lat_scale=first.config.commit_width,
+        )
+        results, _ = OutOfOrderPipeline._kernel_pass(
+            first.config, bulk, trace, measure_from
+        )
+        return results
 
     @staticmethod
     def _kernel_context(
@@ -536,8 +615,7 @@ class OutOfOrderPipeline:
         C = lane_kernel.CTX
         n_lanes = lanes.lanes
         w = cfg.commit_width
-        hier0 = lanes.hierarchies[0]
-        latencies = hier0.latencies
+        latencies = lanes.latencies
         frontend_delay = cfg.frontend_stages + latencies.l1i
 
         def zeros(*shape):
@@ -565,7 +643,7 @@ class OutOfOrderPipeline:
         arrays.update(zip(
             ("P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
              "P_DBLOCKS"),
-            lane_columns(trace, cfg, hier0.l1d.geometry.offset_bits),
+            lane_columns(trace, cfg, lanes.geometries[1].offset_bits),
         ))
         arrays.update(zip(
             ("P_SPS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT"),
@@ -625,7 +703,40 @@ class OutOfOrderPipeline:
         trace: Trace,
         measure_from: int,
     ) -> list[SimResult]:
-        """Drive every pipeline as one lane of a C lane-kernel pass.
+        """Drive caller-owned pipelines as the lanes of one kernel pass:
+        lane arrays from each hierarchy's enabled-way matrices and victim
+        sizes, its contents copied in, and contents, statistics and
+        predictor state written back after the pass.  Callers reach here
+        only through a non-``None`` :meth:`batch_key`."""
+        _check_measure_from(len(trace), measure_from)
+        cfg = pipelines[0].config
+        hierarchies = [p.hierarchy for p in pipelines]
+        h0 = hierarchies[0]
+        lanes = BulkLanes(
+            (h0.l1i.geometry, h0.l1d.geometry, h0.l2.geometry),
+            h0.latencies,
+            [(h.l1i._enabled, h.l1d._enabled) for h in hierarchies],
+            [
+                tuple(0 if v is None else v.entries for v in (h.victim_i, h.victim_d))
+                for h in hierarchies
+            ],
+            lat_scale=cfg.commit_width,
+        )
+        lanes.copy_in(hierarchies)
+        results, schedule = OutOfOrderPipeline._kernel_pass(
+            cfg, lanes, trace, measure_from
+        )
+        for p in pipelines:
+            p._runs += 1
+            schedule.install(p.gshare, p.ras, p.line_predictor)
+        return results
+
+    @staticmethod
+    def _kernel_pass(
+        cfg: PipelineConfig, lanes: BulkLanes, trace: Trace, measure_from: int
+    ) -> "tuple[list[SimResult], FrontEndSchedule]":
+        """Run ``lanes`` through one C lane-kernel pass; returns each
+        lane's result and the front-end schedule the pass replayed.
 
         The kernel tracks every timing quantity *scaled by the commit
         width W* (dispatch, ready, issue, completion all stay multiples
@@ -639,22 +750,16 @@ class OutOfOrderPipeline:
         reset) and at trace end; cycle counts are recovered as ``(v - 1)
         // W``.
         """
-        cfg = pipelines[0].config
-        hier0 = pipelines[0].hierarchy
-        n = len(trace)
-        if not 0 <= measure_from < n:
-            raise ValueError(
-                f"measure_from must be in [0, {n}), got {measure_from}"
-            )
         # Looked up at call time, like every caller of load(): a wrapper
         # installed on the module (a profiler's, say) sees each call.
-        # Callers reach here only through a non-None batch_key().
         kernel = lane_kernel.load()
+        if kernel is None:
+            raise RuntimeError("no compiled lane kernel on this host")
+        n = len(trace)
         w = cfg.commit_width
         schedule = frontend_schedule(
-            trace, cfg, hier0.l1i.geometry.offset_bits, measure_from
+            trace, cfg, lanes.geometries[0].offset_bits, measure_from
         )
-        lanes = BulkLanes([p.hierarchy for p in pipelines], lat_scale=w)
         ctx, v, _keepalive = OutOfOrderPipeline._kernel_context(
             trace, schedule, cfg, lanes, measure_from if measure_from > 0 else -1
         )
@@ -666,9 +771,7 @@ class OutOfOrderPipeline:
             ctx[lane_kernel.CTX["BOUNDARY"]] = -1
             kernel(ctx.ctypes.data)
 
-        # Derive per-lane statistics from the counters and write state +
-        # stats back to the object hierarchies.
-        lanes.finalize(
+        snapshots = lanes.finalize(
             schedule.iaccess_measured,
             schedule.daccess_measured,
             clock=lanes.stamp_base + 2 * n,
@@ -678,18 +781,15 @@ class OutOfOrderPipeline:
             schedule.gshare_mispredictions + schedule.ras_mispredictions
         )
         predictions = schedule.gshare_predictions + schedule.ras_pops
-        results = []
-        for lane, p in enumerate(pipelines):
-            p._runs += 1
-            schedule.install(p.gshare, p.ras, p.line_predictor)
-            results.append(
-                SimResult(
-                    benchmark=trace.name,
-                    instructions=n - measure_from,
-                    cycles=cycles[lane],
-                    branch_mispredictions=mispredictions,
-                    branch_predictions=predictions,
-                    hierarchy_stats=p.hierarchy.stats().snapshot(),
-                )
+        results = [
+            SimResult(
+                benchmark=trace.name,
+                instructions=n - measure_from,
+                cycles=lane_cycles,
+                branch_mispredictions=mispredictions,
+                branch_predictions=predictions,
+                hierarchy_stats=snapshot,
             )
-        return results
+            for lane_cycles, snapshot in zip(cycles, snapshots)
+        ]
+        return results, schedule

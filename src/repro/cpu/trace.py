@@ -132,9 +132,11 @@ class Trace:
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Inverse of :meth:`save`."""
-        data = np.load(path)
-        return cls.from_arrays(
-            {key: data[key] for key in ("pc", "iclass", "mem_addr", "src1", "src2", "dest", "taken")},
-            name=str(data["name"]),
-        )
+        """Inverse of :meth:`save`.  The file is opened here, not by
+        :func:`numpy.load`, so it is closed even when the archive is
+        corrupt (``np.load`` raises without closing a path it opened)."""
+        with open(path, "rb") as fh, np.load(fh) as data:
+            return cls.from_arrays(
+                {key: data[key] for key in ("pc", "iclass", "mem_addr", "src1", "src2", "dest", "taken")},
+                name=str(data["name"]),
+            )

@@ -9,12 +9,15 @@ fallbacks, and post-batch warm reuse.
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import pytest
 
+from repro.cache.hierarchy import LatencyConfig
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
+from repro.cpu.config import PipelineConfig
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import (
@@ -150,6 +153,30 @@ def test_reused_pipeline_falls_back(session):
 
 def test_empty_batch():
     assert OutOfOrderPipeline.run_batch([], None) == []
+
+
+def test_kernel_lanes_are_validated(session):
+    """Kernel lanes are refused where pipelines would get no batch key
+    (a zero-cycle front end), for a negative victim size, for an
+    enabled-way matrix of the wrong shape, and when the lanes of one
+    pass differ in structure (word-disabling's halved, slower L1 beside
+    block-disabling)."""
+    lane = session._kernel_lane(LV_BLOCK, 0)
+    trace = session.trace("gzip")
+    with pytest.raises(ValueError, match="front-end depth"):
+        dataclasses.replace(
+            lane,
+            config=PipelineConfig(frontend_stages=0),
+            latencies=LatencyConfig(l1i=0),
+        )
+    with pytest.raises(ValueError, match="victim entries"):
+        dataclasses.replace(lane, victim_entries=-1)
+    short = dataclasses.replace(lane, enabled_d=lane.enabled_d[:-1])
+    with pytest.raises(ValueError, match="does not match"):
+        OutOfOrderPipeline.run_batch([short], trace, measure_from=WARMUP)
+    word = session._kernel_lane(LV_WORD, None)
+    with pytest.raises(ValueError, match="share"):
+        OutOfOrderPipeline.run_batch([lane, word], trace, measure_from=WARMUP)
 
 
 def test_measure_from_zero_and_validation(session):

@@ -97,8 +97,9 @@ class TestPrefill:
         bit-identical to the serial path."""
         serial = Session(SMALL)
         prefill(serial, (LV_BASELINE, LV_BLOCK))
-        parallel = Session(SMALL, store=DiskStore(tmp_path))
-        assert prefill(parallel, (LV_BASELINE, LV_BLOCK), PoolExecutor(2)) == 6
+        with DiskStore(tmp_path) as store:
+            parallel = Session(SMALL, store=store)
+            assert prefill(parallel, (LV_BASELINE, LV_BLOCK), PoolExecutor(2)) == 6
         reopened = Session(SMALL, store=DiskStore(tmp_path))
         for bench in SMALL.benchmarks:
             assert (

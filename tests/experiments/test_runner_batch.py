@@ -1,11 +1,16 @@
 """Session.run_group over one campaign point's fault-map lanes: identity
 with per-map ``simulate`` calls, store dedup, pass widths,
-fault-independent collapse, subset and order."""
+fault-independent collapse, subset and order, and kernel lanes built
+without object hierarchies."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.campaign import RunnerSettings, Session
 from repro.campaign import plan as plan_module
+from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 
@@ -82,3 +87,24 @@ def test_normalized_series_identical_across_paths(monkeypatch):
     batched = Session(SETTINGS).normalized_series(LV_BLOCK, LV_BASELINE)
     monkeypatch.setattr(plan_module, "PASS_LANES", 1)
     assert Session(SETTINGS).normalized_series(LV_BLOCK, LV_BASELINE) == batched
+
+
+@pytest.mark.skipif(
+    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+)
+def test_kernel_lanes_build_no_hierarchy(monkeypatch):
+    """Once the signature is memoised, a merged pass builds its lanes
+    from the schemes' enabled-way matrices: no object hierarchy."""
+    session = Session(SETTINGS)
+    assert session.batch_signature(LV_BLOCK) is not None
+    built = []
+    init = MemoryHierarchy.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoryHierarchy, "__init__", counting)
+    session.run_group("gzip", _lanes(LV_BLOCK))
+    assert session.simulations_executed == SETTINGS.n_fault_maps
+    assert built == []

@@ -33,6 +33,22 @@ SMALL = RunnerSettings(
 )
 
 
+@pytest.fixture
+def disk_store():
+    """``DiskStore`` factory: every store a test opens through it is
+    closed at teardown, append handle included."""
+    opened: list[DiskStore] = []
+
+    def open_disk_store(path) -> DiskStore:
+        store = DiskStore(path)
+        opened.append(store)
+        return store
+
+    yield open_disk_store
+    for store in opened:
+        store.close()
+
+
 def make_result(cycles: int = 1234) -> SimResult:
     return SimResult(
         benchmark="crafty",
@@ -92,15 +108,17 @@ class TestTaskKey:
         narrow = PipelineConfig(issue_width=2)
         assert task_key(SMALL, "crafty", LV_BLOCK, 0, narrow) != base
 
-    def test_runner_with_custom_pipeline_gets_disjoint_store_rows(self, tmp_path):
+    def test_runner_with_custom_pipeline_gets_disjoint_store_rows(
+        self, disk_store, tmp_path
+    ):
         from repro.cpu.config import PipelineConfig
 
-        default = Session(SMALL, store=DiskStore(tmp_path))
+        default = Session(SMALL, store=disk_store(tmp_path))
         default.simulate("crafty", LV_BASELINE)
         narrow = Session(
             SMALL,
             pipeline_config=PipelineConfig(issue_width=2),
-            store=DiskStore(tmp_path),
+            store=disk_store(tmp_path),
         )
         assert narrow.cached("crafty", LV_BASELINE) is None
 
@@ -164,60 +182,60 @@ class TestMemoryStore:
 
 
 class TestDiskStore:
-    def test_round_trip_across_instances(self, tmp_path):
-        first = DiskStore(tmp_path / "campaign")
+    def test_round_trip_across_instances(self, disk_store, tmp_path):
+        first = disk_store(tmp_path / "campaign")
         first.put("k1", make_result(100))
         first.put("k2", make_result(200))
-        reopened = DiskStore(tmp_path / "campaign")
+        reopened = disk_store(tmp_path / "campaign")
         assert reopened.get("k1") == make_result(100)
         assert reopened.get("k2") == make_result(200)
         assert len(reopened) == 2
         assert set(reopened.keys()) == {"k1", "k2"}
 
-    def test_truncated_line_is_skipped_not_fatal(self, tmp_path):
-        store = DiskStore(tmp_path)
+    def test_truncated_line_is_skipped_not_fatal(self, disk_store, tmp_path):
+        store = disk_store(tmp_path)
         store.put("good", make_result(300))
         # Simulate a crash mid-append: a truncated JSON tail.
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "half", "result": {"benchmark": "cr')
-        reopened = DiskStore(tmp_path)
+        reopened = disk_store(tmp_path)
         assert reopened.get("good") == make_result(300)
         assert reopened.get("half") is None
         assert reopened.skipped_lines == 1
 
-    def test_garbage_and_blank_lines_tolerated(self, tmp_path):
-        store = DiskStore(tmp_path)
+    def test_garbage_and_blank_lines_tolerated(self, disk_store, tmp_path):
+        store = disk_store(tmp_path)
         store.put("good", make_result(300))
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write("\n")
             fh.write("not json at all\n")
             fh.write('{"key": "no-result-field"}\n')
             fh.write('{"key": "bad", "result": {"cycles": 1}}\n')
-        reopened = DiskStore(tmp_path)
+        reopened = disk_store(tmp_path)
         assert len(reopened) == 1
         assert reopened.skipped_lines == 3  # blank lines are not counted
 
-    def test_resumed_writes_survive_a_truncated_tail(self, tmp_path):
+    def test_resumed_writes_survive_a_truncated_tail(self, disk_store, tmp_path):
         """A crash can leave the file without a trailing newline; the next
         open must repair it so resumed results do not fuse onto (and get
         lost with) the corrupt line."""
-        store = DiskStore(tmp_path)
+        store = disk_store(tmp_path)
         store.put("good", make_result(300))
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "half", "result": {"benchmark": "cr')  # no \n
-        resumed = DiskStore(tmp_path)
+        resumed = disk_store(tmp_path)
         resumed.put("after-crash", make_result(400))
-        reopened = DiskStore(tmp_path)
+        reopened = disk_store(tmp_path)
         assert reopened.get("good") == make_result(300)
         assert reopened.get("after-crash") == make_result(400)
         assert reopened.skipped_lines == 1
 
-    def test_last_write_wins(self, tmp_path):
-        store = DiskStore(tmp_path)
+    def test_last_write_wins(self, disk_store, tmp_path):
+        store = disk_store(tmp_path)
         store.put("k", make_result(1))
         store.put("k", make_result(2))
         with pytest.warns(UserWarning, match="duplicate"):
-            assert DiskStore(tmp_path).get("k") == make_result(2)
+            assert disk_store(tmp_path).get("k") == make_result(2)
 
     def test_open_store_helper(self, tmp_path):
         assert isinstance(open_store(None), MemoryStore)
@@ -230,36 +248,36 @@ class TestDuplicateKeys:
     (last write wins), warn, and count — and compact() must rewrite the
     log without them."""
 
-    def _race(self, tmp_path) -> DiskStore:
+    def _race(self, disk_store, tmp_path) -> DiskStore:
         # Two store handles on one directory — the concurrent-writer
         # shape: each appends, neither sees the other's in-memory index.
-        a = DiskStore(tmp_path)
-        b = DiskStore(tmp_path)
+        a = disk_store(tmp_path)
+        b = disk_store(tmp_path)
         a.put("shared", make_result(1))
         b.put("shared", make_result(2))
         a.put("only-a", make_result(3))
         return a
 
-    def test_load_dedupes_and_counts(self, tmp_path):
-        self._race(tmp_path)
+    def test_load_dedupes_and_counts(self, disk_store, tmp_path):
+        self._race(disk_store, tmp_path)
         with pytest.warns(UserWarning, match="duplicate result"):
-            reopened = DiskStore(tmp_path)
+            reopened = disk_store(tmp_path)
         assert reopened.duplicate_lines == 1
         assert len(reopened) == 2
         assert reopened.get("shared") == make_result(2)  # last write wins
         assert reopened.get("only-a") == make_result(3)
 
-    def test_clean_load_does_not_warn(self, tmp_path):
-        DiskStore(tmp_path).put("k", make_result(5))
+    def test_clean_load_does_not_warn(self, disk_store, tmp_path):
+        disk_store(tmp_path).put("k", make_result(5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reopened = DiskStore(tmp_path)
+            reopened = disk_store(tmp_path)
         assert reopened.duplicate_lines == 0
 
-    def test_compact_rewrites_without_duplicates(self, tmp_path):
-        self._race(tmp_path)
+    def test_compact_rewrites_without_duplicates(self, disk_store, tmp_path):
+        self._race(disk_store, tmp_path)
         with pytest.warns(UserWarning):
-            store = DiskStore(tmp_path)
+            store = disk_store(tmp_path)
         before = dict.fromkeys(store.keys())
         assert store.compact() == 1
         assert store.duplicate_lines == 0
@@ -270,19 +288,19 @@ class TestDuplicateKeys:
         # A reopen sees identical contents and no duplicates.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reopened = DiskStore(tmp_path)
+            reopened = disk_store(tmp_path)
         assert reopened.get("shared") == make_result(2)
         assert reopened.get("only-a") == make_result(3)
 
-    def test_compact_drops_corrupt_lines_too(self, tmp_path):
-        store = DiskStore(tmp_path)
+    def test_compact_drops_corrupt_lines_too(self, disk_store, tmp_path):
+        store = disk_store(tmp_path)
         store.put("good", make_result(7))
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
-        reopened = DiskStore(tmp_path)
+        reopened = disk_store(tmp_path)
         assert reopened.skipped_lines == 1
         assert reopened.compact() == 1
-        fresh = DiskStore(tmp_path)
+        fresh = disk_store(tmp_path)
         assert fresh.skipped_lines == 0
         assert fresh.get("good") == make_result(7)
 
@@ -327,62 +345,66 @@ class TestStoreLifecycle:
             store.flush()
         assert store.get("k") == make_result()  # still readable after close
 
-    def test_sibling_compact_does_not_lose_appends(self, tmp_path):
+    def test_sibling_compact_does_not_lose_appends(self, disk_store, tmp_path):
         """A rename by another store instance (compact) must not leave
         this store appending to the unlinked old inode."""
-        first = DiskStore(tmp_path)
+        first = disk_store(tmp_path)
         first.put("k1", make_result(1))
-        sibling = DiskStore(tmp_path)
+        sibling = disk_store(tmp_path)
         sibling.compact()  # replaces results.jsonl via rename
         first.put("k2", make_result(2))  # must land in the live file
-        final = DiskStore(tmp_path)
+        final = disk_store(tmp_path)
         assert final.get("k1") == make_result(1)
         assert final.get("k2") == make_result(2)
 
-    def test_compact_releases_and_reopens_handle(self, tmp_path):
-        store = DiskStore(tmp_path)
+    def test_compact_releases_and_reopens_handle(self, disk_store, tmp_path):
+        store = disk_store(tmp_path)
         store.put("k", make_result(1))
         store.put("k", make_result(2))  # duplicate key in the log
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "k", "result": {}}\n')  # unreadable line
         with pytest.warns(UserWarning, match="duplicate"):
-            reread = DiskStore(tmp_path)
+            reread = disk_store(tmp_path)
         assert reread.compact() == 2
         assert reread._fh is None
         reread.put("k2", make_result(3))  # append handle reopens
-        final = DiskStore(tmp_path)
+        final = disk_store(tmp_path)
         assert final.get("k") == make_result(2)
         assert final.get("k2") == make_result(3)
         assert final.duplicate_lines == final.skipped_lines == 0
 
 
 class TestCampaignResume:
-    def test_runner_reads_through_disk_store(self, tmp_path):
-        first = Session(SMALL, store=DiskStore(tmp_path))
+    def test_runner_reads_through_disk_store(self, disk_store, tmp_path):
+        first = Session(SMALL, store=disk_store(tmp_path))
         result = first.simulate("crafty", LV_BLOCK, 0)
         assert first.simulations_executed == 1
-        second = Session(SMALL, store=DiskStore(tmp_path))
+        second = Session(SMALL, store=disk_store(tmp_path))
         assert second.simulate("crafty", LV_BLOCK, 0) == result
         assert second.simulations_executed == 0
 
-    def test_interrupted_campaign_completes_only_remainder(self, tmp_path):
+    def test_interrupted_campaign_completes_only_remainder(
+        self, disk_store, tmp_path
+    ):
         """Kill-and-rerun: results checkpointed before the 'crash' are
         never simulated again."""
-        killed = Session(SMALL, store=DiskStore(tmp_path))
+        killed = Session(SMALL, store=disk_store(tmp_path))
         tasks = _pending(killed, (LV_BASELINE, LV_BLOCK))
         assert len(tasks) == 6
         for task in tasks[:4]:  # the part that "finished" before the kill
             killed.simulate(*task)
-        resumed = Session(SMALL, store=DiskStore(tmp_path))
+        resumed = Session(SMALL, store=disk_store(tmp_path))
         spec = resumed.spec((LV_BASELINE, LV_BLOCK))
         assert resumed.run_all(spec).pending == 2
         assert resumed.run_all(spec).pending == 0
 
-    def test_store_shared_across_config_objects_with_same_content(self, tmp_path):
+    def test_store_shared_across_config_objects_with_same_content(
+        self, disk_store, tmp_path
+    ):
         from repro.core.schemes import VoltageMode
         from repro.experiments.configs import RunConfig
 
-        session = Session(SMALL, store=DiskStore(tmp_path))
+        session = Session(SMALL, store=disk_store(tmp_path))
         session.simulate("crafty", LV_BLOCK_V10, 0)
         clone = RunConfig(
             "same cache, new label",

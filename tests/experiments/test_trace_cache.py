@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 
 import pytest
 
 from repro.campaign import RunnerSettings, Session
-from repro.cpu.config import L1_GEOMETRY
+from repro.cpu.config import L1_GEOMETRY, PAPER_PIPELINE
+from repro.cpu.frontend import SCHEDULE_CACHE_STATS, frontend_schedule
 from repro.experiments.providers import TRACE_CACHE_ENV, TraceProvider, trace_key
 
 
@@ -126,7 +129,8 @@ class TestCorruptionHygiene:
 
     def test_truncated_entry_is_discarded_and_regenerated(self, tmp_path):
         path = self._entry_path(tmp_path)
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])  # torn tail from a killed writer
         provider = TraceProvider(settings(), cache_dir=tmp_path)
@@ -151,6 +155,41 @@ class TestCorruptionHygiene:
         trace = reread.get("gzip")
         assert reread.discarded == 1 and reread.generated == 1
         assert len(trace) == 2_500
+
+
+class TestDiscardedEntriesAreClosed:
+    """``np.load`` raises on a bad zip archive without closing a path it
+    opened; the loaders open the file themselves, so a discarded entry
+    leaves no handle behind."""
+
+    @staticmethod
+    def _schedule(trace):
+        return frontend_schedule(trace, PAPER_PIPELINE, L1_GEOMETRY.offset_bits, 500)
+
+    @pytest.mark.parametrize("corruption", ["garbage", "truncated", "schedule"])
+    def test_discarded_entry_leaves_no_open_file(self, tmp_path, corruption):
+        self._schedule(TraceProvider(settings(), cache_dir=tmp_path).get("gzip"))
+        (schedule_entry,) = tmp_path.glob("sched-*.npz")
+        (trace_entry,) = set(tmp_path.glob("*.npz")) - {schedule_entry}
+        if corruption == "garbage":
+            trace_entry.write_bytes(b"PK\x03\x04")  # a zip header, then nothing
+        else:
+            path = schedule_entry if corruption == "schedule" else trace_entry
+            blob = path.read_bytes()
+            path.write_bytes(blob[: len(blob) // 2])
+        schedules_discarded = SCHEDULE_CACHE_STATS["discarded"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            provider = TraceProvider(settings(), cache_dir=tmp_path)
+            self._schedule(provider.get("gzip"))
+            gc.collect()
+        discarded = (
+            provider.discarded
+            + SCHEDULE_CACHE_STATS["discarded"]
+            - schedules_discarded
+        )
+        assert discarded == 1
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestTmpHygiene:

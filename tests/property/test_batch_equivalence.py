@@ -10,7 +10,8 @@ themselves — thinned, single-way and fully-disabled L1 sets in some
 lanes only, 0/8/16-entry victim caches — and the whole kernel-eligible
 space: pipeline widths, FU pools, ring sizes, front-end depths, cache
 geometries and latencies, trace lengths and warmup boundaries, through
-both ``run()`` and ``run_batch()``.
+``run()``, ``run_batch()`` over pipelines and ``run_batch()`` over
+session-style kernel lanes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.cpu.isa import NO_REGISTER, InstrClass
-from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
 from repro.faults.geometry import CacheGeometry
@@ -234,39 +235,31 @@ LATENCIES = st.builds(
 
 
 @st.composite
-def eligible_lanes(draw) -> "tuple[PipelineConfig, list]":
-    """A pipeline config plus 1-3 lanes of hierarchy factories sharing
-    every structural parameter of the batch key: geometries and
-    latencies agree, thinning and victim sizes differ per lane."""
+def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
+    """A pipeline config, the (L1I, L1D, L2) geometries and latencies
+    every lane shares — every structural parameter of the batch key —
+    and 1-3 lanes of ``(L1I enabled ways, L1D enabled ways, victim
+    entries)``: thinning and victim sizes differ per lane."""
     config = draw(PIPELINE_CONFIGS)
-    l1i_geometry = draw(geometries((4, 8, 16, 32, 64)))
-    l1d_geometry = draw(geometries((4, 8, 16, 32, 64)))
-    l2_geometry = draw(geometries((16, 32, 64, 128)))
+    levels = (
+        draw(geometries((4, 8, 16, 32, 64))),
+        draw(geometries((4, 8, 16, 32, 64))),
+        draw(geometries((16, 32, 64, 128))),
+    )
     latencies = draw(LATENCIES)
 
-    def l1(geometry, name):
+    def enabled(geometry):
         thinning = draw(st.sampled_from([None, 0.2, 0.5, 0.9]))
         if thinning is None:
-            return lambda: SetAssociativeCache(geometry, name=name)
+            return None
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        enabled = rng.random((geometry.num_sets, geometry.ways)) > thinning
-        return lambda: SetAssociativeCache(geometry, enabled_ways=enabled, name=name)
+        return rng.random((geometry.num_sets, geometry.ways)) > thinning
 
     lanes = []
     for _ in range(draw(st.integers(1, 3))):
-        make_i, make_d = l1(l1i_geometry, "l1i"), l1(l1d_geometry, "l1d")
-        victims = draw(st.sampled_from([0, 1, 8, 16]))
-        lanes.append(
-            lambda make_i=make_i, make_d=make_d, victims=victims: MemoryHierarchy(
-                make_i(),
-                make_d(),
-                l2_geometry,
-                latencies,
-                victim_entries_i=victims,
-                victim_entries_d=victims,
-            )
-        )
-    return config, lanes
+        enabled_i, enabled_d = enabled(levels[0]), enabled(levels[1])
+        lanes.append((enabled_i, enabled_d, draw(st.sampled_from([0, 1, 8, 16]))))
+    return config, levels, latencies, lanes
 
 
 @requires_kernel
@@ -278,20 +271,42 @@ def eligible_lanes(draw) -> "tuple[PipelineConfig, list]":
 )
 @settings(max_examples=300, deadline=None)
 def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
-    config, lanes = drawn
+    config, levels, latencies, lanes = drawn
     trace = random_trace(seed, n)
     measure_from = {"start": 0, "third": n // 3, "last": n - 1}[boundary]
-    expected = [
-        OutOfOrderPipeline(config, make(), engine="object").run(
-            trace, measure_from=measure_from
-        )
-        for make in lanes
-    ]
-    single = [OutOfOrderPipeline(config, make()) for make in lanes]
+
+    def pipelines(engine: str = "fused") -> list[OutOfOrderPipeline]:
+        return [
+            OutOfOrderPipeline(
+                config,
+                MemoryHierarchy(
+                    SetAssociativeCache(levels[0], enabled_ways=enabled_i, name="l1i"),
+                    SetAssociativeCache(levels[1], enabled_ways=enabled_d, name="l1d"),
+                    levels[2],
+                    latencies,
+                    victim_entries_i=victims,
+                    victim_entries_d=victims,
+                ),
+                engine=engine,
+            )
+            for enabled_i, enabled_d, victims in lanes
+        ]
+
+    expected = [p.run(trace, measure_from=measure_from) for p in pipelines("object")]
+    single = pipelines()
     assert all(p.batch_key() is not None for p in single)
     assert [p.run(trace, measure_from=measure_from) for p in single] == expected
-    batch = [OutOfOrderPipeline(config, make()) for make in lanes]
+    batch = pipelines()
     assert OutOfOrderPipeline._can_run_batch(batch)
     assert OutOfOrderPipeline.run_batch(
         batch, trace, measure_from=measure_from
+    ) == expected
+    # The same draws as session-style lanes: arrays from the matrices and
+    # victim sizes, no object hierarchy.
+    kernel_lanes = [
+        KernelLane(config, latencies, levels, enabled_i, enabled_d, victims)
+        for enabled_i, enabled_d, victims in lanes
+    ]
+    assert OutOfOrderPipeline.run_batch(
+        kernel_lanes, trace, measure_from=measure_from
     ) == expected

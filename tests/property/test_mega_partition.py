@@ -3,7 +3,7 @@
 However a campaign's work items are sliced into groups — any grouping,
 any order, any subset already sitting in the store as "holes" —
 :meth:`Session.run_group` must scatter back results bit-identical to
-per-point ``simulate`` calls.  This is the
+per-point runs of the object engine, the oracle.  This is the
 planner's core invariant: grouping is a pure performance decision and
 can never change a simulated bit.
 """
@@ -32,16 +32,19 @@ ITEMS = (
     *((LV_INCREMENTAL, m) for m in range(TINY.n_fault_maps)),
 )
 
-#: Sequential per-point reference, computed once (hypothesis reruns the
-#: test body many times; the reference never changes).
+#: Per-point object-engine reference, computed once (hypothesis reruns
+#: the test body many times; the reference never changes).
 _REFERENCE: dict = {}
 
 
 def _reference() -> dict:
     if not _REFERENCE:
-        sequential = Session(TINY)
+        oracle = Session(TINY)
+        trace = oracle.trace("gzip")
         for config, m in ITEMS:
-            _REFERENCE[(config.label, m)] = sequential.simulate("gzip", config, m)
+            _REFERENCE[(config.label, m)] = oracle.build_pipeline(
+                config, m, engine="object"
+            ).run(trace, measure_from=TINY.warmup_instructions)
     return _REFERENCE
 
 
@@ -78,7 +81,7 @@ def test_any_partition_scatters_bit_identical(partition):
             reference[(config.label, m)] for config, m in group
         ]
     # Post-scatter, the store holds the full campaign, every point
-    # bit-identical to the sequential path, holes untouched.
+    # bit-identical to the object engine, holes untouched.
     for config, m in ITEMS:
         assert session.cached("gzip", config, m) == reference[
             (config.label, m)

@@ -88,13 +88,13 @@ def stream_points(events) -> dict:
 class TestWireBasics:
     def test_healthz_and_errors(self):
         with Session(SETTINGS) as session, ServerThread(session) as server:
-            health = json.loads(
-                urllib.request.urlopen(f"{server.url}/healthz").read()
-            )
+            with urllib.request.urlopen(f"{server.url}/healthz") as response:
+                health = json.loads(response.read())
             assert health["campaigns"] == 0
             assert health["store"] == "memory"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{server.url}/nope")
+            excinfo.value.close()
             assert excinfo.value.code == 404
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(
@@ -104,6 +104,7 @@ class TestWireBasics:
                         method="POST",
                     )
                 )
+            excinfo.value.close()
             assert excinfo.value.code == 400
 
     def test_client_url_parsing(self):
