@@ -10,14 +10,16 @@ points, its figures must be byte-identical with one-lane passes, and a
 campaign one map wider than ``PASS_LANES`` must run in its predicted
 passes, none wider than the cap), plus the campaign smoke: the Fig. 8 JSON a
 ``Session`` renders must match a pinned sha256 digest, and dedup re-runs
-must execute zero schedule passes.  The ``kernel`` smoke gates the compiled lane kernel:
-a heterogeneous-victim campaign must merge into one kernel pass,
+must execute zero schedule passes.  The ``kernel`` smoke gates the compiled kernels:
+a heterogeneous-victim campaign must merge into one lane-kernel pass,
 bit-identical to ``engine="object"`` runs; under ``REPRO_NO_CKERNEL=1``
-the same campaign must run through the object loop to byte-identical
-figures; and the vectorised schedule compiler must match the reference
-replay.  The ``sanitize`` smoke rebuilds that kernel with
-AddressSanitizer and UBSan and runs the kernel, fuzzed-equivalence and
-golden tests against it: a sanitizer report fails the gate.
+the same campaign must regenerate its trace with the Python walk and run
+through the object loop to byte-identical figures; the vectorised
+schedule compiler must match the reference replay; and the trace kernel
+must generate the Python walk's trace and RNG state.
+The ``sanitize`` smoke rebuilds both kernels with AddressSanitizer and
+UBSan and runs the kernel, fuzzed-equivalence, golden and workload tests
+against them: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per writable disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write with its whole process group (no pool
@@ -40,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import os
@@ -442,18 +445,36 @@ def smoke_campaign(json_dir: str) -> list[str]:
     return failures
 
 
+@contextlib.contextmanager
+def _no_ckernel():
+    """``REPRO_NO_CKERNEL=1`` for the block, restored afterwards."""
+    saved = os.environ.get("REPRO_NO_CKERNEL")
+    os.environ["REPRO_NO_CKERNEL"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_NO_CKERNEL"]
+        else:
+            os.environ["REPRO_NO_CKERNEL"] = saved
+
+
 def smoke_kernel(json_dir: str) -> list[str]:
-    """Compiled lane-kernel gate.
+    """Compiled-kernel gate.
 
     A heterogeneous-victim campaign (block disabling plus the 6T and
     10T victim-cache rows over two fault maps — six lanes) must merge
-    into ONE kernel pass and scatter back bit-identical to sequential
-    ``engine="object"`` runs.  The fallback leg repeats it under
-    ``REPRO_NO_CKERNEL=1``: the lanes must then plan as one object-loop
-    group and run one object-loop pass each, still bit-identical, and
-    Fig. 10 rendered in both legs must be byte-identical.  The vectorised pass-1 schedule
-    compiler must also match the reference replay, ``.npz`` payload
-    included.
+    into ONE lane-kernel pass and scatter back bit-identical to
+    sequential ``engine="object"`` runs.  The fallback leg repeats it
+    under ``REPRO_NO_CKERNEL=1``: the lanes must then plan as one
+    object-loop group and run one object-loop pass each, still
+    bit-identical, and Fig. 10 rendered in both legs must be
+    byte-identical.  Each leg generates its trace (the fallback leg with
+    the Python walk), so that byte check covers trace generation too.
+    The vectorised pass-1 schedule compiler must match the reference
+    replay, ``.npz`` payload included, and the trace kernel's gzip trace
+    (4,000 instructions, then 777 more from the same generator) must
+    match the Python walk's, columns and RNG state alike.
     """
     import io
 
@@ -464,6 +485,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
     from repro.cpu import frontend, lane_kernel
     from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
     from repro.experiments.figures import fig10_data
+    from repro.workloads.generator import TraceGenerator
 
     settings = RunnerSettings(
         n_instructions=3_000,
@@ -498,21 +520,16 @@ def smoke_kernel(json_dir: str) -> list[str]:
                 "merged": [g.merged for g in plan.groups],
                 "passes": session.schedule_passes,
                 "divergences": divergences,
+                "traces_generated": session.traces.generated,
+                "traces_loaded": session.traces.loaded,
                 "figure": fig10_data(session).to_csv(),
             }
 
     failures: list[str] = []
     kernel_active = lane_kernel.load() is not None
     runs = {"kernel": leg()}
-    saved = os.environ.get("REPRO_NO_CKERNEL")
-    os.environ["REPRO_NO_CKERNEL"] = "1"
-    try:
+    with _no_ckernel():
         runs["fallback"] = leg()
-    finally:
-        if saved is None:
-            del os.environ["REPRO_NO_CKERNEL"]
-        else:
-            os.environ["REPRO_NO_CKERNEL"] = saved
     figures_identical = runs["kernel"].pop("figure") == runs["fallback"].pop("figure")
     if not figures_identical:
         failures.append("Fig. 10 bytes differ between the kernel and fallback legs")
@@ -525,6 +542,11 @@ def smoke_kernel(json_dir: str) -> list[str]:
         "fallback": object_loop,
     }
     for name, run in runs.items():
+        if (run["traces_generated"], run["traces_loaded"]) != (1, 0):
+            failures.append(
+                f"{name} leg: generated {run['traces_generated']} and loaded "
+                f"{run['traces_loaded']} traces; it must generate its one trace"
+            )
         if run["divergences"]:
             failures.append(
                 f"{name} leg: {run['divergences']}/{len(items)} lanes "
@@ -559,11 +581,27 @@ def smoke_kernel(json_dir: str) -> list[str]:
             f"(schedule={compile_identical}, npz={npz_identical})"
         )
 
+    with _no_ckernel():
+        oracle = TraceGenerator("gzip", seed=settings.seed)
+    compiled = TraceGenerator("gzip", seed=settings.seed)
+    trace_kernel_active = compiled._kernel is not None
+    walk_identical = True
+    for n in (4_000, 777):
+        same_columns = compiled.generate(n) == oracle.generate(n)
+        same_state = compiled._rng.getstate() == oracle._rng.getstate()
+        walk_identical &= same_columns and same_state
+    if not walk_identical:
+        failures.append(
+            "the trace kernel's gzip trace or RNG state diverged from the Python walk"
+        )
+
     _write(
         json_dir,
         "kernel",
         {
             "kernel_active": kernel_active,
+            "trace_kernel_active": trace_kernel_active,
+            "trace_walk_identical": walk_identical,
             "lanes": len(items),
             "runs": runs,
             "figure_bytes_identical": figures_identical,
@@ -1266,50 +1304,69 @@ def smoke_predict(json_dir: str) -> list[str]:
     return failures
 
 
-#: Tests the sanitize smoke runs against the instrumented kernel (every
-#: kernel-eligible golden scenario reaches it, single and batched, the
-#: property suite fuzzes the whole eligible space, and the session-lane
-#: tests drive arrays built from enabled-way matrices, victim-less lanes
-#: padded beside 8- and 16-entry ones), and the one its self-check runs
-#: against a deliberately broken build.
+#: Tests the sanitize smoke runs against the instrumented kernels: every
+#: kernel-eligible golden scenario reaches the lane kernel, single and
+#: batched, the property suite fuzzes its whole eligible space, and the
+#: session-lane tests drive arrays built from enabled-way matrices,
+#: victim-less lanes padded beside 8- and 16-entry ones; the workload
+#: tests and the trace-equivalence property drive the trace kernel over
+#: the SPEC profiles and fuzzed ones.
 _SANITIZE_TESTS = (
     "tests/cpu/test_lane_kernel.py",
     "tests/property/test_batch_equivalence.py",
     "tests/integration/test_golden_sim.py",
     "tests/experiments/test_runner_batch.py",
     "tests/property/test_mega_partition.py",
+    "tests/workloads/",
+    "tests/property/test_trace_equivalence.py",
 )
-_SANITIZE_SELF_CHECK = (
-    "tests/cpu/test_lane_kernel.py::TestKernelVsFallback"
-    "::test_padded_heterogeneous_victims",
-)
+#: Per kernel: (the source text the self-check breaks, its one-past-end
+#: replacement, the test the broken build runs under).
+_SANITIZE_SELF_CHECKS = {
+    "lane_kernel": (
+        "for (int64_t l = 0; l < L; l++) fetch_base[l]",
+        "for (int64_t l = 0; l <= L; l++) fetch_base[l]",
+        "tests/cpu/test_lane_kernel.py::TestKernelVsFallback"
+        "::test_padded_heterogeneous_victims",
+    ),
+    "trace_kernel": (
+        "a->taken[i] = (taken_);",
+        "a->taken[i + 1] = (taken_);",
+        "tests/workloads/test_generator.py::TestStructure::test_requested_length",
+    ),
+}
 
 
-def _sanitized_run(source: str, tests: tuple, workdir: str) -> dict:
-    """Build ``source`` with ASan and UBSan into an empty kernel cache,
-    under the file name ``lane_kernel.load()`` looks for, then run pytest
-    on ``tests`` against it in a subprocess.  Sanitizer reports go to log
-    files: pytest's fd capture swallows a report written to stderr when
-    the sanitizer aborts the process."""
+def _sanitized_run(tests: tuple, workdir: str, sources: dict | None = None) -> dict:
+    """Build both kernels with ASan and UBSan into an empty kernel cache,
+    under the object names their loaders look for (``sources`` replaces a
+    kernel's source by name), then run pytest on ``tests`` against them
+    in a subprocess.  Sanitizer reports go to log files: pytest's fd
+    capture swallows a report written to stderr when the sanitizer
+    aborts the process."""
     from repro.cpu import lane_kernel
+    from repro.workloads import trace_kernel
 
     cache = os.path.join(workdir, "kernel")
     logs = os.path.join(workdir, "logs")
     os.makedirs(cache)
     os.makedirs(logs)
-    src_path = os.path.join(workdir, "lane_kernel.c")
-    with open(src_path, "w", encoding="utf-8") as fh:
-        fh.write(source)
-    lib_path = os.path.join(cache, lane_kernel._object_name(lane_kernel._source()))
-    subprocess.run(
-        [
-            "gcc", "-O1", "-g", "-fsanitize=address,undefined",
-            "-fno-sanitize-recover=all", "-shared", "-fPIC",
-            "-o", lib_path, src_path,
-        ],
-        check=True,
-        capture_output=True,
-    )
+    kernels = (lane_kernel.KERNEL, trace_kernel.KERNEL)
+    lib_paths = []
+    for kernel in kernels:
+        src_path = os.path.join(workdir, f"{kernel.name}.c")
+        with open(src_path, "w", encoding="utf-8") as fh:
+            fh.write((sources or {}).get(kernel.name, kernel.source))
+        lib_paths.append(os.path.join(cache, kernel.object_name()))
+        subprocess.run(
+            [
+                "gcc", "-O1", "-g", "-fsanitize=address,undefined",
+                "-fno-sanitize-recover=all", *kernel.cflags, "-shared", "-fPIC",
+                "-o", lib_paths[-1], src_path, *kernel.libs,
+            ],
+            check=True,
+            capture_output=True,
+        )
     runtimes = [
         subprocess.run(
             ["gcc", f"-print-file-name={name}"],
@@ -1333,7 +1390,8 @@ def _sanitized_run(source: str, tests: tuple, workdir: str) -> dict:
         [
             sys.executable, "-c",
             "import sys; from repro.cpu import lane_kernel; "
-            "sys.exit(lane_kernel.load() is None)",
+            "from repro.workloads import trace_kernel; "
+            "sys.exit(lane_kernel.load() is None or trace_kernel.load() is None)",
         ],
         cwd=ROOT,
         env=env,
@@ -1352,7 +1410,7 @@ def _sanitized_run(source: str, tests: tuple, workdir: str) -> dict:
         with open(os.path.join(logs, name), encoding="utf-8", errors="replace") as fh:
             reports.append(fh.read())
     return {
-        "loaded": probe.returncode == 0 and os.path.exists(lib_path),
+        "loaded": probe.returncode == 0 and all(map(os.path.exists, lib_paths)),
         "returncode": proc.returncode,
         "tail": (proc.stdout + proc.stderr)[-2000:],
         "reports": reports,
@@ -1360,42 +1418,49 @@ def _sanitized_run(source: str, tests: tuple, workdir: str) -> dict:
 
 
 def smoke_sanitize(json_dir: str) -> list[str]:
-    """Memory-safety gate for the compiled lane kernel.
+    """Memory-safety gate for the compiled kernels.
 
-    The kernel source is rebuilt with ``-O1 -g
+    The lane and trace kernel sources are rebuilt with ``-O1 -g
     -fsanitize=address,undefined -fno-sanitize-recover=all`` and picked
     up through the existing ``REPRO_KERNEL_CACHE`` lookup; the kernel,
-    property (including the eligible-space fuzz) and golden tests must
-    pass with no sanitizer report.  A self-check first builds it with a one-past-end
-    write injected (``l <= L`` in the fetch-base refresh) and requires
-    ASan to report the heap-buffer-overflow.
+    property (the eligible-space fuzz and the trace-equivalence
+    property included), golden and workload tests must pass with no
+    sanitizer report.  Self-checks first build each kernel with a
+    one-past-end write injected (``l <= L`` in the lane kernel's
+    fetch-base refresh; ``taken[i + 1]`` in the trace kernel's output
+    column) and require ASan to report the heap-buffer-overflow.
     """
     from repro.cpu import lane_kernel
+    from repro.workloads import trace_kernel
 
-    source = lane_kernel._source()
-    target = "for (int64_t l = 0; l < L; l++) fetch_base[l]"
-    injected = source.replace(target, target.replace("l < L", "l <= L"))
     failures: list[str] = []
     runs: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        if injected == source:
-            failures.append("self-check: the injection site left the kernel source")
-        else:
+        for kernel in (lane_kernel.KERNEL, trace_kernel.KERNEL):
+            target, broken, test = _SANITIZE_SELF_CHECKS[kernel.name]
+            injected = kernel.source.replace(target, broken)
+            if injected == kernel.source:
+                failures.append(
+                    f"self-check: the injection site left the {kernel.name} source"
+                )
+                continue
             check = _sanitized_run(
-                injected, _SANITIZE_SELF_CHECK, os.path.join(tmp, "self-check")
+                (test,),
+                os.path.join(tmp, f"self-check-{kernel.name}"),
+                {kernel.name: injected},
             )
-            runs["self_check"] = check
+            runs[f"self_check_{kernel.name}"] = check
             if check["returncode"] == 0 or not any(
                 "heap-buffer-overflow" in report for report in check["reports"]
             ):
                 failures.append(
-                    "self-check: the injected one-past-end write went "
-                    f"undetected (exit {check['returncode']})\n{check['tail']}"
+                    f"self-check: the {kernel.name}'s injected one-past-end write "
+                    f"went undetected (exit {check['returncode']})\n{check['tail']}"
                 )
-        run = _sanitized_run(source, _SANITIZE_TESTS, os.path.join(tmp, "kernel"))
-        runs["kernel"] = run
+        run = _sanitized_run(_SANITIZE_TESTS, os.path.join(tmp, "kernels"))
+        runs["kernels"] = run
     if not run["loaded"]:
-        failures.append("the sanitized kernel did not load; nothing was checked")
+        failures.append("the sanitized kernels did not load; nothing was checked")
     if run["returncode"] != 0 or run["reports"]:
         failures.append(
             f"sanitized tests exited {run['returncode']} with "

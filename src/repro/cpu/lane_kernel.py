@@ -32,24 +32,18 @@ hierarchies in ``tests/property/test_batch_equivalence.py``.
 The kernel is optional: no compiler, a failed build, or the environment
 override ``REPRO_NO_CKERNEL=1`` make :func:`load` return ``None``, and
 every pipeline then runs the object loop — same results, bit for bit.
-Compiled objects are cached under the system temp directory
-(``REPRO_KERNEL_CACHE`` overrides it) keyed by a source hash, so
-rebuilds only happen when the kernel source changes.
+:class:`~repro.ckernel.CKernel` builds, caches and loads it, as it does
+the trace kernel.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
-import warnings
 
 from repro.cache.engine import BIG_STAMP, LANE_COUNTERS
+from repro.ckernel import CKernel
 
-__all__ = ["load", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY"]
+__all__ = ["load", "KERNEL", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY"]
 
 #: Return codes (ctx[RET] after a kernel call).
 RET_DONE = 0
@@ -437,100 +431,17 @@ def _source() -> str:
     return "\n".join(defines) + "\n" + _C_BODY
 
 
-_cached_fn = None
-_build_failed = False
-_warned = False
-
-
-def _warn_fallback(message: str) -> None:
-    """One warning per process when the kernel is unavailable: a broken
-    toolchain in one pool worker used to mean a *silent* fallback (and a
-    mysteriously slow campaign) — now the gcc stderr tail names the
-    cause the first time it happens."""
-    global _warned
-    if _warned:
-        return
-    _warned = True
-    warnings.warn(
-        f"{message}; every simulation falls back to the bit-identical "
-        "object loop (slower). Set REPRO_NO_CKERNEL=1 to silence this "
-        "warning.",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
-def _object_name(source: str) -> str:
-    """File name of the compiled object cached for ``source`` — the name
-    :func:`load` looks for under the kernel cache directory."""
-    return f"lane_kernel_{hashlib.sha256(source.encode()).hexdigest()[:16]}.so"
-
-
-def _build() -> "ctypes.CDLL | None":
-    source = _source()
-    cache_dir = os.environ.get("REPRO_KERNEL_CACHE") or os.path.join(
-        tempfile.gettempdir(), f"repro-lane-kernel-{os.getuid()}"
-    )
-    lib_path = os.path.join(cache_dir, _object_name(source))
-    if not os.path.exists(lib_path):
-        # Source and object both go to process-unique names and only the
-        # finished object is renamed into place (atomic under POSIX):
-        # concurrent workers building the same digest can neither
-        # truncate each other's source under gcc nor load a half-written
-        # object.
-        stem = f"{lib_path[:-3]}.{os.getpid()}"
-        src_path = f"{stem}.c"
-        tmp_path = f"{stem}.so.tmp"
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(src_path, "w") as fh:
-                fh.write(source)
-            subprocess.run(
-                ["gcc", "-O2", "-shared", "-fPIC", "-o", tmp_path, src_path],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp_path, lib_path)
-        except subprocess.CalledProcessError as exc:
-            stderr = exc.stderr or b""
-            tail = stderr.decode("utf-8", errors="replace").strip()[-800:]
-            _warn_fallback(
-                f"lane-kernel build failed (gcc exited {exc.returncode}); "
-                f"gcc stderr tail:\n{tail}"
-            )
-            return None
-        except (OSError, subprocess.SubprocessError) as exc:
-            _warn_fallback(f"lane-kernel build unavailable ({exc!r})")
-            return None
-        finally:
-            for path in (src_path, tmp_path):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-    try:
-        fn = ctypes.CDLL(lib_path).repro_run_lanes
-    except (OSError, AttributeError) as exc:
-        # An unloadable cached object, or one without the entry point,
-        # would fail every later process too: drop it so the next load
-        # rebuilds.
-        _warn_fallback(f"lane-kernel load failed ({exc!r})")
-        with contextlib.suppress(OSError):
-            os.unlink(lib_path)
-        return None
-    fn.argtypes = [ctypes.c_void_p]
-    fn.restype = None
-    return fn
+KERNEL = CKernel(
+    "lane_kernel",
+    _source(),
+    {"repro_run_lanes": [ctypes.c_void_p]},
+    fallback="every simulation falls back to the bit-identical object loop",
+)
 
 
 def load():
     """The compiled kernel entry point, or ``None`` when unavailable
     (``REPRO_NO_CKERNEL=1``, no working ``gcc``, load failure).  Build
     results — success or failure — are cached for the process."""
-    if os.environ.get("REPRO_NO_CKERNEL"):
-        return None
-    global _cached_fn, _build_failed
-    if _cached_fn is None and not _build_failed:
-        _cached_fn = _build()
-        if _cached_fn is None:
-            _build_failed = True
-    return _cached_fn
+    lib = KERNEL.load()
+    return None if lib is None else lib.repro_run_lanes

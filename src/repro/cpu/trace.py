@@ -14,6 +14,18 @@ import numpy as np
 
 from repro.cpu.isa import NO_REGISTER, InstrClass
 
+#: The columns and the NumPy dtype each has as an array (``to_arrays``,
+#: the ``.npz`` cache entries, and the trace kernel's output).
+COLUMN_DTYPES = {
+    "pc": np.int64,
+    "iclass": np.int8,
+    "mem_addr": np.int64,
+    "src1": np.int8,
+    "src2": np.int8,
+    "dest": np.int8,
+    "taken": np.bool_,
+}
+
 
 @dataclass
 class Trace:
@@ -97,13 +109,8 @@ class Trace:
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {
-            "pc": np.asarray(self.pc, dtype=np.int64),
-            "iclass": np.asarray(self.iclass, dtype=np.int8),
-            "mem_addr": np.asarray(self.mem_addr, dtype=np.int64),
-            "src1": np.asarray(self.src1, dtype=np.int8),
-            "src2": np.asarray(self.src2, dtype=np.int8),
-            "dest": np.asarray(self.dest, dtype=np.int8),
-            "taken": np.asarray(self.taken, dtype=np.bool_),
+            name: np.asarray(getattr(self, name), dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
         }
 
     @classmethod
@@ -137,6 +144,6 @@ class Trace:
         corrupt (``np.load`` raises without closing a path it opened)."""
         with open(path, "rb") as fh, np.load(fh) as data:
             return cls.from_arrays(
-                {key: data[key] for key in ("pc", "iclass", "mem_addr", "src1", "src2", "dest", "taken")},
+                {key: data[key] for key in COLUMN_DTYPES},
                 name=str(data["name"]),
             )

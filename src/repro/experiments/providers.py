@@ -10,15 +10,22 @@ pool worker's private session owns its own pair.
 
 Persistent trace cache
 ----------------------
-Generating a multi-million-instruction trace costs more than simulating
-it once, and every parallel worker regenerates every benchmark trace in
-its own process.  Point ``REPRO_TRACE_CACHE`` (or ``--trace-cache DIR``)
-at a directory and :class:`TraceProvider` persists each generated trace
-as a compressed ``.npz`` (the existing :meth:`~repro.cpu.trace.Trace.save`
-round-trip), keyed by a content hash of everything that determines the
-trace: generator schema version, profile name, master seed, instruction
-count, and the generator geometry.  Workers and repeated sessions then
-load instead of regenerate.  Entries are written atomically (temp file +
+Every parallel worker needs every benchmark trace its groups simulate,
+and each one's front-end schedule.  Point ``REPRO_TRACE_CACHE`` (or
+``--trace-cache DIR``) at a directory and :class:`TraceProvider`
+persists each generated trace as a compressed ``.npz`` (the existing
+:meth:`~repro.cpu.trace.Trace.save` round-trip), keyed by a content hash
+of everything that determines the trace: generator schema version,
+profile name, master seed, instruction count, and the generator
+geometry; compiled schedules persist beside it
+(:mod:`repro.cpu.frontend`).  Workers and repeated sessions then load
+instead of regenerate.  With the compiled trace kernel, loading a trace
+costs about what generating it does; the schedule is the saving.
+Measured for mcf at 1.2M instructions (2-core host): generating 0.28 s,
+loading 0.28 s, saving 1.4 s; the first simulation took 0.83 s against
+0.18 s for a later one-lane kernel pass, the difference being mostly
+the schedule compile.  Without ``gcc`` the Python walk generates the
+same trace in about 3.3 s.  Entries are written atomically (temp file +
 ``os.replace``) so concurrent workers can share a cache directory, and a
 corrupt or truncated entry is discarded and regenerated, mirroring the
 result store's torn-tail tolerance.

@@ -34,6 +34,32 @@ Four address generators share the data segment:
   map into ``conflict_sets`` cache sets: the associativity stressor that
   separates an 8-way baseline, a 4-way word-disabled cache, a fault-thinned
   block-disabled set, and a victim-cache-backed configuration.
+
+Two engines
+-----------
+``__init__`` picks one engine per generator; both produce the same
+traces, bit for bit:
+
+* the **trace kernel** (:mod:`repro.workloads.trace_kernel`), compiled C
+  that builds the code skeleton and walks it.  It starts from
+  ``self._rng.getstate()`` and draws CPython's own MT19937 words:
+  ``random()`` from two words, ``randrange``/``randint``/``choice`` by
+  ``_randbelow``'s rejection loop over one-word ``getrandbits(k)``, and
+  ``uniform`` and ``expovariate`` by ``random.py``'s arithmetic, with
+  libm's ``log``.  After every call the advanced state goes back into
+  ``self._rng``, which stays the one source of truth, so either engine
+  can continue the other's stream;
+* the **Python** build and walk below: the oracle the kernel is checked
+  against, and the path taken without ``gcc`` or under
+  ``REPRO_NO_CKERNEL=1``.
+
+The kernel copies only ``getrandbits``'s one-word path and emits int64
+addresses, so a profile whose block count, hot-entry count, random region
+(in 64-byte blocks) or conflict pool reaches 2^32, or whose addresses
+could pass 2^63 (``ws_kb=2**30`` gives about 5.2e9 random blocks), runs
+the Python engine.  Both engines fill the same :class:`CodeSkeleton`
+columns and carry the same data cursors from one :meth:`generate` call
+to the next.
 """
 
 from __future__ import annotations
@@ -42,9 +68,12 @@ import random
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cpu.isa import NO_REGISTER, InstrClass
-from repro.cpu.trace import Trace
+from repro.cpu.trace import COLUMN_DTYPES, Trace
 from repro.faults.geometry import PAPER_L1_GEOMETRY, CacheGeometry
+from repro.workloads import trace_kernel
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec2000 import get_profile
 
@@ -52,18 +81,28 @@ CODE_BASE = 0x0040_0000
 DATA_BASE = 0x1000_0000
 CONFLICT_BASE = 0x2000_0000
 
+#: Basic blocks are 3..64 instructions long, terminator included.
+_MIN_BLOCK = 3
 
-@dataclass
-class _BasicBlock:
-    start_pc: int
-    length: int  # instructions including the terminator
-    kind: int  # InstrClass.BRANCH / CALL / RETURN
-    taken_bias: float
-    target: int  # taken-target block index (branches); callee (calls)
+
+@dataclass(frozen=True, eq=False)
+class CodeSkeleton:
+    """The static program: one entry per basic block in each column but
+    ``hot``.  Both engines' builders fill exactly these columns."""
+
+    start_pc: np.ndarray  # int64
+    length: np.ndarray  # int64: instructions including the terminator
+    kind: np.ndarray  # int8: InstrClass.BRANCH / CALL / RETURN
+    taken_bias: np.ndarray  # float64
+    target: np.ndarray  # int64: taken-target block (branches); callee (calls)
     #: Loop branches iterate a (mostly) fixed trip count instead of
     #: flipping a coin per visit — real loops repeat their history
     #: patterns, which is what lets a gshare predictor learn them.
-    trip_count: int = 0  # 0 = not a counted loop
+    trip_count: np.ndarray  # int64: 0 = not a counted loop
+    hot: np.ndarray  # int64: the hot-function entry blocks
+
+    COLUMNS = ("start_pc", "length", "kind", "taken_bias", "target", "trip_count")
+    DTYPES = (np.int64, np.int64, np.int8, np.float64, np.int64, np.int64)
 
 
 class TraceGenerator:
@@ -83,30 +122,61 @@ class TraceGenerator:
         # zlib.crc32 is stable across processes (unlike hash()), keeping
         # traces bit-identical for a given (benchmark, seed).
         self._rng = random.Random(zlib.crc32(profile.name.encode()) * 65537 + seed)
-        self._blocks = self._build_code()
-        self._init_data_generators()
+        self._init_data_generators()  # draws nothing
+        self._kernel = trace_kernel.load() if self._kernel_fits() else None
+        self._code = self._build_code_c() if self._kernel else self._build_code()
+
+    def _kernel_fits(self) -> bool:
+        """Whether the trace kernel covers this profile: every range it
+        draws from is below 2^32 and every address it emits fits in int64.
+        (The cursors' sums stay below their region's end address.)"""
+        ranges = (
+            self._max_blocks(),  # bounds the hot-entry count too
+            self._random_region // 64,
+            len(self._conflict_pool),
+        )
+        top = max(
+            self._stream_base + self._stream_region,
+            self._stride_base + self._stride_region,
+            self._random_base + self._random_region,
+            *self._conflict_pool,
+        )
+        return max(ranges) < 2**32 and top < 2**63
 
     # ------------------------------------------------------------------ code
 
-    def _build_code(self) -> list[_BasicBlock]:
+    def _code_instructions(self) -> int:
+        return self.profile.code_kb * 1024 // 4
+
+    def _max_blocks(self) -> int:
+        return self._code_instructions() // _MIN_BLOCK + 1
+
+    def _code_shape(self) -> tuple[float, float]:
+        """``(1 / mean block length, call weight)`` of the code build."""
         p = self.profile
-        rng = self._rng
         ctrl_frac = p.branch_frac + 2 * p.call_frac
         mean_len = max(3.0, 1.0 / max(ctrl_frac, 0.02))
-        total_instructions = p.code_kb * 1024 // 4
+        return 1.0 / mean_len, 2 * p.call_frac / max(ctrl_frac, 1e-9)
 
-        blocks: list[_BasicBlock] = []
+    def _build_code(self) -> CodeSkeleton:
+        """The Python builder: the kernel's oracle, draw for draw."""
+        p = self.profile
+        rng = self._rng
+        block_lambda, call_weight = self._code_shape()
+        total_instructions = self._code_instructions()
+
+        start_pcs: list[int] = []
+        lengths: list[int] = []
         pc = CODE_BASE
         emitted = 0
         while emitted < total_instructions:
-            length = max(3, min(int(rng.expovariate(1.0 / mean_len)) + 1, 64))
-            blocks.append(
-                _BasicBlock(start_pc=pc, length=length, kind=0, taken_bias=0.0, target=0)
-            )
+            length = max(_MIN_BLOCK, min(int(rng.expovariate(block_lambda)) + 1, 64))
+            start_pcs.append(pc)
+            lengths.append(length)
             pc += length * 4
             emitted += length
 
-        n_blocks = len(blocks)
+        n_blocks = len(lengths)
         # Hot-function structure: real programs call a small set of hot
         # functions over and over (the 90/10 rule); that repetition is what
         # trains branch predictors and keeps the I-cache working set
@@ -114,44 +184,77 @@ class TraceGenerator:
         # exercised.
         n_hot = max(4, n_blocks // 128)
         hot_entries = [rng.randrange(n_blocks) for _ in range(n_hot)]
-        self._hot_entries = hot_entries
-        call_weight = 2 * p.call_frac / max(ctrl_frac, 1e-9)
-        for idx, block in enumerate(blocks):
+        kinds = [0] * n_blocks
+        biases = [0.0] * n_blocks
+        targets = [0] * n_blocks
+        trips = [0] * n_blocks
+        for idx in range(n_blocks):
             roll = rng.random()
             if roll < call_weight / 2:
-                block.kind = int(InstrClass.CALL)
+                kinds[idx] = int(InstrClass.CALL)
                 if rng.random() < 0.9:
-                    block.target = hot_entries[rng.randrange(n_hot)]
+                    targets[idx] = hot_entries[rng.randrange(n_hot)]
                 else:
-                    block.target = rng.randrange(n_blocks)
+                    targets[idx] = rng.randrange(n_blocks)
             elif roll < call_weight:
-                block.kind = int(InstrClass.RETURN)
+                kinds[idx] = int(InstrClass.RETURN)
             else:
-                block.kind = int(InstrClass.BRANCH)
+                kinds[idx] = int(InstrClass.BRANCH)
                 if rng.random() < p.predictability:
                     if rng.random() < 0.5:
                         # Counted loop: taken `trip_count` times, then one
                         # not-taken exit.  Deterministic trip counts give
                         # the recurring global-history patterns gshare
                         # learns on real codes.
-                        block.taken_bias = 0.9  # long-run taken fraction
-                        block.trip_count = 2 + min(int(rng.expovariate(1 / 8.0)), 60)
-                        block.target = max(0, idx - rng.randint(1, 8))
+                        biases[idx] = 0.9  # long-run taken fraction
+                        trips[idx] = 2 + min(int(rng.expovariate(1 / 8.0)), 60)
+                        targets[idx] = max(0, idx - rng.randint(1, 8))
                     else:
                         # Guard branch (error/rare-case check): the vast
                         # majority are *never* taken at a given site, which
                         # keeps per-path branch history deterministic; a
                         # small minority flip occasionally.
-                        block.taken_bias = 0.0 if rng.random() < 0.9 else 0.05
-                        block.target = (idx + rng.randint(2, 32)) % n_blocks
+                        biases[idx] = 0.0 if rng.random() < 0.9 else 0.05
+                        targets[idx] = (idx + rng.randint(2, 32)) % n_blocks
                 else:
                     # Data-dependent branch: genuinely unpredictable.
-                    block.taken_bias = rng.uniform(0.3, 0.7)
+                    biases[idx] = rng.uniform(0.3, 0.7)
                     if rng.random() < 0.5:
-                        block.target = max(0, idx - rng.randint(1, 16))
+                        targets[idx] = max(0, idx - rng.randint(1, 16))
                     else:
-                        block.target = (idx + rng.randint(2, 32)) % n_blocks
-        return blocks
+                        targets[idx] = (idx + rng.randint(2, 32)) % n_blocks
+        columns = (start_pcs, lengths, kinds, biases, targets, trips)
+        return CodeSkeleton(
+            *(np.array(c, dtype=t) for c, t in zip(columns, CodeSkeleton.DTYPES)),
+            hot=np.array(hot_entries, dtype=np.int64),
+        )
+
+    def _build_code_c(self) -> CodeSkeleton:
+        """The same build in the trace kernel, into columns sized for the
+        most blocks the code size allows."""
+        block_lambda, call_weight = self._code_shape()
+        capacity = self._max_blocks()
+        columns = {
+            name: np.empty(capacity, dtype=dtype)
+            for name, dtype in zip(CodeSkeleton.COLUMNS, CodeSkeleton.DTYPES)
+        }
+        hot = np.empty(max(4, capacity // 128), dtype=np.int64)
+        done = trace_kernel.run(
+            self._kernel,
+            "build",
+            self._rng,
+            code_base=CODE_BASE,
+            code_instructions=self._code_instructions(),
+            block_lambda=block_lambda,
+            call_weight=call_weight,
+            predictability=self.profile.predictability,
+            hot=hot,
+            **columns,
+        )
+        return CodeSkeleton(
+            **{name: c[: done.n_blocks] for name, c in columns.items()},
+            hot=hot[: done.n_hot],
+        )
 
     # ------------------------------------------------------------------ data
 
@@ -228,25 +331,97 @@ class TraceGenerator:
 
     # ------------------------------------------------------------- generation
 
+    def _body_mix(self) -> tuple[float, float]:
+        """``(load_p, store_p)``: the cumulative load and store shares of
+        body instructions, renormalised without control classes."""
+        p = self.profile
+        body_frac = 1.0 - (p.branch_frac + 2 * p.call_frac)
+        load_p = p.load_frac / body_frac
+        return load_p, load_p + p.store_frac / body_frac
+
     def generate(self, n_instructions: int) -> Trace:
         """Emit a committed-instruction trace of the requested length."""
         if n_instructions <= 0:
             raise ValueError(f"n_instructions must be positive, got {n_instructions}")
+        if self._kernel is None:
+            return self._walk(n_instructions)
+        return self._walk_c(n_instructions)
+
+    def _walk_c(self, n_instructions: int) -> Trace:
+        """The walk in the trace kernel, straight into NumPy columns."""
+        p = self.profile
+        code = self._code
+        load_p, store_p = self._body_mix()
+        w_stream, w_stride, w_random, _ = p.pattern_weights
+        cursors = np.array(
+            [
+                *self._stream_ptrs,
+                self._stream_next,
+                *self._stride_ptrs,
+                self._stride_next,
+                self._conflict_next,
+            ],
+            dtype=np.int64,
+        )
+        n = n_instructions
+        columns = {name: np.empty(n, dtype) for name, dtype in COLUMN_DTYPES.items()}
+        trace_kernel.run(
+            self._kernel,
+            "walk",
+            self._rng,
+            **{name: getattr(code, name) for name in CodeSkeleton.COLUMNS},
+            hot=code.hot,
+            n_blocks=len(code.length),
+            n_hot=len(code.hot),
+            n=n,
+            load_p=load_p,
+            store_p=store_p,
+            fp_frac=p.fp_frac,
+            mul_frac=p.mul_frac,
+            dep=p.dep_density,
+            w_stream=w_stream,
+            w_stride=w_stride,
+            w_random=w_random,
+            stream_base=self._stream_base,
+            stream_region=self._stream_region,
+            stride_base=self._stride_base,
+            stride_region=self._stride_region,
+            # (ptr + step) % region is the same for step mod region, and
+            # keeps the kernel's sum below twice the region.
+            stride_step=p.stride_bytes % self._stride_region,
+            random_base=self._random_base,
+            random_blocks=self._random_region // 64,
+            pool=np.array(self._conflict_pool, dtype=np.int64),
+            pool_size=len(self._conflict_pool),
+            cursors=cursors,
+            loops=np.empty(len(code.length), dtype=np.int64),
+            **columns,
+        )
+        moved = cursors.tolist()
+        self._stream_ptrs = moved[0:4]
+        self._stream_next = moved[4]
+        self._stride_ptrs = moved[5:7]
+        self._stride_next, self._conflict_next = moved[7:9]
+        return Trace.from_arrays(columns, name=p.name)
+
+    def _walk(self, n_instructions: int) -> Trace:
+        """The Python walk: the kernel's oracle, draw for draw."""
         p = self.profile
         rng = self._rng
         trace = Trace(name=p.name)
         append = trace.append
 
-        blocks = self._blocks
-        n_blocks = len(blocks)
+        code = self._code
+        start_pcs, lengths, kinds, biases, targets, trips = (
+            getattr(code, name).tolist() for name in CodeSkeleton.COLUMNS
+        )
+        hot = code.hot.tolist()
+        n_blocks = len(lengths)
         call_stack: list[int] = []
         loop_counters: dict[int, int] = {}
 
         # Body-instruction mixture, renormalised without control classes.
-        ctrl_frac = p.branch_frac + 2 * p.call_frac
-        body_frac = 1.0 - ctrl_frac
-        load_p = p.load_frac / body_frac
-        store_p = load_p + p.store_frac / body_frac
+        load_p, store_p = self._body_mix()
 
         INT_ALU = InstrClass.INT_ALU
         INT_MUL = InstrClass.INT_MUL
@@ -276,9 +451,8 @@ class TraceGenerator:
         bb_index = 0
         emitted = 0
         while emitted < n_instructions:
-            block = blocks[bb_index]
-            pc = block.start_pc
-            body_len = block.length - 1
+            pc = start_pcs[bb_index]
+            body_len = lengths[bb_index] - 1
             for _ in range(body_len):
                 if emitted >= n_instructions:
                     return trace
@@ -331,15 +505,15 @@ class TraceGenerator:
                 return trace
 
             # Terminator.
-            kind = block.kind
+            kind = kinds[bb_index]
             if kind == InstrClass.BRANCH:
-                if block.trip_count:
+                if trips[bb_index]:
                     # Counted loop: deterministic iterations, occasional
                     # off-by-one wobble so histories are realistic rather
                     # than perfectly periodic.
                     remaining = loop_counters.get(bb_index)
                     if remaining is None:
-                        remaining = block.trip_count
+                        remaining = trips[bb_index]
                         if rng.random() < 0.02:
                             remaining = max(1, remaining + rng.choice((-1, 1)))
                     taken = remaining > 0
@@ -348,7 +522,7 @@ class TraceGenerator:
                     else:
                         loop_counters.pop(bb_index, None)
                 else:
-                    taken = rng.random() < block.taken_bias
+                    taken = rng.random() < biases[bb_index]
                 append(
                     pc,
                     InstrClass.BRANCH,
@@ -358,13 +532,13 @@ class TraceGenerator:
                     NO_REGISTER,
                     taken=taken,
                 )
-                bb_index = block.target if taken else (bb_index + 1) % n_blocks
+                bb_index = targets[bb_index] if taken else (bb_index + 1) % n_blocks
             elif kind == InstrClass.CALL:
                 append(pc, InstrClass.CALL, -1, NO_REGISTER, NO_REGISTER, NO_REGISTER, taken=True)
                 call_stack.append((bb_index + 1) % n_blocks)
                 if len(call_stack) > 64:
                     call_stack.pop(0)
-                bb_index = block.target
+                bb_index = targets[bb_index]
             else:  # RETURN
                 append(pc, InstrClass.RETURN, -1, NO_REGISTER, NO_REGISTER, NO_REGISTER, taken=True)
                 if call_stack:
@@ -372,7 +546,6 @@ class TraceGenerator:
                 else:
                     # Underflow (we entered mid-function): resume at a hot
                     # entry, as real control flow would.
-                    hot = self._hot_entries
                     bb_index = hot[rng.randrange(len(hot))]
             emitted += 1
 

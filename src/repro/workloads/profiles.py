@@ -91,8 +91,21 @@ class WorkloadProfile:
             value = getattr(self, field_name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{self.name}: {field_name} must be in [0,1]")
-        if self.ws_kb <= 0 or self.code_kb <= 0:
-            raise ValueError(f"{self.name}: working set and code size must be positive")
+        # Sizes and counts index and divide the generator's address
+        # arithmetic: a zero pool or set count divides by zero, a float
+        # size makes float addresses, a non-positive stride a negative one.
+        for field_name in (
+            "ws_kb",
+            "code_kb",
+            "conflict_blocks",
+            "conflict_sets",
+            "stride_bytes",
+        ):
+            value = getattr(self, field_name)
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be a positive int, got {value!r}"
+                )
         pattern = self.stream_frac + self.stride_frac + self.random_frac + self.conflict_frac
         if pattern <= 0:
             raise ValueError(f"{self.name}: access-pattern mixture sums to zero")

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import gc
 import os
-import subprocess
-import warnings
 
 import pytest
+from kernel_toolchain import BuildFailureChecks, GatingChecks
 
+from repro import ckernel
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.campaign import RunnerSettings, Session
@@ -91,19 +91,13 @@ def _contents(hierarchy: MemoryHierarchy) -> list:
     return state
 
 
-class TestGating:
-    def test_env_override_disables_the_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        assert lane_kernel.load() is None
+class TestGating(GatingChecks):
+    kernel = lane_kernel
 
     def test_ctx_layout_is_dense_and_unique(self):
         slots = sorted(lane_kernel.CTX.values())
         assert len(slots) == len(set(slots))
         assert max(slots) < lane_kernel.CTX_SLOTS
-
-    @kernel_available
-    def test_kernel_memoised_per_process(self):
-        assert lane_kernel.load() is lane_kernel.load()
 
 
 @kernel_available
@@ -296,83 +290,10 @@ class TestRouting:
 @kernel_available
 class TestBuildCache:
     def test_shared_object_cached_by_source_hash(self):
-        cache_dir = os.environ.get("REPRO_KERNEL_CACHE") or os.path.join(
-            __import__("tempfile").gettempdir(),
-            f"repro-lane-kernel-{os.getuid()}",
-        )
-        objects = [
-            name
-            for name in os.listdir(cache_dir)
-            if name.startswith("lane_kernel_") and name.endswith(".so")
-        ]
-        assert objects, "kernel loaded but no cached shared object found"
+        path = os.path.join(ckernel.cache_dir(), lane_kernel.KERNEL.object_name())
+        assert os.path.exists(path), "kernel loaded but no cached shared object found"
 
 
-class TestBuildFailureWarning:
-    @pytest.fixture(autouse=True)
-    def fresh_build_state(self, monkeypatch, tmp_path):
-        # Each test gets an empty kernel cache and pristine module state,
-        # restored afterwards so other tests keep the real kernel.
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        monkeypatch.setattr(lane_kernel, "_cached_fn", None)
-        monkeypatch.setattr(lane_kernel, "_build_failed", False)
-        monkeypatch.setattr(lane_kernel, "_warned", False)
-
-    def test_gcc_failure_warns_once_with_stderr_tail(self, monkeypatch):
-        def failing_gcc(*args, **kwargs):
-            raise subprocess.CalledProcessError(
-                1, ["gcc"], stderr=b"lane_kernel.c:1:1: error: something broke\n"
-            )
-
-        monkeypatch.setattr(lane_kernel.subprocess, "run", failing_gcc)
-        with pytest.warns(RuntimeWarning, match="something broke"):
-            assert lane_kernel.load() is None
-        # One-shot: the failure is memoised and the warning never repeats.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert lane_kernel.load() is None
-
-    def test_missing_compiler_warns_with_cause(self, monkeypatch):
-        def no_gcc(*args, **kwargs):
-            raise FileNotFoundError("No such file or directory: 'gcc'")
-
-        monkeypatch.setattr(lane_kernel.subprocess, "run", no_gcc)
-        with pytest.warns(RuntimeWarning, match="object loop"):
-            assert lane_kernel.load() is None
-
-    @kernel_available
-    def test_concurrent_build_cannot_truncate_the_compiled_source(
-        self, monkeypatch, tmp_path
-    ):
-        """Another worker building the same digest truncates the shared
-        ``lane_kernel_<digest>.c`` just before this process's gcc runs.
-        The build must not cache an object without the entry point."""
-        shared_source = tmp_path / lane_kernel._object_name(
-            lane_kernel._source()
-        ).replace(".so", ".c")
-        real_run = subprocess.run
-
-        def racing_gcc(*args, **kwargs):
-            shared_source.write_text("")  # the other worker's open(..., "w")
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(lane_kernel.subprocess, "run", racing_gcc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert lane_kernel.load() is not None
-
-    @kernel_available
-    def test_object_without_entry_point_falls_back_and_is_dropped(
-        self, tmp_path
-    ):
-        bad = tmp_path / lane_kernel._object_name(lane_kernel._source())
-        empty = tmp_path / "empty.c"
-        empty.write_text("")
-        subprocess.run(
-            ["gcc", "-shared", "-fPIC", "-o", str(bad), str(empty)], check=True
-        )
-        with pytest.warns(RuntimeWarning, match="repro_run_lanes"):
-            assert lane_kernel.load() is None
-        assert not bad.exists()
+class TestBuildFailureWarning(BuildFailureChecks):
+    kernel = lane_kernel
+    fallback = "object loop"

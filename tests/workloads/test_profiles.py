@@ -72,6 +72,17 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             self.make(ws_kb=0)
 
+    @pytest.mark.parametrize(
+        "field", ["ws_kb", "code_kb", "conflict_blocks", "conflict_sets", "stride_bytes"]
+    )
+    @pytest.mark.parametrize("value", [0, -64, 64.0, 1.5, True])
+    def test_sizes_and_counts_must_be_positive_ints(self, field, value):
+        """A zero pool or set count divided by zero in the generator, a
+        float size made float addresses, and a non-positive stride gave
+        the feature model a log of a non-positive number."""
+        with pytest.raises(ValueError, match=field):
+            self.make(conflict_frac=0.3, **{field: value})
+
     def test_rejects_empty_pattern_mixture(self):
         with pytest.raises(ValueError):
             self.make(stream_frac=0, stride_frac=0, random_frac=0, conflict_frac=0)
