@@ -15,11 +15,13 @@ a heterogeneous-victim campaign must merge into one lane-kernel pass,
 bit-identical to ``engine="object"`` runs; under ``REPRO_NO_CKERNEL=1``
 the same campaign must regenerate its trace with the Python walk and run
 through the object loop to byte-identical figures; the vectorised
-schedule compiler must match the reference replay; and the trace kernel
-must generate the Python walk's trace and RNG state.
+schedule compiler must match the reference replay; the trace kernel
+must generate the Python walk's trace and RNG state; and a small
+block-size x prefetching study must render byte-identically with its
+prefetching runs in the lane kernel and on the object loop.
 The ``sanitize`` smoke rebuilds both kernels with AddressSanitizer and
-UBSan and runs the kernel, fuzzed-equivalence, golden and workload tests
-against them: a sanitizer report fails the gate.
+UBSan and runs the kernel, fuzzed-equivalence, golden, prefetcher and
+workload tests against them: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 per writable disk backend, a pool campaign checkpointing under I/O fault
 injection is SIGKILLed mid-write with its whole process group (no pool
@@ -474,7 +476,11 @@ def smoke_kernel(json_dir: str) -> list[str]:
     The vectorised pass-1 schedule compiler must match the reference
     replay, ``.npz`` payload included, and the trace kernel's gzip trace
     (4,000 instructions, then 777 more from the same generator) must
-    match the Python walk's, columns and RNG state alike.
+    match the Python walk's, columns and RNG state alike.  The
+    block-size x prefetching study over swim at 32- and 64-B blocks
+    (3,000 instructions) must run its two prefetching runs in the lane
+    kernel, and render a figure CSV and ``SimResult`` list identical to
+    the ``REPRO_NO_CKERNEL=1`` object-loop leg's.
     """
     import io
 
@@ -483,6 +489,8 @@ def smoke_kernel(json_dir: str) -> list[str]:
     from repro.campaign.session import Session
     from repro.campaign.spec import CampaignSpec, RunnerSettings
     from repro.cpu import frontend, lane_kernel
+    from repro.cpu.pipeline import OutOfOrderPipeline
+    from repro.experiments.ablation import blocksize_prefetch_study
     from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
     from repro.experiments.figures import fig10_data
     from repro.workloads.generator import TraceGenerator
@@ -595,6 +603,45 @@ def smoke_kernel(json_dir: str) -> list[str]:
             "the trace kernel's gzip trace or RNG state diverged from the Python walk"
         )
 
+    def prefetch_leg() -> dict:
+        results, routed = [], []
+        run = OutOfOrderPipeline.run
+
+        def collect(pipeline, trace, *args, **kwargs):
+            if pipeline.hierarchy.dport.prefetcher is not None:
+                routed.append(pipeline.batch_key() is not None)
+            results.append(run(pipeline, trace, *args, **kwargs))
+            return results[-1]
+
+        OutOfOrderPipeline.run = collect
+        try:
+            figure = blocksize_prefetch_study(
+                benchmarks=("swim",), n_instructions=3_000, block_sizes=(32, 64)
+            )
+        finally:
+            OutOfOrderPipeline.run = run
+        return {"figure": figure.to_csv(), "results": results, "routed": routed}
+
+    study = {"kernel": prefetch_leg()}
+    with _no_ckernel():
+        study["fallback"] = prefetch_leg()
+    study_identical = {
+        part: study["kernel"][part] == study["fallback"][part]
+        for part in ("figure", "results")
+    }
+    if not all(study_identical.values()):
+        failures.append(
+            "the prefetch study diverged between the kernel and fallback legs "
+            f"(identical: {study_identical})"
+        )
+    expected_routing = {"kernel": [kernel_active] * 2, "fallback": [False] * 2}
+    study_routing = {name: leg["routed"] for name, leg in study.items()}
+    if study_routing != expected_routing:
+        failures.append(
+            f"prefetching runs reached the kernel as {study_routing}, "
+            f"expected {expected_routing}"
+        )
+
     _write(
         json_dir,
         "kernel",
@@ -607,6 +654,9 @@ def smoke_kernel(json_dir: str) -> list[str]:
             "figure_bytes_identical": figures_identical,
             "schedule_compile_identical": compile_identical,
             "npz_identical": npz_identical,
+            "prefetch_study_identical": study_identical,
+            "prefetch_study_runs": len(study["kernel"]["results"]),
+            "prefetch_study_kernel_runs": study_routing,
             "ok": not failures,
         },
     )
@@ -1308,15 +1358,19 @@ def smoke_predict(json_dir: str) -> list[str]:
 #: kernel-eligible golden scenario reaches the lane kernel, single and
 #: batched, the property suite fuzzes its whole eligible space, and the
 #: session-lane tests drive arrays built from enabled-way matrices,
-#: victim-less lanes padded beside 8- and 16-entry ones; the workload
-#: tests and the trace-equivalence property drive the trace kernel over
-#: the SPEC profiles and fuzzed ones.
+#: victim-less lanes padded beside 8- and 16-entry ones; the prefetcher
+#: tests and the block-size x prefetching study drive the prefetchers'
+#: tag sets, the study at 32- and 64-B blocks; the workload tests and
+#: the trace-equivalence property drive the trace kernel over the SPEC
+#: profiles and fuzzed ones.
 _SANITIZE_TESTS = (
     "tests/cpu/test_lane_kernel.py",
     "tests/property/test_batch_equivalence.py",
     "tests/integration/test_golden_sim.py",
     "tests/experiments/test_runner_batch.py",
     "tests/property/test_mega_partition.py",
+    "tests/cache/test_prefetch.py",
+    "tests/experiments/test_ablation.py::TestBlocksizePrefetchStudy",
     "tests/workloads/",
     "tests/property/test_trace_equivalence.py",
 )
@@ -1424,8 +1478,8 @@ def smoke_sanitize(json_dir: str) -> list[str]:
     -fsanitize=address,undefined -fno-sanitize-recover=all`` and picked
     up through the existing ``REPRO_KERNEL_CACHE`` lookup; the kernel,
     property (the eligible-space fuzz and the trace-equivalence
-    property included), golden and workload tests must pass with no
-    sanitizer report.  Self-checks first build each kernel with a
+    property included), golden, prefetcher and workload tests must pass
+    with no sanitizer report.  Self-checks first build each kernel with a
     one-past-end write injected (``l <= L`` in the lane kernel's
     fetch-base refresh; ``taken[i + 1]`` in the trace kernel's output
     column) and require ASan to report the heap-buffer-overflow.

@@ -23,11 +23,13 @@ pass.  Caller-owned hierarchies are copied in instead
 Recency is tracked with *stamps* instead of per-lane clocks: the stamp
 of an access is a trace-static, strictly increasing function of the
 instruction index, identical in every lane, starting just above every
-lane's clock.  Within one lane each cache sees at most one stamped
-event per instruction, so stamp order equals the object path's clock
-order and every LRU decision — including the invalid-way preference,
-encoded by initialising invalid usable ways to a stamp below any real
-one, and disabled ways to one above all (``BIG_STAMP``) — is
+lane's clock.  Within one lane an L1 sees at most 1 + degree stamped
+events per access — the demand probe or fill, then one fill per block
+its next-line prefetcher brings in — and the stamps leave room for them
+(:attr:`BulkLanes.stamp_step`), so stamp order equals the object path's
+clock order and every LRU decision — including the invalid-way
+preference, encoded by initialising invalid usable ways to a stamp below
+any real one, and disabled ways to one above all (``BIG_STAMP``) — is
 bit-identical.  Statistics are per-lane int64 counters
 (:data:`LANE_COUNTERS`), one block per port, accumulated by the kernel,
 so their memory is O(lanes), independent of trace length.
@@ -45,6 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
+from repro.cache.prefetch import NextLinePrefetcher
 from repro.cache.replacement import LRUPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
@@ -68,6 +71,8 @@ LANE_COUNTERS = (
     "victim_evictions",
     "l2_hits",
     "l2_evictions",
+    "prefetches",
+    "prefetch_evictions",
 )
 (
     _CNT_MISSES,
@@ -78,7 +83,18 @@ LANE_COUNTERS = (
     _CNT_VICTIM_EVICTIONS,
     _CNT_L2_HITS,
     _CNT_L2_EVICTIONS,
+    _CNT_PREFETCHES,
+    _CNT_PREFETCH_EVICTIONS,
 ) = range(len(LANE_COUNTERS))
+
+#: Row order of a prefetching port's ``stats`` block (``[counter,
+#: lane]`` int64): its :class:`~repro.cache.prefetch.PrefetchStats`,
+#: which — unlike the cache statistics — carry over the warmup boundary.
+PREFETCH_COUNTERS = ("issued", "useful")
+
+#: Multiplier of the tag sets' Fibonacci hash; the C kernel probes with
+#: the same one (see :class:`VectorPrefetcher`).
+TAG_HASH = 0x9E3779B97F4A7C15
 
 
 class VectorCache:
@@ -232,6 +248,70 @@ class VectorVictims:
         victim._tags[:] = [block for _, block in occupied]
 
 
+class VectorPrefetcher:
+    """Multi-lane state of one port's tagged next-line prefetcher.
+
+    Mirrors :class:`~repro.cache.prefetch.NextLinePrefetcher` lane by
+    lane: the ``degree`` every lane shares, the :data:`PREFETCH_COUNTERS`
+    rows of ``stats``, and the tag set ``_tagged`` — stale tags of
+    evicted or bypassed blocks included — as one open-addressing table
+    of block addresses per lane (``table[lane, slot]``, linear probing
+    from a Fibonacci hash of the block; -1 marks an empty slot, -2 a
+    removed tag).  Beside the L1's ``dirty`` bytes, ``tagged[lane,
+    flat_index]`` says whether a resident way's block is in the set, so
+    a demand hit reads one byte; only demand fills and hits on tagged
+    ways probe the table.  The table is sized per pass by
+    :meth:`reserve`.
+    """
+
+    __slots__ = ("degree", "tagged", "table", "shift", "stats", "_seeds")
+
+    def __init__(self, degree: int, l1: VectorCache, lanes: int) -> None:
+        self.degree = degree
+        self.tagged = np.zeros((lanes, l1.n), dtype=np.bool_)
+        self.stats = np.zeros((len(PREFETCH_COUNTERS), lanes), dtype=np.int64)
+        self.table: "np.ndarray | None" = None
+        self.shift = 0
+        self._seeds: "list[tuple[int, ...]]" = [()] * lanes
+
+    def copy_in(
+        self, lane: int, prefetcher: NextLinePrefetcher, cache: SetAssociativeCache
+    ) -> None:
+        """Start lane ``lane`` from ``prefetcher``: its statistics, its
+        tags (entered into the table by :meth:`reserve`), and the tagged
+        byte of every resident way whose block is among them."""
+        self.stats[:, lane] = (prefetcher.stats.issued, prefetcher.stats.useful)
+        self._seeds[lane] = tuple(prefetcher._tagged)
+        for block in self._seeds[lane]:
+            index = cache._resident.get(block)
+            if index is not None:
+                self.tagged[lane, index] = True
+
+    def reserve(self, accesses: int) -> None:
+        """Size every lane's table for a pass of ``accesses`` demand
+        accesses to this port and enter the copied-in tags.  An access
+        adds at most ``degree`` tags, each into a slot no tag held
+        before, so a table of at least twice the copied-in tags plus
+        ``degree * accesses`` slots never gets more than half full."""
+        bound = max(map(len, self._seeds)) + self.degree * accesses
+        bits = max(4, (2 * bound - 1).bit_length())
+        mask = (1 << bits) - 1
+        self.shift = 64 - bits
+        self.table = np.full((len(self._seeds), mask + 1), -1, dtype=np.int64)
+        for row, seeds in zip(self.table, self._seeds):
+            for block in seeds:
+                slot = ((block * TAG_HASH) & 0xFFFFFFFFFFFFFFFF) >> self.shift
+                while row[slot] >= 0:
+                    slot = (slot + 1) & mask
+                row[slot] = block
+
+    def write_back(self, lane: int, prefetcher: NextLinePrefetcher) -> None:
+        prefetcher.stats.issued, prefetcher.stats.useful = self.stats[:, lane].tolist()
+        row = self.table[lane]
+        prefetcher._tagged.clear()
+        prefetcher._tagged.update(row[row >= 0].tolist())
+
+
 def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     """The hierarchy's bulk-engine eligibility signature, or ``None``.
 
@@ -243,23 +323,35 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     the signature: :class:`VectorVictims` pads heterogeneous sizings to
     the largest lane's entry count (masked invalid slots), so 0/8/16-
     entry configurations — contents may differ arbitrarily too — merge
-    into one lane group.
+    into one lane group.  The signature is the ``(I, D)`` ports'
+    prefetch degrees (0 without a prefetcher): a port's prefetcher must
+    be a :class:`~repro.cache.prefetch.NextLinePrefetcher` on that
+    port's L1, and every lane of a pass shares its degree.
     """
     for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
         if type(cache._policy) is not LRUPolicy:
             return None
     if hierarchy.l2._enabled is not None:
         return None
-    return ()
+    degrees = []
+    for port in (hierarchy.iport, hierarchy.dport):
+        prefetcher = port.prefetcher
+        if prefetcher is None:
+            degrees.append(0)
+        elif type(prefetcher) is NextLinePrefetcher and prefetcher.cache is port.l1:
+            degrees.append(prefetcher.degree)
+        else:
+            return None
+    return tuple(degrees)
 
 
 class _BulkPort:
-    """One multi-lane port: its L1 and victim state, the latencies beyond
-    L1 (victim, L2, memory) scaled by the pipeline's commit width, and
-    the per-lane ``counts`` block (rows in :data:`LANE_COUNTERS` order)
-    the lane kernel accumulates into."""
+    """One multi-lane port: its L1, victim and prefetcher state, the
+    latencies beyond L1 (victim, L2, memory) scaled by the pipeline's
+    commit width, and the per-lane ``counts`` block (rows in
+    :data:`LANE_COUNTERS` order) the lane kernel accumulates into."""
 
-    __slots__ = ("service", "l1", "victims", "latency", "counts")
+    __slots__ = ("service", "l1", "victims", "prefetcher", "latency", "counts")
 
     def __init__(
         self,
@@ -268,12 +360,16 @@ class _BulkPort:
         latencies: LatencyConfig,
         lanes: int,
         lat_scale: int,
+        prefetch_degree: int,
     ) -> None:
         # Always None: the kernel services misses itself.  Kept as an
         # attribute because the perfbench tracer reads and re-assigns it.
         self.service = None
         self.l1 = l1
         self.victims = victims
+        self.prefetcher = (
+            VectorPrefetcher(prefetch_degree, l1, lanes) if prefetch_degree else None
+        )
         self.latency = tuple(
             lat * lat_scale
             for lat in (latencies.victim, latencies.l2, latencies.memory)
@@ -289,9 +385,11 @@ class BulkLanes:
     brings its own per-lane values — its ``(L1I, L1D)`` enabled-way
     matrices (``None`` enables every way) and its ``(I, D)`` victim
     entry counts (0 for none; sizings pad to the largest lane, see
-    :class:`VectorVictims`).  Lanes start empty, their stamps based at
-    1, one above a fresh cache's clock.  :meth:`copy_in` starts them
-    from caller-owned hierarchies instead.
+    :class:`VectorVictims`).  ``prefetch_degrees`` gives the ``(I, D)``
+    ports a next-line prefetcher of that degree in every lane (0 for
+    none; see :class:`VectorPrefetcher`).  Lanes start empty, their
+    stamps based at 1, one above a fresh cache's clock.  :meth:`copy_in`
+    starts them from caller-owned hierarchies instead.
     """
 
     def __init__(
@@ -301,6 +399,7 @@ class BulkLanes:
         enabled: "Sequence[tuple[np.ndarray | None, np.ndarray | None]]",
         victim_entries: "Sequence[tuple[int, int]]",
         lat_scale: int = 1,
+        prefetch_degrees: "tuple[int, int]" = (0, 0),
     ) -> None:
         if not enabled:
             raise ValueError("need at least one lane")
@@ -323,22 +422,31 @@ class BulkLanes:
             VectorVictims(self.victim_entries_d) if any(self.victim_entries_d) else None
         )
         #: Stamps start one above every lane's clock, so they exceed every
-        #: recency value the caches already hold (instruction i stamps
-        #: ``stamp_base + 2i``/``+ 2i + 1`` on the I/D side, and the pass
-        #: leaves each clock at ``stamp_base + 2n``, past the last stamp).
-        #: Chained passes over one hierarchy thus grow the clock by
-        #: ``2n + 1`` each and stay far below ``BIG_STAMP``.
+        #: recency value the caches already hold.  Instruction i's demand
+        #: access stamps ``stamp_base + stamp_step * (2i + side)`` (side 0
+        #: for I, 1 for D), and the j-th block it prefetches ``j`` more,
+        #: so a step of one more than the largest degree leaves every
+        #: event of one access its own stamp.  The pass leaves each clock
+        #: at ``stamp_base + stamp_step * 2n``, past the last stamp, so
+        #: chained passes over one hierarchy grow the clock by
+        #: ``stamp_step * 2n + 1`` each and stay far below ``BIG_STAMP``.
         self.stamp_base = 1
+        self.stamp_step = max(prefetch_degrees) + 1
         #: The caller-owned hierarchies :meth:`copy_in` read, which
         #: :meth:`finalize` writes back to; ``None`` for fresh lanes.
         self.hierarchies: "list[MemoryHierarchy] | None" = None
-        self.iport = _BulkPort(self.l1i, self.victims_i, latencies, lanes, lat_scale)
-        self.dport = _BulkPort(self.l1d, self.victims_d, latencies, lanes, lat_scale)
+        self.iport = _BulkPort(
+            self.l1i, self.victims_i, latencies, lanes, lat_scale, prefetch_degrees[0]
+        )
+        self.dport = _BulkPort(
+            self.l1d, self.victims_d, latencies, lanes, lat_scale, prefetch_degrees[1]
+        )
 
     def copy_in(self, hierarchies: "Sequence[MemoryHierarchy]") -> None:
         """Start each lane from its caller-owned hierarchy — the one its
-        enabled-way matrices and victim sizes came from — and base the
-        stamps one above every cache's clock."""
+        enabled-way matrices, victim sizes and prefetch degrees came
+        from: cache and victim contents, prefetcher tags and statistics
+        — and base the stamps one above every cache's clock."""
         self.hierarchies = list(hierarchies)
         for lane, hierarchy in enumerate(self.hierarchies):
             self.l1i.copy_in(lane, hierarchy.l1i)
@@ -348,16 +456,30 @@ class BulkLanes:
                 self.victims_i.copy_in(lane, hierarchy.victim_i)
             if hierarchy.victim_d is not None:
                 self.victims_d.copy_in(lane, hierarchy.victim_d)
+            for port, source in (
+                (self.iport, hierarchy.iport), (self.dport, hierarchy.dport)
+            ):
+                if port.prefetcher is not None:
+                    port.prefetcher.copy_in(lane, source.prefetcher, source.l1)
         self.stamp_base = 1 + max(
             cache._clock
             for hierarchy in self.hierarchies
             for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
         )
 
+    def reserve_tags(self, i_accesses: int, d_accesses: int) -> None:
+        """Size the prefetchers' tag sets for a pass of ``i_accesses``
+        I-side and ``d_accesses`` D-side demand accesses (see
+        :meth:`VectorPrefetcher.reserve`)."""
+        for port, accesses in ((self.iport, i_accesses), (self.dport, d_accesses)):
+            if port.prefetcher is not None:
+                port.prefetcher.reserve(accesses)
+
     def mark_boundary(self) -> None:
         """The warmup/measured boundary: zero every per-lane counter
         (state effects keep the full history, exactly like the
-        sequential statistics reset)."""
+        sequential statistics reset; prefetcher statistics, which that
+        reset leaves alone, carry over)."""
         self.iport.counts.fill(0)
         self.dport.counts.fill(0)
 
@@ -390,9 +512,11 @@ class BulkLanes:
                 l1.accesses = accesses
                 l1.misses = misses
                 l1.hits = accesses - misses
+                # Every miss and every prefetch fills, or bypasses at a
+                # fully-disabled set; prefetch evictees skip the victim.
                 l1.bypassed_fills = counts[_CNT_BYPASSED][lane]
-                l1.fills = misses - l1.bypassed_fills
-                l1.evictions = evictions
+                l1.fills = misses + counts[_CNT_PREFETCHES][lane] - l1.bypassed_fills
+                l1.evictions = evictions + counts[_CNT_PREFETCH_EVICTIONS][lane]
                 l1.writebacks = counts[_CNT_WRITEBACKS][lane]
                 vhits = 0
                 if victim_entries[lane]:
@@ -425,7 +549,7 @@ class BulkLanes:
         self, lane: int, stats: HierarchyStats, memory: list[int], clock: int
     ) -> None:
         """Lane ``lane``'s statistics and contents into its caller-owned
-        hierarchy (statistics objects updated in place)."""
+        hierarchy (statistics objects and tag sets updated in place)."""
         hierarchy = self.hierarchies[lane]
         for cache, vector, cache_stats in (
             (hierarchy.l1i, self.l1i, stats.l1i),
@@ -441,4 +565,7 @@ class BulkLanes:
             if victim is not None:
                 vars(victim.stats).update(vars(victim_stats))
                 vector.write_back(lane, victim)
+        for port, target in ((self.iport, hierarchy.iport), (self.dport, hierarchy.dport)):
+            if port.prefetcher is not None:
+                port.prefetcher.write_back(lane, target.prefetcher)
         hierarchy.iport.memory_accesses, hierarchy.dport.memory_accesses = memory

@@ -3,8 +3,9 @@
 Section IV-B observes that shrinking the block size raises block-disabling
 capacity at the cost of spatial locality, and suggests prefetching as the
 mitigation.  This module provides the classic tagged next-line prefetcher:
-on a demand miss (or first demand hit on a prefetched block) it issues a
-fill for block ``b + 1`` into the cache it is attached to.
+on a demand miss (or a demand hit on a tagged block, see
+:class:`NextLinePrefetcher`) it issues a fill for block ``b + 1`` into the
+cache it is attached to.
 
 Prefetch fills go through the normal allocation path, so they respect
 disabled ways; a prefetch into a fully-disabled set is silently dropped,
@@ -33,9 +34,15 @@ class PrefetchStats:
 class NextLinePrefetcher:
     """Tagged next-line prefetcher attached to one cache.
 
-    ``degree`` consecutive blocks are prefetched on each trigger.  The
-    prefetcher tracks which resident blocks were brought in by prefetch and
-    counts first-use hits as *useful*.
+    ``degree`` consecutive blocks are prefetched on each trigger.  Every
+    block it prefetches is *tagged* (``_tagged``, a set of block
+    addresses), and a demand hit on a tagged block counts as *useful*,
+    removes the tag and chains the next prefetch.  Nothing else removes
+    a tag: not the block's eviction, and not a fill bypassed at a
+    fully-disabled set.  So a block prefetched, evicted unused and later
+    brought back by a demand fill still counts useful on its first hit,
+    and chains a prefetch, although the prefetch did not bring that copy
+    in; the set keeps the tags of blocks that are no longer resident.
     """
 
     def __init__(self, cache: SetAssociativeCache, degree: int = 1) -> None:

@@ -8,14 +8,17 @@ dispatch maxima, FU-pool and issue-port argmin-replace, commit,
 redirects — the L1 probes, and the miss service of every lane that
 misses L1 (victim extract-on-hit, the shared-L2 probe and LRU refill,
 the L1 LRU refill with its fill bypass at fully-disabled sets, evictee
-insertion into the padded victim slots, writebacks).  It works on the
-bulk engine's ``VectorCache``/``VectorVictims`` arrays
-(:mod:`repro.cache.engine`) with recency stamps whose order matches the
-object path's clocks, first-minimum tie-breaks, and per-lane counter
-blocks (:data:`repro.cache.engine.LANE_COUNTERS`), so statistics cost
-O(lanes) memory whatever the trace length.  A miss latency (scaled by
-the commit width) is added to the lane's fetch clock on the I side and
-to the load's completion on the D side.
+insertion into the padded victim slots, writebacks) and, on ports with a
+tagged next-line prefetcher, the prefetch fills after a miss served by
+the L2 or memory and after a demand hit on a tagged block.  It works on
+the bulk engine's ``VectorCache``/``VectorVictims``/``VectorPrefetcher``
+arrays (:mod:`repro.cache.engine`) with recency stamps whose order
+matches the object path's clocks, first-minimum tie-breaks, and
+per-lane counter blocks (:data:`repro.cache.engine.LANE_COUNTERS`), so
+statistics cost O(lanes) memory whatever the trace length.  A miss
+latency (scaled by the commit width) is added to the lane's fetch clock
+on the I side and to the load's completion on the D side; prefetches
+cost no time, as in the object loop.
 
 The kernel returns to Python only at the warmup/measured boundary
 (cycle-base snapshot and counter reset) and at trace end.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import ctypes
 
-from repro.cache.engine import BIG_STAMP, LANE_COUNTERS
+from repro.cache.engine import BIG_STAMP, LANE_COUNTERS, PREFETCH_COUNTERS, TAG_HASH
 from repro.ckernel import CKernel
 
 __all__ = ["load", "KERNEL", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY"]
@@ -55,7 +58,7 @@ CUR_SP_INVALID = -(1 << 62)
 
 _SCALARS = (
     # constants
-    "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "DHIT",
+    "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "KSTEP", "DHIT",
     "NPORTS", "L2WAYS", "L2STRIDE", "L2SETMASK", "L2IDXBITS",
     # cursors / results (mutable across calls)
     "I_CUR", "IA_CUR", "RD_CUR", "CUR_SP", "BOUNDARY", "RET",
@@ -67,13 +70,17 @@ _TABLES = (
 )
 #: One block per L1 port ("I_*", then "D_*"): L1 geometry, the padded
 #: victim slot axis (VENTRIES 0 = no victim cache on this port), the
-#: latencies beyond L1 scaled by the commit width, and the addresses of
-#: the port's L1/victim arrays and its [counter][lane] counter block.
+#: latencies beyond L1 scaled by the commit width, the prefetch degree
+#: (PFDEG 0 = no prefetcher) with the tag sets' slot count and hash
+#: shift, and the addresses of the port's L1/victim/prefetcher arrays
+#: and its [counter][lane] counter block.
 _PORT_FIELDS = (
     "WAYS", "STRIDE", "SETMASK", "IDXBITS",
     "VENTRIES", "VSTRIDE", "VEMPTY", "VLAT", "L2LAT", "MEMLAT",
+    "PFDEG", "TSLOTS", "TSHIFT",
     "P_TAGS", "P_LAST", "P_DIRTY", "P_FILLT",
     "P_VTAGS", "P_VSTAMP", "P_VINS", "P_CNT",
+    "P_TAGGED", "P_TSET", "P_PFCNT",
 )
 _POINTERS = (
     "P_CLS", "P_SPS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
@@ -113,15 +120,19 @@ _C_BODY = r"""
 
 /* One L1 port's lane state (see _PORT_FIELDS).  Arrays are lane-major:
    lane l's L1 entry j sits at l * stride + j, its victim slot j at
-   l * vstride + j, its counter k at cnt[k * L + l]. */
+   l * vstride + j, its tag-set slot j at l * tslots + j, its counter k
+   at cnt[k * L + l] (prefetcher counter k at pfcnt[k * L + l]). */
 typedef struct {
     int64_t ways, stride, set_mask, index_bits;
     int64_t ventries, vstride, vempty, vlat, l2lat, memlat;
+    int64_t pfdeg, tslots, tshift;
     int64_t *tags, *last, *fillt;
     uint8_t *dirty;
     int64_t *vtags, *vstamp;
     const uint8_t *vins; /* NULL: every lane has a victim cache */
     int64_t *cnt;
+    uint8_t *tagged; /* the tagged byte of every L1 way */
+    int64_t *tset, *pfcnt;
 } port_t;
 
 typedef struct {
@@ -140,6 +151,9 @@ static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->vlat = ctx[at + PORT_VLAT];
     p->l2lat = ctx[at + PORT_L2LAT];
     p->memlat = ctx[at + PORT_MEMLAT];
+    p->pfdeg = ctx[at + PORT_PFDEG];
+    p->tslots = ctx[at + PORT_TSLOTS];
+    p->tshift = ctx[at + PORT_TSHIFT];
     p->tags = I64P(at + PORT_P_TAGS);
     p->last = I64P(at + PORT_P_LAST);
     p->dirty = U8P(at + PORT_P_DIRTY);
@@ -148,28 +162,119 @@ static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->vstamp = I64P(at + PORT_P_VSTAMP);
     p->vins = U8P(at + PORT_P_VINS);
     p->cnt = I64P(at + PORT_P_CNT);
+    p->tagged = U8P(at + PORT_P_TAGGED);
+    p->tset = I64P(at + PORT_P_TSET);
+    p->pfcnt = I64P(at + PORT_P_PFCNT);
+}
+
+/* The first minimum of n recency stamps: the LRU way of a set (or the
+   LRU victim slot). */
+static inline int64_t lru(const int64_t *stamps, int64_t n) {
+    int64_t w = 0;
+    for (int64_t k = 1; k < n; k++)
+        if (stamps[k] < stamps[w]) w = k;
+    return w;
 }
 
 /* L1 probe of lane l: stamp (and, for a store, dirty) the matching way;
-   returns whether the lane hit. */
-static inline int probe(const port_t *p, int64_t l, int64_t base,
-                        int64_t tag, int64_t stamp, int is_write) {
+   returns its flat index, or -1 when the lane missed. */
+static inline int64_t probe(const port_t *p, int64_t l, int64_t base,
+                            int64_t tag, int64_t stamp, int is_write) {
     const int64_t off = l * p->stride + base;
-    int hit = 0;
+    int64_t hit = -1;
     for (int64_t k = 0; k < p->ways; k++)
         if (p->tags[off + k] == tag) {
             p->last[off + k] = stamp;
             if (is_write) p->dirty[off + k] = 1;
-            hit = 1;
+            hit = off + k;
         }
     return hit;
+}
+
+/* A lane's tag set (NextLinePrefetcher._tagged): open addressing over
+   tslots slots, linear probing from a Fibonacci hash (the one
+   VectorPrefetcher.reserve enters copied-in tags with).  -1 marks an
+   empty slot, -2 a removed tag: slots are never reused, and the table
+   is sized so that the pass's tags fill at most half of it.  Returns the
+   slot holding block, or the empty slot where it would go. */
+static int64_t tag_slot(const port_t *p, const int64_t *set, int64_t block) {
+    int64_t j = (int64_t)(((uint64_t)block * TAG_HASH_C) >> p->tshift);
+    while (set[j] != -1 && set[j] != block) j = (j + 1) & (p->tslots - 1);
+    return j;
+}
+
+/* NextLinePrefetcher._issue for lane l: blocks block+1 .. block+degree
+   the L1 does not hold are tagged, counted issued, and filled at stamps
+   stamp+1 .. (LRU; bypassed at a fully-disabled set).  An evictee is
+   counted, then dropped: it enters neither the victim cache nor the L2. */
+static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
+                     int64_t stamp) {
+    int64_t *cnt = p->cnt + l;
+    int64_t *set = p->tset + l * p->tslots;
+    for (int64_t j = 1; j <= p->pfdeg; j++) {
+        const int64_t target = block + j;
+        const int64_t tag = target >> p->index_bits;
+        const int64_t off = l * p->stride + (target & p->set_mask) * p->ways;
+        int resident = 0;
+        for (int64_t k = 0; k < p->ways; k++)
+            if (p->tags[off + k] == tag) resident = 1;
+        if (resident) continue;
+        set[tag_slot(p, set, target)] = target;
+        p->pfcnt[PF_ISSUED * L + l]++;
+        cnt[CNT_PREFETCHES * L]++;
+        const int64_t w = off + lru(p->last + off, p->ways);
+        if (p->last[w] >= BIG_STAMP_C) {
+            cnt[CNT_BYPASSED * L]++;
+            continue;
+        }
+        if (p->tags[w] >= 0) {
+            cnt[CNT_PREFETCH_EVICTIONS * L]++;
+            if (p->dirty[w]) cnt[CNT_WRITEBACKS * L]++;
+        }
+        p->tags[w] = tag;
+        p->last[w] = stamp + j;
+        p->dirty[w] = 0;
+        p->fillt[w] = stamp + j;
+        p->tagged[w] = 1;
+    }
+}
+
+/* NextLinePrefetcher.on_demand_hit of lane l on the tagged way w: untag
+   it, count it useful, and chain the next prefetch. */
+static void tagged_hit(const port_t *p, int64_t l, int64_t L, int64_t w,
+                       int64_t block, int64_t stamp) {
+    int64_t *set = p->tset + l * p->tslots;
+    p->tagged[w] = 0;
+    set[tag_slot(p, set, block)] = -2;
+    p->pfcnt[PF_USEFUL * L + l]++;
+    prefetch(p, l, L, block, stamp);
+}
+
+/* VictimCache.insert of lane l's L1 evictee: a block the slots already
+   hold (a prefetch may refill the L1 with one) moves to MRU; any other
+   takes the LRU slot, evicting its occupant. */
+static void victim_insert(const port_t *p, int64_t l, int64_t L,
+                          int64_t block, int64_t stamp) {
+    int64_t *vt = p->vtags + l * p->vstride;
+    int64_t *vs = p->vstamp + l * p->vstride;
+    int64_t j = -1;
+    if (p->pfdeg)
+        for (int64_t k = 0; k < p->ventries; k++)
+            if (vt[k] == block) { j = k; break; }
+    if (j < 0) {
+        j = lru(vs, p->ventries);
+        if (vt[j] >= 0) p->cnt[CNT_VICTIM_EVICTIONS * L + l]++;
+    }
+    vt[j] = block;
+    vs[j] = stamp;
 }
 
 /* Miss service of lane l, in the object CachePort's order: victim
    extract-on-hit, else the shared L2 (probe, LRU refill on a miss);
    then the L1 LRU refill — bypassed when the chosen way is disabled —
-   with its evictee inserted into the victim slots.  Returns the latency
-   beyond L1, scaled by the commit width. */
+   with its evictee inserted into the victim slots; then, unless the
+   victim cache served it, the prefetches.  Returns the latency beyond
+   L1, scaled by the commit width. */
 static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
                        int64_t L, int64_t block, int64_t stamp,
                        int is_write) {
@@ -206,9 +311,7 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
             cnt[CNT_L2_HITS * L]++;
             lat = p->l2lat;
         } else {
-            int64_t w = 0;
-            for (int64_t k = 1; k < l2->ways; k++)
-                if (s2[k] < s2[w]) w = k;
+            const int64_t w = lru(s2, l2->ways);
             if (t2[w] >= 0) cnt[CNT_L2_EVICTIONS * L]++;
             t2[w] = tag2;
             s2[w] = stamp;
@@ -218,33 +321,27 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
     }
     const int64_t s = block & p->set_mask;
     const int64_t off = l * p->stride + s * p->ways;
-    const int64_t *s1 = p->last + off;
-    int64_t w = 0;
-    for (int64_t k = 1; k < p->ways; k++)
-        if (s1[k] < s1[w]) w = k;
-    if (s1[w] >= BIG_STAMP_C) { /* every way of the set is disabled */
+    const int64_t w = off + lru(p->last + off, p->ways);
+    if (p->last[w] >= BIG_STAMP_C) { /* every way of the set is disabled */
         cnt[CNT_BYPASSED * L]++;
-        return lat;
-    }
-    const int64_t victim_tag = p->tags[off + w];
-    if (victim_tag >= 0) {
-        cnt[CNT_EVICTIONS * L]++;
-        if (p->dirty[off + w]) cnt[CNT_WRITEBACKS * L]++;
-        if (p->ventries && (p->vins == NULL || p->vins[l])) {
-            int64_t *vt = p->vtags + l * p->vstride;
-            int64_t *vs = p->vstamp + l * p->vstride;
-            int64_t j = 0;
-            for (int64_t k = 1; k < p->ventries; k++)
-                if (vs[k] < vs[j]) j = k;
-            if (vt[j] >= 0) cnt[CNT_VICTIM_EVICTIONS * L]++;
-            vt[j] = (victim_tag << p->index_bits) | s;
-            vs[j] = stamp;
+    } else {
+        const int64_t victim_tag = p->tags[w];
+        if (victim_tag >= 0) {
+            cnt[CNT_EVICTIONS * L]++;
+            if (p->dirty[w]) cnt[CNT_WRITEBACKS * L]++;
+            if (p->ventries && (p->vins == NULL || p->vins[l]))
+                victim_insert(p, l, L, (victim_tag << p->index_bits) | s, stamp);
+        }
+        p->tags[w] = block >> p->index_bits;
+        p->last[w] = stamp;
+        p->dirty[w] = (uint8_t)is_write;
+        p->fillt[w] = stamp;
+        if (p->pfdeg) { /* tagged iff the set holds the (stale) tag */
+            const int64_t *set = p->tset + l * p->tslots;
+            p->tagged[w] = set[tag_slot(p, set, block)] == block;
         }
     }
-    p->tags[off + w] = block >> p->index_bits;
-    p->last[off + w] = stamp;
-    p->dirty[off + w] = (uint8_t)is_write;
-    p->fillt[off + w] = stamp;
+    if (p->pfdeg && !vhit) prefetch(p, l, L, block, stamp);
     return lat;
 }
 
@@ -256,6 +353,7 @@ void repro_run_lanes(int64_t *ctx) {
     const int64_t w_pow2 = ctx[WPOW2];
     const int64_t fdelay = ctx[FDELAY];
     const int64_t K = ctx[KSTAMP];
+    const int64_t kstep = ctx[KSTEP];
     const int64_t dhit = ctx[DHIT];
     const int64_t nports = ctx[NPORTS];
     const int64_t *execlat = ctx + EXECLAT;
@@ -307,12 +405,16 @@ void repro_run_lanes(int64_t *ctx) {
             const int64_t line = ia_lines[ia_cur];
             const int64_t base = (line & ip.set_mask) * ip.ways;
             const int64_t tag = line >> ip.index_bits;
-            const int64_t stamp = K + 2 * i;
-            for (int64_t l = 0; l < L; l++)
-                if (!probe(&ip, l, base, tag, stamp, 0)) {
+            const int64_t stamp = K + kstep * 2 * i;
+            for (int64_t l = 0; l < L; l++) {
+                const int64_t way = probe(&ip, l, base, tag, stamp, 0);
+                if (way < 0) {
                     dyn[l] += service(&ip, &l2, l, L, line, stamp, 0);
                     cur_sp = CUR_SP_INVALID_C; /* refresh fetch base */
+                } else if (ip.pfdeg && ip.tagged[way]) {
+                    tagged_hit(&ip, l, L, way, line, stamp);
                 }
+            }
             ia_cur++;
             next_ia = ia_idx[ia_cur];
         }
@@ -344,7 +446,7 @@ void repro_run_lanes(int64_t *ctx) {
         const int redirect = i == next_rd;
         const int64_t rd_add =
             redirect ? (1 + fdelay - rd_snext[rd_cur]) * W : 0;
-        const int64_t stamp_d = K + 2 * i + 1;
+        const int64_t stamp_d = K + kstep * (2 * i + 1);
         for (int64_t l = 0; l < L; l++) {
             /* dispatch: fetch/ROB/IQ/operand readiness maxima -------- */
             int64_t disp = fetch_base[l];
@@ -380,8 +482,12 @@ void repro_run_lanes(int64_t *ctx) {
             int64_t cw;
             if (is_mem) {
                 int64_t lat = 0;
-                if (!probe(&dp, l, dbase, dtag, stamp_d, is_store))
+                const int64_t way =
+                    probe(&dp, l, dbase, dtag, stamp_d, is_store);
+                if (way < 0)
                     lat = service(&dp, &l2, l, L, dblock, stamp_d, is_store);
+                else if (dp.pfdeg && dp.tagged[way])
+                    tagged_hit(&dp, l, L, way, dblock, stamp_d);
                 /* a store retires via the store buffer */
                 cw = is_store ? issued : issued + dhit + lat;
             } else {
@@ -424,6 +530,11 @@ def _source() -> str:
         f"#define CNT_{name.upper()} {row}"
         for row, name in enumerate(LANE_COUNTERS)
     ]
+    defines += [
+        f"#define PF_{name.upper()} {row}"
+        for row, name in enumerate(PREFETCH_COUNTERS)
+    ]
+    defines.append(f"#define TAG_HASH_C UINT64_C({TAG_HASH})")
     defines.append(f"#define BIG_STAMP_C INT64_C({BIG_STAMP})")
     defines.append(f"#define RET_DONE_C {RET_DONE}")
     defines.append(f"#define RET_BOUNDARY_C {RET_BOUNDARY}")

@@ -43,8 +43,9 @@ cycles and every reported statistic:
   is checked against (``engine="object"`` forces it;
   ``tests/integration/test_golden_sim.py`` pins both to the same golden
   cycle counts and statistics) and runs everything the kernel does not
-  cover: prefetchers, non-LRU policies, fault-disabled L2s, reused
-  pipelines, and hosts without a working ``gcc``.
+  cover: non-LRU policies, fault-disabled L2s, reused pipelines, and
+  hosts without a working ``gcc``.  Next-line prefetchers run in the
+  kernel.
 """
 
 from __future__ import annotations
@@ -486,22 +487,20 @@ class OutOfOrderPipeline:
         key requires the default engine, a fresh pipeline (the schedule
         replays predictors from their pristine construction state), a
         positive front-end depth (the kernel drops occupancy guards that
-        rely on dispatch cycles being >= 1), no prefetchers (they hook
-        demand hits), the bulk engine's coverage (LRU replacement,
-        fully-enabled L2 — see :func:`repro.cache.engine.bulk_signature`;
+        rely on dispatch cycles being >= 1), the bulk engine's coverage
+        (LRU replacement, fully-enabled L2, next-line prefetchers of one
+        degree per port — see :func:`repro.cache.engine.bulk_signature`;
         victim *sizings* may differ per lane, padded by the vector
         engine), and a loadable kernel.  It folds in the shared pipeline
-        config, the latency set and the per-level geometries.  The
-        campaign planner merges work items by this key into lane passes,
-        so on a host without the kernel every item plans as an
-        object-loop run.
+        config, the latency set, the per-level geometries and the
+        prefetch degrees.  The campaign planner merges work items by
+        this key into lane passes, so on a host without the kernel every
+        item plans as an object-loop run.
         """
         h = self.hierarchy
         if self.engine != "fused" or self._runs != 0:
             return None
         if self.config.frontend_stages + h.latencies.l1i < 1:
-            return None
-        if h.iport.prefetcher is not None or h.dport.prefetcher is not None:
             return None
         bulk = bulk_signature(h)
         if bulk is None or lane_kernel.load() is None:
@@ -553,10 +552,12 @@ class OutOfOrderPipeline:
           leave them.  Any pipelines with equal non-``None``
           :meth:`batch_key` signatures batch together (mixed schemes,
           mixed victim contents *and sizings* — 0/8/16-entry lanes pad
-          to one slot axis — fault-free baselines), one lane or many.
-          Other batches — mixed latencies/geometries, prefetchers,
-          non-LRU policies, reused pipelines, no kernel — run each
-          pipeline's :meth:`run` instead, transparently.
+          to one slot axis — fault-free baselines — and one prefetch
+          degree per port, tag sets and prefetcher statistics copied in
+          and written back too), one lane or many.  Other batches —
+          mixed latencies/geometries/prefetch degrees, non-LRU policies,
+          reused pipelines, no kernel — run each pipeline's :meth:`run`
+          instead, transparently.
         """
         lanes = list(lanes)
         if not lanes:
@@ -656,6 +657,7 @@ class OutOfOrderPipeline:
             ("N", len(trace)), ("NLANES", n_lanes),
             ("WSCALE", w), ("WM1", w - 1), ("WPOW2", int(w & (w - 1) == 0)),
             ("FDELAY", frontend_delay), ("KSTAMP", lanes.stamp_base),
+            ("KSTEP", lanes.stamp_step),
             ("DHIT", (latencies.l1d - 1) * w), ("NPORTS", cfg.issue_width),
             ("L2WAYS", l2.ways), ("L2STRIDE", l2.n),
             ("L2SETMASK", l2.set_mask), ("L2IDXBITS", l2.tag_shift),
@@ -668,7 +670,7 @@ class OutOfOrderPipeline:
         for j, width in enumerate(pool_widths):
             ctx[C["POOLW"] + j] = width
         for side, port in (("I", lanes.iport), ("D", lanes.dport)):
-            l1, victims = port.l1, port.victims
+            l1, victims, prefetcher = port.l1, port.victims, port.prefetcher
             fields = {
                 "WAYS": l1.ways, "STRIDE": l1.n,
                 "SETMASK": l1.set_mask, "IDXBITS": l1.tag_shift,
@@ -691,6 +693,15 @@ class OutOfOrderPipeline:
                         else victims.insertable.ctypes.data
                     ),
                 )
+            if prefetcher is not None:  # else PFDEG 0: no prefetches
+                fields.update(
+                    PFDEG=prefetcher.degree,
+                    TSLOTS=prefetcher.table.shape[1],
+                    TSHIFT=prefetcher.shift,
+                    P_TAGGED=prefetcher.tagged.ctypes.data,
+                    P_TSET=prefetcher.table.ctypes.data,
+                    P_PFCNT=prefetcher.stats.ctypes.data,
+                )
             for name, value in fields.items():
                 ctx[C[f"{side}_{name}"]] = value
         for name, arr in arrays.items():
@@ -704,10 +715,11 @@ class OutOfOrderPipeline:
         measure_from: int,
     ) -> list[SimResult]:
         """Drive caller-owned pipelines as the lanes of one kernel pass:
-        lane arrays from each hierarchy's enabled-way matrices and victim
-        sizes, its contents copied in, and contents, statistics and
-        predictor state written back after the pass.  Callers reach here
-        only through a non-``None`` :meth:`batch_key`."""
+        lane arrays from each hierarchy's enabled-way matrices, victim
+        sizes and prefetch degrees, its contents copied in, and contents,
+        statistics, prefetcher state and predictor state written back
+        after the pass.  Callers reach here only through a non-``None``
+        :meth:`batch_key`."""
         _check_measure_from(len(trace), measure_from)
         cfg = pipelines[0].config
         hierarchies = [p.hierarchy for p in pipelines]
@@ -721,6 +733,7 @@ class OutOfOrderPipeline:
                 for h in hierarchies
             ],
             lat_scale=cfg.commit_width,
+            prefetch_degrees=bulk_signature(h0),
         )
         lanes.copy_in(hierarchies)
         results, schedule = OutOfOrderPipeline._kernel_pass(
@@ -745,10 +758,11 @@ class OutOfOrderPipeline:
         max(v, comp_scaled) + 1``, algebraically identical to the object
         loop's rule for ``slots`` in ``1..W``.  Cache recency uses the
         bulk engine's trace-static stamps (see :mod:`repro.cache.engine`),
-        so no per-lane clocks are maintained.  The kernel returns to
-        Python only at the warmup boundary (cycle-base snapshot, counter
-        reset) and at trace end; cycle counts are recovered as ``(v - 1)
-        // W``.
+        so no per-lane clocks are maintained.  Prefetchers' tag sets are
+        sized for the pass from its I- and D-access counts before the
+        kernel starts.  The kernel returns to Python only at the warmup
+        boundary (cycle-base snapshot, counter reset) and at trace end;
+        cycle counts are recovered as ``(v - 1) // W``.
         """
         # Looked up at call time, like every caller of load(): a wrapper
         # installed on the module (a profiler's, say) sees each call.
@@ -760,6 +774,13 @@ class OutOfOrderPipeline:
         schedule = frontend_schedule(
             trace, cfg, lanes.geometries[0].offset_bits, measure_from
         )
+        if lanes.stamp_step > 1:  # a port prefetches
+            classes = lane_columns(trace, cfg, lanes.geometries[1].offset_bits)[0]
+            d_accesses = np.count_nonzero(
+                (classes == InstrClass.LOAD) | (classes == InstrClass.STORE)
+            )
+            # The I-access index list ends in a sentinel.
+            lanes.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
         ctx, v, _keepalive = OutOfOrderPipeline._kernel_context(
             trace, schedule, cfg, lanes, measure_from if measure_from > 0 else -1
         )
@@ -774,7 +795,7 @@ class OutOfOrderPipeline:
         snapshots = lanes.finalize(
             schedule.iaccess_measured,
             schedule.daccess_measured,
-            clock=lanes.stamp_base + 2 * n,
+            clock=lanes.stamp_base + lanes.stamp_step * 2 * n,
         )
         cycles = ((v - 1) // w - cycles_base).tolist()
         mispredictions = (

@@ -254,11 +254,13 @@ class TestRouting:
         pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 0
 
-    def test_prefetcher_runs_the_object_loop(self, session, counter):
+    def test_prefetcher_runs_in_the_kernel(self, session, counter):
         pipeline = OutOfOrderPipeline(
             session.pipeline_config, self._hierarchy(prefetch_degree=1)
         )
-        self._assert_object_loop(pipeline, session, counter)
+        assert pipeline.batch_key() is not None
+        pipeline.run(session.trace("gzip"), measure_from=WARMUP)
+        assert counter.calls == 2  # warmup prefix, then the measured region
 
     def test_fifo_l1_runs_the_object_loop(self, session, counter):
         l1d = SetAssociativeCache(L1_GEOMETRY, policy="fifo", name="l1d")

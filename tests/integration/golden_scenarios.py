@@ -135,6 +135,7 @@ def _small_hierarchy(
         SMALL_LATENCIES,
         victim_entries_i=victim_entries,
         victim_entries_d=victim_entries,
+        prefetch_degree=prefetch_degree,
     )
 
 

@@ -57,9 +57,10 @@ def test_golden_bit_identity(name, engine, golden, traces):
 def test_golden_bit_identity_batched(name, golden, traces):
     """Every scenario must also reproduce its goldens through
     ``run_batch``: two identical lanes run in one kernel pass, and both
-    must match the locked record exactly.  Scenarios the kernel cannot
-    take (prefetchers, non-LRU policies) exercise the per-pipeline
-    object-loop fallback — same contract either way."""
+    must match the locked record exactly (the prefetching scenarios
+    included).  Scenarios the kernel cannot take (non-LRU policies)
+    exercise the per-pipeline object-loop fallback — same contract
+    either way."""
     from repro.cpu.pipeline import OutOfOrderPipeline
 
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]

@@ -9,9 +9,9 @@ equal, cycles and statistics alike.  Further suites fuzz the hierarchies
 themselves — thinned, single-way and fully-disabled L1 sets in some
 lanes only, 0/8/16-entry victim caches — and the whole kernel-eligible
 space: pipeline widths, FU pools, ring sizes, front-end depths, cache
-geometries and latencies, trace lengths and warmup boundaries, through
-``run()``, ``run_batch()`` over pipelines and ``run_batch()`` over
-session-style kernel lanes.
+geometries and latencies, prefetch degrees, trace lengths and warmup
+boundaries, through ``run()``, ``run_batch()`` over pipelines and
+``run_batch()`` over session-style kernel lanes.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ LATENCIES = st.builds(
 @st.composite
 def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
     """A pipeline config, the (L1I, L1D, L2) geometries and latencies
-    every lane shares — every structural parameter of the batch key —
-    and 1-3 lanes of ``(L1I enabled ways, L1D enabled ways, victim
-    entries)``: thinning and victim sizes differ per lane."""
+    every lane shares — every structural parameter of the batch key,
+    the prefetch degree (0 for none) included — and 1-3 lanes of
+    ``(L1I enabled ways, L1D enabled ways, victim entries)``: thinning
+    and victim sizes differ per lane."""
     config = draw(PIPELINE_CONFIGS)
     levels = (
         draw(geometries((4, 8, 16, 32, 64))),
@@ -247,6 +248,7 @@ def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
         draw(geometries((16, 32, 64, 128))),
     )
     latencies = draw(LATENCIES)
+    degree = draw(st.sampled_from([0, 1, 2, 3]))
 
     def enabled(geometry):
         thinning = draw(st.sampled_from([None, 0.2, 0.5, 0.9]))
@@ -259,7 +261,7 @@ def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
     for _ in range(draw(st.integers(1, 3))):
         enabled_i, enabled_d = enabled(levels[0]), enabled(levels[1])
         lanes.append((enabled_i, enabled_d, draw(st.sampled_from([0, 1, 8, 16]))))
-    return config, levels, latencies, lanes
+    return config, levels, latencies, degree, lanes
 
 
 @requires_kernel
@@ -271,7 +273,7 @@ def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
 )
 @settings(max_examples=300, deadline=None)
 def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
-    config, levels, latencies, lanes = drawn
+    config, levels, latencies, degree, lanes = drawn
     trace = random_trace(seed, n)
     measure_from = {"start": 0, "third": n // 3, "last": n - 1}[boundary]
 
@@ -286,6 +288,7 @@ def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
                     latencies,
                     victim_entries_i=victims,
                     victim_entries_d=victims,
+                    prefetch_degree=degree,
                 ),
                 engine=engine,
             )
@@ -302,7 +305,9 @@ def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
         batch, trace, measure_from=measure_from
     ) == expected
     # The same draws as session-style lanes: arrays from the matrices and
-    # victim sizes, no object hierarchy.
+    # victim sizes, no object hierarchy (campaign lanes never prefetch).
+    if degree:
+        return
     kernel_lanes = [
         KernelLane(config, latencies, levels, enabled_i, enabled_d, victims)
         for enabled_i, enabled_d, victims in lanes
