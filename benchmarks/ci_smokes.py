@@ -1362,7 +1362,9 @@ def smoke_predict(json_dir: str) -> list[str]:
 #: tests and the block-size x prefetching study drive the prefetchers'
 #: tag sets, the study at 32- and 64-B blocks; the workload tests and
 #: the trace-equivalence property drive the trace kernel over the SPEC
-#: profiles and fuzzed ones.
+#: profiles and fuzzed ones; the trace- and schedule-cache tests drive
+#: columns and schedules read from disk (raw, compressed and malformed
+#: entries), and the trace refusal tests hand-built malformed columns.
 _SANITIZE_TESTS = (
     "tests/cpu/test_lane_kernel.py",
     "tests/property/test_batch_equivalence.py",
@@ -1373,6 +1375,9 @@ _SANITIZE_TESTS = (
     "tests/experiments/test_ablation.py::TestBlocksizePrefetchStudy",
     "tests/workloads/",
     "tests/property/test_trace_equivalence.py",
+    "tests/experiments/test_trace_cache.py",
+    "tests/cpu/test_schedule_cache.py",
+    "tests/cpu/test_trace_isa.py::TestTraceRefusesMalformedColumns",
 )
 #: Per kernel: (the source text the self-check breaks, its one-past-end
 #: replacement, the test the broken build runs under).

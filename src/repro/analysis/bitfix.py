@@ -26,7 +26,9 @@ much higher pfail before its cliff, at the price of repair logic latency.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats is imported in the functions that call it: importing it
+# takes about a second, which `import repro` would otherwise pay.
 
 from repro.faults.geometry import CacheGeometry
 
@@ -43,6 +45,7 @@ def block_unrepairable_probability(
 ) -> float:
     """Probability that a block has more broken pairs than the fix bits
     can repair."""
+    from scipy import stats
     if data_bits <= 0 or data_bits % 2 != 0:
         raise ValueError(f"data_bits must be positive and even, got {data_bits}")
     if pairs_tolerated < 0:

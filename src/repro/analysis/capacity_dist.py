@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats is imported in the functions that call it: importing it
+# takes about a second, which `import repro` would otherwise pay.
 
 from repro.faults.geometry import CacheGeometry
 
@@ -57,6 +59,7 @@ class CapacityDistribution:
 
     def pmf(self) -> np.ndarray:
         """Equation 3 over all ``x`` in ``0..d`` (length ``d + 1``)."""
+        from scipy import stats
         x = np.arange(self.d + 1)
         return stats.binom.pmf(x, self.d, self.p_block_ok)
 
@@ -86,6 +89,7 @@ class CapacityDistribution:
 
     def prob_capacity_above(self, fraction: float) -> float:
         """P[capacity > fraction] — e.g. P[> 0.5] ≈ 99.9% in the paper."""
+        from scipy import stats
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         threshold = int(math.floor(fraction * self.d))
@@ -97,6 +101,7 @@ class CapacityDistribution:
 
     def quantile(self, q: float) -> float:
         """Capacity fraction at quantile ``q`` (e.g. worst-case planning)."""
+        from scipy import stats
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
         blocks = float(stats.binom.ppf(q, self.d, self.p_block_ok))

@@ -24,7 +24,9 @@ collapses — matching the paper's qualitative argument.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats is imported in the functions that call it: importing it
+# takes about a second, which `import repro` would otherwise pay.
 
 from repro.faults.geometry import CacheGeometry
 
@@ -43,6 +45,7 @@ def secded_check_bits(data_bits: int) -> int:
 def word_survival_probability(pfail: float, word_bits: int = 32) -> float:
     """Probability that one SECDED-protected word is correctable:
     <= 1 faulty cell among data + check bits."""
+    from scipy import stats
     if not 0.0 <= pfail <= 1.0:
         raise ValueError(f"pfail must be a probability, got {pfail!r}")
     total_bits = word_bits + secded_check_bits(word_bits)

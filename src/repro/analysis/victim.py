@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats is imported in the functions that call it: importing it
+# takes about a second, which `import repro` would otherwise pay.
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,14 @@ class VictimCacheFaultAnalysis:
 
     def usable_entries_pmf(self) -> np.ndarray:
         """PMF over the number of usable entries, index 0..entries."""
+        from scipy import stats
         x = np.arange(self.entries + 1)
         return stats.binom.pmf(x, self.entries, 1.0 - self.entry_fault_probability)
 
     def prob_usable_at_least(self, count: int) -> float:
         """P[usable entries >= count] — e.g. how often the conservative
         8-entry sizing of Section V is pessimistic."""
+        from scipy import stats
         if not 0 <= count <= self.entries:
             raise ValueError(f"count must be in [0, {self.entries}], got {count}")
         return float(
@@ -71,6 +75,7 @@ class VictimCacheFaultAnalysis:
         """Usable-entry count at the given lower quantile; the paper's
         "assume half are faulty" corresponds to roughly the 20% quantile of
         this distribution at pfail = 0.001."""
+        from scipy import stats
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {quantile}")
         return int(

@@ -30,7 +30,9 @@ Tag bits are excluded throughout: word-disabling stores tags in fault-immune
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats is imported in the functions that call it: importing it
+# takes about a second, which `import repro` would otherwise pay.
 
 from repro.faults.geometry import CacheGeometry
 
@@ -56,6 +58,7 @@ def half_block_fail_probability(
     ``tolerance`` defaults to ``a // 2`` (the scheme pairs two physical
     half-blocks, so it can lose at most half the words of each).
     """
+    from scipy import stats
     a = words_per_half_block
     if a <= 0:
         raise ValueError(f"words_per_half_block must be positive, got {a}")

@@ -28,6 +28,12 @@ Schedules are memoised on the trace object keyed by the front-end
 parameters, so campaign runs (one trace x many fault maps x many
 configurations) replay the front end once, not per simulation.
 
+Every array field is a contiguous int64 array, and construction checks
+what the kernel relies on: each sparse index column is strictly
+increasing, lies in ``[0, n)`` and ends with the sentinel ``n``, and its
+companion column is one shorter.  The vectorised builder emits its columns as
+arrays with no ``tolist`` round trip.
+
 Persistent schedule cache
 -------------------------
 Parallel campaign workers each replay the front end in their own process
@@ -37,9 +43,11 @@ a provider stamps ``trace._schedule_cache_dir``), built schedules are
 persisted next to the cached traces as ``sched-<key>.npz``, keyed by a
 content hash of the trace columns the front end consumes (pc, class,
 taken) plus the front-end parameters.  Workers and later sessions then
-load the compiled schedule instead of re-replaying; entries are written
-atomically and corrupt ones are discarded and rebuilt, mirroring the
-trace cache.
+load the compiled schedule instead of re-replaying.  Entries are raw
+``.npz`` archives written atomically; a torn entry, or one the loader
+refuses (a ``static_fetch`` without the trace's length, or an index
+column the checks above reject), is discarded and rebuilt, through the
+same writer and reader as the trace cache (:mod:`repro.cpu.diskcache`).
 """
 
 from __future__ import annotations
@@ -47,14 +55,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
 from repro.cpu.config import PipelineConfig
+from repro.cpu.diskcache import SCHEDULE_TMP_PREFIX, read_entry, read_members, write_entry
 from repro.cpu.trace import Trace
 
 #: Attribute used to memoise schedules on the trace object.
@@ -84,16 +91,19 @@ REG_FILE_SLOTS = 66
 
 @dataclass(eq=False)
 class FrontEndSchedule:
-    """Compiled front-end behaviour of one (trace, config, measure_from)."""
+    """Compiled front-end behaviour of one (trace, config, measure_from).
 
-    # --- per-instruction (an integer array, or a list from the reference
-    # builder) ----------------------------------------------------------------
-    static_fetch: "np.ndarray | list[int]"
-    # --- sparse events (index lists end with a sentinel of n) ---------------
-    iaccess_index: list[int]
-    iaccess_line: list[int]
-    redirect_index: list[int]
-    redirect_static_next: list[int]
+    The five array fields accept any integer sequence and are held as
+    contiguous int64 arrays; construction raises ``ValueError`` when an
+    index column could lead the kernel outside its companion column."""
+
+    # --- per-instruction -----------------------------------------------------
+    static_fetch: np.ndarray
+    # --- sparse events (index columns end with a sentinel of n) -------------
+    iaccess_index: np.ndarray
+    iaccess_line: np.ndarray
+    redirect_index: np.ndarray
+    redirect_static_next: np.ndarray
     # --- measured-region predictor statistics -------------------------------
     gshare_predictions: int
     gshare_mispredictions: int
@@ -112,19 +122,39 @@ class FrontEndSchedule:
     ras_stack: tuple[int, ...]
     lp_table: tuple[int, ...]
 
-    def __eq__(self, other: object):  # static_fetch may be list or ndarray
+    def __post_init__(self) -> None:
+        for name in _ARRAY_FIELDS:
+            column = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            if column.ndim != 1:
+                raise ValueError(f"schedule column {name} is not 1-D")
+            setattr(self, name, column)
+        n = len(self.static_fetch)
+        for index, companion in (
+            ("iaccess_index", "iaccess_line"),
+            ("redirect_index", "redirect_static_next"),
+        ):
+            column = getattr(self, index)
+            if not (
+                len(column)
+                and column[0] >= 0
+                and column[-1] == n
+                and np.all(column[1:] > column[:-1])
+                and len(getattr(self, companion)) == len(column) - 1
+            ):
+                raise ValueError(
+                    f"schedule column {index} is not strictly increasing in [0, {n}) "
+                    f"with the sentinel {n}, or {companion} is not one shorter"
+                )
+
+    def __eq__(self, other: object):
         if not isinstance(other, FrontEndSchedule):
             return NotImplemented
-        from dataclasses import fields as _fields
-
-        for f in _fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if f.name == "static_fetch":
-                if not np.array_equal(np.asarray(a), np.asarray(b)):
-                    return False
-            elif a != b:
-                return False
-        return True
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            if f.name in _ARRAY_FIELDS
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
 
     def install(
         self,
@@ -168,11 +198,10 @@ def lane_columns(
     )
     columns = cache.get(key)
     if columns is None:
-        classes = _frontend_arrays(trace)[1]
+        classes = trace.iclass
 
         def registers(column, sentinel):
-            regs = np.asarray(column, dtype=np.int64)
-            return np.where(regs < 0, sentinel, regs)
+            return np.where(column < 0, sentinel, column)
 
         is_fp = (classes == 2) | (classes == 3)
         fp_rank = np.cumsum(is_fp) - 1
@@ -190,7 +219,7 @@ def lane_columns(
                     fp_rank % config.iq_fp_entries,
                     int_rank % config.iq_int_entries,
                 ),
-                np.asarray(trace.mem_addr, dtype=np.int64) >> d_offset_bits,
+                trace.mem_addr >> d_offset_bits,
             )
         )
         cache[key] = columns
@@ -211,27 +240,12 @@ def _schedule_key(
     )
 
 
-def _frontend_arrays(trace: Trace) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """(pc, iclass, taken) as arrays — the columns the front end consumes,
-    converted once and memoised on the trace (shared by the content digest
-    and the vectorised schedule builder)."""
-    cached = trace.__dict__.get("_frontend_arrays")
-    if cached is None:
-        cached = (
-            np.asarray(trace.pc, dtype=np.int64),
-            np.asarray(trace.iclass, dtype=np.int64),
-            np.asarray(trace.taken, dtype=np.bool_),
-        )
-        trace._frontend_arrays = cached
-    return cached
-
-
 def _frontend_masks(trace: Trace) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """(branch_pos, callret_pos, is_mem) — class-derived index/mask arrays
     the schedule builder consumes, memoised on the trace."""
     cached = trace.__dict__.get("_frontend_masks")
     if cached is None:
-        classes = _frontend_arrays(trace)[1]
+        classes = trace.iclass
         cached = (
             np.flatnonzero(classes == 6),
             np.flatnonzero(classes > 6),
@@ -252,7 +266,7 @@ def _frontend_lines(trace: Trace, offset_bits: int) -> "tuple[np.ndarray, np.nda
         trace._frontend_lines = cache
     entry = cache.get(offset_bits)
     if entry is None:
-        lines = _frontend_arrays(trace)[0] >> offset_bits
+        lines = trace.pc >> offset_bits
         raw_change = np.empty(len(lines), dtype=np.bool_)
         if len(lines):
             raw_change[0] = True
@@ -264,14 +278,14 @@ def _frontend_lines(trace: Trace, offset_bits: int) -> "tuple[np.ndarray, np.nda
 
 def _trace_content_digest(trace: Trace) -> str:
     """Content hash of the trace columns the front end consumes (pc,
-    class, taken) — memoised on the trace object."""
+    class, taken) — memoised on the trace object.  Classes are hashed as
+    int64, the layout every persisted key was computed from."""
     digest = trace.__dict__.get("_frontend_digest")
     if digest is None:
-        pcs, classes, takens = _frontend_arrays(trace)
         hasher = hashlib.sha256()
-        hasher.update(pcs.tobytes())
-        hasher.update(classes.tobytes())
-        hasher.update(takens.tobytes())
+        hasher.update(trace.pc.tobytes())
+        hasher.update(trace.iclass.astype(np.int64).tobytes())
+        hasher.update(trace.taken.tobytes())
         digest = hasher.hexdigest()
         trace._frontend_digest = digest
     return digest
@@ -307,7 +321,6 @@ def schedule_disk_key(
 
 #: FrontEndSchedule fields persisted as integer arrays / scalars; the
 #: remaining three (gshare_table, ras_stack, lp_table) need type fix-ups.
-#: The array fields are also the lane kernel's schedule columns.
 _ARRAY_FIELDS = (
     "static_fetch",
     "iaccess_index",
@@ -329,23 +342,9 @@ _SCALAR_FIELDS = (
 )
 
 
-def schedule_columns(schedule: FrontEndSchedule) -> tuple[np.ndarray, ...]:
-    """The schedule's per-instruction and sparse columns, in
-    :data:`_ARRAY_FIELDS` order, as contiguous int64 arrays — the lane
-    kernel's view of a schedule, memoised on it."""
-    cached = schedule.__dict__.get("_lane_columns")
-    if cached is None:
-        cached = tuple(
-            np.ascontiguousarray(getattr(schedule, name), dtype=np.int64)
-            for name in _ARRAY_FIELDS
-        )
-        schedule.__dict__["_lane_columns"] = cached
-    return cached
-
-
 def save_schedule(schedule: FrontEndSchedule, path_or_file) -> None:
-    """Persist a schedule as ``.npz`` (arrays + scalars + predictor
-    end-state)."""
+    """Persist a schedule as an uncompressed ``.npz`` (arrays, scalars and
+    predictor end-state; see :mod:`repro.cpu.diskcache`)."""
     payload: dict[str, np.ndarray] = {
         "schema": np.int64(SCHEDULE_SCHEMA_VERSION),
         "gshare_table": np.frombuffer(schedule.gshare_table, dtype=np.uint8),
@@ -353,69 +352,36 @@ def save_schedule(schedule: FrontEndSchedule, path_or_file) -> None:
         "lp_table": np.asarray(schedule.lp_table, dtype=np.int64),
     }
     for name in _ARRAY_FIELDS:
-        payload[name] = np.asarray(getattr(schedule, name), dtype=np.int64)
+        payload[name] = getattr(schedule, name)
     for name in _SCALAR_FIELDS:
         payload[name] = np.int64(getattr(schedule, name))
-    np.savez_compressed(path_or_file, **payload)
+    np.savez(path_or_file, **payload)
 
 
-def load_schedule(path: str) -> FrontEndSchedule:
-    """Inverse of :func:`save_schedule` (raises on malformed input, with
-    the file closed: see :meth:`repro.cpu.trace.Trace.load`)."""
-    with open(path, "rb") as fh, np.load(fh) as data:
-        if int(data["schema"]) != SCHEDULE_SCHEMA_VERSION:
-            raise ValueError("schedule schema mismatch")
-        kwargs: dict = {
-            "gshare_table": data["gshare_table"].tobytes(),
-            "ras_stack": tuple(data["ras_stack"].tolist()),
-            "lp_table": tuple(data["lp_table"].tolist()),
-        }
-        for name in _ARRAY_FIELDS:
-            if name == "static_fetch":  # consumed as an array: no convert
-                kwargs[name] = data[name]
-            else:
-                kwargs[name] = data[name].tolist()
-        for name in _SCALAR_FIELDS:
-            kwargs[name] = int(data[name])
-    return FrontEndSchedule(**kwargs)
-
-
-def _load_schedule_entry(path: str) -> FrontEndSchedule | None:
-    """Load a persisted schedule; discard and remove a corrupt entry."""
-    if not os.path.exists(path):
-        return None
-    try:
-        schedule = load_schedule(path)
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        SCHEDULE_CACHE_STATS["discarded"] += 1
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    SCHEDULE_CACHE_STATS["loaded"] += 1
+def load_schedule(path: str, n: int) -> FrontEndSchedule:
+    """Inverse of :func:`save_schedule` for a trace of ``n`` instructions;
+    also reads compressed archives.  Raises ``ValueError`` unless every
+    member is stored in the dtype :func:`save_schedule` writes,
+    ``static_fetch`` has ``n`` rows and the index columns pass
+    :class:`FrontEndSchedule`'s checks (``KeyError``/``TypeError`` for a
+    missing or misshapen member)."""
+    data = read_members(path)
+    for name, member in data.items():
+        stored = np.uint8 if name == "gshare_table" else np.int64
+        if member.dtype != stored:
+            raise ValueError(f"schedule member {name!r} is stored as {member.dtype}")
+    if int(data["schema"]) != SCHEDULE_SCHEMA_VERSION:
+        raise ValueError("schedule schema mismatch")
+    schedule = FrontEndSchedule(
+        gshare_table=data["gshare_table"].tobytes(),
+        ras_stack=tuple(data["ras_stack"].tolist()),
+        lp_table=tuple(data["lp_table"].tolist()),
+        **{name: data[name] for name in _ARRAY_FIELDS},
+        **{name: int(data[name]) for name in _SCALAR_FIELDS},
+    )
+    if len(schedule.static_fetch) != n:
+        raise ValueError(f"schedule has {len(schedule.static_fetch)} rows, not {n}")
     return schedule
-
-
-def _persist_schedule(schedule: FrontEndSchedule, directory: str, path: str) -> None:
-    """Atomic write (temp + rename), best-effort like the trace cache."""
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".sched-", suffix=".npz.tmp"
-        )
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            save_schedule(schedule, fh)
-        os.replace(tmp_path, path)
-        SCHEDULE_CACHE_STATS["persisted"] += 1
-    except Exception:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
 
 
 def frontend_schedule(
@@ -438,11 +404,17 @@ def frontend_schedule(
         if directory:
             disk_key = schedule_disk_key(trace, config, offset_bits, measure_from)
             path = os.path.join(directory, f"{_SCHED_PREFIX}{disk_key}.npz")
-            schedule = _load_schedule_entry(path)
+            schedule, discarded = read_entry(
+                path, lambda entry: load_schedule(entry, len(trace))
+            )
+            SCHEDULE_CACHE_STATS["discarded"] += discarded
+            SCHEDULE_CACHE_STATS["loaded"] += schedule is not None
         if schedule is None:
             schedule = _build_schedule(trace, config, offset_bits, measure_from)
-            if path is not None:
-                _persist_schedule(schedule, directory, path)
+            if path is not None and write_entry(
+                path, lambda fh: save_schedule(schedule, fh), SCHEDULE_TMP_PREFIX
+            ):
+                SCHEDULE_CACHE_STATS["persisted"] += 1
         cache[key] = schedule
     return schedule
 
@@ -475,11 +447,9 @@ def _build_schedule(
     """
     n = len(trace)
     if n == 0:
-        empty = _build_schedule_reference(trace, config, offset_bits, measure_from)
-        empty.static_fetch = np.asarray(empty.static_fetch, dtype=np.int64)
-        return empty
+        return _build_schedule_reference(trace, config, offset_bits, measure_from)
 
-    pcs, classes, takens = _frontend_arrays(trace)
+    pcs, classes, takens = trace.pc, trace.iclass, trace.taken
     lines, raw_change = _frontend_lines(trace, offset_bits)
     branch_pos, cr_pos, is_mem = _frontend_masks(trace)
     fetch_width = config.fetch_width
@@ -655,24 +625,20 @@ def _build_schedule(
         bump = (slot > 0) & (slot % fetch_width == 0)
     contrib = bump.astype(np.int8)
     contrib[1:] += lp_bubble[:-1]  # a bubble lands after its own slot
-    static = np.cumsum(contrib, dtype=np.int32)
+    static = np.cumsum(contrib, dtype=np.int64)
 
     iaccess_idx = np.flatnonzero(change)
     redirect_idx = np.flatnonzero(redirect)
-    iaccess_index = iaccess_idx.tolist()
-    redirect_index = redirect_idx.tolist()
-    next_static = static[np.minimum(redirect_idx + 1, n - 1)]
     iaccess_measured = int(np.count_nonzero(change[reset_from:]))
     daccess_measured = int(np.count_nonzero(is_mem[reset_from:]))
-    iaccess_index.append(n)
-    redirect_index.append(n)
 
     return FrontEndSchedule(
         static_fetch=static,
-        iaccess_index=iaccess_index,
-        iaccess_line=lines[iaccess_idx].tolist(),
-        redirect_index=redirect_index,
-        redirect_static_next=next_static.tolist(),
+        # Sentinels let the kernel compare against a plain int forever.
+        iaccess_index=np.append(iaccess_idx, n),
+        iaccess_line=lines[iaccess_idx],
+        redirect_index=np.append(redirect_idx, n),
+        redirect_static_next=static[np.minimum(redirect_idx + 1, n - 1)],
         gshare_predictions=g_pred,
         gshare_mispredictions=g_mis,
         ras_pushes=ras_pushes,
@@ -699,7 +665,8 @@ def _build_schedule_reference(
     fetch and control-flow sections, minus everything timing-dependent).
 
     Per-instruction twin of the vectorised :func:`_build_schedule` — kept
-    as the bit-identity oracle the equivalence tests compare against."""
+    as the bit-identity oracle the equivalence tests compare against.  It
+    walks ``tolist()`` views of the trace's columns."""
     gshare = GsharePredictor(config.gshare_history_bits)
     ras = ReturnAddressStack(config.ras_entries)
     lp = LinePredictor(config.line_predictor_entries)
@@ -708,9 +675,9 @@ def _build_schedule_reference(
     ras_push = ras.push
     ras_pop = ras.pop_and_check
 
-    pcs = trace.pc
-    classes = trace.iclass
-    takens = trace.taken
+    pcs = trace.pc.tolist()
+    classes = trace.iclass.tolist()
+    takens = trace.taken.tolist()
     n = len(pcs)
     fetch_width = config.fetch_width
 

@@ -65,7 +65,6 @@ from repro.cpu.frontend import (
     FrontEndSchedule,
     frontend_schedule,
     lane_columns,
-    schedule_columns,
 )
 from repro.cpu.isa import EXECUTION_LATENCY, FU_OF_CLASS, InstrClass
 from repro.cpu.trace import Trace
@@ -148,6 +147,18 @@ def _check_measure_from(n: int, measure_from: int) -> None:
         raise ValueError(f"measure_from must be in [0, {n}), got {measure_from}")
 
 
+def _object_columns(trace: Trace) -> tuple[list, ...]:
+    """The trace's seven columns as lists, memoised on the trace.  The
+    object loop indexes lists several times faster than arrays, and the
+    conversion costs about 3% of a run, which a trace simulated under
+    many configurations and fault maps then pays once."""
+    columns = trace.__dict__.get("_object_columns")
+    if columns is None:
+        columns = tuple(column.tolist() for column in trace.to_arrays().values())
+        trace._object_columns = columns
+    return columns
+
+
 class OutOfOrderPipeline:
     """Timing model bound to one memory hierarchy instance.
 
@@ -221,13 +232,7 @@ class OutOfOrderPipeline:
 
         # Local bindings: the loop below runs once per instruction and
         # dominates experiment runtime.
-        pcs = trace.pc
-        classes = trace.iclass
-        mem_addrs = trace.mem_addr
-        src1s = trace.src1
-        src2s = trace.src2
-        dests = trace.dest
-        takens = trace.taken
+        pcs, classes, mem_addrs, src1s, src2s, dests, takens = _object_columns(trace)
 
         predict_branch = self.gshare.predict_and_update
         lp_check = self.line_predictor.predict_and_update
@@ -646,10 +651,13 @@ class OutOfOrderPipeline:
              "P_DBLOCKS"),
             lane_columns(trace, cfg, lanes.geometries[1].offset_bits),
         ))
-        arrays.update(zip(
-            ("P_SPS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT"),
-            schedule_columns(schedule),
-        ))
+        arrays.update(
+            P_SPS=schedule.static_fetch,
+            P_IAIDX=schedule.iaccess_index,
+            P_IALINES=schedule.iaccess_line,
+            P_RDIDX=schedule.redirect_index,
+            P_RDSNEXT=schedule.redirect_static_next,
+        )
 
         ctx = np.zeros(lane_kernel.CTX_SLOTS, dtype=np.int64)
         l2 = lanes.l2

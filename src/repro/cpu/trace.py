@@ -1,21 +1,29 @@
 """Trace container: column-oriented storage of committed instructions.
 
-Columns are plain Python lists (not NumPy) because the pipeline model walks
-them one element at a time — list indexing is several times faster than
-NumPy scalar access in CPython, and the hot loop dominates experiment
-runtime.  Conversion helpers to/from NumPy are provided for analysis.
+A :class:`Trace` holds seven parallel columns as contiguous, read-only
+NumPy arrays in :data:`COLUMN_DTYPES`: 21 bytes per instruction.  They
+are converted and checked once, at construction, so everything
+downstream, the C lane kernel above all, indexes them without further
+checks: the columns are 1-D and of one length, every class lies in 0-8
+and every register in -1..63.  The trace kernel's output columns become
+the trace without a copy, and a cached trace keeps the arrays it reads.
+The object loop and the reference schedule builder walk one instruction
+at a time, so they index ``tolist()`` views (list indexing is several
+times faster than NumPy scalar access in CPython): the reference builder
+converts per call, the object loop once per trace, memoised on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.cpu.isa import NO_REGISTER, InstrClass
+from repro.cpu.diskcache import read_members
+from repro.cpu.isa import NO_REGISTER, NUM_REGISTERS, InstrClass
 
-#: The columns and the NumPy dtype each has as an array (``to_arrays``,
-#: the ``.npz`` cache entries, and the trace kernel's output).
+#: The columns, in row order, and the dtype each is held in (also the
+#: ``.npz`` cache entries' member dtypes and the trace kernel's output).
 COLUMN_DTYPES = {
     "pc": np.int64,
     "iclass": np.int8,
@@ -26,124 +34,156 @@ COLUMN_DTYPES = {
     "taken": np.bool_,
 }
 
+_INT64 = (-(2**63), 2**63 - 1)
+_REGISTER = (NO_REGISTER, NUM_REGISTERS - 1)
 
-@dataclass
+#: The closed range of values each column may hold.  A class indexes the
+#: lane kernel's per-class tables and a register its scoreboard, so a
+#: value outside these ranges would read or write out of bounds in C.
+_VALUE_RANGES = {
+    "pc": _INT64,
+    "iclass": (0, len(InstrClass) - 1),
+    "mem_addr": _INT64,
+    "src1": _REGISTER,
+    "src2": _REGISTER,
+    "dest": _REGISTER,
+    "taken": (0, 1),
+}
+
+
+def _column(name: str, values) -> np.ndarray:
+    """``values`` as the read-only column ``name``, refusing (with
+    ``ValueError``) anything that is not 1-D or holds a value outside the
+    column's range.  The range is checked before the cast, so a value
+    that does not fit the dtype is refused, not wrapped.  A contiguous
+    array already of the column's dtype is shared, not copied."""
+    try:
+        array = np.asarray(values)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"trace column {name!r}: {exc}") from None
+    if array.ndim != 1:
+        raise ValueError(f"trace column {name!r} is {array.ndim}-D, not 1-D")
+    if len(array):
+        if array.dtype.kind not in "biu":
+            raise ValueError(f"trace column {name!r} holds {array.dtype}, not integers")
+        lo, hi = _VALUE_RANGES[name]
+        if array.min() < lo or array.max() > hi:
+            raise ValueError(f"trace column {name!r} holds values outside {lo}..{hi}")
+    column = np.ascontiguousarray(array, dtype=COLUMN_DTYPES[name]).view()
+    column.flags.writeable = False
+    return column
+
+
 class Trace:
     """A committed-instruction trace.
 
     Parallel columns, one entry per instruction:
 
     * ``pc`` — byte address of the instruction;
-    * ``iclass`` — :class:`InstrClass` value (stored as int);
+    * ``iclass`` — :class:`InstrClass` value;
     * ``mem_addr`` — byte address touched by loads/stores, else -1;
     * ``src1``, ``src2`` — source register ids, ``NO_REGISTER`` if unused;
     * ``dest`` — destination register id, ``NO_REGISTER`` if none;
     * ``taken`` — branch outcome, ``False`` for non-branches.
+
+    Each argument may be any 1-D integer (or, for ``taken``, boolean)
+    sequence; a malformed one raises ``ValueError``.  Built traces are
+    immutable: collect the columns first, then construct once.
     """
 
-    pc: list[int] = field(default_factory=list)
-    iclass: list[int] = field(default_factory=list)
-    mem_addr: list[int] = field(default_factory=list)
-    src1: list[int] = field(default_factory=list)
-    src2: list[int] = field(default_factory=list)
-    dest: list[int] = field(default_factory=list)
-    taken: list[bool] = field(default_factory=list)
-    name: str = "trace"
+    def __init__(
+        self,
+        pc: Sequence[int] = (),
+        iclass: Sequence[int] = (),
+        mem_addr: Sequence[int] = (),
+        src1: Sequence[int] = (),
+        src2: Sequence[int] = (),
+        dest: Sequence[int] = (),
+        taken: Sequence[bool] = (),
+        name: str = "trace",
+    ) -> None:
+        self.name = name
+        given = (pc, iclass, mem_addr, src1, src2, dest, taken)
+        for column, values in zip(COLUMN_DTYPES, given):
+            setattr(self, column, _column(column, values))
+        if any(len(getattr(self, column)) != len(self.pc) for column in COLUMN_DTYPES):
+            raise ValueError("trace columns have inconsistent lengths")
 
     def __len__(self) -> int:
         return len(self.pc)
 
-    def append(
-        self,
-        pc: int,
-        iclass: InstrClass,
-        mem_addr: int = -1,
-        src1: int = NO_REGISTER,
-        src2: int = NO_REGISTER,
-        dest: int = NO_REGISTER,
-        taken: bool = False,
-    ) -> None:
-        self.pc.append(pc)
-        self.iclass.append(int(iclass))
-        self.mem_addr.append(mem_addr)
-        self.src1.append(src1)
-        self.src2.append(src2)
-        self.dest.append(dest)
-        self.taken.append(taken)
+    def __eq__(self, other: object):
+        """Same name and the same columns, dtypes and values."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.name == other.name and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(self.to_arrays().values(), other.to_arrays().values())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trace(name={self.name!r}, instructions={len(self)})"
 
     def validate(self) -> None:
-        """Cheap structural invariants; raises ``ValueError`` on violation."""
-        n = len(self.pc)
-        columns = (self.iclass, self.mem_addr, self.src1, self.src2, self.dest, self.taken)
-        if any(len(col) != n for col in columns):
-            raise ValueError("trace columns have inconsistent lengths")
-        for i, cls in enumerate(self.iclass):
-            is_mem = cls in (InstrClass.LOAD, InstrClass.STORE)
-            if is_mem and self.mem_addr[i] < 0:
+        """Memory instructions, and only they, carry an address; raises
+        ``ValueError`` on violation.  (Construction already checked the
+        column shapes and ranges.)"""
+        is_mem = (self.iclass == InstrClass.LOAD) | (self.iclass == InstrClass.STORE)
+        bad = np.flatnonzero(is_mem != (self.mem_addr >= 0))
+        if len(bad):
+            i = int(bad[0])
+            if is_mem[i]:
                 raise ValueError(f"memory instruction {i} lacks an address")
-            if not is_mem and self.mem_addr[i] >= 0:
-                raise ValueError(f"non-memory instruction {i} carries an address")
+            raise ValueError(f"non-memory instruction {i} carries an address")
 
     # ----- summary statistics ------------------------------------------------------
 
     def class_mix(self) -> dict[str, float]:
         """Fraction of instructions per class (for workload validation)."""
         n = len(self)
-        if n == 0:
-            return {}
-        counts: dict[int, int] = {}
-        for cls in self.iclass:
-            counts[cls] = counts.get(cls, 0) + 1
-        return {InstrClass(cls).name.lower(): c / n for cls, c in sorted(counts.items())}
+        counts = np.bincount(self.iclass, minlength=len(InstrClass)).tolist()
+        return {
+            InstrClass(cls).name.lower(): count / n
+            for cls, count in enumerate(counts)
+            if count
+        }
 
     def memory_footprint_bytes(self, block_bytes: int = 64) -> int:
         """Distinct data blocks touched, in bytes."""
-        blocks = {addr // block_bytes for addr in self.mem_addr if addr >= 0}
-        return len(blocks) * block_bytes
+        addrs = self.mem_addr[self.mem_addr >= 0]
+        return len(np.unique(addrs // block_bytes)) * block_bytes
 
     def code_footprint_bytes(self, block_bytes: int = 64) -> int:
         """Distinct instruction blocks touched, in bytes."""
-        return len({p // block_bytes for p in self.pc}) * block_bytes
+        return len(np.unique(self.pc // block_bytes)) * block_bytes
 
-    # ----- numpy bridge -------------------------------------------------------------
+    # ----- numpy bridge and persistence ----------------------------------------------
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            name: np.asarray(getattr(self, name), dtype=dtype)
-            for name, dtype in COLUMN_DTYPES.items()
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], name: str = "trace") -> "Trace":
-        # ndarray.tolist() converts whole columns at C speed (and yields
-        # plain int/bool, exactly like the per-element loops it replaced);
-        # trace-cache loads put this on the campaign hot path.
-        return cls(
-            pc=np.asarray(arrays["pc"]).tolist(),
-            iclass=np.asarray(arrays["iclass"]).tolist(),
-            mem_addr=np.asarray(arrays["mem_addr"]).tolist(),
-            src1=np.asarray(arrays["src1"]).tolist(),
-            src2=np.asarray(arrays["src2"]).tolist(),
-            dest=np.asarray(arrays["dest"]).tolist(),
-            taken=np.asarray(arrays["taken"]).tolist(),
-            name=name,
-        )
-
-    # ----- persistence ---------------------------------------------------------------
+        """The columns themselves (read-only, not copies), by name."""
+        return {column: getattr(self, column) for column in COLUMN_DTYPES}
 
     def save(self, path) -> None:
-        """Persist as compressed ``.npz`` so expensive traces can be reused
-        across experiment campaigns.  ``path`` may be a filename or an open
-        binary file object (the trace cache writes through a temp file)."""
-        np.savez_compressed(path, name=self.name, **self.to_arrays())
+        """Persist as an uncompressed ``.npz`` (the trace-cache entry
+        format, see :mod:`repro.cpu.diskcache`).  ``path`` may be a
+        filename or an open binary file object."""
+        np.savez(path, name=self.name, **self.to_arrays())
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Inverse of :meth:`save`.  The file is opened here, not by
-        :func:`numpy.load`, so it is closed even when the archive is
-        corrupt (``np.load`` raises without closing a path it opened)."""
-        with open(path, "rb") as fh, np.load(fh) as data:
-            return cls.from_arrays(
-                {key: data[key] for key in COLUMN_DTYPES},
-                name=str(data["name"]),
-            )
+        """Inverse of :meth:`save`; also reads compressed archives.  Each
+        column must be stored in its :data:`COLUMN_DTYPES` dtype, and
+        passes the constructor's checks; anything else raises
+        ``ValueError`` (or ``KeyError`` for a missing member)."""
+        members = read_members(path)
+        for column, dtype in COLUMN_DTYPES.items():
+            if members[column].dtype != dtype:
+                raise ValueError(
+                    f"trace column {column!r} is stored as {members[column].dtype}"
+                )
+        return cls(
+            **{column: members[column] for column in COLUMN_DTYPES},
+            name=str(members["name"]),
+        )

@@ -13,22 +13,22 @@ Persistent trace cache
 Every parallel worker needs every benchmark trace its groups simulate,
 and each one's front-end schedule.  Point ``REPRO_TRACE_CACHE`` (or
 ``--trace-cache DIR``) at a directory and :class:`TraceProvider`
-persists each generated trace as a compressed ``.npz`` (the existing
-:meth:`~repro.cpu.trace.Trace.save` round-trip), keyed by a content hash
+persists each generated trace as a raw (uncompressed) ``.npz``, the
+:meth:`~repro.cpu.trace.Trace.save` round trip, keyed by a content hash
 of everything that determines the trace: generator schema version,
 profile name, master seed, instruction count, and the generator
 geometry; compiled schedules persist beside it
 (:mod:`repro.cpu.frontend`).  Workers and repeated sessions then load
-instead of regenerate.  With the compiled trace kernel, loading a trace
-costs about what generating it does; the schedule is the saving.
-Measured for mcf at 1.2M instructions (2-core host): generating 0.28 s,
-loading 0.28 s, saving 1.4 s; the first simulation took 0.83 s against
-0.18 s for a later one-lane kernel pass, the difference being mostly
-the schedule compile.  Without ``gcc`` the Python walk generates the
-same trace in about 3.3 s.  Entries are written atomically (temp file +
-``os.replace``) so concurrent workers can share a cache directory, and a
-corrupt or truncated entry is discarded and regenerated, mirroring the
-result store's torn-tail tolerance.
+instead of regenerate.  With the compiled trace kernel, a short trace
+costs about as much to generate as to load and a 1.2M-instruction one
+about four times more; the schedule is the larger saving.  An entry
+takes 21 bytes per instruction on disk, 5-6 times a compressed one, and
+is written and read about as fast as its bytes copy (README.md has the
+measurements).  Entries are written atomically (temp file +
+``os.replace``) so concurrent workers can share a cache directory, and
+a torn entry, or one whose columns :class:`~repro.cpu.trace.Trace`
+refuses (see :mod:`repro.cpu.diskcache`), is discarded and regenerated,
+mirroring the result store's torn-tail tolerance.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import time
-import zipfile
 
 from repro.cpu.config import L1_GEOMETRY
+from repro.cpu.diskcache import TRACE_TMP_PREFIX, read_entry, sweep_stale_tmp, write_entry
 from repro.cpu.trace import Trace
 from repro.faults.fault_map import FaultMapPair, fault_map_pair
 from repro.faults.geometry import CacheGeometry
@@ -52,14 +50,6 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 #: Bump when TraceGenerator's output changes incompatibly (invalidates
 #: cached traces without invalidating result stores).
 TRACE_SCHEMA_VERSION = 1
-
-#: In-flight cache writes beside the entries: ``.trace-XXXX.npz.tmp``
-#: (trace entries) and ``.sched-XXXX.npz.tmp`` (persisted front-end
-#: schedules, written by :mod:`repro.cpu.frontend` into the same
-#: directory) — the stale-tmp sweep covers both.
-_TMP_PREFIXES = (".trace-", ".sched-")
-_TMP_PREFIX = ".trace-"
-_TMP_SUFFIX = ".npz.tmp"
 
 
 def trace_key(
@@ -92,7 +82,7 @@ class TraceProvider:
         self.cache_dir = os.fspath(cache_dir) if cache_dir else None
         if self.cache_dir:
             os.makedirs(self.cache_dir, exist_ok=True)
-            self._sweep_stale_tmp_files()
+            sweep_stale_tmp(self.cache_dir)
         self._traces: dict[str, Trace] = {}
         #: Traces produced by running the generator (cache misses included).
         self.generated = 0
@@ -124,26 +114,10 @@ class TraceProvider:
 
     def _acquire(self, benchmark: str) -> Trace:
         path = self._cache_path(benchmark) if self.cache_dir else None
-        if path is not None and os.path.exists(path):
-            try:
-                trace = Trace.load(path)
-                if len(trace) != self._length():
-                    raise ValueError("cached trace has the wrong length")
-            except (
-                OSError,
-                ValueError,
-                KeyError,
-                EOFError,
-                zipfile.BadZipFile,
-            ):
-                # Torn/corrupt entry (killed writer, disk trouble): discard
-                # and regenerate — never fatal, mirroring DiskStore.
-                self.discarded += 1
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-            else:
+        if path is not None:
+            trace, discarded = read_entry(path, self._load)
+            self.discarded += discarded
+            if trace is not None:
                 self.loaded += 1
                 return trace
         generator = TraceGenerator(
@@ -152,47 +126,14 @@ class TraceProvider:
         trace = generator.generate(self._length())
         self.generated += 1
         if path is not None:
-            self._persist(trace, path)
+            write_entry(path, trace.save, TRACE_TMP_PREFIX)
         return trace
 
-    def _persist(self, trace: Trace, path: str) -> None:
-        """Atomic write (temp + rename) so concurrent workers sharing the
-        cache directory never observe a half-written entry."""
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=_TMP_PREFIX, suffix=_TMP_SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                trace.save(fh)
-            os.replace(tmp_path, path)
-        except Exception:
-            # Caching is best-effort; the in-memory trace is already
-            # usable, so swallow any write/compress failure.
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
-
-    def _sweep_stale_tmp_files(self) -> None:
-        """Remove temp files orphaned by killed writers.  Only entries
-        older than an hour go — a fresh tmp may belong to a live worker
-        mid-write in a shared cache directory."""
-        cutoff = time.time() - 3600
-        try:
-            entries = list(os.scandir(self.cache_dir))
-        except OSError:
-            return
-        for entry in entries:
-            name = entry.name
-            if not (
-                name.startswith(_TMP_PREFIXES) and name.endswith(_TMP_SUFFIX)
-            ):
-                continue
-            try:
-                if entry.stat().st_mtime < cutoff:
-                    os.remove(entry.path)
-            except OSError:
-                continue
+    def _load(self, path: str) -> Trace:
+        trace = Trace.load(path)
+        if len(trace) != self._length():
+            raise ValueError("cached trace has the wrong length")
+        return trace
 
     def __len__(self) -> int:
         return len(self._traces)

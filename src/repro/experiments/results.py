@@ -5,6 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
+
+def _plain(values: Sequence) -> list:
+    """``values`` with NumPy scalars replaced by the Python numbers they
+    hold, so CSV cells read ``0.25``, not ``np.float64(0.25)``."""
+    return [v.item() if isinstance(v, np.generic) else v for v in values]
+
 
 @dataclass
 class FigureResult:
@@ -26,9 +34,10 @@ class FigureResult:
                     f"series {name!r} has {len(values)} values for "
                     f"{len(self.index)} index entries"
                 )
+            self.series[name] = _plain(values)
 
     def add_series(self, name: str, values: Sequence[float]) -> None:
-        values = list(values)
+        values = _plain(values)
         if len(values) != len(self.index):
             raise ValueError(
                 f"series {name!r} has {len(values)} values for "

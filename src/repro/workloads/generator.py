@@ -59,7 +59,10 @@ addresses, so a profile whose block count, hot-entry count, random region
 could pass 2^63 (``ws_kb=2**30`` gives about 5.2e9 random blocks), runs
 the Python engine.  Both engines fill the same :class:`CodeSkeleton`
 columns and carry the same data cursors from one :meth:`generate` call
-to the next.
+to the next.  The kernel walks straight into the :data:`COLUMN_DTYPES`
+arrays that become the :class:`~repro.cpu.trace.Trace`, with no copy;
+the Python walk collects one list per column and constructs the trace
+once.
 """
 
 from __future__ import annotations
@@ -402,14 +405,30 @@ class TraceGenerator:
         self._stream_next = moved[4]
         self._stride_ptrs = moved[5:7]
         self._stride_next, self._conflict_next = moved[7:9]
-        return Trace.from_arrays(columns, name=p.name)
+        return Trace(**columns, name=p.name)
 
     def _walk(self, n_instructions: int) -> Trace:
         """The Python walk: the kernel's oracle, draw for draw."""
+        return Trace(*self._walk_columns(n_instructions), name=self.profile.name)
+
+    def _walk_columns(self, n_instructions: int) -> tuple[list, ...]:
+        """The Python walk's instructions, one list per :class:`Trace`
+        column (a list of row tuples would take about twice the memory)."""
         p = self.profile
         rng = self._rng
-        trace = Trace(name=p.name)
-        append = trace.append
+        columns: tuple[list, ...] = tuple([] for _ in COLUMN_DTYPES)
+        add_pc, add_cls, add_addr, add_src1, add_src2, add_dest, add_taken = (
+            column.append for column in columns
+        )
+
+        def emit(pc, cls, addr, src1, src2, dest, taken):
+            add_pc(pc)
+            add_cls(cls)
+            add_addr(addr)
+            add_src1(src1)
+            add_src2(src2)
+            add_dest(dest)
+            add_taken(taken)
 
         code = self._code
         start_pcs, lengths, kinds, biases, targets, trips = (
@@ -423,12 +442,15 @@ class TraceGenerator:
         # Body-instruction mixture, renormalised without control classes.
         load_p, store_p = self._body_mix()
 
-        INT_ALU = InstrClass.INT_ALU
-        INT_MUL = InstrClass.INT_MUL
-        FP_ALU = InstrClass.FP_ALU
-        FP_MUL = InstrClass.FP_MUL
-        LOAD = InstrClass.LOAD
-        STORE = InstrClass.STORE
+        INT_ALU = int(InstrClass.INT_ALU)
+        INT_MUL = int(InstrClass.INT_MUL)
+        FP_ALU = int(InstrClass.FP_ALU)
+        FP_MUL = int(InstrClass.FP_MUL)
+        LOAD = int(InstrClass.LOAD)
+        STORE = int(InstrClass.STORE)
+        BRANCH = int(InstrClass.BRANCH)
+        CALL = int(InstrClass.CALL)
+        RETURN = int(InstrClass.RETURN)
 
         # Register management: rotating destination pools and a recency
         # window per class for dependence chains.
@@ -455,7 +477,7 @@ class TraceGenerator:
             body_len = lengths[bb_index] - 1
             for _ in range(body_len):
                 if emitted >= n_instructions:
-                    return trace
+                    return columns
                 roll = rng.random()
                 if roll < load_p:
                     addr = self._next_address()
@@ -472,13 +494,13 @@ class TraceGenerator:
                         recent_int.append(dest)
                         if len(recent_int) > 8:
                             recent_int.pop(0)
-                    append(pc, LOAD, addr, int_src(), NO_REGISTER, dest)
+                    emit(pc, LOAD, addr, int_src(), NO_REGISTER, dest, False)
                 elif roll < store_p:
                     addr = self._next_address()
                     value_src = (
                         recent_fp[-1] if rng.random() < p.fp_frac else recent_int[-1]
                     )
-                    append(pc, STORE, addr, int_src(), value_src, NO_REGISTER)
+                    emit(pc, STORE, addr, int_src(), value_src, NO_REGISTER, False)
                 else:
                     is_fp = rng.random() < p.fp_frac
                     is_mul = rng.random() < p.mul_frac
@@ -486,7 +508,7 @@ class TraceGenerator:
                         cls = FP_MUL if is_mul else FP_ALU
                         dest = fp_dest
                         fp_dest = 33 + (fp_dest - 32) % 24
-                        append(pc, cls, -1, fp_src(), fp_src(), dest)
+                        emit(pc, cls, -1, fp_src(), fp_src(), dest, False)
                         recent_fp.append(dest)
                         if len(recent_fp) > 8:
                             recent_fp.pop(0)
@@ -494,7 +516,7 @@ class TraceGenerator:
                         cls = INT_MUL if is_mul else INT_ALU
                         dest = int_dest
                         int_dest = 1 + int_dest % 24
-                        append(pc, cls, -1, int_src(), int_src(), dest)
+                        emit(pc, cls, -1, int_src(), int_src(), dest, False)
                         recent_int.append(dest)
                         if len(recent_int) > 8:
                             recent_int.pop(0)
@@ -502,11 +524,11 @@ class TraceGenerator:
                 emitted += 1
 
             if emitted >= n_instructions:
-                return trace
+                return columns
 
             # Terminator.
             kind = kinds[bb_index]
-            if kind == InstrClass.BRANCH:
+            if kind == BRANCH:
                 if trips[bb_index]:
                     # Counted loop: deterministic iterations, occasional
                     # off-by-one wobble so histories are realistic rather
@@ -523,24 +545,16 @@ class TraceGenerator:
                         loop_counters.pop(bb_index, None)
                 else:
                     taken = rng.random() < biases[bb_index]
-                append(
-                    pc,
-                    InstrClass.BRANCH,
-                    -1,
-                    recent_int[-1],
-                    NO_REGISTER,
-                    NO_REGISTER,
-                    taken=taken,
-                )
+                emit(pc, BRANCH, -1, recent_int[-1], NO_REGISTER, NO_REGISTER, taken)
                 bb_index = targets[bb_index] if taken else (bb_index + 1) % n_blocks
-            elif kind == InstrClass.CALL:
-                append(pc, InstrClass.CALL, -1, NO_REGISTER, NO_REGISTER, NO_REGISTER, taken=True)
+            elif kind == CALL:
+                emit(pc, CALL, -1, NO_REGISTER, NO_REGISTER, NO_REGISTER, True)
                 call_stack.append((bb_index + 1) % n_blocks)
                 if len(call_stack) > 64:
                     call_stack.pop(0)
                 bb_index = targets[bb_index]
             else:  # RETURN
-                append(pc, InstrClass.RETURN, -1, NO_REGISTER, NO_REGISTER, NO_REGISTER, taken=True)
+                emit(pc, RETURN, -1, NO_REGISTER, NO_REGISTER, NO_REGISTER, True)
                 if call_stack:
                     bb_index = call_stack.pop()
                 else:
@@ -557,7 +571,7 @@ class TraceGenerator:
             if rng.random() < 0.003:
                 bb_index = rng.randrange(n_blocks)
 
-        return trace
+        return columns
 
 
 def generate_trace(

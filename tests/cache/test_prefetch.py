@@ -3,6 +3,7 @@ kernel's copy of them against the object engine."""
 
 import numpy as np
 import pytest
+from trace_rows import Instruction, trace_from_rows
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.prefetch import NextLinePrefetcher
@@ -127,10 +128,10 @@ def _hierarchy(
 
 def _loads(blocks: "list[int]") -> Trace:
     """One load per D-cache block, all fetched from one I-cache line."""
-    trace = Trace(name="loads")
-    for block in blocks:
-        trace.append(0x1000, InstrClass.LOAD, block * 64, dest=1)
-    return trace
+    return trace_from_rows(
+        (Instruction(0x1000, InstrClass.LOAD, block * 64, dest=1) for block in blocks),
+        name="loads",
+    )
 
 
 def _end_state(hierarchy: MemoryHierarchy) -> dict:

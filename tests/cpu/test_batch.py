@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.cache.hierarchy import LatencyConfig
@@ -268,13 +269,7 @@ def _repeated(trace: Trace, times: int) -> Trace:
     """``trace`` played ``times`` over: the footprint stays the same, so
     cache contents (and their write-back) stop growing after one play."""
     return Trace(
-        pc=trace.pc * times,
-        iclass=trace.iclass * times,
-        mem_addr=trace.mem_addr * times,
-        src1=trace.src1 * times,
-        src2=trace.src2 * times,
-        dest=trace.dest * times,
-        taken=trace.taken * times,
+        **{name: np.tile(column, times) for name, column in trace.to_arrays().items()},
         name=f"{trace.name}x{times}",
     )
 

@@ -72,7 +72,9 @@ def _warm(hierarchy: MemoryHierarchy, trace: Trace, count: int) -> None:
     i_shift = hierarchy.l1i.geometry.offset_bits
     d_shift = hierarchy.l1d.geometry.offset_bits
     for pc, cls, addr in zip(
-        trace.pc[:count], trace.iclass[:count], trace.mem_addr[:count]
+        trace.pc[:count].tolist(),
+        trace.iclass[:count].tolist(),
+        trace.mem_addr[:count].tolist(),
     ):
         hierarchy.access_instruction(pc >> i_shift)
         if cls in (InstrClass.LOAD, InstrClass.STORE):
@@ -178,7 +180,7 @@ class TestKernelVsFallback:
         pass 52 they passed ``BIG_STAMP`` and LRU started picking
         disabled ways.)"""
         columns = session.trace("mcf").to_arrays()
-        trace = Trace.from_arrays({k: v[:500] for k, v in columns.items()}, "mcf")
+        trace = Trace(**{k: v[:500] for k, v in columns.items()}, name="mcf")
         hierarchies = {
             engine: session.build_pipeline(LV_BLOCK, 0, engine=engine).hierarchy
             for engine in ("fused", "object")

@@ -6,12 +6,13 @@ the paper's comparisons rest on.
 """
 
 import pytest
+from trace_rows import Instruction, trace_from_rows
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cpu.config import PipelineConfig
 from repro.cpu.isa import InstrClass
-from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu.pipeline import OutOfOrderPipeline, _object_columns
 from repro.cpu.trace import Trace
 from repro.faults import CacheGeometry
 
@@ -35,7 +36,7 @@ def make_pipeline(l1_latency: int = 3, victim: int = 0) -> OutOfOrderPipeline:
 def alu_trace(n: int, independent: bool = True) -> Trace:
     """ALU-only trace looping through a small code region (so compulsory
     I-cache misses amortise away, as they do in real loopy programs)."""
-    trace = Trace(name="alu")
+    rows = []
     for i in range(n):
         if independent:
             dest = 1 + i % 20
@@ -43,8 +44,23 @@ def alu_trace(n: int, independent: bool = True) -> Trace:
         else:
             dest = 1
             src = 1  # serial chain
-        trace.append(0x1000 + 4 * (i % 16), InstrClass.INT_ALU, src1=src, dest=dest)
-    return trace
+        rows.append(
+            Instruction(0x1000 + 4 * (i % 16), InstrClass.INT_ALU, src1=src, dest=dest)
+        )
+    return trace_from_rows(rows, name="alu")
+
+
+def load_chain() -> Trace:
+    """Serial dependent loads of one L1-resident address."""
+    return trace_from_rows(
+        (
+            Instruction(
+                0x1000 + 4 * (i % 16), InstrClass.LOAD, mem_addr=0x8000, src1=4, dest=4
+            )
+            for i in range(1000)
+        ),
+        name="loads",
+    )
 
 
 class TestStructuralLimits:
@@ -69,20 +85,28 @@ class TestStructuralLimits:
     def test_fp_alu_structural_hazard(self):
         """One FP ALU (Table II): independent FP adds with 4-cycle latency
         still issue at most one per cycle."""
-        trace = Trace(name="fp")
-        for i in range(2000):
-            trace.append(
-                0x1000 + 4 * (i % 16), InstrClass.FP_ALU, src1=57, dest=33 + i % 20
-            )
+        trace = trace_from_rows(
+            (
+                Instruction(
+                    0x1000 + 4 * (i % 16), InstrClass.FP_ALU, src1=57, dest=33 + i % 20
+                )
+                for i in range(2000)
+            ),
+            name="fp",
+        )
         result = make_pipeline().run(trace)
         assert result.ipc <= 1.0 + 1e-9
         assert result.ipc > 0.8
 
     def test_int_mul_latency_chain(self):
         """Serial 7-cycle multiplies: IPC ~ 1/7."""
-        trace = Trace(name="mul")
-        for i in range(1000):
-            trace.append(0x1000 + 4 * (i % 16), InstrClass.INT_MUL, src1=1, dest=1)
+        trace = trace_from_rows(
+            (
+                Instruction(0x1000 + 4 * (i % 16), InstrClass.INT_MUL, src1=1, dest=1)
+                for i in range(1000)
+            ),
+            name="mul",
+        )
         result = make_pipeline().run(trace)
         assert result.ipc == pytest.approx(1 / 7, rel=0.2)
 
@@ -95,22 +119,14 @@ class TestStructuralLimits:
 class TestMemoryBehaviour:
     def test_load_chain_pays_l1_latency(self):
         """Serial dependent loads that hit in L1 cost ~l1_latency each."""
-        trace = Trace(name="loads")
-        for i in range(1000):
-            trace.append(
-                0x1000 + 4 * (i % 16), InstrClass.LOAD, mem_addr=0x8000, src1=4, dest=4
-            )
+        trace = load_chain()
         result = make_pipeline(l1_latency=3).run(trace)
         assert result.ipc == pytest.approx(1 / 3, rel=0.2)
 
     def test_extra_l1_cycle_slows_load_chains(self):
         """The word-disable +1 L1 cycle must show up in load-to-use chains
         (4-cycle vs 3-cycle serial loads)."""
-        trace = Trace(name="loads")
-        for i in range(1000):
-            trace.append(
-                0x1000 + 4 * (i % 16), InstrClass.LOAD, mem_addr=0x8000, src1=4, dest=4
-            )
+        trace = load_chain()
         fast = make_pipeline(l1_latency=3).run(trace)
         slow = make_pipeline(l1_latency=4).run(trace)
         assert slow.cycles / fast.cycles == pytest.approx(4 / 3, rel=0.1)
@@ -118,31 +134,38 @@ class TestMemoryBehaviour:
     def test_independent_misses_overlap(self):
         """Memory-level parallelism: independent misses to distinct blocks
         overlap, so total cycles are far below misses x memory latency."""
-        trace = Trace(name="mlp")
-        for i in range(512):
-            trace.append(
-                0x1000 + 4 * (i % 16),
-                InstrClass.LOAD,
-                mem_addr=0x100000 + i * 4096,
-                src1=25,
-                dest=1 + i % 20,
-            )
+        trace = trace_from_rows(
+            (
+                Instruction(
+                    0x1000 + 4 * (i % 16),
+                    InstrClass.LOAD,
+                    mem_addr=0x100000 + i * 4096,
+                    src1=25,
+                    dest=1 + i % 20,
+                )
+                for i in range(512)
+            ),
+            name="mlp",
+        )
         result = make_pipeline().run(trace)
         assert result.cycles < 512 * 100 / 4
 
     def test_store_does_not_stall_chain(self):
         """Stores retire via the store buffer; a store between ALU ops must
         not inject memory latency into the chain."""
-        trace = Trace(name="stores")
+        rows = []
         for i in range(500):
-            trace.append(0x1000 + 8 * (i % 8), InstrClass.INT_ALU, src1=1, dest=1)
-            trace.append(
-                0x1004 + 8 * (i % 8),
-                InstrClass.STORE,
-                mem_addr=0x200000 + i * 4096,
-                src1=25,
-                src2=1,
+            rows.append(Instruction(0x1000 + 8 * (i % 8), InstrClass.INT_ALU, src1=1, dest=1))
+            rows.append(
+                Instruction(
+                    0x1004 + 8 * (i % 8),
+                    InstrClass.STORE,
+                    mem_addr=0x200000 + i * 4096,
+                    src1=25,
+                    src2=1,
+                )
             )
+        trace = trace_from_rows(rows, name="stores")
         result = make_pipeline().run(trace)
         assert result.ipc > 1.0
 
@@ -155,12 +178,16 @@ class TestBranchBehaviour:
         rng = random.Random(0)
 
         def branch_trace(random_outcomes: bool) -> Trace:
-            trace = Trace(name="br")
+            rows = []
             for i in range(4000):
-                trace.append(0x1000 + 8 * (i % 4), InstrClass.INT_ALU, src1=25, dest=1)
+                rows.append(
+                    Instruction(0x1000 + 8 * (i % 4), InstrClass.INT_ALU, src1=25, dest=1)
+                )
                 taken = rng.random() < 0.5 if random_outcomes else True
-                trace.append(0x1004 + 8 * (i % 4), InstrClass.BRANCH, src1=1, taken=taken)
-            return trace
+                rows.append(
+                    Instruction(0x1004 + 8 * (i % 4), InstrClass.BRANCH, src1=1, taken=taken)
+                )
+            return trace_from_rows(rows, name="br")
 
         predictable = make_pipeline().run(branch_trace(False))
         unpredictable = make_pipeline().run(branch_trace(True))
@@ -169,14 +196,15 @@ class TestBranchBehaviour:
         assert predictable.misprediction_rate < 0.05
 
     def test_calls_and_returns_use_ras(self):
-        trace = Trace(name="callret")
+        rows = []
         pc = 0x1000
         for _ in range(200):
-            trace.append(pc, InstrClass.CALL, taken=True)
-            trace.append(0x9000, InstrClass.INT_ALU, src1=25, dest=1)
-            trace.append(0x9004, InstrClass.RETURN, taken=True)
-            trace.append(pc + 4, InstrClass.INT_ALU, src1=25, dest=2)
+            rows.append(Instruction(pc, InstrClass.CALL, taken=True))
+            rows.append(Instruction(0x9000, InstrClass.INT_ALU, src1=25, dest=1))
+            rows.append(Instruction(0x9004, InstrClass.RETURN, taken=True))
+            rows.append(Instruction(pc + 4, InstrClass.INT_ALU, src1=25, dest=2))
             pc += 8
+        trace = trace_from_rows(rows, name="callret")
         result = make_pipeline().run(trace)
         # Well-nested call/return pairs: the RAS predicts returns correctly.
         assert result.branch_mispredictions == 0
@@ -209,13 +237,13 @@ class TestIssueQueueLimit:
         """20 FP IQ entries (Table II): a long run of FP ops dependent on
         one slow producer fills the queue; independent INT work behind it
         must still retire no faster than the queue drains."""
-        trace = Trace(name="iqfull")
         # One slow multiply chain the FP adds depend on.
-        trace.append(0x1000, InstrClass.FP_MUL, src1=57, dest=40)
+        rows = [Instruction(0x1000, InstrClass.FP_MUL, src1=57, dest=40)]
         for i in range(64):  # > 20 FP queue entries
-            trace.append(
-                0x1004 + 4 * (i % 8), InstrClass.FP_ALU, src1=40, dest=41 + i % 8
+            rows.append(
+                Instruction(0x1004 + 4 * (i % 8), InstrClass.FP_ALU, src1=40, dest=41 + i % 8)
             )
+        trace = trace_from_rows(rows, name="iqfull")
         result = make_pipeline().run(trace)
         # All 64 FP adds wait on the multiply, drain through 1 FP ALU:
         # at least ~64 cycles beyond the producer.
@@ -224,11 +252,24 @@ class TestIssueQueueLimit:
     def test_rob_limit_binds(self):
         """A load miss at the head of the ROB stalls dispatch of the
         129th younger instruction (128-entry ROB)."""
-        trace = Trace(name="robfull")
-        trace.append(0x1000, InstrClass.LOAD, mem_addr=0x900000, src1=25, dest=1)
+        rows = [Instruction(0x1000, InstrClass.LOAD, mem_addr=0x900000, src1=25, dest=1)]
         for i in range(300):
-            trace.append(0x1004 + 4 * (i % 8), InstrClass.INT_ALU, src1=25, dest=2 + i % 20)
+            rows.append(
+                Instruction(0x1004 + 4 * (i % 8), InstrClass.INT_ALU, src1=25, dest=2 + i % 20)
+            )
+        trace = trace_from_rows(rows, name="robfull")
         result = make_pipeline().run(trace)
         # The miss costs ~100 cycles; with a 128-entry ROB the first ~127
         # ALUs dispatch behind it but the rest wait for the load to commit.
         assert result.cycles > 100
+
+
+class TestObjectLoopColumns:
+    def test_list_views_are_memoised_on_the_trace(self):
+        """The object loop indexes lists, converted from the trace's
+        arrays once per trace, not once per run."""
+        trace = load_chain()
+        views = _object_columns(trace)
+        assert _object_columns(trace) is views
+        assert views == tuple(column.tolist() for column in trace.to_arrays().values())
+        assert type(views[0][0]) is int and type(views[6][0]) is bool

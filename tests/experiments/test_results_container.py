@@ -1,5 +1,6 @@
 """Edge-case tests for the FigureResult container and its rendering."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.results import FigureResult
@@ -65,6 +66,21 @@ class TestCSVExport:
         result.add_series("s", [0.123456789012345])
         value = result.to_csv().strip().splitlines()[1].split(",")[1]
         assert float(value) == 0.123456789012345
+
+    def test_numpy_scalars_write_plain_numbers(self):
+        """Analytical figures compute with NumPy: their cells must still
+        parse as numbers, not read ``np.float64(...)``."""
+        result = FigureResult("f", "t", "x", [0.1, 0.2, 0.3])
+        values = np.array([0.23552591134830914, 1.0, 5.927443867568256e-174])
+        result.add_series("array", values)
+        result.add_series("scalars", [np.float64(0.5), np.float32(0.25), np.int64(7)])
+        rows = [line.split(",") for line in result.to_csv().strip().splitlines()[1:]]
+        cells = [cell for row in rows for cell in row[1:]]
+        assert [float(cell) for cell in cells] == [
+            0.23552591134830914, 0.5, 1.0, 0.25, 5.927443867568256e-174, 7.0
+        ]
+        assert cells[:2] == ["0.23552591134830914", "0.5"]
+        assert rows[2][2] == "7"
 
 
 class TestCLICSVExport:

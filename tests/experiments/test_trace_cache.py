@@ -5,12 +5,17 @@ from __future__ import annotations
 import gc
 import os
 import warnings
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.campaign import RunnerSettings, Session
 from repro.cpu.config import L1_GEOMETRY, PAPER_PIPELINE
+from repro.cpu.diskcache import read_members
 from repro.cpu.frontend import SCHEDULE_CACHE_STATS, frontend_schedule
+from repro.cpu.trace import COLUMN_DTYPES
+from repro.experiments.configs import LV_BASELINE, LV_BLOCK_V10
 from repro.experiments.providers import TRACE_CACHE_ENV, TraceProvider, trace_key
 
 
@@ -57,20 +62,16 @@ class TestTraceCache:
         second = TraceProvider(settings(), cache_dir=tmp_path)
         reloaded = second.get("gzip")
         assert second.generated == 0 and second.loaded == 1
-        assert reloaded.pc == trace.pc
-        assert reloaded.iclass == trace.iclass
-        assert reloaded.mem_addr == trace.mem_addr
-        assert reloaded.src1 == trace.src1
-        assert reloaded.src2 == trace.src2
-        assert reloaded.dest == trace.dest
-        assert reloaded.taken == trace.taken
+        for name, dtype in COLUMN_DTYPES.items():
+            got, expected = getattr(reloaded, name), getattr(trace, name)
+            assert got.dtype == expected.dtype == dtype, name
+            assert np.array_equal(got, expected), name
         assert reloaded.name == trace.name
+        assert reloaded == trace
 
     def test_cached_trace_simulates_identically(self, tmp_path):
         cold = Session(settings(), trace_cache=os.fspath(tmp_path))
         warm = Session(settings(), trace_cache=os.fspath(tmp_path))
-        from repro.experiments.configs import LV_BASELINE
-
         a = cold.simulate("gzip", LV_BASELINE)
         b = warm.simulate("gzip", LV_BASELINE)
         assert warm.traces.loaded == 1
@@ -138,6 +139,43 @@ class TestCorruptionHygiene:
         assert provider.discarded == 1 and provider.generated == 1
         assert len(trace) == 2_500
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda m: {"src1": m["src1"][:-100]}, id="src1-100-short"),
+            pytest.param(lambda m: {"dest": m["dest"][:-100]}, id="dest-100-short"),
+            pytest.param(lambda m: {"iclass": m["iclass"][:-100]}, id="iclass-100-short"),
+            pytest.param(
+                lambda m: {"mem_addr": m["mem_addr"][:-100]}, id="mem_addr-100-short"
+            ),
+            pytest.param(lambda m: {"iclass": _set(m["iclass"], 10, 9)}, id="class-9"),
+            pytest.param(
+                lambda m: {"dest": _set(m["dest"].astype(np.int16), 10, 5000)},
+                id="dest-5000-as-int16",
+            ),
+            pytest.param(lambda m: {"src2": _set(m["src2"], 3, 64)}, id="register-64"),
+            pytest.param(lambda m: {"pc": m["pc"].astype(np.int32)}, id="pc-as-int32"),
+            pytest.param(
+                lambda m: {"taken": m["taken"].astype(np.int8)}, id="taken-as-int8"
+            ),
+            pytest.param(
+                lambda m: {"src1": np.stack([m["src1"], m["src1"]])}, id="2-D-src1"
+            ),
+        ],
+    )
+    def test_malformed_columns_are_discarded_and_regenerated(self, tmp_path, corrupt):
+        """A zip-valid entry whose columns the trace would refuse never
+        loads: it is discarded, regenerated, and rewritten."""
+        path = self._entry_path(tmp_path)
+        members = read_members(path)
+        np.savez(path, **{**members, **corrupt(members)})
+        provider = TraceProvider(settings(), cache_dir=tmp_path)
+        trace = provider.get("gzip")
+        assert (provider.discarded, provider.generated, provider.loaded) == (1, 1, 0)
+        fresh = TraceProvider(settings(), cache_dir=tmp_path)
+        assert fresh.get("gzip") == trace
+        assert fresh.loaded == 1 and fresh.discarded == 0
+
     def test_wrong_length_entry_is_discarded(self, tmp_path):
         # A hash collision cannot realistically do this, but a manually
         # copied file can: the guard re-checks the one cheap invariant.
@@ -155,6 +193,44 @@ class TestCorruptionHygiene:
         trace = reread.get("gzip")
         assert reread.discarded == 1 and reread.generated == 1
         assert len(trace) == 2_500
+
+
+def _set(column: np.ndarray, index: int, value: int) -> np.ndarray:
+    column = column.copy()
+    column[index] = value
+    return column
+
+
+class TestEntryFormat:
+    def test_fresh_entries_are_stored_uncompressed(self, tmp_path):
+        trace = TraceProvider(settings(), cache_dir=tmp_path).get("gzip")
+        frontend_schedule(trace, PAPER_PIPELINE, L1_GEOMETRY.offset_bits, 500)
+        entries = sorted(tmp_path.glob("*.npz"))
+        assert len(entries) == 2  # the trace and its schedule
+        for entry in entries:
+            with zipfile.ZipFile(entry) as archive:
+                kinds = {member.compress_type for member in archive.infolist()}
+            assert kinds == {zipfile.ZIP_STORED}, entry.name
+
+    def test_compressed_entries_load_and_simulate_identically(self, tmp_path):
+        """Entries written compressed, under the same member names, load
+        into the arrays a fresh build produces and simulate identically."""
+        configs = (LV_BASELINE, LV_BLOCK_V10)
+        with Session(settings(), trace_cache=os.fspath(tmp_path)) as cold:
+            expected = [cold.simulate("gzip", config, 0) for config in configs]
+            built = cold.trace("gzip")
+        for entry in tmp_path.glob("*.npz"):
+            np.savez_compressed(entry, **read_members(entry))
+            with zipfile.ZipFile(entry) as archive:
+                kinds = {member.compress_type for member in archive.infolist()}
+            assert kinds == {zipfile.ZIP_DEFLATED}
+        schedules_loaded = SCHEDULE_CACHE_STATS["loaded"]
+        with Session(settings(), trace_cache=os.fspath(tmp_path)) as warm:
+            got = [warm.simulate("gzip", config, 0) for config in configs]
+            assert warm.traces.loaded == 1 and warm.traces.generated == 0
+            assert warm.trace("gzip") == built
+        assert SCHEDULE_CACHE_STATS["loaded"] == schedules_loaded + 1
+        assert got == expected
 
 
 class TestDiscardedEntriesAreClosed:

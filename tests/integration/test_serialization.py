@@ -52,10 +52,10 @@ class TestTracePersistence:
 
         loaded = Trace.load(path)
         assert loaded.name == "gzip"
-        assert loaded.pc == trace.pc
-        assert loaded.iclass == trace.iclass
-        assert loaded.mem_addr == trace.mem_addr
-        assert loaded.taken == trace.taken
+        for name, column in trace.to_arrays().items():
+            got = getattr(loaded, name)
+            assert got.dtype == column.dtype and np.array_equal(got, column), name
+        assert loaded == trace
 
     def test_loaded_trace_simulates_identically(self, tmp_path):
         from repro.cpu.trace import Trace

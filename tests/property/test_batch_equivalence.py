@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trace_rows import trace_from_rows
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
@@ -61,7 +62,7 @@ def random_trace(seed: int, n: int) -> Trace:
     class mix, dependence patterns, jumpy control flow, and a memory
     stream with a little locality (so hits and misses both occur)."""
     rng = random.Random(seed)
-    trace = Trace(name=f"prop-{seed}")
+    rows = []
     pc = 0x1000
     mem_bases = [rng.randrange(0, 1 << 18) << 6 for _ in range(4)]
     targets = [0x1000 + 4 * rng.randrange(0, 4 * n) for _ in range(8)]
@@ -77,9 +78,9 @@ def random_trace(seed: int, n: int) -> Trace:
         dest = rng.randrange(0, 64) if rng.random() < 0.6 else NO_REGISTER
         if cls.is_control:
             taken = rng.random() < 0.6
-        trace.append(pc, cls, mem_addr, src1, src2, dest, taken)
+        rows.append((pc, cls, mem_addr, src1, src2, dest, taken))
         pc = rng.choice(targets) if taken else pc + 4
-    return trace
+    return trace_from_rows(rows, name=f"prop-{seed}")
 
 
 @given(

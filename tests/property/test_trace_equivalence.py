@@ -101,9 +101,10 @@ def test_kernel_matches_the_python_generator(profile, seed, lengths):
     for n in lengths:
         expected, got = oracle.generate(n), compiled.generate(n)
         assert len(got) == n and got.name == expected.name
-        for column in COLUMN_DTYPES:
-            assert getattr(got, column) == getattr(expected, column), column
-        assert [type(v) for v in got.taken] == [type(v) for v in expected.taken]
+        for column, dtype in COLUMN_DTYPES.items():
+            a, b = getattr(got, column), getattr(expected, column)
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b), column
+        assert got == expected
         assert compiled._rng.getstate() == oracle._rng.getstate()
         assert _cursors(compiled) == _cursors(oracle)
 

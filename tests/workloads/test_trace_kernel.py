@@ -10,6 +10,7 @@ the Python walk otherwise.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ class TestTraceKernelGating(GatingChecks):
 class TestTraceKernelBuildFailureWarning(BuildFailureChecks):
     kernel = trace_kernel
     fallback = "Python walk"
+
+
+class TestTraceMemory:
+    @kernel_available
+    def test_kernel_trace_retains_at_most_22_bytes_per_instruction(self):
+        """The walk's output columns are the trace: two int64 columns and
+        five one-byte ones, 21 bytes per instruction, with no list copy."""
+        n = 200_000
+        generator = TraceGenerator("mcf", seed=2010)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = generator.generate(n)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == n
+        assert retained <= 22 * n, retained / n
 
 
 class TestEngineChoice:
