@@ -2,8 +2,9 @@
 
 Measures the compiled lane kernel (:meth:`OutOfOrderPipeline.run_batch`)
 on one fault-dependent campaign point: the same trace simulated over
-``--maps`` fault-map pairs, dispatched in kernel passes of each requested
-width (1 = one single-lane pass per map), against the reference — one
+``--maps`` fault-map pairs, each map's pipeline handed over as its
+``kernel_lane()``, dispatched in kernel passes of each requested width
+(1 = one single-lane pass per map), against the reference — one
 sequential ``engine="object"`` run per map, which is also what every
 simulation costs on a host without ``gcc``.  Reported per row:
 
@@ -94,9 +95,13 @@ def _run_point(session, config, trace, warmup, map_count, width):
     for begin in range(0, map_count, width):
         chunk = indices[begin : begin + width]
         pipelines = [session.build_pipeline(config, m) for m in chunk]
-        results.extend(
-            OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=warmup)
-        )
+        lanes = [p.kernel_lane() for p in pipelines]
+        if None in lanes:  # no lane kernel on this host: the object loop
+            results.extend(p.run(trace, measure_from=warmup) for p in pipelines)
+        else:
+            results.extend(
+                OutOfOrderPipeline.run_batch(lanes, trace, measure_from=warmup)
+            )
     return time.perf_counter() - start, results
 
 

@@ -1355,12 +1355,14 @@ def smoke_predict(json_dir: str) -> list[str]:
 
 
 #: Tests the sanitize smoke runs against the instrumented kernels: every
-#: kernel-eligible golden scenario reaches the lane kernel, single and
-#: batched, the property suite fuzzes its whole eligible space, and the
-#: session-lane tests drive arrays built from enabled-way matrices,
-#: victim-less lanes padded beside 8- and 16-entry ones; the prefetcher
-#: tests and the block-size x prefetching study drive the prefetchers'
-#: tag sets, the study at 32- and 64-B blocks; the workload tests and
+#: kernel-eligible golden scenario reaches the lane kernel, single and as
+#: two kernel lanes of one pass, the property suite fuzzes its whole
+#: eligible space (prefetching lanes included) through pipelines' and
+#: directly built kernel lanes, and the session-lane tests drive arrays
+#: built from enabled-way matrices, victim-less lanes padded beside 8-
+#: and 16-entry ones; the prefetcher tests and the block-size x
+#: prefetching study drive the prefetchers' tag sets, which every pass
+#: starts empty, the study at 32- and 64-B blocks; the workload tests and
 #: the trace-equivalence property drive the trace kernel over the SPEC
 #: profiles and fuzzed ones; the trace- and schedule-cache tests drive
 #: columns and schedules read from disk (raw, compressed and malformed

@@ -9,21 +9,20 @@ hierarchies — one per fault-map lane — out as the arrays the compiled C
 lane kernel (:mod:`repro.cpu.lane_kernel`) probes, refills and counts
 on.  A lane is built from what differs per lane: its L1I and L1D
 enabled-way matrices (a scheme's disable bits, set at boot) and its
-victim-cache sizes; geometries and latencies are shared by every lane.
+victim-cache sizes; geometries, latencies and prefetch degrees are
+shared by every lane.
 
 Every per-way quantity becomes a NumPy array with a *lane* dimension
 whose rows have the layout of the object caches' typed buffers
-(:class:`VectorCache`).  Campaign lanes start from empty caches and end
-at :meth:`BulkLanes.finalize`, which derives each lane's statistics from
+(:class:`VectorCache`).  Lanes start from empty caches and end at
+:meth:`BulkLanes.finalize`, which derives each lane's statistics from
 the kernel's counters: no object hierarchy exists on either side of the
-pass.  Caller-owned hierarchies are copied in instead
-(:meth:`BulkLanes.copy_in`, one buffer copy per lane and cache), and
-``finalize`` writes their contents and statistics back.
+pass, and nothing is copied in or written back.
 
 Recency is tracked with *stamps* instead of per-lane clocks: the stamp
 of an access is a trace-static, strictly increasing function of the
-instruction index, identical in every lane, starting just above every
-lane's clock.  Within one lane an L1 sees at most 1 + degree stamped
+instruction index, identical in every lane, starting just above a fresh
+cache's clock.  Within one lane an L1 sees at most 1 + degree stamped
 events per access — the demand probe or fill, then one fill per block
 its next-line prefetcher brings in — and the stamps leave room for them
 (:attr:`BulkLanes.stamp_step`), so stamp order equals the object path's
@@ -49,9 +48,7 @@ import numpy as np
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.prefetch import NextLinePrefetcher
 from repro.cache.replacement import LRUPolicy
-from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
-from repro.cache.victim import VictimCache
 from repro.faults.geometry import CacheGeometry
 
 #: Stamp sentinel ordering: disabled ways stay above every real stamp
@@ -87,11 +84,6 @@ LANE_COUNTERS = (
     _CNT_PREFETCH_EVICTIONS,
 ) = range(len(LANE_COUNTERS))
 
-#: Row order of a prefetching port's ``stats`` block (``[counter,
-#: lane]`` int64): its :class:`~repro.cache.prefetch.PrefetchStats`,
-#: which — unlike the cache statistics — carry over the warmup boundary.
-PREFETCH_COUNTERS = ("issued", "useful")
-
 #: Multiplier of the tag sets' Fibonacci hash; the C kernel probes with
 #: the same one (see :class:`VectorPrefetcher`).
 TAG_HASH = 0x9E3779B97F4A7C15
@@ -107,9 +99,7 @@ class VectorCache:
     empty: tags -1, recency -1 on usable ways and ``BIG_STAMP`` on the
     ways a lane's enabled-way matrix disables.  A lane row has exactly
     the layout of an object cache's typed buffers (see
-    :mod:`repro.cache.set_assoc`), so :meth:`copy_in` and
-    :meth:`write_back` move a caller-owned cache as one row copy per
-    buffer.
+    :mod:`repro.cache.set_assoc`).
     """
 
     __slots__ = (
@@ -146,38 +136,6 @@ class VectorCache:
                 )
             self.last[lane, ~mask.reshape(-1)] = BIG_STAMP
 
-    def copy_in(self, lane: int, cache: SetAssociativeCache) -> None:
-        """Start lane ``lane`` from ``cache``'s contents: the tags, dirty
-        and fill-time rows whole, the recency row at valid ways only
-        (elsewhere it keeps its stamp sentinels)."""
-        tags = np.frombuffer(cache._tags, np.int64)
-        self.tags[lane] = tags
-        self.dirty[lane] = np.frombuffer(cache._dirty, np.bool_)
-        self.fillt[lane] = np.frombuffer(cache._fill_time, np.int64)
-        np.copyto(
-            self.last[lane], np.frombuffer(cache._last_touch, np.int64), where=tags >= 0
-        )
-
-    def write_back(self, lane: int, cache: SetAssociativeCache, clock: int) -> None:
-        """Write lane ``lane``'s contents back to ``cache``: the tags,
-        dirty and fill-time rows whole, the recency row at valid ways
-        only.  Elsewhere ``last`` holds the stamp sentinels; the object
-        cache's own recency buffer, which the pass never touched, still
-        holds the original values there.  The residency index is rebuilt
-        from the valid tags."""
-        tags = self.tags[lane]
-        valid = tags >= 0
-        index = np.flatnonzero(valid)
-        blocks = (tags[index] << self.tag_shift) | (index // self.ways)
-        cache.adopt_flat_state(
-            tags,
-            self.dirty[lane],
-            np.where(valid, self.last[lane], cache._last_touch),
-            self.fillt[lane],
-            clock,
-            resident=dict(zip(blocks.tolist(), index.tolist())),
-        )
-
 
 class VectorVictims:
     """Multi-lane victim-cache state.
@@ -186,12 +144,10 @@ class VectorVictims:
     slot: eviction picks the minimal stamp (the list head), empty slots
     carry the stamp sentinel ``empty_stamp = -(entries + 1)`` — strictly
     below every occupied stamp — so they are preferred exactly like an
-    append, and a hit extracts by writing the slot back to empty.
-    Contents copied in get stamps ``position - entries`` (above the empty
-    sentinel, below any run stamp), preserving their order.  Slot
+    append, and a hit extracts by writing the slot back to empty.  Slot
     positions themselves carry no meaning — all operations are
     content-based — so lanes stay bit-identical to the sequential list
-    implementation, including partially warm victim caches.
+    implementation.
 
     Lanes need not share one sizing: the slot axis is padded to the
     largest lane's entry count, and a lane's slots beyond its own
@@ -233,83 +189,38 @@ class VectorVictims:
                 [e > 0 for e in lane_entries], dtype=np.bool_
             )
 
-    def copy_in(self, lane: int, victim: VictimCache) -> None:
-        for j, block in enumerate(victim._tags):  # LRU -> MRU order
-            self.tags[lane, j] = block
-            self.stamp[lane, j] = j - self.entries
-
-    def write_back(self, lane: int, victim: VictimCache) -> None:
-        occupied = [
-            (int(self.stamp[lane, j]), int(self.tags[lane, j]))
-            for j in range(victim.entries)
-            if self.tags[lane, j] >= 0
-        ]
-        occupied.sort()
-        victim._tags[:] = [block for _, block in occupied]
-
 
 class VectorPrefetcher:
     """Multi-lane state of one port's tagged next-line prefetcher.
 
     Mirrors :class:`~repro.cache.prefetch.NextLinePrefetcher` lane by
-    lane: the ``degree`` every lane shares, the :data:`PREFETCH_COUNTERS`
-    rows of ``stats``, and the tag set ``_tagged`` — stale tags of
-    evicted or bypassed blocks included — as one open-addressing table
-    of block addresses per lane (``table[lane, slot]``, linear probing
-    from a Fibonacci hash of the block; -1 marks an empty slot, -2 a
-    removed tag).  Beside the L1's ``dirty`` bytes, ``tagged[lane,
-    flat_index]`` says whether a resident way's block is in the set, so
-    a demand hit reads one byte; only demand fills and hits on tagged
-    ways probe the table.  The table is sized per pass by
+    lane: the ``degree`` every lane shares and the tag set ``_tagged`` —
+    stale tags of evicted or bypassed blocks included — as one
+    open-addressing table of block addresses per lane (``table[lane,
+    slot]``, linear probing from a Fibonacci hash of the block; -1 marks
+    an empty slot, -2 a removed tag).  Beside the L1's ``dirty`` bytes,
+    ``tagged[lane, flat_index]`` says whether a resident way's block is
+    in the set, so a demand hit reads one byte; only demand fills and
+    hits on tagged ways probe the table.  The table is sized per pass by
     :meth:`reserve`.
     """
 
-    __slots__ = ("degree", "tagged", "table", "shift", "stats", "_seeds")
+    __slots__ = ("degree", "tagged", "table", "shift")
 
     def __init__(self, degree: int, l1: VectorCache, lanes: int) -> None:
         self.degree = degree
         self.tagged = np.zeros((lanes, l1.n), dtype=np.bool_)
-        self.stats = np.zeros((len(PREFETCH_COUNTERS), lanes), dtype=np.int64)
         self.table: "np.ndarray | None" = None
         self.shift = 0
-        self._seeds: "list[tuple[int, ...]]" = [()] * lanes
-
-    def copy_in(
-        self, lane: int, prefetcher: NextLinePrefetcher, cache: SetAssociativeCache
-    ) -> None:
-        """Start lane ``lane`` from ``prefetcher``: its statistics, its
-        tags (entered into the table by :meth:`reserve`), and the tagged
-        byte of every resident way whose block is among them."""
-        self.stats[:, lane] = (prefetcher.stats.issued, prefetcher.stats.useful)
-        self._seeds[lane] = tuple(prefetcher._tagged)
-        for block in self._seeds[lane]:
-            index = cache._resident.get(block)
-            if index is not None:
-                self.tagged[lane, index] = True
 
     def reserve(self, accesses: int) -> None:
-        """Size every lane's table for a pass of ``accesses`` demand
-        accesses to this port and enter the copied-in tags.  An access
-        adds at most ``degree`` tags, each into a slot no tag held
-        before, so a table of at least twice the copied-in tags plus
+        """Size every lane's empty table for a pass of ``accesses`` demand
+        accesses to this port.  An access adds at most ``degree`` tags,
+        each into a slot no tag held before, so a table of at least twice
         ``degree * accesses`` slots never gets more than half full."""
-        bound = max(map(len, self._seeds)) + self.degree * accesses
-        bits = max(4, (2 * bound - 1).bit_length())
-        mask = (1 << bits) - 1
+        bits = max(4, (2 * self.degree * accesses - 1).bit_length())
         self.shift = 64 - bits
-        self.table = np.full((len(self._seeds), mask + 1), -1, dtype=np.int64)
-        for row, seeds in zip(self.table, self._seeds):
-            for block in seeds:
-                slot = ((block * TAG_HASH) & 0xFFFFFFFFFFFFFFFF) >> self.shift
-                while row[slot] >= 0:
-                    slot = (slot + 1) & mask
-                row[slot] = block
-
-    def write_back(self, lane: int, prefetcher: NextLinePrefetcher) -> None:
-        prefetcher.stats.issued, prefetcher.stats.useful = self.stats[:, lane].tolist()
-        row = self.table[lane]
-        prefetcher._tagged.clear()
-        prefetcher._tagged.update(row[row >= 0].tolist())
+        self.table = np.full((len(self.tagged), 1 << bits), -1, dtype=np.int64)
 
 
 def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
@@ -317,20 +228,22 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
 
     Two hierarchies can share one lane-kernel batch iff both return
     equal non-``None`` signatures: LRU replacement everywhere (the stamp
-    encoding is an LRU-order argument) and a fully-enabled L2 (the bulk
-    L2 refill has no fill-bypass port; the paper's L2 is always
-    fault-free) are hard requirements.  Victim sizing is *not* part of
-    the signature: :class:`VectorVictims` pads heterogeneous sizings to
-    the largest lane's entry count (masked invalid slots), so 0/8/16-
-    entry configurations — contents may differ arbitrarily too — merge
-    into one lane group.  The signature is the ``(I, D)`` ports'
-    prefetch degrees (0 without a prefetcher): a port's prefetcher must
-    be a :class:`~repro.cache.prefetch.NextLinePrefetcher` on that
-    port's L1, and every lane of a pass shares its degree.
+    encoding is an LRU-order argument), a fully-enabled L2 (the bulk L2
+    refill has no fill-bypass port; the paper's L2 is always fault-free)
+    and an untouched hierarchy (lanes start empty: every cache clock 0,
+    empty victim caches and prefetch tag sets, all-zero statistics) are
+    hard requirements.  Victim sizing is *not* part of the signature:
+    :class:`VectorVictims` pads heterogeneous sizings to the largest
+    lane's entry count (masked invalid slots), so 0/8/16-entry
+    configurations merge into one lane group.  The signature is the
+    ``(I, D)`` ports' prefetch degrees (0 without a prefetcher): a
+    port's prefetcher must be a
+    :class:`~repro.cache.prefetch.NextLinePrefetcher` on that port's L1,
+    and every lane of a pass shares its degree.
     """
-    for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
-        if type(cache._policy) is not LRUPolicy:
-            return None
+    caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+    if any(type(cache._policy) is not LRUPolicy for cache in caches):
+        return None
     if hierarchy.l2._enabled is not None:
         return None
     degrees = []
@@ -339,9 +252,18 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
         if prefetcher is None:
             degrees.append(0)
         elif type(prefetcher) is NextLinePrefetcher and prefetcher.cache is port.l1:
+            if prefetcher._tagged:
+                return None
             degrees.append(prefetcher.degree)
         else:
             return None
+    if any(cache._clock for cache in caches) or any(
+        victim is not None and victim._tags
+        for victim in (hierarchy.victim_i, hierarchy.victim_d)
+    ):
+        return None
+    if hierarchy.stats() != HierarchyStats():
+        return None
     return tuple(degrees)
 
 
@@ -381,15 +303,15 @@ class BulkLanes:
     """N structurally identical hierarchies compiled for one kernel pass.
 
     The one lane constructor: every lane shares the geometries and
-    latencies (checked as part of the pipeline's ``batch_key``) and
+    latencies (checked as part of
+    :attr:`~repro.cpu.pipeline.KernelLane.structure`) and
     brings its own per-lane values — its ``(L1I, L1D)`` enabled-way
     matrices (``None`` enables every way) and its ``(I, D)`` victim
     entry counts (0 for none; sizings pad to the largest lane, see
     :class:`VectorVictims`).  ``prefetch_degrees`` gives the ``(I, D)``
     ports a next-line prefetcher of that degree in every lane (0 for
     none; see :class:`VectorPrefetcher`).  Lanes start empty, their
-    stamps based at 1, one above a fresh cache's clock.  :meth:`copy_in`
-    starts them from caller-owned hierarchies instead.
+    stamps based at 1, one above a fresh cache's clock.
     """
 
     def __init__(
@@ -421,50 +343,17 @@ class BulkLanes:
         self.victims_d = (
             VectorVictims(self.victim_entries_d) if any(self.victim_entries_d) else None
         )
-        #: Stamps start one above every lane's clock, so they exceed every
-        #: recency value the caches already hold.  Instruction i's demand
-        #: access stamps ``stamp_base + stamp_step * (2i + side)`` (side 0
-        #: for I, 1 for D), and the j-th block it prefetches ``j`` more,
-        #: so a step of one more than the largest degree leaves every
-        #: event of one access its own stamp.  The pass leaves each clock
-        #: at ``stamp_base + stamp_step * 2n``, past the last stamp, so
-        #: chained passes over one hierarchy grow the clock by
-        #: ``stamp_step * 2n + 1`` each and stay far below ``BIG_STAMP``.
+        #: Instruction i's demand access stamps ``stamp_base + stamp_step
+        #: * (2i + side)`` (side 0 for I, 1 for D), and the j-th block it
+        #: prefetches ``j`` more, so a step of one more than the largest
+        #: degree leaves every event of one access its own stamp.
         self.stamp_base = 1
         self.stamp_step = max(prefetch_degrees) + 1
-        #: The caller-owned hierarchies :meth:`copy_in` read, which
-        #: :meth:`finalize` writes back to; ``None`` for fresh lanes.
-        self.hierarchies: "list[MemoryHierarchy] | None" = None
         self.iport = _BulkPort(
             self.l1i, self.victims_i, latencies, lanes, lat_scale, prefetch_degrees[0]
         )
         self.dport = _BulkPort(
             self.l1d, self.victims_d, latencies, lanes, lat_scale, prefetch_degrees[1]
-        )
-
-    def copy_in(self, hierarchies: "Sequence[MemoryHierarchy]") -> None:
-        """Start each lane from its caller-owned hierarchy — the one its
-        enabled-way matrices, victim sizes and prefetch degrees came
-        from: cache and victim contents, prefetcher tags and statistics
-        — and base the stamps one above every cache's clock."""
-        self.hierarchies = list(hierarchies)
-        for lane, hierarchy in enumerate(self.hierarchies):
-            self.l1i.copy_in(lane, hierarchy.l1i)
-            self.l1d.copy_in(lane, hierarchy.l1d)
-            self.l2.copy_in(lane, hierarchy.l2)
-            if hierarchy.victim_i is not None:
-                self.victims_i.copy_in(lane, hierarchy.victim_i)
-            if hierarchy.victim_d is not None:
-                self.victims_d.copy_in(lane, hierarchy.victim_d)
-            for port, source in (
-                (self.iport, hierarchy.iport), (self.dport, hierarchy.dport)
-            ):
-                if port.prefetcher is not None:
-                    port.prefetcher.copy_in(lane, source.prefetcher, source.l1)
-        self.stamp_base = 1 + max(
-            cache._clock
-            for hierarchy in self.hierarchies
-            for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
         )
 
     def reserve_tags(self, i_accesses: int, d_accesses: int) -> None:
@@ -478,23 +367,17 @@ class BulkLanes:
     def mark_boundary(self) -> None:
         """The warmup/measured boundary: zero every per-lane counter
         (state effects keep the full history, exactly like the
-        sequential statistics reset; prefetcher statistics, which that
-        reset leaves alone, carry over)."""
+        sequential statistics reset)."""
         self.iport.counts.fill(0)
         self.dport.counts.fill(0)
 
     def finalize(
-        self, measured_i_accesses: int, measured_d_accesses: int, clock: int
+        self, measured_i_accesses: int, measured_d_accesses: int
     ) -> list[dict]:
         """Every lane's ``hierarchy_stats`` snapshot, derived from the
         per-lane counters with the object caches' arithmetic; a lane
         without a victim cache on a side reports that side's all-zero
-        victim entry, as :meth:`MemoryHierarchy.stats` does.
-
-        Lanes copied in from caller-owned hierarchies also get their
-        statistics and cache contents written back (``clock`` becomes
-        every cache's clock), so ``hierarchy.stats()``, cache
-        introspection and a later run continue from the kernel pass."""
+        victim entry, as :meth:`MemoryHierarchy.stats` does."""
         sides = (
             (self.iport.counts.tolist(), measured_i_accesses, self.victim_entries_i),
             (self.dport.counts.tolist(), measured_d_accesses, self.victim_entries_d),
@@ -502,7 +385,6 @@ class BulkLanes:
         snapshots = []
         for lane in range(self.lanes):
             stats = HierarchyStats()
-            memory = []
             l2_accesses = l2_hits = l2_evictions = 0
             for (counts, accesses, victim_entries), l1, victim in zip(
                 sides, (stats.l1i, stats.l1d), (stats.victim_i, stats.victim_d)
@@ -529,7 +411,7 @@ class BulkLanes:
                 # Every L1 miss the victim cache did not serve probes the L2.
                 port_l2_accesses = misses - vhits
                 port_l2_hits = counts[_CNT_L2_HITS][lane]
-                memory.append(port_l2_accesses - port_l2_hits)
+                stats.memory_accesses += port_l2_accesses - port_l2_hits
                 l2_accesses += port_l2_accesses
                 l2_hits += port_l2_hits
                 l2_evictions += counts[_CNT_L2_EVICTIONS][lane]
@@ -539,33 +421,5 @@ class BulkLanes:
             l2.misses = l2_accesses - l2_hits
             l2.fills = l2.misses
             l2.evictions = l2_evictions
-            stats.memory_accesses = sum(memory)
-            if self.hierarchies is not None:
-                self._write_back(lane, stats, memory, clock)
             snapshots.append(stats.snapshot())
         return snapshots
-
-    def _write_back(
-        self, lane: int, stats: HierarchyStats, memory: list[int], clock: int
-    ) -> None:
-        """Lane ``lane``'s statistics and contents into its caller-owned
-        hierarchy (statistics objects and tag sets updated in place)."""
-        hierarchy = self.hierarchies[lane]
-        for cache, vector, cache_stats in (
-            (hierarchy.l1i, self.l1i, stats.l1i),
-            (hierarchy.l1d, self.l1d, stats.l1d),
-            (hierarchy.l2, self.l2, stats.l2),
-        ):
-            vars(cache.stats).update(vars(cache_stats))
-            vector.write_back(lane, cache, clock)
-        for victim, vector, victim_stats in (
-            (hierarchy.victim_i, self.victims_i, stats.victim_i),
-            (hierarchy.victim_d, self.victims_d, stats.victim_d),
-        ):
-            if victim is not None:
-                vars(victim.stats).update(vars(victim_stats))
-                vector.write_back(lane, victim)
-        for port, target in ((self.iport, hierarchy.iport), (self.dport, hierarchy.dport)):
-            if port.prefetcher is not None:
-                port.prefetcher.write_back(lane, target.prefetcher)
-        hierarchy.iport.memory_accesses, hierarchy.dport.memory_accesses = memory

@@ -18,13 +18,11 @@ resident block).  A way that is *disabled* also holds -1 forever: fills
 never select it, so lookups need no usable-way filtering at all.
 
 The buffers are laid out exactly like one lane row of the lane engine
-(:mod:`repro.cache.engine`): int64 and one byte per way.  Campaign lanes
-never build these caches: their lane rows come from the schemes'
-enabled-way matrices.  A kernel pass over caller-owned pipelines copies
-each cache in with :func:`numpy.frombuffer` and writes its contents back
-through :meth:`SetAssociativeCache.adopt_flat_state`, one row copy per
-buffer.  Typed buffers hold no Python objects, so the cyclic garbage
-collector never walks cache state.
+(:mod:`repro.cache.engine`): int64 and one byte per way.  The lane
+kernel never reads or writes these caches: its lane rows start empty,
+built from the schemes' enabled-way matrices, and only the object loop
+drives this class.  Typed buffers hold no Python objects, so the cyclic
+garbage collector never walks cache state.
 """
 
 from __future__ import annotations
@@ -242,49 +240,3 @@ class SetAssociativeCache:
         self._tags[:] = array("q", [-1]) * n
         self._dirty[:] = bytes(n)
         self._resident.clear()
-
-    def adopt_flat_state(
-        self,
-        tags: list[int] | np.ndarray,
-        dirty: list[bool] | np.ndarray,
-        last_touch: list[int] | np.ndarray,
-        fill_time: list[int] | np.ndarray,
-        clock: int,
-        resident: dict[int, int] | None = None,
-    ) -> None:
-        """Replace this cache's contents with externally-evolved flat state
-        (the lane engine's write-back path, used only for caller-owned
-        pipelines: campaign lanes have no object cache to write to).
-        Each row — a list or a
-        NumPy row — is copied into the existing buffers in place, so
-        holders of references stay coherent, and the residency index is
-        rebuilt from the adopted tags — or adopted from ``resident`` when
-        the caller already derived it (the lane engine computes it
-        vectorised)."""
-        n = len(self._tags)
-        if len(tags) != n:
-            raise ValueError(f"flat state has {len(tags)} ways, expected {n}")
-        for buffer, dtype, row in (
-            (self._tags, np.int64, tags),
-            (self._dirty, np.bool_, dirty),
-            (self._last_touch, np.int64, last_touch),
-            (self._fill_time, np.int64, fill_time),
-        ):
-            np.frombuffer(buffer, dtype)[:] = row
-        self._clock = clock
-        if resident is None:
-            self.rebuild_residency()
-        else:
-            self._resident.clear()
-            self._resident.update(resident)
-
-    def rebuild_residency(self) -> None:
-        """Recompute the block -> flat-way index from ``_tags`` (invalid
-        and disabled ways hold -1 and are skipped)."""
-        resident = self._resident
-        resident.clear()
-        tag_shift = self._tag_shift
-        ways = self._ways
-        for index, tag in enumerate(self._tags):
-            if tag >= 0:
-                resident[(tag << tag_shift) | (index // ways)] = index

@@ -7,9 +7,9 @@ provider — and exposes the whole experiment surface behind two layers:
 * **point API** (:meth:`simulate`, :meth:`run_group`) — the simulation
   primitives: one lazy point, or a list of ``(config, map_index)`` lanes
   over a trace, split into schedule passes by the planner's one grouping
-  rule (:func:`~repro.campaign.plan.lane_passes`).  Every plan group
-  executes through :meth:`run_group`, store-deduped and bit-identical to
-  per-point :meth:`simulate` calls;
+  rule (:func:`~repro.campaign.plan.lane_passes`).  A lazy point is a
+  one-item :meth:`run_group`, and every plan group executes through
+  :meth:`run_group` too, store-deduped;
 * **campaign API** (:meth:`plan`, :meth:`run`) — declarative:
   :meth:`run` takes a :class:`~repro.campaign.spec.CampaignSpec`,
   resolves it through the unified :class:`~repro.campaign.plan.Planner`,
@@ -136,14 +136,13 @@ class Session:
         # over per-session constants); memoise them so warm-store reads
         # stay dict-lookup cheap.
         self._key_cache: dict[tuple, str] = {}
-        #: Simulations actually executed (not read from the store): lazy
-        #: :meth:`simulate` misses plus what executors ran — the pool
-        #: executor adds workers' results as it checkpoints them.  Store
-        #: hits never count.
+        #: Simulations actually executed (not read from the store): what
+        #: :meth:`run_group` ran, lazy :meth:`simulate` misses included,
+        #: plus what the pool executor's workers ran, added as it
+        #: checkpoints their results.  Store hits never count.
         self.simulations_executed = 0
-        #: Passes over a trace this session paid for: +1 per
-        #: :meth:`OutOfOrderPipeline.run` (a one-lane kernel pass or an
-        #: object-loop run) and +1 per lane-kernel
+        #: Passes over a trace this session paid for: +1 per object-loop
+        #: :meth:`OutOfOrderPipeline.run` and +1 per lane-kernel
         #: :meth:`OutOfOrderPipeline.run_batch` pass however many lanes it
         #: drives — what ``Plan.predicted_passes`` predicts.
         self.schedule_passes = 0
@@ -259,28 +258,13 @@ class Session:
         self, benchmark: str, config: RunConfig, map_index: int | None = None
     ) -> SimResult:
         """Simulate one (benchmark, configuration, fault map) point,
-        reading/writing through the result store.
+        reading/writing through the result store: a one-item
+        :meth:`run_group`.
 
         ``map_index`` is required iff the configuration's performance
         depends on the fault draw (see :meth:`RunConfig.needs_fault_map`).
         """
-        map_index = self._normalize_map_index(config, map_index)
-        key = self.task_key(benchmark, config, map_index)
-        result = self.store.get(key)
-        if result is None:
-            result = self._simulate(benchmark, config, map_index)
-            self.store.put(key, result)
-            self.simulations_executed += 1
-        return result
-
-    def _simulate(
-        self, benchmark: str, config: RunConfig, map_index: int | None
-    ) -> SimResult:
-        pipeline = self.build_pipeline(config, map_index)
-        self.schedule_passes += 1
-        return pipeline.run(
-            self.trace(benchmark), measure_from=self.settings.warmup_instructions
-        )
+        return self.run_group(benchmark, [(config, map_index)])[0]
 
     # ----- lane groups ----------------------------------------------------------
 
@@ -307,15 +291,15 @@ class Session:
         Lanes already in the store are never re-simulated.  The rest
         split into schedule passes by
         :func:`~repro.campaign.plan.lane_passes` — the planner's rule, so
-        a plan group is exactly one pass — and each pass runs through
-        :meth:`OutOfOrderPipeline.run_batch`, scattering back to the
-        store under per-point keys.  A merged pass hands it one
+        a plan group is exactly one pass — and each pass scatters back to
+        the store under per-point keys.  A merged pass hands
+        :meth:`OutOfOrderPipeline.run_batch` one
         :class:`~repro.cpu.pipeline.KernelLane` per item, built from the
         scheme's enabled-way matrices: one kernel pass, with statistics
         from the kernel's counters and no object hierarchy on either
         side.  Items without a signature still build pipelines, and each
-        runs the object loop.  Results return in ``items`` order,
-        bit-identical to per-point :meth:`simulate` calls.
+        :meth:`~OutOfOrderPipeline.run` is an object-loop pass.  Results
+        return in ``items`` order, bit-identical to the object engine.
         """
         results: dict[str, SimResult | None] = {}
         pending: list[WorkItem] = []
@@ -331,12 +315,21 @@ class Session:
                 pending.append(WorkItem(benchmark, config, m, key))
         warmup = self.settings.warmup_instructions
         for group in lane_passes(pending, self.batch_signature):
-            build = self._kernel_lane if group.merged else self.build_pipeline
-            lanes = [build(item.config, item.map_index) for item in group.items]
+            trace = self.trace(benchmark)
             self.schedule_passes += group.passes
-            outs = OutOfOrderPipeline.run_batch(
-                lanes, self.trace(benchmark), measure_from=warmup
-            )
+            if group.merged:
+                outs = OutOfOrderPipeline.run_batch(
+                    [self._kernel_lane(i.config, i.map_index) for i in group.items],
+                    trace,
+                    measure_from=warmup,
+                )
+            else:
+                outs = [
+                    self.build_pipeline(i.config, i.map_index).run(
+                        trace, measure_from=warmup
+                    )
+                    for i in group.items
+                ]
             for item, result in zip(group.items, outs):
                 self.store.put(item.key, result)
                 self.simulations_executed += 1
@@ -512,7 +505,8 @@ class Session:
             (cfg_i.geometry, cfg_d.geometry, L2_GEOMETRY),
             cfg_i.enabled_ways,
             cfg_d.enabled_ways,
-            victim_entries,
+            (victim_entries, victim_entries),
+            prefetch_degrees=(0, 0),
         )
 
     def _configure(

@@ -20,9 +20,10 @@ loop consumes with O(1) work per instruction:
 * ``redirect_index`` / ``redirect_static_next`` — instructions whose
   resolution redirects fetch (gshare mispredicts, RAS mispredicts), with
   the static offset of the following instruction so the rebase is O(1).
-* measured-region predictor statistics, plus the trained predictor
-  end-state so a pipeline can expose warm predictors after a kernel run
-  exactly as the object path would.
+* the measured-region branch statistics a :class:`SimResult` reports
+  (gshare and RAS predictions and mispredictions) and the measured-region
+  I- and D-access counts.  Predictor end-state is not kept: a kernel run
+  leaves no pipeline state behind.
 
 Schedules are memoised on the trace object keyed by the front-end
 parameters, so campaign runs (one trace x many fault maps x many
@@ -44,10 +45,13 @@ persisted next to the cached traces as ``sched-<key>.npz``, keyed by a
 content hash of the trace columns the front end consumes (pc, class,
 taken) plus the front-end parameters.  Workers and later sessions then
 load the compiled schedule instead of re-replaying.  Entries are raw
-``.npz`` archives written atomically; a torn entry, or one the loader
-refuses (a ``static_fetch`` without the trace's length, or an index
-column the checks above reject), is discarded and rebuilt, through the
-same writer and reader as the trace cache (:mod:`repro.cpu.diskcache`).
+``.npz`` archives of six int64 members — the five columns and one
+``counts`` row (the schema number, then the six counts) — written
+atomically; a torn entry, or one the loader refuses (a member not
+stored as int64, a ``counts`` row of the wrong length, a
+``static_fetch`` without the trace's length, or an index column the
+checks above reject), is discarded and rebuilt, through the same writer
+and reader as the trace cache (:mod:`repro.cpu.diskcache`).
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ _CACHE_ATTR = "_frontend_schedules"
 SCHEDULE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 #: Bump when FrontEndSchedule's layout or semantics change incompatibly.
-SCHEDULE_SCHEMA_VERSION = 1
+SCHEDULE_SCHEMA_VERSION = 2
 
 #: Persistent entries are ``sched-<key>.npz`` beside the cached traces.
 _SCHED_PREFIX = "sched-"
@@ -104,23 +108,15 @@ class FrontEndSchedule:
     iaccess_line: np.ndarray
     redirect_index: np.ndarray
     redirect_static_next: np.ndarray
-    # --- measured-region predictor statistics -------------------------------
+    # --- measured-region branch statistics ----------------------------------
     gshare_predictions: int
     gshare_mispredictions: int
-    ras_pushes: int
     ras_pops: int
     ras_mispredictions: int
-    lp_lookups: int
-    lp_misses: int
     # --- measured-region access totals (accesses = hits + misses, so the
     # hot loop counts only misses and reconstructs the rest at run end) ----
     iaccess_measured: int
     daccess_measured: int
-    # --- trained end-state, installed on the pipeline after a kernel run ----
-    gshare_table: bytes
-    gshare_history: int
-    ras_stack: tuple[int, ...]
-    lp_table: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for name in _ARRAY_FIELDS:
@@ -155,26 +151,6 @@ class FrontEndSchedule:
             else getattr(self, f.name) == getattr(other, f.name)
             for f in fields(self)
         )
-
-    def install(
-        self,
-        gshare: GsharePredictor,
-        ras: ReturnAddressStack,
-        line_predictor: LinePredictor,
-    ) -> None:
-        """Leave the pipeline's predictors exactly as the object path
-        would: trained tables and measured-region counters."""
-        gshare._table = bytearray(self.gshare_table)
-        gshare._history = self.gshare_history
-        gshare.predictions = self.gshare_predictions
-        gshare.mispredictions = self.gshare_mispredictions
-        ras._stack = list(self.ras_stack)
-        ras.pushes = self.ras_pushes
-        ras.pops = self.ras_pops
-        ras.mispredictions = self.ras_mispredictions
-        line_predictor._table = list(self.lp_table)
-        line_predictor.lookups = self.lp_lookups
-        line_predictor.misses = self.lp_misses
 
 
 def lane_columns(
@@ -319,8 +295,7 @@ def schedule_disk_key(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-#: FrontEndSchedule fields persisted as integer arrays / scalars; the
-#: remaining three (gshare_table, ras_stack, lp_table) need type fix-ups.
+#: FrontEndSchedule's array fields, each persisted as its own member.
 _ARRAY_FIELDS = (
     "static_fetch",
     "iaccess_index",
@@ -328,56 +303,48 @@ _ARRAY_FIELDS = (
     "redirect_index",
     "redirect_static_next",
 )
-_SCALAR_FIELDS = (
+#: Its scalar fields, persisted after the schema number in one int64
+#: ``counts`` member.
+_COUNT_FIELDS = (
     "gshare_predictions",
     "gshare_mispredictions",
-    "ras_pushes",
     "ras_pops",
     "ras_mispredictions",
-    "lp_lookups",
-    "lp_misses",
     "iaccess_measured",
     "daccess_measured",
-    "gshare_history",
 )
 
 
 def save_schedule(schedule: FrontEndSchedule, path_or_file) -> None:
-    """Persist a schedule as an uncompressed ``.npz`` (arrays, scalars and
-    predictor end-state; see :mod:`repro.cpu.diskcache`)."""
-    payload: dict[str, np.ndarray] = {
-        "schema": np.int64(SCHEDULE_SCHEMA_VERSION),
-        "gshare_table": np.frombuffer(schedule.gshare_table, dtype=np.uint8),
-        "ras_stack": np.asarray(schedule.ras_stack, dtype=np.int64),
-        "lp_table": np.asarray(schedule.lp_table, dtype=np.int64),
-    }
-    for name in _ARRAY_FIELDS:
-        payload[name] = getattr(schedule, name)
-    for name in _SCALAR_FIELDS:
-        payload[name] = np.int64(getattr(schedule, name))
-    np.savez(path_or_file, **payload)
+    """Persist a schedule as an uncompressed ``.npz``: the five columns
+    and the ``counts`` row (see :mod:`repro.cpu.diskcache`)."""
+    counts = [SCHEDULE_SCHEMA_VERSION, *(getattr(schedule, f) for f in _COUNT_FIELDS)]
+    np.savez(
+        path_or_file,
+        counts=np.array(counts, dtype=np.int64),
+        **{name: getattr(schedule, name) for name in _ARRAY_FIELDS},
+    )
 
 
 def load_schedule(path: str, n: int) -> FrontEndSchedule:
     """Inverse of :func:`save_schedule` for a trace of ``n`` instructions;
     also reads compressed archives.  Raises ``ValueError`` unless every
-    member is stored in the dtype :func:`save_schedule` writes,
-    ``static_fetch`` has ``n`` rows and the index columns pass
-    :class:`FrontEndSchedule`'s checks (``KeyError``/``TypeError`` for a
-    missing or misshapen member)."""
+    member is stored as int64, ``counts`` holds the schema number and
+    the six counts, ``static_fetch`` has ``n`` rows and the index
+    columns pass :class:`FrontEndSchedule`'s checks (``KeyError`` for a
+    missing member)."""
     data = read_members(path)
     for name, member in data.items():
-        stored = np.uint8 if name == "gshare_table" else np.int64
-        if member.dtype != stored:
+        if member.dtype != np.int64:
             raise ValueError(f"schedule member {name!r} is stored as {member.dtype}")
-    if int(data["schema"]) != SCHEDULE_SCHEMA_VERSION:
+    counts = data["counts"]
+    if counts.shape != (1 + len(_COUNT_FIELDS),):
+        raise ValueError(f"schedule counts have shape {counts.shape}")
+    if counts[0] != SCHEDULE_SCHEMA_VERSION:
         raise ValueError("schedule schema mismatch")
     schedule = FrontEndSchedule(
-        gshare_table=data["gshare_table"].tobytes(),
-        ras_stack=tuple(data["ras_stack"].tolist()),
-        lp_table=tuple(data["lp_table"].tolist()),
         **{name: data[name] for name in _ARRAY_FIELDS},
-        **{name: int(data[name]) for name in _SCALAR_FIELDS},
+        **dict(zip(_COUNT_FIELDS, counts[1:].tolist())),
     )
     if len(schedule.static_fetch) != n:
         raise ValueError(f"schedule has {len(schedule.static_fetch)} rows, not {n}")
@@ -519,16 +486,6 @@ def _build_schedule(
         s_before[chain_start] = 2
         mis[order] = (s_before >= 2) != gt
     mis_ord = np.flatnonzero(mis)
-    gshare_table_arr = np.full(1 << hist_bits, 2, dtype=np.uint8)
-    if n_branches:
-        chain_last = np.empty(n_branches, dtype=np.bool_)
-        chain_last[-1] = True
-        chain_last[:-1] = chain_start[1:]
-        gshare_table_arr[gi[chain_last]] = s_after[chain_last]
-    # Final history: the last ``hist_bits`` outcomes, oldest first.
-    gshare_history = 0
-    for taken in b_taken[-hist_bits:].tolist():
-        gshare_history = ((gshare_history << 1) | taken) & hist_mask
     # Measured-region stats by ordinal: counters only move at branches, so
     # the reference's reset at ``i == reset_from`` is an ordinal split.
     b_split = int(np.searchsorted(branch_pos, reset_from))
@@ -539,7 +496,7 @@ def _build_schedule(
     # The LP table entry for an index is simply the *last target line* a
     # correctly-predicted taken branch wrote there (a hit rewrites the
     # same value), so misses reduce to neighbour compares after a stable
-    # sort by table index, and the trained table is each group's last row.
+    # sort by table index.
     correct = np.ones(n_branches, dtype=np.bool_)
     correct[mis_ord] = False
     ct_mask = correct & b_taken
@@ -560,15 +517,6 @@ def _build_schedule(
         miss_sorted[1:] |= stgt[1:] != stgt[:-1]
     lp_miss = np.empty_like(miss_sorted)
     lp_miss[order] = miss_sorted
-    lp_table_arr = np.full(config.line_predictor_entries, -1, dtype=np.int64)
-    if len(order):
-        group_last = np.empty(len(order), dtype=np.bool_)
-        group_last[-1] = True
-        np.not_equal(sli[1:], sli[:-1], out=group_last[:-1])
-        lp_table_arr[sli[group_last]] = stgt[group_last]
-    ct_split = int(np.searchsorted(ct_pos, reset_from))
-    lp_lookups = len(ct_pos) - ct_split
-    lp_misses = int(np.count_nonzero(lp_miss[ct_split:]))
 
     # ---- return-address stack: sequential, but calls/returns are rare ---
     cr_call = classes[cr_pos] == 7
@@ -579,19 +527,18 @@ def _build_schedule(
     if len(cr_pos) and cr_pos[-1] == n - 1 and not cr_call[-1]:
         cr_val[-1] = pcs[-1] + 4
     ras_entries = config.ras_entries
-    ras_stack: list[int] = []
+    stack: list[int] = []
     ras_mis_pos: list[int] = []
     for i, call, val in zip(cr_pos.tolist(), cr_call.tolist(), cr_val.tolist()):
         if call:
-            if len(ras_stack) == ras_entries:
-                ras_stack.pop(0)
-            ras_stack.append(val)
-        elif not (ras_stack and ras_stack.pop() == val):
+            if len(stack) == ras_entries:
+                stack.pop(0)
+            stack.append(val)
+        elif not (stack and stack.pop() == val):
             ras_mis_pos.append(i)
     # Measured-region counts by position (counters only move here).
     cr_split = int(np.searchsorted(cr_pos, reset_from))
-    ras_pushes = int(np.count_nonzero(cr_call[cr_split:]))
-    ras_pops = len(cr_pos) - cr_split - ras_pushes
+    ras_pops = len(cr_pos) - cr_split - int(np.count_nonzero(cr_call[cr_split:]))
     ras_mis_arr = np.asarray(ras_mis_pos, dtype=np.int64)
     ras_mis = len(ras_mis_pos) - int(np.searchsorted(ras_mis_arr, reset_from))
 
@@ -641,17 +588,10 @@ def _build_schedule(
         redirect_static_next=static[np.minimum(redirect_idx + 1, n - 1)],
         gshare_predictions=g_pred,
         gshare_mispredictions=g_mis,
-        ras_pushes=ras_pushes,
         ras_pops=ras_pops,
         ras_mispredictions=ras_mis,
-        lp_lookups=lp_lookups,
-        lp_misses=lp_misses,
         iaccess_measured=iaccess_measured,
         daccess_measured=daccess_measured,
-        gshare_table=gshare_table_arr.tobytes(),
-        gshare_history=gshare_history,
-        ras_stack=tuple(ras_stack),
-        lp_table=tuple(lp_table_arr.tolist()),
     )
 
 
@@ -697,10 +637,7 @@ def _build_schedule_reference(
             gshare.predictions = 0
             gshare.mispredictions = 0
             ras.pops = 0
-            ras.pushes = 0
             ras.mispredictions = 0
-            lp.lookups = 0
-            lp.misses = 0
             iaccess_measured = 0
             daccess_measured = 0
         pc = pcs[i]
@@ -764,15 +701,8 @@ def _build_schedule_reference(
         redirect_static_next=redirect_static_next,
         gshare_predictions=gshare.predictions,
         gshare_mispredictions=gshare.mispredictions,
-        ras_pushes=ras.pushes,
         ras_pops=ras.pops,
         ras_mispredictions=ras.mispredictions,
-        lp_lookups=lp.lookups,
-        lp_misses=lp.misses,
         iaccess_measured=iaccess_measured,
         daccess_measured=daccess_measured,
-        gshare_table=bytes(gshare._table),
-        gshare_history=gshare._history,
-        ras_stack=tuple(ras._stack),
-        lp_table=tuple(lp._table),
     )

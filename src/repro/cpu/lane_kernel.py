@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import ctypes
 
-from repro.cache.engine import BIG_STAMP, LANE_COUNTERS, PREFETCH_COUNTERS, TAG_HASH
+from repro.cache.engine import BIG_STAMP, LANE_COUNTERS, TAG_HASH
 from repro.ckernel import CKernel
 
 __all__ = ["load", "KERNEL", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY"]
@@ -80,7 +80,7 @@ _PORT_FIELDS = (
     "PFDEG", "TSLOTS", "TSHIFT",
     "P_TAGS", "P_LAST", "P_DIRTY", "P_FILLT",
     "P_VTAGS", "P_VSTAMP", "P_VINS", "P_CNT",
-    "P_TAGGED", "P_TSET", "P_PFCNT",
+    "P_TAGGED", "P_TSET",
 )
 _POINTERS = (
     "P_CLS", "P_SPS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
@@ -121,7 +121,7 @@ _C_BODY = r"""
 /* One L1 port's lane state (see _PORT_FIELDS).  Arrays are lane-major:
    lane l's L1 entry j sits at l * stride + j, its victim slot j at
    l * vstride + j, its tag-set slot j at l * tslots + j, its counter k
-   at cnt[k * L + l] (prefetcher counter k at pfcnt[k * L + l]). */
+   at cnt[k * L + l]. */
 typedef struct {
     int64_t ways, stride, set_mask, index_bits;
     int64_t ventries, vstride, vempty, vlat, l2lat, memlat;
@@ -132,7 +132,7 @@ typedef struct {
     const uint8_t *vins; /* NULL: every lane has a victim cache */
     int64_t *cnt;
     uint8_t *tagged; /* the tagged byte of every L1 way */
-    int64_t *tset, *pfcnt;
+    int64_t *tset;
 } port_t;
 
 typedef struct {
@@ -164,7 +164,6 @@ static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->cnt = I64P(at + PORT_P_CNT);
     p->tagged = U8P(at + PORT_P_TAGGED);
     p->tset = I64P(at + PORT_P_TSET);
-    p->pfcnt = I64P(at + PORT_P_PFCNT);
 }
 
 /* The first minimum of n recency stamps: the LRU way of a set (or the
@@ -192,10 +191,10 @@ static inline int64_t probe(const port_t *p, int64_t l, int64_t base,
 }
 
 /* A lane's tag set (NextLinePrefetcher._tagged): open addressing over
-   tslots slots, linear probing from a Fibonacci hash (the one
-   VectorPrefetcher.reserve enters copied-in tags with).  -1 marks an
-   empty slot, -2 a removed tag: slots are never reused, and the table
-   is sized so that the pass's tags fill at most half of it.  Returns the
+   tslots slots, linear probing from a Fibonacci hash (TAG_HASH_C).  The
+   set starts empty.  -1 marks an empty slot, -2 a removed tag: slots are
+   never reused, and VectorPrefetcher.reserve sizes the table so that the
+   pass's tags fill at most half of it.  Returns the
    slot holding block, or the empty slot where it would go. */
 static int64_t tag_slot(const port_t *p, const int64_t *set, int64_t block) {
     int64_t j = (int64_t)(((uint64_t)block * TAG_HASH_C) >> p->tshift);
@@ -204,7 +203,7 @@ static int64_t tag_slot(const port_t *p, const int64_t *set, int64_t block) {
 }
 
 /* NextLinePrefetcher._issue for lane l: blocks block+1 .. block+degree
-   the L1 does not hold are tagged, counted issued, and filled at stamps
+   the L1 does not hold are tagged, counted, and filled at stamps
    stamp+1 .. (LRU; bypassed at a fully-disabled set).  An evictee is
    counted, then dropped: it enters neither the victim cache nor the L2. */
 static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
@@ -220,7 +219,6 @@ static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
             if (p->tags[off + k] == tag) resident = 1;
         if (resident) continue;
         set[tag_slot(p, set, target)] = target;
-        p->pfcnt[PF_ISSUED * L + l]++;
         cnt[CNT_PREFETCHES * L]++;
         const int64_t w = off + lru(p->last + off, p->ways);
         if (p->last[w] >= BIG_STAMP_C) {
@@ -240,13 +238,12 @@ static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
 }
 
 /* NextLinePrefetcher.on_demand_hit of lane l on the tagged way w: untag
-   it, count it useful, and chain the next prefetch. */
+   it and chain the next prefetch. */
 static void tagged_hit(const port_t *p, int64_t l, int64_t L, int64_t w,
                        int64_t block, int64_t stamp) {
     int64_t *set = p->tset + l * p->tslots;
     p->tagged[w] = 0;
     set[tag_slot(p, set, block)] = -2;
-    p->pfcnt[PF_USEFUL * L + l]++;
     prefetch(p, l, L, block, stamp);
 }
 
@@ -529,10 +526,6 @@ def _source() -> str:
     defines += [
         f"#define CNT_{name.upper()} {row}"
         for row, name in enumerate(LANE_COUNTERS)
-    ]
-    defines += [
-        f"#define PF_{name.upper()} {row}"
-        for row, name in enumerate(PREFETCH_COUNTERS)
     ]
     defines.append(f"#define TAG_HASH_C UINT64_C({TAG_HASH})")
     defines.append(f"#define BIG_STAMP_C INT64_C({BIG_STAMP})")

@@ -32,20 +32,22 @@ Execution engines
 The timing recurrence exists twice, and both copies agree bit for bit in
 cycles and every reported statistic:
 
-* the compiled C lane kernel (:mod:`repro.cpu.lane_kernel`) runs every
-  pipeline whose :meth:`OutOfOrderPipeline.batch_key` is not ``None`` —
-  alone (:meth:`~OutOfOrderPipeline.run`) or as one lane of a batch
-  (:meth:`~OutOfOrderPipeline.run_batch`) — and every
-  :class:`KernelLane`, a campaign lane built from a scheme's enabled-way
-  matrices without any object hierarchy;
+* the compiled C lane kernel (:mod:`repro.cpu.lane_kernel`) runs
+  :class:`KernelLane` values: a lane is built from a scheme's enabled-way
+  matrices, victim sizes and prefetch degrees, starts from empty caches
+  and fresh predictors, and yields a :class:`SimResult`.
+  :meth:`~OutOfOrderPipeline.run_batch` drives many lanes in one pass,
+  and :meth:`~OutOfOrderPipeline.run` drives a pipeline's own
+  :meth:`~OutOfOrderPipeline.kernel_lane` as a one-lane pass.  No object
+  hierarchy is read beyond its disable bits, and none is written;
 * the object loop in :meth:`OutOfOrderPipeline.run` drives the original
   ``MemoryHierarchy.access_*`` call chain.  It is the reference the kernel
   is checked against (``engine="object"`` forces it;
   ``tests/integration/test_golden_sim.py`` pins both to the same golden
   cycle counts and statistics) and runs everything the kernel does not
-  cover: non-LRU policies, fault-disabled L2s, reused pipelines, and
-  hosts without a working ``gcc``.  Next-line prefetchers run in the
-  kernel.
+  cover: non-LRU policies, fault-disabled L2s, hierarchies that already
+  hold state, and hosts without a working ``gcc``.  It is also the way
+  to inspect a hierarchy after a run, or to chain runs over one.
 """
 
 from __future__ import annotations
@@ -110,12 +112,12 @@ class SimResult:
 
 @dataclass(frozen=True, eq=False)
 class KernelLane:
-    """One campaign lane of a kernel pass, built from what differs per
-    lane: its L1I and L1D enabled-way matrices (``None`` enables every
-    way) and its victim-cache entries (both sides; 0 for none).  The
-    rest — pipeline config, latencies, the L1I/L1D/L2 geometries — is
-    the structure a pipeline's :meth:`OutOfOrderPipeline.batch_key`
-    compares, and every lane of one pass shares it.
+    """One lane of a kernel pass, built from what differs per lane: its
+    L1I and L1D enabled-way matrices (``None`` enables every way) and
+    its ``(I, D)`` victim-cache entries (0 for none).  The rest —
+    pipeline config, latencies, the L1I/L1D/L2 geometries and the
+    ``(I, D)`` next-line prefetch degrees (0 for none) — is the
+    :attr:`structure` every lane of one pass shares.
 
     :meth:`OutOfOrderPipeline.run_batch` runs such lanes from empty
     caches and fresh predictors, like freshly built pipelines, without
@@ -127,19 +129,22 @@ class KernelLane:
     geometries: "tuple[CacheGeometry, CacheGeometry, CacheGeometry]"
     enabled_i: "np.ndarray | None"
     enabled_d: "np.ndarray | None"
-    victim_entries: int
+    victim_entries: "tuple[int, int]"
+    prefetch_degrees: "tuple[int, int]"
 
     def __post_init__(self) -> None:
         # The kernel's preconditions that batch_key() checks on pipelines.
         if self.config.frontend_stages + self.latencies.l1i < 1:
             raise ValueError("a kernel lane needs a front-end depth of at least 1")
-        if self.victim_entries < 0:
-            raise ValueError(f"victim entries must be >= 0, got {self.victim_entries}")
+        for name in ("victim_entries", "prefetch_degrees"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or min(pair) < 0:
+                raise ValueError(f"{name} must be an (I, D) pair of ints >= 0, got {pair}")
 
     @property
     def structure(self) -> tuple:
         """What every lane of one pass must share."""
-        return (self.config, self.latencies, self.geometries)
+        return (self.config, self.latencies, self.geometries, self.prefetch_degrees)
 
 
 def _check_measure_from(n: int, measure_from: int) -> None:
@@ -170,8 +175,10 @@ class OutOfOrderPipeline:
     much shorter traces need the explicit prefix or cold two-bit counters
     and compulsory misses dominate.
 
-    ``engine`` selects the execution engine (see module docstring); the
-    object hierarchy remains the source of truth between runs either way.
+    ``engine`` selects the execution engine (see module docstring).  A
+    pipeline the kernel runs leaves its hierarchy as built and runs
+    once; the object loop leaves its state in the hierarchy and
+    predictors, so a later run continues from it.
     """
 
     def __init__(
@@ -188,7 +195,8 @@ class OutOfOrderPipeline:
         self.gshare = GsharePredictor(config.gshare_history_bits)
         self.ras = ReturnAddressStack(config.ras_entries)
         self.line_predictor = LinePredictor(config.line_predictor_entries)
-        self._runs = 0
+        #: ``"kernel"`` or ``"object"`` once the pipeline has run.
+        self._ran_on: "str | None" = None
 
     def _reset_measurement_state(self) -> None:
         """Zero every statistic at the warmup/measured-region boundary
@@ -214,8 +222,10 @@ class OutOfOrderPipeline:
         """Simulate the trace; report cycles/statistics for instructions
         ``measure_from..end`` (the measured region).  ``measure_from=0``
         measures everything (cold start).  A pipeline with a
-        :meth:`batch_key` runs as a one-lane kernel pass; every other one
-        runs the object loop below."""
+        :meth:`kernel_lane` runs it as a one-lane kernel pass, which
+        leaves the pipeline as built; running it again raises
+        ``RuntimeError``.  Every other pipeline runs the object loop
+        below, which continues from whatever state earlier runs left."""
         cfg = self.config
         hier = self.hierarchy
 
@@ -224,11 +234,19 @@ class OutOfOrderPipeline:
             raise ValueError(
                 f"measure_from must be in [0, {n}), got {measure_from}"
             )
+        if self._ran_on == "kernel":
+            raise RuntimeError(
+                "this pipeline already ran in the lane kernel, which leaves its "
+                "hierarchy as built; build a new pipeline, or use "
+                'engine="object" to chain runs over one hierarchy'
+            )
         if n == 0:
             return SimResult(trace.name, 0, 0, 0, 0, hier.stats().snapshot())
-        if self.batch_key() is not None:
-            return OutOfOrderPipeline._run_lanes([self], trace, measure_from)[0]
-        self._runs += 1
+        lane = self.kernel_lane()
+        if lane is not None:
+            self._ran_on = "kernel"
+            return OutOfOrderPipeline._run_kernel_lanes([lane], trace, measure_from)[0]
+        self._ran_on = "object"
 
         # Local bindings: the loop below runs once per instruction and
         # dominates experiment runtime.
@@ -483,27 +501,28 @@ class OutOfOrderPipeline:
         pipeline must run the object loop.
 
         A non-``None`` key is the one eligibility predicate of the C lane
-        kernel: :meth:`run` sends such a pipeline through a one-lane
-        kernel pass, and pipelines with equal keys may be driven over one
-        trace as lanes of a single :meth:`run_batch` pass — even when
-        their *configurations* differ (mixed schemes, mixed fault maps,
-        the fault-free normalisation baseline): lane state is fully
-        per-lane; only the structure the key captures must agree.  The
-        key requires the default engine, a fresh pipeline (the schedule
-        replays predictors from their pristine construction state), a
-        positive front-end depth (the kernel drops occupancy guards that
-        rely on dispatch cycles being >= 1), the bulk engine's coverage
-        (LRU replacement, fully-enabled L2, next-line prefetchers of one
-        degree per port — see :func:`repro.cache.engine.bulk_signature`;
-        victim *sizings* may differ per lane, padded by the vector
-        engine), and a loadable kernel.  It folds in the shared pipeline
-        config, the latency set, the per-level geometries and the
-        prefetch degrees.  The campaign planner merges work items by
-        this key into lane passes, so on a host without the kernel every
-        item plans as an object-loop run.
+        kernel: :meth:`run` sends such a pipeline's :meth:`kernel_lane`
+        through a one-lane kernel pass, and the lanes of pipelines with
+        equal keys may share one :meth:`run_batch` pass — even when their
+        *configurations* differ (mixed schemes, mixed fault maps, the
+        fault-free normalisation baseline): lane state is fully per-lane;
+        only the structure the key captures must agree.  The key
+        requires the default engine, a pipeline that has not run (the
+        schedule replays predictors from their pristine construction
+        state), a positive front-end depth (the kernel drops occupancy
+        guards that rely on dispatch cycles being >= 1), the bulk
+        engine's coverage (LRU replacement, fully-enabled L2, next-line
+        prefetchers of one degree per port, and an untouched hierarchy —
+        see :func:`repro.cache.engine.bulk_signature`; victim *sizings*
+        may differ per lane, padded by the vector engine), and a
+        loadable kernel.  It folds in the shared pipeline config, the
+        latency set, the per-level geometries and the prefetch degrees.
+        The campaign planner merges work items by this key into lane
+        passes, so on a host without the kernel every item plans as an
+        object-loop run.
         """
         h = self.hierarchy
-        if self.engine != "fused" or self._runs != 0:
+        if self.engine != "fused" or self._ran_on is not None:
             return None
         if self.config.frontend_stages + h.latencies.l1i < 1:
             return None
@@ -519,84 +538,52 @@ class OutOfOrderPipeline:
             bulk,
         )
 
-    @staticmethod
-    def _can_run_batch(pipelines: "Sequence[OutOfOrderPipeline]") -> bool:
-        """Whether one kernel pass can drive these pipelines: every one
-        carries the same non-``None`` :meth:`batch_key` (contents — fault
-        maps, resident blocks, recency — may still differ per lane)."""
-        key = pipelines[0].batch_key()
+    def kernel_lane(self) -> "KernelLane | None":
+        """This pipeline as a :class:`KernelLane` — its hierarchy's
+        enabled-way matrices, ``(I, D)`` victim sizes and prefetch
+        degrees beside the shared structure — or ``None`` when its
+        :meth:`batch_key` is ``None``."""
+        key = self.batch_key()
         if key is None:
-            return False
-        return all(p.batch_key() == key for p in pipelines[1:])
+            return None
+        h = self.hierarchy
+        return KernelLane(
+            self.config,
+            h.latencies,
+            (h.l1i.geometry, h.l1d.geometry, h.l2.geometry),
+            h.l1i._enabled,
+            h.l1d._enabled,
+            tuple(0 if v is None else v.entries for v in (h.victim_i, h.victim_d)),
+            prefetch_degrees=key[-1],  # the bulk signature
+        )
 
     @staticmethod
     def run_batch(
-        lanes: "Sequence[OutOfOrderPipeline] | Sequence[KernelLane]",
-        trace: Trace,
-        measure_from: int = 0,
+        lanes: "Sequence[KernelLane]", trace: Trace, measure_from: int = 0
     ) -> list[SimResult]:
-        """Simulate N lanes — one per fault map — in a single C
-        lane-kernel pass over the shared front-end schedule.
+        """Simulate N :class:`KernelLane` values — one per fault map — in a
+        single C lane-kernel pass over the shared front-end schedule.
 
-        Per-lane state (cache tags/recency, victim entries, ROB/IQ/FU
-        occupancy, statistics) lives in NumPy arrays with a lane axis
-        that the kernel advances instruction by instruction for every
-        lane.  Results are bit-identical to running each lane's pipeline
-        sequentially (golden-pinned).  Lanes come in two kinds:
-
-        * :class:`KernelLane` values (what ``Session.run_group`` passes):
-          the lane arrays are built from each lane's enabled-way
-          matrices and victim size, start empty, and statistics come
-          from the kernel's counters.  No object hierarchy is built and
-          nothing is written back.  Every lane must share one
-          :attr:`KernelLane.structure`.
-        * caller-owned pipelines: the same lane arrays are built from
-          each hierarchy's matrices, its contents are copied in, and
-          after the pass contents, statistics and predictor state are
-          written back, so the pipelines end exactly as sequential runs
-          leave them.  Any pipelines with equal non-``None``
-          :meth:`batch_key` signatures batch together (mixed schemes,
-          mixed victim contents *and sizings* — 0/8/16-entry lanes pad
-          to one slot axis — fault-free baselines — and one prefetch
-          degree per port, tag sets and prefetcher statistics copied in
-          and written back too), one lane or many.  Other batches —
-          mixed latencies/geometries/prefetch degrees, non-LRU policies,
-          reused pipelines, no kernel — run each pipeline's :meth:`run`
-          instead, transparently.
+        Per-lane state (cache tags/recency, victim entries, prefetch tag
+        sets, ROB/IQ/FU occupancy, statistics) lives in NumPy arrays with
+        a lane axis, built from each lane's enabled-way matrices and
+        victim sizes, that the kernel advances instruction by instruction
+        for every lane.  Lanes start empty, statistics come from the
+        kernel's counters, and nothing is written back.  Results are
+        bit-identical to running each lane's pipeline on the object loop
+        (golden-pinned).  Every lane must share one
+        :attr:`KernelLane.structure`; mixed schemes, fault maps and
+        victim sizings (0/8/16-entry lanes pad to one slot axis) may
+        share a pass.  A pipeline's lane is its :meth:`kernel_lane`.
         """
         lanes = list(lanes)
         if not lanes:
             return []
-        if isinstance(lanes[0], KernelLane):
-            return OutOfOrderPipeline._run_kernel_lanes(lanes, trace, measure_from)
-        if len(trace) == 0 or not OutOfOrderPipeline._can_run_batch(lanes):
-            return [p.run(trace, measure_from) for p in lanes]
-        return OutOfOrderPipeline._run_lanes(lanes, trace, measure_from)
-
-    @staticmethod
-    def _run_kernel_lanes(
-        lanes: "list[KernelLane]", trace: Trace, measure_from: int
-    ) -> list[SimResult]:
-        """One kernel pass over campaign lanes: lane arrays from the
-        enabled-way matrices, statistics from the counters."""
-        first = lanes[0]
-        if any(lane.structure != first.structure for lane in lanes[1:]):
-            raise ValueError(
-                "kernel lanes of one pass must share their pipeline config, "
-                "latencies and geometries"
+        if not all(isinstance(lane, KernelLane) for lane in lanes):
+            raise TypeError(
+                "run_batch takes KernelLanes; a pipeline's lane is its kernel_lane()"
             )
-        _check_measure_from(len(trace), measure_from)
-        bulk = BulkLanes(
-            first.geometries,
-            first.latencies,
-            [(lane.enabled_i, lane.enabled_d) for lane in lanes],
-            [(lane.victim_entries, lane.victim_entries) for lane in lanes],
-            lat_scale=first.config.commit_width,
-        )
-        results, _ = OutOfOrderPipeline._kernel_pass(
-            first.config, bulk, trace, measure_from
-        )
-        return results
+        return OutOfOrderPipeline._run_kernel_lanes(lanes, trace, measure_from)
 
     @staticmethod
     def _kernel_context(
@@ -708,7 +695,6 @@ class OutOfOrderPipeline:
                     TSHIFT=prefetcher.shift,
                     P_TAGGED=prefetcher.tagged.ctypes.data,
                     P_TSET=prefetcher.table.ctypes.data,
-                    P_PFCNT=prefetcher.stats.ctypes.data,
                 )
             for name, value in fields.items():
                 ctx[C[f"{side}_{name}"]] = value
@@ -717,47 +703,11 @@ class OutOfOrderPipeline:
         return ctx, v, list(arrays.values())
 
     @staticmethod
-    def _run_lanes(
-        pipelines: "Sequence[OutOfOrderPipeline]",
-        trace: Trace,
-        measure_from: int,
+    def _run_kernel_lanes(
+        lanes: "list[KernelLane]", trace: Trace, measure_from: int
     ) -> list[SimResult]:
-        """Drive caller-owned pipelines as the lanes of one kernel pass:
-        lane arrays from each hierarchy's enabled-way matrices, victim
-        sizes and prefetch degrees, its contents copied in, and contents,
-        statistics, prefetcher state and predictor state written back
-        after the pass.  Callers reach here only through a non-``None``
-        :meth:`batch_key`."""
-        _check_measure_from(len(trace), measure_from)
-        cfg = pipelines[0].config
-        hierarchies = [p.hierarchy for p in pipelines]
-        h0 = hierarchies[0]
-        lanes = BulkLanes(
-            (h0.l1i.geometry, h0.l1d.geometry, h0.l2.geometry),
-            h0.latencies,
-            [(h.l1i._enabled, h.l1d._enabled) for h in hierarchies],
-            [
-                tuple(0 if v is None else v.entries for v in (h.victim_i, h.victim_d))
-                for h in hierarchies
-            ],
-            lat_scale=cfg.commit_width,
-            prefetch_degrees=bulk_signature(h0),
-        )
-        lanes.copy_in(hierarchies)
-        results, schedule = OutOfOrderPipeline._kernel_pass(
-            cfg, lanes, trace, measure_from
-        )
-        for p in pipelines:
-            p._runs += 1
-            schedule.install(p.gshare, p.ras, p.line_predictor)
-        return results
-
-    @staticmethod
-    def _kernel_pass(
-        cfg: PipelineConfig, lanes: BulkLanes, trace: Trace, measure_from: int
-    ) -> "tuple[list[SimResult], FrontEndSchedule]":
         """Run ``lanes`` through one C lane-kernel pass; returns each
-        lane's result and the front-end schedule the pass replayed.
+        lane's result.
 
         The kernel tracks every timing quantity *scaled by the commit
         width W* (dispatch, ready, issue, completion all stay multiples
@@ -772,45 +722,57 @@ class OutOfOrderPipeline:
         boundary (cycle-base snapshot, counter reset) and at trace end;
         cycle counts are recovered as ``(v - 1) // W``.
         """
+        first = lanes[0]
+        if any(lane.structure != first.structure for lane in lanes[1:]):
+            raise ValueError(
+                "kernel lanes of one pass must share their pipeline config, "
+                "latencies, geometries and prefetch degrees"
+            )
+        n = len(trace)
+        _check_measure_from(n, measure_from)
+        cfg = first.config
+        w = cfg.commit_width
+        bulk = BulkLanes(
+            first.geometries,
+            first.latencies,
+            [(lane.enabled_i, lane.enabled_d) for lane in lanes],
+            [lane.victim_entries for lane in lanes],
+            lat_scale=w,
+            prefetch_degrees=first.prefetch_degrees,
+        )
         # Looked up at call time, like every caller of load(): a wrapper
-        # installed on the module (a profiler's, say) sees each call.
+        # set on the module (a profiler's, say) sees each call.
         kernel = lane_kernel.load()
         if kernel is None:
             raise RuntimeError("no compiled lane kernel on this host")
-        n = len(trace)
-        w = cfg.commit_width
         schedule = frontend_schedule(
-            trace, cfg, lanes.geometries[0].offset_bits, measure_from
+            trace, cfg, bulk.geometries[0].offset_bits, measure_from
         )
-        if lanes.stamp_step > 1:  # a port prefetches
-            classes = lane_columns(trace, cfg, lanes.geometries[1].offset_bits)[0]
+        if bulk.stamp_step > 1:  # a port prefetches
+            classes = lane_columns(trace, cfg, bulk.geometries[1].offset_bits)[0]
             d_accesses = np.count_nonzero(
                 (classes == InstrClass.LOAD) | (classes == InstrClass.STORE)
             )
             # The I-access index list ends in a sentinel.
-            lanes.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
+            bulk.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
         ctx, v, _keepalive = OutOfOrderPipeline._kernel_context(
-            trace, schedule, cfg, lanes, measure_from if measure_from > 0 else -1
+            trace, schedule, cfg, bulk, measure_from if measure_from > 0 else -1
         )
         cycles_base = 0
         kernel(ctx.ctypes.data)
         if ctx[lane_kernel.CTX["RET"]] == lane_kernel.RET_BOUNDARY:
             cycles_base = (v - 1) // w
-            lanes.mark_boundary()
+            bulk.mark_boundary()
             ctx[lane_kernel.CTX["BOUNDARY"]] = -1
             kernel(ctx.ctypes.data)
 
-        snapshots = lanes.finalize(
-            schedule.iaccess_measured,
-            schedule.daccess_measured,
-            clock=lanes.stamp_base + lanes.stamp_step * 2 * n,
-        )
+        snapshots = bulk.finalize(schedule.iaccess_measured, schedule.daccess_measured)
         cycles = ((v - 1) // w - cycles_base).tolist()
         mispredictions = (
             schedule.gshare_mispredictions + schedule.ras_mispredictions
         )
         predictions = schedule.gshare_predictions + schedule.ras_pops
-        results = [
+        return [
             SimResult(
                 benchmark=trace.name,
                 instructions=n - measure_from,
@@ -821,4 +783,3 @@ class OutOfOrderPipeline:
             )
             for lane_cycles, snapshot in zip(cycles, snapshots)
         ]
-        return results, schedule

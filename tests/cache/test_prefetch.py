@@ -134,96 +134,50 @@ def _loads(blocks: "list[int]") -> Trace:
     )
 
 
-def _end_state(hierarchy: MemoryHierarchy) -> dict:
-    """What a pass leaves behind: statistics, every cache's tags and
-    dirty bits, the victim caches' LRU order, and each prefetcher's tag
-    set and statistics."""
-    return {
-        "stats": hierarchy.stats().snapshot(),
-        "caches": [
-            (list(c._tags), list(c._dirty))
-            for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
-        ],
-        "l1d_blocks": hierarchy.l1d.resident_blocks(),
-        "victims": [
-            None if v is None else list(v._tags)
-            for v in (hierarchy.victim_i, hierarchy.victim_d)
-        ],
-        "prefetchers": [
-            (set(port.prefetcher._tagged), port.prefetcher.stats.issued,
-             port.prefetcher.stats.useful)
-            for port in (hierarchy.iport, hierarchy.dport)
-        ],
-    }
-
-
-def _both_engines(make, trace: Trace, measure_from: int = 0, passes: int = 1):
-    """``passes`` fresh pipelines chained over one hierarchy per engine:
-    each pass's result and end state, kernel first, then the object
-    engine's, and the object engine's hierarchy."""
-    sides = []
+def _both_engines(make, trace: Trace, measure_from: int = 0):
+    """One run per engine, each on a fresh pipeline over a hierarchy from
+    ``make``: the kernel's result, the object engine's result, and the
+    object engine's hierarchy (the kernel leaves its own as built), whose
+    prefetcher statistics and tag sets show whether a trap fired."""
+    results = []
     for engine in ("fused", "object"):
         hierarchy = make()
-        runs = []
-        for _ in range(passes):
-            pipeline = OutOfOrderPipeline(PAPER_PIPELINE, hierarchy, engine=engine)
-            assert (pipeline.batch_key() is not None) == (engine == "fused")
-            result = pipeline.run(trace, measure_from=measure_from)
-            runs.append((result, _end_state(hierarchy)))
-        sides.append(runs)
-    return sides[0], sides[1], hierarchy
+        pipeline = OutOfOrderPipeline(PAPER_PIPELINE, hierarchy, engine=engine)
+        assert (pipeline.kernel_lane() is not None) == (engine == "fused")
+        results.append(pipeline.run(trace, measure_from=measure_from))
+    return results[0], results[1], hierarchy
 
 
 @requires_kernel
 class TestKernelMatchesTheObjectEngine:
     """Prefetching pipelines run in the lane kernel; each test pins one
-    place where it could drift from :class:`NextLinePrefetcher`."""
+    place where it could drift from :class:`NextLinePrefetcher`, and a
+    drift would show in the result: a prefetch changes L1 fills and
+    evictions, and later hits and misses."""
 
-    def test_end_state_over_chained_passes(self):
-        """Two fresh pipelines chained over one hierarchy — a thinned
-        L1D with a fully-disabled set, victim caches, degree 2 — leave
-        what the object engine leaves after each pass.  The second pass
-        starts from tag sets that hold stale tags: blocks evicted, or
-        never filled, after their prefetch."""
+    def test_batched_lanes_match_per_lane_runs(self):
+        """One ``run_batch`` pass over three prefetching lanes — a thinned
+        L1D with a fully-disabled set in one, victim caches of 0, 8 and
+        16 entries — gives what per-lane object-engine runs give."""
         enabled = np.random.default_rng(4).random((16, 4)) > 0.3
         enabled[5] = False
-        trace = generate_trace("gzip", 3_000, seed=11)
-        kernel, reference, _ = _both_engines(
-            lambda: _hierarchy(2, victim_entries=4, enabled_d=enabled),
-            trace,
-            measure_from=1_000,
-            passes=2,
-        )
-        assert kernel == reference
-        first = reference[0][1]
-        assert first["prefetchers"][1][0] - first["l1d_blocks"]
-
-    def test_batched_warm_lanes(self):
-        """One ``run_batch`` pass over three lanes whose prefetchers start
-        from different tag sets and statistics (none, then two warm-ups
-        of different lengths) and whose victim caches differ leaves what
-        per-lane object-engine runs leave."""
         trace = generate_trace("mcf", 1_500, seed=3)
-        sides = []
-        for engine in ("fused", "object"):
-            hierarchies = []
-            for lane, victims in enumerate((0, 8, 16)):
-                hierarchy = _hierarchy(2, victim_entries=victims)
-                if lane:
-                    OutOfOrderPipeline(PAPER_PIPELINE, hierarchy, engine="object").run(
-                        generate_trace("gzip", 700 * lane, seed=5)
-                    )
-                hierarchies.append(hierarchy)
-            pipelines = [
-                OutOfOrderPipeline(PAPER_PIPELINE, h, engine=engine) for h in hierarchies
-            ]
-            if engine == "fused":
-                assert OutOfOrderPipeline._can_run_batch(pipelines)
-                results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=300)
-            else:
-                results = [p.run(trace, measure_from=300) for p in pipelines]
-            sides.append((results, [_end_state(h) for h in hierarchies]))
-        assert sides[0] == sides[1]
+        sizings = ((0, None), (8, enabled), (16, None))
+        lanes = [
+            OutOfOrderPipeline(
+                PAPER_PIPELINE, _hierarchy(2, victim_entries=v, enabled_d=e)
+            ).kernel_lane()
+            for v, e in sizings
+        ]
+        expected = [
+            OutOfOrderPipeline(
+                PAPER_PIPELINE,
+                _hierarchy(2, victim_entries=v, enabled_d=e),
+                engine="object",
+            ).run(trace, measure_from=300)
+            for v, e in sizings
+        ]
+        assert OutOfOrderPipeline.run_batch(lanes, trace, measure_from=300) == expected
 
     def test_stale_tag_hit_counts_useful(self):
         """Trap: the tag set must keep the tags of evicted and bypassed
@@ -257,7 +211,7 @@ class TestKernelMatchesTheObjectEngine:
             _loads([12, 14, 11, 16, 12]),
         )
         assert kernel == reference
-        stats = reference[0][0].hierarchy_stats["victim_d"]
+        stats = reference.hierarchy_stats["victim_d"]
         assert (stats["fills"], stats["evictions"], stats["hits"]) == (4, 0, 1)
         assert hierarchy.victim_d._tags == [15, 16]
 
@@ -275,9 +229,10 @@ class TestKernelMatchesTheObjectEngine:
 
     def test_boundary_resets_cache_counts_not_prefetch_stats(self):
         """Trap: at the warmup boundary the L1 fill and eviction counts
-        that prefetches add are reset with every cache statistic, but
-        the prefetcher's own statistics carry over, as
-        ``_reset_measurement_state`` leaves them."""
+        that prefetches add are reset with every cache statistic.  The
+        prefetcher's own statistics, which no result carries, carry over
+        on the object engine, as ``_reset_measurement_state`` leaves
+        them."""
         one_set = CacheGeometry(size_bytes=256, ways=4, block_bytes=64)
         kernel, reference, hierarchy = _both_engines(
             lambda: _hierarchy(1, l1d=one_set),
@@ -285,6 +240,6 @@ class TestKernelMatchesTheObjectEngine:
             measure_from=2,
         )
         assert kernel == reference
-        l1d = reference[0][0].hierarchy_stats["l1d"]
+        l1d = reference.hierarchy_stats["l1d"]
         assert (l1d["fills"], l1d["evictions"]) == (6, 6)
         assert hierarchy.dport.prefetcher.stats.issued == 5

@@ -230,23 +230,6 @@ class TestTypedBufferState:
             for buffer in self.buffers(cache):
                 assert all(isinstance(r, type) for r in gc.get_referents(buffer))
 
-    def test_adopt_from_list_and_numpy_row_agree(self):
-        source = self.warm_cache()
-        rows = [list(buffer) for buffer in self.buffers(source)]
-        from_lists = SetAssociativeCache(GEOMETRY)
-        from_lists.adopt_flat_state(*rows, clock=source._clock)
-        from_numpy = SetAssociativeCache(GEOMETRY)
-        from_numpy.adopt_flat_state(
-            *(np.array(row, dtype=dtype) for row, dtype in zip(
-                rows, (np.int64, np.bool_, np.int64, np.int64)
-            )),
-            clock=source._clock,
-        )
-        for cache in (from_lists, from_numpy):
-            assert self.buffers(cache) == self.buffers(source)
-            assert cache._resident == source._resident
-            assert cache._clock == source._clock
-
     def test_flush_clears_the_buffers_in_place(self):
         cache = self.warm_cache()
         buffers = self.buffers(cache)

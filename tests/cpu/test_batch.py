@@ -1,10 +1,11 @@
-"""Lane-batched execution: equivalence, fallbacks, and state write-back.
+"""Lane-batched execution: equivalence, eligibility, and reuse.
 
 The lane kernel's contract is bit-identity with N sequential runs of the
-object engine — cycles, every statistic, and the hierarchy state left
-behind.  These tests drive heterogeneous lane mixes (different fault
-maps, different victim sizings), the warmup boundary, the eligibility
-fallbacks, and post-batch warm reuse.
+object engine — cycles and every statistic.  These tests drive
+heterogeneous lane mixes (different fault maps, different victim
+sizings) as pipelines' kernel lanes, the warmup boundary, the
+pipelines that have no lane and run the object loop, and what a second
+run of a pipeline does on either engine.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cache.hierarchy import LatencyConfig
+from repro.cache.stats import HierarchyStats
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import PipelineConfig
@@ -62,12 +64,21 @@ def _sequential(session, config, indices, benchmark="gzip"):
     ]
 
 
+def _lanes(session, items):
+    """The ``kernel_lane()`` of each ``(config, map_index)`` item's
+    freshly built pipeline."""
+    lanes = [session.build_pipeline(c, m).kernel_lane() for c, m in items]
+    assert None not in lanes
+    return lanes
+
+
 def _batched(session, config, indices, benchmark="gzip"):
     trace = session.trace(benchmark)
-    pipelines = [session.build_pipeline(config, m) for m in indices]
-    return OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
+    lanes = _lanes(session, [(config, m) for m in indices])
+    return OutOfOrderPipeline.run_batch(lanes, trace, measure_from=WARMUP)
 
 
+@requires_kernel
 @pytest.mark.parametrize(
     "config", [LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10, LV_INCREMENTAL]
 )
@@ -84,38 +95,41 @@ def test_mixed_victim_sizes_batch_vectorised(session):
     slot axis and batch as a single vectorised group — bit-identical to
     their sequential runs."""
     trace = session.trace("gzip")
-    pipelines = [
-        session.build_pipeline(LV_BLOCK, 0),
-        session.build_pipeline(LV_BLOCK_V6, 0),
-        session.build_pipeline(LV_BLOCK_V6, 1),
-        session.build_pipeline(LV_BLOCK_V10, 0),
-        session.build_pipeline(LV_BLOCK_V10, 1),
-    ]
-    assert OutOfOrderPipeline._can_run_batch(pipelines)
-    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
+    lanes = _lanes(
+        session,
+        [(LV_BLOCK, 0), (LV_BLOCK_V6, 0), (LV_BLOCK_V6, 1), (LV_BLOCK_V10, 0),
+         (LV_BLOCK_V10, 1)],
+    )
+    results = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=WARMUP)
     assert results[0] == _sequential(session, LV_BLOCK, [0])[0]
     assert results[1:3] == _sequential(session, LV_BLOCK_V6, [0, 1])
     assert results[3:] == _sequential(session, LV_BLOCK_V10, [0, 1])
 
 
+@requires_kernel
 def test_mixed_latencies_fall_back(session):
     """Word-disabling's +1-cycle L1 makes its lanes latency-incompatible
-    with the baseline; the batch must fall back, not mis-share state."""
+    with the baseline: the batch keys differ, the two lanes refuse to
+    share a pass rather than mis-share state, and each pipeline runs
+    alone."""
     trace = session.trace("gzip")
-    pipelines = [
-        session.build_pipeline(LV_BASELINE, None),
-        session.build_pipeline(LV_WORD, None),
-    ]
-    assert not OutOfOrderPipeline._can_run_batch(pipelines)
-    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
-    assert results[1] == _sequential(session, LV_WORD, [None])[0]
+    items = [(LV_BASELINE, None), (LV_WORD, None)]
+    baseline, word = (session.build_pipeline(c, m) for c, m in items)
+    assert baseline.batch_key() != word.batch_key()
+    with pytest.raises(ValueError, match="share"):
+        OutOfOrderPipeline.run_batch(_lanes(session, items), trace, measure_from=WARMUP)
+    assert baseline.run(trace, measure_from=WARMUP) == _sequential(
+        session, LV_BASELINE, [None]
+    )[0]
+    assert word.run(trace, measure_from=WARMUP) == _sequential(
+        session, LV_WORD, [None]
+    )[0]
 
 
 def test_fault_disabled_l2_falls_back(session):
-    """The bulk L2 refill has no fill-bypass port, so hierarchies with a
-    fault-disabled L2 must take the sequential fallback and still match
-    per-lane runs exactly."""
+    """The bulk L2 refill has no fill-bypass port, so pipelines over a
+    fault-disabled L2 have no kernel lane: each runs the object loop,
+    matching the object engine exactly."""
     import numpy as np
 
     from repro.cache.hierarchy import MemoryHierarchy
@@ -124,7 +138,7 @@ def test_fault_disabled_l2_falls_back(session):
 
     trace = session.trace("gzip")
 
-    def build():
+    def build(engine="fused"):
         rng = np.random.default_rng(3)
         enabled = rng.random((L2_GEOMETRY.num_sets, L2_GEOMETRY.ways)) > 0.3
         hierarchy = MemoryHierarchy(
@@ -133,23 +147,30 @@ def test_fault_disabled_l2_falls_back(session):
             SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2"),
             LOW_VOLTAGE.latencies(),
         )
-        return OutOfOrderPipeline(session.pipeline_config, hierarchy)
+        return OutOfOrderPipeline(session.pipeline_config, hierarchy, engine=engine)
 
     pipelines = [build(), build()]
-    assert not OutOfOrderPipeline._can_run_batch(pipelines)
-    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    reference = build()
-    assert reference.batch_key() is None  # the object loop is the only engine
-    assert results[0] == reference.run(trace, measure_from=WARMUP)
+    assert [p.kernel_lane() for p in pipelines] == [None, None]
+    results = [p.run(trace, measure_from=WARMUP) for p in pipelines]
+    assert results[0] == build("object").run(trace, measure_from=WARMUP)
     assert results[0] == results[1]
 
 
-def test_reused_pipeline_falls_back(session):
+def test_reused_pipeline_falls_back(session, monkeypatch):
+    """A default-engine pipeline that ran the object loop (here with the
+    kernel switched off) has no lane afterwards, kernel or not: its
+    second run chains on the object loop from the state the first left,
+    exactly like an ``engine="object"`` pipeline's second run."""
     trace = session.trace("gzip")
-    warm = session.build_pipeline(LV_BLOCK, 0)
-    warm.run(trace, measure_from=WARMUP)
-    fresh = session.build_pipeline(LV_BLOCK, 1)
-    assert not OutOfOrderPipeline._can_run_batch([warm, fresh])
+    reference = session.build_pipeline(LV_BLOCK_V6, 0, engine="object")
+    expected = [reference.run(trace, measure_from=WARMUP) for _ in range(2)]
+    warm = session.build_pipeline(LV_BLOCK_V6, 0)
+    with monkeypatch.context() as patched:
+        patched.setenv("REPRO_NO_CKERNEL", "1")
+        first = warm.run(trace, measure_from=WARMUP)
+    assert warm.kernel_lane() is None
+    assert [first, warm.run(trace, measure_from=WARMUP)] == expected
+    assert expected[1] != expected[0]  # the second run starts warm
 
 
 def test_empty_batch():
@@ -158,10 +179,11 @@ def test_empty_batch():
 
 def test_kernel_lanes_are_validated(session):
     """Kernel lanes are refused where pipelines would get no batch key
-    (a zero-cycle front end), for a negative victim size, for an
-    enabled-way matrix of the wrong shape, and when the lanes of one
+    (a zero-cycle front end), for a negative or missing victim size or
+    prefetch degree (at construction, before any pointer reaches C), for
+    an enabled-way matrix of the wrong shape, and when the lanes of one
     pass differ in structure (word-disabling's halved, slower L1 beside
-    block-disabling)."""
+    block-disabling).  ``run_batch`` takes lanes, not pipelines."""
     lane = session._kernel_lane(LV_BLOCK, 0)
     trace = session.trace("gzip")
     with pytest.raises(ValueError, match="front-end depth"):
@@ -170,8 +192,14 @@ def test_kernel_lanes_are_validated(session):
             config=PipelineConfig(frontend_stages=0),
             latencies=LatencyConfig(l1i=0),
         )
-    with pytest.raises(ValueError, match="victim entries"):
-        dataclasses.replace(lane, victim_entries=-1)
+    for field in ("victim_entries", "prefetch_degrees"):
+        for bad in ((-1, 0), (0, -1), (8,)):
+            with pytest.raises(ValueError, match=field):
+                dataclasses.replace(lane, **{field: bad})
+    with pytest.raises(TypeError, match="kernel_lane"):
+        OutOfOrderPipeline.run_batch(
+            [session.build_pipeline(LV_BLOCK, 0)], trace, measure_from=WARMUP
+        )
     short = dataclasses.replace(lane, enabled_d=lane.enabled_d[:-1])
     with pytest.raises(ValueError, match="does not match"):
         OutOfOrderPipeline.run_batch([short], trace, measure_from=WARMUP)
@@ -180,10 +208,11 @@ def test_kernel_lanes_are_validated(session):
         OutOfOrderPipeline.run_batch([lane, word], trace, measure_from=WARMUP)
 
 
+@requires_kernel
 def test_measure_from_zero_and_validation(session):
     trace = session.trace("applu")
-    pipelines = [session.build_pipeline(LV_BLOCK, m) for m in range(2)]
-    cold = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
+    lanes = _lanes(session, [(LV_BLOCK, m) for m in range(2)])
+    cold = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=0)
     expected = [
         session.build_pipeline(LV_BLOCK, m, engine="object").run(
             trace, measure_from=0
@@ -192,11 +221,7 @@ def test_measure_from_zero_and_validation(session):
     ]
     assert cold == expected
     with pytest.raises(ValueError):
-        OutOfOrderPipeline._run_lanes(
-            [session.build_pipeline(LV_BLOCK, m) for m in range(2)],
-            trace,
-            len(trace),
-        )
+        OutOfOrderPipeline.run_batch(lanes, trace, len(trace))
 
 
 @requires_kernel
@@ -212,20 +237,30 @@ def test_mixed_scheme_lanes_batch_vectorised(session):
         session.build_pipeline(LV_BLOCK, 1),
     ]
     assert pipelines[0].batch_key() == pipelines[1].batch_key() is not None
-    assert OutOfOrderPipeline._can_run_batch(pipelines)
-    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
+    lanes = [p.kernel_lane() for p in pipelines]
+    results = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=WARMUP)
     assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
     assert results[1:] == _sequential(session, LV_BLOCK, [0, 1])
 
 
 @requires_kernel
 def test_reused_pipeline_has_no_batch_key(session):
+    """A kernel run leaves the pipeline as built — every clock 0, every
+    statistic zero — and uses it up: no key, no lane, and a second run
+    raises, pointing at the object engine."""
+    trace = session.trace("gzip")
     warm = session.build_pipeline(LV_BLOCK, 0)
     assert warm.batch_key() is not None
-    warm.run(session.trace("gzip"), measure_from=WARMUP)
-    assert warm.batch_key() is None
+    warm.run(trace, measure_from=WARMUP)
+    hierarchy = warm.hierarchy
+    assert [c._clock for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)] == [0] * 3
+    assert hierarchy.stats() == HierarchyStats()
+    assert warm.batch_key() is None and warm.kernel_lane() is None
+    with pytest.raises(RuntimeError, match='engine="object"'):
+        warm.run(trace, measure_from=WARMUP)
 
 
+@requires_kernel
 def test_high_voltage_lanes(session):
     """Fault-free lanes (identical contents) batch too — the degenerate
     but common normalisation-baseline case."""
@@ -238,36 +273,33 @@ def test_high_voltage_lanes(session):
 
 @requires_kernel
 def test_partially_warm_victim_cache_appends_before_evicting(session):
-    """A pre-filled victim cache must behave like the sequential list:
-    inserts land in empty slots first (append semantics), never evicting
-    warm entries while capacity remains."""
+    """A victim cache pre-filled only through ``VictimCache.insert`` (no
+    cache clock moves) makes the hierarchy touched: the pipeline has no
+    lane and runs the object loop, where inserts land in empty slots
+    first (append semantics), never evicting warm entries while capacity
+    remains — exactly as on ``engine="object"``."""
     trace = session.trace("gzip")
 
-    def prefill(pipeline):
+    def prefilled(m, engine="fused"):
         # Seed both victim caches with blocks the trace will not touch
         # (high addresses), leaving most slots empty.
+        pipeline = session.build_pipeline(LV_BLOCK_V10, m, engine=engine)
         for victim in (pipeline.hierarchy.victim_i, pipeline.hierarchy.victim_d):
             victim.insert((1 << 40) + 1)
             victim.insert((1 << 40) + 2)
+        return pipeline
 
-    expected = []
     for m in range(2):
-        p = session.build_pipeline(LV_BLOCK_V10, m, engine="object")
-        prefill(p)
-        expected.append(p.run(trace, measure_from=WARMUP))
-    pipelines = [session.build_pipeline(LV_BLOCK_V10, m) for m in range(2)]
-    for p in pipelines:
-        prefill(p)
-    assert OutOfOrderPipeline._can_run_batch(pipelines)
-    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    assert results == expected
-    for p, q in zip(pipelines, expected):
-        assert p.hierarchy.stats().snapshot() == q.hierarchy_stats
+        pipeline = prefilled(m)
+        assert pipeline.batch_key() is None and pipeline.kernel_lane() is None
+        assert pipeline.run(trace, measure_from=WARMUP) == prefilled(
+            m, engine="object"
+        ).run(trace, measure_from=WARMUP)
 
 
 def _repeated(trace: Trace, times: int) -> Trace:
     """``trace`` played ``times`` over: the footprint stays the same, so
-    cache contents (and their write-back) stop growing after one play."""
+    cache contents stop growing after one play."""
     return Trace(
         **{name: np.tile(column, times) for name, column in trace.to_arrays().items()},
         name=f"{trace.name}x{times}",
@@ -283,12 +315,11 @@ def test_lane_memory_does_not_grow_with_trace_length(session):
     traces = {1: short, 4: _repeated(short, 4)}
 
     def batch(times: int, lanes: int):
-        pipelines = [
-            session.build_pipeline(LV_BLOCK_V10, m % SETTINGS.n_fault_maps)
-            for m in range(lanes)
-        ]
+        kernel_lanes = _lanes(
+            session, [(LV_BLOCK_V10, m % SETTINGS.n_fault_maps) for m in range(lanes)]
+        )
         return lambda: OutOfOrderPipeline.run_batch(
-            pipelines, traces[times], measure_from=250
+            kernel_lanes, traces[times], measure_from=250
         )
 
     def peak(times: int, lanes: int) -> int:
@@ -305,28 +336,3 @@ def test_lane_memory_does_not_grow_with_trace_length(session):
     growth_32 = peak(4, 32) - peak(1, 32)
     growth_8 = peak(4, 8) - peak(1, 8)
     assert growth_32 - growth_8 < 100_000
-
-
-def test_batched_state_supports_warm_reuse(session):
-    """After a batched run, each lane's hierarchy must behave exactly as
-    if it had been run sequentially: a second (warm, object-loop) run
-    over the same hierarchies stays bit-identical."""
-    trace = session.trace("gzip")
-    reference = []
-    for m in range(2):
-        p = session.build_pipeline(LV_BLOCK_V6, m, engine="object")
-        reference.append(
-            (p.run(trace, measure_from=WARMUP), p.run(trace, measure_from=WARMUP))
-        )
-    pipelines = [session.build_pipeline(LV_BLOCK_V6, m) for m in range(2)]
-    first = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=WARMUP)
-    for m, p in enumerate(pipelines):
-        assert first[m] == reference[m][0]
-        assert p.run(trace, measure_from=WARMUP) == reference[m][1]
-        # The written-back residency index must agree with the tags.
-        for cache in (p.hierarchy.l1i, p.hierarchy.l1d, p.hierarchy.l2):
-            for block, index in cache._resident.items():
-                assert cache._tags[index] == block >> cache._tag_shift
-            assert len(cache.resident_blocks()) == sum(
-                1 for t in cache._tags if t >= 0
-            )

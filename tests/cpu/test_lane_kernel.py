@@ -11,7 +11,6 @@ require byte-identical results (cycles and every statistic).
 
 from __future__ import annotations
 
-import gc
 import os
 
 import pytest
@@ -20,6 +19,7 @@ from kernel_toolchain import BuildFailureChecks, GatingChecks
 from repro import ckernel
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.stats import HierarchyStats
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
@@ -52,18 +52,16 @@ def session() -> Session:
 
 
 def _run_batch(session, items, engine="fused", benchmark="gzip"):
-    """``(results, pipelines)`` for ``(config, map_index)`` lanes: one
-    kernel pass by default, one object-loop run per lane with
+    """Results for ``(config, map_index)`` lanes: one kernel pass over the
+    pipelines' kernel lanes by default, one object-loop run per lane with
     ``engine="object"``."""
     trace = session.trace(benchmark)
     pipelines = [session.build_pipeline(c, m, engine=engine) for c, m in items]
     if engine == "object":
-        results = [p.run(trace, measure_from=WARMUP) for p in pipelines]
-    else:
-        results = OutOfOrderPipeline.run_batch(
-            pipelines, trace, measure_from=WARMUP
-        )
-    return results, pipelines
+        return [p.run(trace, measure_from=WARMUP) for p in pipelines]
+    lanes = [p.kernel_lane() for p in pipelines]
+    assert None not in lanes
+    return OutOfOrderPipeline.run_batch(lanes, trace, measure_from=WARMUP)
 
 
 def _warm(hierarchy: MemoryHierarchy, trace: Trace, count: int) -> None:
@@ -83,7 +81,7 @@ def _warm(hierarchy: MemoryHierarchy, trace: Trace, count: int) -> None:
 
 def _contents(hierarchy: MemoryHierarchy) -> list:
     """Every cache's tags, dirty bits and residency, and the victim
-    caches' LRU order: what a pass leaves behind besides statistics."""
+    caches' LRU order: what a run leaves behind besides statistics."""
     state = [
         (list(c._tags), list(c._dirty), c._resident)
         for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
@@ -111,39 +109,43 @@ class TestKernelVsFallback:
     )
     def test_results_bit_identical(self, session, config, monkeypatch):
         items = [(config, m) for m in range(SETTINGS.n_fault_maps)]
-        with_kernel, _ = _run_batch(session, items)
-        assert with_kernel == _run_batch(session, items, engine="object")[0]
-        # REPRO_NO_CKERNEL sends the same batch through the object loop.
+        with_kernel = _run_batch(session, items)
+        assert with_kernel == _run_batch(session, items, engine="object")
+        # REPRO_NO_CKERNEL leaves the same pipelines without lanes: each
+        # runs the object loop.
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         assert lane_kernel.load() is None
-        assert _run_batch(session, items)[0] == with_kernel
+        pipelines = [session.build_pipeline(c, m) for c, m in items]
+        assert all(p.kernel_lane() is None for p in pipelines)
+        trace = session.trace("gzip")
+        assert [p.run(trace, measure_from=WARMUP) for p in pipelines] == with_kernel
 
-    def test_hierarchy_state_writeback_matches(self, session):
-        """Both engines must leave identical cache statistics and
-        contents behind on every lane's hierarchy (the post-batch
-        warm-reuse contract)."""
-        items = [(LV_BLOCK, m) for m in range(SETTINGS.n_fault_maps)]
-        _, with_kernel = _run_batch(session, items)
-        _, reference = _run_batch(session, items, engine="object")
-        for pk, po in zip(with_kernel, reference):
-            assert pk.hierarchy.stats() == po.hierarchy.stats()
-            for ck, co in zip(
-                (pk.hierarchy.l1i, pk.hierarchy.l1d, pk.hierarchy.l2),
-                (po.hierarchy.l1i, po.hierarchy.l1d, po.hierarchy.l2),
-            ):
-                assert ck._tags == co._tags and ck._dirty == co._dirty
-                assert ck._resident == co._resident
+    @pytest.mark.parametrize("measure_from", [0, WARMUP])
+    def test_prewarmed_hierarchy_matches_the_object_engine(self, session, measure_from):
+        """A hierarchy already driven through 1,500 mcf instructions has
+        no batch key, so the default engine runs it on the object loop:
+        its statistics accumulate over the warm-up like the object
+        engine's (a kernel pass would count from zero)."""
+        trace = session.trace("gzip")
+        results = []
+        for engine in ("fused", "object"):
+            pipeline = session.build_pipeline(LV_BLOCK, 0, engine=engine)
+            _warm(pipeline.hierarchy, session.trace("mcf"), 1_500)
+            assert pipeline.batch_key() is None
+            results.append(pipeline.run(trace, measure_from=measure_from))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize(
         "config", [LV_BLOCK, LV_BLOCK_V10, LV_BLOCK_V6, LV_INCREMENTAL]
     )
     def test_prewarmed_hierarchies_match_the_object_engine(self, session, config):
-        """A kernel pass over hierarchies that already hold contents —
-        dirty blocks, victim entries, recency from another benchmark —
-        beside a pristine lane, copies them in and writes them back
-        exactly like the object engine.  A second, object-loop pass
-        over both sides then checks the written-back recency, which
-        orders every later LRU decision."""
+        """Hierarchies that already hold contents — dirty blocks, victim
+        entries, recency from another benchmark — beside a pristine lane:
+        only the pristine lane has a kernel lane.  The warm lanes run the
+        object loop, so their results, the contents they leave and a
+        second, chained run all match the object engine's.  The pristine
+        lane's kernel run matches too, leaves its hierarchy as built and
+        refuses a second run."""
         warm, trace = session.trace("mcf"), session.trace("gzip")
         sides = {}
         for engine in ("fused", "object"):
@@ -153,54 +155,27 @@ class TestKernelVsFallback:
             ]
             for m, p in enumerate(pipelines):
                 _warm(p.hierarchy, warm, 1_500 * m)  # lane 0 stays pristine
-            if engine == "object":
-                first = [p.run(trace, measure_from=WARMUP) for p in pipelines]
-            else:
-                assert OutOfOrderPipeline._can_run_batch(pipelines)
-                first = OutOfOrderPipeline.run_batch(
-                    pipelines, trace, measure_from=WARMUP
-                )
-                # Written back in place: the collector still reaches no
-                # per-way object (an ``array`` visits only its type).
-                for p in pipelines:
-                    for c in (p.hierarchy.l1i, p.hierarchy.l1d, p.hierarchy.l2):
-                        for buffer in (c._tags, c._dirty, c._last_touch, c._fill_time):
-                            assert all(
-                                isinstance(r, type) for r in gc.get_referents(buffer)
-                            )
-            contents = [_contents(p.hierarchy) for p in pipelines]
-            second = [p.run(trace, measure_from=WARMUP) for p in pipelines]
-            sides[engine] = (first, contents, second)
-        assert sides["fused"] == sides["object"]
-
-    def test_chained_passes_over_one_hierarchy(self, session):
-        """Fresh pipelines chained over one hierarchy, each a kernel pass,
-        keep matching the object engine.  (Regression: the stamp base was
-        twice the caches' clock, so stamps doubled every pass; from about
-        pass 52 they passed ``BIG_STAMP`` and LRU started picking
-        disabled ways.)"""
-        columns = session.trace("mcf").to_arrays()
-        trace = Trace(**{k: v[:500] for k, v in columns.items()}, name="mcf")
-        hierarchies = {
-            engine: session.build_pipeline(LV_BLOCK, 0, engine=engine).hierarchy
-            for engine in ("fused", "object")
-        }
-        for _ in range(64):
-            kernel_result, object_result = (
-                OutOfOrderPipeline(session.pipeline_config, h, engine=engine).run(
-                    trace, measure_from=100
-                )
-                for engine, h in hierarchies.items()
-            )
-            assert kernel_result == object_result
-        assert _contents(hierarchies["fused"]) == _contents(hierarchies["object"])
+            sides[engine] = pipelines
+        fused, reference = sides["fused"], sides["object"]
+        assert [p.kernel_lane() is not None for p in fused] == [True] + [False] * (
+            SETTINGS.n_fault_maps - 1
+        )
+        for p, q in zip(fused, reference):
+            assert p.run(trace, measure_from=WARMUP) == q.run(trace, measure_from=WARMUP)
+        for p, q in zip(fused[1:], reference[1:]):
+            assert _contents(p.hierarchy) == _contents(q.hierarchy)
+            assert p.run(trace, measure_from=WARMUP) == q.run(trace, measure_from=WARMUP)
+        pristine = fused[0].hierarchy
+        assert _contents(pristine) == _contents(session.build_pipeline(config, 0).hierarchy)
+        assert pristine.stats() == HierarchyStats()
+        with pytest.raises(RuntimeError, match='engine="object"'):
+            fused[0].run(trace, measure_from=WARMUP)
 
     def test_padded_heterogeneous_victims(self, session):
         """A mixed 0/8/16-entry victim batch exercises the padded slot
         axis of the kernel's miss service."""
         items = [(LV_BLOCK, 0), (LV_BLOCK_V6, 0), (LV_BLOCK_V10, 0), (LV_BLOCK_V10, 1)]
-        with_kernel, _ = _run_batch(session, items)
-        assert with_kernel == _run_batch(session, items, engine="object")[0]
+        assert _run_batch(session, items) == _run_batch(session, items, engine="object")
 
 
 class _CountingKernel:
@@ -276,10 +251,53 @@ class TestRouting:
         self._assert_object_loop(pipeline, session, counter)
 
     def test_reused_pipeline_runs_the_object_loop(self, session, counter):
-        pipeline = session.build_pipeline(LV_BLOCK, 0)
-        pipeline.run(session.trace("gzip"), measure_from=WARMUP)
-        counter.calls = 0
-        self._assert_object_loop(pipeline, session, counter)
+        """A hierarchy one fetch has touched runs the object loop, and a
+        second run chains from the first's state on the object loop too,
+        as an ``engine="object"`` pipeline's runs do."""
+        trace = session.trace("gzip")
+        fused, reference = (
+            session.build_pipeline(LV_BLOCK, 0, engine=engine)
+            for engine in ("fused", "object")
+        )
+        for p in (fused, reference):
+            p.hierarchy.access_instruction(1 << 30)
+        self._assert_object_loop(fused, session, counter)  # the first run
+        reference.run(trace, measure_from=WARMUP)
+        assert fused.run(trace, measure_from=WARMUP) == reference.run(
+            trace, measure_from=WARMUP
+        )
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("touch", ["victim-lookup", "prefetch-tags"])
+    def test_touch_without_a_clock_runs_the_object_loop(self, session, counter, touch):
+        """State that moves no cache clock still touches a hierarchy: a
+        victim probe that only counts statistics, or stale prefetch tags
+        on the trace's data blocks.  Either runs the object loop and
+        matches the object engine from a cold start, where a kernel pass
+        (which starts from nothing) would not."""
+        trace = session.trace("gzip")
+
+        def build(engine, touched=True):
+            hierarchy = self._hierarchy(
+                victim_entries_i=8, victim_entries_d=8, prefetch_degree=1
+            )
+            if touched and touch == "victim-lookup":
+                hierarchy.victim_d.lookup(1 << 40)
+            elif touched:
+                is_mem = (trace.iclass == InstrClass.LOAD) | (
+                    trace.iclass == InstrClass.STORE
+                )
+                blocks = trace.mem_addr[is_mem] >> hierarchy.l1d.geometry.offset_bits
+                hierarchy.dport.prefetcher._tagged.update(blocks.tolist())
+            return OutOfOrderPipeline(session.pipeline_config, hierarchy, engine=engine)
+
+        pipeline = build("fused")
+        assert [c._clock for c in (pipeline.hierarchy.l1i, pipeline.hierarchy.l1d)] == [0, 0]
+        assert pipeline.batch_key() is None
+        result = pipeline.run(trace, measure_from=0)
+        assert counter.calls == 0
+        assert result == build("object").run(trace, measure_from=0)
+        assert result != build("fused", touched=False).run(trace, measure_from=0)
 
     def test_object_engine_runs_the_object_loop(self, session, counter):
         pipeline = session.build_pipeline(LV_BLOCK, 0, engine="object")

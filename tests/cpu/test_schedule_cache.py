@@ -86,7 +86,8 @@ def test_builders_emit_int64_columns():
 
 #: Each malformed entry: (member, how it changes).  Every one of them
 #: would let the kernel read past a column or run with the wrong fetch
-#: offsets.
+#: offsets or counts (or, for a short ``counts`` row, raise IndexError,
+#: which the discarding reader does not catch).
 _MALFORMED = {
     "static_fetch-100-short": ("static_fetch", lambda c: c[:-100]),
     "static_fetch-100-long": ("static_fetch", lambda c: np.append(c, c[:100])),
@@ -101,6 +102,8 @@ _MALFORMED = {
     "redirect_index-past-n": ("redirect_index", lambda c: np.append(c[:-1] + 10**6, c[-1])),
     "redirect_static_next-short": ("redirect_static_next", lambda c: c[:-1]),
     "static_fetch-2-D": ("static_fetch", lambda c: np.stack([c, c])),
+    "counts-short": ("counts", lambda c: c[:-1]),
+    "counts-as-float": ("counts", lambda c: c.astype(np.float64)),
 }
 
 

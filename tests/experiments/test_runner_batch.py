@@ -14,6 +14,11 @@ from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 
+#: For the tests that count lane-kernel passes (none run without it).
+requires_kernel = pytest.mark.skipif(
+    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+)
+
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
     warmup_instructions=1_000,
@@ -53,6 +58,7 @@ def test_batch_skips_stored_lanes():
     assert session.simulations_executed == executed_before + 3
 
 
+@requires_kernel
 def test_lane_width_bounds_batches(monkeypatch):
     expected = Session(SETTINGS).run_group("gzip", _lanes(LV_BLOCK))
     monkeypatch.setattr(plan_module, "PASS_LANES", 2)
@@ -89,14 +95,15 @@ def test_normalized_series_identical_across_paths(monkeypatch):
     assert Session(SETTINGS).normalized_series(LV_BLOCK, LV_BASELINE) == batched
 
 
-@pytest.mark.skipif(
-    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
-)
+@requires_kernel
 def test_kernel_lanes_build_no_hierarchy(monkeypatch):
-    """Once the signature is memoised, a merged pass builds its lanes
-    from the schemes' enabled-way matrices: no object hierarchy."""
+    """Once the signatures are memoised, a merged pass builds its lanes
+    from the schemes' enabled-way matrices: no object hierarchy.  A lazy
+    ``simulate`` of an eligible point is a one-lane pass of the same
+    kind, one schedule pass and one simulation each."""
     session = Session(SETTINGS)
-    assert session.batch_signature(LV_BLOCK) is not None
+    for config in (LV_BLOCK, LV_BASELINE):
+        assert session.batch_signature(config) is not None
     built = []
     init = MemoryHierarchy.__init__
 
@@ -105,6 +112,13 @@ def test_kernel_lanes_build_no_hierarchy(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MemoryHierarchy, "__init__", counting)
+    for config, m in ((LV_BASELINE, None), (LV_BLOCK, 0)):
+        passes, executed = session.schedule_passes, session.simulations_executed
+        session.simulate("gzip", config, m)
+        assert (session.schedule_passes, session.simulations_executed) == (
+            passes + 1,
+            executed + 1,
+        )
     session.run_group("gzip", _lanes(LV_BLOCK))
-    assert session.simulations_executed == SETTINGS.n_fault_maps
+    assert session.simulations_executed == 1 + SETTINGS.n_fault_maps
     assert built == []

@@ -6,7 +6,8 @@ voltages, victim caches, prefetching, all replacement policies, thinned and
 fully-disabled sets, non-Table-II widths — must reproduce its cycles,
 branch statistics, and full hierarchy statistics exactly: on
 ``engine="object"``, on the default engine (the C lane kernel for every
-kernel-eligible scenario, the object loop for the rest), and batched.
+kernel-eligible scenario, the object loop for the rest), and batched
+(the kernel-eligible scenarios, as kernel lanes).
 Any divergence is a simulator-semantics change and fails CI (stats
 divergence, not timing).
 """
@@ -14,7 +15,6 @@ divergence, not timing).
 from __future__ import annotations
 
 import pytest
-
 from golden_scenarios import (
     MEASURE_FROM,
     _traces,
@@ -23,6 +23,9 @@ from golden_scenarios import (
     run_scenario,
     scenarios,
 )
+
+from repro.cpu import lane_kernel
+from repro.cpu.pipeline import OutOfOrderPipeline
 
 _SCENARIOS = {name: (cfg, make, trace) for name, cfg, make, trace in scenarios()}
 
@@ -53,22 +56,31 @@ def test_golden_bit_identity(name, engine, golden, traces):
     )
 
 
+#: The scenarios only the object loop runs: every non-LRU one.
+OBJECT_LOOP_SCENARIOS = {"policy-fifo", "policy-random", "thinned-random", "victim1-fifo"}
+
+
+@pytest.mark.skipif(
+    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
+)
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
 def test_golden_bit_identity_batched(name, golden, traces):
-    """Every scenario must also reproduce its goldens through
-    ``run_batch``: two identical lanes run in one kernel pass, and both
-    must match the locked record exactly (the prefetching scenarios
-    included).  Scenarios the kernel cannot take (non-LRU policies)
-    exercise the per-pipeline object-loop fallback — same contract
-    either way."""
-    from repro.cpu.pipeline import OutOfOrderPipeline
-
+    """Every kernel-eligible scenario must also reproduce its goldens
+    through ``run_batch``: two identical ``kernel_lane()`` values run in
+    one kernel pass, and both must match the locked record exactly (the
+    prefetching scenarios included).  ``kernel_lane()`` is ``None``
+    exactly for the scenarios the object loop runs."""
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
-    pipelines = [
-        OutOfOrderPipeline(pipeline_config, make_hierarchy()) for _ in range(2)
+    lanes = [
+        OutOfOrderPipeline(pipeline_config, make_hierarchy()).kernel_lane()
+        for _ in range(2)
     ]
+    if name in OBJECT_LOOP_SCENARIOS:
+        assert lanes == [None, None]
+        return
+    assert None not in lanes
     results = OutOfOrderPipeline.run_batch(
-        pipelines, traces[trace_name], measure_from=MEASURE_FROM
+        lanes, traces[trace_name], measure_from=MEASURE_FROM
     )
     for lane, result in enumerate(results):
         assert result_record(result) == golden[name], (
@@ -77,18 +89,27 @@ def test_golden_bit_identity_batched(name, golden, traces):
 
 
 def test_pipeline_reuse_stays_identical(traces):
-    """A pipeline reused across runs must behave like the object path:
-    the second run starts with trained predictors and warm caches (the
-    first run is a kernel pass, the second runs the object loop)."""
-    name = "lv-baseline"
-    pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
-    trace = traces[trace_name]
-
-    from repro.cpu.pipeline import OutOfOrderPipeline
-
-    obj = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="object")
-    fused = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="fused")
-    for _ in range(2):
-        expected = obj.run(trace, measure_from=MEASURE_FROM)
-        got = fused.run(trace, measure_from=MEASURE_FROM)
-        assert result_record(got) == result_record(expected)
+    """A pipeline reused across runs never silently leaves the object
+    path.  Where the object loop ran the first run, the second starts
+    with trained predictors and warm caches exactly as on
+    ``engine="object"``; where the kernel ran it, the pipeline was left
+    as built and refuses a second run."""
+    for name, (pipeline_config, make_hierarchy, trace_name) in sorted(
+        _SCENARIOS.items()
+    ):
+        trace = traces[trace_name]
+        obj = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="object")
+        fused = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="fused")
+        in_kernel = fused.kernel_lane() is not None
+        assert in_kernel == (
+            name not in OBJECT_LOOP_SCENARIOS and lane_kernel.load() is not None
+        ), name
+        first = obj.run(trace, measure_from=MEASURE_FROM)
+        assert fused.run(trace, measure_from=MEASURE_FROM) == first, name
+        second = obj.run(trace, measure_from=MEASURE_FROM)
+        assert second != first, name  # the second run starts warm
+        if in_kernel:
+            with pytest.raises(RuntimeError, match='engine="object"'):
+                fused.run(trace, measure_from=MEASURE_FROM)
+        else:
+            assert fused.run(trace, measure_from=MEASURE_FROM) == second, name

@@ -10,8 +10,9 @@ themselves — thinned, single-way and fully-disabled L1 sets in some
 lanes only, 0/8/16-entry victim caches — and the whole kernel-eligible
 space: pipeline widths, FU pools, ring sizes, front-end depths, cache
 geometries and latencies, prefetch degrees, trace lengths and warmup
-boundaries, through ``run()``, ``run_batch()`` over pipelines and
-``run_batch()`` over session-style kernel lanes.
+boundaries, through ``run()``, ``run_batch()`` over the pipelines'
+``kernel_lane()`` values and ``run_batch()`` over directly built kernel
+lanes, prefetching ones included.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def random_trace(seed: int, n: int) -> Trace:
     return trace_from_rows(rows, name=f"prop-{seed}")
 
 
+def _kernel_lanes(pipelines: "list[OutOfOrderPipeline]") -> list[KernelLane]:
+    lanes = [p.kernel_lane() for p in pipelines]
+    assert None not in lanes
+    return lanes
+
+
+@requires_kernel
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=200, max_value=800),
@@ -98,21 +106,20 @@ def test_batched_matches_sequential_on_random_traces(seed, n, warm_frac):
         )
         for config, m in LANE_ITEMS
     ]
-    pipelines = [SESSION.build_pipeline(config, m) for config, m in LANE_ITEMS]
-    batched = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=measure_from
-    )
+    lanes = _kernel_lanes([SESSION.build_pipeline(c, m) for c, m in LANE_ITEMS])
+    batched = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=measure_from)
     assert batched == sequential
 
 
+@requires_kernel
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_same_map_lanes_agree_on_random_traces(seed):
     """Identical lanes through one batch must produce identical results
     (catches any cross-lane state bleed in the lane kernel)."""
     trace = random_trace(seed, 400)
-    pipelines = [SESSION.build_pipeline(LV_BLOCK, 0) for _ in range(3)]
-    results = OutOfOrderPipeline.run_batch(pipelines, trace, measure_from=0)
+    lanes = _kernel_lanes([SESSION.build_pipeline(LV_BLOCK, 0) for _ in range(3)])
+    results = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=0)
     assert results[0] == results[1] == results[2]
 
 
@@ -179,10 +186,9 @@ def test_fuzzed_hierarchies_match_the_object_engine(seed, n, warm_frac, lanes):
         _small_pipeline(lane, "object").run(trace, measure_from=measure_from)
         for lane in lanes
     ]
-    pipelines = [_small_pipeline(lane, "fused") for lane in lanes]
-    assert OutOfOrderPipeline._can_run_batch(pipelines)
+    kernel_lanes = _kernel_lanes([_small_pipeline(lane, "fused") for lane in lanes])
     batched = OutOfOrderPipeline.run_batch(
-        pipelines, trace, measure_from=measure_from
+        kernel_lanes, trace, measure_from=measure_from
     )
     assert batched == expected
 
@@ -300,17 +306,16 @@ def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
     single = pipelines()
     assert all(p.batch_key() is not None for p in single)
     assert [p.run(trace, measure_from=measure_from) for p in single] == expected
-    batch = pipelines()
-    assert OutOfOrderPipeline._can_run_batch(batch)
     assert OutOfOrderPipeline.run_batch(
-        batch, trace, measure_from=measure_from
+        _kernel_lanes(pipelines()), trace, measure_from=measure_from
     ) == expected
-    # The same draws as session-style lanes: arrays from the matrices and
-    # victim sizes, no object hierarchy (campaign lanes never prefetch).
-    if degree:
-        return
+    # The same draws as directly built lanes: arrays from the matrices,
+    # victim sizes and prefetch degrees, no object hierarchy.
     kernel_lanes = [
-        KernelLane(config, latencies, levels, enabled_i, enabled_d, victims)
+        KernelLane(
+            config, latencies, levels, enabled_i, enabled_d, (victims, victims),
+            (degree, degree),
+        )
         for enabled_i, enabled_d, victims in lanes
     ]
     assert OutOfOrderPipeline.run_batch(
