@@ -12,6 +12,12 @@ simulation costs on a host without ``gcc``.  Reported per row:
 * ``seconds`` — wall-clock for the whole point;
 * ``speedup`` — vs the sequential object runs.
 
+A ``wide`` section times one full-width pass — ``PASS_LANES`` maps of
+``mcf``, whose L1D and L2 miss most accesses — against its object runs:
+the shape of a paper-scale campaign pass, where the kernel's cache-state
+layout rather than its timing recurrence sets the pace (``gzip``'s L1s
+mostly hit).
+
 A ``hetero`` section demonstrates that a ``--maps 2`` campaign over
 mixed victim sizings (0/8/16 entries) pads to one slot axis and merges
 into a *single* kernel pass group.
@@ -34,6 +40,7 @@ import sys
 import time
 
 from repro.campaign import RunnerSettings, Session
+from repro.campaign.plan import PASS_LANES
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import (
     LV_BLOCK,
@@ -45,6 +52,9 @@ from repro.experiments.configs import (
 #: Fault-dependent configs benchmarked: the plain block-disabling row and
 #: the 6T victim-cache row (the paper's densest fault-dependent machinery).
 BENCH_CONFIGS: tuple[RunConfig, ...] = (LV_BLOCK, LV_BLOCK_V6)
+
+#: The wide point's trace: mcf misses most of its L1D and L2 accesses.
+WIDE_BENCHMARK = "mcf"
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -105,6 +115,59 @@ def _run_point(session, config, trace, warmup, map_count, width):
     return time.perf_counter() - start, results
 
 
+def _measure(session, config, trace, warmup, maps, widths, repeats) -> dict:
+    """One campaign point's rows: the object reference and each kernel
+    width, keyed by width, each checked for bit-identity against the
+    reference."""
+    session.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
+    # Repetitions interleave the rows so per-repetition speedup ratios
+    # are robust against machine-load drift; the reported speedup is the
+    # median ratio, the KIPS the best run.
+    rows_measured = [OBJECT, *widths]
+    times: dict = {w: [] for w in rows_measured}
+    outputs: dict = {}
+    for _ in range(repeats):
+        for width in rows_measured:
+            elapsed, results = _run_point(session, config, trace, warmup, maps, width)
+            times[width].append(elapsed)
+            outputs[width] = results
+    total = len(trace) * maps
+    rows: dict[str, dict] = {}
+    for width in rows_measured:
+        ratios = sorted(ref / run for ref, run in zip(times[OBJECT], times[width]))
+        rows[str(width)] = {
+            "kips": round(total / min(times[width]) / 1e3, 1),
+            "seconds": round(min(times[width]), 3),
+            "speedup": round(ratios[len(ratios) // 2], 2),
+            "identical": outputs[width] == outputs[OBJECT],
+        }
+    return rows
+
+
+def _run_wide(instructions, warmup, repeats) -> dict:
+    """:data:`WIDE_BENCHMARK` over ``PASS_LANES`` maps of the 6T
+    victim-cache row: one full-width kernel pass against the object
+    runs.  Bit-identity is gated; the timing is informational."""
+    settings = RunnerSettings(
+        n_instructions=instructions,
+        warmup_instructions=warmup,
+        n_fault_maps=PASS_LANES,
+        benchmarks=(WIDE_BENCHMARK,),
+    )
+    session = Session(settings)
+    trace = session.trace(WIDE_BENCHMARK)
+    rows = _measure(
+        session, LV_BLOCK_V6, trace, warmup, PASS_LANES, [PASS_LANES], repeats
+    )
+    return {
+        "benchmark": WIDE_BENCHMARK,
+        "config": LV_BLOCK_V6.label,
+        "instructions": len(trace),
+        "lanes": PASS_LANES,
+        "rows": rows,
+    }
+
+
 def _run_hetero(args, instructions, warmup) -> dict:
     """A --maps 2 campaign over mixed victim sizings (0/8/16 entries):
     the padded slot axis must merge all six lanes into ONE kernel pass
@@ -158,12 +221,15 @@ def run_bench(args) -> dict:
     if args.smoke:
         instructions, warmup, maps, repeats = 3_000, 1_000, 8, 1
         widths = [w for w in (1, 4, 8) if w <= maps]
+        # lanes50_warm's fidelity: long enough for mcf to miss in the L2.
+        wide_instructions, wide_warmup = 20_000, 5_000
     else:
         instructions, warmup, maps = args.instructions, args.warmup, args.maps
         repeats = args.repeats
         widths = sorted(
             {min(int(w), maps) for w in args.lanes.split(",") if w.strip()}
         )
+        wide_instructions, wide_warmup = instructions, warmup
 
     settings = RunnerSettings(
         n_instructions=instructions,
@@ -173,43 +239,18 @@ def run_bench(args) -> dict:
     )
     session = Session(settings)
     trace = session.trace(args.benchmark)
-    total = len(trace) * maps
 
-    configs: dict[str, dict] = {}
-    divergences = 0
-    for config in BENCH_CONFIGS:
-        session.build_pipeline(config, 0).run(trace, measure_from=warmup)  # warm
-        # Repetitions interleave the rows so per-repetition speedup
-        # ratios are robust against machine-load drift; the reported
-        # speedup is the median ratio, the KIPS the best run.
-        rows_measured = [OBJECT, *widths]
-        times: dict = {w: [] for w in rows_measured}
-        outputs: dict = {}
-        for _ in range(repeats):
-            for width in rows_measured:
-                elapsed, results = _run_point(
-                    session, config, trace, warmup, maps, width
-                )
-                times[width].append(elapsed)
-                outputs[width] = results
-        rows: dict[str, dict] = {}
-        for width in rows_measured:
-            identical = outputs[width] == outputs[OBJECT]
-            if not identical:
-                divergences += 1
-            ratios = sorted(
-                ref / run for ref, run in zip(times[OBJECT], times[width])
-            )
-            rows[str(width)] = {
-                "kips": round(total / min(times[width]) / 1e3, 1),
-                "seconds": round(min(times[width]), 3),
-                "speedup": round(ratios[len(ratios) // 2], 2),
-                "identical": identical,
-            }
-        configs[config.label] = rows
+    configs = {
+        config.label: _measure(session, config, trace, warmup, maps, widths, repeats)
+        for config in BENCH_CONFIGS
+    }
+    wide = _run_wide(wide_instructions, wide_warmup, repeats)
     hetero = _run_hetero(args, instructions, warmup)
-    if not hetero["identical"]:
-        divergences += 1
+    divergences = sum(
+        not row["identical"]
+        for rows in (*configs.values(), wide["rows"])
+        for row in rows.values()
+    ) + (not hetero["identical"])
     top = str(max(widths))
     return {
         "benchmark": args.benchmark,
@@ -222,6 +263,7 @@ def run_bench(args) -> dict:
         "lanes": widths,
         "configs": configs,
         "speedup_full_batch": configs[BENCH_CONFIGS[0].label][top]["speedup"],
+        "wide": wide,
         "hetero": hetero,
         "divergences": divergences,
     }
@@ -246,6 +288,14 @@ def main(argv=None) -> int:
                 f"  {row['seconds']:>7.3f}s  {row['speedup']:>6.2f}x  ok={ok}"
             )
     print(f"full-batch speedup over object runs: {summary['speedup_full_batch']}x")
+    wide = summary["wide"]
+    row = wide["rows"][str(wide["lanes"])]
+    print(
+        f"wide pass ({wide['benchmark']}, {wide['config']}, "
+        f"{wide['instructions']} instructions x {wide['lanes']} lanes): "
+        f"{row['kips']:.1f} KIPS  {row['seconds']:.3f}s  "
+        f"{row['speedup']:.2f}x  ok={'yes' if row['identical'] else 'DIVERGED'}"
+    )
     hetero = summary["hetero"]
     print(
         f"hetero victim merge (--maps {hetero['maps']}, "

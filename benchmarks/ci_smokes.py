@@ -469,7 +469,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
     into ONE lane-kernel pass and scatter back bit-identical to
     sequential ``engine="object"`` runs.  The fallback leg repeats it
     under ``REPRO_NO_CKERNEL=1``: the lanes must then plan as one
-    object-loop group and run one object-loop pass each, still
+    object-loop group each and run one object-loop pass each, still
     bit-identical, and Fig. 10 rendered in both legs must be
     byte-identical.  Each leg generates its trace (the fallback leg with
     the Python walk), so that byte check covers trace generation too.
@@ -542,9 +542,9 @@ def smoke_kernel(json_dir: str) -> list[str]:
     if not figures_identical:
         failures.append("Fig. 10 bytes differ between the kernel and fallback legs")
     # (groups, merged flags, passes): one merged kernel pass, or one
-    # object-loop group with one object-loop pass per lane (both legs on
-    # a host without the kernel).
-    object_loop = (1, [False], len(items))
+    # one-lane object-loop group and pass per lane (both legs on a host
+    # without the kernel).
+    object_loop = (len(items), [False] * len(items), len(items))
     expected = {
         "kernel": (1, [True], 1) if kernel_active else object_loop,
         "fallback": object_loop,

@@ -12,12 +12,15 @@ enabled-way matrices (a scheme's disable bits, set at boot) and its
 victim-cache sizes; geometries, latencies and prefetch degrees are
 shared by every lane.
 
-Every per-way quantity becomes a NumPy array with a *lane* dimension
-whose rows have the layout of the object caches' typed buffers
-(:class:`VectorCache`).  Lanes start from empty caches and end at
+Every per-way quantity becomes a set-major NumPy array, ``[set, lane,
+way]`` (:class:`VectorCache`): the kernel takes one access through
+every lane before the next, so all lanes probe the same set, and their
+copies of it sit side by side.  Lanes start from empty caches and end at
 :meth:`BulkLanes.finalize`, which derives each lane's statistics from
 the kernel's counters: no object hierarchy exists on either side of the
-pass, and nothing is copied in or written back.
+pass, and nothing is copied in or written back, so the arrays need not
+mirror the object caches' layout, and they hold only what the kernel
+reads (no fill times; dirty bytes at the L1s only).
 
 Recency is tracked with *stamps* instead of per-lane clocks: the stamp
 of an access is a trace-static, strictly increasing function of the
@@ -90,51 +93,49 @@ TAG_HASH = 0x9E3779B97F4A7C15
 
 
 class VectorCache:
-    """Multi-lane flat state of one cache level.
+    """Multi-lane state of one cache level, set-major.
 
-    Every array is lane-major — ``tags``/``last``/``dirty``/``fillt``
-    all ``[lane, flat_index]`` — so lane ``l``'s way ``w`` of set ``s``
-    sits at ``l * n + s * ways + w`` in all four arrays, and a set's ways
-    are contiguous for the kernel's probe and LRU argmin.  Lanes start
-    empty: tags -1, recency -1 on usable ways and ``BIG_STAMP`` on the
-    ways a lane's enabled-way matrix disables.  A lane row has exactly
-    the layout of an object cache's typed buffers (see
-    :mod:`repro.cache.set_assoc`).
+    ``tags``/``last``/``dirty`` are ``[set, lane, way]`` arrays: lane
+    ``l``'s way ``w`` of set ``s`` sits at ``(s * lanes + l) * ways + w``.
+    The kernel takes every lane through one access before the next, so
+    each access probes the same set in every lane, and set-major puts
+    those probes in one contiguous row of ``lanes * ways`` entries
+    (lane-major put each lane's copy a whole cache apart).  A lane's
+    cache is therefore no longer one row shaped like an object cache's
+    typed buffers (:mod:`repro.cache.set_assoc`); nothing copies state
+    between the two.  Lanes start empty: tags -1, recency -1 on usable
+    ways and ``BIG_STAMP`` on the ways a lane's enabled-way matrix
+    disables.
     """
 
-    __slots__ = (
-        "ways",
-        "set_mask",
-        "tag_shift",
-        "n",
-        "tags",
-        "last",
-        "dirty",
-        "fillt",
-    )
+    __slots__ = ("ways", "set_mask", "tag_shift", "tags", "last", "dirty")
 
     def __init__(
-        self, geometry: CacheGeometry, enabled: "Sequence[np.ndarray | None]"
+        self,
+        geometry: CacheGeometry,
+        enabled: "Sequence[np.ndarray | None]",
+        *,
+        dirty: bool = True,
     ) -> None:
-        lanes = len(enabled)
-        self.ways = geometry.ways
-        self.set_mask = geometry.num_sets - 1
+        sets, ways = geometry.num_sets, geometry.ways
+        self.ways = ways
+        self.set_mask = sets - 1
         self.tag_shift = geometry.index_bits
-        n = self.n = geometry.num_sets * geometry.ways
-        self.tags = np.full((lanes, n), -1, dtype=np.int64)
-        self.last = np.full((lanes, n), -1, dtype=np.int64)
-        self.dirty = np.zeros((lanes, n), dtype=np.bool_)
-        self.fillt = np.zeros((lanes, n), dtype=np.int64)
-        shape = (geometry.num_sets, geometry.ways)
+        self.tags = np.full((sets, len(enabled), ways), -1, dtype=np.int64)
+        self.last = np.full_like(self.tags, -1)
+        #: ``None`` without ``dirty``: the L2's blocks are never written
+        #: back, so the kernel keeps dirty bytes at the L1s only.
+        self.dirty = np.zeros(self.tags.shape, dtype=np.bool_) if dirty else None
         for lane, mask in enumerate(enabled):
             if mask is None:
                 continue
             mask = np.asarray(mask, dtype=np.bool_)
-            if mask.shape != shape:
+            if mask.shape != (sets, ways):
                 raise ValueError(
-                    f"enabled-way matrix shape {mask.shape} does not match {shape}"
+                    f"enabled-way matrix shape {mask.shape} does not match "
+                    f"{(sets, ways)}"
                 )
-            self.last[lane, ~mask.reshape(-1)] = BIG_STAMP
+            self.last[:, lane, :][~mask] = BIG_STAMP
 
 
 class VectorVictims:
@@ -199,17 +200,18 @@ class VectorPrefetcher:
     open-addressing table of block addresses per lane (``table[lane,
     slot]``, linear probing from a Fibonacci hash of the block; -1 marks
     an empty slot, -2 a removed tag).  Beside the L1's ``dirty`` bytes,
-    ``tagged[lane, flat_index]`` says whether a resident way's block is
-    in the set, so a demand hit reads one byte; only demand fills and
-    hits on tagged ways probe the table.  The table is sized per pass by
-    :meth:`reserve`.
+    and in their ``[set, lane, way]`` layout, ``tagged`` says whether a
+    resident way's block is in the set, so a demand hit reads one byte;
+    only demand fills and hits on tagged ways probe the table.  The
+    table is sized per pass by :meth:`reserve`.
     """
 
-    __slots__ = ("degree", "tagged", "table", "shift")
+    __slots__ = ("degree", "lanes", "tagged", "table", "shift")
 
     def __init__(self, degree: int, l1: VectorCache, lanes: int) -> None:
         self.degree = degree
-        self.tagged = np.zeros((lanes, l1.n), dtype=np.bool_)
+        self.lanes = lanes
+        self.tagged = np.zeros_like(l1.dirty)
         self.table: "np.ndarray | None" = None
         self.shift = 0
 
@@ -220,7 +222,7 @@ class VectorPrefetcher:
         ``degree * accesses`` slots never gets more than half full."""
         bits = max(4, (2 * self.degree * accesses - 1).bit_length())
         self.shift = 64 - bits
-        self.table = np.full((len(self.tagged), 1 << bits), -1, dtype=np.int64)
+        self.table = np.full((self.lanes, 1 << bits), -1, dtype=np.int64)
 
 
 def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
@@ -334,7 +336,7 @@ class BulkLanes:
         l1i_geometry, l1d_geometry, l2_geometry = geometries
         self.l1i = VectorCache(l1i_geometry, [pair[0] for pair in enabled])
         self.l1d = VectorCache(l1d_geometry, [pair[1] for pair in enabled])
-        self.l2 = VectorCache(l2_geometry, [None] * lanes)
+        self.l2 = VectorCache(l2_geometry, [None] * lanes, dirty=False)
         self.victim_entries_i = [pair[0] for pair in victim_entries]
         self.victim_entries_d = [pair[1] for pair in victim_entries]
         self.victims_i = (

@@ -17,12 +17,11 @@ State is stored **flat**: ``_tags``/``_last_touch``/``_fill_time`` are
 resident block).  A way that is *disabled* also holds -1 forever: fills
 never select it, so lookups need no usable-way filtering at all.
 
-The buffers are laid out exactly like one lane row of the lane engine
-(:mod:`repro.cache.engine`): int64 and one byte per way.  The lane
-kernel never reads or writes these caches: its lane rows start empty,
-built from the schemes' enabled-way matrices, and only the object loop
-drives this class.  Typed buffers hold no Python objects, so the cyclic
-garbage collector never walks cache state.
+The lane kernel never reads or writes these caches: its set-major lane
+arrays (:mod:`repro.cache.engine`) start empty, built from the schemes'
+enabled-way matrices, so the two layouts need not match, and only the
+object loop drives this class.  Typed buffers hold no Python objects, so
+the cyclic garbage collector never walks cache state.
 """
 
 from __future__ import annotations

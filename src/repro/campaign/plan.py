@@ -10,7 +10,8 @@
 3. split the remainder into schedule passes with :func:`lane_passes`,
    the one grouping rule: items merge by ``(trace, batch signature)``
    across points and figures, and each merged group splits into balanced
-   passes of at most :data:`PASS_LANES` lanes.
+   passes of at most :data:`PASS_LANES` lanes; an item the kernel cannot
+   take is a pass of its own.
 
 The resulting :class:`Plan` is a frozen value consumed *identically* by
 the serial and process-pool executors (``Plan.worker_batches`` ships one
@@ -39,12 +40,13 @@ Task = tuple[str, RunConfig, "int | None"]
 #: geometries (a 2 MB L2 per lane), so a pass's memory grows with its
 #: lane count whatever the configuration, and the cap counts lanes, not
 #: bytes.  A campaign lane's memory is its lane arrays alone, about
-#: 0.8 MB for the L2; no object hierarchy backs it.  Measured on
-#: perfbench's ``lanes50_warm`` (Fig. 8 x gzip,mcf x 50 maps, seed 2010,
-#: 2-core Xeon, medians of 5 runs) while each lane still built an object
-#: hierarchy: one-lane passes took 1.05 s at 146 MB peak RSS, uncapped
-#: 101-lane passes 0.99 s at 415 MB, and caps from 8 to 34 lanes
-#: 0.89-0.96 s at 165-234 MB.  The sweep has not been repeated since.
+#: 0.54 MB, nearly all of it the L2's tags and recency stamps; no object
+#: hierarchy backs it.  Measured on perfbench's ``lanes50_warm`` (Fig. 8
+#: x gzip,mcf x 50 maps, seed 2010, 2-core Xeon, medians of 5 runs)
+#: while each lane still built an object hierarchy: one-lane passes took
+#: 1.05 s at 146 MB peak RSS, uncapped 101-lane passes 0.99 s at 415 MB,
+#: and caps from 8 to 34 lanes 0.89-0.96 s at 165-234 MB.  The sweep has
+#: not been repeated since.
 #: 25 takes a paper-scale 50-map point in two passes.
 PASS_LANES = 25
 
@@ -69,9 +71,10 @@ class PlanGroup:
     work items sharing a benchmark trace and a batch signature.
 
     ``merged`` groups (``signature`` not ``None``) run as one lane-kernel
-    pass, whatever points and figures their lanes come from.  Unmerged
-    groups hold items the kernel cannot take; each runs the object loop.
-    Both execute through ``Session.run_group``.
+    pass, whatever points and figures their lanes come from.  An
+    unmerged group holds one item the kernel cannot take, run on the
+    object loop, so a pool ships each such item as its own dispatch
+    unit.  Both execute through ``Session.run_group``.
     """
 
     benchmark: str
@@ -84,12 +87,6 @@ class PlanGroup:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def passes(self) -> int:
-        """Schedule passes executing this group costs: one lane-kernel
-        pass, or one object-loop run per item."""
-        return len(self.items) if self.signature is None else 1
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -108,8 +105,9 @@ class Plan:
     total_points: int
     #: Of those, already in the result store when the plan was resolved.
     dedup_hits: int
-    #: Schedule passes the groups will cost as planned (mirrors the
-    #: executors' pass accounting; store races can only lower it).
+    #: Schedule passes the groups will cost as planned, one per group
+    #: (mirrors the executors' pass accounting; store races can only
+    #: lower it).
     predicted_passes: int
 
     @property
@@ -158,14 +156,22 @@ def lane_passes(
     Items merge by ``(benchmark, signature(config))`` in first-seen
     order — across campaign points and figures — and each merged group
     splits into ``ceil(n / PASS_LANES)`` contiguous passes whose sizes
-    differ by at most one.  Passes keep the items' order, so a serial
-    campaign stores the same records in the same order at any width.
+    differ by at most one.  Items without a signature run the object
+    loop one at a time, so each is a pass of its own.  Passes keep the
+    items' order, so a serial campaign stores the same records in the
+    same order at any width.
     """
     merged: dict[tuple, list[WorkItem]] = {}
     for item in items:
         merged.setdefault((item.benchmark, signature(item.config)), []).append(item)
     groups: list[PlanGroup] = []
     for (benchmark, group_signature), members in merged.items():
+        if group_signature is None:
+            groups.extend(
+                PlanGroup(benchmark=benchmark, merged=False, items=(item,))
+                for item in members
+            )
+            continue
         count = -(-len(members) // PASS_LANES)
         size, extra = divmod(len(members), count)
         start = 0
@@ -174,7 +180,7 @@ def lane_passes(
             groups.append(
                 PlanGroup(
                     benchmark=benchmark,
-                    merged=group_signature is not None,
+                    merged=True,
                     items=tuple(members[start:end]),
                     signature=group_signature,
                 )
@@ -222,5 +228,5 @@ class Planner:
             groups=groups,
             total_points=total,
             dedup_hits=dedup,
-            predicted_passes=sum(group.passes for group in groups),
+            predicted_passes=len(groups),
         )

@@ -316,7 +316,7 @@ class Session:
         warmup = self.settings.warmup_instructions
         for group in lane_passes(pending, self.batch_signature):
             trace = self.trace(benchmark)
-            self.schedule_passes += group.passes
+            self.schedule_passes += 1
             if group.merged:
                 outs = OutOfOrderPipeline.run_batch(
                     [self._kernel_lane(i.config, i.map_index) for i in group.items],

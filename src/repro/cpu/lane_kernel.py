@@ -15,7 +15,10 @@ the bulk engine's ``VectorCache``/``VectorVictims``/``VectorPrefetcher``
 arrays (:mod:`repro.cache.engine`) with recency stamps whose order
 matches the object path's clocks, first-minimum tie-breaks, and
 per-lane counter blocks (:data:`repro.cache.engine.LANE_COUNTERS`), so
-statistics cost O(lanes) memory whatever the trace length.  A miss
+statistics cost O(lanes) memory whatever the trace length.  The loop
+runs instructions outside and lanes inside, so the per-way cache arrays
+are set-major: one access's probes over every lane read one contiguous
+row of ``lanes * ways`` entries.  A miss
 latency (scaled by the commit width) is added to the lane's fetch clock
 on the I side and to the load's completion on the D side; prefetches
 cost no time, as in the object loop.
@@ -59,7 +62,7 @@ CUR_SP_INVALID = -(1 << 62)
 _SCALARS = (
     # constants
     "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "KSTEP", "DHIT",
-    "NPORTS", "L2WAYS", "L2STRIDE", "L2SETMASK", "L2IDXBITS",
+    "NPORTS", "L2WAYS", "L2SETMASK", "L2IDXBITS",
     # cursors / results (mutable across calls)
     "I_CUR", "IA_CUR", "RD_CUR", "CUR_SP", "BOUNDARY", "RET",
 )
@@ -75,10 +78,10 @@ _TABLES = (
 #: shift, and the addresses of the port's L1/victim/prefetcher arrays
 #: and its [counter][lane] counter block.
 _PORT_FIELDS = (
-    "WAYS", "STRIDE", "SETMASK", "IDXBITS",
+    "WAYS", "SETMASK", "IDXBITS",
     "VENTRIES", "VSTRIDE", "VEMPTY", "VLAT", "L2LAT", "MEMLAT",
     "PFDEG", "TSLOTS", "TSHIFT",
-    "P_TAGS", "P_LAST", "P_DIRTY", "P_FILLT",
+    "P_TAGS", "P_LAST", "P_DIRTY",
     "P_VTAGS", "P_VSTAMP", "P_VINS", "P_CNT",
     "P_TAGGED", "P_TSET",
 )
@@ -88,7 +91,7 @@ _POINTERS = (
     "P_REG", "P_ROB", "P_IQINT", "P_IQFP",
     "P_POOL0", "P_POOL1", "P_POOL2", "P_POOL3", "P_PORTS",
     "P_DYN", "P_FETCHBASE", "P_V",
-    "P_L2TAGS", "P_L2LAST", "P_L2FILLT",
+    "P_L2TAGS", "P_L2LAST",
 )
 
 #: Name -> ctx slot index; the C ``#define`` block is generated from this
@@ -118,15 +121,17 @@ _C_BODY = r"""
 #define I64P(k) ((int64_t *)(intptr_t)ctx[k])
 #define U8P(k) ((uint8_t *)(intptr_t)ctx[k])
 
-/* One L1 port's lane state (see _PORT_FIELDS).  Arrays are lane-major:
-   lane l's L1 entry j sits at l * stride + j, its victim slot j at
-   l * vstride + j, its tag-set slot j at l * tslots + j, its counter k
-   at cnt[k * L + l]. */
+/* One L1 port's lane state (see _PORT_FIELDS).  The per-way arrays
+   (tags, last, dirty, tagged) are set-major, [set][lane][way]: lane l's
+   way k of set s sits at s * row + l * ways + k, with row = L * ways,
+   so one access's probes over all lanes read one contiguous row.  The
+   rest are lane-major: lane l's victim slot j sits at l * vstride + j,
+   its tag-set slot j at l * tslots + j, its counter k at cnt[k * L + l]. */
 typedef struct {
-    int64_t ways, stride, set_mask, index_bits;
+    int64_t ways, row, set_mask, index_bits;
     int64_t ventries, vstride, vempty, vlat, l2lat, memlat;
     int64_t pfdeg, tslots, tshift;
-    int64_t *tags, *last, *fillt;
+    int64_t *tags, *last;
     uint8_t *dirty;
     int64_t *vtags, *vstamp;
     const uint8_t *vins; /* NULL: every lane has a victim cache */
@@ -135,14 +140,15 @@ typedef struct {
     int64_t *tset;
 } port_t;
 
+/* The shared L2's lane state, set-major like an L1's; no dirty bytes. */
 typedef struct {
-    int64_t ways, stride, set_mask, index_bits;
-    int64_t *tags, *last, *fillt;
+    int64_t ways, row, set_mask, index_bits;
+    int64_t *tags, *last;
 } l2_t;
 
 static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->ways = ctx[at + PORT_WAYS];
-    p->stride = ctx[at + PORT_STRIDE];
+    p->row = ctx[NLANES] * p->ways;
     p->set_mask = ctx[at + PORT_SETMASK];
     p->index_bits = ctx[at + PORT_IDXBITS];
     p->ventries = ctx[at + PORT_VENTRIES];
@@ -157,7 +163,6 @@ static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->tags = I64P(at + PORT_P_TAGS);
     p->last = I64P(at + PORT_P_LAST);
     p->dirty = U8P(at + PORT_P_DIRTY);
-    p->fillt = I64P(at + PORT_P_FILLT);
     p->vtags = I64P(at + PORT_P_VTAGS);
     p->vstamp = I64P(at + PORT_P_VSTAMP);
     p->vins = U8P(at + PORT_P_VINS);
@@ -175,11 +180,12 @@ static inline int64_t lru(const int64_t *stamps, int64_t n) {
     return w;
 }
 
-/* L1 probe of lane l: stamp (and, for a store, dirty) the matching way;
-   returns its flat index, or -1 when the lane missed. */
+/* L1 probe of lane l in the set whose row starts at base: stamp (and,
+   for a store, dirty) the matching way; returns its flat index, or -1
+   when the lane missed. */
 static inline int64_t probe(const port_t *p, int64_t l, int64_t base,
                             int64_t tag, int64_t stamp, int is_write) {
-    const int64_t off = l * p->stride + base;
+    const int64_t off = base + l * p->ways;
     int64_t hit = -1;
     for (int64_t k = 0; k < p->ways; k++)
         if (p->tags[off + k] == tag) {
@@ -213,7 +219,7 @@ static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
     for (int64_t j = 1; j <= p->pfdeg; j++) {
         const int64_t target = block + j;
         const int64_t tag = target >> p->index_bits;
-        const int64_t off = l * p->stride + (target & p->set_mask) * p->ways;
+        const int64_t off = (target & p->set_mask) * p->row + l * p->ways;
         int resident = 0;
         for (int64_t k = 0; k < p->ways; k++)
             if (p->tags[off + k] == tag) resident = 1;
@@ -232,7 +238,6 @@ static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
         p->tags[w] = tag;
         p->last[w] = stamp + j;
         p->dirty[w] = 0;
-        p->fillt[w] = stamp + j;
         p->tagged[w] = 1;
     }
 }
@@ -294,7 +299,7 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
         lat = p->vlat;
     } else {
         const int64_t off2 =
-            l * l2->stride + (block & l2->set_mask) * l2->ways;
+            (block & l2->set_mask) * l2->row + l * l2->ways;
         const int64_t tag2 = block >> l2->index_bits;
         int64_t *t2 = l2->tags + off2;
         int64_t *s2 = l2->last + off2;
@@ -312,12 +317,11 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
             if (t2[w] >= 0) cnt[CNT_L2_EVICTIONS * L]++;
             t2[w] = tag2;
             s2[w] = stamp;
-            l2->fillt[off2 + w] = stamp;
             lat = p->memlat;
         }
     }
     const int64_t s = block & p->set_mask;
-    const int64_t off = l * p->stride + s * p->ways;
+    const int64_t off = s * p->row + l * p->ways;
     const int64_t w = off + lru(p->last + off, p->ways);
     if (p->last[w] >= BIG_STAMP_C) { /* every way of the set is disabled */
         cnt[CNT_BYPASSED * L]++;
@@ -332,7 +336,6 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
         p->tags[w] = block >> p->index_bits;
         p->last[w] = stamp;
         p->dirty[w] = (uint8_t)is_write;
-        p->fillt[w] = stamp;
         if (p->pfdeg) { /* tagged iff the set holds the (stale) tag */
             const int64_t *set = p->tset + l * p->tslots;
             p->tagged[w] = set[tag_slot(p, set, block)] == block;
@@ -359,9 +362,8 @@ void repro_run_lanes(int64_t *ctx) {
     port_t ip, dp;
     load_port(&ip, ctx, I_PORT);
     load_port(&dp, ctx, D_PORT);
-    const l2_t l2 = {ctx[L2WAYS], ctx[L2STRIDE], ctx[L2SETMASK],
-                     ctx[L2IDXBITS], I64P(P_L2TAGS), I64P(P_L2LAST),
-                     I64P(P_L2FILLT)};
+    const l2_t l2 = {ctx[L2WAYS], L * ctx[L2WAYS], ctx[L2SETMASK],
+                     ctx[L2IDXBITS], I64P(P_L2TAGS), I64P(P_L2LAST)};
 
     const int64_t *cls_c = I64P(P_CLS);
     const int64_t *sps_c = I64P(P_SPS);
@@ -400,7 +402,7 @@ void repro_run_lanes(int64_t *ctx) {
         if (i == next_ia) {
             /* ---- I-cache access point: probe, or service, every lane -- */
             const int64_t line = ia_lines[ia_cur];
-            const int64_t base = (line & ip.set_mask) * ip.ways;
+            const int64_t base = (line & ip.set_mask) * ip.row;
             const int64_t tag = line >> ip.index_bits;
             const int64_t stamp = K + kstep * 2 * i;
             for (int64_t l = 0; l < L; l++) {
@@ -421,7 +423,7 @@ void repro_run_lanes(int64_t *ctx) {
         int64_t dblock = 0, dbase = 0, dtag = 0;
         if (is_mem) {
             dblock = dblocks[i];
-            dbase = (dblock & dp.set_mask) * dp.ways;
+            dbase = (dblock & dp.set_mask) * dp.row;
             dtag = dblock >> dp.index_bits;
         }
         const int64_t sp = sps_c[i];

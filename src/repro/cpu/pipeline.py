@@ -629,7 +629,6 @@ class OutOfOrderPipeline:
             "P_V": v,
             "P_L2TAGS": lanes.l2.tags,
             "P_L2LAST": lanes.l2.last,
-            "P_L2FILLT": lanes.l2.fillt,
         }
         for j, width in enumerate(pool_widths):
             arrays[f"P_POOL{j}"] = zeros(n_lanes, width)
@@ -654,7 +653,7 @@ class OutOfOrderPipeline:
             ("FDELAY", frontend_delay), ("KSTAMP", lanes.stamp_base),
             ("KSTEP", lanes.stamp_step),
             ("DHIT", (latencies.l1d - 1) * w), ("NPORTS", cfg.issue_width),
-            ("L2WAYS", l2.ways), ("L2STRIDE", l2.n),
+            ("L2WAYS", l2.ways),
             ("L2SETMASK", l2.set_mask), ("L2IDXBITS", l2.tag_shift),
             ("CUR_SP", lane_kernel.CUR_SP_INVALID), ("BOUNDARY", boundary),
         ):
@@ -667,13 +666,12 @@ class OutOfOrderPipeline:
         for side, port in (("I", lanes.iport), ("D", lanes.dport)):
             l1, victims, prefetcher = port.l1, port.victims, port.prefetcher
             fields = {
-                "WAYS": l1.ways, "STRIDE": l1.n,
+                "WAYS": l1.ways,
                 "SETMASK": l1.set_mask, "IDXBITS": l1.tag_shift,
                 "VLAT": port.latency[0], "L2LAT": port.latency[1],
                 "MEMLAT": port.latency[2],
                 "P_TAGS": l1.tags.ctypes.data, "P_LAST": l1.last.ctypes.data,
                 "P_DIRTY": l1.dirty.ctypes.data,
-                "P_FILLT": l1.fillt.ctypes.data,
                 "P_CNT": port.counts.ctypes.data,
             }
             if victims is not None:  # else VENTRIES 0: no victim slots

@@ -208,8 +208,8 @@ class TestRefillSemantics:
 
 
 class TestTypedBufferState:
-    """Flat state lives in typed buffers laid out like a lane-engine row:
-    int64 ``array``s and a ``bytearray`` of dirty bits."""
+    """Flat state lives in typed buffers: int64 ``array``s and a
+    ``bytearray`` of dirty bits."""
 
     @staticmethod
     def buffers(cache: SetAssociativeCache) -> tuple:

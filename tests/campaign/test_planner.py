@@ -120,7 +120,7 @@ class TestPredictedPasses:
 
     def test_pool_execution_spends_predicted_passes(self, monkeypatch):
         # Narrow passes give the pool several groups to fan out in both
-        # legs (without the kernel every item shares one signature).
+        # legs (without the kernel every item is a group of its own).
         monkeypatch.setattr(plan_module, "PASS_LANES", 3)
         session = Session(SETTINGS)
         plan = session.run_all(session.spec(CONFIGS), executor=PoolExecutor(2))
@@ -147,8 +147,8 @@ class TestPredictedPasses:
 
 
 class TestPredictedPassesWithoutKernel(TestPredictedPasses):
-    """``REPRO_NO_CKERNEL=1``: batch keys are ``None``, so the items
-    share object-loop groups and each runs as its own object-loop pass."""
+    """``REPRO_NO_CKERNEL=1``: batch keys are ``None``, so every item is
+    an object-loop group of its own, run as one object-loop pass."""
 
     kernel = False
 
@@ -196,7 +196,19 @@ class TestLanePasses:
             ("mcf", "x", True, ["b"]),
             ("gzip", None, False, ["c"]),
         ]
-        assert [g.passes for g in groups] == [1, 1, 1]
+
+    def test_object_loop_items_are_one_item_groups(self):
+        """Items without a signature never share a group: each is its
+        own object-loop pass and its own pool dispatch unit, whatever
+        the cap."""
+        items = [WorkItem("gzip", LV_WORD, None, "w")] + [
+            WorkItem("gzip", LV_BLOCK, m, f"k{m}") for m in range(30)
+        ]
+        groups = lane_passes(items, lambda config: None)
+        assert [[i.key for i in g.items] for g in groups] == [
+            [item.key] for item in items
+        ]
+        assert not any(g.merged for g in groups)
 
 
 class TestWorkerBatches:

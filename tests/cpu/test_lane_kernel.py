@@ -6,11 +6,13 @@ missing compiler, or a failed build must all leave behaviour unchanged,
 with every pipeline on the object loop.  These tests pin the load gates
 and which runs reach the kernel, and, when a kernel is available, drive
 the same lanes through the kernel and through ``engine="object"`` and
-require byte-identical results (cycles and every statistic).
+require byte-identical results (cycles and every statistic), and
+require a lane's result not to depend on its place in a pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -27,6 +29,7 @@ from repro.cpu.isa import InstrClass
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import (
+    LV_BASELINE,
     LV_BLOCK,
     LV_BLOCK_V6,
     LV_BLOCK_V10,
@@ -176,6 +179,49 @@ class TestKernelVsFallback:
         axis of the kernel's miss service."""
         items = [(LV_BLOCK, 0), (LV_BLOCK_V6, 0), (LV_BLOCK_V10, 0), (LV_BLOCK_V10, 1)]
         assert _run_batch(session, items) == _run_batch(session, items, engine="object")
+
+
+@kernel_available
+class TestSetMajorLanes:
+    """Every lane of a pass keeps its copy of a cache set in one shared
+    row of the set-major state (``[set, lane, way]``), so a lane's
+    result must depend on neither its position in the pass nor its
+    neighbours.  A heterogeneous pass — the fault-free baseline, then
+    block disabling with no, 8- and 16-entry victim caches over every
+    fault map — run in reversed and rotated lane order must permute its
+    results the same way, and each result must equal its lane's one-lane
+    pass.  A lane index that slips in any set-row base (the I or D
+    probe, the prefetch target, the L2 probe, the L1 refill) moves
+    state between lanes and breaks one of these."""
+
+    ITEMS = [(LV_BASELINE, None)] + [
+        (config, m)
+        for m in range(SETTINGS.n_fault_maps)
+        for config in (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
+    ]
+
+    @pytest.mark.parametrize("prefetch_degrees", [(0, 0), (1, 2)])
+    def test_lane_order_permutes_results(self, session, prefetch_degrees):
+        trace = session.trace("gzip")
+        lanes = [
+            dataclasses.replace(
+                session._kernel_lane(config, m), prefetch_degrees=prefetch_degrees
+            )
+            for config, m in self.ITEMS
+        ]
+
+        def run(order):
+            return OutOfOrderPipeline.run_batch(
+                [lanes[j] for j in order], trace, measure_from=WARMUP
+            )
+
+        n = len(lanes)
+        results = run(range(n))
+        # Lanes that agreed with each other could hide a slip.
+        assert len({result.cycles for result in results}) == n
+        for order in (range(n - 1, -1, -1), [(j + 5) % n for j in range(n)]):
+            assert run(order) == [results[j] for j in order]
+        assert [run([j])[0] for j in range(n)] == results
 
 
 class _CountingKernel:

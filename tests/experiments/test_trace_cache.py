@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import RunnerSettings, Session
+from repro.cpu import lane_kernel
 from repro.cpu.config import L1_GEOMETRY, PAPER_PIPELINE
 from repro.cpu.diskcache import read_members
 from repro.cpu.frontend import SCHEDULE_CACHE_STATS, frontend_schedule
@@ -214,7 +215,9 @@ class TestEntryFormat:
 
     def test_compressed_entries_load_and_simulate_identically(self, tmp_path):
         """Entries written compressed, under the same member names, load
-        into the arrays a fresh build produces and simulate identically."""
+        into the arrays a fresh build produces and simulate identically.
+        Only a lane-kernel pass compiles a front-end schedule, so the
+        object loop (no kernel) leaves no schedule entry to load."""
         configs = (LV_BASELINE, LV_BLOCK_V10)
         with Session(settings(), trace_cache=os.fspath(tmp_path)) as cold:
             expected = [cold.simulate("gzip", config, 0) for config in configs]
@@ -229,7 +232,8 @@ class TestEntryFormat:
             got = [warm.simulate("gzip", config, 0) for config in configs]
             assert warm.traces.loaded == 1 and warm.traces.generated == 0
             assert warm.trace("gzip") == built
-        assert SCHEDULE_CACHE_STATS["loaded"] == schedules_loaded + 1
+        schedule_entries = int(lane_kernel.load() is not None)
+        assert SCHEDULE_CACHE_STATS["loaded"] == schedules_loaded + schedule_entries
         assert got == expected
 
 

@@ -2,11 +2,13 @@
 
 Whatever configurations, map count and store holes a campaign has, its
 plan groups partition the pending work items into schedule passes of one
-benchmark, one batch signature and at most ``PASS_LANES`` lanes; the
-passes of one (benchmark, signature) differ in size by at most one; and
-serial execution spends exactly the predicted passes, with the lane
-kernel on and off.  ``PASS_LANES`` is patched small so that groups wider
-than one pass stay cheap to simulate.
+benchmark and one batch signature: merged passes hold at most
+``PASS_LANES`` lanes, and those of one (benchmark, signature) differ in
+size by at most one; an item without a signature (every item, with the
+lane kernel off) is a pass of its own; and serial execution spends
+exactly the predicted passes, one per group, with the lane kernel on and
+off.  ``PASS_LANES`` is patched small so that groups wider than one pass
+stay cheap to simulate.
 """
 
 from __future__ import annotations
@@ -79,15 +81,17 @@ def test_groups_are_balanced_single_signature_passes(campaign):
 
         sizes: dict[tuple, list[int]] = defaultdict(list)
         for group in plan.groups:
-            assert 1 <= len(group) <= WIDTH
+            assert 1 <= len(group) <= (WIDTH if group.merged else 1)
             assert {item.benchmark for item in group.items} == {group.benchmark}
             signatures = {session.batch_signature(item.config) for item in group.items}
             assert signatures == {group.signature}
             assert group.merged == (group.signature is not None)
-            sizes[(group.benchmark, group.signature)].append(len(group))
+            if group.merged:
+                sizes[(group.benchmark, group.signature)].append(len(group))
         for passes in sizes.values():
             assert max(passes) - min(passes) <= 1
             assert len(passes) == math.ceil(sum(passes) / WIDTH)
+        assert plan.predicted_passes == len(plan.groups)
 
         before = session.schedule_passes
         executed = session.run_all(spec)
