@@ -216,8 +216,10 @@ class Session:
         draw; fault-independent configs canonicalise to ``None`` so every
         caller agrees on one key per physical simulation."""
         if config.needs_fault_map:
-            if map_index is None:
-                raise ValueError(f"{config.label} requires a fault-map index")
+            if map_index is None or map_index < 0:
+                raise ValueError(
+                    f"{config.label} requires a fault-map index >= 0, got {map_index}"
+                )
             return map_index
         return None
 

@@ -1,45 +1,39 @@
 """Compiled C lane kernel: the timing recurrence for every eligible run.
 
-This module compiles (at first use, with the system ``gcc``) a small C
-kernel that advances *all* lanes of a pass through the whole trace — one
-lane for a single :meth:`~repro.cpu.pipeline.OutOfOrderPipeline.run`,
-many for a ``run_batch``: the per-instruction timing recurrence —
-dispatch maxima, FU-pool and issue-port argmin-replace, commit,
-redirects — the L1 probes, and the miss service of every lane that
-misses L1 (victim extract-on-hit, the shared-L2 probe and LRU refill,
-the L1 LRU refill with its fill bypass at fully-disabled sets, evictee
-insertion into the padded victim slots, writebacks) and, on ports with a
-tagged next-line prefetcher, the prefetch fills after a miss served by
-the L2 or memory and after a demand hit on a tagged block.  It works on
-the bulk engine's ``VectorCache``/``VectorVictims``/``VectorPrefetcher``
-arrays (:mod:`repro.cache.engine`) with recency stamps whose order
-matches the object path's clocks, first-minimum tie-breaks, and
-per-lane counter blocks (:data:`repro.cache.engine.LANE_COUNTERS`), so
-statistics cost O(lanes) memory whatever the trace length.  The loop
-runs instructions outside and lanes inside, so the per-way cache arrays
-are set-major: one access's probes over every lane read one contiguous
-row of ``lanes * ways`` entries.  A miss
-latency (scaled by the commit width) is added to the lane's fetch clock
-on the I side and to the load's completion on the D side; prefetches
-cost no time, as in the object loop.
+This module compiles (at first use, with the system ``gcc``) a C kernel
+that advances *all* lanes of a pass through the whole trace (one lane
+for a single :meth:`~repro.cpu.pipeline.OutOfOrderPipeline.run`): the
+timing recurrence, the L1 probes, the miss service (victim cache, shared
+L2, L1 refill with its bypass at fully-disabled sets, writebacks) and
+the tagged next-line prefetches.  It works on the bulk engine's arrays
+(:mod:`repro.cache.engine`), whose recency stamps order as the object
+path's clocks, and counts per lane, so statistics cost O(lanes) memory.
+Lanes run inside instructions, so the per-way cache arrays are
+set-major: one access's probes over every lane read one contiguous row.
+A miss latency, scaled by the commit width, is added to the lane's fetch
+clock on the I side and to the load's completion on the D side;
+prefetches cost no time.  The kernel returns to Python only at the
+warmup boundary (cycle-base snapshot, counter reset) and at trace end.
 
-The kernel returns to Python only at the warmup/measured boundary
-(cycle-base snapshot and counter reset) and at trace end.
+Scans select instead of branching: per lane, each instruction takes the
+first minimum of an FU pool and of the issue ports, each miss that of a
+set's recency stamps or victim slots, and as branches these per-lane
+comparisons mispredict.  ``first_min`` keeps the running minimum and its
+index with conditional moves, and the L1 probe selects its matching way.
+Which of equal minima a scan takes never shows: FU pools and issue ports
+are multisets, cache sets and victim slots content-addressed.
 
 State is shared, not marshalled: the kernel receives one ``int64`` "ctx"
-array holding scalars, cursors, and the raw addresses of the NumPy lane
-arrays (``ndarray.ctypes.data``), so a call costs one ctypes dispatch
-(~1µs) regardless of lane count.  All arithmetic is 64-bit integer and
-every tie-break matches the object loop exactly, keeping results
-bit-identical — golden-pinned in ``tests/integration/test_golden_sim.py``
-and checked against ``engine="object"`` over fuzzed pipelines and
-hierarchies in ``tests/property/test_batch_equivalence.py``.
+array of scalars, cursors and NumPy array addresses, so a call costs one
+ctypes dispatch (~1µs) whatever the lane count.  All arithmetic is
+64-bit integer and results are bit-identical to the object loop —
+golden-pinned in ``tests/integration/test_golden_sim.py`` and fuzzed
+against ``engine="object"`` in ``tests/property/test_batch_equivalence.py``.
 
-The kernel is optional: no compiler, a failed build, or the environment
-override ``REPRO_NO_CKERNEL=1`` make :func:`load` return ``None``, and
-every pipeline then runs the object loop — same results, bit for bit.
-:class:`~repro.ckernel.CKernel` builds, caches and loads it, as it does
-the trace kernel.
+The kernel is optional: without a compiler, after a failed build or under
+``REPRO_NO_CKERNEL=1``, :func:`load` returns ``None`` and every pipeline
+runs the object loop, bit for bit the same.  :class:`~repro.ckernel.CKernel`
+builds, caches and loads it, as it does the trace kernel.
 """
 
 from __future__ import annotations
@@ -171,28 +165,32 @@ static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->tset = I64P(at + PORT_P_TSET);
 }
 
-/* The first minimum of n recency stamps: the LRU way of a set (or the
-   LRU victim slot). */
-static inline int64_t lru(const int64_t *stamps, int64_t n) {
-    int64_t w = 0;
-    for (int64_t k = 1; k < n; k++)
-        if (stamps[k] < stamps[w]) w = k;
+/* The index of the first minimum of v[0 .. n-1] (earliest-free FU or
+   port, LRU way or victim slot), kept with selects, not branches. */
+static inline int64_t first_min(const int64_t *v, int64_t n) {
+    int64_t m = v[0], w = 0;
+    for (int64_t k = 1; k < n; k++) {
+        const int lt = v[k] < m;
+        m = lt ? v[k] : m;
+        w = lt ? k : w;
+    }
     return w;
 }
 
 /* L1 probe of lane l in the set whose row starts at base: stamp (and,
    for a store, dirty) the matching way; returns its flat index, or -1
-   when the lane missed. */
+   when the lane missed.  A fill follows a miss and a prefetch skips
+   resident blocks, so a set never holds a tag twice. */
 static inline int64_t probe(const port_t *p, int64_t l, int64_t base,
                             int64_t tag, int64_t stamp, int is_write) {
     const int64_t off = base + l * p->ways;
     int64_t hit = -1;
     for (int64_t k = 0; k < p->ways; k++)
-        if (p->tags[off + k] == tag) {
-            p->last[off + k] = stamp;
-            if (is_write) p->dirty[off + k] = 1;
-            hit = off + k;
-        }
+        hit = p->tags[off + k] == tag ? off + k : hit;
+    if (hit >= 0) {
+        p->last[hit] = stamp;
+        if (is_write) p->dirty[hit] = 1;
+    }
     return hit;
 }
 
@@ -226,7 +224,7 @@ static void prefetch(const port_t *p, int64_t l, int64_t L, int64_t block,
         if (resident) continue;
         set[tag_slot(p, set, target)] = target;
         cnt[CNT_PREFETCHES * L]++;
-        const int64_t w = off + lru(p->last + off, p->ways);
+        const int64_t w = off + first_min(p->last + off, p->ways);
         if (p->last[w] >= BIG_STAMP_C) {
             cnt[CNT_BYPASSED * L]++;
             continue;
@@ -264,7 +262,7 @@ static void victim_insert(const port_t *p, int64_t l, int64_t L,
         for (int64_t k = 0; k < p->ventries; k++)
             if (vt[k] == block) { j = k; break; }
     if (j < 0) {
-        j = lru(vs, p->ventries);
+        j = first_min(vs, p->ventries);
         if (vt[j] >= 0) p->cnt[CNT_VICTIM_EVICTIONS * L + l]++;
     }
     vt[j] = block;
@@ -313,7 +311,7 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
             cnt[CNT_L2_HITS * L]++;
             lat = p->l2lat;
         } else {
-            const int64_t w = lru(s2, l2->ways);
+            const int64_t w = first_min(s2, l2->ways);
             if (t2[w] >= 0) cnt[CNT_L2_EVICTIONS * L]++;
             t2[w] = tag2;
             s2[w] = stamp;
@@ -322,7 +320,7 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
     }
     const int64_t s = block & p->set_mask;
     const int64_t off = s * p->row + l * p->ways;
-    const int64_t w = off + lru(p->last + off, p->ways);
+    const int64_t w = off + first_min(p->last + off, p->ways);
     if (p->last[w] >= BIG_STAMP_C) { /* every way of the set is disabled */
         cnt[CNT_BYPASSED * L]++;
     } else {
@@ -464,15 +462,11 @@ void repro_run_lanes(int64_t *ctx) {
             /* issue: earliest-free FU and port, first-minimum tie-break
                (argmin-replace, multiset-equivalent to heapreplace) --- */
             int64_t *pl = pool + l * pw;
-            int64_t bi = 0, bv = pl[0];
-            for (int64_t k = 1; k < pw; k++)
-                if (pl[k] < bv) { bv = pl[k]; bi = k; }
-            if (bv > disp) disp = bv;
+            const int64_t bi = first_min(pl, pw);
+            if (pl[bi] > disp) disp = pl[bi];
             int64_t *pt = ports + l * nports;
-            int64_t qi = 0, qv = pt[0];
-            for (int64_t k = 1; k < nports; k++)
-                if (pt[k] < qv) { qv = pt[k]; qi = k; }
-            if (qv > disp) disp = qv;
+            const int64_t qi = first_min(pt, nports);
+            if (pt[qi] > disp) disp = pt[qi];
             const int64_t issued = disp + W;
             pl[bi] = issued;
             pt[qi] = issued;

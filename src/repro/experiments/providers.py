@@ -160,6 +160,8 @@ class FaultMapProvider:
         only the missing ones."""
         settings = self.settings
         count = settings.n_fault_maps if count is None else count
+        if count < 0:
+            raise ValueError(f"fault-map count must be >= 0, got {count}")
         drawn = self._pairs
         if count > len(drawn):
             # Rebind, never extend in place: the campaign server plans on
@@ -173,4 +175,6 @@ class FaultMapProvider:
         return drawn[:count]
 
     def pair(self, index: int) -> FaultMapPair:
+        if index < 0:
+            raise ValueError(f"fault-map index must be >= 0, got {index}")
         return self.pairs(index + 1)[index]

@@ -166,6 +166,31 @@ class TestOneFidelityRule:
         assert len(session.store) == 1  # the shared store outlives the child
 
 
+class TestMapIndex:
+    @pytest.mark.parametrize("draw_first", [False, True])
+    def test_negative_map_index_rejected(self, session, draw_first):
+        """A negative index would alias a real map: with pairs drawn,
+        ``simulate("gzip", LV_BLOCK, -2)`` would simulate map 2 and store
+        it under map -2's key.  Every entry point rejects it, before and
+        after the first draw, and nothing runs or is stored."""
+        if draw_first:
+            session.fault_maps()
+        for m in (-1, -2):
+            with pytest.raises(ValueError, match="fault-map index >= 0"):
+                session.simulate("gzip", LV_BLOCK, m)
+            with pytest.raises(ValueError, match="fault-map index >= 0"):
+                session.task_key("gzip", LV_BLOCK, m)
+            with pytest.raises(ValueError, match="index must be >= 0"):
+                session.build_pipeline(LV_BLOCK, m)
+        assert len(session.store) == 0
+        assert session.simulations_executed == 0
+
+    def test_fault_independent_configs_ignore_the_index(self, session):
+        assert session.task_key("gzip", LV_BASELINE, -2) == session.task_key(
+            "gzip", LV_BASELINE
+        )
+
+
 class TestLifecycle:
     def test_context_manager_closes_owned_store(self, tmp_path):
         with Session(SETTINGS, store=None) as session:

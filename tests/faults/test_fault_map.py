@@ -205,6 +205,22 @@ class TestFaultMapPairs:
 
 
 class TestFaultMapProvider:
+    @pytest.mark.parametrize("drawn", [0, 5])
+    def test_negative_counts_and_indices_rejected(self, drawn):
+        """A negative index must not alias a real map: with 5 pairs drawn,
+        ``pair(-2)`` would return pair 2 through ``drawn[:-1][-2]``.  A
+        rejected call draws nothing."""
+        provider = FaultMapProvider(RunnerSettings(n_fault_maps=5, seed=5))
+        if drawn:
+            provider.pairs()
+        for index in (-1, -2, -5):
+            with pytest.raises(ValueError, match="index must be >= 0"):
+                provider.pair(index)
+            with pytest.raises(ValueError, match="count must be >= 0"):
+                provider.pairs(index)
+        assert provider.pairs(0) == []
+        assert len(provider._pairs) == drawn
+
     def test_concurrent_draws_past_n_fault_maps_keep_every_index(self):
         """The campaign server plans on one thread while another simulates
         on the same session: concurrent on-demand draws must never shift

@@ -17,22 +17,18 @@ lanes, prefetching ones included.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from trace_rows import trace_from_rows
+from trace_rows import random_trace
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
-from repro.cpu.isa import NO_REGISTER, InstrClass
 from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline
-from repro.cpu.trace import Trace
 from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
 from repro.faults.geometry import CacheGeometry
 
@@ -56,32 +52,6 @@ LANE_ITEMS = (
     (LV_BLOCK_V6, 1),
     (LV_BLOCK_V10, 2),
 )
-
-
-def random_trace(seed: int, n: int) -> Trace:
-    """A structurally-arbitrary committed-instruction trace: random
-    class mix, dependence patterns, jumpy control flow, and a memory
-    stream with a little locality (so hits and misses both occur)."""
-    rng = random.Random(seed)
-    rows = []
-    pc = 0x1000
-    mem_bases = [rng.randrange(0, 1 << 18) << 6 for _ in range(4)]
-    targets = [0x1000 + 4 * rng.randrange(0, 4 * n) for _ in range(8)]
-    classes = list(InstrClass)
-    for _ in range(n):
-        cls = rng.choice(classes)
-        mem_addr = -1
-        taken = False
-        if cls.is_memory:
-            mem_addr = rng.choice(mem_bases) + 4 * rng.randrange(0, 256)
-        src1 = rng.randrange(0, 64) if rng.random() < 0.8 else NO_REGISTER
-        src2 = rng.randrange(0, 64) if rng.random() < 0.4 else NO_REGISTER
-        dest = rng.randrange(0, 64) if rng.random() < 0.6 else NO_REGISTER
-        if cls.is_control:
-            taken = rng.random() < 0.6
-        rows.append((pc, cls, mem_addr, src1, src2, dest, taken))
-        pc = rng.choice(targets) if taken else pc + 4
-    return trace_from_rows(rows, name=f"prop-{seed}")
 
 
 def _kernel_lanes(pipelines: "list[OutOfOrderPipeline]") -> list[KernelLane]:
