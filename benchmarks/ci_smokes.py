@@ -1362,17 +1362,23 @@ def smoke_predict(json_dir: str) -> list[str]:
 #: built from enabled-way matrices, victim-less lanes padded beside 8-
 #: and 16-entry ones; the prefetcher tests and the block-size x
 #: prefetching study drive the prefetchers' tag sets, which every pass
-#: starts empty, the study at 32- and 64-B blocks; the workload tests and
-#: the trace-equivalence property drive the trace kernel over the SPEC
-#: profiles and fuzzed ones; the trace- and schedule-cache tests drive
-#: columns and schedules read from disk (raw, compressed and malformed
-#: entries), and the trace refusal tests hand-built malformed columns.
+#: starts empty, the study at 32- and 64-B blocks; the metamorphic
+#: properties drive lanes over thinned, nested (rising-pfail) and fully
+#: disabled sets, and the allocation test one pass over a fresh
+#: 200k-instruction trace, both reading the trace's int8 columns in
+#: place; the workload tests and the trace-equivalence property drive the
+#: trace kernel over the SPEC profiles and fuzzed ones; the trace- and
+#: schedule-cache tests drive columns and schedules read from disk (raw,
+#: compressed and malformed entries), and the trace refusal tests
+#: hand-built malformed columns.
 _SANITIZE_TESTS = (
     "tests/cpu/test_lane_kernel.py",
     "tests/property/test_batch_equivalence.py",
     "tests/integration/test_golden_sim.py",
     "tests/experiments/test_runner_batch.py",
     "tests/property/test_mega_partition.py",
+    "tests/property/test_metamorphic.py",
+    "tests/cpu/test_batch.py::test_a_kernel_pass_allocates_nothing_of_the_trace_length",
     "tests/cache/test_prefetch.py",
     "tests/experiments/test_ablation.py::TestBlocksizePrefetchStudy",
     "tests/workloads/",

@@ -25,6 +25,11 @@ loop consumes with O(1) work per instruction:
   I- and D-access counts.  Predictor end-state is not kept: a kernel run
   leaves no pipeline state behind.
 
+The schedule is the one per-instruction array built for the kernel.
+Beside it the kernel reads the trace's own columns in place, and what
+else it needs per instruction (ROB and issue-queue slots, D-cache
+blocks) it computes inline (see :mod:`repro.cpu.lane_kernel`).
+
 Schedules are memoised on the trace object keyed by the front-end
 parameters, so campaign runs (one trace x many fault maps x many
 configurations) replay the front end once, not per simulation.
@@ -85,13 +90,6 @@ _SCHED_PREFIX = "sched-"
 #: Module-level cache-activity counters (CLI summaries and tests).
 SCHEDULE_CACHE_STATS = {"loaded": 0, "persisted": 0, "discarded": 0}
 
-#: reg_ready sentinel slots used by the kernel's remapped operand columns:
-#: reads of "no register" land on a pinned zero, writes of "no destination"
-#: land on a junk sink, so the hot loop needs no >= 0 guards at all.
-READ_SENTINEL = 64
-WRITE_SENTINEL = 65
-REG_FILE_SLOTS = 66
-
 
 @dataclass(eq=False)
 class FrontEndSchedule:
@@ -151,55 +149,6 @@ class FrontEndSchedule:
             else getattr(self, f.name) == getattr(other, f.name)
             for f in fields(self)
         )
-
-
-def lane_columns(
-    trace: Trace, config: PipelineConfig, d_offset_bits: int
-) -> tuple[np.ndarray, ...]:
-    """The lane kernel's per-instruction int64 columns: class, src1, src2
-    and dest (``NO_REGISTER`` remapped to the sentinels above), ROB slot,
-    issue-queue slot, and D-cache block address.
-
-    Ring positions are a pure function of the class sequence:
-    ``iq_slot[i]`` is instruction *i*'s slot in *its own* queue (FP
-    classes 2-3 rotate through the FP queue, everything else through the
-    INT one).  Non-memory rows carry the block of ``mem_addr == -1``,
-    which the kernel never reads.  Built with NumPy straight from the
-    trace and memoised on it per ring sizes and D-cache block size.
-    """
-    cache = trace.__dict__.setdefault("_lane_columns", {})
-    key = (
-        config.rob_entries, config.iq_int_entries, config.iq_fp_entries,
-        d_offset_bits,
-    )
-    columns = cache.get(key)
-    if columns is None:
-        classes = trace.iclass
-
-        def registers(column, sentinel):
-            return np.where(column < 0, sentinel, column)
-
-        is_fp = (classes == 2) | (classes == 3)
-        fp_rank = np.cumsum(is_fp) - 1
-        int_rank = np.cumsum(~is_fp) - 1
-        columns = tuple(
-            np.ascontiguousarray(column, dtype=np.int64)
-            for column in (
-                classes,
-                registers(trace.src1, READ_SENTINEL),
-                registers(trace.src2, READ_SENTINEL),
-                registers(trace.dest, WRITE_SENTINEL),
-                np.arange(len(classes)) % config.rob_entries,
-                np.where(
-                    is_fp,
-                    fp_rank % config.iq_fp_entries,
-                    int_rank % config.iq_int_entries,
-                ),
-                trace.mem_addr >> d_offset_bits,
-            )
-        )
-        cache[key] = columns
-    return columns
 
 
 def _schedule_key(

@@ -15,6 +15,16 @@ clock on the I side and to the load's completion on the D side;
 prefetches cost no time.  The kernel returns to Python only at the
 warmup boundary (cycle-base snapshot, counter reset) and at trace end.
 
+The kernel reads the :class:`~repro.cpu.trace.Trace`'s own columns in
+place (``int8`` class and registers, ``int64`` addresses: 12 bytes per
+instruction) beside the schedule's fetch offsets, and computes inline
+what it derives from them: the ROB slot (``i % rob_entries`` once per
+call, then advanced with a wrap), the issue-queue slot (a running
+position in the FP queue for classes 2-3, in the INT queue for the rest;
+both positions live in ctx, so the warmup-boundary return carries them),
+the D-cache block (``mem_addr >> offset_bits``) and whether an operand
+names a register (``>= 0``).
+
 Scans select instead of branching: per lane, each instruction takes the
 first minimum of an FU pool and of the issue ports, each miss that of a
 set's recency stamps or victim slots, and as branches these per-lane
@@ -57,8 +67,11 @@ _SCALARS = (
     # constants
     "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "KSTEP", "DHIT",
     "NPORTS", "L2WAYS", "L2SETMASK", "L2IDXBITS",
-    # cursors / results (mutable across calls)
-    "I_CUR", "IA_CUR", "RD_CUR", "CUR_SP", "BOUNDARY", "RET",
+    "ROBSIZE", "IQINTSIZE", "IQFPSIZE", "DOFFBITS",
+    # cursors / results (mutable across calls): the instruction, the next
+    # I-access and redirect, and the INT and FP issue-queue positions
+    "I_CUR", "IA_CUR", "RD_CUR", "IQINT_CUR", "IQFP_CUR", "CUR_SP", "BOUNDARY",
+    "RET",
 )
 _TABLES = (
     ("EXECLAT", 9),  # (latency - 1) * W per instruction class
@@ -73,15 +86,18 @@ _TABLES = (
 #: and its [counter][lane] counter block.
 _PORT_FIELDS = (
     "WAYS", "SETMASK", "IDXBITS",
-    "VENTRIES", "VSTRIDE", "VEMPTY", "VLAT", "L2LAT", "MEMLAT",
+    "VENTRIES", "VEMPTY", "VLAT", "L2LAT", "MEMLAT",
     "PFDEG", "TSLOTS", "TSHIFT",
     "P_TAGS", "P_LAST", "P_DIRTY",
     "P_VTAGS", "P_VSTAMP", "P_VINS", "P_CNT",
     "P_TAGGED", "P_TSET",
 )
+#: Array addresses: the trace's columns (class, src1, src2 and dest
+#: ``int8``, the memory address ``int64``), the schedule's, then the
+#: pass's own state.
 _POINTERS = (
-    "P_CLS", "P_SPS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
-    "P_DBLOCKS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT",
+    "P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_MEMADDR",
+    "P_SPS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT",
     "P_REG", "P_ROB", "P_IQINT", "P_IQFP",
     "P_POOL0", "P_POOL1", "P_POOL2", "P_POOL3", "P_PORTS",
     "P_DYN", "P_FETCHBASE", "P_V",
@@ -114,16 +130,17 @@ _C_BODY = r"""
 
 #define I64P(k) ((int64_t *)(intptr_t)ctx[k])
 #define U8P(k) ((uint8_t *)(intptr_t)ctx[k])
+#define I8P(k) ((const int8_t *)(intptr_t)ctx[k])
 
 /* One L1 port's lane state (see _PORT_FIELDS).  The per-way arrays
    (tags, last, dirty, tagged) are set-major, [set][lane][way]: lane l's
    way k of set s sits at s * row + l * ways + k, with row = L * ways,
    so one access's probes over all lanes read one contiguous row.  The
-   rest are lane-major: lane l's victim slot j sits at l * vstride + j,
+   rest are lane-major: lane l's victim slot j sits at l * ventries + j,
    its tag-set slot j at l * tslots + j, its counter k at cnt[k * L + l]. */
 typedef struct {
     int64_t ways, row, set_mask, index_bits;
-    int64_t ventries, vstride, vempty, vlat, l2lat, memlat;
+    int64_t ventries, vempty, vlat, l2lat, memlat;
     int64_t pfdeg, tslots, tshift;
     int64_t *tags, *last;
     uint8_t *dirty;
@@ -146,7 +163,6 @@ static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
     p->set_mask = ctx[at + PORT_SETMASK];
     p->index_bits = ctx[at + PORT_IDXBITS];
     p->ventries = ctx[at + PORT_VENTRIES];
-    p->vstride = ctx[at + PORT_VSTRIDE];
     p->vempty = ctx[at + PORT_VEMPTY];
     p->vlat = ctx[at + PORT_VLAT];
     p->l2lat = ctx[at + PORT_L2LAT];
@@ -255,8 +271,8 @@ static void tagged_hit(const port_t *p, int64_t l, int64_t L, int64_t w,
    takes the LRU slot, evicting its occupant. */
 static void victim_insert(const port_t *p, int64_t l, int64_t L,
                           int64_t block, int64_t stamp) {
-    int64_t *vt = p->vtags + l * p->vstride;
-    int64_t *vs = p->vstamp + l * p->vstride;
+    int64_t *vt = p->vtags + l * p->ventries;
+    int64_t *vs = p->vstamp + l * p->ventries;
     int64_t j = -1;
     if (p->pfdeg)
         for (int64_t k = 0; k < p->ventries; k++)
@@ -283,11 +299,11 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
     int vhit = 0;
     cnt[CNT_MISSES * L]++;
     if (p->ventries) {
-        int64_t *vt = p->vtags + l * p->vstride;
+        int64_t *vt = p->vtags + l * p->ventries;
         for (int64_t j = 0; j < p->ventries; j++)
             if (vt[j] == block) {
                 vt[j] = -1;
-                p->vstamp[l * p->vstride + j] = p->vempty;
+                p->vstamp[l * p->ventries + j] = p->vempty;
                 vhit = 1;
                 break;
             }
@@ -363,22 +379,24 @@ void repro_run_lanes(int64_t *ctx) {
     const l2_t l2 = {ctx[L2WAYS], L * ctx[L2WAYS], ctx[L2SETMASK],
                      ctx[L2IDXBITS], I64P(P_L2TAGS), I64P(P_L2LAST)};
 
-    const int64_t *cls_c = I64P(P_CLS);
+    const int8_t *cls_c = I8P(P_CLS);
+    const int8_t *src1 = I8P(P_SRC1);
+    const int8_t *src2 = I8P(P_SRC2);
+    const int8_t *dest = I8P(P_DEST);
+    const int64_t *mem_addr = I64P(P_MEMADDR);
+    const int64_t doff = ctx[DOFFBITS];
     const int64_t *sps_c = I64P(P_SPS);
-    const int64_t *src1 = I64P(P_SRC1);
-    const int64_t *src2 = I64P(P_SRC2);
-    const int64_t *dest = I64P(P_DEST);
-    const int64_t *robcol = I64P(P_ROBCOL);
-    const int64_t *iqcol = I64P(P_IQCOL);
-    const int64_t *dblocks = I64P(P_DBLOCKS);
     const int64_t *ia_idx = I64P(P_IAIDX);
     const int64_t *ia_lines = I64P(P_IALINES);
     const int64_t *rd_idx = I64P(P_RDIDX);
     const int64_t *rd_snext = I64P(P_RDSNEXT);
     int64_t *reg = I64P(P_REG);
     int64_t *rob = I64P(P_ROB);
-    int64_t *iqint = I64P(P_IQINT);
-    int64_t *iqfp = I64P(P_IQFP);
+    const int64_t rob_size = ctx[ROBSIZE];
+    /* issue queues, [0] INT and [1] FP: rows, sizes, running positions */
+    int64_t *iq[2] = {I64P(P_IQINT), I64P(P_IQFP)};
+    const int64_t iq_size[2] = {ctx[IQINTSIZE], ctx[IQFPSIZE]};
+    int64_t iq_cur[2] = {ctx[IQINT_CUR], ctx[IQFP_CUR]};
     int64_t *pools[4] = {I64P(P_POOL0), I64P(P_POOL1), I64P(P_POOL2),
                          I64P(P_POOL3)};
     int64_t *ports = I64P(P_PORTS);
@@ -387,6 +405,7 @@ void repro_run_lanes(int64_t *ctx) {
     int64_t *v = I64P(P_V);
 
     int64_t i = ctx[I_CUR];
+    int64_t rob_slot = i % rob_size; /* advanced with a wrap below */
     int64_t ia_cur = ctx[IA_CUR];
     int64_t rd_cur = ctx[RD_CUR];
     int64_t cur_sp = ctx[CUR_SP];
@@ -420,7 +439,7 @@ void repro_run_lanes(int64_t *ctx) {
         const int is_store = cls == 5;
         int64_t dblock = 0, dbase = 0, dtag = 0;
         if (is_mem) {
-            dblock = dblocks[i];
+            dblock = mem_addr[i] >> doff;
             dbase = (dblock & dp.set_mask) * dp.row;
             dtag = dblock >> dp.index_bits;
         }
@@ -433,9 +452,10 @@ void repro_run_lanes(int64_t *ctx) {
         const int64_t r1 = src1[i];
         const int64_t r2 = src2[i];
         const int64_t rdst = dest[i];
-        int64_t *robrow = rob + robcol[i] * L;
-        int64_t *iqrow =
-            ((cls == 2 || cls == 3) ? iqfp : iqint) + iqcol[i] * L;
+        int64_t *robrow = rob + rob_slot * L;
+        const int q = cls == 2 || cls == 3; /* the FP queue */
+        int64_t *iqrow = iq[q] + iq_cur[q] * L;
+        iq_cur[q] = iq_cur[q] + 1 == iq_size[q] ? 0 : iq_cur[q] + 1;
         const int64_t fu = fuof[cls];
         const int64_t pw = poolw[fu];
         int64_t *pool = pools[fu];
@@ -451,11 +471,11 @@ void repro_run_lanes(int64_t *ctx) {
             if (x > disp) disp = x;
             x = iqrow[l];
             if (x > disp) disp = x;
-            if (r1 != 64) {
+            if (r1 >= 0) {
                 x = reg[r1 * L + l];
                 if (x > disp) disp = x;
             }
-            if (r2 != 64 && r2 != r1) {
+            if (r2 >= 0 && r2 != r1) {
                 x = reg[r2 * L + l];
                 if (x > disp) disp = x;
             }
@@ -486,7 +506,7 @@ void repro_run_lanes(int64_t *ctx) {
             } else {
                 cw = issued + elat;
             }
-            if (rdst != 65) reg[rdst * L + l] = cw;
+            if (rdst >= 0) reg[rdst * L + l] = cw;
             /* commit: v' = max(v, cw) + 1, ROB frees at the scaled
                (last_commit + 1) * W bound ---------------------------- */
             int64_t vv = v[l];
@@ -498,6 +518,7 @@ void repro_run_lanes(int64_t *ctx) {
                 if (dd > dyn[l]) dyn[l] = dd;
             }
         }
+        rob_slot = rob_slot + 1 == rob_size ? 0 : rob_slot + 1;
         if (redirect) {
             rd_cur++;
             next_rd = rd_idx[rd_cur];
@@ -508,6 +529,8 @@ save:
     ctx[I_CUR] = i;
     ctx[IA_CUR] = ia_cur;
     ctx[RD_CUR] = rd_cur;
+    ctx[IQINT_CUR] = iq_cur[0];
+    ctx[IQFP_CUR] = iq_cur[1];
     ctx[CUR_SP] = cur_sp;
     ctx[RET] = ret;
 }

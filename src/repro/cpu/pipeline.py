@@ -62,13 +62,8 @@ from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cpu import lane_kernel
 from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
 from repro.cpu.config import PipelineConfig
-from repro.cpu.frontend import (
-    REG_FILE_SLOTS,
-    FrontEndSchedule,
-    frontend_schedule,
-    lane_columns,
-)
-from repro.cpu.isa import EXECUTION_LATENCY, FU_OF_CLASS, InstrClass
+from repro.cpu.frontend import FrontEndSchedule, frontend_schedule
+from repro.cpu.isa import EXECUTION_LATENCY, FU_OF_CLASS, NUM_REGISTERS, InstrClass
 from repro.cpu.trace import Trace
 from repro.faults.geometry import CacheGeometry
 
@@ -602,8 +597,10 @@ class OutOfOrderPipeline:
         and the arrays whose addresses ``ctx`` holds — the caller keeps
         that list alive until the pass ends.  Cache state and counters
         are the bulk engine's own arrays (shared, not copied: the kernel
-        mutates them in place); trace and schedule columns are int64
-        arrays memoised on the trace and the schedule.
+        mutates them in place).  The kernel reads the trace's own
+        columns in place (class and registers ``int8``, addresses
+        ``int64``) and the schedule's ``int64`` columns: nothing of the
+        trace's length is allocated for a pass.
         """
         C = lane_kernel.CTX
         n_lanes = lanes.lanes
@@ -619,7 +616,7 @@ class OutOfOrderPipeline:
         )
         v = zeros(n_lanes)  # last_commit * W + commit_slots
         arrays = {
-            "P_REG": zeros(REG_FILE_SLOTS, n_lanes),
+            "P_REG": zeros(NUM_REGISTERS, n_lanes),
             "P_ROB": zeros(cfg.rob_entries, n_lanes),  # scaled dispatch bounds
             "P_IQINT": zeros(cfg.iq_int_entries, n_lanes),
             "P_IQFP": zeros(cfg.iq_fp_entries, n_lanes),
@@ -632,12 +629,12 @@ class OutOfOrderPipeline:
         }
         for j, width in enumerate(pool_widths):
             arrays[f"P_POOL{j}"] = zeros(n_lanes, width)
-        arrays.update(zip(
-            ("P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_ROBCOL", "P_IQCOL",
-             "P_DBLOCKS"),
-            lane_columns(trace, cfg, lanes.geometries[1].offset_bits),
-        ))
         arrays.update(
+            P_CLS=trace.iclass,
+            P_SRC1=trace.src1,
+            P_SRC2=trace.src2,
+            P_DEST=trace.dest,
+            P_MEMADDR=trace.mem_addr,
             P_SPS=schedule.static_fetch,
             P_IAIDX=schedule.iaccess_index,
             P_IALINES=schedule.iaccess_line,
@@ -655,6 +652,9 @@ class OutOfOrderPipeline:
             ("DHIT", (latencies.l1d - 1) * w), ("NPORTS", cfg.issue_width),
             ("L2WAYS", l2.ways),
             ("L2SETMASK", l2.set_mask), ("L2IDXBITS", l2.tag_shift),
+            ("ROBSIZE", cfg.rob_entries), ("IQINTSIZE", cfg.iq_int_entries),
+            ("IQFPSIZE", cfg.iq_fp_entries),
+            ("DOFFBITS", lanes.geometries[1].offset_bits),
             ("CUR_SP", lane_kernel.CUR_SP_INVALID), ("BOUNDARY", boundary),
         ):
             ctx[C[name]] = value
@@ -677,7 +677,6 @@ class OutOfOrderPipeline:
             if victims is not None:  # else VENTRIES 0: no victim slots
                 fields.update(
                     VENTRIES=victims.entries,
-                    VSTRIDE=victims.entries,
                     VEMPTY=victims.empty_stamp,
                     P_VTAGS=victims.tags.ctypes.data,
                     P_VSTAMP=victims.stamp.ctypes.data,
@@ -747,9 +746,8 @@ class OutOfOrderPipeline:
             trace, cfg, bulk.geometries[0].offset_bits, measure_from
         )
         if bulk.stamp_step > 1:  # a port prefetches
-            classes = lane_columns(trace, cfg, bulk.geometries[1].offset_bits)[0]
             d_accesses = np.count_nonzero(
-                (classes == InstrClass.LOAD) | (classes == InstrClass.STORE)
+                (trace.iclass == InstrClass.LOAD) | (trace.iclass == InstrClass.STORE)
             )
             # The I-access index list ends in a sentinel.
             bulk.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))

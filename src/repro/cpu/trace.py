@@ -4,9 +4,11 @@ A :class:`Trace` holds seven parallel columns as contiguous, read-only
 NumPy arrays in :data:`COLUMN_DTYPES`: 21 bytes per instruction.  They
 are converted and checked once, at construction, so everything
 downstream, the C lane kernel above all, indexes them without further
-checks: the columns are 1-D and of one length, every class lies in 0-8
-and every register in -1..63.  The trace kernel's output columns become
-the trace without a copy, and a cached trace keeps the arrays it reads.
+checks: the columns are 1-D and of one length, every class lies in 0-8,
+every register in -1..63, and every load and store carries an address
+``>= 0``.  The lane kernel reads these arrays in place.  The trace
+kernel's output columns become the trace without a copy, and a cached
+trace keeps the arrays it reads.
 The object loop and the reference schedule builder walk one instruction
 at a time, so they index ``tolist()`` views (list indexing is several
 times faster than NumPy scalar access in CPython): the reference builder
@@ -51,6 +53,10 @@ _VALUE_RANGES = {
 }
 
 
+def _is_memory(iclass: np.ndarray) -> np.ndarray:
+    return (iclass == InstrClass.LOAD) | (iclass == InstrClass.STORE)
+
+
 def _column(name: str, values) -> np.ndarray:
     """``values`` as the read-only column ``name``, refusing (with
     ``ValueError``) anything that is not 1-D or holds a value outside the
@@ -81,7 +87,8 @@ class Trace:
 
     * ``pc`` — byte address of the instruction;
     * ``iclass`` — :class:`InstrClass` value;
-    * ``mem_addr`` — byte address touched by loads/stores, else -1;
+    * ``mem_addr`` — byte address (``>= 0``) touched by loads/stores,
+      else -1;
     * ``src1``, ``src2`` — source register ids, ``NO_REGISTER`` if unused;
     * ``dest`` — destination register id, ``NO_REGISTER`` if none;
     * ``taken`` — branch outcome, ``False`` for non-branches.
@@ -108,6 +115,10 @@ class Trace:
             setattr(self, column, _column(column, values))
         if any(len(getattr(self, column)) != len(self.pc) for column in COLUMN_DTYPES):
             raise ValueError("trace columns have inconsistent lengths")
+        # A negative block would match the -1 tags of invalid cache ways.
+        bad = np.flatnonzero(_is_memory(self.iclass) & (self.mem_addr < 0))
+        if len(bad):
+            raise ValueError(f"memory instruction {int(bad[0])} lacks an address")
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -127,16 +138,14 @@ class Trace:
         return f"Trace(name={self.name!r}, instructions={len(self)})"
 
     def validate(self) -> None:
-        """Memory instructions, and only they, carry an address; raises
-        ``ValueError`` on violation.  (Construction already checked the
-        column shapes and ranges.)"""
-        is_mem = (self.iclass == InstrClass.LOAD) | (self.iclass == InstrClass.STORE)
-        bad = np.flatnonzero(is_mem != (self.mem_addr >= 0))
+        """Only memory instructions carry an address; raises
+        ``ValueError`` on a non-memory row with one.  (Construction
+        already checked the column shapes and ranges, and that every
+        memory row has an address; neither engine reads the address of
+        any other row.)"""
+        bad = np.flatnonzero(~_is_memory(self.iclass) & (self.mem_addr >= 0))
         if len(bad):
-            i = int(bad[0])
-            if is_mem[i]:
-                raise ValueError(f"memory instruction {i} lacks an address")
-            raise ValueError(f"non-memory instruction {i} carries an address")
+            raise ValueError(f"non-memory instruction {int(bad[0])} carries an address")
 
     # ----- summary statistics ------------------------------------------------------
 

@@ -25,6 +25,7 @@ fingerprints are equal, whatever the benchmarks and map count
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import TYPE_CHECKING
@@ -59,6 +60,15 @@ def fidelity_fingerprint(settings: "RunnerSettings") -> dict:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _pipeline_fields(pipeline_config: PipelineConfig) -> dict:
+    """``dataclasses.asdict`` of a (frozen) pipeline config, computed once
+    per config: a campaign keys thousands of points under one pipeline.
+    The dict is shared between calls, so :func:`task_key` only
+    serialises it."""
+    return dataclasses.asdict(pipeline_config)
+
+
 def task_key(
     settings: "RunnerSettings",
     benchmark: str,
@@ -76,7 +86,7 @@ def task_key(
     """
     payload = {
         "fidelity": fidelity_fingerprint(settings),
-        "pipeline": dataclasses.asdict(pipeline_config or PAPER_PIPELINE),
+        "pipeline": _pipeline_fields(pipeline_config or PAPER_PIPELINE),
         "benchmark": benchmark,
         "scheme": config.scheme,
         "voltage": config.voltage.name,

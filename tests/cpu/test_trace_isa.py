@@ -69,10 +69,11 @@ class TestTrace:
     def test_validate_accepts_good_trace(self):
         self.make_small_trace().validate()
 
-    def test_validate_rejects_memory_without_address(self):
-        trace = trace_from_rows([Instruction(0, InstrClass.LOAD, mem_addr=-1)])
-        with pytest.raises(ValueError):
-            trace.validate()
+    def test_construction_rejects_memory_without_address(self):
+        """Refused when built, so no such trace reaches
+        :meth:`Trace.validate` (or an engine)."""
+        with pytest.raises(ValueError, match="memory instruction 0 lacks an address"):
+            trace_from_rows([Instruction(0, InstrClass.LOAD, mem_addr=-1)])
 
     def test_validate_rejects_address_on_alu(self):
         trace = trace_from_rows([Instruction(0, InstrClass.INT_ALU, mem_addr=0x100)])
@@ -121,7 +122,10 @@ class TestTrace:
 class TestTraceRefusesMalformedColumns:
     """Construction is the one check between a trace and the C lane
     kernel: a class indexes its per-class tables and a register its
-    scoreboard, and every column is read for ``len(pc)`` rows."""
+    scoreboard, every column is read for ``len(pc)`` rows, and a load or
+    store at a negative address would give a negative block, whose -1
+    tag matches the invalid ways of every cache (the kernel counted
+    hits where the object loop missed)."""
 
     @staticmethod
     def columns(**changes) -> dict:
@@ -153,6 +157,12 @@ class TestTraceRefusesMalformedColumns:
             pytest.param(dict(pc=[[0x100, 0x104, 0x108]]), id="2-D-pc"),
             pytest.param(dict(pc=[256.0, 260.5, 264.0]), id="float-pc"),
             pytest.param(dict(iclass=["0", "4", "6"]), id="string-class"),
+            pytest.param(dict(mem_addr=[-1, -64, -1]), id="load-at-negative-address"),
+            pytest.param(dict(mem_addr=[-1, -1, -1]), id="load-without-address"),
+            pytest.param(
+                dict(iclass=[0, 5, 6], mem_addr=[-1, -(2**63), -1]),
+                id="store-at-int64-min",
+            ),
         ],
     )
     def test_refused(self, changes):
@@ -164,3 +174,5 @@ class TestTraceRefusesMalformedColumns:
             **self.columns(iclass=[0, 8, 8], src1=[-1, 63, 0], dest=[63, -1, 0])
         )
         assert trace.iclass.tolist() == [0, 8, 8]
+        trace = Trace(**self.columns(iclass=[4, 5, 6], mem_addr=[0, 2**63 - 1, -1]))
+        assert trace.mem_addr.tolist() == [0, 2**63 - 1, -1]

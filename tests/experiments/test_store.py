@@ -108,6 +108,20 @@ class TestTaskKey:
         narrow = PipelineConfig(issue_width=2)
         assert task_key(SMALL, "crafty", LV_BLOCK, 0, narrow) != base
 
+    def test_keys_are_pinned(self):
+        """Keys address every stored result: the digests of one
+        default-pipeline and one custom-pipeline point must never move."""
+        from repro.cpu.config import PipelineConfig
+
+        assert task_key(SMALL, "crafty", LV_BLOCK, 1) == (
+            "5d19acb1b416dc4cd067058f274b24a2803ed5c7e0d19836e7abf099d950361f"
+        )
+        narrow = PipelineConfig(issue_width=2)
+        for _ in range(2):  # the second computation reuses the config's fields
+            assert task_key(SMALL, "crafty", LV_BASELINE, None, narrow) == (
+                "599945646aa4443d795bc63aa684ebd066d50fe51298d0e7e639c1c4b3617be3"
+            )
+
     def test_runner_with_custom_pipeline_gets_disjoint_store_rows(
         self, disk_store, tmp_path
     ):

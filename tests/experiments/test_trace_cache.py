@@ -155,6 +155,12 @@ class TestCorruptionHygiene:
                 id="dest-5000-as-int16",
             ),
             pytest.param(lambda m: {"src2": _set(m["src2"], 3, 64)}, id="register-64"),
+            pytest.param(
+                lambda m: {
+                    "mem_addr": _set(m["mem_addr"], np.flatnonzero(m["iclass"] == 4)[0], -64)
+                },
+                id="load-at-negative-address",
+            ),
             pytest.param(lambda m: {"pc": m["pc"].astype(np.int32)}, id="pc-as-int32"),
             pytest.param(
                 lambda m: {"taken": m["taken"].astype(np.int8)}, id="taken-as-int8"

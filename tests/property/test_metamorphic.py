@@ -12,9 +12,16 @@ must hold whatever the trace, on the lane kernel and the object engine.
   its L1I or L1D miss count.  Victim caches and the L2 only serve misses
   and never change an L1's contents; prefetchers do, so lanes here have
   none.
+* Fault maps nest across pfail: pair *i* draws from ``(seed, i)`` alone
+  and marks a cell faulty when its draw is below pfail, so every cell
+  faulty at one pfail is faulty at any higher one.  With the stack
+  property, a block-disabling lane from map *i* never misses less in
+  its L1s as pfail rises.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,7 +39,7 @@ from repro.cpu.config import L1_GEOMETRY, PAPER_PIPELINE
 from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK
 from repro.faults import CacheGeometry, FaultMap
-from repro.faults.fault_map import FaultMapPair
+from repro.faults.fault_map import FaultMapPair, fault_map_pair
 
 requires_kernel = pytest.mark.skipif(
     lane_kernel.load() is None, reason="no compiled lane kernel on this host"
@@ -186,3 +193,49 @@ def test_thinning_never_lowers_l1_misses_on_the_object_engine(
         pipeline = OutOfOrderPipeline(PAPER_PIPELINE, hierarchy, engine="object")
         results.append(pipeline.run(trace, measure_from=int(n * warm_frac)))
     _assert_misses_never_fall(results)
+
+
+# ----- fault maps nest across pfail ---------------------------------------------
+
+NESTING_MAPS = range(6)
+RISING_PFAILS = (0.0005, 0.001, 0.0015, 0.002)
+
+
+@pytest.mark.parametrize("seed", [2010, 7])
+def test_fault_maps_nest_across_pfail(seed):
+    for index in NESTING_MAPS:
+        lower = fault_map_pair(L1_GEOMETRY, 0.001, index, seed)
+        higher = fault_map_pair(L1_GEOMETRY, 0.0015, index, seed)
+        for low, high in ((lower.icache, higher.icache), (lower.dcache, higher.dcache)):
+            assert not (low.faults & ~high.faults).any(), index
+            assert 0 < low.faults.sum() < high.faults.sum(), index
+    if seed == 2010:  # the draw itself: pair 3's I-cache map
+        counts = [
+            int(fault_map_pair(L1_GEOMETRY, pfail, 3, seed).icache.faults.sum())
+            for pfail in (0.001, 0.0015)
+        ]
+        assert counts == [263, 400]
+
+
+@requires_kernel
+def test_rising_pfail_never_lowers_l1_misses_in_a_lane_pass():
+    """One pass over gzip: for each map index, block-disabling lanes at
+    rising pfail (the session's pfail picks the map's threshold)."""
+    sessions = [
+        Session(dataclasses.replace(SETTINGS, pfail=pfail)) for pfail in RISING_PFAILS
+    ]
+    lanes = [
+        session._kernel_lane(LV_BLOCK, index)
+        for index in NESTING_MAPS
+        for session in sessions
+    ]
+    results = OutOfOrderPipeline.run_batch(
+        lanes, sessions[0].trace("gzip"), measure_from=WARMUP
+    )
+    chain = len(RISING_PFAILS)
+    for start in range(0, len(results), chain):
+        rising = results[start : start + chain]
+        _assert_misses_never_fall(rising)
+        assert rising[-1].hierarchy_stats["l1d"]["misses"] > (
+            rising[0].hierarchy_stats["l1d"]["misses"]
+        )

@@ -87,7 +87,13 @@ class TestCounters:
                 first = threading.Thread(target=client)
                 second = threading.Thread(target=client)
                 first.start()
-                time.sleep(0.3)  # let A plan and claim before B arrives
+                # B starts only once A holds the claim on every key.
+                deadline = time.monotonic() + 30
+                while (
+                    server.server.stats["claimed"] < N_KEYS
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
                 second.start()
                 first.join(timeout=120)
                 second.join(timeout=120)
