@@ -29,6 +29,8 @@ worker may survive), resumed to byte-identical figures,
 then repaired and verified clean; the jsonl → sqlite → jsonl migration
 round-trip must be lossless, and a read-only sharded copy migrated in
 place to jsonl must serve the same figures from pure store hits.
+The ``examples`` smoke runs every script under ``examples/`` against the
+source tree: each must exit 0.
 
 Each smoke writes ``<name>-smoke.json`` into ``--json-dir`` (default:
 current directory) — the workflow uploads them as per-commit artifacts so
@@ -1539,6 +1541,47 @@ def smoke_sanitize(json_dir: str) -> list[str]:
     return failures
 
 
+#: Seconds one example script may run before the ``examples`` smoke
+#: fails it (all eight take about 7 s together on a 2-core host).
+EXAMPLE_TIMEOUT_S = 300
+
+
+def smoke_examples(json_dir: str) -> list[str]:
+    """Every script under ``examples/`` must exit 0.  They drive public
+    names (``repro.cache``, ``repro.faults``, ``repro.analysis``, the
+    campaign and predict APIs) end to end, as a reader would; each runs
+    in a fresh working directory."""
+    import time
+
+    directory = os.path.join(ROOT, "examples")
+    scripts = sorted(name for name in os.listdir(directory) if name.endswith(".py"))
+    failures = [] if scripts else [f"no example scripts under {directory}"]
+    runs: dict[str, dict] = {}
+    for name in scripts:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as cwd:
+            try:
+                proc = subprocess.run(
+                    [sys.executable, os.path.join(directory, name)],
+                    cwd=cwd,
+                    env=_env(),
+                    capture_output=True,
+                    text=True,
+                    timeout=EXAMPLE_TIMEOUT_S,
+                )
+                returncode, tail = proc.returncode, (proc.stdout + proc.stderr)[-2000:]
+            except subprocess.TimeoutExpired:
+                returncode, tail = None, f"timed out after {EXAMPLE_TIMEOUT_S} s"
+        runs[name] = {
+            "returncode": returncode,
+            "seconds": round(time.perf_counter() - start, 2),
+        }
+        if returncode != 0:
+            failures.append(f"{name} exited {returncode}:\n{tail}")
+    _write(json_dir, "examples", {"runs": runs, "ok": not failures})
+    return failures
+
+
 SMOKES = {
     "goldens": smoke_goldens,
     "kips": smoke_kips,
@@ -1552,6 +1595,7 @@ SMOKES = {
     "store-chaos": smoke_store_chaos,
     "service": smoke_service,
     "predict": smoke_predict,
+    "examples": smoke_examples,
 }
 
 

@@ -16,17 +16,18 @@ a block, so spreading a cluster over ``f`` blocks can disable up to ``f``
 blocks where a non-interleaved layout would lose one.  For word-disabling it
 is **helpful**: it pushes per-word fault counts toward the uniform case and
 away from the >4-faulty-words cliff.  This module quantifies both directions
-by Monte Carlo on the clustered fault model of
-:meth:`repro.faults.FaultMap.generate_clustered`.
+by Monte Carlo on a clustered fault model (:func:`_clustered_matrix`): the
+uniform model's expected fault count, placed in bursts of geometrically
+distributed length at adjacent cells of one physical row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.fault_map import FaultMap
 from repro.faults.geometry import CacheGeometry
 
 
@@ -86,19 +87,15 @@ def clustered_interleaving_study(
     cells are contiguous in the row; in the interleaved layout they are
     strided.  The same physical fault pattern is scored both ways.
     """
-    if geometry.num_blocks % degree != 0:
-        raise ValueError(
-            f"degree {degree} does not divide {geometry.num_blocks} blocks"
-        )
+    _check_study_inputs(geometry, pfail, degree, trials)
+    if not 1.0 <= cluster_size < math.inf:
+        raise ValueError(f"cluster_size must be finite and >= 1, got {cluster_size!r}")
     rng = np.random.default_rng(seed)
     d = geometry.num_blocks
     k = geometry.cells_per_block
     rows = d // degree
     row_cells = k * degree
 
-    # Reuse FaultMap's clustered generator by treating the physical array as
-    # a pseudo-geometry of `rows` blocks x `row_cells` cells.  Only the
-    # matrix shape matters here, so build it directly.
     non_interleaved = np.empty(trials)
     interleaved = np.empty(trials)
     uniform_ref = np.empty(trials)
@@ -123,6 +120,23 @@ def clustered_interleaving_study(
     )
 
 
+def _check_study_inputs(
+    geometry: CacheGeometry, pfail: float, degree: int, trials: int
+) -> None:
+    """Raise ``ValueError``, naming the argument, for inputs the studies'
+    Monte Carlo cannot use."""
+    if not 0.0 <= pfail <= 1.0:
+        raise ValueError(f"pfail must be a probability, got {pfail!r}")
+    if degree <= 0:
+        raise ValueError(f"degree must be positive, got {degree}")
+    if geometry.num_blocks % degree != 0:
+        raise ValueError(
+            f"degree {degree} does not divide {geometry.num_blocks} blocks"
+        )
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
+
+
 def _clustered_matrix(
     rows: int,
     cells: int,
@@ -130,8 +144,11 @@ def _clustered_matrix(
     cluster_size: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Clustered fault matrix with expected density ``pfail`` (burst faults
-    at physically adjacent cells of one row)."""
+    """Clustered fault matrix with expected density ``pfail``: a
+    binomial fault count, placed in bursts of geometrically distributed
+    length (mean ``cluster_size``) at physically adjacent cells of one
+    row.  ``cluster_size=1`` places every fault alone, an (approximately)
+    uniform matrix."""
     total = rows * cells
     n_faults = rng.binomial(total, pfail)
     faults = np.zeros((rows, cells), dtype=bool)
@@ -157,6 +174,7 @@ def uniform_fault_invariance(
     non-interleaved capacities agree in expectation.  Returns the two
     sampled means (tests assert they are statistically indistinguishable).
     """
+    _check_study_inputs(geometry, pfail, degree, trials)
     rng = np.random.default_rng(seed)
     d = geometry.num_blocks
     k = geometry.cells_per_block

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.prefetch import NextLinePrefetcher
-from repro.cache.replacement import LRUPolicy
 from repro.cache.stats import HierarchyStats
 from repro.faults.geometry import CacheGeometry
 
@@ -229,8 +228,7 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     """The hierarchy's bulk-engine eligibility signature, or ``None``.
 
     Two hierarchies can share one lane-kernel batch iff both return
-    equal non-``None`` signatures: LRU replacement everywhere (the stamp
-    encoding is an LRU-order argument), a fully-enabled L2 (the bulk L2
+    equal non-``None`` signatures: a fully-enabled L2 (the bulk L2
     refill has no fill-bypass port; the paper's L2 is always fault-free)
     and an untouched hierarchy (lanes start empty: every cache clock 0,
     empty victim caches and prefetch tag sets, all-zero statistics) are
@@ -243,9 +241,6 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     :class:`~repro.cache.prefetch.NextLinePrefetcher` on that port's L1,
     and every lane of a pass shares its degree.
     """
-    caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
-    if any(type(cache._policy) is not LRUPolicy for cache in caches):
-        return None
     if hierarchy.l2._enabled is not None:
         return None
     degrees = []
@@ -259,6 +254,7 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
             degrees.append(prefetcher.degree)
         else:
             return None
+    caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
     if any(cache._clock for cache in caches) or any(
         victim is not None and victim._tags
         for victim in (hierarchy.victim_i, hierarchy.victim_d)

@@ -10,12 +10,18 @@ geometry with all ways enabled; the baseline enables everything.
 Addresses are *block addresses* (byte address >> offset bits) — the
 hierarchy layer does the shifting once so the hot loop stays cheap.
 
-State is stored **flat**: ``_tags``/``_last_touch``/``_fill_time`` are
-``array('q')`` buffers and ``_dirty`` a ``bytearray``, each indexed
-``set * ways + way``, and an invalid way holds the sentinel tag -1
-(block-address tags are non-negative, so the sentinel can never alias a
-resident block).  A way that is *disabled* also holds -1 forever: fills
-never select it, so lookups need no usable-way filtering at all.
+Replacement is LRU, the policy of every cache in Table II: a fill takes
+the first invalid usable way of its set, else evicts the usable way
+touched least recently (the first such way on a tie).  Nothing
+invalidates a way once filled, so both choices are one first-minimum
+over the usable ways' last-touch clocks.
+
+State is stored **flat**: ``_tags``/``_last_touch`` are ``array('q')``
+buffers and ``_dirty`` a ``bytearray``, each indexed ``set * ways +
+way``, and an invalid way holds the sentinel tag -1 (block-address tags
+are non-negative, so the sentinel can never alias a resident block).  A
+way that is *disabled* also holds -1 forever: fills never select it, so
+lookups need no usable-way filtering at all.
 
 The lane kernel never reads or writes these caches: its set-major lane
 arrays (:mod:`repro.cache.engine`) start empty, built from the schemes'
@@ -31,7 +37,6 @@ from itertools import compress
 
 import numpy as np
 
-from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
 from repro.faults.geometry import CacheGeometry
 
@@ -46,8 +51,6 @@ class SetAssociativeCache:
     enabled_ways:
         Optional boolean matrix ``(num_sets, ways)``; ``False`` marks a way
         that must never hold data (a disabled block).  ``None`` enables all.
-    policy:
-        Replacement policy name (``lru``/``fifo``/``random``) or instance.
     name:
         Label used in stats and error messages.
     """
@@ -56,9 +59,7 @@ class SetAssociativeCache:
         self,
         geometry: CacheGeometry,
         enabled_ways: np.ndarray | None = None,
-        policy: str | ReplacementPolicy = "lru",
         name: str = "cache",
-        seed: int = 0,
     ) -> None:
         self.geometry = geometry
         self.name = name
@@ -72,7 +73,6 @@ class SetAssociativeCache:
             # high-voltage cache, the L2) skips the matrix entirely.
             self._enabled = None
             self._usable_ways: list[tuple[int, ...]] = [all_ways] * num_sets
-            self._fully_enabled: list[bool] = [True] * num_sets
         else:
             enabled_ways = np.asarray(enabled_ways, dtype=bool)
             if enabled_ways.shape != (num_sets, ways):
@@ -87,13 +87,6 @@ class SetAssociativeCache:
             self._usable_ways = [
                 tuple(compress(all_ways, row)) for row in enabled_ways.tolist()
             ]
-            self._fully_enabled = [
-                len(usable) == ways for usable in self._usable_ways
-            ]
-
-        if isinstance(policy, str):
-            policy = make_policy(policy, seed=seed)
-        self._policy = policy
 
         # Flat per-way state (see module docstring); -1 tags mark both
         # invalid and disabled ways, so the lookup probe needs no
@@ -102,18 +95,16 @@ class SetAssociativeCache:
         self._tags = array("q", [-1]) * n
         self._dirty = bytearray(n)
         self._last_touch = array("q", [0]) * n
-        self._fill_time = array("q", [0]) * n
         # Residency index: block address -> flat way index.  Kept exactly
-        # in sync with ``_tags`` by fill/invalidate/flush, it turns the
-        # hit probe into a single dict lookup (how fast software cache
-        # models index residency) without touching any decision the
-        # per-set state makes.
+        # in sync with ``_tags`` by fill, it turns the hit probe into a
+        # single dict lookup (how fast software cache models index
+        # residency) without touching any decision the per-set state
+        # makes.
         self._resident: dict[int, int] = {}
         self._clock = 0
 
         self._ways = ways
         self._set_mask = num_sets - 1
-        self._index_shift = 0  # block address already excludes the offset
         # tag of a block address = block_addr >> index_bits
         self._tag_shift = geometry.index_bits
 
@@ -173,7 +164,6 @@ class SetAssociativeCache:
             if is_write:
                 self._dirty[index] = True
             self._last_touch[index] = self._clock
-            self._fill_time[index] = self._clock
             self.stats.fills += 1
             return None
         s = block_addr & self._set_mask
@@ -181,61 +171,25 @@ class SetAssociativeCache:
         if not usable:
             self.stats.bypassed_fills += 1
             return None
-        tag = block_addr >> self._tag_shift
-        ways = self._ways
-        base = s * ways
+        # LRU, invalid ways first: an invalid way's touch is still 0.
+        base = s * self._ways
+        touched = self._last_touch[base : base + self._ways]
+        index = base + min(usable, key=touched.__getitem__)
         tags = self._tags
-        # Prefer an invalid usable way.
-        victim_way = -1
-        segment = tags[base : base + ways]
-        if -1 in segment:
-            if self._fully_enabled[s]:
-                victim_way = segment.index(-1)
-            else:
-                for w in usable:
-                    if tags[base + w] == -1:
-                        victim_way = w
-                        break
         evicted = None
-        if victim_way < 0:
-            victim_way = self._policy.victim(
-                usable,
-                self._last_touch[base : base + ways],
-                self._fill_time[base : base + ways],
-            )
-            index = base + victim_way
+        if tags[index] != -1:
             evicted = (tags[index] << self._tag_shift) | s
             del self._resident[evicted]
             if self._dirty[index]:
                 self.stats.writebacks += 1
             self.stats.evictions += 1
-        index = base + victim_way
-        tags[index] = tag
+        tags[index] = block_addr >> self._tag_shift
         self._resident[block_addr] = index
         self._dirty[index] = 1 if is_write else 0
         self._last_touch[index] = self._clock
-        self._fill_time[index] = self._clock
         self.stats.fills += 1
         return evicted
-
-    def invalidate(self, block_addr: int) -> bool:
-        """Drop ``block_addr`` if present.  Returns whether it was resident."""
-        index = self._resident.pop(block_addr, None)
-        if index is None:
-            return False
-        self._tags[index] = -1
-        self._dirty[index] = False
-        return True
 
     def contains(self, block_addr: int) -> bool:
         """Non-mutating probe (no stats, no recency update)."""
         return block_addr in self._resident
-
-    def flush(self) -> None:
-        """Invalidate everything (keeps stats).  Mutates the state buffers
-        and residency dict in place, so holders of references stay
-        coherent."""
-        n = len(self._tags)
-        self._tags[:] = array("q", [-1]) * n
-        self._dirty[:] = bytes(n)
-        self._resident.clear()

@@ -31,33 +31,24 @@ class VictimCache:
         self.name = name
         self.stats = CacheStats()
         self._tags: list[int] = []  # index 0 = LRU, tail = MRU
-        self._clock = 0
 
     @property
     def occupancy(self) -> int:
         return len(self._tags)
 
-    def lookup(self, block_addr: int, extract: bool = True) -> bool:
-        """Probe for ``block_addr``.
+    def lookup(self, block_addr: int) -> bool:
+        """Probe for ``block_addr`` on an L1 miss.
 
-        With ``extract=True`` (the swap semantics used on an L1 miss) a hit
-        *removes* the block — it is about to move back into the L1.
+        A hit *removes* the block (the swap): it is about to move back
+        into the L1.
         """
         self.stats.accesses += 1
-        if self.entries == 0:
-            self.stats.misses += 1
-            return False
-        try:
-            idx = self._tags.index(block_addr)
-        except ValueError:
-            self.stats.misses += 1
-            return False
-        self.stats.hits += 1
-        if extract:
-            self._tags.pop(idx)
-        else:
-            self._tags.append(self._tags.pop(idx))  # refresh recency
-        return True
+        if block_addr in self._tags:
+            self._tags.remove(block_addr)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
 
     def insert(self, block_addr: int) -> int | None:
         """Add an L1 evictee; returns the block pushed out, if any."""
@@ -76,6 +67,3 @@ class VictimCache:
     def contains(self, block_addr: int) -> bool:
         """Non-mutating probe (no stats)."""
         return block_addr in self._tags
-
-    def flush(self) -> None:
-        self._tags.clear()

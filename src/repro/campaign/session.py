@@ -273,11 +273,11 @@ class Session:
     def batch_signature(self, config: RunConfig) -> "tuple | None":
         """The batch-compatibility signature of ``config``'s lanes (see
         :meth:`OutOfOrderPipeline.batch_key`), or ``None`` when they
-        cannot take the lane kernel.  The signature is a pure
-        function of the configuration's *structure* — latencies,
-        geometries, victim sizing, replacement policies — never of the
-        fault draw, so one representative pipeline decides it for every
-        map index.  Memoised per config."""
+        cannot take the lane kernel.  The signature is a pure function
+        of the configuration's *structure* — latencies, geometries,
+        victim sizing, prefetchers — never of the fault draw, so one
+        representative pipeline decides it for every map index.
+        Memoised per config."""
         if config not in self._signature_cache:
             representative = self.build_pipeline(
                 config, 0 if config.needs_fault_map else None
@@ -485,8 +485,8 @@ class Session:
         """
         cfg_i, cfg_d, latencies, victim_entries = self._configure(config, map_index)
         hierarchy = MemoryHierarchy(
-            cfg_i.build_cache("l1i", seed=self.settings.seed),
-            cfg_d.build_cache("l1d", seed=self.settings.seed),
+            cfg_i.build_cache("l1i"),
+            cfg_d.build_cache("l1d"),
             L2_GEOMETRY,
             latencies,
             victim_entries_i=victim_entries,

@@ -98,11 +98,11 @@ class CacheConfiguration:
                 "voltage (whole-cache failure); cannot build it"
             )
 
-    def build_cache(self, name: str = "l1", seed: int = 0) -> SetAssociativeCache:
+    def build_cache(self, name: str = "l1") -> SetAssociativeCache:
         """Instantiate the behavioural cache this configuration describes."""
         self.require_usable()
         return SetAssociativeCache(
-            self.geometry, enabled_ways=self.enabled_ways, name=name, seed=seed
+            self.geometry, enabled_ways=self.enabled_ways, name=name
         )
 
 

@@ -165,42 +165,6 @@ def _schedule_key(
     )
 
 
-def _frontend_masks(trace: Trace) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """(branch_pos, callret_pos, is_mem) — class-derived index/mask arrays
-    the schedule builder consumes, memoised on the trace."""
-    cached = trace.__dict__.get("_frontend_masks")
-    if cached is None:
-        classes = trace.iclass
-        cached = (
-            np.flatnonzero(classes == 6),
-            np.flatnonzero(classes > 6),
-            (classes == 4) | (classes == 5),
-        )
-        trace._frontend_masks = cached
-    return cached
-
-
-def _frontend_lines(trace: Trace, offset_bits: int) -> "tuple[np.ndarray, np.ndarray]":
-    """(lines, raw_change) for one I-line geometry: the fetch line of each
-    instruction and where it differs from its predecessor (the
-    predictor-independent part of the I-access points).  Memoised on the
-    trace per ``offset_bits``."""
-    cache = trace.__dict__.get("_frontend_lines")
-    if cache is None:
-        cache = {}
-        trace._frontend_lines = cache
-    entry = cache.get(offset_bits)
-    if entry is None:
-        lines = trace.pc >> offset_bits
-        raw_change = np.empty(len(lines), dtype=np.bool_)
-        if len(lines):
-            raw_change[0] = True
-            np.not_equal(lines[1:], lines[:-1], out=raw_change[1:])
-        entry = (lines, raw_change)
-        cache[offset_bits] = entry
-    return entry
-
-
 def _trace_content_digest(trace: Trace) -> str:
     """Content hash of the trace columns the front end consumes (pc,
     class, taken) — memoised on the trace object.  Classes are hashed as
@@ -366,8 +330,15 @@ def _build_schedule(
         return _build_schedule_reference(trace, config, offset_bits, measure_from)
 
     pcs, classes, takens = trace.pc, trace.iclass, trace.taken
-    lines, raw_change = _frontend_lines(trace, offset_bits)
-    branch_pos, cr_pos, is_mem = _frontend_masks(trace)
+    # The fetch line of each instruction, and where it differs from its
+    # predecessor (the predictor-independent part of the I-access points;
+    # redirects are added below).
+    lines = pcs >> offset_bits
+    change = np.empty(n, dtype=np.bool_)
+    change[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=change[1:])
+    branch_pos = np.flatnonzero(classes == 6)
+    cr_pos = np.flatnonzero(classes > 6)
     fetch_width = config.fetch_width
     # The reference resets measured-region stats at ``i == measure_from``
     # only when ``0 < measure_from < n``; at or past the end it never fires.
@@ -500,7 +471,6 @@ def _build_schedule(
 
     # ---- vectorised fetch-group / static-offset assembly ----------------
     # cur_line resets to -1 after a redirect, forcing a line change there.
-    change = raw_change.copy()
     change[1:] |= redirect[:-1]
     # fetch_slot resets after calls, returns, and taken or redirecting
     # branches (a correctly-predicted not-taken branch keeps the slot).
@@ -526,7 +496,8 @@ def _build_schedule(
     iaccess_idx = np.flatnonzero(change)
     redirect_idx = np.flatnonzero(redirect)
     iaccess_measured = int(np.count_nonzero(change[reset_from:]))
-    daccess_measured = int(np.count_nonzero(is_mem[reset_from:]))
+    tail = classes[reset_from:]
+    daccess_measured = int(np.count_nonzero((tail == 4) | (tail == 5)))
 
     return FrontEndSchedule(
         static_fetch=static,

@@ -45,8 +45,8 @@ cycles and every reported statistic:
   is checked against (``engine="object"`` forces it;
   ``tests/integration/test_golden_sim.py`` pins both to the same golden
   cycle counts and statistics) and runs everything the kernel does not
-  cover: non-LRU policies, fault-disabled L2s, hierarchies that already
-  hold state, and hosts without a working ``gcc``.  It is also the way
+  cover: fault-disabled L2s, hierarchies that already hold state, and
+  hosts without a working ``gcc``.  It is also the way
   to inspect a hierarchy after a run, or to chain runs over one.
 """
 
@@ -506,8 +506,8 @@ class OutOfOrderPipeline:
         schedule replays predictors from their pristine construction
         state), a positive front-end depth (the kernel drops occupancy
         guards that rely on dispatch cycles being >= 1), the bulk
-        engine's coverage (LRU replacement, fully-enabled L2, next-line
-        prefetchers of one degree per port, and an untouched hierarchy —
+        engine's coverage (a fully-enabled L2, next-line prefetchers of
+        one degree per port, and an untouched hierarchy —
         see :func:`repro.cache.engine.bulk_signature`; victim *sizings*
         may differ per lane, padded by the vector engine), and a
         loadable kernel.  It folds in the shared pipeline config, the

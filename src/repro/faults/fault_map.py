@@ -118,42 +118,6 @@ class FaultMap:
         ]
 
     @classmethod
-    def generate_clustered(
-        cls,
-        geometry: CacheGeometry,
-        pfail: float,
-        cluster_size: float = 4.0,
-        seed: int | np.random.Generator | None = None,
-    ) -> "FaultMap":
-        """Draw a *clustered* fault map (the paper's future-work model).
-
-        The expected number of faulty cells matches the uniform model
-        (``pfail * d * k``), but faults arrive in bursts of geometrically
-        distributed length (mean ``cluster_size``) at physically adjacent
-        cells within a block row.  ``cluster_size=1`` degenerates to an
-        (approximately) uniform map.
-        """
-        if not 0.0 <= pfail <= 1.0:
-            raise ValueError(f"pfail must be a probability, got {pfail!r}")
-        if cluster_size < 1.0:
-            raise ValueError("cluster_size must be >= 1")
-        rng = _as_rng(seed)
-        d = geometry.num_blocks
-        k = geometry.cells_per_block
-        total = d * k
-        n_faults = rng.binomial(total, pfail)
-        faults = np.zeros((d, k), dtype=bool)
-        placed = 0
-        while placed < n_faults:
-            length = min(rng.geometric(1.0 / cluster_size), n_faults - placed)
-            block = int(rng.integers(d))
-            start = int(rng.integers(k))
-            stop = min(start + length, k)
-            faults[block, start:stop] = True
-            placed += stop - start
-        return cls(geometry=geometry, faults=faults, pfail=pfail)
-
-    @classmethod
     def empty(cls, geometry: CacheGeometry) -> "FaultMap":
         """A fault-free map (high-voltage operation)."""
         shape = (geometry.num_blocks, geometry.cells_per_block)

@@ -12,11 +12,12 @@ from repro.analysis.ecc import (
     word_survival_probability,
 )
 from repro.analysis.interleaving import (
+    _clustered_matrix,
     clustered_interleaving_study,
     interleave_fault_matrix,
     uniform_fault_invariance,
 )
-from repro.faults import CacheGeometry
+from repro.faults import PAPER_L1_GEOMETRY, CacheGeometry
 
 SMALL = CacheGeometry(size_bytes=8 * 1024, ways=8, block_bytes=64)
 
@@ -133,3 +134,55 @@ class TestInterleavingStudy:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             clustered_interleaving_study(SMALL, 0.001, degree=7, trials=2)
+        with pytest.raises(ValueError, match="does not divide"):
+            uniform_fault_invariance(SMALL, 0.001, degree=7, trials=2)
+
+    @pytest.mark.parametrize(
+        "study, bad",
+        [
+            *(
+                (clustered_interleaving_study, {"cluster_size": size})
+                for size in (0.0, 0.5, float("inf"))
+            ),
+            *(
+                (study, bad)
+                for study in (clustered_interleaving_study, uniform_fault_invariance)
+                for bad in ({"pfail": 1.5}, {"pfail": -0.001}, {"degree": 0}, {"trials": 0})
+            ),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else "{}={}".format(*dict(v).popitem()),
+    )
+    def test_rejects_bad_inputs_by_name(self, study, bad):
+        """Each bad value raises a ValueError naming its argument, not a
+        ZeroDivisionError, NumPy's sampler message or a NaN capacity."""
+        (argument,) = bad
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            study(SMALL, **{"pfail": 0.001, "trials": 2, **bad})
+
+
+class TestClusteredMatrix:
+    """The clustered fault model the interleaving study samples, on the
+    paper's L1 shape (one row per block)."""
+
+    SHAPE = (PAPER_L1_GEOMETRY.num_blocks, PAPER_L1_GEOMETRY.cells_per_block)
+
+    def test_expected_density_matches(self):
+        faults = _clustered_matrix(*self.SHAPE, 0.002, 4.0, np.random.default_rng(5))
+        expected = 0.002 * faults.size
+        assert faults.shape == self.SHAPE
+        assert 0.5 * expected < faults.sum() <= 1.5 * expected
+
+    def test_clustering_concentrates_faults(self):
+        """Same fault density, fewer distinct faulty blocks than the
+        uniform model."""
+        rngs = [np.random.default_rng(s) for s in range(10)]
+        uniform = np.mean([(r.random(self.SHAPE) < 0.002).any(axis=1).sum() for r in rngs])
+        clustered = np.mean(
+            [_clustered_matrix(*self.SHAPE, 0.002, 8.0, r).any(axis=1).sum() for r in rngs]
+        )
+        assert clustered < 0.5 * uniform
+
+    def test_cluster_size_one_behaves_like_uniform(self):
+        faults = _clustered_matrix(*self.SHAPE, 0.001, 1.0, np.random.default_rng(1))
+        expected = 0.001 * faults.size
+        assert 0.3 * expected < faults.sum() < 2.0 * expected

@@ -19,17 +19,17 @@ class TestBasics:
         """The swap: a hit removes the block (it returns to the L1)."""
         vc = VictimCache(4)
         vc.insert(100)
-        assert vc.lookup(100, extract=True)
+        assert vc.lookup(100)
         assert not vc.contains(100)
 
-    def test_non_extracting_lookup_refreshes(self):
-        vc = VictimCache(2)
-        vc.insert(1)
-        vc.insert(2)
-        assert vc.lookup(1, extract=False)  # 1 becomes MRU
-        vc.insert(3)  # evicts 2, not 1
-        assert vc.contains(1)
-        assert not vc.contains(2)
+    def test_hit_frees_its_slot_and_keeps_the_order(self):
+        vc = VictimCache(3)
+        for addr in (1, 2, 3):
+            vc.insert(addr)
+        assert vc.lookup(2)
+        assert vc.insert(4) is None  # the swap freed a slot
+        assert vc.insert(5) == 1  # 1 is still the least recent
+        assert [vc.contains(a) for a in (2, 3, 4, 5)] == [False, True, True, True]
 
     def test_capacity_eviction_is_lru(self):
         vc = VictimCache(2)
@@ -65,13 +65,6 @@ class TestBasics:
         assert vc.stats.misses == 1
         assert vc.stats.hits == 1
         assert vc.stats.fills == 1
-
-    def test_flush(self):
-        vc = VictimCache(4)
-        vc.insert(1)
-        vc.flush()
-        assert not vc.contains(1)
-        assert vc.occupancy == 0
 
 
 class TestZeroEntries:

@@ -20,6 +20,7 @@ from kernel_toolchain import BuildFailureChecks, GatingChecks
 
 from repro import ckernel
 from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.prefetch import NextLinePrefetcher
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.campaign import RunnerSettings, Session
@@ -285,16 +286,32 @@ class TestRouting:
         pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 2  # warmup prefix, then the measured region
 
-    def test_fifo_l1_runs_the_object_loop(self, session, counter):
-        l1d = SetAssociativeCache(L1_GEOMETRY, policy="fifo", name="l1d")
-        pipeline = OutOfOrderPipeline(session.pipeline_config, self._hierarchy(l1d=l1d))
-        self._assert_object_loop(pipeline, session, counter)
-
     def test_block_disabled_l2_runs_the_object_loop(self, session, counter):
         enabled = [[w != 0 for w in range(L2_GEOMETRY.ways)]] * L2_GEOMETRY.num_sets
         l2 = SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2")
         pipeline = OutOfOrderPipeline(session.pipeline_config, self._hierarchy(l2=l2))
         self._assert_object_loop(pipeline, session, counter)
+
+    def test_unmodelled_prefetcher_runs_the_object_loop(self, session, counter):
+        """The kernel models exactly ``NextLinePrefetcher``: a subclass
+        that prefetches one line further on runs the object loop and
+        matches the object engine."""
+
+        class SkipLinePrefetcher(NextLinePrefetcher):
+            def _issue(self, block_addr: int) -> None:
+                super()._issue(block_addr + 1)
+
+        def build(engine):
+            hierarchy = self._hierarchy()
+            hierarchy.dport.prefetcher = SkipLinePrefetcher(hierarchy.l1d)
+            return OutOfOrderPipeline(session.pipeline_config, hierarchy, engine=engine)
+
+        trace = session.trace("gzip")
+        pipeline = build("fused")
+        assert pipeline.batch_key() is None
+        result = pipeline.run(trace, measure_from=WARMUP)
+        assert counter.calls == 0
+        assert result == build("object").run(trace, measure_from=WARMUP)
 
     def test_reused_pipeline_runs_the_object_loop(self, session, counter):
         """A hierarchy one fetch has touched runs the object loop, and a

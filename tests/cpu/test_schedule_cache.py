@@ -84,6 +84,21 @@ def test_builders_emit_int64_columns():
     assert changed != vectorised
 
 
+@pytest.mark.parametrize("measure_from", [0, 1, 1_500, 2_999, 3_000, 3_007])
+def test_builders_agree_at_every_reset_point(measure_from):
+    """The vectorised builder matches the per-instruction replay wherever
+    the measured region starts (the first instruction, mid-trace, the
+    last one, the end and past it; only ``0 < measure_from < n`` resets
+    the counts), at each I-line size the block-size study sweeps."""
+    trace = _trace()
+    assert len(trace) == 3_000
+    for block_bytes in (32, 64, 128):
+        offset_bits = block_bytes.bit_length() - 1
+        vectorised = _build_schedule(trace, PAPER_PIPELINE, offset_bits, measure_from)
+        reference = _build_schedule_reference(trace, PAPER_PIPELINE, offset_bits, measure_from)
+        assert vectorised == reference, block_bytes
+
+
 #: Each malformed entry: (member, how it changes).  Every one of them
 #: would let the kernel read past a column or run with the wrong fetch
 #: offsets or counts (or, for a short ``counts`` row, raise IndexError,

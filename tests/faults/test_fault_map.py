@@ -62,40 +62,6 @@ class TestGeneration:
             FaultMap(paper_geometry, bad)
 
 
-class TestClusteredGeneration:
-    def test_expected_density_matches(self, paper_geometry):
-        fm = FaultMap.generate_clustered(paper_geometry, 0.002, cluster_size=4.0, seed=5)
-        expected = 0.002 * paper_geometry.total_cells
-        assert 0.5 * expected < fm.num_faulty_cells <= 1.5 * expected
-
-    def test_clustering_concentrates_faults(self, paper_geometry):
-        """Same fault density, fewer distinct faulty blocks than uniform."""
-        uniform_blocks = np.mean(
-            [
-                FaultMap.generate(paper_geometry, 0.002, seed=s).num_faulty_blocks()
-                for s in range(10)
-            ]
-        )
-        clustered_blocks = np.mean(
-            [
-                FaultMap.generate_clustered(
-                    paper_geometry, 0.002, cluster_size=8.0, seed=s
-                ).num_faulty_blocks()
-                for s in range(10)
-            ]
-        )
-        assert clustered_blocks < uniform_blocks
-
-    def test_cluster_size_one_behaves_like_uniform(self, paper_geometry):
-        fm = FaultMap.generate_clustered(paper_geometry, 0.001, cluster_size=1.0, seed=1)
-        expected = 0.001 * paper_geometry.total_cells
-        assert 0.3 * expected < fm.num_faulty_cells < 2.0 * expected
-
-    def test_rejects_cluster_below_one(self, paper_geometry):
-        with pytest.raises(ValueError):
-            FaultMap.generate_clustered(paper_geometry, 0.001, cluster_size=0.5)
-
-
 class TestBlockQueries:
     def test_faulty_block_mask_matches_counts(self, paper_fault_map):
         counts = paper_fault_map.block_fault_counts()

@@ -3,18 +3,19 @@
 Each scenario builds a complete (pipeline config, memory hierarchy, trace,
 measured region) quadruple covering every behavioural corner the lane
 kernel must reproduce exactly: all disabling schemes at both voltages,
-victim caches of several sizes, prefetching, every replacement policy,
+victim caches of several sizes (one entry included), prefetching,
 fault-thinned and fully-disabled sets, and non-Table-II pipeline widths
 (which exercise the generic min-scans).
 
 ``golden_sim.json`` locks the cycle counts, branch statistics, and full
-hierarchy stats these scenarios produced on the pre-engine object path.
+hierarchy stats these scenarios produced on the object path.
 ``test_golden_sim.py`` asserts that both the object path and the default
-engine (the lane kernel where eligible) still reproduce them bit-for-bit.
+engine (the lane kernel where it loads) still reproduce them bit-for-bit.
 
-Regenerate (only when the simulator's bits change *on purpose*)::
+Regenerate on the object path, the oracle (only when the simulator's
+bits change *on purpose*)::
 
-    PYTHONPATH=src python tests/integration/golden_scenarios.py --regen
+    PYTHONPATH=src python tests/integration/golden_scenarios.py --regen --engine object
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ MEASURE_FROM = 1_500
 
 # Small geometries for the direct (non-scheme) scenarios: few sets means
 # heavy conflict pressure, so every path (evictions, victim swaps,
-# writebacks, policy decisions) fires within a short trace.
+# writebacks, LRU decisions) fires within a short trace.
 SMALL_L1 = CacheGeometry(size_bytes=4 * 1024, ways=4, block_bytes=64)
 SMALL_L2 = CacheGeometry(size_bytes=32 * 1024, ways=8, block_bytes=64)
 SMALL_LATENCIES = LatencyConfig(l1i=3, l1d=3, victim=1, l2=12, memory=90)
@@ -97,8 +98,8 @@ def _scheme_hierarchy(
         operating.l1_base_latency + cfg_d.latency_adder,
     )
     return MemoryHierarchy(
-        cfg_i.build_cache("l1i", seed=2010),
-        cfg_d.build_cache("l1d", seed=2010),
+        cfg_i.build_cache("l1i"),
+        cfg_d.build_cache("l1d"),
         L2_GEOMETRY,
         latencies,
         victim_entries_i=victim_entries,
@@ -118,20 +119,15 @@ def _thinned_matrix(seed: int) -> np.ndarray:
 
 
 def _small_hierarchy(
-    policy: str = "lru",
     enabled_i: np.ndarray | None = None,
     enabled_d: np.ndarray | None = None,
     victim_entries: int = 0,
     prefetch_degree: int = 0,
-    l2_policy: str | None = None,
 ) -> MemoryHierarchy:
-    l1i = SetAssociativeCache(SMALL_L1, enabled_ways=enabled_i, policy=policy, name="l1i", seed=5)
-    l1d = SetAssociativeCache(SMALL_L1, enabled_ways=enabled_d, policy=policy, name="l1d", seed=6)
-    l2 = SetAssociativeCache(SMALL_L2, policy=l2_policy or policy, name="l2", seed=7)
     return MemoryHierarchy(
-        l1i,
-        l1d,
-        l2,
+        SetAssociativeCache(SMALL_L1, enabled_ways=enabled_i, name="l1i"),
+        SetAssociativeCache(SMALL_L1, enabled_ways=enabled_d, name="l1d"),
+        SetAssociativeCache(SMALL_L2, name="l2"),
         SMALL_LATENCIES,
         victim_entries_i=victim_entries,
         victim_entries_d=victim_entries,
@@ -189,17 +185,8 @@ def scenarios() -> list[tuple[str, PipelineConfig, Callable[[], MemoryHierarchy]
     scheme("lv-block-heavy", "block-disable", LOW, 8, heavy_i, heavy_d)
 
     # ----- direct stress scenarios (small geometry) ------------------------
-    entries.append(
-        ("policy-fifo", PAPER_PIPELINE, lambda: _small_hierarchy(policy="fifo"), "gzip")
-    )
-    entries.append(
-        (
-            "policy-random",
-            PAPER_PIPELINE,
-            lambda: _small_hierarchy(policy="random"),
-            "gzip",
-        )
-    )
+    # LRU alone under heavy conflict pressure: no victim, no prefetch.
+    entries.append(("small-lru", PAPER_PIPELINE, lambda: _small_hierarchy(), "gzip"))
     entries.append(
         (
             "prefetch-d1",
@@ -244,23 +231,30 @@ def scenarios() -> list[tuple[str, PipelineConfig, Callable[[], MemoryHierarchy]
     )
     entries.append(
         (
-            "thinned-random",
+            "thinned-victim1",
             PAPER_PIPELINE,
             lambda: _small_hierarchy(
-                policy="random",
                 enabled_i=_thinned_matrix(23),
                 enabled_d=_thinned_matrix(24),
+                victim_entries=1,
+            ),
+            "gzip",
+        )
+    )
+    # Thinned and bypassing sets with no victim cache behind them.
+    entries.append(
+        (
+            "thinned-applu",
+            PAPER_PIPELINE,
+            lambda: _small_hierarchy(
+                enabled_i=_thinned_matrix(23), enabled_d=_thinned_matrix(24)
             ),
             "applu",
         )
     )
+    # The smallest victim cache with an LRU order among its entries.
     entries.append(
-        (
-            "victim1-fifo",
-            PAPER_PIPELINE,
-            lambda: _small_hierarchy(policy="fifo", victim_entries=1),
-            "applu",
-        )
+        ("victim2-applu", PAPER_PIPELINE, lambda: _small_hierarchy(victim_entries=2), "applu")
     )
     entries.append(
         ("odd-widths", ODD_PIPELINE, lambda: _small_hierarchy(victim_entries=4), "gzip")

@@ -1,13 +1,12 @@
 """Golden bit-identity suite: both engines vs the locked fixtures.
 
-``golden_sim.json`` was generated by the pre-engine object path (see
+``golden_sim.json`` was generated by the object path (see
 ``golden_scenarios.py``).  Every scenario — all disabling schemes at both
-voltages, victim caches, prefetching, all replacement policies, thinned and
-fully-disabled sets, non-Table-II widths — must reproduce its cycles,
-branch statistics, and full hierarchy statistics exactly: on
-``engine="object"``, on the default engine (the C lane kernel for every
-kernel-eligible scenario, the object loop for the rest), and batched
-(the kernel-eligible scenarios, as kernel lanes).
+voltages, victim caches, prefetching, thinned and fully-disabled sets,
+non-Table-II widths — must reproduce its cycles, branch statistics, and
+full hierarchy statistics exactly: on ``engine="object"``, on the default
+engine (the C lane kernel wherever it loads), and batched (as kernel
+lanes).
 Any divergence is a simulator-semantics change and fails CI (stats
 divergence, not timing).
 """
@@ -56,28 +55,20 @@ def test_golden_bit_identity(name, engine, golden, traces):
     )
 
 
-#: The scenarios only the object loop runs: every non-LRU one.
-OBJECT_LOOP_SCENARIOS = {"policy-fifo", "policy-random", "thinned-random", "victim1-fifo"}
-
-
 @pytest.mark.skipif(
     lane_kernel.load() is None, reason="no compiled lane kernel on this host"
 )
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
 def test_golden_bit_identity_batched(name, golden, traces):
-    """Every kernel-eligible scenario must also reproduce its goldens
-    through ``run_batch``: two identical ``kernel_lane()`` values run in
-    one kernel pass, and both must match the locked record exactly (the
-    prefetching scenarios included).  ``kernel_lane()`` is ``None``
-    exactly for the scenarios the object loop runs."""
+    """Every scenario must also reproduce its goldens through
+    ``run_batch``: two identical ``kernel_lane()`` values run in one
+    kernel pass, and both must match the locked record exactly (the
+    prefetching scenarios included)."""
     pipeline_config, make_hierarchy, trace_name = _SCENARIOS[name]
     lanes = [
         OutOfOrderPipeline(pipeline_config, make_hierarchy()).kernel_lane()
         for _ in range(2)
     ]
-    if name in OBJECT_LOOP_SCENARIOS:
-        assert lanes == [None, None]
-        return
     assert None not in lanes
     results = OutOfOrderPipeline.run_batch(
         lanes, traces[trace_name], measure_from=MEASURE_FROM
@@ -101,9 +92,7 @@ def test_pipeline_reuse_stays_identical(traces):
         obj = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="object")
         fused = OutOfOrderPipeline(pipeline_config, make_hierarchy(), engine="fused")
         in_kernel = fused.kernel_lane() is not None
-        assert in_kernel == (
-            name not in OBJECT_LOOP_SCENARIOS and lane_kernel.load() is not None
-        ), name
+        assert in_kernel == (lane_kernel.load() is not None), name
         first = obj.run(trace, measure_from=MEASURE_FROM)
         assert fused.run(trace, measure_from=MEASURE_FROM) == first, name
         second = obj.run(trace, measure_from=MEASURE_FROM)

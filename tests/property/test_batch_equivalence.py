@@ -131,9 +131,9 @@ LANES = st.tuples(
 def _small_pipeline(lane, engine: str) -> OutOfOrderPipeline:
     enabled_i, enabled_d, victim_entries = lane
     hierarchy = MemoryHierarchy(
-        SetAssociativeCache(SMALL_L1, enabled_ways=enabled_i, name="l1i", seed=5),
-        SetAssociativeCache(SMALL_L1, enabled_ways=enabled_d, name="l1d", seed=6),
-        SetAssociativeCache(SMALL_L2, name="l2", seed=7),
+        SetAssociativeCache(SMALL_L1, enabled_ways=enabled_i, name="l1i"),
+        SetAssociativeCache(SMALL_L1, enabled_ways=enabled_d, name="l1d"),
+        SetAssociativeCache(SMALL_L2, name="l2"),
         SMALL_LATENCIES,
         victim_entries_i=victim_entries,
         victim_entries_d=victim_entries,

@@ -223,6 +223,49 @@ class TestCacheProperties:
         assert len(cache.resident_blocks()) <= self.geometry.num_blocks
 
     @given(
+        accesses=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=127), st.booleans()), max_size=200
+        ),
+        enabled=st.none() | st.lists(st.booleans(), min_size=32, max_size=32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lru_matches_a_reference_model(self, accesses, enabled):
+        """Demand accesses (a lookup, and a fill on a miss) against an
+        independent model, one recency list per set over its usable
+        ways: every hit, eviction and writeback agrees."""
+        sets, ways = self.geometry.num_sets, self.geometry.ways
+        if enabled is None:
+            cache = SetAssociativeCache(self.geometry)
+            capacity = [ways] * sets
+        else:
+            matrix = np.array(enabled).reshape(sets, ways)
+            cache = SetAssociativeCache(self.geometry, enabled_ways=matrix)
+            capacity = matrix.sum(axis=1).tolist()
+        recency = [[] for _ in range(sets)]  # least recent first
+        dirty: set[int] = set()
+        writebacks = 0
+        for addr, is_write in accesses:
+            order = recency[addr % sets]
+            hit = addr in order
+            assert cache.lookup(addr, is_write) == hit
+            if hit:
+                order.remove(addr)
+            elif capacity[addr % sets] == 0:
+                assert cache.fill(addr, is_write) is None
+                continue
+            else:
+                evicted = order.pop(0) if len(order) == capacity[addr % sets] else None
+                if evicted in dirty:
+                    writebacks += 1
+                    dirty.discard(evicted)
+                assert cache.fill(addr, is_write) == evicted
+            order.append(addr)
+            if is_write:
+                dirty.add(addr)
+        assert cache.resident_blocks() == {a for order in recency for a in order}
+        assert cache.stats.writebacks == writebacks
+
+    @given(
         addresses=st.lists(st.integers(min_value=0, max_value=255), max_size=150),
         entries=st.integers(min_value=1, max_value=8),
     )
@@ -240,7 +283,7 @@ class TestCacheProperties:
         for addr in addresses:
             victim.insert(addr)
         target = addresses[-1]  # most recent: certainly resident
-        assert victim.lookup(target, extract=True)
+        assert victim.lookup(target)
         assert not victim.contains(target)
 
 
