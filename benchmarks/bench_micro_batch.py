@@ -114,10 +114,10 @@ def _kernel_clock():
         if kernel is None:
             return None
 
-        def call(ctx):
+        def call(args):
             start = time.perf_counter()
             try:
-                kernel(ctx)
+                kernel(args)
             finally:
                 spent[0] += time.perf_counter() - start
 

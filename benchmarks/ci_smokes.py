@@ -30,7 +30,10 @@ then repaired and verified clean; the jsonl → sqlite → jsonl migration
 round-trip must be lossless, and a read-only sharded copy migrated in
 place to jsonl must serve the same figures from pure store hits.
 The ``examples`` smoke runs every script under ``examples/`` against the
-source tree: each must exit 0.
+source tree: each must exit 0.  The ``perfbench`` smoke runs the
+benchmark harness's own checks (pinned digests, layer self-tests) on
+one short traced run of each workload ``BENCHMARK.json`` declares; its
+timings never fail the gate.
 
 Each smoke writes ``<name>-smoke.json`` into ``--json-dir`` (default:
 current directory) — the workflow uploads them as per-commit artifacts so
@@ -1582,6 +1585,49 @@ def smoke_examples(json_dir: str) -> list[str]:
     return failures
 
 
+def smoke_perfbench(json_dir: str) -> list[str]:
+    """``perfbench/run.py --workload W --trace 1 --seconds 1`` for every
+    workload in ``BENCHMARK.json``: each must exit 0 and end in a JSON
+    line with ``correct: true`` and ``failed: 0`` (perfbench exits 0 on
+    an incorrect run too).  This catches a moved digest or a seam the
+    tracer patches before a benchmark run does; timing never fails it."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    failures = []
+    runs: dict[str, dict] = {}
+    for workload in workloads:
+        proc = subprocess.run(
+            [
+                sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+                "--workload", workload, "--trace", "1", "--seconds", "1",
+            ],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+        lines = proc.stdout.strip().splitlines()
+        try:
+            summary = json.loads(lines[-1]) if lines else {}
+        except json.JSONDecodeError:
+            summary = {}
+        runs[workload] = {
+            "returncode": proc.returncode,
+            "correct": summary.get("correct"),
+            "failed": summary.get("failed"),
+        }
+        if proc.returncode != 0 or summary.get("correct") is not True or (
+            summary.get("failed") != 0
+        ):
+            report = "\n".join(lines[:-1]) + proc.stderr  # the JSON line aside
+            failures.append(
+                f"{workload}: exit {proc.returncode}, correct="
+                f"{summary.get('correct')}, failed={summary.get('failed')}\n"
+                f"{report[-2000:]}"
+            )
+    _write(json_dir, "perfbench", {"runs": runs, "ok": not failures})
+    return failures
+
+
 SMOKES = {
     "goldens": smoke_goldens,
     "kips": smoke_kips,
@@ -1596,6 +1642,7 @@ SMOKES = {
     "service": smoke_service,
     "predict": smoke_predict,
     "examples": smoke_examples,
+    "perfbench": smoke_perfbench,
 }
 
 

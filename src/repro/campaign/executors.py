@@ -126,7 +126,6 @@ def _shed_parent_signal_plumbing() -> None:
 
 def _worker_init(
     settings,
-    pipeline_config,
     trace_cache: "str | None" = None,
     chaos_epoch: int = 0,
 ) -> None:
@@ -137,9 +136,7 @@ def _worker_init(
     # Arm worker-only chaos injection with the pool generation: a task
     # retried after a crash/hang rebuild re-rolls its injected fate.
     chaos.enter_worker(chaos_epoch)
-    _WORKER_SESSION = Session(
-        settings, pipeline_config=pipeline_config, trace_cache=trace_cache
-    )
+    _WORKER_SESSION = Session(settings, trace_cache=trace_cache)
 
 
 def run_batch_locally(
@@ -285,12 +282,7 @@ class PoolExecutor(Executor):
             # (Workers that miss simultaneously on a cold cache may each
             # generate once — the aggregated `traces generated=` summary
             # reports it truthfully.)
-            initargs=(
-                session.settings,
-                session.pipeline_config,
-                session.traces.cache_dir,
-                epoch,
-            ),
+            initargs=(session.settings, session.traces.cache_dir, epoch),
         )
 
     def _submit(self, pool, session: "Session", chunk: _Chunk) -> Future:

@@ -96,15 +96,16 @@ class Session:
     benchmark subset and any map count.
     """
 
+    #: Every session simulates the paper's Table II pipeline.
+    pipeline_config: PipelineConfig = PAPER_PIPELINE
+
     def __init__(
         self,
         settings: RunnerSettings | None = None,
-        pipeline_config: PipelineConfig = PAPER_PIPELINE,
         store: ResultStore | None = None,
         trace_cache: str | None = None,
     ) -> None:
         self.settings = settings or RunnerSettings.from_env()
-        self.pipeline_config = pipeline_config
         # trace_cache=None falls back to $REPRO_TRACE_CACHE (see providers).
         self.traces = TraceProvider(self.settings, cache_dir=trace_cache)
         self.maps = FaultMapProvider(self.settings)
@@ -460,10 +461,7 @@ class Session:
         child = self._children.get(memo)
         if child is None:
             child = Session(
-                settings,
-                pipeline_config=self.pipeline_config,
-                store=self.store,
-                trace_cache=self.traces.cache_dir,
+                settings, store=self.store, trace_cache=self.traces.cache_dir
             )
             self._children[memo] = child
         return child

@@ -28,7 +28,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 from repro.core.schemes import VoltageMode
-from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.experiments.configs import RunConfig
 from repro.experiments.keys import task_key
 from repro.workloads.spec2000 import ALL_BENCHMARKS
@@ -257,15 +256,13 @@ class CampaignSpec:
                 else:
                     yield benchmark, config, None
 
-    def task_keys(
-        self, pipeline_config: PipelineConfig | None = None
-    ) -> tuple[str, ...]:
+    def task_keys(self) -> tuple[str, ...]:
         """Content-hash store keys of every work item, deduplicated in
         plan order.  Equal specs produce equal task keys — the identity
         the store, planner, and cross-process executors rely on."""
         settings = self.settings()
         keys = dict.fromkeys(
-            task_key(settings, benchmark, config, m, pipeline_config or PAPER_PIPELINE)
+            task_key(settings, benchmark, config, m)
             for benchmark, config, m in self.work_items()
         )
         return tuple(keys)

@@ -21,6 +21,11 @@ one :class:`CKernel`, and every kernel is built and loaded the same way:
   process rebuilds it.
 
 ``REPRO_NO_CKERNEL=1`` disables every kernel.
+
+Every kernel entry point takes one pointer to an argument struct, an
+:class:`Args`: its C ``typedef`` and its ``ctypes`` twin come from one
+field table, so the two layouts cannot disagree, and :meth:`Args.pack`
+checks every array's dtype and contiguity before its address reaches C.
 """
 
 from __future__ import annotations
@@ -33,7 +38,95 @@ import subprocess
 import tempfile
 import warnings
 
-__all__ = ["CKernel", "cache_dir"]
+import numpy as np
+
+__all__ = ["Args", "CKernel", "cache_dir"]
+
+#: Field kind -> (C declaration, ctypes field, NumPy dtype a pointer
+#: field's array must have; ``None`` for a scalar).
+_KINDS = {
+    "i64": ("int64_t ", ctypes.c_int64, None),
+    "f64": ("double ", ctypes.c_double, None),
+    "i64*": ("int64_t *", ctypes.c_void_p, np.dtype(np.int64)),
+    "i8*": ("int8_t *", ctypes.c_void_p, np.dtype(np.int8)),
+    "u8*": ("uint8_t *", ctypes.c_void_p, np.dtype(np.bool_)),
+    "f64*": ("double *", ctypes.c_void_p, np.dtype(np.float64)),
+    "u32*": ("uint32_t *", ctypes.c_void_p, np.dtype(np.uint32)),
+}
+
+
+class Args:
+    """A kernel's argument struct, generated from one field table.
+
+    ``fields`` lists ``(name, kind)`` in layout order.  A kind is a
+    scalar (``"i64"``, ``"f64"``), a pointer (``"i64*"``, ``"i8*"``,
+    ``"f64*"``, ``"u32*"``, or ``"u8*"`` for a NumPy ``bool`` array), or
+    another :class:`Args`, nested by value.  :meth:`typedef` is the C
+    declaration (nested types first) and :attr:`struct` the ``ctypes``
+    type of the same layout.
+    """
+
+    def __init__(self, name: str, fields: "tuple[tuple[str, str | Args], ...]") -> None:
+        self.name = name
+        self.fields = dict(fields)
+        self.struct = type(
+            name,
+            (ctypes.Structure,),
+            {
+                "_fields_": [
+                    (field, kind.struct if isinstance(kind, Args) else _KINDS[kind][1])
+                    for field, kind in self.fields.items()
+                ]
+            },
+        )
+
+    def typedef(self) -> str:
+        """The C ``typedef``s of this struct, each nested type first, once."""
+        nested = dict.fromkeys(k for k in self.fields.values() if isinstance(k, Args))
+        lines = [k.typedef() for k in nested]
+        lines.append("typedef struct {")
+        lines += [
+            f"    {kind.name} {name};" if isinstance(kind, Args)
+            else f"    {_KINDS[kind][0]}{name};"
+            for name, kind in self.fields.items()
+        ]
+        lines.append(f"}} {self.name};\n")
+        return "\n".join(lines)
+
+    def pack(self, **values) -> ctypes.Structure:
+        """The struct holding ``values``; unset fields are 0 or ``NULL``.
+
+        A pointer field takes a C-contiguous NumPy array of its dtype, or
+        ``None`` for ``NULL``; a nested field takes a dict of its own
+        fields.  Anything else is refused with a ``TypeError`` naming the
+        field, because the kernel trusts every pointer.  The struct keeps
+        its arrays alive.
+        """
+        arrays: list[np.ndarray] = []
+        struct = self._pack(values, "", arrays)
+        struct._arrays = arrays
+        return struct
+
+    def _pack(self, values: dict, prefix: str, arrays: list) -> ctypes.Structure:
+        struct = self.struct()
+        for name, value in values.items():
+            kind = self.fields.get(name)
+            if kind is None:
+                raise TypeError(f"{prefix}{name} is not a field of {self.name}")
+            if isinstance(kind, Args):
+                value = kind._pack(value, f"{prefix}{name}.", arrays)
+            elif _KINDS[kind][2] is not None and value is not None:
+                dtype = _KINDS[kind][2]
+                if (
+                    not isinstance(value, np.ndarray)
+                    or value.dtype != dtype
+                    or not value.flags.c_contiguous
+                ):
+                    raise TypeError(f"{prefix}{name} must be a contiguous {dtype} array")
+                arrays.append(value)
+                value = value.ctypes.data
+            setattr(struct, name, value)
+        return struct
 
 
 def cache_dir() -> str:
@@ -47,23 +140,25 @@ def cache_dir() -> str:
 class CKernel:
     """One optional compiled kernel.
 
-    ``entries`` maps each exported function to its ctypes argument types
-    (every entry returns ``void``); ``fallback`` names what runs instead,
-    for the warning ("every simulation falls back to ...").  Build
-    results, success or failure, are memoised for the process.
+    ``entries`` names the exported functions; each takes a pointer to an
+    ``args`` struct and returns ``void``.  ``fallback`` names what runs
+    instead, for the warning ("every simulation falls back to ...").
+    Build results, success or failure, are memoised for the process.
     """
 
     def __init__(
         self,
         name: str,
         source: str,
-        entries: dict[str, list],
+        args: Args,
+        entries: tuple[str, ...],
         fallback: str,
         cflags: tuple[str, ...] = (),
         libs: tuple[str, ...] = (),
     ) -> None:
         self.name = name
         self.source = source
+        self.args = args
         self.entries = entries
         self.fallback = fallback
         self.cflags = cflags
@@ -143,9 +238,9 @@ class CKernel:
                         os.unlink(path)
         try:
             lib = ctypes.CDLL(lib_path)
-            for entry, argtypes in self.entries.items():
+            for entry in self.entries:
                 fn = getattr(lib, entry)
-                fn.argtypes = argtypes
+                fn.argtypes = [ctypes.POINTER(self.args.struct)]
                 fn.restype = None
         except (OSError, AttributeError) as exc:
             # An unloadable cached object, or one without an entry point,

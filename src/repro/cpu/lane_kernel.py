@@ -21,9 +21,9 @@ instruction) beside the schedule's fetch offsets, and computes inline
 what it derives from them: the ROB slot (``i % rob_entries`` once per
 call, then advanced with a wrap), the issue-queue slot (a running
 position in the FP queue for classes 2-3, in the INT queue for the rest;
-both positions live in ctx, so the warmup-boundary return carries them),
-the D-cache block (``mem_addr >> offset_bits``) and whether an operand
-names a register (``>= 0``).
+both positions are argument-struct fields, so the warmup-boundary
+return carries them), the D-cache block (``mem_addr >> offset_bits``)
+and whether an operand names a register (``>= 0``).
 
 Scans select instead of branching: per lane, each instruction takes the
 first minimum of an FU pool and of the issue ports, each miss that of a
@@ -33,12 +33,17 @@ index with conditional moves, and the L1 probe selects its matching way.
 Which of equal minima a scan takes never shows: FU pools and issue ports
 are multisets, cache sets and victim slots content-addressed.
 
-State is shared, not marshalled: the kernel receives one ``int64`` "ctx"
-array of scalars, cursors and NumPy array addresses, so a call costs one
-ctypes dispatch (~1µs) whatever the lane count.  All arithmetic is
-64-bit integer and results are bit-identical to the object loop —
-golden-pinned in ``tests/integration/test_golden_sim.py`` and fuzzed
-against ``engine="object"`` in ``tests/property/test_batch_equivalence.py``.
+State is shared, not marshalled: the kernel takes one argument struct,
+:data:`ARGS` (a :class:`~repro.ckernel.Args`, like the trace kernel's):
+scalars, the cursors a return carries, the two L1 ports and the L2 as
+nested structs, and the addresses of NumPy arrays, each checked for its
+dtype and contiguity by :meth:`~repro.ckernel.Args.pack`.  A call costs
+one ctypes dispatch (~1µs) whatever the lane count; the kernel copies
+every field into a local before its loop and writes the cursors and
+``ret`` back when it returns.  All arithmetic is 64-bit integer and
+results are bit-identical to the object loop — golden-pinned in
+``tests/integration/test_golden_sim.py`` and fuzzed against
+``engine="object"`` in ``tests/property/test_batch_equivalence.py``.
 
 The kernel is optional: without a compiler, after a failed build or under
 ``REPRO_NO_CKERNEL=1``, :func:`load` returns ``None`` and every pipeline
@@ -48,14 +53,12 @@ builds, caches and loads it, as it does the trace kernel.
 
 from __future__ import annotations
 
-import ctypes
-
 from repro.cache.engine import BIG_STAMP, LANE_COUNTERS, TAG_HASH
-from repro.ckernel import CKernel
+from repro.ckernel import Args, CKernel
 
-__all__ = ["load", "KERNEL", "CTX", "CTX_SLOTS", "RET_DONE", "RET_BOUNDARY"]
+__all__ = ["ARGS", "KERNEL", "load", "RET_DONE", "RET_BOUNDARY", "CUR_SP_INVALID"]
 
-#: Return codes (ctx[RET] after a kernel call).
+#: Return codes (``ret`` after a kernel call).
 RET_DONE = 0
 RET_BOUNDARY = 1
 
@@ -63,124 +66,60 @@ RET_BOUNDARY = 1
 #: static fetch offset).
 CUR_SP_INVALID = -(1 << 62)
 
-_SCALARS = (
+#: One L1 port's lane state: L1 geometry (``row`` = lanes * ways), the
+#: padded victim slot axis (``ventries`` 0: no victim cache on this
+#: port), the latencies beyond L1 scaled by the commit width, the
+#: prefetch degree (``pfdeg`` 0: no prefetcher) with the tag sets' slot
+#: count and hash shift, and the port's arrays.  The per-way arrays
+#: (``tags``, ``last``, ``dirty``, ``tagged``) are set-major,
+#: ``[set][lane][way]``: lane l's way k of set s sits at ``s * row + l *
+#: ways + k``, so one access's probes over all lanes read one contiguous
+#: row.  The rest are lane-major: lane l's victim slot j sits at ``l *
+#: ventries + j``, its tag-set slot j at ``l * tslots + j``, its counter
+#: k at ``cnt[k * lanes + l]``.  ``vins`` is ``NULL`` when every lane has
+#: a victim cache.
+_PORT = Args("port_t", (
+    ("ways", "i64"), ("row", "i64"), ("set_mask", "i64"), ("index_bits", "i64"),
+    ("ventries", "i64"), ("vempty", "i64"),
+    ("vlat", "i64"), ("l2lat", "i64"), ("memlat", "i64"),
+    ("pfdeg", "i64"), ("tslots", "i64"), ("tshift", "i64"),
+    ("tags", "i64*"), ("last", "i64*"), ("dirty", "u8*"),
+    ("vtags", "i64*"), ("vstamp", "i64*"), ("vins", "u8*"),
+    ("cnt", "i64*"), ("tagged", "u8*"), ("tset", "i64*"),
+))
+#: The shared L2's lane state, set-major like an L1's; no dirty bytes.
+_L2 = Args("l2_t", (
+    ("ways", "i64"), ("row", "i64"), ("set_mask", "i64"), ("index_bits", "i64"),
+    ("tags", "i64*"), ("last", "i64*"),
+))
+#: The argument struct of ``repro_run_lanes``.
+ARGS = Args("args_t", (
     # constants
-    "N", "NLANES", "WSCALE", "WM1", "WPOW2", "FDELAY", "KSTAMP", "KSTEP", "DHIT",
-    "NPORTS", "L2WAYS", "L2SETMASK", "L2IDXBITS",
-    "ROBSIZE", "IQINTSIZE", "IQFPSIZE", "DOFFBITS",
-    # cursors / results (mutable across calls): the instruction, the next
-    # I-access and redirect, and the INT and FP issue-queue positions
-    "I_CUR", "IA_CUR", "RD_CUR", "IQINT_CUR", "IQFP_CUR", "CUR_SP", "BOUNDARY",
-    "RET",
-)
-_TABLES = (
-    ("EXECLAT", 9),  # (latency - 1) * W per instruction class
-    ("FUOF", 9),     # class -> FU pool index
-    ("POOLW", 4),    # FU pool widths
-)
-#: One block per L1 port ("I_*", then "D_*"): L1 geometry, the padded
-#: victim slot axis (VENTRIES 0 = no victim cache on this port), the
-#: latencies beyond L1 scaled by the commit width, the prefetch degree
-#: (PFDEG 0 = no prefetcher) with the tag sets' slot count and hash
-#: shift, and the addresses of the port's L1/victim/prefetcher arrays
-#: and its [counter][lane] counter block.
-_PORT_FIELDS = (
-    "WAYS", "SETMASK", "IDXBITS",
-    "VENTRIES", "VEMPTY", "VLAT", "L2LAT", "MEMLAT",
-    "PFDEG", "TSLOTS", "TSHIFT",
-    "P_TAGS", "P_LAST", "P_DIRTY",
-    "P_VTAGS", "P_VSTAMP", "P_VINS", "P_CNT",
-    "P_TAGGED", "P_TSET",
-)
-#: Array addresses: the trace's columns (class, src1, src2 and dest
-#: ``int8``, the memory address ``int64``), the schedule's, then the
-#: pass's own state.
-_POINTERS = (
-    "P_CLS", "P_SRC1", "P_SRC2", "P_DEST", "P_MEMADDR",
-    "P_SPS", "P_IAIDX", "P_IALINES", "P_RDIDX", "P_RDSNEXT",
-    "P_REG", "P_ROB", "P_IQINT", "P_IQFP",
-    "P_POOL0", "P_POOL1", "P_POOL2", "P_POOL3", "P_PORTS",
-    "P_DYN", "P_FETCHBASE", "P_V",
-    "P_L2TAGS", "P_L2LAST",
-)
-
-#: Name -> ctx slot index; the C ``#define`` block is generated from this
-#: same table, so Python and C can never disagree on the layout.
-CTX: dict[str, int] = {}
-_slot = 0
-for _name in _SCALARS:
-    CTX[_name] = _slot
-    _slot += 1
-for _name, _width in _TABLES:
-    CTX[_name] = _slot
-    _slot += _width
-for _side in ("I", "D"):
-    for _name in _PORT_FIELDS:
-        CTX[f"{_side}_{_name}"] = _slot
-        _slot += 1
-for _name in _POINTERS:
-    CTX[_name] = _slot
-    _slot += 1
-CTX_SLOTS = _slot
+    ("n", "i64"), ("lanes", "i64"), ("wscale", "i64"), ("wm1", "i64"),
+    ("wpow2", "i64"), ("fdelay", "i64"), ("kstamp", "i64"), ("kstep", "i64"),
+    ("dhit", "i64"), ("nports", "i64"), ("rob_size", "i64"),
+    ("iqint_size", "i64"), ("iqfp_size", "i64"), ("doff_bits", "i64"),
+    # cursors and results, carried across calls: the instruction, the
+    # next I-access and redirect, and the INT and FP issue-queue positions
+    ("i_cur", "i64"), ("ia_cur", "i64"), ("rd_cur", "i64"),
+    ("iqint_cur", "i64"), ("iqfp_cur", "i64"), ("cur_sp", "i64"),
+    ("boundary", "i64"), ("ret", "i64"),
+    ("ip", _PORT), ("dp", _PORT), ("l2", _L2),
+    # per instruction class: (latency - 1) * W and FU pool; the pool widths
+    ("execlat", "i64*"), ("fuof", "i64*"), ("poolw", "i64*"),
+    # the trace's columns, then the schedule's
+    ("cls", "i8*"), ("src1", "i8*"), ("src2", "i8*"), ("dest", "i8*"),
+    ("mem_addr", "i64*"),
+    ("sps", "i64*"), ("ia_idx", "i64*"), ("ia_lines", "i64*"),
+    ("rd_idx", "i64*"), ("rd_snext", "i64*"),
+    # the pass's own state
+    ("reg", "i64*"), ("rob", "i64*"), ("iqint", "i64*"), ("iqfp", "i64*"),
+    ("pool0", "i64*"), ("pool1", "i64*"), ("pool2", "i64*"), ("pool3", "i64*"),
+    ("ports", "i64*"), ("dyn", "i64*"), ("fetch_base", "i64*"), ("v", "i64*"),
+))
 
 
 _C_BODY = r"""
-#include <stddef.h>
-#include <stdint.h>
-
-#define I64P(k) ((int64_t *)(intptr_t)ctx[k])
-#define U8P(k) ((uint8_t *)(intptr_t)ctx[k])
-#define I8P(k) ((const int8_t *)(intptr_t)ctx[k])
-
-/* One L1 port's lane state (see _PORT_FIELDS).  The per-way arrays
-   (tags, last, dirty, tagged) are set-major, [set][lane][way]: lane l's
-   way k of set s sits at s * row + l * ways + k, with row = L * ways,
-   so one access's probes over all lanes read one contiguous row.  The
-   rest are lane-major: lane l's victim slot j sits at l * ventries + j,
-   its tag-set slot j at l * tslots + j, its counter k at cnt[k * L + l]. */
-typedef struct {
-    int64_t ways, row, set_mask, index_bits;
-    int64_t ventries, vempty, vlat, l2lat, memlat;
-    int64_t pfdeg, tslots, tshift;
-    int64_t *tags, *last;
-    uint8_t *dirty;
-    int64_t *vtags, *vstamp;
-    const uint8_t *vins; /* NULL: every lane has a victim cache */
-    int64_t *cnt;
-    uint8_t *tagged; /* the tagged byte of every L1 way */
-    int64_t *tset;
-} port_t;
-
-/* The shared L2's lane state, set-major like an L1's; no dirty bytes. */
-typedef struct {
-    int64_t ways, row, set_mask, index_bits;
-    int64_t *tags, *last;
-} l2_t;
-
-static void load_port(port_t *p, const int64_t *ctx, int64_t at) {
-    p->ways = ctx[at + PORT_WAYS];
-    p->row = ctx[NLANES] * p->ways;
-    p->set_mask = ctx[at + PORT_SETMASK];
-    p->index_bits = ctx[at + PORT_IDXBITS];
-    p->ventries = ctx[at + PORT_VENTRIES];
-    p->vempty = ctx[at + PORT_VEMPTY];
-    p->vlat = ctx[at + PORT_VLAT];
-    p->l2lat = ctx[at + PORT_L2LAT];
-    p->memlat = ctx[at + PORT_MEMLAT];
-    p->pfdeg = ctx[at + PORT_PFDEG];
-    p->tslots = ctx[at + PORT_TSLOTS];
-    p->tshift = ctx[at + PORT_TSHIFT];
-    p->tags = I64P(at + PORT_P_TAGS);
-    p->last = I64P(at + PORT_P_LAST);
-    p->dirty = U8P(at + PORT_P_DIRTY);
-    p->vtags = I64P(at + PORT_P_VTAGS);
-    p->vstamp = I64P(at + PORT_P_VSTAMP);
-    p->vins = U8P(at + PORT_P_VINS);
-    p->cnt = I64P(at + PORT_P_CNT);
-    p->tagged = U8P(at + PORT_P_TAGGED);
-    p->tset = I64P(at + PORT_P_TSET);
-}
-
 /* The index of the first minimum of v[0 .. n-1] (earliest-free FU or
    port, LRU way or victim slot), kept with selects, not branches. */
 static inline int64_t first_min(const int64_t *v, int64_t n) {
@@ -359,57 +298,53 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
     return lat;
 }
 
-void repro_run_lanes(int64_t *ctx) {
-    const int64_t n = ctx[N];
-    const int64_t L = ctx[NLANES];
-    const int64_t W = ctx[WSCALE];
-    const int64_t wm1 = ctx[WM1];
-    const int64_t w_pow2 = ctx[WPOW2];
-    const int64_t fdelay = ctx[FDELAY];
-    const int64_t K = ctx[KSTAMP];
-    const int64_t kstep = ctx[KSTEP];
-    const int64_t dhit = ctx[DHIT];
-    const int64_t nports = ctx[NPORTS];
-    const int64_t *execlat = ctx + EXECLAT;
-    const int64_t *fuof = ctx + FUOF;
-    const int64_t *poolw = ctx + POOLW;
-    port_t ip, dp;
-    load_port(&ip, ctx, I_PORT);
-    load_port(&dp, ctx, D_PORT);
-    const l2_t l2 = {ctx[L2WAYS], L * ctx[L2WAYS], ctx[L2SETMASK],
-                     ctx[L2IDXBITS], I64P(P_L2TAGS), I64P(P_L2LAST)};
+void repro_run_lanes(args_t *a) {
+    const int64_t n = a->n;
+    const int64_t L = a->lanes;
+    const int64_t W = a->wscale;
+    const int64_t wm1 = a->wm1;
+    const int64_t w_pow2 = a->wpow2;
+    const int64_t fdelay = a->fdelay;
+    const int64_t K = a->kstamp;
+    const int64_t kstep = a->kstep;
+    const int64_t dhit = a->dhit;
+    const int64_t nports = a->nports;
+    const int64_t *execlat = a->execlat;
+    const int64_t *fuof = a->fuof;
+    const int64_t *poolw = a->poolw;
+    const port_t ip = a->ip, dp = a->dp;
+    const l2_t l2 = a->l2;
 
-    const int8_t *cls_c = I8P(P_CLS);
-    const int8_t *src1 = I8P(P_SRC1);
-    const int8_t *src2 = I8P(P_SRC2);
-    const int8_t *dest = I8P(P_DEST);
-    const int64_t *mem_addr = I64P(P_MEMADDR);
-    const int64_t doff = ctx[DOFFBITS];
-    const int64_t *sps_c = I64P(P_SPS);
-    const int64_t *ia_idx = I64P(P_IAIDX);
-    const int64_t *ia_lines = I64P(P_IALINES);
-    const int64_t *rd_idx = I64P(P_RDIDX);
-    const int64_t *rd_snext = I64P(P_RDSNEXT);
-    int64_t *reg = I64P(P_REG);
-    int64_t *rob = I64P(P_ROB);
-    const int64_t rob_size = ctx[ROBSIZE];
+    const int8_t *cls_c = a->cls;
+    const int8_t *src1 = a->src1;
+    const int8_t *src2 = a->src2;
+    const int8_t *dest = a->dest;
+    const int64_t *mem_addr = a->mem_addr;
+    const int64_t doff = a->doff_bits;
+    const int64_t *sps_c = a->sps;
+    const int64_t *ia_idx = a->ia_idx;
+    const int64_t *ia_lines = a->ia_lines;
+    const int64_t *rd_idx = a->rd_idx;
+    const int64_t *rd_snext = a->rd_snext;
+    int64_t *reg = a->reg;
+    int64_t *rob = a->rob;
+    const int64_t rob_size = a->rob_size;
     /* issue queues, [0] INT and [1] FP: rows, sizes, running positions */
-    int64_t *iq[2] = {I64P(P_IQINT), I64P(P_IQFP)};
-    const int64_t iq_size[2] = {ctx[IQINTSIZE], ctx[IQFPSIZE]};
-    int64_t iq_cur[2] = {ctx[IQINT_CUR], ctx[IQFP_CUR]};
-    int64_t *pools[4] = {I64P(P_POOL0), I64P(P_POOL1), I64P(P_POOL2),
-                         I64P(P_POOL3)};
-    int64_t *ports = I64P(P_PORTS);
-    int64_t *dyn = I64P(P_DYN);
-    int64_t *fetch_base = I64P(P_FETCHBASE);
-    int64_t *v = I64P(P_V);
+    int64_t *iq[2] = {a->iqint, a->iqfp};
+    const int64_t iq_size[2] = {a->iqint_size, a->iqfp_size};
+    int64_t iq_cur[2] = {a->iqint_cur, a->iqfp_cur};
+    int64_t *pools[4] = {a->pool0, a->pool1, a->pool2, a->pool3};
+    int64_t *ports = a->ports;
+    int64_t *dyn = a->dyn;
+    int64_t *fetch_base = a->fetch_base;
+    int64_t *v = a->v;
 
-    int64_t i = ctx[I_CUR];
+    int64_t i = a->i_cur;
     int64_t rob_slot = i % rob_size; /* advanced with a wrap below */
-    int64_t ia_cur = ctx[IA_CUR];
-    int64_t rd_cur = ctx[RD_CUR];
-    int64_t cur_sp = ctx[CUR_SP];
-    const int64_t boundary = ctx[BOUNDARY];
+    int64_t ia_cur = a->ia_cur;
+    int64_t rd_cur = a->rd_cur;
+    int64_t cur_sp = a->cur_sp;
+    const int64_t boundary = a->boundary;
     int64_t next_ia = ia_idx[ia_cur];
     int64_t next_rd = rd_idx[rd_cur];
     int64_t ret = RET_DONE_C;
@@ -526,22 +461,19 @@ void repro_run_lanes(int64_t *ctx) {
         }
     }
 save:
-    ctx[I_CUR] = i;
-    ctx[IA_CUR] = ia_cur;
-    ctx[RD_CUR] = rd_cur;
-    ctx[IQINT_CUR] = iq_cur[0];
-    ctx[IQFP_CUR] = iq_cur[1];
-    ctx[CUR_SP] = cur_sp;
-    ctx[RET] = ret;
+    a->i_cur = i;
+    a->ia_cur = ia_cur;
+    a->rd_cur = rd_cur;
+    a->iqint_cur = iq_cur[0];
+    a->iqfp_cur = iq_cur[1];
+    a->cur_sp = cur_sp;
+    a->ret = ret;
 }
 """
 
 
 def _source() -> str:
-    defines = [f"#define {name} {slot}" for name, slot in CTX.items()]
-    defines += [f"#define PORT_{name} {j}" for j, name in enumerate(_PORT_FIELDS)]
-    defines.append(f"#define I_PORT {CTX['I_' + _PORT_FIELDS[0]]}")
-    defines.append(f"#define D_PORT {CTX['D_' + _PORT_FIELDS[0]]}")
+    defines = ["#include <stddef.h>", "#include <stdint.h>", ""]
     defines += [
         f"#define CNT_{name.upper()} {row}"
         for row, name in enumerate(LANE_COUNTERS)
@@ -550,14 +482,15 @@ def _source() -> str:
     defines.append(f"#define BIG_STAMP_C INT64_C({BIG_STAMP})")
     defines.append(f"#define RET_DONE_C {RET_DONE}")
     defines.append(f"#define RET_BOUNDARY_C {RET_BOUNDARY}")
-    defines.append("#define CUR_SP_INVALID_C (-(INT64_C(1) << 62))")
-    return "\n".join(defines) + "\n" + _C_BODY
+    defines.append(f"#define CUR_SP_INVALID_C INT64_C({CUR_SP_INVALID})")
+    return "\n".join(defines) + "\n\n" + ARGS.typedef() + _C_BODY
 
 
 KERNEL = CKernel(
     "lane_kernel",
     _source(),
-    {"repro_run_lanes": [ctypes.c_void_p]},
+    ARGS,
+    ("repro_run_lanes",),
     fallback="every simulation falls back to the bit-identical object loop",
 )
 
@@ -565,6 +498,7 @@ KERNEL = CKernel(
 def load():
     """The compiled kernel entry point, or ``None`` when unavailable
     (``REPRO_NO_CKERNEL=1``, no working ``gcc``, load failure).  Build
-    results — success or failure — are cached for the process."""
+    results — success or failure — are cached for the process.  It takes
+    a pointer to an :data:`ARGS` struct."""
     lib = KERNEL.load()
     return None if lib is None else lib.repro_run_lanes

@@ -52,6 +52,7 @@ cycles and every reported statistic:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,10 +60,11 @@ import numpy as np
 
 from repro.cache.engine import BulkLanes, bulk_signature
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
+from repro.cache.stats import HierarchyStats
 from repro.cpu import lane_kernel
 from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
 from repro.cpu.config import PipelineConfig
-from repro.cpu.frontend import FrontEndSchedule, frontend_schedule
+from repro.cpu.frontend import frontend_schedule
 from repro.cpu.isa import EXECUTION_LATENCY, FU_OF_CLASS, NUM_REGISTERS, InstrClass
 from repro.cpu.trace import Trace
 from repro.faults.geometry import CacheGeometry
@@ -143,8 +145,34 @@ class KernelLane:
 
 
 def _check_measure_from(n: int, measure_from: int) -> None:
-    if not 0 <= measure_from < n:
+    """The measured region must hold an instruction; an empty trace
+    measures from 0."""
+    if not 0 <= measure_from < max(n, 1):
         raise ValueError(f"measure_from must be in [0, {n}), got {measure_from}")
+
+
+def _port_args(port, lanes: int) -> dict:
+    """One bulk port as the lane kernel's nested ``port_t`` fields.  A
+    port without a victim cache keeps ``ventries`` 0, one without a
+    prefetcher ``pfdeg`` 0, and their arrays ``NULL``."""
+    l1, victims, prefetcher = port.l1, port.victims, port.prefetcher
+    fields = dict(
+        ways=l1.ways, row=lanes * l1.ways, set_mask=l1.set_mask,
+        index_bits=l1.tag_shift, vlat=port.latency[0], l2lat=port.latency[1],
+        memlat=port.latency[2], tags=l1.tags, last=l1.last, dirty=l1.dirty,
+        cnt=port.counts,
+    )
+    if victims is not None:
+        fields.update(
+            ventries=victims.entries, vempty=victims.empty_stamp,
+            vtags=victims.tags, vstamp=victims.stamp, vins=victims.insertable,
+        )
+    if prefetcher is not None:
+        fields.update(
+            pfdeg=prefetcher.degree, tslots=prefetcher.table.shape[1],
+            tshift=prefetcher.shift, tagged=prefetcher.tagged, tset=prefetcher.table,
+        )
+    return fields
 
 
 def _object_columns(trace: Trace) -> tuple[list, ...]:
@@ -225,10 +253,7 @@ class OutOfOrderPipeline:
         hier = self.hierarchy
 
         n = len(trace)
-        if not 0 <= measure_from < max(n, 1):
-            raise ValueError(
-                f"measure_from must be in [0, {n}), got {measure_from}"
-            )
+        _check_measure_from(n, measure_from)
         if self._ran_on == "kernel":
             raise RuntimeError(
                 "this pipeline already ran in the lane kernel, which leaves its "
@@ -578,126 +603,13 @@ class OutOfOrderPipeline:
             raise TypeError(
                 "run_batch takes KernelLanes; a pipeline's lane is its kernel_lane()"
             )
+        _check_measure_from(len(trace), measure_from)
+        if len(trace) == 0:  # what run() returns for a fresh pipeline
+            return [
+                SimResult(trace.name, 0, 0, 0, 0, HierarchyStats().snapshot())
+                for _ in lanes
+            ]
         return OutOfOrderPipeline._run_kernel_lanes(lanes, trace, measure_from)
-
-    @staticmethod
-    def _kernel_context(
-        trace: Trace,
-        schedule: FrontEndSchedule,
-        cfg: PipelineConfig,
-        lanes: BulkLanes,
-        boundary: int,
-    ) -> "tuple[np.ndarray, np.ndarray, list[np.ndarray]]":
-        """Pack one lane pass for the compiled C kernel.
-
-        Returns ``(ctx, v, keepalive)``: the ``int64`` context array
-        holding every scalar, cursor, and raw array address the kernel
-        reads (see :mod:`repro.cpu.lane_kernel` for the layout), the
-        per-lane commit state ``v`` the caller reads cycle counts from,
-        and the arrays whose addresses ``ctx`` holds — the caller keeps
-        that list alive until the pass ends.  Cache state and counters
-        are the bulk engine's own arrays (shared, not copied: the kernel
-        mutates them in place).  The kernel reads the trace's own
-        columns in place (class and registers ``int8``, addresses
-        ``int64``) and the schedule's ``int64`` columns: nothing of the
-        trace's length is allocated for a pass.
-        """
-        C = lane_kernel.CTX
-        n_lanes = lanes.lanes
-        w = cfg.commit_width
-        latencies = lanes.latencies
-        frontend_delay = cfg.frontend_stages + latencies.l1i
-
-        def zeros(*shape):
-            return np.zeros(shape, dtype=np.int64)
-
-        pool_widths = (
-            cfg.int_alu_units, cfg.int_mul_units, cfg.fp_alu_units, cfg.fp_mul_units,
-        )
-        v = zeros(n_lanes)  # last_commit * W + commit_slots
-        arrays = {
-            "P_REG": zeros(NUM_REGISTERS, n_lanes),
-            "P_ROB": zeros(cfg.rob_entries, n_lanes),  # scaled dispatch bounds
-            "P_IQINT": zeros(cfg.iq_int_entries, n_lanes),
-            "P_IQFP": zeros(cfg.iq_fp_entries, n_lanes),
-            "P_PORTS": zeros(n_lanes, cfg.issue_width),
-            "P_DYN": np.full(n_lanes, frontend_delay * w, dtype=np.int64),
-            "P_FETCHBASE": zeros(n_lanes),
-            "P_V": v,
-            "P_L2TAGS": lanes.l2.tags,
-            "P_L2LAST": lanes.l2.last,
-        }
-        for j, width in enumerate(pool_widths):
-            arrays[f"P_POOL{j}"] = zeros(n_lanes, width)
-        arrays.update(
-            P_CLS=trace.iclass,
-            P_SRC1=trace.src1,
-            P_SRC2=trace.src2,
-            P_DEST=trace.dest,
-            P_MEMADDR=trace.mem_addr,
-            P_SPS=schedule.static_fetch,
-            P_IAIDX=schedule.iaccess_index,
-            P_IALINES=schedule.iaccess_line,
-            P_RDIDX=schedule.redirect_index,
-            P_RDSNEXT=schedule.redirect_static_next,
-        )
-
-        ctx = np.zeros(lane_kernel.CTX_SLOTS, dtype=np.int64)
-        l2 = lanes.l2
-        for name, value in (
-            ("N", len(trace)), ("NLANES", n_lanes),
-            ("WSCALE", w), ("WM1", w - 1), ("WPOW2", int(w & (w - 1) == 0)),
-            ("FDELAY", frontend_delay), ("KSTAMP", lanes.stamp_base),
-            ("KSTEP", lanes.stamp_step),
-            ("DHIT", (latencies.l1d - 1) * w), ("NPORTS", cfg.issue_width),
-            ("L2WAYS", l2.ways),
-            ("L2SETMASK", l2.set_mask), ("L2IDXBITS", l2.tag_shift),
-            ("ROBSIZE", cfg.rob_entries), ("IQINTSIZE", cfg.iq_int_entries),
-            ("IQFPSIZE", cfg.iq_fp_entries),
-            ("DOFFBITS", lanes.geometries[1].offset_bits),
-            ("CUR_SP", lane_kernel.CUR_SP_INVALID), ("BOUNDARY", boundary),
-        ):
-            ctx[C[name]] = value
-        for cls in InstrClass:
-            ctx[C["EXECLAT"] + cls] = (EXECUTION_LATENCY[cls] - 1) * w
-            ctx[C["FUOF"] + cls] = FU_OF_CLASS[cls]
-        for j, width in enumerate(pool_widths):
-            ctx[C["POOLW"] + j] = width
-        for side, port in (("I", lanes.iport), ("D", lanes.dport)):
-            l1, victims, prefetcher = port.l1, port.victims, port.prefetcher
-            fields = {
-                "WAYS": l1.ways,
-                "SETMASK": l1.set_mask, "IDXBITS": l1.tag_shift,
-                "VLAT": port.latency[0], "L2LAT": port.latency[1],
-                "MEMLAT": port.latency[2],
-                "P_TAGS": l1.tags.ctypes.data, "P_LAST": l1.last.ctypes.data,
-                "P_DIRTY": l1.dirty.ctypes.data,
-                "P_CNT": port.counts.ctypes.data,
-            }
-            if victims is not None:  # else VENTRIES 0: no victim slots
-                fields.update(
-                    VENTRIES=victims.entries,
-                    VEMPTY=victims.empty_stamp,
-                    P_VTAGS=victims.tags.ctypes.data,
-                    P_VSTAMP=victims.stamp.ctypes.data,
-                    P_VINS=(
-                        0 if victims.insertable is None
-                        else victims.insertable.ctypes.data
-                    ),
-                )
-            if prefetcher is not None:  # else PFDEG 0: no prefetches
-                fields.update(
-                    PFDEG=prefetcher.degree,
-                    TSLOTS=prefetcher.table.shape[1],
-                    TSHIFT=prefetcher.shift,
-                    P_TAGGED=prefetcher.tagged.ctypes.data,
-                    P_TSET=prefetcher.table.ctypes.data,
-                )
-            for name, value in fields.items():
-                ctx[C[f"{side}_{name}"]] = value
-        for name, arr in arrays.items():
-            ctx[C[name]] = arr.ctypes.data
-        return ctx, v, list(arrays.values())
 
     @staticmethod
     def _run_kernel_lanes(
@@ -726,7 +638,6 @@ class OutOfOrderPipeline:
                 "latencies, geometries and prefetch degrees"
             )
         n = len(trace)
-        _check_measure_from(n, measure_from)
         cfg = first.config
         w = cfg.commit_width
         bulk = BulkLanes(
@@ -751,16 +662,64 @@ class OutOfOrderPipeline:
             )
             # The I-access index list ends in a sentinel.
             bulk.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
-        ctx, v, _keepalive = OutOfOrderPipeline._kernel_context(
-            trace, schedule, cfg, bulk, measure_from if measure_from > 0 else -1
+        n_lanes = len(lanes)
+        l2 = bulk.l2
+        frontend_delay = cfg.frontend_stages + first.latencies.l1i
+        pool_widths = (
+            cfg.int_alu_units, cfg.int_mul_units, cfg.fp_alu_units, cfg.fp_mul_units,
+        )
+
+        def zeros(*shape):
+            return np.zeros(shape, dtype=np.int64)
+
+        v = zeros(n_lanes)  # last_commit * W + commit_slots
+        # Cache state and counters are the bulk engine's own arrays, and
+        # the trace's and schedule's columns are read in place: the kernel
+        # mutates the former, and nothing of the trace's length is
+        # allocated for a pass.
+        args = lane_kernel.ARGS.pack(
+            n=n, lanes=n_lanes, wscale=w, wm1=w - 1,
+            wpow2=int(w & (w - 1) == 0), fdelay=frontend_delay,
+            kstamp=bulk.stamp_base, kstep=bulk.stamp_step,
+            dhit=(first.latencies.l1d - 1) * w, nports=cfg.issue_width,
+            rob_size=cfg.rob_entries, iqint_size=cfg.iq_int_entries,
+            iqfp_size=cfg.iq_fp_entries,
+            doff_bits=bulk.geometries[1].offset_bits,
+            cur_sp=lane_kernel.CUR_SP_INVALID,
+            boundary=measure_from if measure_from > 0 else -1,
+            ip=_port_args(bulk.iport, n_lanes),
+            dp=_port_args(bulk.dport, n_lanes),
+            l2=dict(
+                ways=l2.ways, row=n_lanes * l2.ways, set_mask=l2.set_mask,
+                index_bits=l2.tag_shift, tags=l2.tags, last=l2.last,
+            ),
+            execlat=np.array(
+                [(EXECUTION_LATENCY[cls] - 1) * w for cls in InstrClass], dtype=np.int64
+            ),
+            fuof=np.array([FU_OF_CLASS[cls] for cls in InstrClass], dtype=np.int64),
+            poolw=np.array(pool_widths, dtype=np.int64),
+            cls=trace.iclass, src1=trace.src1, src2=trace.src2, dest=trace.dest,
+            mem_addr=trace.mem_addr,
+            sps=schedule.static_fetch, ia_idx=schedule.iaccess_index,
+            ia_lines=schedule.iaccess_line, rd_idx=schedule.redirect_index,
+            rd_snext=schedule.redirect_static_next,
+            reg=zeros(NUM_REGISTERS, n_lanes),
+            rob=zeros(cfg.rob_entries, n_lanes),  # scaled dispatch bounds
+            iqint=zeros(cfg.iq_int_entries, n_lanes),
+            iqfp=zeros(cfg.iq_fp_entries, n_lanes),
+            **{f"pool{j}": zeros(n_lanes, width) for j, width in enumerate(pool_widths)},
+            ports=zeros(n_lanes, cfg.issue_width),
+            dyn=np.full(n_lanes, frontend_delay * w, dtype=np.int64),
+            fetch_base=zeros(n_lanes),
+            v=v,
         )
         cycles_base = 0
-        kernel(ctx.ctypes.data)
-        if ctx[lane_kernel.CTX["RET"]] == lane_kernel.RET_BOUNDARY:
+        kernel(ctypes.byref(args))
+        if args.ret == lane_kernel.RET_BOUNDARY:
             cycles_base = (v - 1) // w
             bulk.mark_boundary()
-            ctx[lane_kernel.CTX["BOUNDARY"]] = -1
-            kernel(ctx.ctypes.data)
+            args.boundary = -1
+            kernel(ctypes.byref(args))
 
         snapshots = bulk.finalize(schedule.iaccess_measured, schedule.daccess_measured)
         cycles = ((v - 1) // w - cycles_base).tolist()

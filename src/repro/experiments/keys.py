@@ -80,9 +80,9 @@ def task_key(
 
     Identical across processes, interpreter restarts, and config *labels*
     (two RunConfigs that build the same simulator share a key).
-    ``pipeline_config`` defaults to the paper's Table II pipeline; a session
-    with a non-default pipeline gets disjoint keys, so mixed-pipeline
-    campaigns can share one store without cross-contamination.
+    ``pipeline_config`` defaults to the paper's Table II pipeline, the one
+    every session simulates; another pipeline gets disjoint keys, so its
+    results can share a store without cross-contamination.
     """
     payload = {
         "fidelity": fidelity_fingerprint(settings),

@@ -26,8 +26,9 @@ the kernel ``rng.getstate()`` and puts the advanced state back with
 ``rng.setstate()``, so the ``random.Random`` stays the one source of
 truth and either engine continues the other's stream.
 
-Arguments travel in one C struct whose layout, like the lane kernel's
-ctx slots, is generated from one table (:data:`_FIELDS`) on both sides.
+Arguments travel in one C struct, :data:`ARGS`: a
+:class:`~repro.ckernel.Args` generated from one field table, like the
+lane kernel's, whose packer checks every array before C sees it.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ import random
 
 import numpy as np
 
-from repro.ckernel import CKernel
+from repro.ckernel import Args, CKernel
 from repro.cpu.isa import NO_REGISTER, InstrClass
 
-__all__ = ["KERNEL", "load", "run"]
+__all__ = ["ARGS", "KERNEL", "load", "run"]
 
-#: (name, type) of every argument-struct field, in layout order.  Pointer
-#: fields take C-contiguous NumPy arrays of the matching dtype.
-_FIELDS = (
+#: The argument struct of both entry points.
+ARGS = Args("args_t", (
     # MT19937: the 624 words, then the position (Random.getstate()[1]).
     ("state", "u32*"),
     # The code skeleton: filled by repro_trace_build, read by the walk.
@@ -94,24 +94,7 @@ _FIELDS = (
     ("src2", "i8*"),
     ("dest", "i8*"),
     ("taken", "u8*"),
-)
-
-#: Field type -> (C declaration, ctypes field, NumPy dtype a pointer
-#: field's array must have).
-_TYPES = {
-    "i64": ("int64_t ", ctypes.c_int64, None),
-    "f64": ("double ", ctypes.c_double, None),
-    "i64*": ("int64_t *", ctypes.c_void_p, np.dtype(np.int64)),
-    "i8*": ("int8_t *", ctypes.c_void_p, np.dtype(np.int8)),
-    "u8*": ("uint8_t *", ctypes.c_void_p, np.dtype(np.bool_)),
-    "f64*": ("double *", ctypes.c_void_p, np.dtype(np.float64)),
-    "u32*": ("uint32_t *", ctypes.c_void_p, np.dtype(np.uint32)),
-}
-_KINDS = dict(_FIELDS)
-
-
-class _Args(ctypes.Structure):
-    _fields_ = [(name, _TYPES[kind][1]) for name, kind in _FIELDS]
+))
 
 
 _C_BODY = r"""
@@ -403,20 +386,15 @@ def _source() -> str:
         "#define CUR_STRIDE_NEXT 7",
         "#define CUR_CONFLICT_NEXT 8",
         "",
-        "typedef struct {",
     ]
-    lines += [f"    {_TYPES[kind][0]}{name};" for name, kind in _FIELDS]
-    lines.append("} args_t;")
-    return "\n".join(lines) + "\n" + _C_BODY
+    return "\n".join(lines) + "\n" + ARGS.typedef() + _C_BODY
 
 
 KERNEL = CKernel(
     "trace_kernel",
     _source(),
-    {
-        "repro_trace_build": [ctypes.POINTER(_Args)],
-        "repro_trace_walk": [ctypes.POINTER(_Args)],
-    },
+    ARGS,
+    ("repro_trace_build", "repro_trace_walk"),
     fallback="every trace falls back to the bit-identical Python walk",
     cflags=("-ffp-contract=off",),
     libs=("-lm",),
@@ -429,25 +407,17 @@ def load() -> ctypes.CDLL | None:
     return KERNEL.load()
 
 
-def run(lib: ctypes.CDLL, entry: str, rng: random.Random, **fields) -> _Args:
+def run(lib: ctypes.CDLL, entry: str, rng: random.Random, **fields) -> ctypes.Structure:
     """Call ``repro_trace_<entry>`` on ``rng``'s stream and return the
     argument struct (the build sets ``n_blocks`` and ``n_hot``).
 
-    ``fields`` are struct fields; a pointer field takes a C-contiguous
-    NumPy array of its dtype, checked here because the kernel trusts
-    it.  The kernel advances a copy of ``rng.getstate()``, which is put
-    back into ``rng`` afterwards.
+    ``fields`` are :data:`ARGS` fields, packed and checked by
+    :meth:`~repro.ckernel.Args.pack`.  The kernel advances a copy of
+    ``rng.getstate()``, which is put back into ``rng`` afterwards.
     """
     version, words, gauss_next = rng.getstate()
     state = np.array(words, dtype=np.uint32)
-    args = _Args(state=state.ctypes.data)
-    for name, value in fields.items():
-        dtype = _TYPES[_KINDS[name]][2]
-        if dtype is not None:
-            if value.dtype != dtype or not value.flags.c_contiguous:
-                raise TypeError(f"{name} must be a contiguous {dtype} array")
-            value = value.ctypes.data
-        setattr(args, name, value)
+    args = ARGS.pack(state=state, **fields)
     getattr(lib, f"repro_trace_{entry}")(ctypes.byref(args))
     rng.setstate((version, tuple(state.tolist()), gauss_next))
     return args

@@ -3,12 +3,15 @@ and the one fidelity rule (which session runs a spec)."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.analysis.urn import expected_capacity_fraction
 from repro.campaign.events import PlanReady, PointResult, Progress
 from repro.campaign.executors import PoolExecutor, SerialExecutor
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
+from repro.cpu.config import L1_GEOMETRY
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -229,3 +232,31 @@ class TestLifecycle:
         with MemoryStore() as store:
             store.flush()
         assert len(store) == 0
+
+
+class TestLanesCarrySectionIVCapacity:
+    """The lanes a session builds (fault-map provider, ``fault_map_pair``,
+    ``Session._configure``, ``KernelLane``) hold Section IV's capacities."""
+
+    def test_block_disabling_lanes_match_eq2(self):
+        """Over maps 0-49, the mean enabled fraction of the L1I and L1D
+        enabled-way matrices lies within 4 standard errors of Eq. 2
+        (0.5843 at k = 537, pfail = 0.001; 0.5849 +- 0.0020 at seed 2010)."""
+        session = Session(dataclasses.replace(SETTINGS, n_fault_maps=50))
+        lanes = [session._kernel_lane(LV_BLOCK, m) for m in range(50)]
+        fractions = np.array(
+            [[lane.enabled_i.mean(), lane.enabled_d.mean()] for lane in lanes]
+        ).ravel()
+        expected = expected_capacity_fraction(
+            L1_GEOMETRY.cells_per_block, session.settings.pfail
+        )
+        standard_error = fractions.std(ddof=1) / np.sqrt(fractions.size)
+        assert abs(fractions.mean() - expected) < 4 * standard_error
+
+    def test_word_disabling_lane_is_the_halved_cache_fully_enabled(self, session):
+        lane = session._kernel_lane(LV_WORD, None)
+        for geometry, enabled in zip(
+            lane.geometries[:2], (lane.enabled_i, lane.enabled_d)
+        ):
+            assert (geometry.size_bytes, geometry.ways) == (16 * 1024, 4)
+            assert enabled is None or enabled.all()

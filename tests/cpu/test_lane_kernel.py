@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 from kernel_toolchain import BuildFailureChecks, GatingChecks
 
@@ -98,10 +99,13 @@ def _contents(hierarchy: MemoryHierarchy) -> list:
 class TestGating(GatingChecks):
     kernel = lane_kernel
 
-    def test_ctx_layout_is_dense_and_unique(self):
-        slots = sorted(lane_kernel.CTX.values())
-        assert len(slots) == len(set(slots))
-        assert max(slots) < lane_kernel.CTX_SLOTS
+    def test_pack_refuses_a_mistyped_array_by_field_name(self):
+        with pytest.raises(TypeError, match=r"^ip\.tags must be a contiguous int64"):
+            lane_kernel.ARGS.pack(ip={"tags": np.zeros((4, 2, 2), dtype=np.int32)})
+
+    def test_pack_refuses_a_non_contiguous_array_by_field_name(self):
+        with pytest.raises(TypeError, match="^cls must be a contiguous int8"):
+            lane_kernel.ARGS.pack(cls=np.zeros(16, dtype=np.int8)[::2])
 
 
 @kernel_available
@@ -232,9 +236,9 @@ class _CountingKernel:
         self.kernel = kernel
         self.calls = 0
 
-    def __call__(self, ctx_ptr) -> None:
+    def __call__(self, args) -> None:
         self.calls += 1
-        self.kernel(ctx_ptr)
+        self.kernel(args)
 
 
 @kernel_available

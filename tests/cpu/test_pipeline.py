@@ -10,9 +10,10 @@ from trace_rows import Instruction, trace_from_rows
 
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.stats import HierarchyStats
 from repro.cpu.config import PipelineConfig
 from repro.cpu.isa import InstrClass
-from repro.cpu.pipeline import OutOfOrderPipeline, _object_columns
+from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline, SimResult, _object_columns
 from repro.cpu.trace import Trace
 from repro.faults import CacheGeometry
 
@@ -20,7 +21,9 @@ L1 = CacheGeometry(size_bytes=32 * 1024, ways=8, block_bytes=64)
 L2 = CacheGeometry(size_bytes=256 * 1024, ways=8, block_bytes=64)
 
 
-def make_pipeline(l1_latency: int = 3, victim: int = 0) -> OutOfOrderPipeline:
+def make_pipeline(
+    l1_latency: int = 3, victim: int = 0, engine: str = "fused"
+) -> OutOfOrderPipeline:
     lat = LatencyConfig(l1i=l1_latency, l1d=l1_latency, victim=1, l2=20, memory=100)
     hierarchy = MemoryHierarchy(
         SetAssociativeCache(L1, name="l1i"),
@@ -30,7 +33,7 @@ def make_pipeline(l1_latency: int = 3, victim: int = 0) -> OutOfOrderPipeline:
         victim_entries_i=victim,
         victim_entries_d=victim,
     )
-    return OutOfOrderPipeline(PipelineConfig(), hierarchy)
+    return OutOfOrderPipeline(PipelineConfig(), hierarchy, engine=engine)
 
 
 def alu_trace(n: int, independent: bool = True) -> Trace:
@@ -68,6 +71,28 @@ class TestStructuralLimits:
         result = make_pipeline().run(Trace())
         assert result.cycles == 0
         assert result.instructions == 0
+
+    @pytest.mark.parametrize("victim", [0, 8])
+    def test_empty_trace_agrees_across_entry_points(self, victim):
+        """run(), run_batch() over the pipeline's lane, and the object
+        loop all return the zero-cycle result with all-zero statistics."""
+        empty = Trace()
+        pipeline = make_pipeline(victim=victim)
+        lane = KernelLane(
+            pipeline.config,
+            pipeline.hierarchy.latencies,
+            (L1, L1, L2),
+            None,
+            None,
+            (victim, victim),
+            prefetch_degrees=(0, 0),
+        )
+        expected = SimResult(empty.name, 0, 0, 0, 0, HierarchyStats().snapshot())
+        assert pipeline.run(empty) == expected
+        assert make_pipeline(victim=victim, engine="object").run(empty) == expected
+        assert OutOfOrderPipeline.run_batch([lane, lane], empty) == [expected] * 2
+        with pytest.raises(ValueError, match="measure_from"):
+            OutOfOrderPipeline.run_batch([lane], empty, measure_from=1)
 
     def test_ipc_bounded_by_commit_width(self):
         result = make_pipeline().run(alu_trace(4000, independent=True))

@@ -125,16 +125,17 @@ class TestTaskKey:
     def test_runner_with_custom_pipeline_gets_disjoint_store_rows(
         self, disk_store, tmp_path
     ):
+        """A session simulates the paper's pipeline, so a row another
+        pipeline's campaign left in a shared store is not its result."""
         from repro.cpu.config import PipelineConfig
 
-        default = Session(SMALL, store=disk_store(tmp_path))
-        default.simulate("crafty", LV_BASELINE)
-        narrow = Session(
-            SMALL,
-            pipeline_config=PipelineConfig(issue_width=2),
-            store=disk_store(tmp_path),
-        )
-        assert narrow.cached("crafty", LV_BASELINE) is None
+        narrow = PipelineConfig(issue_width=2)
+        store = disk_store(tmp_path)
+        store.put(task_key(SMALL, "crafty", LV_BASELINE, None, narrow), make_result())
+        store.flush()
+        assert Session(SMALL, store=disk_store(tmp_path)).cached(
+            "crafty", LV_BASELINE
+        ) is None
 
     def test_label_is_cosmetic(self):
         from repro.experiments.configs import RunConfig
