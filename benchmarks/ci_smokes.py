@@ -23,12 +23,12 @@ The ``sanitize`` smoke rebuilds both kernels with AddressSanitizer and
 UBSan and runs the kernel, fuzzed-equivalence, golden, prefetcher and
 workload tests against them: a sanitizer report fails the gate.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
-per writable disk backend, a pool campaign checkpointing under I/O fault
+a pool campaign checkpointing into a jsonl store under I/O fault
 injection is SIGKILLed mid-write with its whole process group (no pool
-worker may survive), resumed to byte-identical figures,
-then repaired and verified clean; the jsonl → sqlite → jsonl migration
-round-trip must be lossless, and a read-only sharded copy migrated in
-place to jsonl must serve the same figures from pure store hits.
+worker may survive), resumed to byte-identical figures, then repaired
+and verified clean; a legacy sqlite copy and a legacy sharded copy of
+it, each migrated in place, must resolve to a log holding the same
+records byte for byte and serve the same figures from pure store hits.
 The ``examples`` smoke runs every script under ``examples/`` against the
 source tree: each must exit 0.  The ``perfbench`` smoke runs the
 benchmark harness's own checks (pinned digests, layer self-tests) on
@@ -785,37 +785,40 @@ def _live_group_members(pgid: int) -> list[int]:
 
 
 def smoke_store_chaos(json_dir: str) -> list[str]:
-    """Crash-consistent storage gate, per writable backend.
+    """Crash-consistent storage gate: one writable store, two legacy
+    layouts migrated.
 
-    For each writable disk backend (jsonl / sqlite): a pool campaign
-    checkpointing under I/O fault injection is SIGKILLed, with its whole
-    process group, as soon as its store file materialises, and no
-    process of that group (the pool workers) may outlive it; a
-    chaos-free resume against the survivor
-    directory must regenerate figures byte-identical to a storeless
-    reference run; ``store repair`` then ``store verify`` must leave
-    zero undetected-corrupt records.  The repaired jsonl store then
-    round-trips jsonl → sqlite → jsonl losslessly (sorted record lines
-    byte-identical — the checksums are backend-independent), and a
-    sharded copy of it (laid out by the test helper: this build writes
-    no sharded stores) migrates in place to jsonl, after which
-    auto-detection must resolve jsonl.  Figures re-derived from each
-    migrated copy are pure store hits, still byte-identical.
+    A pool campaign checkpointing into a jsonl store under I/O fault
+    injection is SIGKILLed, with its whole process group, as soon as its
+    first record bytes reach the log, and no process of that group (the
+    pool workers) may outlive it; a chaos-free resume against the
+    survivor directory must regenerate figures byte-identical to a
+    storeless reference run; ``store repair`` then ``store verify`` must
+    leave zero undetected-corrupt records.  Then a sqlite copy and a
+    sharded copy of the resumed store (laid out by the test helpers:
+    this build writes neither) each migrate in place: the directory must
+    resolve to jsonl, the migrated log's sorted lines must equal the
+    resumed log's byte for byte, and a rerun must be pure store hits
+    with byte-identical figures.
     """
     import signal
     import time
 
     sys.path.insert(0, os.path.join(ROOT, "tests", "store"))
-    from store_helpers import write_sharded
+    from store_helpers import LEGACY_WRITERS
 
     from repro.store import detect_backend, open_store
 
     failures: list[str] = []
-    summary: dict = {"backends": {}}
+    summary: dict = {"migrated": {}}
     chaos_env = _env()
     chaos_env["REPRO_CHAOS"] = (
         "torn-write:0.3,fsync-fail:0.2,partial-append:0.2,seed:7"
     )
+
+    def sorted_lines(directory: str) -> list:
+        with open(os.path.join(directory, "results.jsonl"), encoding="utf-8") as fh:
+            return sorted(fh.read().splitlines())
 
     with tempfile.TemporaryDirectory() as tmp:
         traces = os.path.join(tmp, "traces")
@@ -823,161 +826,122 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
         if reference.returncode != 0:
             return [f"reference run exited {reference.returncode}: {reference.stderr}"]
 
-        def has_bytes(*parts: str) -> bool:
-            import glob
-
-            return any(
-                os.path.getsize(path) > 0
-                for path in glob.glob(os.path.join(*parts))
-            )
-
-        # Per backend: a predicate that turns true once the first record
-        # bytes reach the durable file (not merely once the store opens).
-        write_probes = {
-            "jsonl": lambda d: has_bytes(d, "results.jsonl"),
-            "sqlite": lambda d: has_bytes(d, "results.sqlite-wal"),
-        }
-        for backend, probe in write_probes.items():
-            directory = os.path.join(tmp, backend)
-            persist = [
-                "--store", directory, "--store-backend", backend,
-                "--trace-cache", traces,
-            ]
-            # Its own session, so the pool workers share the victim's
-            # process group and die with it.
-            victim = subprocess.Popen(
-                [sys.executable, "-m", "repro.experiments", *_STORE_ARGS,
-                 *persist, "--workers", "2"],
-                cwd=ROOT,
-                env=chaos_env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                start_new_session=True,
-            )
-            # Kill mid-write: the moment record bytes hit the store the
-            # campaign is inside its checkpoint path.  A campaign that
-            # finishes before the probe trips still resumes cleanly.
-            deadline = time.monotonic() + 60.0
-            while victim.poll() is None and time.monotonic() < deadline:
-                if probe(directory):
-                    try:
-                        os.killpg(victim.pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass  # the campaign finished first
-                    break
-                time.sleep(0.02)
-            victim.wait(timeout=60.0)
-            killed = victim.returncode == -signal.SIGKILL
-            # SIGKILL lands asynchronously: give the group a moment to go.
-            settle = time.monotonic() + 10.0
+        directory = os.path.join(tmp, "jsonl")
+        log = os.path.join(directory, "results.jsonl")
+        persist = ["--store", directory, "--trace-cache", traces]
+        # Its own session, so the pool workers share the victim's
+        # process group and die with it.
+        victim = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", *_STORE_ARGS,
+             *persist, "--workers", "2"],
+            cwd=ROOT,
+            env=chaos_env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        # Kill mid-write: the moment record bytes hit the log the
+        # campaign is inside its checkpoint path.  A campaign that
+        # finishes before the probe trips still resumes cleanly.
+        deadline = time.monotonic() + 60.0
+        while victim.poll() is None and time.monotonic() < deadline:
+            if os.path.exists(log) and os.path.getsize(log) > 0:
+                try:
+                    os.killpg(victim.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # the campaign finished first
+                break
+            time.sleep(0.02)
+        victim.wait(timeout=60.0)
+        killed = victim.returncode == -signal.SIGKILL
+        # SIGKILL lands asynchronously: give the group a moment to go.
+        settle = time.monotonic() + 10.0
+        survivors = _live_group_members(victim.pid)
+        while survivors and time.monotonic() < settle:
+            time.sleep(0.05)
             survivors = _live_group_members(victim.pid)
-            while survivors and time.monotonic() < settle:
-                time.sleep(0.05)
-                survivors = _live_group_members(victim.pid)
-            if survivors:
-                failures.append(
-                    f"{backend}: victim's process group outlived SIGKILL: "
-                    f"pids {survivors}"
-                )
-                for pid in survivors:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                    except ProcessLookupError:
-                        pass
+        if survivors:
+            failures.append(
+                f"victim's process group outlived SIGKILL: pids {survivors}"
+            )
+            for pid in survivors:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
-            resume = _cli(_STORE_ARGS + persist)
-            if resume.returncode != 0:
-                failures.append(
-                    f"{backend}: resume exited {resume.returncode}: {resume.stderr}"
+        resume = _cli(_STORE_ARGS + persist)
+        if resume.returncode != 0:
+            failures.append(f"resume exited {resume.returncode}: {resume.stderr}")
+        identical = resume.stdout == reference.stdout
+        if not identical:
+            diff = "\n".join(
+                difflib.unified_diff(
+                    reference.stdout.splitlines(),
+                    resume.stdout.splitlines(),
+                    lineterm="",
                 )
-            identical = resume.stdout == reference.stdout
-            if not identical:
-                diff = "\n".join(
-                    difflib.unified_diff(
-                        reference.stdout.splitlines(),
-                        resume.stdout.splitlines(),
-                        lineterm="",
-                    )
-                )
-                failures.append(
-                    f"{backend}: resumed figures differ from the clean "
-                    f"reference:\n{diff}"
-                )
-            repair = _cli(["store", "repair", directory])
-            verify = _cli(["store", "verify", directory])
-            if repair.returncode != 0:
-                failures.append(f"{backend}: repair exited {repair.returncode}:"
-                                f"\n{repair.stdout}{repair.stderr}")
-            if verify.returncode != 0:
-                failures.append(f"{backend}: verify not clean after repair:"
-                                f"\n{verify.stdout}{verify.stderr}")
-            summary["backends"][backend] = {
-                "killed_mid_write": killed,
-                "group_survivors": len(survivors),
-                "resume_byte_identical": identical,
-                "repair_rc": repair.returncode,
-                "verify_rc": verify.returncode,
-            }
+            )
+            failures.append(
+                f"resumed figures differ from the clean reference:\n{diff}"
+            )
+        repair = _cli(["store", "repair", directory])
+        verify = _cli(["store", "verify", directory])
+        if repair.returncode != 0:
+            failures.append(f"repair exited {repair.returncode}:"
+                            f"\n{repair.stdout}{repair.stderr}")
+        if verify.returncode != 0:
+            failures.append(f"verify not clean after repair:"
+                            f"\n{verify.stdout}{verify.stderr}")
+        summary.update(
+            killed_mid_write=killed,
+            group_survivors=len(survivors),
+            resume_byte_identical=identical,
+            repair_rc=repair.returncode,
+            verify_rc=verify.returncode,
+        )
 
-        # Lossless migration round-trip off the repaired jsonl store.
-        jsonl_dir = os.path.join(tmp, "jsonl")
-        sqlite_dir = os.path.join(tmp, "migrated-sqlite")
-        back_dir = os.path.join(tmp, "migrated-jsonl")
-        for src, to, dest in (
-            (jsonl_dir, "sqlite", sqlite_dir),
-            (sqlite_dir, "jsonl", back_dir),
-        ):
-            proc = _cli(["store", "migrate", src, "--to", to, "--dest", dest])
+        # A legacy copy of the resumed store per layout, migrated in
+        # place: the next open must resolve to the migrated log, which
+        # must hold the resumed log's records byte for byte.
+        with open_store(directory) as resumed:
+            pairs = [(key, resumed.get(key)) for key in resumed.keys()]
+        for layout, write in LEGACY_WRITERS.items():
+            copy = os.path.join(tmp, f"{layout}-in-place")
+            write(copy, pairs)
+            proc = _cli(["store", "migrate", copy])
             if proc.returncode != 0:
                 failures.append(
-                    f"migrate {src} -> {to} exited {proc.returncode}:"
-                    f"\n{proc.stdout}{proc.stderr}"
+                    f"in-place migrate of the {layout} copy exited "
+                    f"{proc.returncode}:\n{proc.stdout}{proc.stderr}"
                 )
-        def sorted_lines(directory: str) -> list:
-            path = os.path.join(directory, "results.jsonl")
-            with open(path, encoding="utf-8") as fh:
-                return sorted(fh.read().splitlines())
-
-        round_trip_identical = sorted_lines(jsonl_dir) == sorted_lines(back_dir)
-        if not round_trip_identical:
-            failures.append(
-                "jsonl -> sqlite -> jsonl migration round-trip is not "
-                "byte-identical record for record"
+            resolved = detect_backend(copy)
+            if resolved != "jsonl":
+                failures.append(
+                    f"after in-place migration {copy} resolves to {resolved!r}"
+                )
+            lossless = (
+                resolved == "jsonl" and sorted_lines(copy) == sorted_lines(directory)
             )
-
-        # A sharded copy of the resumed store, migrated in place to jsonl:
-        # the next open must resolve to the migrated jsonl log.
-        sharded_dir = os.path.join(tmp, "sharded-in-place")
-        with open_store(jsonl_dir) as resumed:
-            write_sharded(sharded_dir, [(k, resumed.get(k)) for k in resumed.keys()])
-        proc = _cli(["store", "migrate", sharded_dir, "--to", "jsonl"])
-        if proc.returncode != 0:
-            failures.append(
-                f"in-place migrate of the sharded copy exited {proc.returncode}:"
-                f"\n{proc.stdout}{proc.stderr}"
-            )
-        resolved = detect_backend(sharded_dir)
-        if resolved != "jsonl":
-            failures.append(
-                f"after in-place migration {sharded_dir} resolves to {resolved!r}"
-            )
-        summary["sharded_in_place_resolves"] = resolved
-
-        for directory in (sqlite_dir, back_dir, sharded_dir):
-            rerun = _cli(
-                _STORE_ARGS + ["--store", directory, "--trace-cache", traces]
-            )
+            if not lossless:
+                failures.append(
+                    f"the {layout} copy's migrated log is not the resumed log "
+                    "record for record"
+                )
+            rerun = _cli(_STORE_ARGS + ["--store", copy, "--trace-cache", traces])
             if rerun.stdout != reference.stdout:
                 failures.append(
-                    f"figures from migrated store {directory} differ from "
-                    "the clean reference"
+                    f"figures from migrated store {copy} differ from the "
+                    "clean reference"
                 )
             if "simulations executed=0" not in rerun.stderr:
                 failures.append(
-                    f"migrated store {directory} was not pure store hits: "
-                    f"{rerun.stderr}"
+                    f"migrated store {copy} was not pure store hits: {rerun.stderr}"
                 )
-        summary["migration_round_trip_identical"] = round_trip_identical
+            summary["migrated"][layout] = {
+                "resolves": resolved,
+                "lines_identical": lossless,
+            }
         summary["ok"] = not failures
         _write(json_dir, "store-chaos", summary)
     return failures
@@ -991,10 +955,9 @@ _SERVICE_SPEC_B = ["fig8", "fig9"]
 
 
 def smoke_service(json_dir: str) -> list[str]:
-    """Campaign service gate, per writable backend: server + concurrent
-    clients + worker chaos.
+    """Campaign service gate: server + concurrent clients + worker chaos.
 
-    For each writable disk backend (jsonl / sqlite), a campaign server
+    A campaign server over a fresh jsonl store
     (``serve --workers 2``: the same ``PoolExecutor`` as ``run``, whose
     parent lands every chunk in the shared store as it completes) runs
     under ``REPRO_CHAOS`` worker-crash injection while two concurrent
@@ -1006,8 +969,6 @@ def smoke_service(json_dir: str) -> list[str]:
     chaos-free serial reference; ``store verify`` must find the store
     clean.
     """
-    failures: list[str] = []
-    summary: dict = {"backends": {}}
     with tempfile.TemporaryDirectory() as tmp:
         traces = os.path.join(tmp, "traces")
         reference = _cli(
@@ -1015,23 +976,20 @@ def smoke_service(json_dir: str) -> list[str]:
         )
         if reference.returncode != 0:
             return [f"reference run exited {reference.returncode}: {reference.stderr}"]
-        for backend in ("jsonl", "sqlite"):
-            store = os.path.join(tmp, backend)
-            failed, summary["backends"][backend] = _service_round(
-                backend, store, traces, reference.stdout
-            )
-            failures.extend(f"{backend}: {failure}" for failure in failed)
+        failures, summary = _service_round(
+            os.path.join(tmp, "store"), traces, reference.stdout
+        )
     summary["ok"] = not failures
     _write(json_dir, "service", summary)
     return failures
 
 
 def _service_round(
-    backend: str, store: str, traces: str, reference: str
+    store: str, traces: str, reference: str
 ) -> "tuple[list[str], dict]":
-    """One ``service`` round over a fresh ``backend`` store: serve, two
-    overlapping clients, SIGTERM, then the re-render and ``store
-    verify`` checks.  Returns (failures, the clients' summary)."""
+    """One ``service`` round over a fresh store: serve, two overlapping
+    clients, SIGTERM, then the re-render and ``store verify`` checks.
+    Returns (failures, the clients' summary)."""
     import signal
     import time
 
@@ -1042,7 +1000,7 @@ def _service_round(
         [
             sys.executable, "-m", "repro.experiments", "serve",
             "--port", "0", "--workers", "2",
-            "--store", store, "--store-backend", backend,
+            "--store", store,
             "--trace-cache", traces, *_SERVICE_FIG_ARGS,
         ],
         cwd=ROOT,

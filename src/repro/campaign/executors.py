@@ -57,7 +57,6 @@ from repro.campaign.events import (
 )
 from repro.campaign.plan import Plan, Task
 from repro.campaign.resilience import Quarantined, RetryPolicy
-from repro.store import transient_write_errors
 from repro.testing import chaos
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -309,11 +308,11 @@ class PoolExecutor(Executor):
         self, session: "Session", key: str, task: Task, result: SimResult
     ) -> "tuple[bool, int, str | None]":
         """Checkpoint one finished simulation, absorbing *transient*
-        store-write failures (torn write, fsync error, disk-full, sqlite
-        contention — see :func:`repro.store.transient_write_errors`)
-        through the same deterministic backoff policy worker faults use —
-        a flaky disk must not kill the drain loop while the result is
-        already in hand.  Returns (stored, failed_attempts, last_error)."""
+        store-write failures (an :class:`OSError`: torn write, fsync
+        error, disk-full) through the same deterministic backoff policy
+        worker faults use — a flaky disk must not kill the drain loop
+        while the result is already in hand.  Returns (stored,
+        failed_attempts, last_error)."""
         benchmark, config, map_index = task
         policy = self.retry
         failed = 0
@@ -322,7 +321,7 @@ class PoolExecutor(Executor):
             try:
                 session.store_result(benchmark, config, map_index, result)
                 return True, failed, last_error
-            except transient_write_errors() as exc:
+            except OSError as exc:
                 failed += 1
                 last_error = repr(exc)
                 if failed >= policy.max_attempts:

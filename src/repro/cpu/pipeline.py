@@ -261,7 +261,7 @@ class OutOfOrderPipeline:
                 'engine="object" to chain runs over one hierarchy'
             )
         if n == 0:
-            return SimResult(trace.name, 0, 0, 0, 0, hier.stats().snapshot())
+            return SimResult(trace.name, 0, 0, 0, 0, HierarchyStats().snapshot())
         lane = self.kernel_lane()
         if lane is not None:
             self._ran_on = "kernel"
@@ -328,7 +328,7 @@ class OutOfOrderPipeline:
         cycles_base = 0
 
         for i in range(n):
-            if i == measure_from and i > 0:
+            if i == measure_from:
                 cycles_base = last_commit
                 self._reset_measurement_state()
             pc = pcs[i]

@@ -41,8 +41,6 @@ from repro.store import (
     DiskStore,
     MemoryStore,
     ResultStore,
-    ShardedDiskStore,
-    SqliteStore,
     StoreHealth,
     open_store,
 )
@@ -94,8 +92,6 @@ __all__ = [
     "ResultStore",
     "MemoryStore",
     "DiskStore",
-    "ShardedDiskStore",
-    "SqliteStore",
     "StoreHealth",
     "open_store",
     "task_key",

@@ -13,7 +13,7 @@ Usage::
     python -m repro.experiments submit fig8 --url http://127.0.0.1:8631
     python -m repro.experiments predict fig8 --budget 0.4 --maps 50
     python -m repro.experiments store verify CAMPAIGN_DIR
-    python -m repro.experiments store migrate CAMPAIGN_DIR --to sqlite
+    python -m repro.experiments store migrate CAMPAIGN_DIR
 
 The first token selects a subcommand — ``run`` (figure campaigns; the
 default, so every historical invocation works unchanged), ``serve`` (the
@@ -65,7 +65,6 @@ from repro.store import (
     MemoryStore,
     ReadOnlyStoreError,
     ResultStore,
-    SqliteStore,
     open_store,
 )
 from repro.workloads.spec2000 import ALL_BENCHMARKS
@@ -146,14 +145,6 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         "--no-store",
         action="store_true",
         help="keep results in memory even if REPRO_STORE is set",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("auto", "jsonl", "sqlite"),
-        default=None,
-        help="storage backend for --store (default: $REPRO_STORE_BACKEND, "
-        "else auto-detect from the directory, else jsonl; see "
-        "'python -m repro.experiments store migrate' to convert)",
     )
     parser.add_argument(
         "--store-fsync",
@@ -264,12 +255,9 @@ def _settings_from_args(args: argparse.Namespace) -> RunnerSettings:
 def _store_from_args(args: argparse.Namespace) -> ResultStore:
     if args.no_store:
         return MemoryStore()
-    backend = args.store_backend if args.store_backend != "auto" else None
     try:
         return open_store(
-            args.store or os.environ.get("REPRO_STORE"),
-            backend=backend,
-            fsync=args.store_fsync,
+            args.store or os.environ.get("REPRO_STORE"), fsync=args.store_fsync
         )
     except OSError as exc:
         print(f"cannot open result store: {exc}", file=sys.stderr)
@@ -480,7 +468,7 @@ def _run_main(raw_argv: list[str]) -> int:
         )
         code = 3
     except ReadOnlyStoreError as exc:
-        # The store auto-detected as the read-only sharded layout and the
+        # The store auto-detected as a read-only legacy layout and the
         # campaign needed to write a point; the message names the migrate.
         print(f"[campaign] {exc}", file=sys.stderr)
         code = 2
@@ -489,7 +477,7 @@ def _run_main(raw_argv: list[str]) -> int:
         # hint; exit with the conventional interrupt status.
         code = 130
     if code == 0 and (
-        session is not None or isinstance(store, (DiskStore, SqliteStore))
+        session is not None or isinstance(store, DiskStore)
     ):
         executed = session.simulations_executed if session is not None else 0
         passes = session.schedule_passes if session is not None else 0

@@ -1,18 +1,17 @@
-"""Crash-consistent result storage: checksummed records, two writable
-backends and one read-only migration source.
+"""Crash-consistent result storage: one checksummed, append-only log,
+and read-only readers for the layouts earlier builds wrote.
 
 This package is the persistence layer the campaign system treats as
 ground truth.  It applies the paper's thesis — keep operating correctly
 in the presence of faults instead of declaring the part dead — to the
-store itself: every record carries its own integrity proof, every
-backend tolerates torn writes and concurrent writers, and the
-:mod:`repro.store.tools` CLI (``python -m repro.experiments store
-verify|repair|compact|migrate``) recovers what is intact instead of
-failing the campaign.
+store itself: every record carries its own integrity proof, the log
+tolerates torn writes, and the :mod:`repro.store.tools` CLI (``python
+-m repro.experiments store verify|repair|compact|migrate|merge``)
+recovers what is intact instead of failing the campaign.
 
 On-disk format spec (v2)
 ------------------------
-**Record.**  One JSON object per result, identical across backends::
+**Record.**  One JSON object per result::
 
     {"key": K, "result": R, "schema": 2, "sha": H}
 
@@ -26,52 +25,46 @@ On-disk format spec (v2)
 * ``H`` — ``sha256`` hex digest of the canonical form (sorted keys, no
   whitespace) of ``{"key": K, "result": R, "schema": 2}``.  Bit-rot that
   still parses as JSON — a flipped digit in a cycle count — is caught
-  here, not just truncated tails.  ``H`` is backend-independent, so a
-  migration that preserves every ``(K, R)`` pair preserves every ``H``.
+  here, not just truncated tails.  ``H`` does not depend on how a
+  layout stored the record, so a migration that preserves every
+  ``(K, R)`` pair preserves every ``H``.
 
 Legacy v1 records (``{"key": K, "result": R}``, no checksum) are still
 readable; loads count them and ``repair``/``compact`` rewrite them as v2.
 
-**jsonl backend** (:class:`~repro.store.jsonl.DiskStore`).
-``<dir>/results.jsonl`` — one record per line, append-only.  A killed
-writer loses at most its final, partially-written line; loading skips
-(and counts) anything undecodable and repairs a confirmed-torn tail with
-a single ``O_APPEND`` write.
+**The jsonl log** (:class:`~repro.store.jsonl.DiskStore`), the only
+store this build writes.  ``<dir>/results.jsonl`` — one record per line,
+append-only.  A killed writer loses at most its final,
+partially-written line; loading skips (and counts) anything undecodable
+and repairs a confirmed-torn tail with a single ``O_APPEND`` write.
+Every ``--workers`` pool and the campaign server hand their results to
+the parent process, the store's only writer.
 
-**sharded layout, read-only** (:class:`~repro.store.sharded.ShardedDiskStore`).
-``<dir>/shards/shard-<x>.jsonl`` for ``x`` in ``0..f`` — the jsonl log
-split by the first hex character of the key, plus
-``<dir>/shards/MANIFEST.json`` recording the layout.  Earlier builds
-wrote it; this one reads it so ``store verify`` and ``store migrate DIR
---to jsonl`` still work, and every write raises
-:class:`~repro.store.sharded.ReadOnlyStoreError` with that migrate hint.
+**Legacy layouts, read-only** (:mod:`repro.store.legacy`).  Earlier
+builds could also write ``<dir>/results.sqlite`` (a WAL-mode database,
+one row per key with the same ``schema``/``sha`` columns) or sixteen
+shard logs under ``<dir>/shards/``.  This build reads both, decoding
+each row or line through :func:`~repro.store.format.decode_entry`, so
+``store verify`` reports on them and ``store migrate DIR`` folds them
+into the directory's log; every write raises
+:class:`~repro.store.legacy.ReadOnlyStoreError` with that migrate hint.
 
-**sqlite backend** (:class:`~repro.store.sqlite.SqliteStore`).
-``<dir>/results.sqlite`` — WAL-mode database, one row per key
-(``INSERT ... ON CONFLICT(key) DO UPDATE`` upserts), the same
-``schema``/``sha`` columns verified on load, and busy-timeout retries
-around writes so concurrent writers queue instead of failing.
-
-:func:`open_store` picks the backend: an explicit ``backend=`` argument
-or ``REPRO_STORE_BACKEND`` wins; otherwise the directory's existing
-files decide (sqlite > jsonl > sharded), and a fresh directory defaults
-to jsonl.  ``fsync=True`` (or ``REPRO_STORE_FSYNC=1``) makes every
-``put`` durable through the OS cache; the default relies on the pool
-executor's chunk-boundary fsync instead.
+:func:`open_store` opens what the directory holds (:func:`detect_backend`:
+jsonl > sqlite > sharded, so a directory migrated in place resolves to
+its log), and a fresh directory gets a jsonl log.  ``fsync=True`` (or
+``REPRO_STORE_FSYNC=1``) makes every ``put`` durable through the OS
+cache; the default relies on the pool executor's chunk-boundary fsync
+instead.
 """
 
-from repro.store.base import (
-    MemoryStore,
-    ResultStore,
-    StoreHealth,
-    transient_write_errors,
-)
+from repro.store.base import MemoryStore, ResultStore, StoreHealth
 from repro.store.format import (
     RECORD_SCHEMA_VERSION,
     CorruptRecord,
     MalformedRecord,
     RecordError,
     StaleRecord,
+    decode_entry,
     decode_record,
     encode_record,
     record_checksum,
@@ -79,18 +72,21 @@ from repro.store.format import (
     result_to_dict,
 )
 from repro.store.jsonl import RESULTS_FILENAME, DiskStore
-from repro.store.sharded import SHARD_COUNT, ReadOnlyStoreError, ShardedDiskStore
-from repro.store.sqlite import SQLITE_FILENAME, SqliteStore
+from repro.store.legacy import (
+    LEGACY_READERS,
+    SHARD_COUNT,
+    SQLITE_FILENAME,
+    LegacyStore,
+    ReadOnlyStoreError,
+    ShardedDiskStore,
+    SqliteStore,
+    legacy_layout,
+)
 
 import os as _os
 
-#: Environment variables selecting the backend / per-put durability.
-STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
+#: Environment variable requesting per-put durability.
 STORE_FSYNC_ENV = "REPRO_STORE_FSYNC"
-
-#: The writable disk-backed stores ``open_store`` can build (the
-#: ``sharded`` layout only opens read-only, as a migration source).
-BACKENDS = ("jsonl", "sqlite")
 
 
 def fsync_from_env() -> bool:
@@ -100,35 +96,26 @@ def fsync_from_env() -> bool:
 
 
 def detect_backend(directory: "str | _os.PathLike") -> "str | None":
-    """The backend whose files already live under ``directory``, or
-    ``None`` for a fresh directory.  Precedence sqlite > jsonl > sharded
-    matches migration order: a store migrated in place (jsonl to sqlite,
-    or out of the read-only sharded layout) wins the next open instead
-    of the files it was copied from."""
+    """The layout whose files already live under ``directory`` —
+    ``"jsonl"``, else a legacy ``"sqlite"`` or ``"sharded"`` layout —
+    or ``None`` when it holds no store.  The jsonl log wins: migration
+    only ever goes into it, so a directory migrated in place resolves to
+    its log, not to the files the records were copied from."""
     directory = _os.fspath(directory)
-    if _os.path.exists(_os.path.join(directory, SQLITE_FILENAME)):
-        return "sqlite"
     if _os.path.exists(_os.path.join(directory, RESULTS_FILENAME)):
         return "jsonl"
-    if _os.path.isdir(_os.path.join(directory, "shards")):
-        return "sharded"
-    return None
+    return legacy_layout(directory)
 
 
 def open_store(
-    directory: "str | _os.PathLike | None",
-    backend: "str | None" = None,
-    fsync: "bool | None" = None,
+    directory: "str | _os.PathLike | None", fsync: "bool | None" = None
 ) -> ResultStore:
-    """The disk store at ``directory`` (a fresh :class:`MemoryStore`
-    when ``directory`` is ``None``/empty), behind the backend-agnostic
-    :class:`ResultStore` API.
-
-    ``backend`` is ``"jsonl"``, ``"sqlite"``, ``"sharded"`` (an existing
-    sharded store, read-only), or ``None``/``"auto"`` — defaulting to
-    ``$REPRO_STORE_BACKEND``, then to whatever already lives under
-    ``directory``, then to jsonl.  ``fsync`` (default
-    ``$REPRO_STORE_FSYNC``) makes every ``put`` fsync.
+    """The store at ``directory`` (a fresh :class:`MemoryStore` when
+    ``directory`` is ``None``/empty), behind the :class:`ResultStore`
+    API: its jsonl log, created on first put when the directory holds no
+    store, or the read-only reader of a legacy layout the directory
+    holds instead.  ``fsync`` (default ``$REPRO_STORE_FSYNC``) makes
+    every ``put`` fsync.
 
     Stores are context managers::
 
@@ -137,34 +124,23 @@ def open_store(
     """
     if not directory:
         return MemoryStore()
-    if backend is None:
-        backend = _os.environ.get(STORE_BACKEND_ENV) or None
-    if backend in (None, "auto"):
-        backend = detect_backend(directory) or "jsonl"
+    reader = LEGACY_READERS.get(detect_backend(directory))
+    if reader is not None:
+        return reader(directory)
     if fsync is None:
         fsync = fsync_from_env()
-    if backend == "jsonl":
-        return DiskStore(directory, fsync=fsync)
-    if backend == "sqlite":
-        return SqliteStore(directory, fsync=fsync)
-    if backend == "sharded":
-        return ShardedDiskStore(directory)
-    raise ValueError(
-        f"unknown store backend {backend!r} (expected one of {BACKENDS}, "
-        "'sharded' (read-only) or 'auto')"
-    )
+    return DiskStore(directory, fsync=fsync)
 
 
 __all__ = [
-    "BACKENDS",
     "RECORD_SCHEMA_VERSION",
     "RESULTS_FILENAME",
     "SHARD_COUNT",
     "SQLITE_FILENAME",
-    "STORE_BACKEND_ENV",
     "STORE_FSYNC_ENV",
     "CorruptRecord",
     "DiskStore",
+    "LegacyStore",
     "MalformedRecord",
     "MemoryStore",
     "ReadOnlyStoreError",
@@ -174,6 +150,7 @@ __all__ = [
     "SqliteStore",
     "StaleRecord",
     "StoreHealth",
+    "decode_entry",
     "decode_record",
     "detect_backend",
     "encode_record",
@@ -182,5 +159,4 @@ __all__ = [
     "record_checksum",
     "result_from_dict",
     "result_to_dict",
-    "transient_write_errors",
 ]

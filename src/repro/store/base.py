@@ -1,4 +1,4 @@
-"""Backend-agnostic store API: the ABC, health reporting, MemoryStore."""
+"""The store API: the ABC, health reporting, MemoryStore."""
 
 from __future__ import annotations
 
@@ -49,17 +49,6 @@ class StoreHealth:
         return " ".join(parts)
 
 
-def transient_write_errors() -> tuple:
-    """Exception types a store ``put``/``flush`` may raise *transiently*
-    — worth retrying through a backoff policy rather than failing the
-    campaign (torn write, fsync error, disk-full, sqlite lock
-    contention).  The backend exception taxonomy lives here so executors
-    need no backend imports of their own."""
-    import sqlite3
-
-    return (OSError, sqlite3.OperationalError)
-
-
 class ResultStore(abc.ABC):
     """Keyed persistence for simulation results.
 
@@ -96,10 +85,10 @@ class ResultStore(abc.ABC):
     # Stores are context managers: ``with open_store(dir) as store:``
     # guarantees buffered state reaches disk even on error paths.  The
     # default flush/close are no-ops (MemoryStore has nothing durable);
-    # disk backends hold persistent handles and release them here.  A
-    # closed store stays *readable* — and re-opens lazily on the next
-    # put — so long-lived callers sharing one store cannot be broken by
-    # a sibling's teardown.
+    # the jsonl store holds a persistent append handle and releases it
+    # here.  A closed store stays *readable* — and re-opens lazily on the
+    # next put — so long-lived callers sharing one store cannot be broken
+    # by a sibling's teardown.
 
     def flush(self) -> None:
         """Push buffered writes to durable storage (no-op by default)."""

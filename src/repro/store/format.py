@@ -1,4 +1,4 @@
-"""The checksummed record codec shared by every store backend.
+"""The checksummed record codec every stored record decodes through.
 
 One record = one simulation result under its content-hash task key.  The
 encoded form (see the package docstring for the full spec) carries a
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.cpu.pipeline import SimResult
 
@@ -103,8 +104,8 @@ def record_checksum(key: str, payload: dict, schema: int = RECORD_SCHEMA_VERSION
     """sha256 hex digest of the canonical record body.
 
     Canonical form: sorted keys, no whitespace — independent of which
-    backend stored the record or how its JSON was pretty-printed, so the
-    checksum survives migration between backends verbatim.
+    layout stored the record or how its JSON was pretty-printed, so the
+    checksum survives migration out of a legacy layout verbatim.
     """
     canonical = json.dumps(
         {"key": key, "result": payload, "schema": schema},
@@ -128,7 +129,8 @@ def encode_record(key: str, payload: dict) -> str:
 
 
 def decode_record(line: str) -> DecodedRecord:
-    """Decode and verify one encoded record.
+    """Decode and verify one encoded record line: its JSON parse, then
+    :func:`decode_entry`.
 
     Raises :class:`MalformedRecord` / :class:`StaleRecord` /
     :class:`CorruptRecord` (all :class:`RecordError`) — callers classify
@@ -138,6 +140,13 @@ def decode_record(line: str) -> DecodedRecord:
         entry = json.loads(line)
     except ValueError as exc:
         raise MalformedRecord(f"not a JSON record: {exc}") from None
+    return decode_entry(entry)
+
+
+def decode_entry(entry: object) -> DecodedRecord:
+    """Verify one parsed record, ``{"key", "result", "schema", "sha"}``
+    (or the legacy v1 ``{"key", "result"}``), whichever layout stored
+    it; raises as :func:`decode_record` does."""
     if not isinstance(entry, dict) or "key" not in entry or "result" not in entry:
         raise MalformedRecord("record needs 'key' and 'result' fields")
     key = entry["key"]
@@ -163,3 +172,30 @@ def decode_record(line: str) -> DecodedRecord:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(f"result payload incomplete: {exc!r}") from None
     return DecodedRecord(key=key, payload=payload, legacy=legacy)
+
+
+class DamageCounts:
+    """What one record source (a log, a shard, a legacy table) held that
+    its decoder refused, by class, plus the legacy v1 records it
+    accepted."""
+
+    def __init__(self) -> None:
+        self.malformed = self.corrupt = self.stale = self.legacy = 0
+
+    def decode_each(
+        self, decode: "Callable[[object], DecodedRecord]", raw_records: Iterable
+    ) -> "list[DecodedRecord]":
+        """``decode(raw)`` for every raw record: the records that verify,
+        in order, with every refusal counted by class instead of raised."""
+        records: list[DecodedRecord] = []
+        for raw in raw_records:
+            try:
+                records.append(decode(raw))
+            except CorruptRecord:
+                self.corrupt += 1
+            except StaleRecord:
+                self.stale += 1
+            except RecordError:
+                self.malformed += 1
+        self.legacy += sum(1 for record in records if record.legacy)
+        return records

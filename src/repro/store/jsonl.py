@@ -3,9 +3,9 @@
 :class:`JsonlLog` is the shared file engine — one append-only log of
 encoded records (see :mod:`repro.store.format`) with damage-classifying
 loads, crash-safe tail repair, optional per-append fsync, and atomic
-compaction.  :class:`DiskStore` is one log at ``<dir>/results.jsonl``;
-the read-only :class:`~repro.store.sharded.ShardedDiskStore` reads
-sixteen of them.
+compaction.  :class:`DiskStore` is one log at ``<dir>/results.jsonl``,
+the one store format this build writes; the read-only
+:class:`~repro.store.legacy.ShardedDiskStore` reads sixteen of them.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from repro.cpu.pipeline import SimResult
 
 from repro.store.base import MemoryStore, StoreHealth
 from repro.store.format import (
-    CorruptRecord,
+    DamageCounts,
     DecodedRecord,
     RecordError,
-    StaleRecord,
     decode_record,
     encode_record,
     result_to_dict,
@@ -36,7 +35,7 @@ RESULTS_FILENAME = "results.jsonl"
 _TAIL_BYTES = 1 << 20
 
 
-class JsonlLog:
+class JsonlLog(DamageCounts):
     """One append-only log of encoded records.
 
     Loading classifies every line (malformed / corrupt / stale / legacy
@@ -47,6 +46,7 @@ class JsonlLog:
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:
+        super().__init__()
         self.path = path
         self.fsync = fsync
         self._fh = None
@@ -54,10 +54,6 @@ class JsonlLog:
         # terminator (an injected torn/partial write).  The next write
         # heals it first, so in-process damage stays one line wide.
         self._dirty_tail = False
-        self.malformed = 0
-        self.corrupt = 0
-        self.stale = 0
-        self.legacy = 0
 
     # ----- loading --------------------------------------------------------------
 
@@ -66,22 +62,9 @@ class JsonlLog:
         fatal).  Reads only; see :meth:`repair_tail`."""
         if not os.path.exists(self.path):
             return []
-        records: list[DecodedRecord] = []
         with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(decode_record(line))
-                except CorruptRecord:
-                    self.corrupt += 1
-                except StaleRecord:
-                    self.stale += 1
-                except RecordError:
-                    self.malformed += 1
-        self.legacy += sum(1 for record in records if record.legacy)
-        return records
+            lines = (line.strip() for line in fh)
+            return self.decode_each(decode_record, filter(None, lines))
 
     def repair_tail(self) -> None:
         """Terminate a crash-torn final line so the next append starts a

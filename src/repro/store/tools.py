@@ -3,11 +3,14 @@
 Exposed as ``python -m repro.experiments store <command>`` (and
 ``python -m repro.store <command>``)::
 
-    store verify  DIR [--backend B]    # scan + report damage; exit 1 if any
-    store repair  DIR [--backend B]    # drop damaged records, upgrade legacy
-    store compact DIR [--backend B]    # rewrite without duplicates/damage
-    store migrate DIR --to B [--dest DIR2] [--backend B]
+    store verify  DIR                  # scan + report damage; exit 1 if any
+    store repair  DIR                  # drop damaged records, upgrade legacy
+    store compact DIR                  # rewrite without duplicates/damage
+    store migrate DIR [--dest DIR2]    # fold a legacy layout into a jsonl log
     store merge   DIR --from ROOT      # fold every store under ROOT into DIR
+
+Every command but ``merge`` needs a store at ``DIR``: a directory that
+holds none exits 2 with ``no store at DIR`` and nothing is created.
 
 ``verify`` classifies every stored record (see
 :class:`~repro.store.base.StoreHealth`): duplicates, checksum failures,
@@ -15,23 +18,22 @@ stale schema epochs, undecodable bytes, legacy v1 records.  All damage
 is *contained* — the affected records are never served — so verify's
 exit status is about whether a ``repair`` would change anything.
 
-``repair`` is an atomic rewrite keeping exactly the readable records
-(the jsonl log via temp file + rename; the sqlite backend deletes its
-unreadable rows and vacuums), upgrading legacy v1 records to the checksummed
-format.  ``compact`` is the same rewrite invoked for space (duplicate
-collapse) rather than damage.
+``repair`` is an atomic rewrite of the jsonl log (temp file + rename)
+keeping exactly the readable records, upgrading legacy v1 records to the
+checksummed format.  ``compact`` is the same rewrite invoked for space
+(duplicate collapse) rather than damage.
 
-``migrate`` copies every readable record into a store of another
-backend and verifies the copy key-by-key before reporting success.  The
-record checksum is computed over backend-independent canonical JSON, so
-a lossless migration preserves every checksum.  Migrating in place
-(no ``--dest``) lays the new backend's files alongside the old ones;
-backend auto-detection prefers sqlite > jsonl > sharded precisely so
-the migrated store wins on the next open.
+``migrate`` folds every readable record of ``DIR``'s legacy layout (an
+earlier build's ``results.sqlite``, else its ``shards/``) that the jsonl
+log lacks into the log — ``DIR``'s own, or ``--dest``'s — then reads the
+log back and checks every key against the source before reporting
+success.  The record checksum does not depend on the layout that stored
+it, so migration preserves every checksum.  The legacy files stay in
+place; the log wins auto-detection from then on.
 
-A sharded store is read-only: ``verify`` and ``migrate`` read it, while
+A legacy layout is read-only: ``verify`` and ``migrate`` read it, while
 ``repair``, ``compact`` and ``merge`` into it exit 2 with the hint to
-``migrate DIR --to jsonl`` first.
+``migrate DIR`` first.
 
 ``merge`` copies into ``DIR`` every record it lacks from each store
 directly under ``ROOT`` — the way to fold stores written on separate
@@ -45,51 +47,43 @@ import os
 import sys
 import warnings
 
-from repro.store.base import ResultStore
-from repro.store.sharded import ReadOnlyStoreError, ShardedDiskStore, read_only_error
-
-
-def _open(directory: str, backend: "str | None"):
-    # Deferred import: repro.store imports this module's siblings.
-    from repro.store import open_store
-
-    return open_store(directory, backend=backend)
+from repro.store import DiskStore, ResultStore, detect_backend, open_store
+from repro.store.jsonl import JsonlLog
+from repro.store.legacy import (
+    LEGACY_READERS,
+    LegacyStore,
+    ReadOnlyStoreError,
+    legacy_layout,
+    read_only_error,
+)
 
 
 def _backend_name(store: ResultStore) -> str:
-    from repro.store import DiskStore, SqliteStore
-
-    if isinstance(store, SqliteStore):
-        return "sqlite"
-    if isinstance(store, ShardedDiskStore):
-        return "sharded"
-    if isinstance(store, DiskStore):
-        return "jsonl"
-    return "memory"
+    return store.layout if isinstance(store, LegacyStore) else "jsonl"
 
 
-def _open_reporting(directory: str, backend: "str | None") -> ResultStore:
+def _open_reporting(directory: str) -> ResultStore:
     """Open the store with duplicate-warnings folded into stdout (the
     operator asked for a report; route everything to one place)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        store = _open(directory, backend)
+        store = open_store(directory)
     for warning in caught:
         print(f"note: {warning.message}")
     return store
 
 
-def _open_writable(directory: str, backend: "str | None") -> ResultStore:
+def _open_writable(directory: str) -> ResultStore:
     """:func:`_open_reporting` for the commands that rewrite a store; a
-    read-only (sharded) store raises its migrate hint instead."""
-    store = _open_reporting(directory, backend)
-    if isinstance(store, ShardedDiskStore):
+    read-only legacy store raises its migrate hint instead."""
+    store = _open_reporting(directory)
+    if isinstance(store, LegacyStore):
         raise read_only_error(store.directory)
     return store
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with _open_reporting(args.directory, args.backend) as store:
+    with _open_reporting(args.directory) as store:
         health = store.health()
         print(f"{_backend_name(store)} store at {store.description}")
         print(f"verify: {health.describe()}")
@@ -106,7 +100,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    with _open_writable(args.directory, args.backend) as store:
+    with _open_writable(args.directory) as store:
         before = store.health()
         print(f"{_backend_name(store)} store at {store.description}")
         print(f"before: {before.describe()}")
@@ -119,7 +113,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
               + (f", upgraded {before.legacy} legacy record(s)"
                  if before.legacy else ""))
     # Re-open and prove the rewrite healed everything it could.
-    with _open(args.directory, args.backend) as store:
+    with open_store(args.directory) as store:
         after = store.health()
         print(f"after: {after.describe()}")
         if after.damaged:
@@ -130,48 +124,47 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    with _open_writable(args.directory, args.backend) as store:
+    with _open_writable(args.directory) as store:
         removed = store.compact()
         print(f"{_backend_name(store)} store at {store.description}")
-        print(f"compact: removed {removed} line(s)/row(s), kept {len(store)}")
+        print(f"compact: removed {removed} line(s), kept {len(store)}")
         return 0
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.store import detect_backend, open_store
-
-    dest = args.dest or args.directory
-    same_dir = os.path.abspath(dest) == os.path.abspath(args.directory)
-    if same_dir and (args.backend or detect_backend(args.directory)) == args.to:
-        print(f"migrate: {args.directory} already resolves to backend "
-              f"{args.to!r}; nothing to do")
+    layout = legacy_layout(args.directory)
+    if layout is None:
+        print(f"migrate: {args.directory} holds no legacy (sqlite or sharded) "
+              "layout; nothing to do")
         return 1
-    with _open_reporting(args.directory, args.backend) as src:
-        src_name = _backend_name(src)
-        if same_dir and src_name == args.to:
-            print(f"migrate: source already is backend {args.to!r}; "
-                  "nothing to do")
-            return 1
-        with open_store(dest, backend=args.to) as dst:
-            moved = 0
-            for key in src.keys():
-                dst.put(key, src.get(key))
-                moved += 1
-            # Prove losslessness before claiming success: every source
-            # record must read back identically from the destination.
-            missing = sum(1 for key in src.keys() if dst.get(key) != src.get(key))
-        print(f"migrate: {src_name} -> {args.to}: copied {moved} record(s) "
-              f"from {src.description} to {dest}")
-        if missing:
-            print(f"migrate: FAILED verification — {missing} record(s) did "
-                  "not read back identically")
-            return 1
-        print("migrate: verified — every record reads back identically")
-        if same_dir:
-            print(f"migrate: old {src_name} files left in place; "
-                  "auto-detection now resolves "
-                  f"{args.directory} to {detect_backend(args.directory)}")
-        return 0
+    dest = args.dest or args.directory
+    with LEGACY_READERS[layout](args.directory) as source:
+        print(f"{layout} store at {source.description}: "
+              f"{source.health().describe()}")
+        with DiskStore(dest) as log:
+            copied = merge_stores(log, source)
+            path = log.path
+        if not os.path.exists(path):
+            # Nothing was appended: an empty log still marks the
+            # directory migrated, so it stops resolving to the legacy layout.
+            open(path, "a", encoding="utf-8").close()
+        # Prove the migration from the bytes on disk before claiming
+        # success: every source record must read back identically.
+        on_disk = {record.key: record.result for record in JsonlLog(path).load()}
+        mismatched = sum(
+            1 for key in source.keys() if on_disk.get(key) != source.get(key)
+        )
+        print(f"migrate: {layout} -> jsonl: copied {copied} record(s) "
+              f"({len(source) - copied} already in the log) to {path}")
+    if mismatched:
+        print(f"migrate: FAILED verification — {mismatched} record(s) did "
+              "not read back identically")
+        return 1
+    print("migrate: verified — every record reads back identically")
+    if args.dest is None:
+        print(f"migrate: old {layout} files left in place; auto-detection "
+              f"now resolves {args.directory} to jsonl")
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -180,10 +173,8 @@ def cmd_migrate(args: argparse.Namespace) -> int:
 
 def store_dirs(root: "str | os.PathLike") -> "list[str]":
     """Sorted store directories directly under ``root``.  Only
-    subdirectories whose files actually detect as a store backend count;
-    stray directories are ignored."""
-    from repro.store import detect_backend
-
+    subdirectories whose files actually detect as a store count; stray
+    directories are ignored."""
     root = os.fspath(root)
     if not os.path.isdir(root):
         return []
@@ -195,18 +186,16 @@ def store_dirs(root: "str | os.PathLike") -> "list[str]":
     return found
 
 
-def merge_stores(dest: ResultStore, directories) -> int:
-    """Copy every record of the stores in ``directories`` into ``dest``,
-    skipping keys ``dest`` already holds (re-putting an existing key is a
-    harmless identical overwrite — skipping merely saves the writes).
-    Returns the number of records copied."""
+def merge_stores(dest: ResultStore, source: ResultStore) -> int:
+    """Copy every record of ``source`` into ``dest``, skipping keys
+    ``dest`` already holds (re-putting an existing key is a harmless
+    identical overwrite — skipping merely saves the writes).  Returns
+    the number of records copied."""
     copied = 0
-    for directory in directories:
-        with _open(os.fspath(directory), None) as source:
-            for key in source.keys():
-                if key not in dest:
-                    dest.put(key, source.get(key))
-                    copied += 1
+    for key in source.keys():
+        if key not in dest:
+            dest.put(key, source.get(key))
+            copied += 1
     return copied
 
 
@@ -215,9 +204,12 @@ def cmd_merge(args: argparse.Namespace) -> int:
     if not sources:
         print(f"merge: no stores under {args.source_root}")
         return 1
-    with _open_writable(args.directory, args.backend) as dest:
+    with _open_writable(args.directory) as dest:
         before = len(dest)
-        copied = merge_stores(dest, sources)
+        copied = 0
+        for directory in sources:
+            with open_store(directory) as source:
+                copied += merge_stores(dest, source)
         print(f"{_backend_name(dest)} store at {dest.description}")
         print(
             f"merge: folded {len(sources)} store(s), copied {copied} "
@@ -233,59 +225,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("directory", help="campaign store directory")
-        p.add_argument(
-            "--backend",
-            choices=("auto", "jsonl", "sharded", "sqlite"),
-            default=None,
-            help="force a backend (default: auto-detect from the directory)",
-        )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
+    command(
         "verify",
-        help="scan every record; report damage; exit 1 if repair would change anything",
+        cmd_verify,
+        "scan every record; report damage; exit 1 if repair would change anything",
     )
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
+    command(
         "repair",
-        help="atomically rewrite the store keeping exactly the readable records",
+        cmd_repair,
+        "atomically rewrite the store keeping exactly the readable records",
     )
-    common(p)
-    p.set_defaults(func=cmd_repair)
-
-    p = sub.add_parser(
+    command(
         "compact",
-        help="rewrite without duplicate/damaged lines (space reclamation)",
+        cmd_compact,
+        "rewrite without duplicate/damaged lines (space reclamation)",
     )
-    common(p)
-    p.set_defaults(func=cmd_compact)
-
-    p = sub.add_parser(
+    p = command(
         "migrate",
-        help="copy every record into another backend and verify the copy",
-    )
-    common(p)
-    p.add_argument(
-        "--to",
-        required=True,
-        choices=("jsonl", "sqlite"),
-        help="destination backend",
+        cmd_migrate,
+        "fold a legacy sqlite or sharded layout into a jsonl log and verify it",
     )
     p.add_argument(
         "--dest",
         default=None,
-        help="destination directory (default: alongside the source, in place)",
+        help="directory of the jsonl log to fold into (default: DIR, in place)",
     )
-    p.set_defaults(func=cmd_migrate)
-
-    p = sub.add_parser(
-        "merge",
-        help="fold every store directly under --from into DIR",
-    )
-    common(p)
+    p = command("merge", cmd_merge, "fold every store directly under --from into DIR")
     p.add_argument(
         "--from",
         dest="source_root",
@@ -293,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROOT",
         help="directory whose store-bearing subdirectories are merged",
     )
-    p.set_defaults(func=cmd_merge)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend == "auto":
-        args.backend = None
+    if args.command != "merge" and detect_backend(args.directory) is None:
+        print(f"{args.command}: no store at {args.directory}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ReadOnlyStoreError as exc:

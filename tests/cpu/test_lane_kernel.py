@@ -340,8 +340,10 @@ class TestRouting:
         """State that moves no cache clock still touches a hierarchy: a
         victim probe that only counts statistics, or stale prefetch tags
         on the trace's data blocks.  Either runs the object loop and
-        matches the object engine from a cold start, where a kernel pass
-        (which starts from nothing) would not."""
+        matches the object engine.  Stale tags change the timing a kernel
+        pass (which starts from nothing) would report; the probe's
+        statistics do not reach the result, which counts only the
+        measured region."""
         trace = session.trace("gzip")
 
         def build(engine, touched=True):
@@ -364,7 +366,8 @@ class TestRouting:
         result = pipeline.run(trace, measure_from=0)
         assert counter.calls == 0
         assert result == build("object").run(trace, measure_from=0)
-        assert result != build("fused", touched=False).run(trace, measure_from=0)
+        untouched = build("fused", touched=False).run(trace, measure_from=0)
+        assert (result == untouched) == (touch == "victim-lookup")
 
     def test_object_engine_runs_the_object_loop(self, session, counter):
         pipeline = session.build_pipeline(LV_BLOCK, 0, engine="object")

@@ -16,6 +16,7 @@ from repro.cpu.isa import InstrClass
 from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline, SimResult, _object_columns
 from repro.cpu.trace import Trace
 from repro.faults import CacheGeometry
+from repro.workloads.generator import generate_trace
 
 L1 = CacheGeometry(size_bytes=32 * 1024, ways=8, block_bytes=64)
 L2 = CacheGeometry(size_bytes=256 * 1024, ways=8, block_bytes=64)
@@ -75,9 +76,12 @@ class TestStructuralLimits:
     @pytest.mark.parametrize("victim", [0, 8])
     def test_empty_trace_agrees_across_entry_points(self, victim):
         """run(), run_batch() over the pipeline's lane, and the object
-        loop all return the zero-cycle result with all-zero statistics."""
+        loop — fresh, or after a run that left its caches and counters
+        busy — all return the zero-cycle result with all-zero statistics."""
         empty = Trace()
         pipeline = make_pipeline(victim=victim)
+        ran = make_pipeline(victim=victim, engine="object")
+        ran.run(generate_trace("gzip", 3_000, seed=2010))
         lane = KernelLane(
             pipeline.config,
             pipeline.hierarchy.latencies,
@@ -90,9 +94,27 @@ class TestStructuralLimits:
         expected = SimResult(empty.name, 0, 0, 0, 0, HierarchyStats().snapshot())
         assert pipeline.run(empty) == expected
         assert make_pipeline(victim=victim, engine="object").run(empty) == expected
+        assert ran.run(empty) == expected
         assert OutOfOrderPipeline.run_batch([lane, lane], empty) == [expected] * 2
         with pytest.raises(ValueError, match="measure_from"):
             OutOfOrderPipeline.run_batch([lane], empty, measure_from=1)
+
+    def test_a_repeated_run_counts_only_its_own_region(self):
+        """Two measure_from=0 runs of one trace on one object pipeline
+        each report their own instructions' accesses and predictions (the
+        caches and predictors stay warm; the counters do not carry over)."""
+        trace = generate_trace("gzip", 3_000, seed=2010)
+        pipeline = make_pipeline(engine="object")
+        first = pipeline.run(trace)
+        second = pipeline.run(trace, measure_from=0)
+        assert second.cycles < first.cycles  # the second run starts warm
+        for result in (first, second):
+            assert result.instructions == len(trace)
+        assert (
+            second.hierarchy_stats["l1d"]["accesses"]
+            == first.hierarchy_stats["l1d"]["accesses"]
+        )
+        assert second.branch_predictions == first.branch_predictions
 
     def test_ipc_bounded_by_commit_width(self):
         result = make_pipeline().run(alu_trace(4000, independent=True))

@@ -275,7 +275,6 @@ class TestSubcommands:
             "warmup": None,
             "store": None,
             "no_store": False,
-            "store_backend": None,
             "store_fsync": None,
             "trace_cache": None,
             "workers": 1,
@@ -289,7 +288,6 @@ class TestSubcommands:
             "--seed", "9",
             "--warmup", "321",
             "--store", "DIR",
-            "--store-backend", "sqlite",
             "--store-fsync",
             "--trace-cache", "CACHE",
             "--workers", "3",
@@ -304,7 +302,6 @@ class TestSubcommands:
             "warmup": 321,
             "store": "DIR",
             "no_store": False,
-            "store_backend": "sqlite",
             "store_fsync": True,
             "trace_cache": "CACHE",
             "workers": 3,

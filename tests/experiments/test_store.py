@@ -476,13 +476,12 @@ class TestCLICampaign:
         # Figure output is bit-identical when read back from the store.
         assert first.out == second.out
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_summary_prints_for_every_disk_backend(self, tmp_path, capsys, backend):
+    def test_summary_prints_for_a_disk_store(self, tmp_path, capsys):
         # An analytical-only run simulates nothing, yet a disk-backed
-        # store still gets its summary line, whatever the backend.
+        # store still gets its summary line.
         from repro.experiments.__main__ import main
 
-        argv = ["fig3", "--store", str(tmp_path), "--store-backend", backend]
+        argv = ["fig3", "--store", str(tmp_path)]
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "[campaign] simulations executed=0 " in err

@@ -7,11 +7,17 @@ import json
 import os
 
 from repro.cpu.pipeline import SimResult
-from repro.store.format import RECORD_SCHEMA_VERSION, encode_record, result_to_dict
-from repro.store.sharded import (
+from repro.store.format import (
+    RECORD_SCHEMA_VERSION,
+    encode_record,
+    record_checksum,
+    result_to_dict,
+)
+from repro.store.legacy import (
     MANIFEST_FILENAME,
     SHARD_COUNT,
     SHARDS_DIRNAME,
+    SQLITE_FILENAME,
     shard_filename,
 )
 
@@ -65,3 +71,65 @@ def write_sharded(directory, pairs) -> str:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return shard_dir
+
+
+def sqlite_row(key: str, result: SimResult) -> tuple:
+    """``(key, payload, schema, sha)`` as an earlier build stored them."""
+    payload = result_to_dict(result)
+    return (
+        key,
+        json.dumps(payload, sort_keys=True),
+        RECORD_SCHEMA_VERSION,
+        record_checksum(key, payload),
+    )
+
+
+def connect_sqlite(directory):
+    """A WAL-mode connection to ``directory``'s ``results.sqlite`` holding
+    the table an earlier build wrote: ``results(key TEXT PRIMARY KEY,
+    payload, schema, sha)``."""
+    import sqlite3
+
+    os.makedirs(os.fspath(directory), exist_ok=True)
+    conn = sqlite3.connect(os.path.join(os.fspath(directory), SQLITE_FILENAME))
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute(
+        "CREATE TABLE IF NOT EXISTS results "
+        "(key TEXT PRIMARY KEY, payload, schema, sha)"
+    )
+    conn.commit()
+    return conn
+
+
+def write_sqlite(directory, pairs) -> str:
+    """Lay out a sqlite store holding ``pairs`` under ``directory``, as
+    an earlier build wrote it (this build writes none).  Returns the
+    database path."""
+    conn = connect_sqlite(directory)
+    with conn:
+        conn.executemany(
+            "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?)",
+            [sqlite_row(key, result) for key, result in pairs],
+        )
+    conn.close()
+    return os.path.join(os.fspath(directory), SQLITE_FILENAME)
+
+
+def stored_bytes(directory) -> dict:
+    """The bytes of every non-empty file under ``directory`` but SQLite's
+    shared-memory index, by relative path.  (A read-only SQLite
+    connection may create the index and an empty WAL; neither holds a
+    row.)"""
+    files = {}
+    for root, _dirs, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if data and not name.endswith("-shm"):
+                files[os.path.relpath(path, directory)] = data
+    return files
+
+
+#: The function laying out each legacy layout, by the name ``detect_backend`` reports.
+LEGACY_WRITERS = {"sqlite": write_sqlite, "sharded": write_sharded}

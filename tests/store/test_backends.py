@@ -1,19 +1,21 @@
-"""Backend contract: jsonl and sqlite behind one API, sharded read-only.
+"""Store contract: the jsonl log behind ``open_store``, legacy layouts read-only.
 
-Every writable disk backend must satisfy the same observable contract —
-durable puts, reopen fidelity, last-write-wins duplicates, damage
-classification via ``health()``, atomic compaction — so the suite
-parametrizes over both and asserts identical behaviour, then pins each
-backend's own mechanics (sqlite upsert/busy-retry, fsync knob plumbing)
-and the read-only sharded layout (manifest check, per-shard damage
-containment, every write refused with the migrate hint).
+The jsonl log must give durable puts, reopen fidelity, last-write-wins
+duplicates, damage classification via ``health()`` and atomic
+compaction.  The two legacy layouts an earlier build could write — a
+sqlite database and sixteen shard logs, laid out here by the test
+helpers — must open read-only: every record decoded (and damage
+classified) through the one decoder, nothing on disk touched, every
+write refused with the migrate hint.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sqlite3
+import sys
 import warnings
 
 import pytest
@@ -22,10 +24,8 @@ from repro.campaign import PoolExecutor, RunnerSettings, Session
 from repro.campaign.events import StoreRecovered
 from repro.experiments.configs import LV_BASELINE, LV_WORD
 from repro.store import (
-    BACKENDS,
     RESULTS_FILENAME,
     SQLITE_FILENAME,
-    STORE_BACKEND_ENV,
     STORE_FSYNC_ENV,
     DiskStore,
     MemoryStore,
@@ -36,92 +36,96 @@ from repro.store import (
     fsync_from_env,
     open_store,
 )
-from repro.store.format import RECORD_SCHEMA_VERSION, result_to_dict
-from repro.store.sharded import MANIFEST_FILENAME, SHARD_COUNT, shard_filename
+from repro.store.format import RECORD_SCHEMA_VERSION
+from repro.store.legacy import MANIFEST_FILENAME, SHARD_COUNT, shard_filename
 
-from store_helpers import fill, make_key, make_result, write_sharded
+from store_helpers import (
+    LEGACY_WRITERS,
+    fill,
+    make_key,
+    make_result,
+    stored_bytes,
+    write_sharded,
+    write_sqlite,
+)
+
+READERS = {"sqlite": SqliteStore, "sharded": ShardedDiskStore}
 
 
-def open_backend(backend: str, directory, **kwargs):
-    return open_store(str(directory), backend=backend, **kwargs)
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request) -> str:
+@pytest.fixture(params=sorted(LEGACY_WRITERS))
+def layout(request) -> str:
     return request.param
 
 
 class TestContract:
-    def test_put_get_reopen(self, backend, tmp_path):
-        with open_backend(backend, tmp_path) as store:
+    def test_put_get_reopen(self, tmp_path):
+        with open_store(str(tmp_path)) as store:
             pairs = fill(store)
             for key, result in pairs:
                 assert store.get(key) == result
                 assert key in store
             assert len(store) == len(pairs)
-        with open_backend(backend, tmp_path) as reopened:
+        with open_store(str(tmp_path)) as reopened:
             assert sorted(reopened.keys()) == sorted(k for k, _ in pairs)
             for key, result in pairs:
                 assert reopened.get(key) == result
             assert not reopened.health().damaged
 
-    def test_auto_detection_resolves_backend(self, backend, tmp_path):
-        with open_backend(backend, tmp_path) as store:
+    def test_auto_detection_resolves_backend(self, tmp_path):
+        assert detect_backend(tmp_path) is None
+        with open_store(str(tmp_path)) as store:
             fill(store, 3)
-        assert detect_backend(tmp_path) == backend
+        assert detect_backend(tmp_path) == "jsonl"
         with open_store(str(tmp_path)) as auto:
-            assert type(auto).__name__ == type(
-                open_backend(backend, tmp_path)
-            ).__name__
+            assert type(auto) is DiskStore
             assert len(auto) == 3
 
-    def test_overwrite_same_key_serves_last_value(self, backend, tmp_path):
+    def test_overwrite_same_key_serves_last_value(self, tmp_path):
         key = make_key(1)
-        with open_backend(backend, tmp_path) as store:
+        with open_store(str(tmp_path)) as store:
             store.put(key, make_result(1))
             store.put(key, make_result(2))
             assert store.get(key) == make_result(2)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # jsonl warns about the dup
-            with open_backend(backend, tmp_path) as reopened:
+            warnings.simplefilter("ignore")  # the log warns about the dup
+            with open_store(str(tmp_path)) as reopened:
                 assert reopened.get(key) == make_result(2)
                 assert len(reopened) == 1
 
-    def test_put_after_close_reopens(self, backend, tmp_path):
-        store = open_backend(backend, tmp_path)
+    def test_put_after_close_reopens(self, tmp_path):
+        store = open_store(str(tmp_path))
         fill(store, 2)
         store.close()
         store.put(make_key(5), make_result(5))
         store.close()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with open_backend(backend, tmp_path) as reopened:
-                assert len(reopened) == 3
+        with open_store(str(tmp_path)) as reopened:
+            assert len(reopened) == 3
 
-    def test_compact_clean_store_is_lossless(self, backend, tmp_path):
-        with open_backend(backend, tmp_path) as store:
+    def test_compact_clean_store_is_lossless(self, tmp_path):
+        with open_store(str(tmp_path)) as store:
             pairs = fill(store)
             assert store.compact() == 0
-        with open_backend(backend, tmp_path) as reopened:
+        with open_store(str(tmp_path)) as reopened:
             for key, result in pairs:
                 assert reopened.get(key) == result
 
+    def test_importing_the_store_loads_no_sqlite(self):
+        """Only the legacy sqlite reader imports sqlite3, when it opens a
+        database."""
+        import subprocess
+
+        code = "import sys, repro.store; print('sqlite3' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "False"
+
 
 class TestEnvKnobs:
-    def test_backend_env_selects(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "sqlite")
-        with open_store(str(tmp_path)) as store:
-            assert isinstance(store, SqliteStore)
-
-    def test_explicit_backend_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV, "sqlite")
-        with open_store(str(tmp_path), backend="jsonl") as store:
-            assert type(store) is DiskStore
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            open_store(str(tmp_path), backend="tape")
-
     def test_empty_directory_is_memory(self):
         assert isinstance(open_store(None), MemoryStore)
         assert isinstance(open_store(""), MemoryStore)
@@ -143,14 +147,92 @@ class TestEnvKnobs:
         store = open_store(str(tmp_path / "b"), fsync=False)
         assert not store._log.fsync
         store.close()
-        sq = open_store(str(tmp_path / "c"), backend="sqlite")
-        assert sq.fsync
-        sq.close()
+
+
+class TestLegacyLayouts:
+    """Both legacy layouts, laid out by ``write_sqlite``/``write_sharded``."""
+
+    def test_auto_detection_resolves_the_layout(self, tmp_path, records, layout):
+        LEGACY_WRITERS[layout](tmp_path, records)
+        assert detect_backend(tmp_path) == layout
+        with open_store(str(tmp_path)) as auto:
+            assert type(auto) is READERS[layout]
+            assert sorted(auto.keys()) == sorted(k for k, _ in records)
+            for key, result in records:
+                assert auto.get(key) == result
+            assert not auto.health().damaged
+
+    def test_the_jsonl_log_wins_detection(self, tmp_path, records):
+        """Precedence jsonl > sqlite > sharded: migration only ever goes
+        into the log, so a directory migrated in place resolves to it."""
+        write_sharded(tmp_path, records[:4])
+        write_sqlite(tmp_path, records[4:8])
+        assert detect_backend(tmp_path) == "sqlite"
+        with open_store(str(tmp_path)) as store:
+            assert sorted(store.keys()) == sorted(k for k, _ in records[4:8])
+        with DiskStore(tmp_path) as log:
+            log.put(*records[8])
+        assert detect_backend(tmp_path) == "jsonl"
+        with open_store(str(tmp_path)) as store:
+            assert type(store) is DiskStore
+            assert list(store.keys()) == [records[8][0]]
+
+    def test_every_write_is_refused_with_the_migrate_hint(
+        self, tmp_path, records, layout
+    ):
+        LEGACY_WRITERS[layout](tmp_path, records)
+        key, result = make_key(99), make_result(99)
+        with open_store(str(tmp_path)) as store:
+            for write in (store.put, store.torn_put, store.partial_put):
+                with pytest.raises(
+                    ReadOnlyStoreError, match=re.escape(f"store migrate {tmp_path}`")
+                ):
+                    write(key, result)
+            with pytest.raises(ReadOnlyStoreError, match="store migrate"):
+                store.compact()
+            assert key not in store
+        # Not an OSError: executors retry those as transient write faults.
+        assert not issubclass(ReadOnlyStoreError, OSError)
+
+    def test_opening_never_writes(self, tmp_path, records, layout):
+        """A legacy store's bytes are the same after it is opened, read
+        and closed: no row or line added, changed or deleted, no torn
+        tail repaired, no WAL checkpointed."""
+        LEGACY_WRITERS[layout](tmp_path, records)
+        before = stored_bytes(tmp_path)
+        with open_store(str(tmp_path)) as store:
+            assert len(store) == len(records)
+            store.flush()
+        assert stored_bytes(tmp_path) == before
+
+    def test_pool_campaign_fails_without_store_retries(
+        self, tmp_path, records, layout
+    ):
+        """The refusal is not a transient write error: the pool's
+        checkpoint path must not absorb it as a ``StoreRecovered``."""
+        LEGACY_WRITERS[layout](tmp_path, records)
+        settings = RunnerSettings(
+            n_instructions=1_500,
+            warmup_instructions=300,
+            n_fault_maps=1,
+            benchmarks=("gzip",),
+        )
+        session = Session(settings, store=open_store(str(tmp_path)))
+        spec = session.spec((LV_BASELINE, LV_WORD))
+        events = []
+        with pytest.raises(ReadOnlyStoreError, match="store migrate"):
+            for event in session.run(spec, executor=PoolExecutor(2)):
+                events.append(event)
+        assert not any(isinstance(event, StoreRecovered) for event in events)
+        assert len(session.store) == len(records)
+
+    def test_no_store_to_open(self, tmp_path, layout):
+        with pytest.raises(ReadOnlyStoreError, match="read-only"):
+            READERS[layout](tmp_path)
+        assert os.listdir(tmp_path) == []
 
 
 class TestSharded:
-    """The read-only sharded layout, laid out by ``write_sharded``."""
-
     def test_manifest_written_and_validated(self, tmp_path, records):
         shard_dir = write_sharded(tmp_path, records)
         with ShardedDiskStore(tmp_path) as store:
@@ -173,33 +255,14 @@ class TestSharded:
             body = fh.read()
         with open(victim, "w") as fh:
             fh.write("garbage\n" + body)
-        with open_backend("sharded", tmp_path) as reopened:
+        with ShardedDiskStore(tmp_path) as reopened:
             health = reopened.health()
             assert health.malformed == 1
             assert health.records == 24  # the garbage shadowed nothing
             for key, result in pairs:
                 assert reopened.get(key) == result
 
-    def test_auto_detection_resolves_sharded(self, tmp_path, records):
-        write_sharded(tmp_path, records)
-        assert detect_backend(tmp_path) == "sharded"
-        with open_store(str(tmp_path)) as auto:
-            assert isinstance(auto, ShardedDiskStore)
-            assert sorted(auto.keys()) == sorted(k for k, _ in records)
-
-    def test_every_write_is_refused_with_the_migrate_hint(self, tmp_path, records):
-        write_sharded(tmp_path, records)
-        key, result = records[0]
-        with open_backend("sharded", tmp_path) as store:
-            for write in (store.put, store.torn_put, store.partial_put):
-                with pytest.raises(ReadOnlyStoreError, match="migrate .* --to jsonl"):
-                    write(key, result)
-            with pytest.raises(ReadOnlyStoreError, match="store migrate"):
-                store.compact()
-        # Not an OSError: executors retry those as transient write faults.
-        assert not issubclass(ReadOnlyStoreError, OSError)
-
-    def test_load_never_writes(self, tmp_path, records):
+    def test_load_never_repairs_a_torn_tail(self, tmp_path, records):
         """A torn tail stays torn: repairing it would be a write."""
         shard_dir = write_sharded(tmp_path, records)
         victim = os.path.join(shard_dir, shard_filename(records[0][0][0]))
@@ -207,138 +270,67 @@ class TestSharded:
             fh.write('{"key": "torn')
         with open(victim, "rb") as fh:
             before = fh.read()
-        with open_backend("sharded", tmp_path) as store:
+        with ShardedDiskStore(tmp_path) as store:
             assert store.health().malformed == 1
         with open(victim, "rb") as fh:
             assert fh.read() == before
 
-    def test_pool_campaign_fails_without_store_retries(self, tmp_path, records):
-        """The refusal is not a transient write error: the pool's
-        checkpoint path must not absorb it as a ``StoreRecovered``."""
-        write_sharded(tmp_path, records)
-        settings = RunnerSettings(
-            n_instructions=1_500,
-            warmup_instructions=300,
-            n_fault_maps=1,
-            benchmarks=("gzip",),
-        )
-        session = Session(settings, store=open_store(str(tmp_path)))
-        spec = session.spec((LV_BASELINE, LV_WORD))
-        events = []
-        with pytest.raises(ReadOnlyStoreError, match="--to jsonl"):
-            for event in session.run(spec, executor=PoolExecutor(2)):
-                events.append(event)
-        assert not any(isinstance(event, StoreRecovered) for event in events)
-        assert len(session.store) == len(records)
-
-    def test_no_sharded_store_to_open(self, tmp_path):
-        with pytest.raises(ReadOnlyStoreError, match="read-only"):
-            open_backend("sharded", tmp_path)
-        assert not os.path.exists(os.path.join(tmp_path, "shards"))
-
 
 class TestSqlite:
-    def test_upserts_never_duplicate(self, tmp_path):
-        key = make_key(1)
-        with open_backend("sqlite", tmp_path) as store:
-            store.put(key, make_result(1))
-            store.put(key, make_result(2))
+    def test_damaged_rows_are_classified_and_never_served(self, tmp_path):
+        """Rows decode through the one decoder: a flipped payload digit
+        is corrupt, a foreign epoch stale, a non-JSON or non-object
+        payload malformed, and none of them is served."""
+        pairs = [(make_key(i), make_result(i)) for i in range(7)]
+        write_sqlite(tmp_path, pairs)
         conn = sqlite3.connect(tmp_path / SQLITE_FILENAME)
-        assert conn.execute("SELECT COUNT(*) FROM results").fetchone()[0] == 1
+        with conn:
+            conn.execute(
+                "UPDATE results SET payload = replace(payload, '2007', '9007') "
+                "WHERE key = ?",
+                (pairs[1][0],),
+            )
+            conn.execute(
+                "UPDATE results SET schema = ? WHERE key = ?",
+                (RECORD_SCHEMA_VERSION + 1, pairs[2][0]),
+            )
+            conn.execute(
+                "UPDATE results SET payload = '{\"cycles\": 1' WHERE key = ?",
+                (pairs[3][0],),
+            )
+            conn.execute(
+                "UPDATE results SET payload = '[1, 2]' WHERE key = ?",
+                (pairs[4][0],),
+            )
         conn.close()
-
-    def test_rows_carry_schema_and_checksum(self, tmp_path):
-        with open_backend("sqlite", tmp_path) as store:
-            fill(store, 3)
-        conn = sqlite3.connect(tmp_path / SQLITE_FILENAME)
-        rows = conn.execute("SELECT schema, sha FROM results").fetchall()
-        conn.close()
-        assert all(schema == RECORD_SCHEMA_VERSION for schema, _ in rows)
-        assert all(len(sha) == 64 for _, sha in rows)
-
-    def test_bitrot_detected_and_repaired(self, tmp_path):
-        with open_backend("sqlite", tmp_path) as store:
-            pairs = fill(store, 6)
-        conn = sqlite3.connect(tmp_path / SQLITE_FILENAME)
-        conn.execute(
-            "UPDATE results SET payload = replace(payload, '2007', '9007') "
-            "WHERE key = ?",
-            (pairs[1][0],),
-        )
-        conn.commit()
-        conn.close()
-        with open_backend("sqlite", tmp_path) as damaged:
-            health = damaged.health()
-            assert health.corrupt == 1
-            assert health.records == 5
-            assert damaged.get(pairs[1][0]) is None  # never served
-            assert damaged.compact() == 1
-        with open_backend("sqlite", tmp_path) as healed:
-            assert not healed.health().damaged
-
-    def test_stale_epoch_rows_reported_not_served(self, tmp_path):
-        with open_backend("sqlite", tmp_path) as store:
-            pairs = fill(store, 4)
-        conn = sqlite3.connect(tmp_path / SQLITE_FILENAME)
-        conn.execute(
-            "UPDATE results SET schema = ? WHERE key = ?",
-            (RECORD_SCHEMA_VERSION + 1, pairs[0][0]),
-        )
-        conn.commit()
-        conn.close()
-        with open_backend("sqlite", tmp_path) as reopened:
-            assert reopened.health().stale == 1
-            assert reopened.get(pairs[0][0]) is None
-
-    def test_busy_database_retries_then_raises(self, tmp_path):
-        with open_backend("sqlite", tmp_path) as store:
-            fill(store, 2)
-        blocker = sqlite3.connect(tmp_path / SQLITE_FILENAME)
-        blocker.execute("BEGIN EXCLUSIVE")
-        store = SqliteStore(tmp_path, timeout=0.02)
-        try:
-            with pytest.raises(sqlite3.OperationalError):
-                store.put(make_key(9), make_result(9))
-            assert store.write_retries >= 3
-        finally:
-            blocker.rollback()
-            blocker.close()
-            store.close()
-
-    def test_put_from_another_thread(self, tmp_path):
-        """The campaign server checkpoints from a campaign thread."""
-        import threading
-
         with SqliteStore(tmp_path) as store:
-            fill(store, 1)
-            errors = []
+            health = store.health()
+            assert (health.corrupt, health.stale, health.malformed) == (1, 1, 2)
+            assert health.records == 3
+            assert health.damaged
+            for key, result in pairs:
+                expected = None if key in {k for k, _ in pairs[1:5]} else result
+                assert store.get(key) == expected
 
-            def put():
-                try:
-                    store.put(make_key(7), make_result(7))
-                except Exception as exc:  # pragma: no cover - the failure mode
-                    errors.append(exc)
-
-            thread = threading.Thread(target=put)
-            thread.start()
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-            assert not errors
-        with SqliteStore(tmp_path) as reopened:
-            assert reopened.get(make_key(7)) == make_result(7)
-
-    def test_wal_mode_enabled(self, tmp_path):
-        with open_backend("sqlite", tmp_path) as store:
-            fill(store, 1)
-            mode = store._connection().execute(
-                "PRAGMA journal_mode"
-            ).fetchone()[0]
-            assert mode == "wal"
+    def test_rows_read_back_as_a_log_would_serve_them(self, tmp_path, records):
+        """The same records, stored as rows or as log lines, decode to
+        the same results."""
+        write_sqlite(tmp_path / "sqlite", records)
+        with DiskStore(tmp_path / "jsonl") as log:
+            for key, result in records:
+                log.put(key, result)
+        with SqliteStore(tmp_path / "sqlite") as rows, DiskStore(
+            tmp_path / "jsonl"
+        ) as lines:
+            assert {k: rows.get(k) for k in rows.keys()} == {
+                k: lines.get(k) for k in lines.keys()
+            }
+            assert not (tmp_path / "sqlite" / RESULTS_FILENAME).exists()
 
 
 class TestJsonlDamageTaxonomy:
     def test_every_damage_class_counted_separately(self, tmp_path):
-        with open_backend("jsonl", tmp_path) as store:
+        with open_store(str(tmp_path)) as store:
             pairs = fill(store, 6)
         path = tmp_path / RESULTS_FILENAME
         lines = path.read_text().splitlines()
@@ -355,7 +347,7 @@ class TestJsonlDamageTaxonomy:
         # malformed: not a record at all
         lines.append("{} definitely not json")
         path.write_text("\n".join(lines) + "\n")
-        with open_backend("jsonl", tmp_path) as store:
+        with open_store(str(tmp_path)) as store:
             health = store.health()
             assert (health.corrupt, health.stale, health.malformed, health.legacy) \
                 == (1, 1, 1, 1)
@@ -365,7 +357,7 @@ class TestJsonlDamageTaxonomy:
             assert store.get(pairs[1][0]) is None  # stale never served
             removed = store.compact()
             assert removed == 3  # corrupt + stale + malformed dropped
-        with open_backend("jsonl", tmp_path) as healed:
+        with open_store(str(tmp_path)) as healed:
             assert not healed.health().damaged
             assert healed.health().legacy == 0  # upgraded on rewrite
             line = next(
@@ -375,10 +367,10 @@ class TestJsonlDamageTaxonomy:
             assert json.loads(line)["schema"] == RECORD_SCHEMA_VERSION
 
     def test_health_describe_mentions_counts(self, tmp_path):
-        with open_backend("jsonl", tmp_path) as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 2)
         path = tmp_path / RESULTS_FILENAME
         path.write_text(path.read_text() + "junk\n")
-        with open_backend("jsonl", tmp_path) as store:
+        with open_store(str(tmp_path)) as store:
             text = store.health().describe()
             assert "2 record(s)" in text and "malformed=1" in text

@@ -1,12 +1,13 @@
 """Crash-truncation property: a kill at any byte costs at most one record.
 
-The durability claim of every backend is exhaustively checked by
+The durability claim of the jsonl log is exhaustively checked by
 simulating a crash at *every byte offset* of the persisted state: the
 store must always open without raising, recover every record whose
 write completed, never invent or mutate a record, and lose at most the
 final in-flight one.  The same property holds per shard for the
-read-only sharded layout (which must open without writing) and for a
-truncated WAL journal on the sqlite backend.
+read-only sharded layout (which must open without writing), and a
+legacy sqlite database with a WAL truncated mid-frame must open
+read-only and serve only committed rows.
 """
 
 from __future__ import annotations
@@ -15,13 +16,18 @@ import shutil
 import sqlite3
 import warnings
 
-import pytest
-
 from repro.store import DiskStore, ShardedDiskStore, SqliteStore
-from repro.store.sharded import shard_filename
-from repro.store.sqlite import SQLITE_FILENAME
+from repro.store.legacy import SQLITE_FILENAME, shard_filename
 
-from store_helpers import fill, make_key, make_result, write_sharded
+from store_helpers import (
+    connect_sqlite,
+    fill,
+    make_key,
+    make_result,
+    sqlite_row,
+    write_sharded,
+    write_sqlite,
+)
 
 
 def complete_lines(data: bytes) -> "list[bytes]":
@@ -118,80 +124,81 @@ class TestShardedTruncation:
         )
 
 
+def committed_wal(directory, pairs) -> "tuple[bytes, bytes]":
+    """The database and WAL bytes of a legacy sqlite store that committed
+    ``pairs`` one row per transaction and was killed before any
+    checkpoint (closing the last connection would checkpoint the WAL
+    away, so the bytes are copied while it is open)."""
+    conn = connect_sqlite(directory)
+    for key, result in pairs:
+        with conn:
+            conn.execute(
+                "INSERT INTO results VALUES (?, ?, ?, ?)", sqlite_row(key, result)
+            )
+    db = directory / SQLITE_FILENAME
+    wal = directory / (SQLITE_FILENAME + "-wal")
+    assert wal.exists() and wal.stat().st_size > 0
+    data = db.read_bytes(), wal.read_bytes()
+    conn.close()
+    return data
+
+
 class TestSqliteTruncation:
     def test_truncated_wal_recovers_committed_prefix(self, tmp_path):
-        source = tmp_path / "source"
-        store = SqliteStore(source)
-        pairs = fill(store, 12)
-        # Copy db + WAL while the connection is open: closing would
-        # checkpoint the WAL away, and the crash being modelled is
-        # precisely a kill before that checkpoint.
-        db = source / SQLITE_FILENAME
-        wal = source / (SQLITE_FILENAME + "-wal")
-        assert wal.exists() and wal.stat().st_size > 0
-        db_bytes = db.read_bytes()
-        wal_bytes = wal.read_bytes()
-        store.close()
-
-        by_key = dict(pairs)
+        pairs = [(make_key(i), make_result(i)) for i in range(12)]
+        db_bytes, wal_bytes = committed_wal(tmp_path / "source", pairs)
         work = tmp_path / "work"
         work.mkdir()
+        db = work / SQLITE_FILENAME
+        wal = work / (SQLITE_FILENAME + "-wal")
         # Every byte of a multi-frame WAL is slow to iterate; a stride
         # coprime with the frame size still hits every region of every
         # frame across offsets.
-        for offset in range(0, len(wal_bytes) + 1, 251):
-            (work / SQLITE_FILENAME).write_bytes(db_bytes)
-            (work / (SQLITE_FILENAME + "-wal")).write_bytes(wal_bytes[:offset])
-            recovered = SqliteStore(work)  # must never raise
-            try:
-                # WAL recovery serves a committed prefix: a subset of
-                # what was written, every value bit-exact.
+        served = set()
+        for offset in [*range(0, len(wal_bytes), 251), len(wal_bytes)]:
+            db.write_bytes(db_bytes)
+            wal.write_bytes(wal_bytes[:offset])
+            (work / (SQLITE_FILENAME + "-shm")).unlink(missing_ok=True)
+            with SqliteStore(work) as recovered:  # must never raise
+                # WAL recovery serves a committed prefix, every value
+                # bit-exact, and nothing else.
                 assert not recovered.health().damaged
-                for key in recovered.keys():
-                    assert recovered.get(key) == by_key[key], f"offset {offset}"
-                recovered.put(make_key(999), make_result(999))
-            finally:
-                recovered.close()
-            reopened = SqliteStore(work)
-            try:
-                assert reopened.get(make_key(999)) == make_result(999)
-            finally:
-                reopened.close()
+                keys = list(recovered.keys())
+                assert keys == [key for key, _ in pairs[: len(keys)]], offset
+                for key, result in pairs[: len(keys)]:
+                    assert recovered.get(key) == result, f"offset {offset}"
+                served.add(len(keys))
+            # Opening read-only checkpoints nothing and truncates nothing.
+            assert db.read_bytes() == db_bytes
+            assert wal.read_bytes() == wal_bytes[:offset]
+        assert served == set(range(len(pairs) + 1))
 
     def test_full_wal_offset_recovers_everything(self, tmp_path):
-        source = tmp_path / "source"
-        store = SqliteStore(source)
-        pairs = fill(store, 6)
-        db_bytes = (source / SQLITE_FILENAME).read_bytes()
-        wal_bytes = (source / (SQLITE_FILENAME + "-wal")).read_bytes()
-        store.close()
+        pairs = [(make_key(i), make_result(i)) for i in range(6)]
+        db_bytes, wal_bytes = committed_wal(tmp_path / "source", pairs)
         work = tmp_path / "work"
         work.mkdir()
         (work / SQLITE_FILENAME).write_bytes(db_bytes)
         (work / (SQLITE_FILENAME + "-wal")).write_bytes(wal_bytes)
-        recovered = SqliteStore(work)
-        try:
+        with SqliteStore(work) as recovered:
             assert sorted(recovered.keys()) == sorted(k for k, _ in pairs)
-        finally:
-            recovered.close()
 
     def test_truncated_main_db_fails_loudly_or_serves_subset(self, tmp_path):
         # An amputated main database is beyond silent repair; the store
         # must either refuse loudly or serve only verified records —
         # never hand back damaged bits as results.
         source = tmp_path / "source"
-        with SqliteStore(source) as store:
-            pairs = fill(store, 12)
-        db = source / SQLITE_FILENAME
-        data = db.read_bytes()
-        db.write_bytes(data[: len(data) // 2])
+        pairs = [(make_key(i), make_result(i)) for i in range(12)]
+        db = write_sqlite(source, pairs)
+        with open(db, "rb") as fh:
+            data = fh.read()
+        with open(db, "wb") as fh:
+            fh.write(data[: len(data) // 2])
         by_key = dict(pairs)
         try:
             store = SqliteStore(source)
         except sqlite3.DatabaseError:
             return  # loud refusal is the expected outcome
-        try:
+        with store:
             for key in store.keys():
                 assert store.get(key) == by_key[key]
-        finally:
-            store.close()

@@ -3,28 +3,52 @@
 Exercises the CLI exactly as an operator would — through ``main(argv)``
 and through the ``python -m repro.experiments store`` dispatch — against
 real damaged directories, asserting exit codes, report text, and the
-on-disk outcome (repair heals, migrate is lossless and verified, merge
-copies only what the destination lacks, a read-only sharded store
-refuses every rewrite with the migrate hint).
+on-disk outcome (repair heals, migrate folds a legacy layout into the
+log losslessly and verifies it, merge copies only what the destination
+lacks, a read-only legacy store refuses every rewrite with the migrate
+hint, and a directory holding no store is refused untouched).
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
-from repro.store import RESULTS_FILENAME, DiskStore, detect_backend, open_store
+from repro.store import (
+    RESULTS_FILENAME,
+    SQLITE_FILENAME,
+    DiskStore,
+    detect_backend,
+    open_store,
+)
 from repro.store.format import RECORD_SCHEMA_VERSION
 from repro.store.tools import main
 
-from store_helpers import fill, make_key, make_result, write_sharded
+from store_helpers import (
+    LEGACY_WRITERS,
+    fill,
+    make_key,
+    make_result,
+    stored_bytes,
+    write_sqlite,
+)
+
+
+@pytest.fixture(params=sorted(LEGACY_WRITERS))
+def layout(request) -> str:
+    return request.param
+
+
+def sorted_log_lines(directory) -> list:
+    return sorted((directory / RESULTS_FILENAME).read_text().splitlines())
 
 
 @pytest.fixture
 def damaged_dir(tmp_path):
     """A jsonl store with one of each damage class plus a duplicate."""
-    with open_store(str(tmp_path), backend="jsonl") as store:
+    with open_store(str(tmp_path)) as store:
         pairs = fill(store, 6)
     path = tmp_path / RESULTS_FILENAME
     lines = path.read_text().splitlines()
@@ -40,7 +64,7 @@ def damaged_dir(tmp_path):
 
 class TestVerify:
     def test_clean_store_exits_zero(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 3)
         assert main(["verify", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -56,7 +80,7 @@ class TestVerify:
         assert "note:" in out  # the duplicate warning, folded into the report
 
     def test_legacy_store_is_clean_but_flagged(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 2)
         path = tmp_path / RESULTS_FILENAME
         entries = [json.loads(line) for line in path.read_text().splitlines()]
@@ -69,12 +93,6 @@ class TestVerify:
         )
         assert main(["verify", str(tmp_path)]) == 0
         assert "legacy v1" in capsys.readouterr().out
-
-    def test_backend_flag_forces_backend(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="sqlite") as store:
-            fill(store, 2)
-        assert main(["verify", str(tmp_path), "--backend", "sqlite"]) == 0
-        assert "sqlite store" in capsys.readouterr().out
 
 
 class TestRepair:
@@ -93,7 +111,7 @@ class TestRepair:
                 assert store.get(key) == result
 
     def test_repair_clean_store_is_noop(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 4)
         before = (tmp_path / RESULTS_FILENAME).stat().st_mtime_ns
         assert main(["repair", str(tmp_path)]) == 0
@@ -101,7 +119,7 @@ class TestRepair:
         assert (tmp_path / RESULTS_FILENAME).stat().st_mtime_ns == before
 
     def test_repair_upgrades_legacy(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             pairs = fill(store, 2)
         path = tmp_path / RESULTS_FILENAME
         entries = [json.loads(line) for line in path.read_text().splitlines()]
@@ -123,7 +141,7 @@ class TestRepair:
 
 class TestCompact:
     def test_compact_collapses_duplicates(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 3)
             store.put(make_key(0), make_result(0))  # duplicate line
         assert main(["compact", str(tmp_path)]) == 0
@@ -132,46 +150,58 @@ class TestCompact:
         assert len((tmp_path / RESULTS_FILENAME).read_text().splitlines()) == 3
 
 
+class TestNoStore:
+    """Every command but ``merge`` refuses a directory holding no store
+    and creates nothing."""
+
+    @pytest.mark.parametrize("command", ["verify", "repair", "compact", "migrate"])
+    def test_a_missing_directory_is_refused(self, tmp_path, capsys, command):
+        missing = tmp_path / "nope"
+        assert main([command, str(missing)]) == 2
+        assert f"{command}: no store at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "repair", "compact", "migrate"])
+    def test_an_empty_directory_is_refused_untouched(self, tmp_path, capsys, command):
+        (tmp_path / "stray").mkdir()  # not a store
+        assert main([command, str(tmp_path)]) == 2
+        assert f"no store at {tmp_path}" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["stray"]
+
+    def test_migrate_dest_is_not_created_for_a_missing_source(self, tmp_path):
+        dest = tmp_path / "dest"
+        assert main(["migrate", str(tmp_path / "nope"), "--dest", str(dest)]) == 2
+        assert not dest.exists()
+
+
 class TestMigrate:
-    @pytest.mark.parametrize(
-        "src,dst", [("jsonl", "sqlite"), ("sharded", "sqlite"),
-                    ("sqlite", "jsonl"), ("sharded", "jsonl")]
-    )
-    def test_migration_is_lossless_and_verified(self, tmp_path, capsys, src, dst):
-        source = tmp_path / "src"
-        dest = tmp_path / "dst"
-        pairs = [(make_key(i), make_result(i)) for i in range(8)]
-        if src == "sharded":
-            write_sharded(source, pairs)
-        else:
-            with open_store(str(source), backend=src) as store:
-                fill(store, 8)
-        assert main(
-            ["migrate", str(source), "--to", dst, "--dest", str(dest)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert f"{src} -> {dst}: copied 8 record(s)" in out
-        assert "verified — every record reads back identically" in out
-        with open_store(str(dest)) as migrated:
-            assert sorted(migrated.keys()) == sorted(k for k, _ in pairs)
-            for key, result in pairs:
-                assert migrated.get(key) == result
-
-    def test_in_place_migration_wins_auto_detection(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
-            pairs = fill(store, 5)
-        assert main(["migrate", str(tmp_path), "--to", "sqlite"]) == 0
-        assert "auto-detection now resolves" in capsys.readouterr().out
-        with open_store(str(tmp_path)) as store:  # auto-detects sqlite now
-            assert type(store).__name__ == "SqliteStore"
-            for key, result in pairs:
-                assert store.get(key) == result
-
-    def test_in_place_migration_out_of_sharded_resolves_jsonl(
-        self, tmp_path, capsys, records
+    @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "dest"])
+    def test_migration_is_lossless_and_verified(
+        self, tmp_path, capsys, records, layout, in_place
     ):
-        write_sharded(tmp_path, records)
-        assert main(["migrate", str(tmp_path), "--to", "jsonl"]) == 0
+        """A legacy store's migrated log equals, line for line, a log
+        written directly with the same records."""
+        direct = tmp_path / "direct"
+        with DiskStore(direct) as log:
+            for key, result in records:
+                log.put(key, result)
+        source = tmp_path / "src"
+        LEGACY_WRITERS[layout](source, records)
+        dest = source if in_place else tmp_path / "dst"
+        argv = ["migrate", str(source)] + ([] if in_place else ["--dest", str(dest)])
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"{layout} -> jsonl: copied {len(records)} record(s)" in out
+        assert "verified — every record reads back identically" in out
+        assert sorted_log_lines(dest) == sorted_log_lines(direct)
+        assert detect_backend(dest) == "jsonl"
+        if not in_place:
+            assert detect_backend(source) == layout
+
+    def test_in_place_migration_resolves_jsonl(self, tmp_path, capsys, records, layout):
+        LEGACY_WRITERS[layout](tmp_path, records)
+        legacy_bytes = stored_bytes(tmp_path)
+        assert main(["migrate", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert f"auto-detection now resolves {tmp_path} to jsonl" in out
         assert detect_backend(tmp_path) == "jsonl"
@@ -180,108 +210,153 @@ class TestMigrate:
             assert sorted(store.keys()) == sorted(k for k, _ in records)
             for key, result in records:
                 assert store.get(key) == result
-        # A rerun finds the directory already migrated.
-        assert main(["migrate", str(tmp_path), "--to", "jsonl"]) == 1
-        assert "nothing to do" in capsys.readouterr().out
+        # The legacy files stay as they were.
+        after = stored_bytes(tmp_path)
+        assert {name: after[name] for name in legacy_bytes} == legacy_bytes
+        # A rerun finds every key already in the log.
+        assert main(["migrate", str(tmp_path)]) == 0
+        assert f"copied 0 record(s) ({len(records)} already in the log)" in (
+            capsys.readouterr().out
+        )
 
-    def test_sharded_is_not_a_destination(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["migrate", str(tmp_path), "--to", "sharded"])
-        assert "invalid choice" in capsys.readouterr().err
+    def test_only_the_keys_the_log_lacks_migrate(
+        self, tmp_path, capsys, records, layout
+    ):
+        """A directory holding both a log and a legacy layout — one an
+        earlier build migrated jsonl -> sqlite in place, then wrote on —
+        folds in only the legacy records the log lacks."""
+        LEGACY_WRITERS[layout](tmp_path, records[:8])
+        with DiskStore(tmp_path) as log:
+            for key, result in records[4:]:
+                log.put(key, result)
+        lines_before = (tmp_path / RESULTS_FILENAME).read_text().splitlines()
+        assert main(["migrate", str(tmp_path)]) == 0
+        assert "copied 4 record(s) (4 already in the log)" in capsys.readouterr().out
+        lines = (tmp_path / RESULTS_FILENAME).read_text().splitlines()
+        assert lines[: len(lines_before)] == lines_before
+        assert len(lines) == len(records)
+        with open_store(str(tmp_path)) as store:
+            assert {k: store.get(k) for k in store.keys()} == dict(records)
 
-    def test_round_trip_jsonl_sqlite_jsonl_is_byte_stable(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        c = tmp_path / "c"
-        with open_store(str(a), backend="jsonl") as store:
-            fill(store, 8)
-        assert main(["migrate", str(a), "--to", "sqlite", "--dest", str(b)]) == 0
-        assert main(["migrate", str(b), "--to", "jsonl", "--dest", str(c)]) == 0
-        first = sorted((a / RESULTS_FILENAME).read_text().splitlines())
-        final = sorted((c / RESULTS_FILENAME).read_text().splitlines())
-        assert first == final  # checksums and all — byte-identical records
+    def test_an_empty_legacy_store_migrates_to_an_empty_log(self, tmp_path, layout):
+        LEGACY_WRITERS[layout](tmp_path, [])
+        assert detect_backend(tmp_path) == layout
+        assert main(["migrate", str(tmp_path)]) == 0
+        assert detect_backend(tmp_path) == "jsonl"
+        assert (tmp_path / RESULTS_FILENAME).read_bytes() == b""
 
     def test_same_backend_in_place_is_refused(self, tmp_path, capsys):
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 2)
-        assert main(["migrate", str(tmp_path), "--to", "jsonl"]) == 1
+        assert main(["migrate", str(tmp_path)]) == 1
         assert "nothing to do" in capsys.readouterr().out
 
-    def test_migrate_skips_damaged_records(self, damaged_dir, capsys):
-        directory, pairs = damaged_dir
-        dest = directory / "migrated"
-        assert main(
-            ["migrate", str(directory), "--to", "sqlite", "--dest", str(dest)]
-        ) == 0
+    def test_migrate_skips_damaged_records(self, tmp_path, capsys):
+        pairs = [(make_key(i), make_result(i)) for i in range(6)]
+        write_sqlite(tmp_path, pairs)
+        conn = sqlite3.connect(tmp_path / SQLITE_FILENAME)
+        with conn:
+            conn.execute(
+                "UPDATE results SET payload = replace(payload, '1000', '1001') "
+                "WHERE key = ?",
+                (pairs[0][0],),
+            )
+            conn.execute(
+                "UPDATE results SET schema = ? WHERE key = ?",
+                (RECORD_SCHEMA_VERSION + 1, pairs[1][0]),
+            )
+            conn.execute(
+                "UPDATE results SET payload = 'garbage' WHERE key = ?", (pairs[2][0],)
+            )
+        conn.close()
+        dest = tmp_path / "migrated"
+        assert main(["migrate", str(tmp_path), "--dest", str(dest)]) == 0
         out = capsys.readouterr().out
-        assert "copied 4 record(s)" in out  # 6 - corrupt - stale
+        assert "corrupt=1 stale=1 malformed=1" in out
+        assert "copied 3 record(s)" in out  # 6 - corrupt - stale - malformed
         with open_store(str(dest)) as migrated:
             assert not migrated.health().damaged
-            assert migrated.get(pairs[0][0]) is None
+            assert sorted(migrated.keys()) == sorted(k for k, _ in pairs[3:])
 
 
-class TestReadOnlySharded:
-    """Verify reads a sharded store; every rewrite fails with the hint."""
+class TestReadOnlyLegacy:
+    """Verify reads a legacy store; every write exits 2 with the hint."""
 
-    def test_verify_reports_clean(self, tmp_path, capsys, records):
-        write_sharded(tmp_path, records)
+    def test_verify_reports_clean(self, tmp_path, capsys, records, layout):
+        LEGACY_WRITERS[layout](tmp_path, records)
         assert main(["verify", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "sharded store" in out and "read-only" in out
+        assert f"{layout} store" in out and "read-only" in out
         assert f"{len(records)} record(s)" in out
         assert "verify: clean" in out
 
     @pytest.mark.parametrize("command", ["repair", "compact"])
     def test_rewrites_fail_with_the_migrate_hint(
-        self, tmp_path, capsys, records, command
+        self, tmp_path, capsys, records, layout, command
     ):
-        write_sharded(tmp_path, records)
-        shards = tmp_path / "shards"
-        before = {p.name: p.read_bytes() for p in shards.iterdir()}
+        LEGACY_WRITERS[layout](tmp_path, records)
+        before = stored_bytes(tmp_path)
         assert main([command, str(tmp_path)]) == 2
-        assert f"store migrate {tmp_path} --to jsonl" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in shards.iterdir()} == before
+        assert f"store migrate {tmp_path}`" in capsys.readouterr().err
+        assert stored_bytes(tmp_path) == before
 
-    def test_merge_into_sharded_fails_with_the_migrate_hint(
-        self, tmp_path, capsys, records
+    def test_merge_into_a_legacy_store_fails_with_the_migrate_hint(
+        self, tmp_path, capsys, records, layout
     ):
         store_dir = tmp_path / "store"
-        write_sharded(store_dir, records)
-        with open_store(str(tmp_path / "parts" / "worker-0-1"), backend="jsonl") as part:
+        LEGACY_WRITERS[layout](store_dir, records)
+        with open_store(str(tmp_path / "parts" / "worker-0-1")) as part:
             part.put(make_key(99), make_result(99))
         assert main(
             ["merge", str(store_dir), "--from", str(tmp_path / "parts")]
         ) == 2
-        assert "--to jsonl" in capsys.readouterr().err
+        assert f"store migrate {store_dir}`" in capsys.readouterr().err
         assert not (store_dir / RESULTS_FILENAME).exists()
 
-
     def test_campaign_needing_a_write_exits_2_with_the_hint(
-        self, tmp_path, capsys, records
+        self, tmp_path, capsys, records, layout
     ):
         from repro.experiments.__main__ import main as experiments_main
 
-        write_sharded(tmp_path, records)
+        LEGACY_WRITERS[layout](tmp_path, records)
         argv = ["fig8", "--instructions", "1000", "--maps", "1",
                 "--benchmarks", "gzip", "--store", str(tmp_path)]
         assert experiments_main(argv) == 2
-        assert f"store migrate {tmp_path} --to jsonl" in capsys.readouterr().err
+        assert f"store migrate {tmp_path}`" in capsys.readouterr().err
+
+    def test_campaign_of_store_hits_reads_a_legacy_store(
+        self, tmp_path, capsys, layout
+    ):
+        """A campaign whose every point a legacy store holds renders the
+        same figures from it, simulating nothing."""
+        from repro.experiments.__main__ import main as experiments_main
+
+        argv = ["fig8", "--instructions", "1000", "--maps", "1",
+                "--benchmarks", "gzip", "--store"]
+        assert experiments_main(argv + [str(tmp_path / "log")]) == 0
+        first = capsys.readouterr()
+        with open_store(str(tmp_path / "log")) as log:
+            pairs = [(key, log.get(key)) for key in log.keys()]
+        LEGACY_WRITERS[layout](tmp_path / "legacy", pairs)
+        assert experiments_main(argv + [str(tmp_path / "legacy")]) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert "simulations executed=0 " in second.err
+        assert f"({layout}, read-only) entries={len(pairs)}" in second.err
 
 
 class TestMerge:
     """``store merge DIR --from ROOT`` folds every store directly under
-    ROOT — here one jsonl and one sqlite store, as separate hosts would
-    leave them — into DIR."""
+    ROOT — here one jsonl log and one legacy sqlite store, as separate
+    hosts would leave them — into DIR."""
 
     @pytest.fixture
     def root(self, tmp_path, records):
         root = tmp_path / "hosts"
-        with open_store(str(root / "a"), backend="jsonl") as store:
+        with open_store(str(root / "a")) as store:
             for key, result in records[:8]:
                 store.put(key, result)
-        with open_store(str(root / "b"), backend="sqlite") as store:
-            for key, result in records[4:]:
-                store.put(key, result)
+        write_sqlite(root / "b", records[4:])
         (root / "stray").mkdir()  # no store files: not a source
         return root
 
@@ -290,9 +365,9 @@ class TestMerge:
 
         sources = store_dirs(str(root))
         assert sources == [str(root / "a"), str(root / "b")]
-        with open_store(str(tmp_path / "dest"), backend="jsonl") as dest:
+        with open_store(str(tmp_path / "dest")) as dest:
             dest.put(*records[0])  # already present
-            copied = merge_stores(dest, sources)
+            copied = sum(merge_stores(dest, open_store(path)) for path in sources)
             assert copied == len(records) - 1
             assert {key: dest.get(key) for key in dest.keys()} == dict(records)
 
@@ -300,7 +375,7 @@ class TestMerge:
         self, tmp_path, root, records, capsys
     ):
         dest = tmp_path / "campaign"
-        with open_store(str(dest), backend="jsonl") as store:
+        with open_store(str(dest)) as store:
             store.put(*records[0])
         assert main(["merge", str(dest), "--from", str(root)]) == 0
         out = capsys.readouterr().out
@@ -323,7 +398,7 @@ class TestExperimentsDispatch:
     def test_store_subcommand_routes_from_experiments_cli(self, tmp_path, capsys):
         from repro.experiments.__main__ import main as experiments_main
 
-        with open_store(str(tmp_path), backend="jsonl") as store:
+        with open_store(str(tmp_path)) as store:
             fill(store, 2)
         assert experiments_main(["store", "verify", str(tmp_path)]) == 0
         assert "verify: clean" in capsys.readouterr().out
