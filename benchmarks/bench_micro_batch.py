@@ -143,14 +143,10 @@ def _run_point(session, config, trace, warmup, map_count, width):
         return time.perf_counter() - start, results
     for begin in range(0, map_count, width):
         chunk = indices[begin : begin + width]
-        pipelines = [session.build_pipeline(config, m) for m in chunk]
-        lanes = [p.kernel_lane() for p in pipelines]
-        if None in lanes:  # no lane kernel on this host: the object loop
-            results.extend(p.run(trace, measure_from=warmup) for p in pipelines)
-        else:
-            results.extend(
-                OutOfOrderPipeline.run_batch(lanes, trace, measure_from=warmup)
-            )
+        # Without a lane kernel on this host, run_batch runs each lane's
+        # object-loop twin.
+        lanes = [session.build_pipeline(config, m).kernel_lane() for m in chunk]
+        results.extend(OutOfOrderPipeline.run_batch(lanes, trace, measure_from=warmup))
     return time.perf_counter() - start, results
 
 
@@ -253,7 +249,6 @@ def _run_hetero(args, instructions, warmup) -> dict:
             "configs": [c.label for c in configs],
             "maps": 2,
             "groups": len(plan.groups),
-            "merged": all(g.merged for g in plan.groups),
             "passes": session.schedule_passes,
             "predicted_passes": plan.predicted_passes,
             "seconds": round(elapsed, 3),
@@ -347,7 +342,7 @@ def main(argv=None) -> int:
     print(
         f"hetero victim merge (--maps {hetero['maps']}, "
         f"{len(hetero['configs'])} configs): groups={hetero['groups']} "
-        f"merged={hetero['merged']} passes={hetero['passes']} "
+        f"passes={hetero['passes']} "
         f"(predicted {hetero['predicted_passes']}) "
         f"ok={'yes' if hetero['identical'] else 'DIVERGED'}"
     )

@@ -13,8 +13,9 @@ passes, none wider than the cap), plus the campaign smoke: the Fig. 8 JSON a
 must execute zero schedule passes.  The ``kernel`` smoke gates the compiled kernels:
 a heterogeneous-victim campaign must merge into one lane-kernel pass,
 bit-identical to ``engine="object"`` runs; under ``REPRO_NO_CKERNEL=1``
-the same campaign must regenerate its trace with the Python walk and run
-through the object loop to byte-identical figures; the vectorised
+the same campaign must plan the same pass, regenerate its trace with
+the Python walk and run through the object loop in exactly its
+predicted passes to byte-identical figures; the vectorised
 schedule compiler must match the reference replay; the trace kernel
 must generate the Python walk's trace and RNG state; and a small
 block-size x prefetching study must render byte-identically with its
@@ -471,12 +472,12 @@ def smoke_kernel(json_dir: str) -> list[str]:
 
     A heterogeneous-victim campaign (block disabling plus the 6T and
     10T victim-cache rows over two fault maps — six lanes) must merge
-    into ONE lane-kernel pass and scatter back bit-identical to
-    sequential ``engine="object"`` runs.  The fallback leg repeats it
-    under ``REPRO_NO_CKERNEL=1``: the lanes must then plan as one
-    object-loop group each and run one object-loop pass each, still
-    bit-identical, and Fig. 10 rendered in both legs must be
-    byte-identical.  Each leg generates its trace (the fallback leg with
+    into ONE lane pass and scatter back bit-identical to sequential
+    ``engine="object"`` runs.  The fallback leg repeats it under
+    ``REPRO_NO_CKERNEL=1``: its plan must equal the kernel leg's (groups,
+    item keys, order and predicted passes), it must run in exactly its
+    predicted passes, still bit-identical, and Fig. 10 rendered in both
+    legs must be byte-identical.  Each leg generates its trace (the fallback leg with
     the Python walk), so that byte check covers trace generation too.
     The vectorised pass-1 schedule compiler must match the reference
     replay, ``.npz`` payload included, and the trace kernel's gzip trace
@@ -491,6 +492,7 @@ def smoke_kernel(json_dir: str) -> list[str]:
 
     import numpy as np
 
+    from repro.campaign.events import signature_digest
     from repro.campaign.session import Session
     from repro.campaign.spec import CampaignSpec, RunnerSettings
     from repro.cpu import frontend, lane_kernel
@@ -529,8 +531,11 @@ def smoke_kernel(json_dir: str) -> list[str]:
                 for config, m in items
             )
             return {
-                "groups": len(plan.groups),
-                "merged": [g.merged for g in plan.groups],
+                "plan": [
+                    [g.benchmark, signature_digest(g.signature), [i.key for i in g.items]]
+                    for g in plan.groups
+                ],
+                "predicted_passes": plan.predicted_passes,
                 "passes": session.schedule_passes,
                 "divergences": divergences,
                 "traces_generated": session.traces.generated,
@@ -546,14 +551,12 @@ def smoke_kernel(json_dir: str) -> list[str]:
     figures_identical = runs["kernel"].pop("figure") == runs["fallback"].pop("figure")
     if not figures_identical:
         failures.append("Fig. 10 bytes differ between the kernel and fallback legs")
-    # (groups, merged flags, passes): one merged kernel pass, or one
-    # one-lane object-loop group and pass per lane (both legs on a host
-    # without the kernel).
-    object_loop = (len(items), [False] * len(items), len(items))
-    expected = {
-        "kernel": (1, [True], 1) if kernel_active else object_loop,
-        "fallback": object_loop,
-    }
+    # The plan is the host's business no more: both legs plan one pass of
+    # every lane and run exactly the passes they predict.
+    if runs["fallback"]["plan"] != runs["kernel"]["plan"] or (
+        runs["fallback"]["predicted_passes"] != runs["kernel"]["predicted_passes"]
+    ):
+        failures.append("the REPRO_NO_CKERNEL=1 plan differs from the kernel leg's")
     for name, run in runs.items():
         if (run["traces_generated"], run["traces_loaded"]) != (1, 0):
             failures.append(
@@ -565,11 +568,12 @@ def smoke_kernel(json_dir: str) -> list[str]:
                 f"{name} leg: {run['divergences']}/{len(items)} lanes "
                 "diverged from the sequential object runs"
             )
-        if (run["groups"], run["merged"], run["passes"]) != expected[name]:
+        groups = [len(keys) for _, _, keys in run["plan"]]
+        if groups != [len(items)] or run["passes"] != run["predicted_passes"]:
             failures.append(
-                f"{name} leg: hetero campaign took {run['passes']} passes "
-                f"in {run['groups']} group(s) (merged={run['merged']}), "
-                f"expected (groups, merged, passes) = {expected[name]}"
+                f"{name} leg: hetero campaign planned groups of {groups} lanes "
+                f"and took {run['passes']} passes for {run['predicted_passes']} "
+                f"predicted; expected one group of {len(items)} and one pass"
             )
 
     offset_bits = reference_session.build_pipeline(
@@ -614,7 +618,10 @@ def smoke_kernel(json_dir: str) -> list[str]:
 
         def collect(pipeline, trace, *args, **kwargs):
             if pipeline.hierarchy.dport.prefetcher is not None:
-                routed.append(pipeline.batch_key() is not None)
+                routed.append(
+                    pipeline.kernel_lane() is not None
+                    and lane_kernel.load() is not None
+                )
             results.append(run(pipeline, trace, *args, **kwargs))
             return results[-1]
 

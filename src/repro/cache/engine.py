@@ -9,7 +9,7 @@ hierarchies — one per fault-map lane — out as the arrays the compiled C
 lane kernel (:mod:`repro.cpu.lane_kernel`) probes, refills and counts
 on.  A lane is built from what differs per lane: its L1I and L1D
 enabled-way matrices (a scheme's disable bits, set at boot) and its
-victim-cache sizes; geometries, latencies and prefetch degrees are
+victim-cache sizes; geometries, latencies and the prefetch degree are
 shared by every lane.
 
 Every per-way quantity becomes a set-major NumPy array, ``[set, lane,
@@ -224,7 +224,7 @@ class VectorPrefetcher:
         self.table = np.full((self.lanes, 1 << bits), -1, dtype=np.int64)
 
 
-def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
+def bulk_signature(hierarchy: MemoryHierarchy) -> "int | None":
     """The hierarchy's bulk-engine eligibility signature, or ``None``.
 
     Two hierarchies can share one lane-kernel batch iff both return
@@ -236,10 +236,10 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
     :class:`VectorVictims` pads heterogeneous sizings to the largest
     lane's entry count (masked invalid slots), so 0/8/16-entry
     configurations merge into one lane group.  The signature is the
-    ``(I, D)`` ports' prefetch degrees (0 without a prefetcher): a
+    next-line prefetch degree both ports share (0 without prefetchers),
+    as :class:`~repro.cache.hierarchy.MemoryHierarchy` builds them: each
     port's prefetcher must be a
-    :class:`~repro.cache.prefetch.NextLinePrefetcher` on that port's L1,
-    and every lane of a pass shares its degree.
+    :class:`~repro.cache.prefetch.NextLinePrefetcher` on that port's L1.
     """
     if hierarchy.l2._enabled is not None:
         return None
@@ -254,6 +254,8 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
             degrees.append(prefetcher.degree)
         else:
             return None
+    if degrees[0] != degrees[1]:
+        return None
     caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
     if any(cache._clock for cache in caches) or any(
         victim is not None and victim._tags
@@ -262,7 +264,7 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "tuple | None":
         return None
     if hierarchy.stats() != HierarchyStats():
         return None
-    return tuple(degrees)
+    return degrees[0]
 
 
 class _BulkPort:
@@ -306,10 +308,10 @@ class BulkLanes:
     brings its own per-lane values — its ``(L1I, L1D)`` enabled-way
     matrices (``None`` enables every way) and its ``(I, D)`` victim
     entry counts (0 for none; sizings pad to the largest lane, see
-    :class:`VectorVictims`).  ``prefetch_degrees`` gives the ``(I, D)``
-    ports a next-line prefetcher of that degree in every lane (0 for
-    none; see :class:`VectorPrefetcher`).  Lanes start empty, their
-    stamps based at 1, one above a fresh cache's clock.
+    :class:`VectorVictims`).  ``prefetch_degree`` gives both ports a
+    next-line prefetcher of that degree in every lane (0 for none; see
+    :class:`VectorPrefetcher`).  Lanes start empty, their stamps based
+    at 1, one above a fresh cache's clock.
     """
 
     def __init__(
@@ -319,7 +321,7 @@ class BulkLanes:
         enabled: "Sequence[tuple[np.ndarray | None, np.ndarray | None]]",
         victim_entries: "Sequence[tuple[int, int]]",
         lat_scale: int = 1,
-        prefetch_degrees: "tuple[int, int]" = (0, 0),
+        prefetch_degree: int = 0,
     ) -> None:
         if not enabled:
             raise ValueError("need at least one lane")
@@ -343,15 +345,15 @@ class BulkLanes:
         )
         #: Instruction i's demand access stamps ``stamp_base + stamp_step
         #: * (2i + side)`` (side 0 for I, 1 for D), and the j-th block it
-        #: prefetches ``j`` more, so a step of one more than the largest
-        #: degree leaves every event of one access its own stamp.
+        #: prefetches ``j`` more, so a step of one more than the degree
+        #: leaves every event of one access its own stamp.
         self.stamp_base = 1
-        self.stamp_step = max(prefetch_degrees) + 1
+        self.stamp_step = prefetch_degree + 1
         self.iport = _BulkPort(
-            self.l1i, self.victims_i, latencies, lanes, lat_scale, prefetch_degrees[0]
+            self.l1i, self.victims_i, latencies, lanes, lat_scale, prefetch_degree
         )
         self.dport = _BulkPort(
-            self.l1d, self.victims_d, latencies, lanes, lat_scale, prefetch_degrees[1]
+            self.l1d, self.victims_d, latencies, lanes, lat_scale, prefetch_degree
         )
 
     def reserve_tags(self, i_accesses: int, d_accesses: int) -> None:

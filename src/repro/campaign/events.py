@@ -30,6 +30,10 @@ items, keys, counts, grouping) survives byte-exactly.  Schema epoch 2
 added the digest (epoch-1 payloads, which dropped signatures entirely,
 still decode — their groups carry ``None``) and the predict-loop events
 :class:`SurrogateFit` / :class:`BatchProposed` / :class:`Converged`.
+Epoch 3 drops two derived plan fields: each group's ``merged`` flag
+(every group is one lane pass, whichever engine runs it) and the plan's
+``predicted_passes`` (one per group).  Epoch-1 and -2 payloads still
+decode; the decoder ignores both fields there.
 """
 
 from __future__ import annotations
@@ -209,13 +213,14 @@ Event = (
 
 #: Bump when the event wire shape changes incompatibly (a decoder
 #: refuses unknown epochs instead of misreading them).  Epoch 2: plan
-#: groups carry a signature digest; predict-loop events exist.
-EVENT_SCHEMA_VERSION = 2
+#: groups carry a signature digest; predict-loop events exist.  Epoch 3:
+#: plans carry neither ``merged`` flags nor ``predicted_passes``.
+EVENT_SCHEMA_VERSION = 3
 
-#: Epochs :func:`event_from_dict` accepts.  Epoch 1 payloads are a
-#: strict subset of epoch 2 (groups simply lack the ``signature`` key),
-#: so old servers stay readable.
-READABLE_EVENT_SCHEMAS = (1, 2)
+#: Epochs :func:`event_from_dict` accepts.  Epoch 1 payloads are epoch 2
+#: without the ``signature`` key, and epoch 2 payloads are epoch 3 plus
+#: the two derived fields it dropped, so old servers stay readable.
+READABLE_EVENT_SCHEMAS = (1, 2, 3)
 
 
 def _canonical(value):
@@ -296,7 +301,6 @@ def _plan_to_dict(plan: Plan) -> dict:
         "groups": [
             {
                 "benchmark": group.benchmark,
-                "merged": group.merged,
                 "signature": signature_digest(group.signature),
                 "items": [_item_to_dict(item) for item in group.items],
             }
@@ -304,7 +308,6 @@ def _plan_to_dict(plan: Plan) -> dict:
         ],
         "total_points": plan.total_points,
         "dedup_hits": plan.dedup_hits,
-        "predicted_passes": plan.predicted_passes,
     }
 
 
@@ -314,7 +317,6 @@ def _plan_from_dict(data: dict) -> Plan:
         groups=tuple(
             PlanGroup(
                 benchmark=str(group["benchmark"]),
-                merged=bool(group["merged"]),
                 items=tuple(_item_from_dict(item) for item in group["items"]),
                 # Live signatures never cross the wire: a decoded plan
                 # carries the content-hash digest (or None from an
@@ -325,7 +327,6 @@ def _plan_from_dict(data: dict) -> Plan:
         ),
         total_points=int(data["total_points"]),
         dedup_hits=int(data["dedup_hits"]),
-        predicted_passes=int(data["predicted_passes"]),
     )
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import abc
 import os
+import signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -98,6 +99,11 @@ class SerialExecutor(Executor):
 _WORKER_SESSION: "Session | None" = None
 
 
+#: Signals a campaign server handles on its event loop, which its pool
+#: workers must neither relay nor ignore.
+_WORKER_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 def _shed_parent_signal_plumbing() -> None:
     """Detach this (forked) worker from the parent's signal machinery.
 
@@ -108,19 +114,21 @@ def _shed_parent_signal_plumbing() -> None:
     aimed at the worker (pool shutdown/terminate after a crash) would be
     relayed into the parent's loop and gracefully stop the server
     mid-campaign.  Workers restore default dispositions and drop the
-    inherited wakeup fd before doing anything else.
+    inherited wakeup fd before doing anything else, then unblock both
+    signals: :meth:`PoolExecutor._submit` forks with them blocked, so
+    one that arrived before this point stays pending until now and then
+    takes its default action.
     """
-    import signal
-
     try:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    for signum in (signal.SIGINT, signal.SIGTERM):
+    for signum in _WORKER_SIGNALS:
         try:
             signal.signal(signum, signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
 
 
 def _worker_init(
@@ -285,7 +293,16 @@ class PoolExecutor(Executor):
         )
 
     def _submit(self, pool, session: "Session", chunk: _Chunk) -> Future:
-        return pool.submit(_worker_run_batches, chunk.batches)
+        # Under the fork start method the pool forks its workers inside
+        # submit, and each inherits this thread's signal mask: with
+        # SIGINT and SIGTERM blocked, one sent to a worker before its
+        # initializer sheds the parent's handlers stays pending instead
+        # of reaching them (see _shed_parent_signal_plumbing).
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+        try:
+            return pool.submit(_worker_run_batches, chunk.batches)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
     def _shutdown(self, pool) -> None:
         pool.shutdown(wait=True, cancel_futures=True)

@@ -9,15 +9,19 @@
    missing lanes),
 3. split the remainder into schedule passes with :func:`lane_passes`,
    the one grouping rule: items merge by ``(trace, batch signature)``
-   across points and figures, and each merged group splits into balanced
-   passes of at most :data:`PASS_LANES` lanes; an item the kernel cannot
-   take is a pass of its own.
+   across points and figures — the signature is the
+   :attr:`~repro.cpu.pipeline.KernelLane.structure` every lane of a
+   pass shares — and each merged group splits into balanced passes of
+   at most :data:`PASS_LANES` lanes.
 
-The resulting :class:`Plan` is a frozen value consumed *identically* by
-the serial and process-pool executors (``Plan.worker_batches`` ships one
-group per pool dispatch unit; every group runs through
-``Session.run_group``, which applies the same rule), rendered by the
-CLI's ``--dry-run``, and asserted on by tests.
+A plan never depends on the host: whether a pass runs in the C lane
+kernel or on the object loop is decided when it runs
+(``OutOfOrderPipeline.run_batch``).  The resulting :class:`Plan` is a
+frozen value consumed *identically* by the serial and process-pool
+executors (``Plan.worker_batches`` ships one group per pool dispatch
+unit; every group runs through ``Session.run_group``, which applies the
+same rule), rendered by the CLI's ``--dry-run``, and asserted on by
+tests.
 """
 
 from __future__ import annotations
@@ -68,21 +72,16 @@ class WorkItem:
 @dataclass(frozen=True)
 class PlanGroup:
     """One schedule pass of a plan: at most :data:`PASS_LANES` pending
-    work items sharing a benchmark trace and a batch signature.
-
-    ``merged`` groups (``signature`` not ``None``) run as one lane-kernel
-    pass, whatever points and figures their lanes come from.  An
-    unmerged group holds one item the kernel cannot take, run on the
-    object loop, so a pool ships each such item as its own dispatch
-    unit.  Both execute through ``Session.run_group``.
+    work items sharing a benchmark trace and a batch signature, whatever
+    points and figures their lanes come from.  It executes through
+    ``Session.run_group`` as one ``run_batch`` pass.
     """
 
     benchmark: str
-    merged: bool
     items: tuple[WorkItem, ...]
     #: Session-local batch signature tuple — or, on a plan decoded from
-    #: the event wire, its content-hash digest string (see
-    #: ``repro.campaign.events.signature_digest``).
+    #: the event wire, its content-hash digest string (``None`` from an
+    #: epoch-1 payload; see ``repro.campaign.events.signature_digest``).
     signature: "tuple | str | None" = None
 
     def __len__(self) -> int:
@@ -105,10 +104,13 @@ class Plan:
     total_points: int
     #: Of those, already in the result store when the plan was resolved.
     dedup_hits: int
-    #: Schedule passes the groups will cost as planned, one per group
-    #: (mirrors the executors' pass accounting; store races can only
-    #: lower it).
-    predicted_passes: int
+
+    @property
+    def predicted_passes(self) -> int:
+        """Schedule passes the groups will cost as planned, one per group
+        (mirrors the executors' pass accounting; store races can only
+        lower it)."""
+        return len(self.groups)
 
     @property
     def pending(self) -> int:
@@ -129,18 +131,12 @@ class Plan:
             f"  work items : {self.total_points} "
             f"({self.dedup_hits} already in store, {self.pending} to simulate)"
         )
-        merged = sum(1 for g in self.groups if g.merged)
-        lines.append(
-            f"  groups     : {len(self.groups)} "
-            f"({merged} lane-kernel, {len(self.groups) - merged} object-loop)"
-        )
+        lines.append(f"  groups     : {len(self.groups)}")
         lines.append(f"  predicted schedule passes: {self.predicted_passes}")
         for i, group in enumerate(self.groups, 1):
-            kind = "kernel" if group.merged else "object"
             labels = ", ".join(group.labels)
             lines.append(
-                f"  [{i:>3}] {group.benchmark}: {len(group)} lane(s) "
-                f"[{kind}] {labels}"
+                f"  [{i:>3}] {group.benchmark}: {len(group)} lane(s) {labels}"
             )
         if not self.groups:
             lines.append("  nothing to simulate (pure store hits)")
@@ -149,29 +145,21 @@ class Plan:
 
 def lane_passes(
     items: "Iterable[WorkItem]",
-    signature: "Callable[[RunConfig], tuple | None]",
+    signature: "Callable[[RunConfig], tuple]",
 ) -> list[PlanGroup]:
     """The one grouping rule: ``items`` as schedule passes.
 
     Items merge by ``(benchmark, signature(config))`` in first-seen
     order — across campaign points and figures — and each merged group
     splits into ``ceil(n / PASS_LANES)`` contiguous passes whose sizes
-    differ by at most one.  Items without a signature run the object
-    loop one at a time, so each is a pass of its own.  Passes keep the
-    items' order, so a serial campaign stores the same records in the
-    same order at any width.
+    differ by at most one.  Passes keep the items' order, so a serial
+    campaign stores the same records in the same order at any width.
     """
     merged: dict[tuple, list[WorkItem]] = {}
     for item in items:
         merged.setdefault((item.benchmark, signature(item.config)), []).append(item)
     groups: list[PlanGroup] = []
     for (benchmark, group_signature), members in merged.items():
-        if group_signature is None:
-            groups.extend(
-                PlanGroup(benchmark=benchmark, merged=False, items=(item,))
-                for item in members
-            )
-            continue
         count = -(-len(members) // PASS_LANES)
         size, extra = divmod(len(members), count)
         start = 0
@@ -180,7 +168,6 @@ def lane_passes(
             groups.append(
                 PlanGroup(
                     benchmark=benchmark,
-                    merged=True,
                     items=tuple(members[start:end]),
                     signature=group_signature,
                 )
@@ -194,8 +181,8 @@ class Planner:
 
     The planner borrows the session's key/signature caches (content-hash
     task keys, per-config batch signatures) but never simulates:
-    resolving a plan costs a store lookup per work item plus one
-    representative pipeline build per new configuration."""
+    resolving a plan costs a store lookup per work item plus one kernel
+    lane per new configuration."""
 
     def __init__(self, session: "Session") -> None:
         self.session = session
@@ -222,11 +209,9 @@ class Planner:
                 dedup += 1
                 continue
             pending.append(WorkItem(benchmark, config, m, key))
-        groups = tuple(lane_passes(pending, session.batch_signature))
         return Plan(
             spec=spec,
-            groups=groups,
+            groups=tuple(lane_passes(pending, session.batch_signature)),
             total_points=total,
             dedup_hits=dedup,
-            predicted_passes=len(groups),
         )

@@ -28,9 +28,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.core import SCHEMES
-from repro.core.schemes import CacheConfiguration, VoltageMode
+from repro.core.schemes import VoltageMode
 from repro.cpu.config import (
     HIGH_VOLTAGE,
     L1_GEOMETRY,
@@ -130,9 +129,9 @@ class Session:
             and not isinstance(self.store, _chaos.ChaosStore)
         ):
             self.store = _chaos.ChaosStore(self.store, _chaos_config)
-        #: Batch signature per RunConfig (memoised — building the
-        #: representative pipeline is cheap but not free).
-        self._signature_cache: dict[RunConfig, "tuple | None"] = {}
+        #: Batch signature per RunConfig (memoised — configuring a
+        #: scheme over a fault map is cheap but not free).
+        self._signature_cache: dict[RunConfig, tuple] = {}
         # Content-hash keys are ~30us to compute (canonical JSON + sha256
         # over per-session constants); memoise them so warm-store reads
         # stay dict-lookup cheap.
@@ -142,10 +141,10 @@ class Session:
         #: plus what the pool executor's workers ran, added as it
         #: checkpoints their results.  Store hits never count.
         self.simulations_executed = 0
-        #: Passes over a trace this session paid for: +1 per object-loop
-        #: :meth:`OutOfOrderPipeline.run` and +1 per lane-kernel
-        #: :meth:`OutOfOrderPipeline.run_batch` pass however many lanes it
-        #: drives — what ``Plan.predicted_passes`` predicts.
+        #: Passes over a trace this session paid for: +1 per
+        #: :meth:`OutOfOrderPipeline.run_batch` call :meth:`run_group`
+        #: makes, however many lanes it drives and whichever engine runs
+        #: them — what ``Plan.predicted_passes`` predicts.
         self.schedule_passes = 0
         #: Quarantine ledger: every task a resilient executor gave up on
         #: across this session's runs (see
@@ -271,19 +270,14 @@ class Session:
 
     # ----- lane groups ----------------------------------------------------------
 
-    def batch_signature(self, config: RunConfig) -> "tuple | None":
-        """The batch-compatibility signature of ``config``'s lanes (see
-        :meth:`OutOfOrderPipeline.batch_key`), or ``None`` when they
-        cannot take the lane kernel.  The signature is a pure function
-        of the configuration's *structure* — latencies, geometries,
-        victim sizing, prefetchers — never of the fault draw, so one
-        representative pipeline decides it for every map index.
-        Memoised per config."""
+    def batch_signature(self, config: RunConfig) -> tuple:
+        """The :attr:`~repro.cpu.pipeline.KernelLane.structure` every lane
+        of ``config`` shares — latencies, geometries, prefetch degree —
+        which never depends on the fault draw, so map 0's lane decides it
+        for every map index.  Memoised per config."""
         if config not in self._signature_cache:
-            representative = self.build_pipeline(
-                config, 0 if config.needs_fault_map else None
-            )
-            self._signature_cache[config] = representative.batch_key()
+            lane = self._kernel_lane(config, 0 if config.needs_fault_map else None)
+            self._signature_cache[config] = lane.structure
         return self._signature_cache[config]
 
     def run_group(
@@ -295,14 +289,14 @@ class Session:
         split into schedule passes by
         :func:`~repro.campaign.plan.lane_passes` — the planner's rule, so
         a plan group is exactly one pass — and each pass scatters back to
-        the store under per-point keys.  A merged pass hands
+        the store under per-point keys.  A pass hands
         :meth:`OutOfOrderPipeline.run_batch` one
         :class:`~repro.cpu.pipeline.KernelLane` per item, built from the
-        scheme's enabled-way matrices: one kernel pass, with statistics
-        from the kernel's counters and no object hierarchy on either
-        side.  Items without a signature still build pipelines, and each
-        :meth:`~OutOfOrderPipeline.run` is an object-loop pass.  Results
-        return in ``items`` order, bit-identical to the object engine.
+        scheme's enabled-way matrices, and ``run_batch`` picks the
+        engine: one kernel pass, with statistics from the kernel's
+        counters and no object hierarchy on either side, or each lane's
+        object-loop twin on a host without the kernel.  Results return
+        in ``items`` order, bit-identical to the object engine.
         """
         results: dict[str, SimResult | None] = {}
         pending: list[WorkItem] = []
@@ -320,19 +314,11 @@ class Session:
         for group in lane_passes(pending, self.batch_signature):
             trace = self.trace(benchmark)
             self.schedule_passes += 1
-            if group.merged:
-                outs = OutOfOrderPipeline.run_batch(
-                    [self._kernel_lane(i.config, i.map_index) for i in group.items],
-                    trace,
-                    measure_from=warmup,
-                )
-            else:
-                outs = [
-                    self.build_pipeline(i.config, i.map_index).run(
-                        trace, measure_from=warmup
-                    )
-                    for i in group.items
-                ]
+            outs = OutOfOrderPipeline.run_batch(
+                [self._kernel_lane(i.config, i.map_index) for i in group.items],
+                trace,
+                measure_from=warmup,
+            )
             for item, result in zip(group.items, outs):
                 self.store.put(item.key, result)
                 self.simulations_executed += 1
@@ -474,48 +460,21 @@ class Session:
         map_index: int | None = None,
         engine: str = "fused",
     ) -> OutOfOrderPipeline:
-        """Construct the simulator for one configuration point.
+        """Construct the simulator for one configuration point: its
+        :meth:`_kernel_lane`'s object pipeline.
 
         Public so benches and studies can time construction + run (one
         campaign point) without going through the result store; ``engine``
         selects the execution engine (``"object"`` forces the reference
         loop; the KIPS microbenchmark compares them).
         """
-        cfg_i, cfg_d, latencies, victim_entries = self._configure(config, map_index)
-        hierarchy = MemoryHierarchy(
-            cfg_i.build_cache("l1i"),
-            cfg_d.build_cache("l1d"),
-            L2_GEOMETRY,
-            latencies,
-            victim_entries_i=victim_entries,
-            victim_entries_d=victim_entries,
-        )
-        return OutOfOrderPipeline(self.pipeline_config, hierarchy, engine=engine)
+        return self._kernel_lane(config, map_index).pipeline(engine)
 
     def _kernel_lane(self, config: RunConfig, map_index: int | None) -> KernelLane:
-        """The kernel lane of one configuration point: the pipeline
-        :meth:`build_pipeline` would build, as the per-lane values a
-        lane pass needs, without building its hierarchy."""
-        cfg_i, cfg_d, latencies, victim_entries = self._configure(config, map_index)
-        for cfg in (cfg_i, cfg_d):
-            cfg.require_usable()
-        return KernelLane(
-            self.pipeline_config,
-            latencies,
-            (cfg_i.geometry, cfg_d.geometry, L2_GEOMETRY),
-            cfg_i.enabled_ways,
-            cfg_d.enabled_ways,
-            (victim_entries, victim_entries),
-            prefetch_degrees=(0, 0),
-        )
-
-    def _configure(
-        self, config: RunConfig, map_index: int | None
-    ) -> "tuple[CacheConfiguration, CacheConfiguration, LatencyConfig, int]":
-        """One configuration point as its L1I and L1D scheme
-        configurations, its latency set and its victim entries (both
-        sides): everything :meth:`build_pipeline` and
-        :meth:`_kernel_lane` build from, so the two cannot drift."""
+        """The kernel lane of one configuration point: the scheme's L1I
+        and L1D configurations over the point's fault maps, their latency
+        set and the configuration's victim entries (both sides), without
+        building a hierarchy."""
         scheme = SCHEMES.create(config.scheme)
         operating: OperatingPoint = (
             LOW_VOLTAGE if config.voltage is VoltageMode.LOW else HIGH_VOLTAGE
@@ -533,11 +492,21 @@ class Session:
 
         cfg_i = scheme.configure(L1_GEOMETRY, imap, config.voltage)
         cfg_d = scheme.configure(L1_GEOMETRY, dmap, config.voltage)
+        for cfg in (cfg_i, cfg_d):
+            cfg.require_usable()
         latencies = operating.latencies(
             operating.l1_base_latency + cfg_i.latency_adder,
             operating.l1_base_latency + cfg_d.latency_adder,
         )
-        return cfg_i, cfg_d, latencies, config.victim_entries
+        return KernelLane(
+            self.pipeline_config,
+            latencies,
+            (cfg_i.geometry, cfg_d.geometry, L2_GEOMETRY),
+            cfg_i.enabled_ways,
+            cfg_d.enabled_ways,
+            (config.victim_entries, config.victim_entries),
+            prefetch_degree=0,
+        )
 
     # ----- normalized series (the figure bars) ---------------------------------
 

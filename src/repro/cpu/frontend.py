@@ -44,12 +44,14 @@ Persistent schedule cache
 -------------------------
 Parallel campaign workers each replay the front end in their own process
 — per benchmark, per worker, even when every *trace* comes from the
-persistent trace cache.  When ``REPRO_TRACE_CACHE`` names a directory (or
-a provider stamps ``trace._schedule_cache_dir``), built schedules are
-persisted next to the cached traces as ``sched-<key>.npz``, keyed by a
-content hash of the trace columns the front end consumes (pc, class,
-taken) plus the front-end parameters.  Workers and later sessions then
-load the compiled schedule instead of re-replaying.  Entries are raw
+persistent trace cache.  A trace provider with a cache directory stamps
+it on the traces it serves (``trace._schedule_cache_dir``, the one route
+to a schedule directory), and built schedules of those traces persist
+next to the cached traces as ``sched-<key>.npz``, keyed by a content
+hash of the trace columns the front end consumes (pc, class, taken) plus
+the front-end parameters; a trace built outside a provider persists
+none.  Workers and later sessions then load the compiled schedule
+instead of re-replaying.  Entries are raw
 ``.npz`` archives of six int64 members — the five columns and one
 ``counts`` row (the schema number, then the six counts) — written
 atomically; a torn entry, or one the loader refuses (a member not
@@ -75,11 +77,6 @@ from repro.cpu.trace import Trace
 
 #: Attribute used to memoise schedules on the trace object.
 _CACHE_ATTR = "_frontend_schedules"
-
-#: Environment variable naming the persistent schedule-cache directory
-#: (shared with the trace cache; duplicated here because the cpu layer
-#: must not import the experiments layer).
-SCHEDULE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 #: Bump when FrontEndSchedule's layout or semantics change incompatibly.
 SCHEDULE_SCHEMA_VERSION = 2
@@ -182,11 +179,9 @@ def _trace_content_digest(trace: Trace) -> str:
 
 def schedule_cache_dir(trace: Trace) -> str | None:
     """Where this trace's schedules persist: the provider-stamped
-    directory if any, else ``$REPRO_TRACE_CACHE``, else nowhere."""
+    directory if any, else nowhere."""
     stamped = trace.__dict__.get("_schedule_cache_dir")
-    if stamped:
-        return os.fspath(stamped)
-    return os.environ.get(SCHEDULE_CACHE_ENV) or None
+    return os.fspath(stamped) if stamped else None
 
 
 def schedule_disk_key(

@@ -29,17 +29,16 @@ between schemes sharing a trace, which this model resolves.
 
 Execution engines
 -----------------
-The timing recurrence exists twice, and both copies agree bit for bit in
-cycles and every reported statistic:
+A simulation point is a :class:`KernelLane`: a scheme's enabled-way
+matrices, victim sizes and prefetch degree beside the structure every
+lane of a pass shares.  The timing recurrence that runs it exists twice,
+and both copies agree bit for bit in cycles and every reported
+statistic:
 
-* the compiled C lane kernel (:mod:`repro.cpu.lane_kernel`) runs
-  :class:`KernelLane` values: a lane is built from a scheme's enabled-way
-  matrices, victim sizes and prefetch degrees, starts from empty caches
-  and fresh predictors, and yields a :class:`SimResult`.
-  :meth:`~OutOfOrderPipeline.run_batch` drives many lanes in one pass,
-  and :meth:`~OutOfOrderPipeline.run` drives a pipeline's own
-  :meth:`~OutOfOrderPipeline.kernel_lane` as a one-lane pass.  No object
-  hierarchy is read beyond its disable bits, and none is written;
+* the compiled C lane kernel (:mod:`repro.cpu.lane_kernel`) runs lanes
+  from empty caches and fresh predictors and yields
+  :class:`SimResult` values; no object hierarchy is read beyond its
+  disable bits, and none is written;
 * the object loop in :meth:`OutOfOrderPipeline.run` drives the original
   ``MemoryHierarchy.access_*`` call chain.  It is the reference the kernel
   is checked against (``engine="object"`` forces it;
@@ -48,6 +47,13 @@ cycles and every reported statistic:
   cover: fault-disabled L2s, hierarchies that already hold state, and
   hosts without a working ``gcc``.  It is also the way
   to inspect a hierarchy after a run, or to chain runs over one.
+
+The engine is chosen at run time, never when a campaign is planned:
+:meth:`~OutOfOrderPipeline.run_batch` drives many lanes in one kernel
+pass when the kernel loads, else each lane's :meth:`KernelLane.pipeline`
+on the object loop, and :meth:`~OutOfOrderPipeline.run` drives a
+pipeline's own :meth:`~OutOfOrderPipeline.kernel_lane` as a one-lane
+kernel pass under the same condition.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import numpy as np
 
 from repro.cache.engine import BulkLanes, bulk_signature
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
+from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.cpu import lane_kernel
 from repro.cpu.branch import GsharePredictor, LinePredictor, ReturnAddressStack
@@ -70,8 +77,9 @@ from repro.cpu.trace import Trace
 from repro.faults.geometry import CacheGeometry
 
 #: Valid ``engine`` arguments to :class:`OutOfOrderPipeline`: ``"fused"``
-#: (default) runs the lane kernel whenever :meth:`OutOfOrderPipeline.batch_key`
-#: allows it, ``"object"`` always runs the reference object loop.
+#: (default) runs the lane kernel whenever the pipeline has a
+#: :meth:`~OutOfOrderPipeline.kernel_lane` and the kernel loads,
+#: ``"object"`` always runs the reference object loop.
 ENGINES = ("fused", "object")
 
 
@@ -109,16 +117,17 @@ class SimResult:
 
 @dataclass(frozen=True, eq=False)
 class KernelLane:
-    """One lane of a kernel pass, built from what differs per lane: its
-    L1I and L1D enabled-way matrices (``None`` enables every way) and
-    its ``(I, D)`` victim-cache entries (0 for none).  The rest —
-    pipeline config, latencies, the L1I/L1D/L2 geometries and the
-    ``(I, D)`` next-line prefetch degrees (0 for none) — is the
-    :attr:`structure` every lane of one pass shares.
+    """One simulation point, built from what differs per lane: its L1I
+    and L1D enabled-way matrices (``None`` enables every way) and its
+    ``(I, D)`` victim-cache entries (0 for none).  The rest — pipeline
+    config, latencies, the L1I/L1D/L2 geometries and the next-line
+    prefetch degree of both L1s (0 for none) — is the :attr:`structure`
+    every lane of one pass shares.
 
     :meth:`OutOfOrderPipeline.run_batch` runs such lanes from empty
     caches and fresh predictors, like freshly built pipelines, without
-    building an object hierarchy or writing anything back.
+    building an object hierarchy or writing anything back when the
+    kernel loads; :meth:`pipeline` is the lane's object-loop twin.
     """
 
     config: PipelineConfig
@@ -127,21 +136,45 @@ class KernelLane:
     enabled_i: "np.ndarray | None"
     enabled_d: "np.ndarray | None"
     victim_entries: "tuple[int, int]"
-    prefetch_degrees: "tuple[int, int]"
+    prefetch_degree: int
 
     def __post_init__(self) -> None:
-        # The kernel's preconditions that batch_key() checks on pipelines.
+        # The kernel drops occupancy guards that rely on dispatch cycles
+        # being >= 1.
         if self.config.frontend_stages + self.latencies.l1i < 1:
             raise ValueError("a kernel lane needs a front-end depth of at least 1")
-        for name in ("victim_entries", "prefetch_degrees"):
-            pair = getattr(self, name)
-            if len(pair) != 2 or min(pair) < 0:
-                raise ValueError(f"{name} must be an (I, D) pair of ints >= 0, got {pair}")
+        if len(self.victim_entries) != 2 or min(self.victim_entries) < 0:
+            raise ValueError(
+                "victim_entries must be an (I, D) pair of ints >= 0, "
+                f"got {self.victim_entries}"
+            )
+        if self.prefetch_degree < 0:
+            raise ValueError(
+                f"prefetch_degree must be an int >= 0, got {self.prefetch_degree}"
+            )
 
     @property
     def structure(self) -> tuple:
-        """What every lane of one pass must share."""
-        return (self.config, self.latencies, self.geometries, self.prefetch_degrees)
+        """What every lane of one pass must share: the campaign
+        planner's batch signature."""
+        return (self.config, self.latencies, self.geometries, self.prefetch_degree)
+
+    def pipeline(self, engine: str = "fused") -> "OutOfOrderPipeline":
+        """This lane as a freshly built object pipeline: caches over its
+        geometries and enabled-way matrices, its victim caches and
+        prefetchers.  With the default engine its
+        :meth:`~OutOfOrderPipeline.kernel_lane` gives this lane back."""
+        l1i, l1d, l2 = self.geometries
+        hierarchy = MemoryHierarchy(
+            SetAssociativeCache(l1i, enabled_ways=self.enabled_i, name="l1i"),
+            SetAssociativeCache(l1d, enabled_ways=self.enabled_d, name="l1d"),
+            l2,
+            self.latencies,
+            victim_entries_i=self.victim_entries[0],
+            victim_entries_d=self.victim_entries[1],
+            prefetch_degree=self.prefetch_degree,
+        )
+        return OutOfOrderPipeline(self.config, hierarchy, engine=engine)
 
 
 def _check_measure_from(n: int, measure_from: int) -> None:
@@ -245,10 +278,11 @@ class OutOfOrderPipeline:
         """Simulate the trace; report cycles/statistics for instructions
         ``measure_from..end`` (the measured region).  ``measure_from=0``
         measures everything (cold start).  A pipeline with a
-        :meth:`kernel_lane` runs it as a one-lane kernel pass, which
-        leaves the pipeline as built; running it again raises
-        ``RuntimeError``.  Every other pipeline runs the object loop
-        below, which continues from whatever state earlier runs left."""
+        :meth:`kernel_lane` runs it as a one-lane kernel pass when the
+        kernel loads, which leaves the pipeline as built; running it
+        again raises ``RuntimeError``.  Every other run is the object
+        loop below, which continues from whatever state earlier runs
+        left."""
         cfg = self.config
         hier = self.hierarchy
 
@@ -263,9 +297,14 @@ class OutOfOrderPipeline:
         if n == 0:
             return SimResult(trace.name, 0, 0, 0, 0, HierarchyStats().snapshot())
         lane = self.kernel_lane()
-        if lane is not None:
+        # Looked up at call time, like every caller of load(): a wrapper
+        # set on the module (a profiler's, say) sees each call.
+        kernel = lane_kernel.load()
+        if lane is not None and kernel is not None:
             self._ran_on = "kernel"
-            return OutOfOrderPipeline._run_kernel_lanes([lane], trace, measure_from)[0]
+            return OutOfOrderPipeline._run_kernel_lanes(
+                kernel, [lane], trace, measure_from
+            )[0]
         self._ran_on = "object"
 
         # Local bindings: the loop below runs once per instruction and
@@ -516,57 +555,23 @@ class OutOfOrderPipeline:
 
     # ----- lane-kernel execution --------------------------------------------
 
-    def batch_key(self) -> "tuple | None":
-        """Hashable lane-compatibility signature, or ``None`` when this
-        pipeline must run the object loop.
-
-        A non-``None`` key is the one eligibility predicate of the C lane
-        kernel: :meth:`run` sends such a pipeline's :meth:`kernel_lane`
-        through a one-lane kernel pass, and the lanes of pipelines with
-        equal keys may share one :meth:`run_batch` pass — even when their
-        *configurations* differ (mixed schemes, mixed fault maps, the
-        fault-free normalisation baseline): lane state is fully per-lane;
-        only the structure the key captures must agree.  The key
-        requires the default engine, a pipeline that has not run (the
-        schedule replays predictors from their pristine construction
-        state), a positive front-end depth (the kernel drops occupancy
-        guards that rely on dispatch cycles being >= 1), the bulk
-        engine's coverage (a fully-enabled L2, next-line prefetchers of
-        one degree per port, and an untouched hierarchy —
-        see :func:`repro.cache.engine.bulk_signature`; victim *sizings*
-        may differ per lane, padded by the vector engine), and a
-        loadable kernel.  It folds in the shared pipeline config, the
-        latency set, the per-level geometries and the prefetch degrees.
-        The campaign planner merges work items by this key into lane
-        passes, so on a host without the kernel every item plans as an
-        object-loop run.
-        """
+    def kernel_lane(self) -> "KernelLane | None":
+        """This pipeline as a :class:`KernelLane` — its hierarchy's
+        enabled-way matrices, ``(I, D)`` victim sizes and prefetch
+        degree beside the shared structure — or ``None`` when only the
+        object loop can run it: another engine, a pipeline that has run
+        (the schedule replays predictors from their pristine
+        construction state), a front-end depth below 1, or a hierarchy
+        outside the bulk engine's coverage (see
+        :func:`repro.cache.engine.bulk_signature`)."""
         h = self.hierarchy
         if self.engine != "fused" or self._ran_on is not None:
             return None
         if self.config.frontend_stages + h.latencies.l1i < 1:
             return None
-        bulk = bulk_signature(h)
-        if bulk is None or lane_kernel.load() is None:
+        degree = bulk_signature(h)
+        if degree is None:
             return None
-        return (
-            self.config,
-            h.latencies,
-            h.l1i.geometry,
-            h.l1d.geometry,
-            h.l2.geometry,
-            bulk,
-        )
-
-    def kernel_lane(self) -> "KernelLane | None":
-        """This pipeline as a :class:`KernelLane` — its hierarchy's
-        enabled-way matrices, ``(I, D)`` victim sizes and prefetch
-        degrees beside the shared structure — or ``None`` when its
-        :meth:`batch_key` is ``None``."""
-        key = self.batch_key()
-        if key is None:
-            return None
-        h = self.hierarchy
         return KernelLane(
             self.config,
             h.latencies,
@@ -574,7 +579,7 @@ class OutOfOrderPipeline:
             h.l1i._enabled,
             h.l1d._enabled,
             tuple(0 if v is None else v.entries for v in (h.victim_i, h.victim_d)),
-            prefetch_degrees=key[-1],  # the bulk signature
+            degree,
         )
 
     @staticmethod
@@ -582,17 +587,18 @@ class OutOfOrderPipeline:
         lanes: "Sequence[KernelLane]", trace: Trace, measure_from: int = 0
     ) -> list[SimResult]:
         """Simulate N :class:`KernelLane` values — one per fault map — in a
-        single C lane-kernel pass over the shared front-end schedule.
+        single pass over the shared front-end schedule.
 
-        Per-lane state (cache tags/recency, victim entries, prefetch tag
-        sets, ROB/IQ/FU occupancy, statistics) lives in NumPy arrays with
-        a lane axis, built from each lane's enabled-way matrices and
-        victim sizes, that the kernel advances instruction by instruction
-        for every lane.  Lanes start empty, statistics come from the
-        kernel's counters, and nothing is written back.  Results are
-        bit-identical to running each lane's pipeline on the object loop
-        (golden-pinned).  Every lane must share one
-        :attr:`KernelLane.structure`; mixed schemes, fault maps and
+        When the C lane kernel loads, per-lane state (cache tags/recency,
+        victim entries, prefetch tag sets, ROB/IQ/FU occupancy,
+        statistics) lives in NumPy arrays with a lane axis, built from
+        each lane's enabled-way matrices and victim sizes, that the
+        kernel advances instruction by instruction for every lane.
+        Lanes start empty, statistics come from the kernel's counters,
+        and nothing is written back.  Otherwise each lane's
+        :meth:`KernelLane.pipeline` runs the object loop.  Results are
+        bit-identical either way (golden-pinned).  Every lane must share
+        one :attr:`KernelLane.structure`; mixed schemes, fault maps and
         victim sizings (0/8/16-entry lanes pad to one slot axis) may
         share a pass.  A pipeline's lane is its :meth:`kernel_lane`.
         """
@@ -603,20 +609,32 @@ class OutOfOrderPipeline:
             raise TypeError(
                 "run_batch takes KernelLanes; a pipeline's lane is its kernel_lane()"
             )
+        first = lanes[0]
+        if any(lane.structure != first.structure for lane in lanes[1:]):
+            raise ValueError(
+                "kernel lanes of one pass must share their pipeline config, "
+                "latencies, geometries and prefetch degree"
+            )
         _check_measure_from(len(trace), measure_from)
         if len(trace) == 0:  # what run() returns for a fresh pipeline
             return [
                 SimResult(trace.name, 0, 0, 0, 0, HierarchyStats().snapshot())
                 for _ in lanes
             ]
-        return OutOfOrderPipeline._run_kernel_lanes(lanes, trace, measure_from)
+        kernel = lane_kernel.load()
+        if kernel is None:
+            return [
+                lane.pipeline("object").run(trace, measure_from) for lane in lanes
+            ]
+        return OutOfOrderPipeline._run_kernel_lanes(kernel, lanes, trace, measure_from)
 
     @staticmethod
     def _run_kernel_lanes(
-        lanes: "list[KernelLane]", trace: Trace, measure_from: int
+        kernel, lanes: "list[KernelLane]", trace: Trace, measure_from: int
     ) -> list[SimResult]:
-        """Run ``lanes`` through one C lane-kernel pass; returns each
-        lane's result.
+        """Run ``lanes``, which share one structure, through one pass of
+        ``kernel`` (what :func:`repro.cpu.lane_kernel.load` returned);
+        returns each lane's result.
 
         The kernel tracks every timing quantity *scaled by the commit
         width W* (dispatch, ready, issue, completion all stay multiples
@@ -632,11 +650,6 @@ class OutOfOrderPipeline:
         cycle counts are recovered as ``(v - 1) // W``.
         """
         first = lanes[0]
-        if any(lane.structure != first.structure for lane in lanes[1:]):
-            raise ValueError(
-                "kernel lanes of one pass must share their pipeline config, "
-                "latencies, geometries and prefetch degrees"
-            )
         n = len(trace)
         cfg = first.config
         w = cfg.commit_width
@@ -646,13 +659,8 @@ class OutOfOrderPipeline:
             [(lane.enabled_i, lane.enabled_d) for lane in lanes],
             [lane.victim_entries for lane in lanes],
             lat_scale=w,
-            prefetch_degrees=first.prefetch_degrees,
+            prefetch_degree=first.prefetch_degree,
         )
-        # Looked up at call time, like every caller of load(): a wrapper
-        # set on the module (a profiler's, say) sees each call.
-        kernel = lane_kernel.load()
-        if kernel is None:
-            raise RuntimeError("no compiled lane kernel on this host")
         schedule = frontend_schedule(
             trace, cfg, bulk.geometries[0].offset_bits, measure_from
         )

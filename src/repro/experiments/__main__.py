@@ -58,7 +58,6 @@ from repro.experiments.figures import (
     PERFORMANCE_FIGURES,
     configs_for_targets,
 )
-from repro.experiments.providers import TRACE_CACHE_ENV
 from repro.experiments.report import REPORT_CONFIGS, reproduction_report
 from repro.store import (
     DiskStore,
@@ -264,23 +263,13 @@ def _store_from_args(args: argparse.Namespace) -> ResultStore:
         raise SystemExit(2) from None
 
 
-def _trace_cache_from_args(args: argparse.Namespace) -> "str | None":
-    """``--trace-cache``, else ``$REPRO_TRACE_CACHE``, exported to the
-    environment: traces built outside a provider (the ablation studies',
-    here and in their worker processes) have no cache directory of their
-    own, and find this one there to persist their compiled schedules."""
-    trace_cache = args.trace_cache or os.environ.get(TRACE_CACHE_ENV) or None
-    if trace_cache:
-        os.environ[TRACE_CACHE_ENV] = trace_cache
-    return trace_cache
-
-
 def _open_session(args: argparse.Namespace, settings: RunnerSettings) -> Session:
     """The session ``run``, ``serve`` and ``predict`` simulate through,
-    over the store and trace cache their flags name.  The session owns
-    the store, so closing the session closes it."""
+    over the store and trace cache their flags name (``--trace-cache``,
+    else the provider's ``$REPRO_TRACE_CACHE`` default).  The session
+    owns the store, so closing the session closes it."""
     session = Session(
-        settings, store=_store_from_args(args), trace_cache=_trace_cache_from_args(args)
+        settings, store=_store_from_args(args), trace_cache=args.trace_cache or None
     )
     session.owns_store = True
     return session
@@ -374,7 +363,6 @@ def _run_main(raw_argv: list[str]) -> int:
     else:
         session = None
         store = _store_from_args(args)
-        _trace_cache_from_args(args)
     opened = session if session is not None else store
 
     def make_progress(unit: str):

@@ -380,7 +380,6 @@ class CampaignServer:
                 groups.append(
                     PlanGroup(
                         benchmark=group.benchmark,
-                        merged=group.merged,
                         items=kept,
                         signature=group.signature,
                     )
@@ -390,7 +389,6 @@ class CampaignServer:
             groups=tuple(groups),
             total_points=len(claimed_keys),
             dedup_hits=0,
-            predicted_passes=plan.predicted_passes,
         )
         failures: "list[Quarantined]" = []
         try:

@@ -40,9 +40,10 @@ class JsonlLog(DamageCounts):
 
     Loading classifies every line (malformed / corrupt / stale / legacy
     — see :class:`~repro.store.format.RecordError`) into counters
-    instead of failing; a writer then repairs a *confirmed* torn tail.
-    Appends go through one persistent ``O_APPEND`` handle — a single
-    buffered write plus flush per record, optionally fsynced per append.
+    instead of failing, and writes nothing; the first append in a
+    process repairs a *confirmed* torn tail first.  Appends go through
+    one persistent ``O_APPEND`` handle — a single buffered write plus
+    flush per record, optionally fsynced per append.
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:
@@ -54,6 +55,9 @@ class JsonlLog(DamageCounts):
         # terminator (an injected torn/partial write).  The next write
         # heals it first, so in-process damage stays one line wide.
         self._dirty_tail = False
+        # Whether this process already checked the tail another writer
+        # (or a crash) may have left torn; see repair_tail.
+        self._tail_checked = False
 
     # ----- loading --------------------------------------------------------------
 
@@ -69,7 +73,8 @@ class JsonlLog(DamageCounts):
     def repair_tail(self) -> None:
         """Terminate a crash-torn final line so the next append starts a
         fresh record instead of fusing onto (and losing along with) the
-        truncated tail.
+        truncated tail.  :meth:`append_raw` calls it once, before the
+        first append this log makes, so opening a store never writes.
 
         The repair is a single ``write`` on the ``O_APPEND`` handle — it
         can only ever land at end-of-file, never inside earlier bytes —
@@ -139,6 +144,9 @@ class JsonlLog(DamageCounts):
         harness uses to plant torn/unterminated lines.  A write that
         follows one of our own unterminated writes starts on a fresh
         line, so a survived tear costs exactly the torn record."""
+        if not self._tail_checked:
+            self._tail_checked = True
+            self.repair_tail()
         if self._dirty_tail and text:
             text = "\n" + text
         fh = self._handle()
@@ -221,7 +229,6 @@ class DiskStore(MemoryStore):
         )
         self.duplicate_lines = 0
         self._load()
-        self._log.repair_tail()
 
     # Handle/path introspection (tests and tools peek at these).
     @property

@@ -135,12 +135,9 @@ class TestExplicitRoundTrips:
         )
         plan = Plan(
             spec=spec,
-            groups=(
-                PlanGroup("gzip", merged=True, items=items, signature=("sig", 1)),
-            ),
+            groups=(PlanGroup("gzip", items=items, signature=("sig", 1)),),
             total_points=3,
             dedup_hits=1,
-            predicted_passes=1,
         )
         decoded = roundtrip(PlanReady(plan)).plan
         assert decoded.spec == spec
@@ -150,8 +147,7 @@ class TestExplicitRoundTrips:
         assert len(decoded.groups) == 1
         group = decoded.groups[0]
         assert group.items == items
-        assert group.merged is True
-        # epoch 2: the signature crosses the wire as a stable digest
+        # since epoch 2: the signature crosses the wire as a stable digest
         assert group.signature == signature_digest(("sig", 1))
         # and the digest survives a second transit unchanged
         assert roundtrip(PlanReady(decoded)).plan.groups[0].signature == (
@@ -222,11 +218,9 @@ class TestWireHygiene:
         for epoch in range(1, EVENT_SCHEMA_VERSION + 1):
             assert epoch in READABLE_EVENT_SCHEMAS
 
-    def test_epoch_one_plan_payload_decodes_without_signatures(self):
-        # An epoch-1 peer dropped signatures entirely: its group dicts
-        # have no "signature" key at all.  That payload must still decode,
-        # with the signature honestly absent.
-        payload = event_to_dict(
+    @staticmethod
+    def _plan_payload() -> dict:
+        return event_to_dict(
             PlanReady(
                 Plan(
                     spec=CampaignSpec(
@@ -242,22 +236,46 @@ class TestWireHygiene:
                     groups=(
                         PlanGroup(
                             "gzip",
-                            merged=False,
                             items=(WorkItem("gzip", LV_BLOCK, 0, "ab" * 32),),
                             signature=("sig", 1),
                         ),
                     ),
                     total_points=1,
                     dedup_hits=0,
-                    predicted_passes=1,
                 )
             )
         )
+
+    def test_epoch_three_plans_carry_no_derived_fields(self):
+        plan = self._plan_payload()["plan"]
+        assert "predicted_passes" not in plan
+        assert all("merged" not in group for group in plan["groups"])
+
+    def test_epoch_one_plan_payload_decodes_without_signatures(self):
+        # An epoch-1 peer dropped signatures entirely: its group dicts
+        # have no "signature" key at all.  That payload must still decode,
+        # with the signature honestly absent.
+        payload = self._plan_payload()
         payload["schema"] = 1
+        payload["plan"]["predicted_passes"] = 1
         for group in payload["plan"]["groups"]:
             del group["signature"]
+            group["merged"] = False
         decoded = event_from_dict(json.loads(json.dumps(payload)))
         assert decoded.plan.groups[0].signature is None
+
+    def test_epoch_two_derived_fields_are_ignored(self):
+        # Epoch 2 still sent each group's merged flag and the plan's
+        # predicted passes; any values decode, and the plan derives its
+        # passes from its groups.
+        payload = self._plan_payload()
+        payload["schema"] = 2
+        payload["plan"]["predicted_passes"] = 7
+        for group in payload["plan"]["groups"]:
+            group["merged"] = False
+        decoded = event_from_dict(json.loads(json.dumps(payload)))
+        assert decoded.plan.predicted_passes == len(decoded.plan.groups) == 1
+        assert decoded.plan == event_from_dict(self._plan_payload()).plan
 
 
 class TestSignatureDigest:
@@ -345,7 +363,6 @@ work_items = st.builds(
 plan_groups = st.builds(
     PlanGroup,
     benchmark=benchmarks,
-    merged=st.booleans(),
     items=st.lists(work_items, min_size=1, max_size=3).map(tuple),
     signature=st.one_of(
         st.none(), st.text("0123456789abcdef", min_size=16, max_size=16)
@@ -358,7 +375,6 @@ plans = st.builds(
     groups=st.lists(plan_groups, max_size=3).map(tuple),
     total_points=st.integers(min_value=0, max_value=100),
     dedup_hits=st.integers(min_value=0, max_value=100),
-    predicted_passes=st.integers(min_value=0, max_value=100),
 )
 
 events = st.one_of(

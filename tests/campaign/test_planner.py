@@ -17,6 +17,7 @@ from repro.experiments.configs import (
     LV_INCREMENTAL,
     LV_WORD,
 )
+from repro.experiments.figures import configs_for_targets
 
 SETTINGS = RunnerSettings(
     n_instructions=3_000,
@@ -37,6 +38,14 @@ def resolve(session, configs=CONFIGS):
     return Planner(session).resolve(session.spec(configs))
 
 
+def plan_shape(plan) -> list:
+    """Each group's benchmark, signature and item keys, in plan order."""
+    return [
+        (g.benchmark, g.signature, [item.key for item in g.items])
+        for g in plan.groups
+    ]
+
+
 class TestResolution:
     def test_covers_every_work_item_once(self, session):
         plan = resolve(session)
@@ -46,9 +55,6 @@ class TestResolution:
         assert plan.dedup_hits == 0
         assert plan.pending == 8
 
-    @pytest.mark.skipif(
-        lane_kernel.load() is None, reason="no compiled lane kernel on this host"
-    )
     def test_structural_twins_merge_across_points(self, session):
         # Victim sizings pad to one slot axis, so the V$ variants ride
         # in the same lane pass as the baseline and plain block lanes.
@@ -83,7 +89,7 @@ class TestResolution:
 class TestPredictedPasses:
     """Predicted passes equal executed passes, serial and pooled, with
     the lane kernel on (this class) and off
-    (:class:`TestPredictedPassesWithoutKernel`)."""
+    (:class:`TestPredictedPassesWithoutKernel`), and the plans agree."""
 
     kernel = True
 
@@ -95,11 +101,15 @@ class TestPredictedPasses:
             pytest.skip("no compiled lane kernel on this host")
 
     def execute(self, session, plan):
-        """Run every group; without the kernel, check the plan first:
-        every group an object-loop group, one pass per pending item."""
+        """Run every group; without the kernel, check the plan first: it
+        is the plan the same session resolves with the kernel allowed —
+        same groups, item keys, order and predicted passes."""
         if not self.kernel:
-            assert not any(group.merged for group in plan.groups)
-            assert plan.predicted_passes == plan.pending
+            with pytest.MonkeyPatch.context() as patched:
+                patched.delenv("REPRO_NO_CKERNEL")
+                kernel_plan = Planner(session).resolve(plan.spec)
+            assert plan_shape(plan) == plan_shape(kernel_plan)
+            assert plan.predicted_passes == kernel_plan.predicted_passes
         for group in plan.groups:
             session.execute_group(group)
         assert session.schedule_passes == plan.predicted_passes
@@ -107,9 +117,8 @@ class TestPredictedPasses:
     def test_prediction_matches_execution(self, session):
         plan = resolve(session)
         self.execute(session, plan)
-        if self.kernel:
-            points = len(CONFIGS) * len(SETTINGS.benchmarks)
-            assert plan.predicted_passes < points
+        points = len(CONFIGS) * len(SETTINGS.benchmarks)
+        assert plan.predicted_passes < points
 
     def test_prediction_with_explicit_single_lane(self, monkeypatch):
         monkeypatch.setattr(plan_module, "PASS_LANES", 1)
@@ -119,8 +128,7 @@ class TestPredictedPasses:
         self.execute(session, plan)
 
     def test_pool_execution_spends_predicted_passes(self, monkeypatch):
-        # Narrow passes give the pool several groups to fan out in both
-        # legs (without the kernel every item is a group of its own).
+        # Narrow passes give the pool several groups to fan out.
         monkeypatch.setattr(plan_module, "PASS_LANES", 3)
         session = Session(SETTINGS)
         plan = session.run_all(session.spec(CONFIGS), executor=PoolExecutor(2))
@@ -133,10 +141,9 @@ class TestPredictedPasses:
         with what the executor then actually spends (one pass)."""
         configs = (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
         plan = resolve(session, configs)
-        if self.kernel:
-            assert len(plan.groups) == 1 and plan.groups[0].merged
-            assert len(plan.groups[0]) == len(configs) * SETTINGS.n_fault_maps
-            assert plan.predicted_passes == 1
+        assert len(plan.groups) == 1
+        assert len(plan.groups[0]) == len(configs) * SETTINGS.n_fault_maps
+        assert plan.predicted_passes == 1
         self.execute(session, plan)
 
     def test_empty_plan_predicts_zero(self, session):
@@ -147,10 +154,41 @@ class TestPredictedPasses:
 
 
 class TestPredictedPassesWithoutKernel(TestPredictedPasses):
-    """``REPRO_NO_CKERNEL=1``: batch keys are ``None``, so every item is
-    an object-loop group of its own, run as one object-loop pass."""
+    """``REPRO_NO_CKERNEL=1``: the plan is the one a kernel host
+    resolves, and each group runs as one pass of object-loop runs."""
 
     kernel = False
+
+
+class TestPlansDoNotDependOnTheHost:
+    """Fig. 8 over gzip and mcf at 50 maps — 204 points — plans the same
+    12 groups with the lane kernel and without it (same benchmarks, item
+    keys, order and signatures), and either plan runs in exactly one
+    schedule pass per group."""
+
+    SETTINGS = RunnerSettings(
+        n_instructions=300,
+        warmup_instructions=100,
+        n_fault_maps=50,
+        benchmarks=("gzip", "mcf"),
+    )
+
+    def test_fig8_plans_and_runs_alike(self, monkeypatch):
+        configs = tuple(configs_for_targets(["fig8"]))
+        legs = {}
+        for kernel in (True, False):
+            if kernel:
+                monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+            session = Session(self.SETTINGS)
+            plan = session.plan(session.spec(configs))
+            session.run_all(plan.spec)
+            assert session.schedule_passes == len(plan.groups)
+            assert session.simulations_executed == plan.pending == 204
+            legs[kernel] = plan
+        assert len(legs[True].groups) == 12
+        assert plan_shape(legs[True]) == plan_shape(legs[False])
 
 
 class TestLanePasses:
@@ -186,29 +224,15 @@ class TestLanePasses:
             WorkItem("gzip", LV_WORD, None, "c"),
             WorkItem("gzip", LV_BASELINE, None, "d"),
         ]
-        signature = {LV_BLOCK: "x", LV_BASELINE: "x", LV_WORD: None}.get
+        signature = {LV_BLOCK: "x", LV_BASELINE: "x", LV_WORD: "y"}.get
         groups = lane_passes(items, signature)
         assert [
-            (g.benchmark, g.signature, g.merged, [i.key for i in g.items])
-            for g in groups
+            (g.benchmark, g.signature, [i.key for i in g.items]) for g in groups
         ] == [
-            ("gzip", "x", True, ["a", "d"]),
-            ("mcf", "x", True, ["b"]),
-            ("gzip", None, False, ["c"]),
+            ("gzip", "x", ["a", "d"]),
+            ("mcf", "x", ["b"]),
+            ("gzip", "y", ["c"]),
         ]
-
-    def test_object_loop_items_are_one_item_groups(self):
-        """Items without a signature never share a group: each is its
-        own object-loop pass and its own pool dispatch unit, whatever
-        the cap."""
-        items = [WorkItem("gzip", LV_WORD, None, "w")] + [
-            WorkItem("gzip", LV_BLOCK, m, f"k{m}") for m in range(30)
-        ]
-        groups = lane_passes(items, lambda config: None)
-        assert [[i.key for i in g.items] for g in groups] == [
-            [item.key] for item in items
-        ]
-        assert not any(g.merged for g in groups)
 
 
 class TestWorkerBatches:

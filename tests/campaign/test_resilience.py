@@ -16,7 +16,11 @@ pool shutdown would stop the campaign server that owns the pool.
 """
 
 import json
+import multiprocessing.connection
 import os
+import subprocess
+import sys
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
@@ -519,7 +523,90 @@ class TestRealChaos:
         assert excinfo.value.summary_lines()
 
 
+#: A campaign-server-shaped parent: an asyncio loop with a SIGTERM
+#: handler forks one pool worker, whose initializer reports in and then
+#: lingers before shedding the parent's signal plumbing; the parent
+#: SIGTERMs the worker inside that window.  Prints whether the parent's
+#: handler fired and whether the worker died.
+_INITIALIZER_WINDOW_SCRIPT = """
+import asyncio, json, os, signal, time
+from concurrent.futures.process import BrokenProcessPool
+from repro.campaign import executors
+from repro.campaign.session import Session
+from repro.campaign.spec import RunnerSettings
+
+reported, report = os.pipe()
+shed = executors._shed_parent_signal_plumbing
+
+def lingering_shed():
+    os.write(report, b"w")
+    time.sleep(1.0)
+    shed()
+
+executors._shed_parent_signal_plumbing = lingering_shed
+
+async def main():
+    loop = asyncio.get_running_loop()
+    fired = []
+    loop.add_signal_handler(signal.SIGTERM, fired.append, "SIGTERM")
+    executor = executors.PoolExecutor(1)
+    session = Session(RunnerSettings(benchmarks=("gzip",)))
+    pool = executor._make_pool(session, 1, 0)
+    future = executor._submit(pool, session, executors._Chunk([]))
+    await loop.run_in_executor(None, os.read, reported, 1)
+    (pid,) = pool._processes
+    os.kill(pid, signal.SIGTERM)
+    try:
+        await asyncio.wait_for(asyncio.wrap_future(future), 30)
+        worker = "ran"
+    except BrokenProcessPool:
+        worker = "died"
+    await asyncio.sleep(0.5)
+    executor._shutdown(pool)
+    print(json.dumps({"fired": bool(fired), "worker": worker}))
+
+asyncio.run(main())
+"""
+
+
 class TestWorkerSignalHygiene:
+    def test_a_worker_sigtermed_in_its_initializer_stays_silent(self):
+        """A SIGTERM that reaches a worker before its initializer sheds
+        the parent's plumbing must not fire the parent loop's handler
+        (pool teardown SIGTERMs every remaining worker of a broken
+        pool, so such a relay stopped the campaign server): the worker
+        forks with the signal blocked and dies of it once its
+        initializer restores the default disposition."""
+        out = subprocess.run(
+            [sys.executable, "-c", _INITIALIZER_WINDOW_SCRIPT],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert json.loads(out.stdout.splitlines()[-1]) == {
+            "fired": False,
+            "worker": "died",
+        }
+
+    def test_abandon_terminates_a_hung_worker(self, monkeypatch):
+        """Once initialised a worker takes SIGTERM again: the watchdog's
+        ``_abandon`` ends a worker hung in a task."""
+        monkeypatch.setenv(chaos.CHAOS_ENV, "hang:1.0,hang-seconds:60")
+        session = Session(SETTINGS)
+        executor = PoolExecutor(1)
+        pool = executor._make_pool(session, 1, 0)
+        executor._submit(pool, session, _Chunk([[("gzip", LV_BLOCK, 0)]]))
+        sentinels = [process.sentinel for process in pool._processes.values()]
+        time.sleep(1.0)  # let the worker reach the injected hang
+        executor._abandon(pool)
+        # A sentinel turns ready when its process exits.  (Not
+        # is_alive(): the pool's own thread joins the same processes,
+        # and a join that loses that race reads a reaped one as alive.)
+        assert sorted(multiprocessing.connection.wait(sentinels, 10)) == sorted(
+            sentinels
+        )
+
     def test_shed_restores_default_handlers(self):
         # A forked worker inherits an asyncio parent's SIGTERM handler
         # and wakeup fd; keeping them would relay pool-shutdown signals

@@ -14,6 +14,7 @@ from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.cpu.config import L1_GEOMETRY
 from repro.experiments.configs import (
+    ALL_CONFIGS,
     LV_BASELINE,
     LV_BLOCK,
     LV_BLOCK_V10,
@@ -235,9 +236,34 @@ class TestLifecycle:
         assert len(store) == 0
 
 
+def _lane_values(lane) -> tuple:
+    """Everything a lane holds, comparable with ``==``."""
+    return (
+        lane.structure,
+        lane.victim_entries,
+        *(None if e is None else e.tolist() for e in (lane.enabled_i, lane.enabled_d)),
+    )
+
+
+class TestOneLaneDescription:
+    """A campaign point is described once, by ``Session._kernel_lane``:
+    the pipeline ``build_pipeline`` returns is that lane's object-loop
+    twin, for every Table III configuration."""
+
+    @pytest.mark.parametrize(
+        "config", ALL_CONFIGS, ids=lambda c: f"{c.voltage.value}-{c.label}"
+    )
+    def test_the_pipeline_gives_back_the_lane(self, session, config):
+        m = 0 if config.needs_fault_map else None
+        lane = session._kernel_lane(config, m)
+        built = session.build_pipeline(config, m).kernel_lane()
+        assert _lane_values(built) == _lane_values(lane)
+        assert session.batch_signature(config) == lane.structure
+
+
 class TestLanesCarrySectionIVCapacity:
     """The lanes a session builds (fault-map provider, ``fault_map_pair``,
-    ``Session._configure``, ``KernelLane``) hold Section IV's capacities."""
+    ``Session._kernel_lane``) hold Section IV's capacities."""
 
     def test_block_disabling_lanes_match_eq2(self):
         """Over maps 0-49, the mean enabled fraction of the L1I and L1D

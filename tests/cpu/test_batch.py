@@ -21,7 +21,7 @@ from repro.cache.stats import HierarchyStats
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
 from repro.cpu.config import L1_GEOMETRY, PipelineConfig
-from repro.cpu.frontend import SCHEDULE_CACHE_ENV, frontend_schedule
+from repro.cpu.frontend import frontend_schedule
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.cpu.trace import Trace
 from repro.experiments.configs import (
@@ -35,7 +35,7 @@ from repro.experiments.configs import (
 )
 from repro.workloads.generator import generate_trace
 
-#: For the tests that need batch keys (which exist only with the kernel).
+#: For the tests that pin what the kernel's own pass does.
 requires_kernel = pytest.mark.skipif(
     lane_kernel.load() is None, reason="no compiled lane kernel on this host"
 )
@@ -110,13 +110,13 @@ def test_mixed_victim_sizes_batch_vectorised(session):
 @requires_kernel
 def test_mixed_latencies_fall_back(session):
     """Word-disabling's +1-cycle L1 makes its lanes latency-incompatible
-    with the baseline: the batch keys differ, the two lanes refuse to
-    share a pass rather than mis-share state, and each pipeline runs
+    with the baseline: the lane structures differ, the two lanes refuse
+    to share a pass rather than mis-share state, and each pipeline runs
     alone."""
     trace = session.trace("gzip")
     items = [(LV_BASELINE, None), (LV_WORD, None)]
     baseline, word = (session.build_pipeline(c, m) for c, m in items)
-    assert baseline.batch_key() != word.batch_key()
+    assert baseline.kernel_lane().structure != word.kernel_lane().structure
     with pytest.raises(ValueError, match="share"):
         OutOfOrderPipeline.run_batch(_lanes(session, items), trace, measure_from=WARMUP)
     assert baseline.run(trace, measure_from=WARMUP) == _sequential(
@@ -179,12 +179,13 @@ def test_empty_batch():
 
 
 def test_kernel_lanes_are_validated(session):
-    """Kernel lanes are refused where pipelines would get no batch key
-    (a zero-cycle front end), for a negative or missing victim size or
-    prefetch degree (at construction, before any pointer reaches C), for
-    an enabled-way matrix of the wrong shape, and when the lanes of one
-    pass differ in structure (word-disabling's halved, slower L1 beside
-    block-disabling).  ``run_batch`` takes lanes, not pipelines."""
+    """Kernel lanes are refused where pipelines would get no lane (a
+    zero-cycle front end), for a negative or missing victim size or a
+    negative prefetch degree (at construction, before any pointer
+    reaches C), for an enabled-way matrix of the wrong shape, and when
+    the lanes of one pass differ in structure (word-disabling's halved,
+    slower L1 beside block-disabling), whichever engine runs the pass.
+    ``run_batch`` takes lanes, not pipelines."""
     lane = session._kernel_lane(LV_BLOCK, 0)
     trace = session.trace("gzip")
     with pytest.raises(ValueError, match="front-end depth"):
@@ -193,10 +194,11 @@ def test_kernel_lanes_are_validated(session):
             config=PipelineConfig(frontend_stages=0),
             latencies=LatencyConfig(l1i=0),
         )
-    for field in ("victim_entries", "prefetch_degrees"):
-        for bad in ((-1, 0), (0, -1), (8,)):
-            with pytest.raises(ValueError, match=field):
-                dataclasses.replace(lane, **{field: bad})
+    for bad in ((-1, 0), (0, -1), (8,)):
+        with pytest.raises(ValueError, match="victim_entries"):
+            dataclasses.replace(lane, victim_entries=bad)
+    with pytest.raises(ValueError, match="prefetch_degree"):
+        dataclasses.replace(lane, prefetch_degree=-1)
     with pytest.raises(TypeError, match="kernel_lane"):
         OutOfOrderPipeline.run_batch(
             [session.build_pipeline(LV_BLOCK, 0)], trace, measure_from=WARMUP
@@ -228,8 +230,8 @@ def test_measure_from_zero_and_validation(session):
 @requires_kernel
 def test_mixed_scheme_lanes_batch_vectorised(session):
     """Lanes need not share a configuration: the fault-free baseline and
-    block-disabling fault maps carry equal batch keys (same latencies,
-    geometries, victim sizing), so the planner may drive them as one
+    block-disabling fault maps share one lane structure (same latencies,
+    geometries, prefetch degree), so the planner may drive them as one
     vectorised pass — bit-identical to their sequential runs."""
     trace = session.trace("gzip")
     pipelines = [
@@ -237,26 +239,26 @@ def test_mixed_scheme_lanes_batch_vectorised(session):
         session.build_pipeline(LV_BLOCK, 0),
         session.build_pipeline(LV_BLOCK, 1),
     ]
-    assert pipelines[0].batch_key() == pipelines[1].batch_key() is not None
     lanes = [p.kernel_lane() for p in pipelines]
+    assert lanes[0].structure == lanes[1].structure
     results = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=WARMUP)
     assert results[0] == _sequential(session, LV_BASELINE, [None])[0]
     assert results[1:] == _sequential(session, LV_BLOCK, [0, 1])
 
 
 @requires_kernel
-def test_reused_pipeline_has_no_batch_key(session):
+def test_reused_pipeline_has_no_kernel_lane(session):
     """A kernel run leaves the pipeline as built — every clock 0, every
-    statistic zero — and uses it up: no key, no lane, and a second run
-    raises, pointing at the object engine."""
+    statistic zero — and uses it up: no lane, and a second run raises,
+    pointing at the object engine."""
     trace = session.trace("gzip")
     warm = session.build_pipeline(LV_BLOCK, 0)
-    assert warm.batch_key() is not None
+    assert warm.kernel_lane() is not None
     warm.run(trace, measure_from=WARMUP)
     hierarchy = warm.hierarchy
     assert [c._clock for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)] == [0] * 3
     assert hierarchy.stats() == HierarchyStats()
-    assert warm.batch_key() is None and warm.kernel_lane() is None
+    assert warm.kernel_lane() is None
     with pytest.raises(RuntimeError, match='engine="object"'):
         warm.run(trace, measure_from=WARMUP)
 
@@ -292,7 +294,7 @@ def test_partially_warm_victim_cache_appends_before_evicting(session):
 
     for m in range(2):
         pipeline = prefilled(m)
-        assert pipeline.batch_key() is None and pipeline.kernel_lane() is None
+        assert pipeline.kernel_lane() is None
         assert pipeline.run(trace, measure_from=WARMUP) == prefilled(
             m, engine="object"
         ).run(trace, measure_from=WARMUP)
@@ -361,13 +363,12 @@ def test_a_kernel_pass_allocates_nothing_of_the_trace_length(session):
     assert peak < 2 * 1024 * 1024
 
 
-def test_a_schedule_build_retains_only_the_schedule(session, monkeypatch):
+def test_a_schedule_build_retains_only_the_schedule(session):
     """Building the front-end schedule of a fresh 200k-instruction trace
     retains the schedule's own arrays (about 10 B per instruction) and
     under 64 KB beside them: ``_build_schedule``'s fetch lines, change
     mask, branch and call/return positions and memory mask, memoised on
     the trace, would retain 11.4 B per instruction more (2.3 MB here)."""
-    monkeypatch.delenv(SCHEDULE_CACHE_ENV, raising=False)
     n, warmup = 200_000, 50_000
     trace = generate_trace("mcf", n, seed=3)
     tracemalloc.start()

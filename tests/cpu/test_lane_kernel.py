@@ -119,19 +119,19 @@ class TestKernelVsFallback:
         items = [(config, m) for m in range(SETTINGS.n_fault_maps)]
         with_kernel = _run_batch(session, items)
         assert with_kernel == _run_batch(session, items, engine="object")
-        # REPRO_NO_CKERNEL leaves the same pipelines without lanes: each
-        # runs the object loop.
+        # REPRO_NO_CKERNEL leaves the same pipelines their lanes, and
+        # run_batch and run() both take the object loop at run time.
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         assert lane_kernel.load() is None
+        assert _run_batch(session, items) == with_kernel
         pipelines = [session.build_pipeline(c, m) for c, m in items]
-        assert all(p.kernel_lane() is None for p in pipelines)
         trace = session.trace("gzip")
         assert [p.run(trace, measure_from=WARMUP) for p in pipelines] == with_kernel
 
     @pytest.mark.parametrize("measure_from", [0, WARMUP])
     def test_prewarmed_hierarchy_matches_the_object_engine(self, session, measure_from):
         """A hierarchy already driven through 1,500 mcf instructions has
-        no batch key, so the default engine runs it on the object loop:
+        no kernel lane, so the default engine runs it on the object loop:
         its statistics accumulate over the warm-up like the object
         engine's (a kernel pass would count from zero)."""
         trace = session.trace("gzip")
@@ -139,7 +139,7 @@ class TestKernelVsFallback:
         for engine in ("fused", "object"):
             pipeline = session.build_pipeline(LV_BLOCK, 0, engine=engine)
             _warm(pipeline.hierarchy, session.trace("mcf"), 1_500)
-            assert pipeline.batch_key() is None
+            assert pipeline.kernel_lane() is None
             results.append(pipeline.run(trace, measure_from=measure_from))
         assert results[0] == results[1]
 
@@ -205,12 +205,12 @@ class TestSetMajorLanes:
         for config in (LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10)
     ]
 
-    @pytest.mark.parametrize("prefetch_degrees", [(0, 0), (1, 2)])
-    def test_lane_order_permutes_results(self, session, prefetch_degrees):
+    @pytest.mark.parametrize("prefetch_degree", [0, 2])
+    def test_lane_order_permutes_results(self, session, prefetch_degree):
         trace = session.trace("gzip")
         lanes = [
             dataclasses.replace(
-                session._kernel_lane(config, m), prefetch_degrees=prefetch_degrees
+                session._kernel_lane(config, m), prefetch_degree=prefetch_degree
             )
             for config, m in self.ITEMS
         ]
@@ -243,8 +243,8 @@ class _CountingKernel:
 
 @kernel_available
 class TestRouting:
-    """Exactly the pipelines with a batch key run in the kernel; ``run``
-    drives it directly, never through ``run_batch``."""
+    """Exactly the pipelines with a kernel lane run in the kernel, when
+    it loads; ``run`` drives it directly, never through ``run_batch``."""
 
     @pytest.fixture()
     def counter(self, monkeypatch):
@@ -273,12 +273,11 @@ class TestRouting:
 
     def test_block_disabling_runs_in_the_kernel(self, session, counter):
         pipeline = session.build_pipeline(LV_BLOCK, 0)
-        assert pipeline.batch_key() is not None
+        assert pipeline.kernel_lane() is not None
         pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 2  # warmup prefix, then the measured region
 
     def _assert_object_loop(self, pipeline, session, counter) -> None:
-        assert pipeline.batch_key() is None
         pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 0
 
@@ -286,7 +285,7 @@ class TestRouting:
         pipeline = OutOfOrderPipeline(
             session.pipeline_config, self._hierarchy(prefetch_degree=1)
         )
-        assert pipeline.batch_key() is not None
+        assert pipeline.kernel_lane() is not None
         pipeline.run(session.trace("gzip"), measure_from=WARMUP)
         assert counter.calls == 2  # warmup prefix, then the measured region
 
@@ -294,6 +293,7 @@ class TestRouting:
         enabled = [[w != 0 for w in range(L2_GEOMETRY.ways)]] * L2_GEOMETRY.num_sets
         l2 = SetAssociativeCache(L2_GEOMETRY, enabled_ways=enabled, name="l2")
         pipeline = OutOfOrderPipeline(session.pipeline_config, self._hierarchy(l2=l2))
+        assert pipeline.kernel_lane() is None
         self._assert_object_loop(pipeline, session, counter)
 
     def test_unmodelled_prefetcher_runs_the_object_loop(self, session, counter):
@@ -312,7 +312,25 @@ class TestRouting:
 
         trace = session.trace("gzip")
         pipeline = build("fused")
-        assert pipeline.batch_key() is None
+        assert pipeline.kernel_lane() is None
+        result = pipeline.run(trace, measure_from=WARMUP)
+        assert counter.calls == 0
+        assert result == build("object").run(trace, measure_from=WARMUP)
+
+    def test_unequal_prefetch_degrees_run_the_object_loop(self, session, counter):
+        """A lane has one prefetch degree for both L1s, as a
+        ``MemoryHierarchy`` builds them: a D-side prefetcher added by
+        hand beside none on the I side runs the object loop and matches
+        the object engine."""
+
+        def build(engine):
+            hierarchy = self._hierarchy()
+            hierarchy.dport.prefetcher = NextLinePrefetcher(hierarchy.l1d, 2)
+            return OutOfOrderPipeline(session.pipeline_config, hierarchy, engine=engine)
+
+        trace = session.trace("gzip")
+        pipeline = build("fused")
+        assert pipeline.kernel_lane() is None
         result = pipeline.run(trace, measure_from=WARMUP)
         assert counter.calls == 0
         assert result == build("object").run(trace, measure_from=WARMUP)
@@ -328,6 +346,7 @@ class TestRouting:
         )
         for p in (fused, reference):
             p.hierarchy.access_instruction(1 << 30)
+        assert fused.kernel_lane() is None
         self._assert_object_loop(fused, session, counter)  # the first run
         reference.run(trace, measure_from=WARMUP)
         assert fused.run(trace, measure_from=WARMUP) == reference.run(
@@ -362,7 +381,7 @@ class TestRouting:
 
         pipeline = build("fused")
         assert [c._clock for c in (pipeline.hierarchy.l1i, pipeline.hierarchy.l1d)] == [0, 0]
-        assert pipeline.batch_key() is None
+        assert pipeline.kernel_lane() is None
         result = pipeline.run(trace, measure_from=0)
         assert counter.calls == 0
         assert result == build("object").run(trace, measure_from=0)
@@ -371,11 +390,15 @@ class TestRouting:
 
     def test_object_engine_runs_the_object_loop(self, session, counter):
         pipeline = session.build_pipeline(LV_BLOCK, 0, engine="object")
+        assert pipeline.kernel_lane() is None
         self._assert_object_loop(pipeline, session, counter)
 
     def test_env_override_runs_the_object_loop(self, session, counter, monkeypatch):
+        """Without the kernel a pipeline keeps its lane; ``run`` picks
+        the object loop when it runs."""
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         pipeline = session.build_pipeline(LV_BLOCK, 0)
+        assert pipeline.kernel_lane() is not None
         self._assert_object_loop(pipeline, session, counter)
 
 

@@ -89,7 +89,7 @@ class TestStructuralLimits:
             None,
             None,
             (victim, victim),
-            prefetch_degrees=(0, 0),
+            prefetch_degree=0,
         )
         expected = SimResult(empty.name, 0, 0, 0, 0, HierarchyStats().snapshot())
         assert pipeline.run(empty) == expected

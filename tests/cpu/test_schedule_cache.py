@@ -226,10 +226,13 @@ def test_keys_separate_content_and_frontend_parameters(tmp_path):
     ) != schedule_disk_key(base, PAPER_PIPELINE, OFFSET_BITS, MEASURE_FROM)
 
 
-def test_env_variable_names_the_cache(tmp_path, monkeypatch):
+def test_a_trace_outside_a_provider_persists_no_schedule(tmp_path, monkeypatch):
+    """Only a provider's stamp names a schedule directory:
+    ``$REPRO_TRACE_CACHE`` alone leaves a trace built outside a provider
+    without one."""
     before = dict(SCHEDULE_CACHE_STATS)
     monkeypatch.setenv("REPRO_TRACE_CACHE", os.fspath(tmp_path))
     trace = _trace()
     frontend_schedule(trace, PAPER_PIPELINE, OFFSET_BITS, MEASURE_FROM)
-    assert _delta(before, "persisted") == 1
-    assert any(p.startswith("sched-") for p in os.listdir(tmp_path))
+    assert _delta(before, "persisted") == _delta(before, "loaded") == 0
+    assert not any(p.startswith("sched-") for p in os.listdir(tmp_path))

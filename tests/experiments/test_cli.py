@@ -390,18 +390,27 @@ class TestSubcommands:
             assert err.splitlines() == [err.strip()]
             assert err.startswith(f"bad environment value: {name}={value!r}: ")
 
-    def test_non_campaign_targets_skip_settings_but_export_the_trace_cache(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.experiments.providers import TRACE_CACHE_ENV
-
+    def test_non_campaign_targets_skip_settings(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_MAPS", "0")
-        monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
         argv = ["fig3", "--no-store", "--trace-cache", str(tmp_path)]
         assert main(argv) == 0
         assert "fig3" in capsys.readouterr().out
-        # still exported: ablation studies' traces persist schedules there
-        assert os.environ[TRACE_CACHE_ENV] == str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "targets", [["fig3"], [*FAST_PERF_ARGS, "--dry-run"]], ids=["fig3", "fig8"]
+    )
+    def test_the_trace_cache_flag_leaves_the_environment(
+        self, capsys, monkeypatch, tmp_path, targets
+    ):
+        """``--trace-cache`` reaches the session's trace provider alone:
+        nothing is exported for traces built outside it."""
+        from repro.experiments.providers import TRACE_CACHE_ENV
+
+        monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
+        before = dict(os.environ)
+        assert main([*targets, "--no-store", "--trace-cache", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert dict(os.environ) == before
 
     def test_submit_spec_from_figures_matches_run_union(self):
         from repro.campaign.spec import CampaignSpec

@@ -1,10 +1,11 @@
 """Cross-point lane passes: signatures, planning, group execution.
 
 The planner merges every pending (config, fault-map) lane of a campaign
-that shares a benchmark trace and a pipeline batch signature — across
-campaign points and figures — into lane-kernel schedule passes.  These
-tests pin the grouping rules, the store scatter/dedup, the schedule-pass
-accounting, and bit-identity against per-point ``simulate`` calls.
+that shares a benchmark trace and a lane structure — across campaign
+points and figures — into schedule passes, with the lane kernel or
+without it.  These tests pin the grouping rules, the store
+scatter/dedup, the schedule-pass accounting, and bit-identity against
+per-point ``simulate`` calls.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import PoolExecutor, Progress, RunnerSettings, Session
-from repro.cpu import lane_kernel
 from repro.experiments.configs import (
     LV_BASELINE,
     LV_BLOCK,
@@ -41,12 +41,6 @@ def _all_items(settings, configs):
                 yield config, m
         else:
             yield config, None
-
-
-#: Merging needs batch keys, which exist only with the compiled kernel.
-requires_kernel = pytest.mark.skipif(
-    lane_kernel.load() is None, reason="no compiled lane kernel on this host"
-)
 
 
 def _plan_groups(session, configs):
@@ -81,7 +75,6 @@ class TestSignatures:
             LV_BLOCK
         )
 
-    @requires_kernel
     def test_structural_differences_split(self, session):
         signatures = {
             session.batch_signature(c)
@@ -98,13 +91,12 @@ class TestSignatures:
         )
 
     def test_signature_is_map_independent(self, session):
-        key0 = session.build_pipeline(LV_BLOCK, 0).batch_key()
-        key1 = session.build_pipeline(LV_BLOCK, 1).batch_key()
-        assert key0 == key1 == session.batch_signature(LV_BLOCK)
+        structure0 = session.build_pipeline(LV_BLOCK, 0).kernel_lane().structure
+        structure1 = session.build_pipeline(LV_BLOCK, 1).kernel_lane().structure
+        assert structure0 == structure1 == session.batch_signature(LV_BLOCK)
 
 
 class TestPlanning:
-    @requires_kernel
     def test_groups_merge_across_points(self, session):
         plan = _plan_groups(session, CONFIGS)
         merged = {tuple((c.label, m) for c, m in group) for group in plan}
@@ -133,7 +125,6 @@ class TestPlanning:
 
 
 class TestGroupExecution:
-    @requires_kernel
     def test_mixed_config_group_matches_sequential(self, session, reference):
         items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
         results = session.run_group("gzip", items)
@@ -147,7 +138,6 @@ class TestGroupExecution:
                 (config.label, m)
             ]
 
-    @requires_kernel
     def test_heterogeneous_items_split_by_signature(self, session, reference):
         # A word-disabling lane among block-disabling ones must not trip
         # the engine's sequential fallback: it splits into its own
@@ -178,7 +168,6 @@ class TestGroupExecution:
 
 
 class TestRunMega:
-    @requires_kernel
     def test_fewer_schedule_passes_than_points(self, session, reference):
         executed = session.run_all(session.spec(CONFIGS)).pending
         assert executed == len(list(_all_items(SETTINGS, CONFIGS)))
@@ -208,7 +197,6 @@ class TestRunMega:
 
 
 class TestParallelMega:
-    @requires_kernel
     def test_worker_batches_are_trace_groups(self, session):
         batches = session.plan(session.spec(CONFIGS)).worker_batches()
         flat = [task for batch in batches for task in batch]
@@ -219,7 +207,6 @@ class TestParallelMega:
         # At least one dispatch unit spans several campaign points.
         assert any(len(labels) > 1 for labels in labels_per_batch)
 
-    @requires_kernel
     def test_parallel_prefill_matches_sequential(self, reference):
         parallel = Session(SETTINGS)
         executed = parallel.run_all(

@@ -14,7 +14,7 @@ from repro.cpu import lane_kernel
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 
-#: For the tests that count lane-kernel passes (none run without it).
+#: For the tests that need the kernel's own passes.
 requires_kernel = pytest.mark.skipif(
     lane_kernel.load() is None, reason="no compiled lane kernel on this host"
 )
@@ -58,7 +58,6 @@ def test_batch_skips_stored_lanes():
     assert session.simulations_executed == executed_before + 3
 
 
-@requires_kernel
 def test_lane_width_bounds_batches(monkeypatch):
     expected = Session(SETTINGS).run_group("gzip", _lanes(LV_BLOCK))
     monkeypatch.setattr(plan_module, "PASS_LANES", 2)
@@ -97,13 +96,11 @@ def test_normalized_series_identical_across_paths(monkeypatch):
 
 @requires_kernel
 def test_kernel_lanes_build_no_hierarchy(monkeypatch):
-    """Once the signatures are memoised, a merged pass builds its lanes
-    from the schemes' enabled-way matrices: no object hierarchy.  A lazy
-    ``simulate`` of an eligible point is a one-lane pass of the same
-    kind, one schedule pass and one simulation each."""
-    session = Session(SETTINGS)
-    for config in (LV_BLOCK, LV_BASELINE):
-        assert session.batch_signature(config) is not None
+    """On a kernel host nothing a campaign does builds an object
+    hierarchy: planning reads each configuration's lane structure, and
+    every pass runs lanes built from the schemes' enabled-way matrices.
+    A lazy ``simulate`` is a one-lane pass of the same kind, one
+    schedule pass and one simulation each."""
     built = []
     init = MemoryHierarchy.__init__
 
@@ -112,6 +109,7 @@ def test_kernel_lanes_build_no_hierarchy(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MemoryHierarchy, "__init__", counting)
+    session = Session(SETTINGS)
     for config, m in ((LV_BASELINE, None), (LV_BLOCK, 0)):
         passes, executed = session.schedule_passes, session.simulations_executed
         session.simulate("gzip", config, m)
@@ -121,4 +119,6 @@ def test_kernel_lanes_build_no_hierarchy(monkeypatch):
         )
     session.run_group("gzip", _lanes(LV_BLOCK))
     assert session.simulations_executed == 1 + SETTINGS.n_fault_maps
+    plan = session.run_all(session.spec((LV_BASELINE, LV_WORD, LV_BLOCK)))
+    assert plan.pending == 1  # word disabling's point
     assert built == []

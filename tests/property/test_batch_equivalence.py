@@ -12,7 +12,7 @@ space: pipeline widths, FU pools, ring sizes, front-end depths, cache
 geometries and latencies, prefetch degrees, trace lengths and warmup
 boundaries, through ``run()``, ``run_batch()`` over the pipelines'
 ``kernel_lane()`` values and ``run_batch()`` over directly built kernel
-lanes, prefetching ones included.
+lanes, prefetching ones included, with the kernel and without it.
 """
 
 from __future__ import annotations
@@ -58,6 +58,15 @@ def _kernel_lanes(pipelines: "list[OutOfOrderPipeline]") -> list[KernelLane]:
     lanes = [p.kernel_lane() for p in pipelines]
     assert None not in lanes
     return lanes
+
+
+def _lane_values(lane: KernelLane) -> tuple:
+    """Everything a lane holds, comparable with ``==``."""
+    return (
+        lane.structure,
+        lane.victim_entries,
+        *(None if e is None else e.tolist() for e in (lane.enabled_i, lane.enabled_d)),
+    )
 
 
 @requires_kernel
@@ -214,8 +223,8 @@ LATENCIES = st.builds(
 @st.composite
 def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
     """A pipeline config, the (L1I, L1D, L2) geometries and latencies
-    every lane shares — every structural parameter of the batch key,
-    the prefetch degree (0 for none) included — and 1-3 lanes of
+    every lane shares — every structural parameter of a lane pass, the
+    prefetch degree (0 for none) included — and 1-3 lanes of
     ``(L1I enabled ways, L1D enabled ways, victim entries)``: thinning
     and victim sizes differ per lane."""
     config = draw(PIPELINE_CONFIGS)
@@ -274,20 +283,29 @@ def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
 
     expected = [p.run(trace, measure_from=measure_from) for p in pipelines("object")]
     single = pipelines()
-    assert all(p.batch_key() is not None for p in single)
+    assert all(p.kernel_lane() is not None for p in single)
     assert [p.run(trace, measure_from=measure_from) for p in single] == expected
     assert OutOfOrderPipeline.run_batch(
         _kernel_lanes(pipelines()), trace, measure_from=measure_from
     ) == expected
     # The same draws as directly built lanes: arrays from the matrices,
-    # victim sizes and prefetch degrees, no object hierarchy.
+    # victim sizes and the prefetch degree, no object hierarchy.  Each
+    # lane's object-loop twin gives the lane back, and with the kernel
+    # disabled run_batch runs those twins to the same results.
     kernel_lanes = [
         KernelLane(
             config, latencies, levels, enabled_i, enabled_d, (victims, victims),
-            (degree, degree),
+            degree,
         )
         for enabled_i, enabled_d, victims in lanes
     ]
+    for lane in kernel_lanes:
+        assert _lane_values(lane.pipeline().kernel_lane()) == _lane_values(lane)
     assert OutOfOrderPipeline.run_batch(
         kernel_lanes, trace, measure_from=measure_from
     ) == expected
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setenv("REPRO_NO_CKERNEL", "1")
+        assert OutOfOrderPipeline.run_batch(
+            kernel_lanes, trace, measure_from=measure_from
+        ) == expected

@@ -164,7 +164,7 @@ def test_thinning_never_lowers_l1_misses_in_a_lane_pass(
     lanes = [
         KernelLane(
             PAPER_PIPELINE, SMALL_LATENCIES, (SMALL_L1, SMALL_L1, SMALL_L2),
-            enabled_i, enabled_d, (victims, victims), (0, 0),
+            enabled_i, enabled_d, (victims, victims), 0,
         )
         for enabled_i, enabled_d in chain
     ]

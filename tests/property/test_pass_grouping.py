@@ -2,12 +2,10 @@
 
 Whatever configurations, map count and store holes a campaign has, its
 plan groups partition the pending work items into schedule passes of one
-benchmark and one batch signature: merged passes hold at most
-``PASS_LANES`` lanes, and those of one (benchmark, signature) differ in
-size by at most one; an item without a signature (every item, with the
-lane kernel off) is a pass of its own; and serial execution spends
-exactly the predicted passes, one per group, with the lane kernel on and
-off.  ``PASS_LANES`` is patched small so that groups wider than one pass
+benchmark and one batch signature: passes hold at most ``PASS_LANES``
+lanes, and those of one (benchmark, signature) differ in size by at most
+one; and serial execution spends exactly the predicted passes, one per
+group, with the lane kernel on and off.  ``PASS_LANES`` is patched small so that groups wider than one pass
 stay cheap to simulate.
 """
 
@@ -81,13 +79,11 @@ def test_groups_are_balanced_single_signature_passes(campaign):
 
         sizes: dict[tuple, list[int]] = defaultdict(list)
         for group in plan.groups:
-            assert 1 <= len(group) <= (WIDTH if group.merged else 1)
+            assert 1 <= len(group) <= WIDTH
             assert {item.benchmark for item in group.items} == {group.benchmark}
             signatures = {session.batch_signature(item.config) for item in group.items}
             assert signatures == {group.signature}
-            assert group.merged == (group.signature is not None)
-            if group.merged:
-                sizes[(group.benchmark, group.signature)].append(len(group))
+            sizes[(group.benchmark, group.signature)].append(len(group))
         for passes in sizes.values():
             assert max(passes) - min(passes) <= 1
             assert len(passes) == math.ceil(sum(passes) / WIDTH)

@@ -94,6 +94,38 @@ class TestVerify:
         assert main(["verify", str(tmp_path)]) == 0
         assert "legacy v1" in capsys.readouterr().out
 
+    @staticmethod
+    def _torn_log(directory) -> "tuple[list, bytes]":
+        """A 3-record log whose last record lost its newline."""
+        with open_store(str(directory)) as store:
+            pairs = fill(store, 3)
+        path = directory / RESULTS_FILENAME
+        path.write_bytes(path.read_bytes()[:-1])
+        return pairs, path.read_bytes()
+
+    def test_verify_writes_nothing_to_a_torn_tail(self, tmp_path, capsys):
+        """The newline-less record decodes, so the log verifies clean,
+        and verify leaves every byte as it found it."""
+        _, torn = self._torn_log(tmp_path)
+        assert main(["verify", str(tmp_path)]) == 0
+        assert "verify: clean" in capsys.readouterr().out
+        assert (tmp_path / RESULTS_FILENAME).read_bytes() == torn
+
+    def test_the_first_put_terminates_a_torn_tail(self, tmp_path):
+        """Opening the store writes nothing; its first put terminates the
+        torn line before appending, and all four records read back."""
+        pairs, torn = self._torn_log(tmp_path)
+        path = tmp_path / RESULTS_FILENAME
+        with open_store(str(tmp_path)) as store:
+            assert path.read_bytes() == torn
+            store.put(make_key(3), make_result(3))
+        assert path.read_bytes().startswith(torn + b"\n")
+        with open_store(str(tmp_path)) as store:
+            assert not store.health().damaged
+            assert len(store) == 4
+            for key, result in [*pairs, (make_key(3), make_result(3))]:
+                assert store.get(key) == result
+
 
 class TestRepair:
     def test_repair_heals_then_verify_is_clean(self, damaged_dir, capsys):
