@@ -17,9 +17,11 @@ the same campaign must plan the same pass, regenerate its trace with
 the Python walk and run through the object loop in exactly its
 predicted passes to byte-identical figures; the vectorised
 schedule compiler must match the reference replay; the trace kernel
-must generate the Python walk's trace and RNG state; and a small
+must generate the Python walk's trace and RNG state; a small
 block-size x prefetching study must render byte-identically with its
-prefetching runs in the lane kernel and on the object loop.
+prefetching runs in the lane kernel and on the object loop; and a
+25-lane pass must give the object runs' results as one, two and three
+threaded kernel slices, and split in two by default on two CPUs.
 The ``sanitize`` smoke rebuilds both kernels with AddressSanitizer and
 UBSan and runs the kernel, fuzzed-equivalence, golden, prefetcher and
 workload tests against them: a sanitizer report fails the gate.
@@ -486,16 +488,23 @@ def smoke_kernel(json_dir: str) -> list[str]:
     block-size x prefetching study over swim at 32- and 64-B blocks
     (3,000 instructions) must run its two prefetching runs in the lane
     kernel, and render a figure CSV and ``SimResult`` list identical to
-    the ``REPRO_NO_CKERNEL=1`` object-loop leg's.
+    the ``REPRO_NO_CKERNEL=1`` object-loop leg's.  One 25-lane gzip pass
+    of mixed victim sizes, without and with prefetchers, run as 1, 2 and
+    3 threaded kernel slices, must equal each lane's object run; the
+    slice count the default rule picks for it is recorded, and must be 2
+    or more where the process may use 2 or more CPUs.
     """
+    import dataclasses
     import io
 
     import numpy as np
 
+    from repro.budget import cpu_budget
     from repro.campaign.events import signature_digest
     from repro.campaign.session import Session
     from repro.campaign.spec import CampaignSpec, RunnerSettings
     from repro.cpu import frontend, lane_kernel
+    from repro.cpu import pipeline as pipeline_mod
     from repro.cpu.pipeline import OutOfOrderPipeline
     from repro.experiments.ablation import blocksize_prefetch_study
     from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
@@ -654,11 +663,45 @@ def smoke_kernel(json_dir: str) -> list[str]:
             f"expected {expected_routing}"
         )
 
+    # Threaded kernel slices: one 25-lane pass, forced to 1-3 slices.
+    warmup = settings.warmup_instructions
+    wide = [
+        reference_session._kernel_lane(config, m)
+        for m in range(9)
+        for config in configs
+    ][:25]
+    rule = pipeline_mod.kernel_slices
+    default_slices = rule(len(wide), len(trace))
+    slices_identical = {}
+    for degree in (0, 1):
+        lanes = [dataclasses.replace(lane, prefetch_degree=degree) for lane in wide]
+        expected = [lane.pipeline("object").run(trace, warmup) for lane in lanes]
+        for k in (1, 2, 3):
+            pipeline_mod.kernel_slices = lambda lanes, instructions, k=k: k
+            try:
+                sliced = OutOfOrderPipeline.run_batch(lanes, trace, warmup)
+            finally:
+                pipeline_mod.kernel_slices = rule
+            slices_identical[f"prefetch {degree}, {k} slices"] = sliced == expected
+    if not all(slices_identical.values()):
+        failures.append(
+            "a sliced 25-lane pass diverged from the object runs "
+            f"(identical: {slices_identical})"
+        )
+    if kernel_active and cpu_budget() >= 2 and default_slices < 2:
+        failures.append(
+            f"the slice rule keeps a 25-lane pass of {len(trace)} instructions "
+            f"whole on {cpu_budget()} CPUs"
+        )
+
     _write(
         json_dir,
         "kernel",
         {
             "kernel_active": kernel_active,
+            "cpu_budget": cpu_budget(),
+            "default_slices": default_slices,
+            "slices_identical": slices_identical,
             "trace_kernel_active": trace_kernel_active,
             "trace_walk_identical": walk_identical,
             "lanes": len(items),
@@ -1328,7 +1371,9 @@ def smoke_predict(json_dir: str) -> list[str]:
 #: kernel-eligible golden scenario reaches the lane kernel, single and as
 #: two kernel lanes of one pass, the property suite fuzzes its whole
 #: eligible space (prefetching lanes included) through pipelines' and
-#: directly built kernel lanes, and the session-lane tests drive arrays
+#: directly built kernel lanes, each pass also split into 1-4 threaded
+#: slices, as the lane-kernel tests split theirs (so the threaded entry
+#: runs instrumented), and the session-lane tests drive arrays
 #: built from enabled-way matrices, victim-less lanes padded beside 8-
 #: and 16-entry ones; the prefetcher tests and the block-size x
 #: prefetching study drive the prefetchers' tag sets, which every pass

@@ -120,8 +120,14 @@ class VectorCache:
         self.ways = ways
         self.set_mask = sets - 1
         self.tag_shift = geometry.index_bits
-        self.tags = np.full((sets, len(enabled), ways), -1, dtype=np.int64)
-        self.last = np.full_like(self.tags, -1)
+        # One block for both, not two arrays: a pass slice's L2 state
+        # (0.5 MB per lane) then stays one allocation of 4 MB or more
+        # from about eight lanes on, which NumPy backs with huge pages;
+        # as two arrays, a 25-lane pass set up twice as slowly in two
+        # slices as in one.
+        self.tags, self.last = np.full(
+            (2, sets, len(enabled), ways), -1, dtype=np.int64
+        )
         #: ``None`` without ``dirty``: the L2's blocks are never written
         #: back, so the kernel keeps dirty bytes at the L1s only.
         self.dirty = np.zeros(self.tags.shape, dtype=np.bool_) if dirty else None

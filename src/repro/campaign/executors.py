@@ -45,6 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from repro.budget import cpu_budget, set_cpu_budget, worker_budget
 from repro.cpu.pipeline import SimResult
 
 from repro.campaign.events import (
@@ -135,11 +136,15 @@ def _worker_init(
     settings,
     trace_cache: "str | None" = None,
     chaos_epoch: int = 0,
+    cpus: "int | None" = None,
 ) -> None:
     global _WORKER_SESSION
     from repro.campaign.session import Session
 
     _shed_parent_signal_plumbing()
+    # This worker's share of the parent's CPU budget, which its kernel
+    # slices and fault-map threads spend (see repro.budget).
+    set_cpu_budget(cpus)
     # Arm worker-only chaos injection with the pool generation: a task
     # retried after a crash/hang rebuild re-rolls its injected fate.
     chaos.enter_worker(chaos_epoch)
@@ -289,7 +294,10 @@ class PoolExecutor(Executor):
             # (Workers that miss simultaneously on a cold cache may each
             # generate once — the aggregated `traces generated=` summary
             # reports it truthfully.)
-            initargs=(session.settings, session.traces.cache_dir, epoch),
+            initargs=(
+                session.settings, session.traces.cache_dir, epoch,
+                worker_budget(workers),
+            ),
         )
 
     def _submit(self, pool, session: "Session", chunk: _Chunk) -> Future:
@@ -386,7 +394,7 @@ class PoolExecutor(Executor):
         total = plan.pending
         if total == 0:
             return
-        workers = self.workers if self.workers is not None else os.cpu_count() or 1
+        workers = self.workers if self.workers is not None else cpu_budget()
         workers = min(workers, len(batches))
         if workers <= 1:
             yield from SerialExecutor().run(session, plan)

@@ -23,9 +23,11 @@ one :class:`CKernel`, and every kernel is built and loaded the same way:
 ``REPRO_NO_CKERNEL=1`` disables every kernel.
 
 Every kernel entry point takes one pointer to an argument struct, an
-:class:`Args`: its C ``typedef`` and its ``ctypes`` twin come from one
-field table, so the two layouts cannot disagree, and :meth:`Args.pack`
-checks every array's dtype and contiguity before its address reaches C.
+:class:`Args` (the lane kernel's points to the first of an array of
+them, :meth:`Args.pack_array`): its C ``typedef`` and its ``ctypes``
+twin come from one field table, so the two layouts cannot disagree, and
+:meth:`Args.pack` checks every array's dtype and contiguity before its
+address reaches C.
 """
 
 from __future__ import annotations
@@ -100,14 +102,24 @@ class Args:
         ``None`` for ``NULL``; a nested field takes a dict of its own
         fields.  Anything else is refused with a ``TypeError`` naming the
         field, because the kernel trusts every pointer.  The struct keeps
-        its arrays alive.
+        its arrays alive, by field name (``ip.tags``) in ``_arrays``.
         """
-        arrays: list[np.ndarray] = []
+        arrays: dict[str, np.ndarray] = {}
         struct = self._pack(values, "", arrays)
         struct._arrays = arrays
         return struct
 
-    def _pack(self, values: dict, prefix: str, arrays: list) -> ctypes.Structure:
+    def pack_array(self, values: "list[dict]") -> ctypes.Array:
+        """A C array of structs, one :meth:`pack` per dict in ``values``.
+        An entry point taking a pointer to this struct gets the first
+        element's address.  The array keeps every element's arrays alive
+        (``_arrays``: one dict per element)."""
+        structs = [self.pack(**fields) for fields in values]
+        array = (self.struct * len(structs))(*structs)
+        array._arrays = [struct._arrays for struct in structs]
+        return array
+
+    def _pack(self, values: dict, prefix: str, arrays: dict) -> ctypes.Structure:
         struct = self.struct()
         for name, value in values.items():
             kind = self.fields.get(name)
@@ -123,7 +135,7 @@ class Args:
                     or not value.flags.c_contiguous
                 ):
                     raise TypeError(f"{prefix}{name} must be a contiguous {dtype} array")
-                arrays.append(value)
+                arrays[f"{prefix}{name}"] = value
                 value = value.ctypes.data
             setattr(struct, name, value)
         return struct

@@ -33,17 +33,27 @@ index with conditional moves, and the L1 probe selects its matching way.
 Which of equal minima a scan takes never shows: FU pools and issue ports
 are multisets, cache sets and victim slots content-addressed.
 
-State is shared, not marshalled: the kernel takes one argument struct,
-:data:`ARGS` (a :class:`~repro.ckernel.Args`, like the trace kernel's):
-scalars, the cursors a return carries, the two L1 ports and the L2 as
-nested structs, and the addresses of NumPy arrays, each checked for its
-dtype and contiguity by :meth:`~repro.ckernel.Args.pack`.  A call costs
-one ctypes dispatch (~1µs) whatever the lane count; the kernel copies
-every field into a local before its loop and writes the cursors and
-``ret`` back when it returns.  All arithmetic is 64-bit integer and
-results are bit-identical to the object loop — golden-pinned in
-``tests/integration/test_golden_sim.py`` and fuzzed against
-``engine="object"`` in ``tests/property/test_batch_equivalence.py``.
+State is shared, not marshalled: a slice of a pass is one argument
+struct, :data:`ARGS` (a :class:`~repro.ckernel.Args`, like the trace
+kernel's): scalars, the cursors a return carries, the two L1 ports and
+the L2 as nested structs, and the addresses of NumPy arrays, each
+checked for its dtype and contiguity by
+:meth:`~repro.ckernel.Args.pack`.  The kernel takes an array of them
+(:meth:`~repro.ckernel.Args.pack_array`), one per slice, contiguous
+lane ranges of one pass, and the first struct's ``slices`` says how
+many: one call runs every slice, slices 1.. on threads it starts and
+joins (``-pthread``) and slice 0 on the calling thread, which also runs
+any slice whose thread fails to start.  Slices share only what they
+read — the trace's and the schedule's columns, the class tables — so
+every split gives the same bits, and the warmup boundary stays one
+return of every slice.  A call costs one ctypes dispatch (~1µs)
+whatever the lane count, plus a thread start per extra slice; each
+slice copies its fields into locals before its loop and writes its
+cursors and ``ret`` back when it returns.  All arithmetic is 64-bit
+integer and results are bit-identical to the object loop —
+golden-pinned in ``tests/integration/test_golden_sim.py`` and fuzzed
+against ``engine="object"``, split into 1-4 slices, in
+``tests/property/test_batch_equivalence.py``.
 
 The kernel is optional: without a compiler, after a failed build or under
 ``REPRO_NO_CKERNEL=1``, :func:`load` returns ``None`` and every pipeline
@@ -94,10 +104,10 @@ _L2 = Args("l2_t", (
 ))
 #: The argument struct of ``repro_run_lanes``.
 ARGS = Args("args_t", (
-    # constants
-    ("n", "i64"), ("lanes", "i64"), ("wscale", "i64"), ("wm1", "i64"),
-    ("wpow2", "i64"), ("fdelay", "i64"), ("kstamp", "i64"), ("kstep", "i64"),
-    ("dhit", "i64"), ("nports", "i64"), ("rob_size", "i64"),
+    # constants; the first struct's slices is the pass's slice count
+    ("slices", "i64"), ("n", "i64"), ("lanes", "i64"), ("wscale", "i64"),
+    ("wm1", "i64"), ("wpow2", "i64"), ("fdelay", "i64"), ("kstamp", "i64"),
+    ("kstep", "i64"), ("dhit", "i64"), ("nports", "i64"), ("rob_size", "i64"),
     ("iqint_size", "i64"), ("iqfp_size", "i64"), ("doff_bits", "i64"),
     # cursors and results, carried across calls: the instruction, the
     # next I-access and redirect, and the INT and FP issue-queue positions
@@ -298,7 +308,9 @@ static int64_t service(const port_t *p, const l2_t *l2, int64_t l,
     return lat;
 }
 
-void repro_run_lanes(args_t *a) {
+/* One slice of a pass: its lanes through the trace, from the cursors
+   in its struct to the warmup boundary or the trace's end. */
+static void run_slice(args_t *a) {
     const int64_t n = a->n;
     const int64_t L = a->lanes;
     const int64_t W = a->wscale;
@@ -469,11 +481,35 @@ save:
     a->cur_sp = cur_sp;
     a->ret = ret;
 }
+
+static void *slice_main(void *a) {
+    run_slice((args_t *)a);
+    return NULL;
+}
+
+/* Every slice of a pass, a[0 .. a->slices - 1]: slices 1.. on threads of
+   their own, slice 0 on the calling thread, then a join.  Slices write
+   only their own arrays and read the shared ones (the trace's and the
+   schedule's columns, the class tables), so any interleaving gives the
+   same bits; a slice whose thread fails to start runs here after slice
+   0.  Python bounds slices to 1 .. the pass's lanes. */
+void repro_run_lanes(args_t *a) {
+    const int64_t k = a->slices;
+    pthread_t threads[k];
+    int started[k];
+    for (int64_t j = 1; j < k; j++)
+        started[j] = pthread_create(&threads[j], NULL, slice_main, a + j) == 0;
+    run_slice(a);
+    for (int64_t j = 1; j < k; j++) {
+        if (started[j]) pthread_join(threads[j], NULL);
+        else run_slice(a + j);
+    }
+}
 """
 
 
 def _source() -> str:
-    defines = ["#include <stddef.h>", "#include <stdint.h>", ""]
+    defines = ["#include <pthread.h>", "#include <stddef.h>", "#include <stdint.h>", ""]
     defines += [
         f"#define CNT_{name.upper()} {row}"
         for row, name in enumerate(LANE_COUNTERS)
@@ -492,6 +528,7 @@ KERNEL = CKernel(
     ARGS,
     ("repro_run_lanes",),
     fallback="every simulation falls back to the bit-identical object loop",
+    cflags=("-pthread",),
 )
 
 
@@ -499,6 +536,6 @@ def load():
     """The compiled kernel entry point, or ``None`` when unavailable
     (``REPRO_NO_CKERNEL=1``, no working ``gcc``, load failure).  Build
     results — success or failure — are cached for the process.  It takes
-    a pointer to an :data:`ARGS` struct."""
+    an array of :data:`ARGS` structs, one per slice of a pass."""
     lib = KERNEL.load()
     return None if lib is None else lib.repro_run_lanes

@@ -53,17 +53,21 @@ The engine is chosen at run time, never when a campaign is planned:
 pass when the kernel loads, else each lane's :meth:`KernelLane.pipeline`
 on the object loop, and :meth:`~OutOfOrderPipeline.run` drives a
 pipeline's own :meth:`~OutOfOrderPipeline.kernel_lane` as a one-lane
-kernel pass under the same condition.
+kernel pass under the same condition.  So are a kernel pass's threads:
+a wide pass runs as :func:`kernel_slices` slices, contiguous lane ranges
+the kernel advances on threads of one call, within the process's CPU
+budget (:mod:`repro.budget`).  Plans, passes and results do not depend
+on it.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from repro.budget import cpu_budget
 from repro.cache.engine import BulkLanes, bulk_signature
 from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
@@ -81,6 +85,19 @@ from repro.faults.geometry import CacheGeometry
 #: :meth:`~OutOfOrderPipeline.kernel_lane` and the kernel loads,
 #: ``"object"`` always runs the reference object loop.
 ENGINES = ("fused", "object")
+
+#: Lane-instructions (lanes x trace length) that repay one more kernel
+#: slice: its thread, and its own cache state and pass arrays.  Measured
+#: on block-disabling passes of gzip and mcf (README, "Lane passes").
+SLICE_WORK = 40_000
+
+
+def kernel_slices(lanes: int, instructions: int) -> int:
+    """How many threaded slices a kernel pass of ``lanes`` lanes over a
+    trace of ``instructions`` runs as: one per :data:`SLICE_WORK`
+    lane-instructions, at most the process's CPU budget
+    (:func:`repro.budget.cpu_budget`) and its lanes, and at least one."""
+    return max(1, min(cpu_budget(), lanes, lanes * instructions // SLICE_WORK))
 
 
 @dataclass(frozen=True)
@@ -648,30 +665,44 @@ class OutOfOrderPipeline:
         kernel starts.  The kernel returns to Python only at the warmup
         boundary (cycle-base snapshot, counter reset) and at trace end;
         cycle counts are recovered as ``(v - 1) // W``.
+
+        The pass runs as :func:`kernel_slices` slices: contiguous lane
+        ranges, each with its own :class:`~repro.cache.engine.BulkLanes`
+        and pass arrays, all reading one schedule and the trace's
+        columns.  One kernel call runs every slice on threads; every
+        slice stops at the warmup boundary, and each resets its own
+        counters.  Results concatenate in lane order, the same bits at
+        every slice count.
         """
         first = lanes[0]
         n = len(trace)
+        n_lanes = len(lanes)
         cfg = first.config
         w = cfg.commit_width
-        bulk = BulkLanes(
-            first.geometries,
-            first.latencies,
-            [(lane.enabled_i, lane.enabled_d) for lane in lanes],
-            [lane.victim_entries for lane in lanes],
-            lat_scale=w,
-            prefetch_degree=first.prefetch_degree,
-        )
+        # Looked up at call time, so a caller may force a count; the
+        # kernel trusts it, so it is bounded here.
+        k = max(1, min(kernel_slices(n_lanes, n), n_lanes))
         schedule = frontend_schedule(
-            trace, cfg, bulk.geometries[0].offset_bits, measure_from
+            trace, cfg, first.geometries[0].offset_bits, measure_from
         )
-        if bulk.stamp_step > 1:  # a port prefetches
+        bulks = []
+        for j in range(k):  # contiguous slices, sizes differing by at most one
+            part = lanes[j * n_lanes // k : (j + 1) * n_lanes // k]
+            bulks.append(BulkLanes(
+                first.geometries,
+                first.latencies,
+                [(lane.enabled_i, lane.enabled_d) for lane in part],
+                [lane.victim_entries for lane in part],
+                lat_scale=w,
+                prefetch_degree=first.prefetch_degree,
+            ))
+        if first.prefetch_degree:
             d_accesses = np.count_nonzero(
                 (trace.iclass == InstrClass.LOAD) | (trace.iclass == InstrClass.STORE)
             )
-            # The I-access index list ends in a sentinel.
-            bulk.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
-        n_lanes = len(lanes)
-        l2 = bulk.l2
+            for bulk in bulks:
+                # The I-access index list ends in a sentinel.
+                bulk.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
         frontend_delay = cfg.frontend_stages + first.latencies.l1i
         pool_widths = (
             cfg.int_alu_units, cfg.int_mul_units, cfg.fp_alu_units, cfg.fp_mul_units,
@@ -680,27 +711,21 @@ class OutOfOrderPipeline:
         def zeros(*shape):
             return np.zeros(shape, dtype=np.int64)
 
-        v = zeros(n_lanes)  # last_commit * W + commit_slots
-        # Cache state and counters are the bulk engine's own arrays, and
-        # the trace's and schedule's columns are read in place: the kernel
-        # mutates the former, and nothing of the trace's length is
+        # Every slice reads the trace's and the schedule's columns in
+        # place, and the class tables, and owns the rest: the bulk
+        # engine's cache state and counters, which the kernel mutates,
+        # and its timing rows.  Nothing of the trace's length is
         # allocated for a pass.
-        args = lane_kernel.ARGS.pack(
-            n=n, lanes=n_lanes, wscale=w, wm1=w - 1,
+        shared = dict(
+            slices=k, n=n, wscale=w, wm1=w - 1,
             wpow2=int(w & (w - 1) == 0), fdelay=frontend_delay,
-            kstamp=bulk.stamp_base, kstep=bulk.stamp_step,
+            kstamp=bulks[0].stamp_base, kstep=bulks[0].stamp_step,
             dhit=(first.latencies.l1d - 1) * w, nports=cfg.issue_width,
             rob_size=cfg.rob_entries, iqint_size=cfg.iq_int_entries,
             iqfp_size=cfg.iq_fp_entries,
-            doff_bits=bulk.geometries[1].offset_bits,
+            doff_bits=first.geometries[1].offset_bits,
             cur_sp=lane_kernel.CUR_SP_INVALID,
             boundary=measure_from if measure_from > 0 else -1,
-            ip=_port_args(bulk.iport, n_lanes),
-            dp=_port_args(bulk.dport, n_lanes),
-            l2=dict(
-                ways=l2.ways, row=n_lanes * l2.ways, set_mask=l2.set_mask,
-                index_bits=l2.tag_shift, tags=l2.tags, last=l2.last,
-            ),
             execlat=np.array(
                 [(EXECUTION_LATENCY[cls] - 1) * w for cls in InstrClass], dtype=np.int64
             ),
@@ -711,26 +736,54 @@ class OutOfOrderPipeline:
             sps=schedule.static_fetch, ia_idx=schedule.iaccess_index,
             ia_lines=schedule.iaccess_line, rd_idx=schedule.redirect_index,
             rd_snext=schedule.redirect_static_next,
-            reg=zeros(NUM_REGISTERS, n_lanes),
-            rob=zeros(cfg.rob_entries, n_lanes),  # scaled dispatch bounds
-            iqint=zeros(cfg.iq_int_entries, n_lanes),
-            iqfp=zeros(cfg.iq_fp_entries, n_lanes),
-            **{f"pool{j}": zeros(n_lanes, width) for j, width in enumerate(pool_widths)},
-            ports=zeros(n_lanes, cfg.issue_width),
-            dyn=np.full(n_lanes, frontend_delay * w, dtype=np.int64),
-            fetch_base=zeros(n_lanes),
-            v=v,
         )
+        vs = [zeros(bulk.lanes) for bulk in bulks]  # last_commit * W + commit_slots
+        args = lane_kernel.ARGS.pack_array([
+            dict(
+                shared,
+                lanes=bulk.lanes,
+                ip=_port_args(bulk.iport, bulk.lanes),
+                dp=_port_args(bulk.dport, bulk.lanes),
+                l2=dict(
+                    ways=bulk.l2.ways, row=bulk.lanes * bulk.l2.ways,
+                    set_mask=bulk.l2.set_mask, index_bits=bulk.l2.tag_shift,
+                    tags=bulk.l2.tags, last=bulk.l2.last,
+                ),
+                reg=zeros(NUM_REGISTERS, bulk.lanes),
+                rob=zeros(cfg.rob_entries, bulk.lanes),  # scaled dispatch bounds
+                iqint=zeros(cfg.iq_int_entries, bulk.lanes),
+                iqfp=zeros(cfg.iq_fp_entries, bulk.lanes),
+                **{
+                    f"pool{j}": zeros(bulk.lanes, width)
+                    for j, width in enumerate(pool_widths)
+                },
+                ports=zeros(bulk.lanes, cfg.issue_width),
+                dyn=np.full(bulk.lanes, frontend_delay * w, dtype=np.int64),
+                fetch_base=zeros(bulk.lanes),
+                v=v,
+            )
+            for bulk, v in zip(bulks, vs)
+        ])
         cycles_base = 0
-        kernel(ctypes.byref(args))
-        if args.ret == lane_kernel.RET_BOUNDARY:
-            cycles_base = (v - 1) // w
-            bulk.mark_boundary()
-            args.boundary = -1
-            kernel(ctypes.byref(args))
+        kernel(args)
+        rets = {slice_args.ret for slice_args in args}
+        if len(rets) != 1:
+            raise RuntimeError(f"kernel slices returned {sorted(rets)}, not one code")
+        if rets == {lane_kernel.RET_BOUNDARY}:
+            cycles_base = (np.concatenate(vs) - 1) // w
+            for bulk, slice_args in zip(bulks, args):
+                bulk.mark_boundary()
+                slice_args.boundary = -1
+            kernel(args)
 
-        snapshots = bulk.finalize(schedule.iaccess_measured, schedule.daccess_measured)
-        cycles = ((v - 1) // w - cycles_base).tolist()
+        snapshots = [
+            snapshot
+            for bulk in bulks
+            for snapshot in bulk.finalize(
+                schedule.iaccess_measured, schedule.daccess_measured
+            )
+        ]
+        cycles = ((np.concatenate(vs) - 1) // w - cycles_base).tolist()
         mispredictions = (
             schedule.gshare_mispredictions + schedule.ras_mispredictions
         )

@@ -166,7 +166,8 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="fan campaigns across N worker processes through the "
-        "resilient process pool (default: 1, in-process serial)",
+        "resilient process pool, each with its share of the CPUs "
+        "(default: 1, in-process, with threads over every CPU it may use)",
     )
     parser.add_argument(
         "--max-retries",

@@ -20,10 +20,10 @@ warmup than the figure campaign) and bypass the result store, so
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable
 
+from repro.budget import cpu_budget, set_cpu_budget, worker_budget
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core import SCHEMES
@@ -348,12 +348,13 @@ def run_studies(
     """Run named ablation studies concurrently, one study per worker.
 
     Returns ``{name: FigureResult}``; callers print in their own order.
-    ``workers=None`` uses the CPU count; ``progress(done, total)`` is
-    called as each study finishes.
+    ``workers=None`` uses the process's CPU budget
+    (:func:`repro.budget.cpu_budget`), and each worker gets its share of
+    it; ``progress(done, total)`` is called as each study finishes.
     """
     unique = list(dict.fromkeys(names))
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = cpu_budget()
     workers = min(workers, len(unique))
     results: dict[str, FigureResult] = {}
     if workers <= 1:
@@ -363,7 +364,11 @@ def run_studies(
                 progress(i + 1, len(unique))
         return results
     done = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=set_cpu_budget,
+        initargs=(worker_budget(workers),),
+    ) as pool:
         futures = [pool.submit(_study_worker, name) for name in unique]
         for future in as_completed(futures):
             name, result = future.result()

@@ -36,7 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
+from repro.budget import cpu_budget
 from repro.cpu.config import L1_GEOMETRY
 from repro.cpu.diskcache import TRACE_TMP_PREFIX, read_entry, sweep_stale_tmp, write_entry
 from repro.cpu.trace import Trace
@@ -147,7 +150,11 @@ class FaultMapProvider:
     in every process and for every map count — the property the store
     keys rely on.  That is also why the provider draws past
     ``n_fault_maps`` on demand: a session serves specs of any map count
-    at its fidelity.
+    at its fidelity.  It is also why the missing pairs may be drawn on
+    threads, up to the process's CPU budget
+    (:func:`repro.budget.cpu_budget`) and at least two pairs per thread:
+    NumPy releases the GIL while a pair's generator fills its cells, and
+    the list comes out the same, pair for pair, on any thread count.
     """
 
     def __init__(self, settings) -> None:
@@ -168,10 +175,17 @@ class FaultMapProvider:
             # one thread while another simulates on the same session, and
             # two threads extending one list would both append the same
             # pairs, shifting every later index.
-            drawn = self._pairs = drawn + [
-                fault_map_pair(L1_GEOMETRY, settings.pfail, i, settings.seed)
-                for i in range(len(drawn), max(count, settings.n_fault_maps))
-            ]
+            missing = range(len(drawn), max(count, settings.n_fault_maps))
+            draw = partial(
+                fault_map_pair, L1_GEOMETRY, settings.pfail, seed=settings.seed
+            )
+            threads = min(cpu_budget(), len(missing) // 2)
+            if threads > 1:
+                with ThreadPoolExecutor(threads) as pool:
+                    new = list(pool.map(draw, missing))
+            else:
+                new = list(map(draw, missing))
+            drawn = self._pairs = drawn + new
         return drawn[:count]
 
     def pair(self, index: int) -> FaultMapPair:

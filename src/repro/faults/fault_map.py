@@ -33,6 +33,12 @@ import numpy as np
 from repro.faults.geometry import CacheGeometry
 
 
+#: Cells :meth:`FaultMap.generate_batch` draws per RNG call: its float
+#: temporaries stay at 512 KB, whatever the batch, so a thread that
+#: draws maps leaves little behind in its allocator.
+_DRAW_CELLS = 1 << 16
+
+
 def _as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -103,7 +109,8 @@ class FaultMap:
         bit-identical to the *i*-th sequential :meth:`generate` call on
         the same generator — campaign points amortise the RNG dispatch
         without perturbing any existing seed stream (locked by
-        ``tests/faults/test_fault_map.py``).
+        ``tests/faults/test_fault_map.py``).  The stream is drawn
+        :data:`_DRAW_CELLS` cells at a time, in the same order.
         """
         if not 0.0 <= pfail <= 1.0:
             raise ValueError(f"pfail must be a probability, got {pfail!r}")
@@ -111,7 +118,11 @@ class FaultMap:
             raise ValueError("count must be non-negative")
         rng = _as_rng(seed)
         shape = (count, geometry.num_blocks, geometry.cells_per_block)
-        faults = rng.random(shape) < pfail
+        faults = np.empty(shape, dtype=np.bool_)
+        flat = faults.reshape(-1)
+        for start in range(0, flat.size, _DRAW_CELLS):
+            chunk = flat[start : start + _DRAW_CELLS]
+            np.less(rng.random(chunk.size), pfail, out=chunk)
         return [
             cls(geometry=geometry, faults=faults[i], pfail=pfail)
             for i in range(count)

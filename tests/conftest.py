@@ -1,6 +1,9 @@
-"""Shared fixtures: paper geometries, small fast geometries, fault maps."""
+"""Shared fixtures: paper geometries, small fast geometries, fault maps,
+and the CPUs a process may run on."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -35,3 +38,14 @@ def paper_fault_map(paper_geometry: CacheGeometry) -> FaultMap:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(99)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes this process's affinity mask, and with it its
+    CPU budget (``repro.budget.cpu_budget``), ``n`` CPUs."""
+
+    def affinity(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return affinity

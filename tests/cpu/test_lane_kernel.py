@@ -7,12 +7,14 @@ with every pipeline on the object loop.  These tests pin the load gates
 and which runs reach the kernel, and, when a kernel is available, drive
 the same lanes through the kernel and through ``engine="object"`` and
 require byte-identical results (cycles and every statistic), and
-require a lane's result not to depend on its place in a pass.
+require a lane's result not to depend on its place in a pass, nor on
+how many threaded slices the pass runs as.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -26,9 +28,10 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
+from repro.cpu import pipeline as pipeline_mod
 from repro.cpu.config import L1_GEOMETRY, L2_GEOMETRY, LOW_VOLTAGE
 from repro.cpu.isa import InstrClass
-from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.cpu.pipeline import OutOfOrderPipeline, kernel_slices
 from repro.cpu.trace import Trace
 from repro.experiments.configs import (
     LV_BASELINE,
@@ -230,14 +233,19 @@ class TestSetMajorLanes:
 
 
 class _CountingKernel:
-    """Wraps the function ``lane_kernel.load()`` returns, counting calls."""
+    """Wraps the function ``lane_kernel.load()`` returns, counting calls
+    and recording each call's slice count and arrays."""
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
         self.calls = 0
+        self.slices: list[int] = []
+        self.arrays: list[list[dict]] = []
 
     def __call__(self, args) -> None:
         self.calls += 1
+        self.slices.append(args[0].slices)
+        self.arrays.append(args._arrays)
         self.kernel(args)
 
 
@@ -400,6 +408,122 @@ class TestRouting:
         pipeline = session.build_pipeline(LV_BLOCK, 0)
         assert pipeline.kernel_lane() is not None
         self._assert_object_loop(pipeline, session, counter)
+
+
+@kernel_available
+class TestSlices:
+    """A pass split into threaded kernel slices (contiguous lane ranges,
+    each with its own cache state and pass arrays, run in one kernel
+    call) gives the unsplit pass's results, and the object engine's, at
+    every slice count: 4 is more than most hosts' CPUs, and 3 and 4
+    split these seven lanes unevenly."""
+
+    #: Victim-less lanes first: from two slices on, the first slice has
+    #: no victim cache beside slices padding 0-, 8- and 16-entry ones.
+    ITEMS = [
+        (LV_BLOCK, 0), (LV_BLOCK, 1), (LV_BLOCK, 2), (LV_BLOCK_V6, 0),
+        (LV_BLOCK_V10, 1), (LV_BLOCK_V6, 2), (LV_BLOCK_V10, 3),
+    ]
+    #: Fields every slice reads from the one trace, schedule and class
+    #: tables; every other array is the slice's own.
+    SHARED = {
+        "execlat", "fuof", "poolw", "cls", "src1", "src2", "dest", "mem_addr",
+        "sps", "ia_idx", "ia_lines", "rd_idx", "rd_snext",
+    }
+
+    @pytest.fixture()
+    def counter(self, monkeypatch):
+        """Force a slice count (the slice rule looked up at call time)
+        and count the kernel's calls."""
+        counting = _CountingKernel(lane_kernel.load())
+        monkeypatch.setattr(lane_kernel, "load", lambda: counting)
+
+        def force(k: int) -> _CountingKernel:
+            monkeypatch.setattr(
+                pipeline_mod, "kernel_slices", lambda lanes, instructions: k
+            )
+            counting.calls = 0
+            counting.slices.clear()
+            counting.arrays.clear()
+            return counting
+
+        return force
+
+    def _lanes(self, session, prefetch_degree: int = 0) -> list:
+        return [
+            dataclasses.replace(
+                session._kernel_lane(config, m), prefetch_degree=prefetch_degree
+            )
+            for config, m in self.ITEMS
+        ]
+
+    @pytest.mark.parametrize("prefetch_degree", [0, 2])
+    @pytest.mark.parametrize("measure_from", [0, WARMUP])
+    def test_every_slice_count_matches_the_object_engine(
+        self, session, counter, prefetch_degree, measure_from
+    ):
+        trace = session.trace("gzip")
+        lanes = self._lanes(session, prefetch_degree)
+        expected = [lane.pipeline("object").run(trace, measure_from) for lane in lanes]
+        assert len({result.cycles for result in expected}) > 1
+        for k in (1, 2, 3, 4):
+            counter(k)
+            assert OutOfOrderPipeline.run_batch(lanes, trace, measure_from) == expected
+
+    @pytest.mark.parametrize("measure_from, calls", [(0, 1), (WARMUP, 2)])
+    def test_a_sliced_pass_is_one_kernel_call_per_phase(
+        self, session, counter, measure_from, calls
+    ):
+        lanes = self._lanes(session)
+        for k in (1, 2, 3, 4, 99):
+            counting = counter(k)
+            OutOfOrderPipeline.run_batch(lanes, session.trace("gzip"), measure_from)
+            # Python bounds the count the kernel trusts by the lanes.
+            assert counting.slices == [min(k, len(lanes))] * calls
+
+    def test_slices_share_no_writable_memory(self, session, counter):
+        counting = counter(3)
+        OutOfOrderPipeline.run_batch(
+            self._lanes(session, prefetch_degree=1), session.trace("gzip"), WARMUP
+        )
+        slices = counting.arrays[0]
+        assert len(slices) == 3
+        for name in self.SHARED:  # one schedule, one trace, per pass
+            assert all(arrays[name] is slices[0][name] for arrays in slices)
+        own = [
+            [array for name, array in arrays.items() if name not in self.SHARED]
+            for arrays in slices
+        ]
+        assert {"tags", "tset", "vtags"} <= {
+            name.split(".")[-1] for name in slices[2]
+        }
+        for first, second in itertools.combinations(own, 2):
+            for a, b in itertools.product(first, second):
+                assert not np.shares_memory(a, b)
+
+
+class TestSliceRule:
+    """``kernel_slices``: one slice per ``SLICE_WORK`` lane-instructions,
+    within the CPU budget and the lanes."""
+
+    def test_one_lane_and_short_narrow_passes_stay_whole(self, cpus):
+        cpus(64)
+        assert kernel_slices(1, 100_000_000) == 1  # every run() pass
+        # suite_cold's passes: at most five lanes of 6,250 instructions
+        assert [kernel_slices(lanes, 6_250) for lanes in range(1, 6)] == [1] * 5
+
+    def test_a_wide_pass_splits_over_two_cpus(self, cpus):
+        cpus(2)
+        # lanes50_warm's passes: 20-21 lanes, or one, of 25,000 instructions
+        assert [kernel_slices(lanes, 25_000) for lanes in (1, 20, 21)] == [1, 2, 2]
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 8])
+    def test_never_more_than_the_budget_or_the_lanes(self, cpus, budget):
+        cpus(budget)
+        for lanes in range(1, 30):
+            for instructions in (0, 1, 6_250, 25_000, 10**6):
+                k = kernel_slices(lanes, instructions)
+                assert 1 <= k <= min(budget, lanes)
 
 
 @kernel_available

@@ -4,14 +4,21 @@ import gc
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.campaign.spec import RunnerSettings
 from repro.cpu.config import L1_GEOMETRY
+from repro.experiments import providers
 from repro.experiments.providers import FaultMapProvider
 from repro.faults import CacheGeometry, FaultMap, sample_fault_map_pairs
+
+
+def _bits(pairs) -> list:
+    """Every cell of every map of ``pairs``, comparable with ``==``."""
+    return [(p.icache.faults.tobytes(), p.dcache.faults.tobytes()) for p in pairs]
 
 
 class TestGeneration:
@@ -218,6 +225,47 @@ class TestFaultMapProvider:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         assert len(provider.pairs(9)) == 9
+
+    @pytest.fixture()
+    def pools(self, monkeypatch) -> list:
+        """The thread count of every pool the provider starts."""
+        started: list = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, threads):
+                started.append(threads)
+                super().__init__(threads)
+
+        monkeypatch.setattr(providers, "ThreadPoolExecutor", CountingPool)
+        return started
+
+    def test_draws_on_one_and_two_threads_are_identical(self, cpus, pools):
+        """Each pair has its own PCG64 stream, so the threads that draw
+        them cannot change a bit or an index."""
+        settings = RunnerSettings(n_fault_maps=9, seed=5)
+        cpus(1)
+        serial = FaultMapProvider(settings).pairs()
+        assert pools == []
+        cpus(2)
+        threaded = FaultMapProvider(settings).pairs()
+        assert pools == [2]
+        assert _bits(threaded) == _bits(serial)
+        drawn_one_by_one = sample_fault_map_pairs(L1_GEOMETRY, 0.001, 9, seed=5)
+        assert _bits(serial) == _bits(drawn_one_by_one)
+
+    def test_a_thread_draws_at_least_two_pairs(self, cpus, pools):
+        cpus(8)
+        provider = FaultMapProvider(RunnerSettings(n_fault_maps=3, seed=5))
+        provider.pairs()  # 3 pairs: one thread
+        provider.pairs(7)  # 4 more: two threads
+        assert pools == [2]
+
+    def test_a_provider_extended_to_50_equals_one_drawn_at_50(self, cpus):
+        cpus(2)
+        grown = FaultMapProvider(RunnerSettings(n_fault_maps=2, seed=5))
+        assert len(grown.pairs()) == 2
+        whole = FaultMapProvider(RunnerSettings(n_fault_maps=50, seed=5)).pairs()
+        assert _bits(grown.pairs(50)) == _bits(whole)
 
 
 class TestBatchGeneration:

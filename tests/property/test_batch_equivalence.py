@@ -12,7 +12,8 @@ space: pipeline widths, FU pools, ring sizes, front-end depths, cache
 geometries and latencies, prefetch degrees, trace lengths and warmup
 boundaries, through ``run()``, ``run_batch()`` over the pipelines'
 ``kernel_lane()`` values and ``run_batch()`` over directly built kernel
-lanes, prefetching ones included, with the kernel and without it.
+lanes, prefetching ones included, with the kernel and without it, and
+split into every count of threaded kernel slices up to four.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.cache.hierarchy import LatencyConfig, MemoryHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.campaign import RunnerSettings, Session
 from repro.cpu import lane_kernel
+from repro.cpu import pipeline as pipeline_mod
 from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline
 from repro.experiments.configs import LV_BLOCK, LV_BLOCK_V6, LV_BLOCK_V10
@@ -224,7 +226,7 @@ LATENCIES = st.builds(
 def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
     """A pipeline config, the (L1I, L1D, L2) geometries and latencies
     every lane shares — every structural parameter of a lane pass, the
-    prefetch degree (0 for none) included — and 1-3 lanes of
+    prefetch degree (0 for none) included — and 1-5 lanes of
     ``(L1I enabled ways, L1D enabled ways, victim entries)``: thinning
     and victim sizes differ per lane."""
     config = draw(PIPELINE_CONFIGS)
@@ -244,7 +246,7 @@ def eligible_lanes(draw) -> "tuple[PipelineConfig, tuple, LatencyConfig, list]":
         return rng.random((geometry.num_sets, geometry.ways)) > thinning
 
     lanes = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 5))):
         enabled_i, enabled_d = enabled(levels[0]), enabled(levels[1])
         lanes.append((enabled_i, enabled_d, draw(st.sampled_from([0, 1, 8, 16]))))
     return config, levels, latencies, degree, lanes
@@ -304,6 +306,14 @@ def test_eligible_space_matches_the_object_engine(drawn, seed, n, boundary):
     assert OutOfOrderPipeline.run_batch(
         kernel_lanes, trace, measure_from=measure_from
     ) == expected
+    with pytest.MonkeyPatch.context() as patched:
+        # Every slice count, uneven splits and more slices than lanes
+        # or CPUs included, runs the pass to the same results.
+        for k in (1, 2, 3, 4):
+            patched.setattr(pipeline_mod, "kernel_slices", lambda lanes, n, k=k: k)
+            assert OutOfOrderPipeline.run_batch(
+                kernel_lanes, trace, measure_from=measure_from
+            ) == expected
     with pytest.MonkeyPatch.context() as patched:
         patched.setenv("REPRO_NO_CKERNEL", "1")
         assert OutOfOrderPipeline.run_batch(

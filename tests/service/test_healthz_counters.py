@@ -63,16 +63,19 @@ class TestCounters:
     def test_awaited_counts_keys_served_off_another_clients_claim(self):
         # Deterministic forced overlap (same construction as the server
         # suite's await test): client A's executor blocks until both
-        # campaigns are registered, so B provably finds every key of the
-        # identical spec in flight — B claims nothing and awaits all.
+        # campaigns have partitioned their keys — a campaign is counted
+        # when it arrives, before it plans — so B provably finds every
+        # key of the identical spec in flight: B claims nothing and
+        # awaits all.
         with Session(SETTINGS) as session:
             server_box: list = []
 
             class GatedSerial(SerialExecutor):
                 def run(self, sess, plan):
                     deadline = time.monotonic() + 30
+                    stats = server_box[0].server.stats
                     while (
-                        server_box[0].server.stats["campaigns"] < 2
+                        stats["claimed"] + stats["awaited"] < 2 * N_KEYS
                         and time.monotonic() < deadline
                     ):
                         time.sleep(0.01)

@@ -216,16 +216,19 @@ class TestConcurrentClients:
 
     def test_inflight_keys_are_awaited_not_resimulated(self):
         # Deterministic forced overlap: client A's executor blocks until
-        # the server has accepted both campaigns, so B provably finds
-        # A's keys in flight (identical specs: B claims nothing).
+        # both campaigns have partitioned SPEC_A's four keys (claimed or
+        # awaited; a campaign is counted when it arrives, before it
+        # plans), so B provably finds A's keys in flight (identical
+        # specs: B claims nothing).
         with Session(SETTINGS) as session:
             server_box: list = []
 
             class GatedSerial(SerialExecutor):
                 def run(self, sess, plan):
                     deadline = time.monotonic() + 30
+                    stats = server_box[0].server.stats
                     while (
-                        server_box[0].server.stats["campaigns"] < 2
+                        stats["claimed"] + stats["awaited"] < 2 * 4
                         and time.monotonic() < deadline
                     ):
                         time.sleep(0.01)
