@@ -25,6 +25,9 @@ threaded kernel slices, and split in two by default on two CPUs.
 The ``sanitize`` smoke rebuilds both kernels with AddressSanitizer and
 UBSan and runs the kernel, fuzzed-equivalence, golden, prefetcher and
 workload tests against them: a sanitizer report fails the gate.
+The ``store`` smoke also reruns over a copy of its log rewritten in the
+layout earlier builds wrote: pure store hits, byte-identical figures,
+the log left unchanged, ``store verify`` clean.
 The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 a pool campaign checkpointing into a jsonl store under I/O fault
 injection is SIGKILLed mid-write with its whole process group (no pool
@@ -172,14 +175,40 @@ _STORE_ARGS = [
 
 def smoke_store(json_dir: str) -> list[str]:
     """Campaign store + trace cache: a second invocation must be pure
-    store/cache hits and regenerate byte-identical figures."""
+    store/cache hits and regenerate byte-identical figures.  So must a
+    run over a copy of the first run's log rewritten in the layout
+    earlier builds wrote (``json.dumps``'s default separators, each line
+    checked by re-encoding), which must leave that log unchanged and
+    pass ``store verify``."""
+    import shutil
+
+    sys.path.insert(0, os.path.join(ROOT, "tests", "store"))
+    from store_helpers import rewrite_in_earlier_layout
+
     failures: list[str] = []
-    with tempfile.TemporaryDirectory() as store, tempfile.TemporaryDirectory() as traces:
+    with tempfile.TemporaryDirectory() as store, tempfile.TemporaryDirectory() as traces, \
+            tempfile.TemporaryDirectory() as tmp:
         persist = ["--store", store, "--trace-cache", traces]
         first = _cli(_STORE_ARGS + persist)
         second = _cli(_STORE_ARGS + persist)
         third = _cli(_STORE_ARGS + ["--no-store", "--trace-cache", traces])
-        for name, proc in (("first", first), ("second", second), ("third", third)):
+        earlier = os.path.join(tmp, "earlier")
+        shutil.copytree(store, earlier)
+        log = os.path.join(earlier, "results.jsonl")
+        rewritten = rewrite_in_earlier_layout(log)
+        with open(log, "rb") as fh:
+            earlier_bytes = fh.read()
+        fourth = _cli(_STORE_ARGS + ["--store", earlier, "--trace-cache", traces])
+        verify = _cli(["store", "verify", earlier])
+        with open(log, "rb") as fh:
+            if fh.read() != earlier_bytes:
+                failures.append("a run over the earlier-layout log rewrote it")
+        if rewritten != 6 or b'": ' not in earlier_bytes:
+            failures.append(f"rewrote {rewritten} line(s) in the earlier layout, not 6")
+        for name, proc in (
+            ("first", first), ("second", second), ("third", third),
+            ("earlier-layout", fourth), ("store verify of the earlier layout", verify),
+        ):
             if proc.returncode != 0:
                 failures.append(f"{name} run exited {proc.returncode}: {proc.stderr}")
         checks = [
@@ -188,11 +217,12 @@ def smoke_store(json_dir: str) -> list[str]:
             ("second is all store hits", "simulations executed=0", second),
             ("second regenerates no trace", "traces generated=0", second),
             ("third loads the cached trace", "traces generated=0 loaded=1", third),
+            ("earlier layout is all store hits", "simulations executed=0", fourth),
         ]
         for label, needle, proc in checks:
             if needle not in proc.stderr:
                 failures.append(f"{label}: {needle!r} not in stderr: {proc.stderr}")
-        for label, proc in (("second", second), ("third", third)):
+        for label, proc in (("second", second), ("third", third), ("earlier-layout", fourth)):
             if proc.stdout != first.stdout:
                 diff = "\n".join(
                     difflib.unified_diff(
@@ -208,6 +238,8 @@ def smoke_store(json_dir: str) -> list[str]:
                 "first_stderr": first.stderr.strip(),
                 "second_stderr": second.stderr.strip(),
                 "third_stderr": third.stderr.strip(),
+                "earlier_layout_stderr": fourth.stderr.strip(),
+                "earlier_layout_verify": verify.stdout.strip(),
             },
         )
     return failures

@@ -105,29 +105,39 @@ class Args:
         its arrays alive, by field name (``ip.tags``) in ``_arrays``.
         """
         arrays: dict[str, np.ndarray] = {}
-        struct = self._pack(values, "", arrays)
+        struct = self.struct()
+        self._fill(struct, values, "", arrays)
         struct._arrays = arrays
         return struct
 
-    def pack_array(self, values: "list[dict]") -> ctypes.Array:
-        """A C array of structs, one :meth:`pack` per dict in ``values``.
-        An entry point taking a pointer to this struct gets the first
-        element's address.  The array keeps every element's arrays alive
-        (``_arrays``: one dict per element)."""
-        structs = [self.pack(**fields) for fields in values]
-        array = (self.struct * len(structs))(*structs)
-        array._arrays = [struct._arrays for struct in structs]
+    def pack_array(self, shared: dict, values: "list[dict]") -> ctypes.Array:
+        """A C array of structs, one per dict in ``values``: ``shared``
+        is packed (and checked) once, as :meth:`pack` would, and copied
+        into every element, then each element's own fields are set on
+        top.  An entry point taking a pointer to this struct gets the
+        first element's address.  The array keeps every element's arrays
+        alive (``_arrays``: one dict per element, shared arrays
+        included)."""
+        base = self.pack(**shared)
+        array = (self.struct * len(values))(*[base] * len(values))
+        array._arrays = []
+        for element, fields in zip(array, values):
+            arrays = dict(base._arrays)
+            self._fill(element, fields, "", arrays)
+            array._arrays.append(arrays)
         return array
 
-    def _pack(self, values: dict, prefix: str, arrays: dict) -> ctypes.Structure:
-        struct = self.struct()
+    def _fill(
+        self, struct: ctypes.Structure, values: dict, prefix: str, arrays: dict
+    ) -> None:
         for name, value in values.items():
             kind = self.fields.get(name)
             if kind is None:
                 raise TypeError(f"{prefix}{name} is not a field of {self.name}")
             if isinstance(kind, Args):
-                value = kind._pack(value, f"{prefix}{name}.", arrays)
-            elif _KINDS[kind][2] is not None and value is not None:
+                kind._fill(getattr(struct, name), value, f"{prefix}{name}.", arrays)
+                continue
+            if _KINDS[kind][2] is not None and value is not None:
                 dtype = _KINDS[kind][2]
                 if (
                     not isinstance(value, np.ndarray)
@@ -138,7 +148,6 @@ class Args:
                 arrays[f"{prefix}{name}"] = value
                 value = value.ctypes.data
             setattr(struct, name, value)
-        return struct
 
 
 def cache_dir() -> str:

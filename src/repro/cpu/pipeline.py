@@ -738,9 +738,8 @@ class OutOfOrderPipeline:
             rd_snext=schedule.redirect_static_next,
         )
         vs = [zeros(bulk.lanes) for bulk in bulks]  # last_commit * W + commit_slots
-        args = lane_kernel.ARGS.pack_array([
+        args = lane_kernel.ARGS.pack_array(shared, [
             dict(
-                shared,
                 lanes=bulk.lanes,
                 ip=_port_args(bulk.iport, bulk.lanes),
                 dp=_port_args(bulk.dport, bulk.lanes),

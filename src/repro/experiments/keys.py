@@ -25,10 +25,9 @@ fingerprints are equal, whatever the benchmarks and map count
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.experiments.configs import RunConfig
@@ -41,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign imports us)
 #: Distinct from :data:`repro.store.RECORD_SCHEMA_VERSION`, which versions
 #: the on-disk *record format*.
 STORE_SCHEMA_VERSION = 1
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with one
+#: encoder for every call instead of one per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def fidelity_fingerprint(settings: "RunnerSettings") -> dict:
@@ -60,13 +64,42 @@ def fidelity_fingerprint(settings: "RunnerSettings") -> dict:
     }
 
 
-@functools.lru_cache(maxsize=16)
-def _pipeline_fields(pipeline_config: PipelineConfig) -> dict:
-    """``dataclasses.asdict`` of a (frozen) pipeline config, computed once
-    per config: a campaign keys thousands of points under one pipeline.
-    The dict is shared between calls, so :func:`task_key` only
-    serialises it."""
-    return dataclasses.asdict(pipeline_config)
+def _per_object(encode: Callable[[object], str]) -> Callable[[object], str]:
+    """``encode`` memoised per argument *object*, by identity.  Equality
+    would let values that JSON encodes differently share an entry (``1``,
+    ``1.0`` and ``True``; ``0.0`` and ``-0.0``), and none of the frozen
+    dataclasses keyed here checks its field types.  An entry holds its
+    object, so its id is not reused while the entry lives."""
+    memo: dict[int, tuple[object, str]] = {}
+
+    def encoded(obj: object) -> str:
+        entry = memo.get(id(obj))
+        if entry is None:
+            if len(memo) >= 64:
+                memo.clear()
+            entry = memo[id(obj)] = (obj, encode(obj))
+        return entry[1]
+
+    return encoded
+
+
+@_per_object
+def _fidelity_json(settings: "RunnerSettings") -> str:
+    return _canonical(fidelity_fingerprint(settings))
+
+
+@_per_object
+def _pipeline_json(pipeline_config: PipelineConfig) -> str:
+    return _canonical(dataclasses.asdict(pipeline_config))
+
+
+@_per_object
+def _config_members(config: RunConfig) -> str:
+    return (
+        f'"scheme":{_canonical(config.scheme)},'
+        f'"victim_entries":{_canonical(config.victim_entries)},'
+        f'"voltage":{_canonical(config.voltage.name)}'
+    )
 
 
 def task_key(
@@ -83,15 +116,21 @@ def task_key(
     ``pipeline_config`` defaults to the paper's Table II pipeline, the one
     every session simulates; another pipeline gets disjoint keys, so its
     results can share a store without cross-contamination.
+
+    The key is the sha256 of the canonical JSON (sorted keys, no
+    whitespace) of ``{"fidelity": fidelity_fingerprint(settings),
+    "pipeline": dataclasses.asdict(pipeline_config), "benchmark",
+    "scheme", "voltage": config.voltage.name, "victim_entries",
+    "map_index"}``.  Sorted, its members run benchmark, fidelity,
+    map_index, pipeline, then the config's three, so it is assembled
+    from parts each encoded once per settings, pipeline and config
+    object; only the benchmark and the map index are encoded per key.
     """
-    payload = {
-        "fidelity": fidelity_fingerprint(settings),
-        "pipeline": _pipeline_fields(pipeline_config or PAPER_PIPELINE),
-        "benchmark": benchmark,
-        "scheme": config.scheme,
-        "voltage": config.voltage.name,
-        "victim_entries": config.victim_entries,
-        "map_index": map_index,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = (
+        f'{{"benchmark":{_canonical(benchmark)},'
+        f'"fidelity":{_fidelity_json(settings)},'
+        f'"map_index":{_canonical(map_index)},'
+        f'"pipeline":{_pipeline_json(pipeline_config or PAPER_PIPELINE)},'
+        f"{_config_members(config)}}}"
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -29,6 +29,15 @@ On-disk format spec (v2)
   layout stored the record, so a migration that preserves every
   ``(K, R)`` pair preserves every ``H``.
 
+**Line.**  This build writes each record as that canonical body with
+``,"sha":"H"`` spliced in as its last member, so the checksummed bytes
+are a verbatim prefix of the line, and a reader verifies such a line by
+hashing its own bytes without re-encoding it.  Readers accept any JSON
+layout of a v2 record (earlier builds wrote ``json.dumps``'s default
+separators): a line that does not verify against its own bytes is
+checked by re-encoding its parsed body, so a log an earlier build wrote
+reads the same, only slower to open, until ``compact`` rewrites it.
+
 Legacy v1 records (``{"key": K, "result": R}``, no checksum) are still
 readable; loads count them and ``repair``/``compact`` rewrite them as v2.
 

@@ -88,16 +88,26 @@ def result_from_dict(data: dict) -> SimResult:
 @dataclass(frozen=True)
 class DecodedRecord:
     """One verified record: the task key, the raw JSON-native result
-    payload (preserved verbatim for lossless migration), and whether it
-    was a legacy v1 line (readable, but due an upgrade on rewrite)."""
+    payload (preserved verbatim for lossless migration), the
+    :class:`SimResult` it validated as, and whether it was a legacy v1
+    line (readable, but due an upgrade on rewrite)."""
 
     key: str
     payload: dict
+    result: SimResult
     legacy: bool = False
 
-    @property
-    def result(self) -> SimResult:
-        return result_from_dict(self.payload)
+
+def _canonical_body(key: str, payload: dict, schema: int) -> str:
+    return json.dumps(
+        {"key": key, "result": payload, "schema": schema},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def record_checksum(key: str, payload: dict, schema: int = RECORD_SCHEMA_VERSION) -> str:
@@ -107,30 +117,37 @@ def record_checksum(key: str, payload: dict, schema: int = RECORD_SCHEMA_VERSION
     layout stored the record or how its JSON was pretty-printed, so the
     checksum survives migration out of a legacy layout verbatim.
     """
-    canonical = json.dumps(
-        {"key": key, "result": payload, "schema": schema},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(_canonical_body(key, payload, schema))
 
 
 def encode_record(key: str, payload: dict) -> str:
-    """The v2 encoded record (one line, no trailing newline)."""
-    return json.dumps(
-        {
-            "key": key,
-            "result": payload,
-            "schema": RECORD_SCHEMA_VERSION,
-            "sha": record_checksum(key, payload),
-        },
-        sort_keys=True,
-    )
+    """The v2 encoded record (one line, no trailing newline): the
+    canonical body :func:`record_checksum` hashes, with ``"sha"`` as its
+    last member — so the checksummed bytes are a verbatim prefix of the
+    line, and the line is itself the canonical form of the record."""
+    body = _canonical_body(key, payload, RECORD_SCHEMA_VERSION)
+    return f'{body[:-1]},"sha":"{_sha256(body)}"}}'
+
+
+def _verifies_own_bytes(line: str, entry: object) -> bool:
+    """Whether ``line`` has the layout :func:`encode_record` writes and
+    the bytes before its ``sha`` member, closed with ``}``, hash to that
+    sha: then those bytes are the canonical body, and re-encoding the
+    parsed record would only reproduce them.  Any other line (another
+    layout, or damage anywhere) answers ``False`` and is checked by
+    re-encoding."""
+    sha = entry.get("sha") if isinstance(entry, dict) else None
+    if not isinstance(sha, str):
+        return False
+    member = f',"sha":"{sha}"}}'
+    return line.endswith(member) and _sha256(line[: -len(member)] + "}") == sha
 
 
 def decode_record(line: str) -> DecodedRecord:
     """Decode and verify one encoded record line: its JSON parse, then
-    :func:`decode_entry`.
+    :func:`decode_entry`, whose checksum re-encode is skipped when the
+    line verifies against its own bytes (any line :func:`encode_record`
+    wrote and nothing damaged since).
 
     Raises :class:`MalformedRecord` / :class:`StaleRecord` /
     :class:`CorruptRecord` (all :class:`RecordError`) — callers classify
@@ -140,13 +157,15 @@ def decode_record(line: str) -> DecodedRecord:
         entry = json.loads(line)
     except ValueError as exc:
         raise MalformedRecord(f"not a JSON record: {exc}") from None
-    return decode_entry(entry)
+    return decode_entry(entry, verified=_verifies_own_bytes(line, entry))
 
 
-def decode_entry(entry: object) -> DecodedRecord:
+def decode_entry(entry: object, *, verified: bool = False) -> DecodedRecord:
     """Verify one parsed record, ``{"key", "result", "schema", "sha"}``
     (or the legacy v1 ``{"key", "result"}``), whichever layout stored
-    it; raises as :func:`decode_record` does."""
+    it; raises as :func:`decode_record` does.  ``verified`` says the
+    record's bytes already matched its sha, so the checksum is not
+    recomputed; every other check runs as for any record."""
     if not isinstance(entry, dict) or "key" not in entry or "result" not in entry:
         raise MalformedRecord("record needs 'key' and 'result' fields")
     key = entry["key"]
@@ -165,13 +184,13 @@ def decode_entry(entry: object) -> DecodedRecord:
         sha = entry.get("sha")
         if not isinstance(sha, str):
             raise MalformedRecord("checksummed record lacks its 'sha' field")
-        if sha != record_checksum(key, payload):
+        if not verified and sha != record_checksum(key, payload):
             raise CorruptRecord(f"record checksum mismatch for key {key[:12]}")
     try:
-        result_from_dict(payload)
+        result = result_from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(f"result payload incomplete: {exc!r}") from None
-    return DecodedRecord(key=key, payload=payload, legacy=legacy)
+    return DecodedRecord(key=key, payload=payload, result=result, legacy=legacy)
 
 
 class DamageCounts:

@@ -110,6 +110,31 @@ class TestGating(GatingChecks):
         with pytest.raises(TypeError, match="^cls must be a contiguous int8"):
             lane_kernel.ARGS.pack(cls=np.zeros(16, dtype=np.int8)[::2])
 
+    def test_pack_array_checks_shared_and_own_arrays_by_field_name(self):
+        cls = np.zeros(16, dtype=np.int8)
+        with pytest.raises(TypeError, match="^cls must be a contiguous int8"):
+            lane_kernel.ARGS.pack_array({"cls": cls[::2]}, [{}, {}])
+        with pytest.raises(TypeError, match=r"^ip\.tags must be a contiguous int64"):
+            lane_kernel.ARGS.pack_array(
+                {"cls": cls}, [{}, {"ip": {"tags": np.zeros(4, dtype=np.int32)}}]
+            )
+
+    def test_pack_array_lays_each_element_own_fields_over_the_shared(self):
+        cls = np.zeros(16, dtype=np.int8)
+        tags = [np.zeros(4, dtype=np.int64) for _ in range(3)]
+        array = lane_kernel.ARGS.pack_array(
+            {"n": 16, "lanes": 9, "cls": cls},
+            [{"lanes": j + 1, "ip": {"tags": t}} for j, t in enumerate(tags)],
+        )
+        assert [(s.n, s.lanes, s.cls, s.ip.tags) for s in array] == [
+            (16, j + 1, cls.ctypes.data, t.ctypes.data) for j, t in enumerate(tags)
+        ]
+        assert [sorted(arrays) for arrays in array._arrays] == [["cls", "ip.tags"]] * 3
+        assert all(
+            arrays["cls"] is cls and arrays["ip.tags"] is t
+            for arrays, t in zip(array._arrays, tags)
+        )
+
 
 @kernel_available
 class TestKernelVsFallback:

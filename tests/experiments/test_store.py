@@ -1,22 +1,30 @@
 """Tests for the persistent result store and its campaign semantics."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import RunnerSettings, Session
+from repro.core.schemes import VoltageMode
+from repro.cpu.config import PAPER_PIPELINE, PipelineConfig
 from repro.cpu.pipeline import SimResult
 from repro.experiments.configs import (
+    ALL_CONFIGS,
     LV_BASELINE,
     LV_BLOCK,
     LV_BLOCK_V10,
     LV_WORD,
+    RunConfig,
 )
-from repro.experiments.keys import task_key
+from repro.experiments.keys import STORE_SCHEMA_VERSION, task_key
 from repro.store import (
     DiskStore,
     MemoryStore,
@@ -24,6 +32,7 @@ from repro.store import (
     result_from_dict,
     result_to_dict,
 )
+from repro.workloads.spec2000 import ALL_BENCHMARKS
 
 SMALL = RunnerSettings(
     n_instructions=3000,
@@ -166,6 +175,105 @@ class TestTaskKey:
             check=True,
         )
         assert out.stdout.strip() == task_key(SMALL, "crafty", LV_BLOCK, 1)
+
+
+def reference_task_key(
+    runner, benchmark, config, map_index, pipeline_config=None
+) -> str:
+    """``task_key`` as one ``json.dumps`` of its whole payload, the
+    expression the memoised key must reproduce byte for byte."""
+    payload = {
+        "fidelity": {
+            "n_instructions": runner.n_instructions,
+            "warmup_instructions": runner.warmup_instructions,
+            "pfail": runner.pfail,
+            "seed": runner.seed,
+            "schema": STORE_SCHEMA_VERSION,
+        },
+        "pipeline": dataclasses.asdict(pipeline_config or PAPER_PIPELINE),
+        "benchmark": benchmark,
+        "scheme": config.scheme,
+        "voltage": config.voltage.name,
+        "victim_entries": config.victim_entries,
+        "map_index": map_index,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# Values that compare equal but JSON encodes differently (1, 1.0, True;
+# 0.0 and -0.0) are drawn side by side, so a memo that let them share an
+# entry would hand one of them the other's key.
+_fidelity = st.tuples(
+    st.sampled_from([3000, 3000.0, 1, 1.0, True]),
+    st.sampled_from([1000, 1000.0, 0, 0.0, -0.0, False, 1, True]),
+    st.sampled_from([0.001, 1, 1.0, True, 0, 0.0, -0.0, False]),
+    st.sampled_from([2010, 2010.0, 7, 1, 1.0, True, 0.0, -0.0]),
+)
+_configs = st.sampled_from(ALL_CONFIGS) | st.builds(
+    RunConfig,
+    label=st.just("drawn"),
+    scheme=st.sampled_from(["baseline", "block-disable", 'a "quoted" scheme']),
+    voltage=st.sampled_from(list(VoltageMode)),
+    victim_entries=st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, 16]),
+)
+_pipelines = st.none() | st.just(PAPER_PIPELINE) | st.builds(
+    PipelineConfig,
+    issue_width=st.sampled_from([2, 2.0, 6, 6.0]),
+    fetch_width=st.sampled_from([1, 1.0, True, 4]),
+    gshare_history_bits=st.integers(min_value=0, max_value=2**40),
+)
+
+
+class TestTaskKeyEncoding:
+    """``task_key`` assembles its JSON from memoised, pre-encoded parts;
+    every key must stay byte-identical to one ``json.dumps`` of the
+    whole payload."""
+
+    @given(
+        benchmarks=st.lists(
+            st.sampled_from(list(ALL_BENCHMARKS))
+            | st.text(max_size=12)
+            | st.sampled_from(['say "hi"', "back\\slash", "café", "漢字", "\u2028"]),
+            min_size=1,
+            max_size=3,
+        ),
+        fidelities=st.lists(_fidelity, min_size=1, max_size=4),
+        configs=st.lists(_configs, min_size=1, max_size=3),
+        map_index=st.none() | st.just(0) | st.integers(min_value=0, max_value=2**70),
+        pipelines=st.lists(_pipelines, min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_json_dumps_of_the_payload(
+        self, benchmarks, fidelities, configs, map_index, pipelines
+    ):
+        for n, warmup, pfail, seed in fidelities:
+            runner = RunnerSettings(
+                n_instructions=n, warmup_instructions=warmup, pfail=pfail, seed=seed
+            )
+            for benchmark, config, pipeline in itertools.product(
+                benchmarks, configs, pipelines
+            ):
+                assert task_key(
+                    runner, benchmark, config, map_index, pipeline
+                ) == reference_task_key(runner, benchmark, config, map_index, pipeline)
+
+    @pytest.mark.parametrize("alike", [(1, 1.0, True), (0, 0.0, -0.0, False)])
+    def test_values_equal_in_python_get_their_own_keys(self, alike):
+        """``RunnerSettings`` does not check types, so ``pfail=1`` and
+        ``pfail=1.0`` are different keys (as are ``0.0`` and ``-0.0``);
+        neither is the other's, in whichever order they are keyed."""
+        keys = {}
+        for pfail in alike + alike[::-1]:
+            runner = RunnerSettings(**{**_fields(SMALL), "pfail": pfail})
+            key = task_key(runner, "crafty", LV_BLOCK, 1)
+            assert key == reference_task_key(runner, "crafty", LV_BLOCK, 1)
+            keys.setdefault(repr(pfail), set()).add(key)
+        assert all(len(found) == 1 for found in keys.values())
+        assert len(set().union(*keys.values())) == len(alike)
+        narrow = [PipelineConfig(issue_width=2), PipelineConfig(issue_width=2.0)]
+        assert narrow[0] == narrow[1]
+        assert len({task_key(SMALL, "crafty", LV_BLOCK, 1, p) for p in narrow}) == 2
 
 
 class TestSerde:

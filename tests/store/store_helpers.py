@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 from repro.cpu.pipeline import SimResult
 from repro.store.format import (
@@ -44,6 +45,51 @@ def fill(store, n: int = 12) -> "list[tuple[str, SimResult]]":
     for key, result in pairs:
         store.put(key, result)
     return pairs
+
+
+def earlier_layout_line(key: str, payload: dict) -> str:
+    """A v2 record as earlier builds encoded it: the same members and
+    sha as :func:`encode_record`, with ``json.dumps``'s default
+    separators, so no line of it verifies against its own bytes."""
+    return json.dumps(
+        {
+            "key": key,
+            "result": payload,
+            "schema": RECORD_SCHEMA_VERSION,
+            "sha": record_checksum(key, payload),
+        },
+        sort_keys=True,
+    )
+
+
+def rewrite_in_earlier_layout(path) -> int:
+    """Re-encode every v2 line of the log at ``path`` as an earlier build
+    wrote it, in place; any other line stays verbatim.  Returns the
+    number of lines re-encoded."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rewritten = 0
+    for i, line in enumerate(lines):
+        entry = json.loads(line)
+        if entry.get("schema") == RECORD_SCHEMA_VERSION:
+            lines[i] = earlier_layout_line(entry["key"], entry["result"])
+            rewritten += 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return rewritten
+
+
+def set_member(line: str, name: str, value: int) -> str:
+    """``line`` with its first integer member ``name`` set to ``value``
+    and every other byte kept, in whatever JSON layout the line has:
+    bit-rot under an unchanged sha (or, for ``schema``, a foreign
+    epoch).  Refuses a line it would leave unchanged."""
+    mutated, count = re.subn(
+        rf'("{name}"\s*:\s*)-?\d+', rf"\g<1>{value}", line, count=1
+    )
+    if count != 1 or mutated == line:
+        raise ValueError(f"no integer member {name!r} to change in {line!r}")
+    return mutated
 
 
 def write_sharded(directory, pairs) -> str:

@@ -36,14 +36,22 @@ from repro.store import (
     fsync_from_env,
     open_store,
 )
-from repro.store.format import RECORD_SCHEMA_VERSION
+from repro.store import format as format_mod
+from repro.store.format import (
+    RECORD_SCHEMA_VERSION,
+    encode_record,
+    record_checksum,
+    result_to_dict,
+)
 from repro.store.legacy import MANIFEST_FILENAME, SHARD_COUNT, shard_filename
 
 from store_helpers import (
     LEGACY_WRITERS,
+    earlier_layout_line,
     fill,
     make_key,
     make_result,
+    set_member,
     stored_bytes,
     write_sharded,
     write_sqlite,
@@ -335,7 +343,7 @@ class TestJsonlDamageTaxonomy:
         path = tmp_path / RESULTS_FILENAME
         lines = path.read_text().splitlines()
         # corrupt: flip a payload digit under the checksum
-        lines[0] = lines[0].replace('"instructions": 1000', '"instructions": 1009')
+        lines[0] = set_member(lines[0], "instructions", 1009)
         # stale: foreign schema epoch
         entry = json.loads(lines[1])
         entry["schema"] = RECORD_SCHEMA_VERSION + 5
@@ -374,3 +382,84 @@ class TestJsonlDamageTaxonomy:
         with open_store(str(tmp_path)) as store:
             text = store.health().describe()
             assert "2 record(s)" in text and "malformed=1" in text
+
+
+class TestEarlierLayout:
+    """A v2 log an earlier build wrote (``json.dumps``'s default
+    separators, so no line verifies against its own bytes and each is
+    checked by re-encoding) reads exactly as the same log in this
+    build's layout, and compaction rewrites it in this build's layout."""
+
+    ENCODERS = {"current": encode_record, "earlier": earlier_layout_line}
+
+    def write_log(self, directory, layout: str, damaged: bool = False):
+        """Six records in ``layout`` (plus, if ``damaged``, a duplicate
+        and a corrupt, a stale, a malformed and a torn line); returns
+        the pairs."""
+        encode = self.ENCODERS[layout]
+        pairs = [(make_key(i), make_result(i)) for i in range(6)]
+        lines = [encode(key, result_to_dict(result)) for key, result in pairs]
+        if damaged:
+            lines[0] = set_member(lines[0], "instructions", 1009)  # corrupt
+            lines[1] = set_member(lines[1], "schema", RECORD_SCHEMA_VERSION + 1)
+            lines.insert(3, lines[2])  # a duplicate
+            lines.append("{} definitely not json")  # malformed
+            lines.append(lines[4][: len(lines[4]) // 2])  # torn, unterminated
+        os.makedirs(directory, exist_ok=True)
+        text = "\n".join(lines) + ("" if damaged else "\n")
+        (directory / RESULTS_FILENAME).write_text(text)
+        return pairs
+
+    @staticmethod
+    def contents(store) -> dict:
+        return {key: store.get(key) for key in store.keys()}
+
+    def test_a_clean_log_opens_the_same_in_either_layout(self, tmp_path):
+        opened = {}
+        for layout in self.ENCODERS:
+            pairs = self.write_log(tmp_path / layout, layout)
+            with DiskStore(tmp_path / layout) as store:
+                opened[layout] = (self.contents(store), store.health())
+        assert opened["earlier"] == opened["current"]
+        assert opened["current"][0] == dict(pairs)
+        assert not opened["current"][1].damaged
+
+    def test_damage_is_classified_the_same_in_either_layout(self, tmp_path):
+        opened = {}
+        for layout in self.ENCODERS:
+            pairs = self.write_log(tmp_path / layout, layout, damaged=True)
+            with pytest.warns(UserWarning, match="duplicate"):
+                store = DiskStore(tmp_path / layout)
+            with store:
+                opened[layout] = (self.contents(store), store.health())
+        assert opened["earlier"] == opened["current"]
+        contents, health = opened["current"]
+        assert (health.corrupt, health.stale, health.malformed) == (1, 1, 2)
+        assert (health.duplicates, health.legacy) == (1, 0)
+        assert contents == dict(pairs[2:])
+
+    def test_compact_rewrites_in_this_layout_with_every_sha_kept(self, tmp_path):
+        pairs = self.write_log(tmp_path, "earlier")
+        path = tmp_path / RESULTS_FILENAME
+        earlier_shas = [json.loads(line)["sha"] for line in path.read_text().splitlines()]
+        with DiskStore(tmp_path) as store:
+            assert store.compact() == 0
+        lines = path.read_text().splitlines()
+        assert lines == [encode_record(k, result_to_dict(r)) for k, r in pairs]
+        assert [json.loads(line)["sha"] for line in lines] == earlier_shas
+
+    @pytest.mark.parametrize("layout, checksums", [("current", 0), ("earlier", 6)])
+    def test_only_lines_that_do_not_verify_their_own_bytes_are_re_encoded(
+        self, tmp_path, monkeypatch, layout, checksums
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return record_checksum(*args, **kwargs)
+
+        monkeypatch.setattr(format_mod, "record_checksum", counting)
+        pairs = self.write_log(tmp_path, layout)
+        with DiskStore(tmp_path) as store:
+            assert self.contents(store) == dict(pairs)
+        assert len(calls) == checksums

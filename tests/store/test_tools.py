@@ -31,6 +31,7 @@ from store_helpers import (
     fill,
     make_key,
     make_result,
+    set_member,
     stored_bytes,
     write_sqlite,
 )
@@ -52,7 +53,7 @@ def damaged_dir(tmp_path):
         pairs = fill(store, 6)
     path = tmp_path / RESULTS_FILENAME
     lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"instructions": 1000', '"instructions": 1001')
+    lines[0] = set_member(lines[0], "instructions", 1001)
     entry = json.loads(lines[1])
     entry["schema"] = RECORD_SCHEMA_VERSION + 1
     lines[1] = json.dumps(entry)
