@@ -82,7 +82,7 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _bench_schedule_compile(session, trace, warmup, repeats) -> dict:
+def _bench_schedule_compile(session, trace, repeats) -> dict:
     """Pass-1 schedule compilation: vectorised builder vs the
     per-instruction reference replay, plus ``.npz`` payload identity."""
     from io import BytesIO
@@ -105,7 +105,7 @@ def _bench_schedule_compile(session, trace, warmup, repeats) -> dict:
     for name, build in builders.items():
         for rep in range(repeats + 1):  # +1 untimed warm-up rep
             t0 = time.perf_counter()
-            schedule = build(trace, config, offset_bits, warmup)
+            schedule = build(trace, config, offset_bits)
             elapsed = time.perf_counter() - t0
             if rep > 0 or repeats == 1:
                 timings[name] = min(timings[name], elapsed)
@@ -178,7 +178,7 @@ def run_bench(args) -> dict:
             "identical": identical,
         }
 
-    compile_row = _bench_schedule_compile(session, trace, warmup, repeats)
+    compile_row = _bench_schedule_compile(session, trace, repeats)
     if not (compile_row["identical"] and compile_row["npz_identical"]):
         divergences += 1
 

@@ -621,8 +621,8 @@ def smoke_kernel(json_dir: str) -> list[str]:
         LV_BLOCK, 0
     ).hierarchy.l1i.geometry.offset_bits
     config = reference_session.pipeline_config
-    vec = frontend._build_schedule(trace, config, offset_bits, 1_000)
-    ref = frontend._build_schedule_reference(trace, config, offset_bits, 1_000)
+    vec = frontend._build_schedule(trace, config, offset_bits)
+    ref = frontend._build_schedule_reference(trace, config, offset_bits)
     compile_identical = vec == ref
 
     def npz_members(schedule) -> dict:

@@ -12,10 +12,13 @@ enabled-way matrices (a scheme's disable bits, set at boot) and its
 victim-cache sizes; geometries, latencies and the prefetch degree are
 shared by every lane.
 
-Every per-way quantity becomes a set-major NumPy array, ``[set, lane,
-way]`` (:class:`VectorCache`): the kernel takes one access through
-every lane before the next, so all lanes probe the same set, and their
-copies of it sit side by side.  Lanes start from empty caches and end at
+Each port and the L2 are held as the field dicts of the kernel's
+argument struct (``port_t`` and ``l2_t`` in
+:data:`repro.cpu.lane_kernel.ARGS`, whose field table gives every
+array's layout), so each quantity has one name.  Every per-way quantity is a set-major NumPy array, ``[set, lane,
+way]``: the kernel takes one access through every lane before the next,
+so all lanes probe the same set, and their copies of it sit side by
+side.  Lanes start from empty caches and end at
 :meth:`BulkLanes.finalize`, which derives each lane's statistics from
 the kernel's counters: no object hierarchy exists on either side of the
 pass, and nothing is copied in or written back, so the arrays need not
@@ -87,147 +90,8 @@ LANE_COUNTERS = (
 ) = range(len(LANE_COUNTERS))
 
 #: Multiplier of the tag sets' Fibonacci hash; the C kernel probes with
-#: the same one (see :class:`VectorPrefetcher`).
+#: the same one (see :meth:`BulkLanes._port`).
 TAG_HASH = 0x9E3779B97F4A7C15
-
-
-class VectorCache:
-    """Multi-lane state of one cache level, set-major.
-
-    ``tags``/``last``/``dirty`` are ``[set, lane, way]`` arrays: lane
-    ``l``'s way ``w`` of set ``s`` sits at ``(s * lanes + l) * ways + w``.
-    The kernel takes every lane through one access before the next, so
-    each access probes the same set in every lane, and set-major puts
-    those probes in one contiguous row of ``lanes * ways`` entries
-    (lane-major put each lane's copy a whole cache apart).  A lane's
-    cache is therefore no longer one row shaped like an object cache's
-    typed buffers (:mod:`repro.cache.set_assoc`); nothing copies state
-    between the two.  Lanes start empty: tags -1, recency -1 on usable
-    ways and ``BIG_STAMP`` on the ways a lane's enabled-way matrix
-    disables.
-    """
-
-    __slots__ = ("ways", "set_mask", "tag_shift", "tags", "last", "dirty")
-
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        enabled: "Sequence[np.ndarray | None]",
-        *,
-        dirty: bool = True,
-    ) -> None:
-        sets, ways = geometry.num_sets, geometry.ways
-        self.ways = ways
-        self.set_mask = sets - 1
-        self.tag_shift = geometry.index_bits
-        # One block for both, not two arrays: a pass slice's L2 state
-        # (0.5 MB per lane) then stays one allocation of 4 MB or more
-        # from about eight lanes on, which NumPy backs with huge pages;
-        # as two arrays, a 25-lane pass set up twice as slowly in two
-        # slices as in one.
-        self.tags, self.last = np.full(
-            (2, sets, len(enabled), ways), -1, dtype=np.int64
-        )
-        #: ``None`` without ``dirty``: the L2's blocks are never written
-        #: back, so the kernel keeps dirty bytes at the L1s only.
-        self.dirty = np.zeros(self.tags.shape, dtype=np.bool_) if dirty else None
-        for lane, mask in enumerate(enabled):
-            if mask is None:
-                continue
-            mask = np.asarray(mask, dtype=np.bool_)
-            if mask.shape != (sets, ways):
-                raise ValueError(
-                    f"enabled-way matrix shape {mask.shape} does not match "
-                    f"{(sets, ways)}"
-                )
-            self.last[:, lane, :][~mask] = BIG_STAMP
-
-
-class VectorVictims:
-    """Multi-lane victim-cache state.
-
-    The LRU list becomes ``tags[lane, slot]`` plus an insertion stamp per
-    slot: eviction picks the minimal stamp (the list head), empty slots
-    carry the stamp sentinel ``empty_stamp = -(entries + 1)`` — strictly
-    below every occupied stamp — so they are preferred exactly like an
-    append, and a hit extracts by writing the slot back to empty.  Slot
-    positions themselves carry no meaning — all operations are
-    content-based — so lanes stay bit-identical to the sequential list
-    implementation.
-
-    Lanes need not share one sizing: the slot axis is padded to the
-    largest lane's entry count, and a lane's slots beyond its own
-    capacity carry tag ``-1`` (probes never match) with stamp
-    ``BIG_STAMP`` (strictly above every run stamp, so the insert-path
-    ``argmin`` never evicts into them).  Lanes with *no* victim cache
-    (the 0-entry configuration) additionally skip their inserts via
-    :attr:`insertable`, so 0/8/16-entry configurations — e.g. the
-    paper's three disabling schemes — batch as one lane group.
-    """
-
-    __slots__ = (
-        "entries",
-        "tags",
-        "stamp",
-        "empty_stamp",
-        "insertable",
-    )
-
-    def __init__(self, lane_entries: "Sequence[int]") -> None:
-        entries = max(lane_entries)
-        if entries == 0:
-            raise ValueError("need at least one lane with victim entries")
-        self.entries = entries
-        self.empty_stamp = -(entries + 1)
-        lanes = len(lane_entries)
-        self.tags = np.full((lanes, entries), -1, dtype=np.int64)
-        self.stamp = np.full((lanes, entries), self.empty_stamp, dtype=np.int64)
-        for lane, cap in enumerate(lane_entries):
-            if cap:
-                self.stamp[lane, cap:] = BIG_STAMP  # padded slots
-        #: Per-lane insert eligibility mask, or ``None`` when every lane
-        #: can insert (``argmin`` slot choice is then already exact and
-        #: the kernel skips the per-lane check).
-        if all(lane_entries):
-            self.insertable = None
-        else:
-            self.insertable = np.array(
-                [e > 0 for e in lane_entries], dtype=np.bool_
-            )
-
-
-class VectorPrefetcher:
-    """Multi-lane state of one port's tagged next-line prefetcher.
-
-    Mirrors :class:`~repro.cache.prefetch.NextLinePrefetcher` lane by
-    lane: the ``degree`` every lane shares and the tag set ``_tagged`` —
-    stale tags of evicted or bypassed blocks included — as one
-    open-addressing table of block addresses per lane (``table[lane,
-    slot]``, linear probing from a Fibonacci hash of the block; -1 marks
-    an empty slot, -2 a removed tag).  Beside the L1's ``dirty`` bytes,
-    and in their ``[set, lane, way]`` layout, ``tagged`` says whether a
-    resident way's block is in the set, so a demand hit reads one byte;
-    only demand fills and hits on tagged ways probe the table.  The
-    table is sized per pass by :meth:`reserve`.
-    """
-
-    __slots__ = ("degree", "lanes", "tagged", "table", "shift")
-
-    def __init__(self, degree: int, l1: VectorCache, lanes: int) -> None:
-        self.degree = degree
-        self.lanes = lanes
-        self.tagged = np.zeros_like(l1.dirty)
-        self.table: "np.ndarray | None" = None
-        self.shift = 0
-
-    def reserve(self, accesses: int) -> None:
-        """Size every lane's empty table for a pass of ``accesses`` demand
-        accesses to this port.  An access adds at most ``degree`` tags,
-        each into a slot no tag held before, so a table of at least twice
-        ``degree * accesses`` slots never gets more than half full."""
-        bits = max(4, (2 * self.degree * accesses - 1).bit_length())
-        self.shift = 64 - bits
-        self.table = np.full((self.lanes, 1 << bits), -1, dtype=np.int64)
 
 
 def bulk_signature(hierarchy: MemoryHierarchy) -> "int | None":
@@ -239,9 +103,9 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "int | None":
     and an untouched hierarchy (lanes start empty: every cache clock 0,
     empty victim caches and prefetch tag sets, all-zero statistics) are
     hard requirements.  Victim sizing is *not* part of the signature:
-    :class:`VectorVictims` pads heterogeneous sizings to the largest
-    lane's entry count (masked invalid slots), so 0/8/16-entry
-    configurations merge into one lane group.  The signature is the
+    :class:`BulkLanes` pads heterogeneous sizings to the largest lane's
+    entry count (masked invalid slots), so 0/8/16-entry configurations
+    merge into one lane group.  The signature is the
     next-line prefetch degree both ports share (0 without prefetchers),
     as :class:`~repro.cache.hierarchy.MemoryHierarchy` builds them: each
     port's prefetcher must be a
@@ -273,36 +137,42 @@ def bulk_signature(hierarchy: MemoryHierarchy) -> "int | None":
     return degrees[0]
 
 
-class _BulkPort:
-    """One multi-lane port: its L1, victim and prefetcher state, the
-    latencies beyond L1 (victim, L2, memory) scaled by the pipeline's
-    commit width, and the per-lane ``counts`` block (rows in
-    :data:`LANE_COUNTERS` order) the lane kernel accumulates into."""
+def _cache(geometry: CacheGeometry, enabled: "Sequence[np.ndarray | None]") -> dict:
+    """One cache level's fields, shared by ``port_t`` and ``l2_t``, its
+    lanes empty: tags -1, recency -1 on usable ways and ``BIG_STAMP`` on
+    the ways a lane's enabled-way matrix (``None``: every way) disables.
+    """
+    sets, ways = geometry.num_sets, geometry.ways
+    lanes = len(enabled)
+    # One block for both, not two arrays: a pass slice's L2 state (0.5 MB
+    # per lane) then stays one allocation of 4 MB or more from about
+    # eight lanes on, which NumPy backs with huge pages; as two arrays, a
+    # 25-lane pass set up twice as slowly in two slices as in one.
+    tags, last = np.full((2, sets, lanes, ways), -1, dtype=np.int64)
+    for lane, mask in enumerate(enabled):
+        if mask is None:
+            continue
+        mask = np.asarray(mask, dtype=np.bool_)
+        if mask.shape != (sets, ways):
+            raise ValueError(
+                f"enabled-way matrix shape {mask.shape} does not match "
+                f"{(sets, ways)}"
+            )
+        last[:, lane, :][~mask] = BIG_STAMP
+    return dict(
+        ways=ways, row=lanes * ways, set_mask=sets - 1,
+        index_bits=geometry.index_bits, tags=tags, last=last,
+    )
 
-    __slots__ = ("service", "l1", "victims", "prefetcher", "latency", "counts")
 
-    def __init__(
-        self,
-        l1: VectorCache,
-        victims: VectorVictims | None,
-        latencies: LatencyConfig,
-        lanes: int,
-        lat_scale: int,
-        prefetch_degree: int,
-    ) -> None:
-        # Always None: the kernel services misses itself.  Kept as an
-        # attribute because the perfbench tracer reads and re-assigns it.
-        self.service = None
-        self.l1 = l1
-        self.victims = victims
-        self.prefetcher = (
-            VectorPrefetcher(prefetch_degree, l1, lanes) if prefetch_degree else None
-        )
-        self.latency = tuple(
-            lat * lat_scale
-            for lat in (latencies.victim, latencies.l2, latencies.memory)
-        )
-        self.counts = np.zeros((len(LANE_COUNTERS), lanes), dtype=np.int64)
+class _PortFields(dict):
+    """One L1 port's ``port_t`` fields.  A field left out packs as 0 or
+    ``NULL``: a port without a victim cache has no victim fields, one
+    without a prefetcher no tag-set fields."""
+
+    #: Always ``None``: the kernel services misses itself.  The perfbench
+    #: tracer reads and re-assigns it.
+    service = None
 
 
 class BulkLanes:
@@ -313,11 +183,15 @@ class BulkLanes:
     :attr:`~repro.cpu.pipeline.KernelLane.structure`) and
     brings its own per-lane values — its ``(L1I, L1D)`` enabled-way
     matrices (``None`` enables every way) and its ``(I, D)`` victim
-    entry counts (0 for none; sizings pad to the largest lane, see
-    :class:`VectorVictims`).  ``prefetch_degree`` gives both ports a
-    next-line prefetcher of that degree in every lane (0 for none; see
-    :class:`VectorPrefetcher`).  Lanes start empty, their stamps based
-    at 1, one above a fresh cache's clock.
+    entry counts (0 for none; sizings pad to the largest lane).
+    ``prefetch_degree`` gives both ports a next-line prefetcher of that
+    degree in every lane (0 for none), whose tag sets are sized for the
+    pass's ``(I, D)`` demand ``accesses``.  Lanes start empty, their
+    stamps based at 1, one above a fresh cache's clock.
+
+    :attr:`iport` and :attr:`dport` are the kernel's ``port_t`` fields
+    and :attr:`l2` its ``l2_t`` fields, as
+    :meth:`~repro.ckernel.Args.pack_array` packs them.
     """
 
     def __init__(
@@ -328,54 +202,109 @@ class BulkLanes:
         victim_entries: "Sequence[tuple[int, int]]",
         lat_scale: int = 1,
         prefetch_degree: int = 0,
+        accesses: "tuple[int, int] | None" = None,
     ) -> None:
         if not enabled:
             raise ValueError("need at least one lane")
         if len(victim_entries) != len(enabled):
             raise ValueError("need one victim sizing per lane")
+        if prefetch_degree and accesses is None:
+            raise ValueError("a prefetching pass needs its (I, D) demand accesses")
         lanes = len(enabled)
         self.lanes = lanes
-        self.geometries = geometries
-        self.latencies = latencies
         l1i_geometry, l1d_geometry, l2_geometry = geometries
-        self.l1i = VectorCache(l1i_geometry, [pair[0] for pair in enabled])
-        self.l1d = VectorCache(l1d_geometry, [pair[1] for pair in enabled])
-        self.l2 = VectorCache(l2_geometry, [None] * lanes, dirty=False)
+        l1i = _cache(l1i_geometry, [pair[0] for pair in enabled])
+        l1d = _cache(l1d_geometry, [pair[1] for pair in enabled])
+        #: No dirty bytes: the L2's blocks are never written back.
+        self.l2 = _cache(l2_geometry, [None] * lanes)
         self.victim_entries_i = [pair[0] for pair in victim_entries]
         self.victim_entries_d = [pair[1] for pair in victim_entries]
-        self.victims_i = (
-            VectorVictims(self.victim_entries_i) if any(self.victim_entries_i) else None
-        )
-        self.victims_d = (
-            VectorVictims(self.victim_entries_d) if any(self.victim_entries_d) else None
-        )
         #: Instruction i's demand access stamps ``stamp_base + stamp_step
         #: * (2i + side)`` (side 0 for I, 1 for D), and the j-th block it
         #: prefetches ``j`` more, so a step of one more than the degree
         #: leaves every event of one access its own stamp.
         self.stamp_base = 1
         self.stamp_step = prefetch_degree + 1
-        self.iport = _BulkPort(
-            self.l1i, self.victims_i, latencies, lanes, lat_scale, prefetch_degree
+        latency = dict(
+            vlat=latencies.victim * lat_scale,
+            l2lat=latencies.l2 * lat_scale,
+            memlat=latencies.memory * lat_scale,
         )
-        self.dport = _BulkPort(
-            self.l1d, self.victims_d, latencies, lanes, lat_scale, prefetch_degree
+        i_accesses, d_accesses = accesses or (0, 0)
+        self.iport = self._port(
+            l1i, self.victim_entries_i, latency, prefetch_degree, i_accesses
+        )
+        self.dport = self._port(
+            l1d, self.victim_entries_d, latency, prefetch_degree, d_accesses
         )
 
-    def reserve_tags(self, i_accesses: int, d_accesses: int) -> None:
-        """Size the prefetchers' tag sets for a pass of ``i_accesses``
-        I-side and ``d_accesses`` D-side demand accesses (see
-        :meth:`VectorPrefetcher.reserve`)."""
-        for port, accesses in ((self.iport, i_accesses), (self.dport, d_accesses)):
-            if port.prefetcher is not None:
-                port.prefetcher.reserve(accesses)
+    def _port(
+        self,
+        l1: dict,
+        victim_entries: "list[int]",
+        latency: dict,
+        degree: int,
+        accesses: int,
+    ) -> _PortFields:
+        """One L1 port: the L1's fields and dirty bytes, the latencies
+        beyond L1 scaled by the commit width, the per-lane ``cnt`` block
+        (rows in :data:`LANE_COUNTERS` order) the kernel accumulates
+        into, and the victim and prefetcher state."""
+        lanes = self.lanes
+        port = _PortFields(
+            l1,
+            dirty=np.zeros(l1["tags"].shape, dtype=np.bool_),
+            cnt=np.zeros((len(LANE_COUNTERS), lanes), dtype=np.int64),
+            **latency,
+        )
+        entries = max(victim_entries)
+        if entries:
+            # A lane's LRU list is its row of slots, each with an insertion
+            # stamp: eviction takes the minimal stamp (the list head).  An
+            # empty slot's stamp, vempty, is below every occupied one, so
+            # empty slots are taken first, like an append, and a hit
+            # extracts by writing its slot back to empty.  Every operation
+            # is content-addressed, so slot positions mean nothing and
+            # lanes stay bit-identical to the object list.  Slots past a
+            # lane's own capacity are padding: tag -1 (no probe matches)
+            # and stamp BIG_STAMP (above every run stamp, so no insert
+            # evicts into one).  A 0-entry lane skips its inserts by vins.
+            empty = -(entries + 1)
+            stamp = np.full((lanes, entries), empty, dtype=np.int64)
+            for lane, capacity in enumerate(victim_entries):
+                if capacity:
+                    stamp[lane, capacity:] = BIG_STAMP
+            port.update(
+                ventries=entries, vempty=empty,
+                vtags=np.full((lanes, entries), -1, dtype=np.int64),
+                vstamp=stamp,
+                vins=None if all(victim_entries)
+                else np.array([e > 0 for e in victim_entries], dtype=np.bool_),
+            )
+        if degree:
+            # Each lane's NextLinePrefetcher._tagged, stale tags of
+            # evicted or bypassed blocks included: an open-addressing
+            # table of block addresses (the kernel's tag_slot probes it),
+            # -1 an empty slot and -2 a removed tag, so slots are never
+            # reused.  An access adds at most ``degree`` tags, each into a
+            # slot no tag held before, so a table of twice ``degree *
+            # accesses`` slots never gets more than half full.  ``tagged``
+            # marks the resident ways whose block is in the set, so a
+            # demand hit reads one byte.
+            bits = max(4, (2 * degree * accesses - 1).bit_length())
+            port.update(
+                pfdeg=degree, tslots=1 << bits, tshift=64 - bits,
+                tagged=np.zeros(l1["tags"].shape, dtype=np.bool_),
+                tset=np.full((lanes, 1 << bits), -1, dtype=np.int64),
+            )
+        return port
 
     def mark_boundary(self) -> None:
         """The warmup/measured boundary: zero every per-lane counter
         (state effects keep the full history, exactly like the
         sequential statistics reset)."""
-        self.iport.counts.fill(0)
-        self.dport.counts.fill(0)
+        self.iport["cnt"].fill(0)
+        self.dport["cnt"].fill(0)
 
     def finalize(
         self, measured_i_accesses: int, measured_d_accesses: int
@@ -385,8 +314,8 @@ class BulkLanes:
         without a victim cache on a side reports that side's all-zero
         victim entry, as :meth:`MemoryHierarchy.stats` does."""
         sides = (
-            (self.iport.counts.tolist(), measured_i_accesses, self.victim_entries_i),
-            (self.dport.counts.tolist(), measured_d_accesses, self.victim_entries_d),
+            (self.iport["cnt"].tolist(), measured_i_accesses, self.victim_entries_i),
+            (self.dport["cnt"].tolist(), measured_d_accesses, self.victim_entries_d),
         )
         snapshots = []
         for lane in range(self.lanes):

@@ -43,7 +43,7 @@ from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline, SimResult
 from repro.cpu.trace import Trace
 from repro.experiments.configs import RunConfig
 from repro.experiments.providers import FaultMapProvider, TraceProvider
-from repro.experiments.keys import fidelity_fingerprint, task_key
+from repro.experiments.keys import config_members, fidelity_fingerprint, task_key
 from repro.store import MemoryStore, ResultStore
 from repro.faults.fault_map import FaultMap, FaultMapPair
 
@@ -132,9 +132,9 @@ class Session:
         #: Batch signature per RunConfig (memoised — configuring a
         #: scheme over a fault map is cheap but not free).
         self._signature_cache: dict[RunConfig, tuple] = {}
-        # Content-hash keys are ~30us to compute (canonical JSON + sha256
-        # over per-session constants); memoise them so warm-store reads
-        # stay dict-lookup cheap.
+        # A task key costs a sha256 over its pre-encoded parts, about five
+        # times a memo hit; memoise them so warm-store reads stay
+        # dict-lookup cheap.
         self._key_cache: dict[tuple, str] = {}
         #: Simulations actually executed (not read from the store): what
         #: :meth:`run_group` ran, lazy :meth:`simulate` misses included,
@@ -214,7 +214,16 @@ class Session:
     def _normalize_map_index(config: RunConfig, map_index: int | None) -> int | None:
         """``map_index`` is required iff performance depends on the fault
         draw; fault-independent configs canonicalise to ``None`` so every
-        caller agrees on one key per physical simulation."""
+        caller agrees on one key per physical simulation.  An index that
+        is not an ``int`` (``True`` and ``1.0`` included) raises
+        ``TypeError``: it would key, or draw, map 1 under another key."""
+        if map_index is not None and (
+            type(map_index) is bool or not isinstance(map_index, int)
+        ):
+            raise TypeError(
+                f"a fault-map index is an int, got {type(map_index).__name__} "
+                f"{map_index!r}"
+            )
         if config.needs_fault_map:
             if map_index is None or map_index < 0:
                 raise ValueError(
@@ -229,7 +238,10 @@ class Session:
         """Stable store key of one simulation point (see
         :func:`repro.experiments.keys.task_key`)."""
         map_index = self._normalize_map_index(config, map_index)
-        cache_key = (benchmark, config, map_index)
+        # Keyed on the config's encoded members, not the config: RunConfig
+        # equality merges configs that encode differently (0 and 0.0
+        # victim entries), and those must keep their own keys.
+        cache_key = (benchmark, config_members(config), map_index)
         key = self._key_cache.get(cache_key)
         if key is None:
             key = task_key(

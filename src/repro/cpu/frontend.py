@@ -20,10 +20,12 @@ loop consumes with O(1) work per instruction:
 * ``redirect_index`` / ``redirect_static_next`` — instructions whose
   resolution redirects fetch (gshare mispredicts, RAS mispredicts), with
   the static offset of the following instruction so the rebase is O(1).
-* the measured-region branch statistics a :class:`SimResult` reports
-  (gshare and RAS predictions and mispredictions) and the measured-region
-  I- and D-access counts.  Predictor end-state is not kept: a kernel run
-  leaves no pipeline state behind.
+
+Predictor end-state is not kept: a kernel run leaves no pipeline state
+behind.  Nor is any count of a measured region: the schedule covers the
+whole trace, so one schedule serves every warmup, and a kernel pass
+counts its own region's branches and accesses from these columns and the
+trace's classes (each redirect is one misprediction).
 
 The schedule is the one per-instruction array built for the kernel.
 Beside it the kernel reads the trace's own columns in place, and what
@@ -31,7 +33,7 @@ else it needs per instruction (ROB and issue-queue slots, D-cache
 blocks) it computes inline (see :mod:`repro.cpu.lane_kernel`).
 
 Schedules are memoised on the trace object keyed by the front-end
-parameters, so campaign runs (one trace x many fault maps x many
+parameters alone, so campaign runs (one trace x many fault maps x many
 configurations) replay the front end once, not per simulation.
 
 Every array field is a contiguous int64 array, and construction checks
@@ -52,10 +54,10 @@ hash of the trace columns the front end consumes (pc, class, taken) plus
 the front-end parameters; a trace built outside a provider persists
 none.  Workers and later sessions then load the compiled schedule
 instead of re-replaying.  Entries are raw
-``.npz`` archives of six int64 members — the five columns and one
-``counts`` row (the schema number, then the six counts) — written
-atomically; a torn entry, or one the loader refuses (a member not
-stored as int64, a ``counts`` row of the wrong length, a
+``.npz`` archives of six int64 members — the five columns and a
+one-element ``schema`` member — written atomically; a torn entry, or
+one the loader refuses (other members than those six, a member not
+stored as int64, a ``schema`` other than this build's, a
 ``static_fetch`` without the trace's length, or an index column the
 checks above reject), is discarded and rebuilt, through the same writer
 and reader as the trace cache (:mod:`repro.cpu.diskcache`).
@@ -79,7 +81,7 @@ from repro.cpu.trace import Trace
 _CACHE_ATTR = "_frontend_schedules"
 
 #: Bump when FrontEndSchedule's layout or semantics change incompatibly.
-SCHEDULE_SCHEMA_VERSION = 2
+SCHEDULE_SCHEMA_VERSION = 3
 
 #: Persistent entries are ``sched-<key>.npz`` beside the cached traces.
 _SCHED_PREFIX = "sched-"
@@ -90,9 +92,9 @@ SCHEDULE_CACHE_STATS = {"loaded": 0, "persisted": 0, "discarded": 0}
 
 @dataclass(eq=False)
 class FrontEndSchedule:
-    """Compiled front-end behaviour of one (trace, config, measure_from).
+    """Compiled front-end behaviour of one (trace, front-end config).
 
-    The five array fields accept any integer sequence and are held as
+    The five fields accept any integer sequence and are held as
     contiguous int64 arrays; construction raises ``ValueError`` when an
     index column could lead the kernel outside its companion column."""
 
@@ -103,15 +105,6 @@ class FrontEndSchedule:
     iaccess_line: np.ndarray
     redirect_index: np.ndarray
     redirect_static_next: np.ndarray
-    # --- measured-region branch statistics ----------------------------------
-    gshare_predictions: int
-    gshare_mispredictions: int
-    ras_pops: int
-    ras_mispredictions: int
-    # --- measured-region access totals (accesses = hits + misses, so the
-    # hot loop counts only misses and reconstructs the rest at run end) ----
-    iaccess_measured: int
-    daccess_measured: int
 
     def __post_init__(self) -> None:
         for name in _ARRAY_FIELDS:
@@ -141,23 +134,22 @@ class FrontEndSchedule:
         if not isinstance(other, FrontEndSchedule):
             return NotImplemented
         return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            if f.name in _ARRAY_FIELDS
-            else getattr(self, f.name) == getattr(other, f.name)
-            for f in fields(self)
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _ARRAY_FIELDS
         )
 
 
-def _schedule_key(
-    config: PipelineConfig, offset_bits: int, measure_from: int, n: int
-) -> tuple:
+#: FrontEndSchedule's fields, each persisted as its own member.
+_ARRAY_FIELDS = tuple(f.name for f in fields(FrontEndSchedule))
+
+
+def _schedule_key(config: PipelineConfig, offset_bits: int, n: int) -> tuple:
     return (
         config.gshare_history_bits,
         config.ras_entries,
         config.line_predictor_entries,
         config.fetch_width,
         offset_bits,
-        measure_from,
         n,
     )
 
@@ -184,9 +176,7 @@ def schedule_cache_dir(trace: Trace) -> str | None:
     return os.fspath(stamped) if stamped else None
 
 
-def schedule_disk_key(
-    trace: Trace, config: PipelineConfig, offset_bits: int, measure_from: int
-) -> str:
+def schedule_disk_key(trace: Trace, config: PipelineConfig, offset_bits: int) -> str:
     """Stable content hash of one persisted schedule."""
     payload = {
         "schema": SCHEDULE_SCHEMA_VERSION,
@@ -197,73 +187,44 @@ def schedule_disk_key(
         "line_predictor_entries": config.line_predictor_entries,
         "fetch_width": config.fetch_width,
         "offset_bits": offset_bits,
-        "measure_from": measure_from,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-#: FrontEndSchedule's array fields, each persisted as its own member.
-_ARRAY_FIELDS = (
-    "static_fetch",
-    "iaccess_index",
-    "iaccess_line",
-    "redirect_index",
-    "redirect_static_next",
-)
-#: Its scalar fields, persisted after the schema number in one int64
-#: ``counts`` member.
-_COUNT_FIELDS = (
-    "gshare_predictions",
-    "gshare_mispredictions",
-    "ras_pops",
-    "ras_mispredictions",
-    "iaccess_measured",
-    "daccess_measured",
-)
-
-
 def save_schedule(schedule: FrontEndSchedule, path_or_file) -> None:
     """Persist a schedule as an uncompressed ``.npz``: the five columns
-    and the ``counts`` row (see :mod:`repro.cpu.diskcache`)."""
-    counts = [SCHEDULE_SCHEMA_VERSION, *(getattr(schedule, f) for f in _COUNT_FIELDS)]
+    and the ``schema`` member (see :mod:`repro.cpu.diskcache`)."""
     np.savez(
         path_or_file,
-        counts=np.array(counts, dtype=np.int64),
+        schema=np.array([SCHEDULE_SCHEMA_VERSION], dtype=np.int64),
         **{name: getattr(schedule, name) for name in _ARRAY_FIELDS},
     )
 
 
 def load_schedule(path: str, n: int) -> FrontEndSchedule:
     """Inverse of :func:`save_schedule` for a trace of ``n`` instructions;
-    also reads compressed archives.  Raises ``ValueError`` unless every
-    member is stored as int64, ``counts`` holds the schema number and
-    the six counts, ``static_fetch`` has ``n`` rows and the index
-    columns pass :class:`FrontEndSchedule`'s checks (``KeyError`` for a
-    missing member)."""
+    also reads compressed archives.  Raises ``ValueError`` unless the
+    members are the five columns and ``schema``, each stored as int64,
+    ``schema`` holds this build's schema number alone, ``static_fetch``
+    has ``n`` rows and the index columns pass
+    :class:`FrontEndSchedule`'s checks."""
     data = read_members(path)
+    if sorted(data) != sorted((*_ARRAY_FIELDS, "schema")):
+        raise ValueError(f"schedule members are {sorted(data)}")
     for name, member in data.items():
         if member.dtype != np.int64:
             raise ValueError(f"schedule member {name!r} is stored as {member.dtype}")
-    counts = data["counts"]
-    if counts.shape != (1 + len(_COUNT_FIELDS),):
-        raise ValueError(f"schedule counts have shape {counts.shape}")
-    if counts[0] != SCHEDULE_SCHEMA_VERSION:
-        raise ValueError("schedule schema mismatch")
-    schedule = FrontEndSchedule(
-        **{name: data[name] for name in _ARRAY_FIELDS},
-        **dict(zip(_COUNT_FIELDS, counts[1:].tolist())),
-    )
+    if data["schema"].tolist() != [SCHEDULE_SCHEMA_VERSION]:
+        raise ValueError(f"schedule schema {data['schema'].tolist()} is not this build's")
+    schedule = FrontEndSchedule(**{name: data[name] for name in _ARRAY_FIELDS})
     if len(schedule.static_fetch) != n:
         raise ValueError(f"schedule has {len(schedule.static_fetch)} rows, not {n}")
     return schedule
 
 
 def frontend_schedule(
-    trace: Trace,
-    config: PipelineConfig,
-    offset_bits: int,
-    measure_from: int,
+    trace: Trace, config: PipelineConfig, offset_bits: int
 ) -> FrontEndSchedule:
     """The memoised schedule for this trace/front-end combination,
     backed by the persistent schedule cache when one is configured."""
@@ -271,13 +232,13 @@ def frontend_schedule(
     if cache is None:
         cache = {}
         setattr(trace, _CACHE_ATTR, cache)
-    key = _schedule_key(config, offset_bits, measure_from, len(trace))
+    key = _schedule_key(config, offset_bits, len(trace))
     schedule = cache.get(key)
     if schedule is None:
         directory = schedule_cache_dir(trace)
         path = None
         if directory:
-            disk_key = schedule_disk_key(trace, config, offset_bits, measure_from)
+            disk_key = schedule_disk_key(trace, config, offset_bits)
             path = os.path.join(directory, f"{_SCHED_PREFIX}{disk_key}.npz")
             schedule, discarded = read_entry(
                 path, lambda entry: load_schedule(entry, len(trace))
@@ -285,7 +246,7 @@ def frontend_schedule(
             SCHEDULE_CACHE_STATS["discarded"] += discarded
             SCHEDULE_CACHE_STATS["loaded"] += schedule is not None
         if schedule is None:
-            schedule = _build_schedule(trace, config, offset_bits, measure_from)
+            schedule = _build_schedule(trace, config, offset_bits)
             if path is not None and write_entry(
                 path, lambda fh: save_schedule(schedule, fh), SCHEDULE_TMP_PREFIX
             ):
@@ -295,10 +256,7 @@ def frontend_schedule(
 
 
 def _build_schedule(
-    trace: Trace,
-    config: PipelineConfig,
-    offset_bits: int,
-    measure_from: int,
+    trace: Trace, config: PipelineConfig, offset_bits: int
 ) -> FrontEndSchedule:
     """Compile the schedule array-at-a-time.
 
@@ -322,7 +280,7 @@ def _build_schedule(
     """
     n = len(trace)
     if n == 0:
-        return _build_schedule_reference(trace, config, offset_bits, measure_from)
+        return _build_schedule_reference(trace, config, offset_bits)
 
     pcs, classes, takens = trace.pc, trace.iclass, trace.taken
     # The fetch line of each instruction, and where it differs from its
@@ -335,9 +293,6 @@ def _build_schedule(
     branch_pos = np.flatnonzero(classes == 6)
     cr_pos = np.flatnonzero(classes > 6)
     fetch_width = config.fetch_width
-    # The reference resets measured-region stats at ``i == measure_from``
-    # only when ``0 < measure_from < n``; at or past the end it never fires.
-    reset_from = measure_from if 0 < measure_from < n else 0
 
     # ---- gshare: indices vectorise, counter chains scan in parallel -----
     n_branches = len(branch_pos)
@@ -401,11 +356,6 @@ def _build_schedule(
         s_before[chain_start] = 2
         mis[order] = (s_before >= 2) != gt
     mis_ord = np.flatnonzero(mis)
-    # Measured-region stats by ordinal: counters only move at branches, so
-    # the reference's reset at ``i == reset_from`` is an ordinal split.
-    b_split = int(np.searchsorted(branch_pos, reset_from))
-    g_pred = n_branches - b_split
-    g_mis = len(mis_ord) - int(np.searchsorted(mis_ord, b_split))
 
     # ---- line predictor: fully vectorised -------------------------------
     # The LP table entry for an index is simply the *last target line* a
@@ -451,16 +401,11 @@ def _build_schedule(
             stack.append(val)
         elif not (stack and stack.pop() == val):
             ras_mis_pos.append(i)
-    # Measured-region counts by position (counters only move here).
-    cr_split = int(np.searchsorted(cr_pos, reset_from))
-    ras_pops = len(cr_pos) - cr_split - int(np.count_nonzero(cr_call[cr_split:]))
-    ras_mis_arr = np.asarray(ras_mis_pos, dtype=np.int64)
-    ras_mis = len(ras_mis_pos) - int(np.searchsorted(ras_mis_arr, reset_from))
 
     # ---- redirect / bubble flags over the whole trace -------------------
     redirect = np.zeros(n, dtype=np.bool_)
     redirect[branch_pos[mis_ord]] = True
-    redirect[ras_mis_arr] = True
+    redirect[ras_mis_pos] = True
     lp_bubble = np.zeros(n, dtype=np.bool_)
     lp_bubble[ct_pos[lp_miss]] = True  # taken-branch fetch bubble
 
@@ -490,9 +435,6 @@ def _build_schedule(
 
     iaccess_idx = np.flatnonzero(change)
     redirect_idx = np.flatnonzero(redirect)
-    iaccess_measured = int(np.count_nonzero(change[reset_from:]))
-    tail = classes[reset_from:]
-    daccess_measured = int(np.count_nonzero((tail == 4) | (tail == 5)))
 
     return FrontEndSchedule(
         static_fetch=static,
@@ -501,20 +443,11 @@ def _build_schedule(
         iaccess_line=lines[iaccess_idx],
         redirect_index=np.append(redirect_idx, n),
         redirect_static_next=static[np.minimum(redirect_idx + 1, n - 1)],
-        gshare_predictions=g_pred,
-        gshare_mispredictions=g_mis,
-        ras_pops=ras_pops,
-        ras_mispredictions=ras_mis,
-        iaccess_measured=iaccess_measured,
-        daccess_measured=daccess_measured,
     )
 
 
 def _build_schedule_reference(
-    trace: Trace,
-    config: PipelineConfig,
-    offset_bits: int,
-    measure_from: int,
+    trace: Trace, config: PipelineConfig, offset_bits: int
 ) -> FrontEndSchedule:
     """Replay the front end over the trace (mirror of the generic loop's
     fetch and control-flow sections, minus everything timing-dependent).
@@ -544,28 +477,16 @@ def _build_schedule_reference(
     fetch_static = 0
     fetch_slot = 0
     cur_line = -1
-    iaccess_measured = 0
-    daccess_measured = 0
 
     for i in range(n):
-        if i == measure_from and i > 0:
-            gshare.predictions = 0
-            gshare.mispredictions = 0
-            ras.pops = 0
-            ras.mispredictions = 0
-            iaccess_measured = 0
-            daccess_measured = 0
         pc = pcs[i]
         cls = classes[i]
-        if cls == 4 or cls == 5:  # LOAD / STORE: one D-cache access each
-            daccess_measured += 1
 
         line = pc >> offset_bits
         if line != cur_line:
             cur_line = line
             iaccess_index.append(i)
             iaccess_line.append(line)
-            iaccess_measured += 1
             fetch_slot = 0
         if fetch_slot >= fetch_width:
             fetch_static += 1
@@ -614,10 +535,4 @@ def _build_schedule_reference(
         iaccess_line=iaccess_line,
         redirect_index=redirect_index,
         redirect_static_next=redirect_static_next,
-        gshare_predictions=gshare.predictions,
-        gshare_mispredictions=gshare.mispredictions,
-        ras_pops=ras.pops,
-        ras_mispredictions=ras.mispredictions,
-        iaccess_measured=iaccess_measured,
-        daccess_measured=daccess_measured,
     )

@@ -159,12 +159,10 @@ static inline int64_t probe(const port_t *p, int64_t l, int64_t base,
     return hit;
 }
 
-/* A lane's tag set (NextLinePrefetcher._tagged): open addressing over
-   tslots slots, linear probing from a Fibonacci hash (TAG_HASH_C).  The
-   set starts empty.  -1 marks an empty slot, -2 a removed tag: slots are
-   never reused, and VectorPrefetcher.reserve sizes the table so that the
-   pass's tags fill at most half of it.  Returns the
-   slot holding block, or the empty slot where it would go. */
+/* A lane's tag set (NextLinePrefetcher._tagged; BulkLanes._port gives
+   its markers and sizing): open addressing over tslots slots, linear
+   probing from a Fibonacci hash (TAG_HASH_C).  Returns the slot holding
+   block, or the empty slot where it would go. */
 static int64_t tag_slot(const port_t *p, const int64_t *set, int64_t block) {
     int64_t j = (int64_t)(((uint64_t)block * TAG_HASH_C) >> p->tshift);
     while (set[j] != -1 && set[j] != block) j = (j + 1) & (p->tslots - 1);

@@ -194,35 +194,23 @@ class KernelLane:
         return OutOfOrderPipeline(self.config, hierarchy, engine=engine)
 
 
+#: Class codes as plain ints: NumPy compares an int8 column against an
+#: ``IntEnum`` member several times slower than against an int.
+_LOAD, _STORE, _BRANCH, _RETURN = map(
+    int, (InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH, InstrClass.RETURN)
+)
+
+
+def _count_classes(classes: np.ndarray, *codes: int) -> int:
+    """How many of ``classes`` hold one of ``codes``."""
+    return sum(int(np.count_nonzero(classes == code)) for code in codes)
+
+
 def _check_measure_from(n: int, measure_from: int) -> None:
     """The measured region must hold an instruction; an empty trace
     measures from 0."""
     if not 0 <= measure_from < max(n, 1):
         raise ValueError(f"measure_from must be in [0, {n}), got {measure_from}")
-
-
-def _port_args(port, lanes: int) -> dict:
-    """One bulk port as the lane kernel's nested ``port_t`` fields.  A
-    port without a victim cache keeps ``ventries`` 0, one without a
-    prefetcher ``pfdeg`` 0, and their arrays ``NULL``."""
-    l1, victims, prefetcher = port.l1, port.victims, port.prefetcher
-    fields = dict(
-        ways=l1.ways, row=lanes * l1.ways, set_mask=l1.set_mask,
-        index_bits=l1.tag_shift, vlat=port.latency[0], l2lat=port.latency[1],
-        memlat=port.latency[2], tags=l1.tags, last=l1.last, dirty=l1.dirty,
-        cnt=port.counts,
-    )
-    if victims is not None:
-        fields.update(
-            ventries=victims.entries, vempty=victims.empty_stamp,
-            vtags=victims.tags, vstamp=victims.stamp, vins=victims.insertable,
-        )
-    if prefetcher is not None:
-        fields.update(
-            pfdeg=prefetcher.degree, tslots=prefetcher.table.shape[1],
-            tshift=prefetcher.shift, tagged=prefetcher.tagged, tset=prefetcher.table,
-        )
-    return fields
 
 
 def _object_columns(trace: Trace) -> tuple[list, ...]:
@@ -660,8 +648,11 @@ class OutOfOrderPipeline:
         max(v, comp_scaled) + 1``, algebraically identical to the object
         loop's rule for ``slots`` in ``1..W``.  Cache recency uses the
         bulk engine's trace-static stamps (see :mod:`repro.cache.engine`),
-        so no per-lane clocks are maintained.  Prefetchers' tag sets are
-        sized for the pass from its I- and D-access counts before the
+        so no per-lane clocks are maintained.  The front-end schedule
+        covers the whole trace, whatever the warmup: the pass counts the
+        measured region's predictions, mispredictions and accesses from
+        its index columns and the trace's classes, and sizes the
+        prefetchers' tag sets for the whole trace's accesses before the
         kernel starts.  The kernel returns to Python only at the warmup
         boundary (cycle-base snapshot, counter reset) and at trace end;
         cycle counts are recovered as ``(v - 1) // W``.
@@ -682,9 +673,18 @@ class OutOfOrderPipeline:
         # Looked up at call time, so a caller may force a count; the
         # kernel trusts it, so it is bounded here.
         k = max(1, min(kernel_slices(n_lanes, n), n_lanes))
-        schedule = frontend_schedule(
-            trace, cfg, first.geometries[0].offset_bits, measure_from
-        )
+        schedule = frontend_schedule(trace, cfg, first.geometries[0].offset_bits)
+        # The measured region's counts.  Each redirect is one gshare or
+        # RAS misprediction, and the index columns end in the sentinel n.
+        ia_idx, rd_idx = schedule.iaccess_index, schedule.redirect_index
+        i_measured = len(ia_idx) - 1 - int(np.searchsorted(ia_idx, measure_from))
+        mispredictions = len(rd_idx) - 1 - int(np.searchsorted(rd_idx, measure_from))
+        measured = trace.iclass[measure_from:]
+        predictions = _count_classes(measured, _BRANCH, _RETURN)
+        d_measured = _count_classes(measured, _LOAD, _STORE)
+        accesses = None
+        if first.prefetch_degree:  # the tag sets are sized for the whole pass
+            accesses = (len(ia_idx) - 1, _count_classes(trace.iclass, _LOAD, _STORE))
         bulks = []
         for j in range(k):  # contiguous slices, sizes differing by at most one
             part = lanes[j * n_lanes // k : (j + 1) * n_lanes // k]
@@ -695,14 +695,8 @@ class OutOfOrderPipeline:
                 [lane.victim_entries for lane in part],
                 lat_scale=w,
                 prefetch_degree=first.prefetch_degree,
+                accesses=accesses,
             ))
-        if first.prefetch_degree:
-            d_accesses = np.count_nonzero(
-                (trace.iclass == InstrClass.LOAD) | (trace.iclass == InstrClass.STORE)
-            )
-            for bulk in bulks:
-                # The I-access index list ends in a sentinel.
-                bulk.reserve_tags(len(schedule.iaccess_index) - 1, int(d_accesses))
         frontend_delay = cfg.frontend_stages + first.latencies.l1i
         pool_widths = (
             cfg.int_alu_units, cfg.int_mul_units, cfg.fp_alu_units, cfg.fp_mul_units,
@@ -740,14 +734,7 @@ class OutOfOrderPipeline:
         vs = [zeros(bulk.lanes) for bulk in bulks]  # last_commit * W + commit_slots
         args = lane_kernel.ARGS.pack_array(shared, [
             dict(
-                lanes=bulk.lanes,
-                ip=_port_args(bulk.iport, bulk.lanes),
-                dp=_port_args(bulk.dport, bulk.lanes),
-                l2=dict(
-                    ways=bulk.l2.ways, row=bulk.lanes * bulk.l2.ways,
-                    set_mask=bulk.l2.set_mask, index_bits=bulk.l2.tag_shift,
-                    tags=bulk.l2.tags, last=bulk.l2.last,
-                ),
+                lanes=bulk.lanes, ip=bulk.iport, dp=bulk.dport, l2=bulk.l2,
                 reg=zeros(NUM_REGISTERS, bulk.lanes),
                 rob=zeros(cfg.rob_entries, bulk.lanes),  # scaled dispatch bounds
                 iqint=zeros(cfg.iq_int_entries, bulk.lanes),
@@ -778,15 +765,9 @@ class OutOfOrderPipeline:
         snapshots = [
             snapshot
             for bulk in bulks
-            for snapshot in bulk.finalize(
-                schedule.iaccess_measured, schedule.daccess_measured
-            )
+            for snapshot in bulk.finalize(i_measured, d_measured)
         ]
         cycles = ((np.concatenate(vs) - 1) // w - cycles_base).tolist()
-        mispredictions = (
-            schedule.gshare_mispredictions + schedule.ras_mispredictions
-        )
-        predictions = schedule.gshare_predictions + schedule.ras_pops
         return [
             SimResult(
                 benchmark=trace.name,

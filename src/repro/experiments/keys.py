@@ -94,7 +94,11 @@ def _pipeline_json(pipeline_config: PipelineConfig) -> str:
 
 
 @_per_object
-def _config_members(config: RunConfig) -> str:
+def config_members(config: RunConfig) -> str:
+    """The config's three key members (scheme, victim entries, voltage)
+    as :func:`task_key` encodes them: equal exactly when they put the
+    same bytes into a key, unlike ``RunConfig`` equality, under which
+    ``victim_entries=0`` and ``victim_entries=0.0`` are one config."""
     return (
         f'"scheme":{_canonical(config.scheme)},'
         f'"victim_entries":{_canonical(config.victim_entries)},'
@@ -131,6 +135,6 @@ def task_key(
         f'"fidelity":{_fidelity_json(settings)},'
         f'"map_index":{_canonical(map_index)},'
         f'"pipeline":{_pipeline_json(pipeline_config or PAPER_PIPELINE)},'
-        f"{_config_members(config)}}}"
+        f"{config_members(config)}}}"
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -239,23 +239,6 @@ class DiskStore(MemoryStore):
     def _fh(self):
         return self._log._fh
 
-    @property
-    def skipped_lines(self) -> int:
-        """Undecodable lines (the historical name; see :meth:`health`)."""
-        return sum(log.malformed for log in self._logs())
-
-    @property
-    def corrupt_records(self) -> int:
-        return sum(log.corrupt for log in self._logs())
-
-    @property
-    def stale_records(self) -> int:
-        return sum(log.stale for log in self._logs())
-
-    @property
-    def legacy_lines(self) -> int:
-        return sum(log.legacy for log in self._logs())
-
     def _logs(self) -> "list[JsonlLog]":
         return [self._log]
 

@@ -20,6 +20,7 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_WORD,
 )
+from repro.experiments.keys import task_key
 from repro.store import DiskStore, MemoryStore, open_store
 
 SETTINGS = RunnerSettings(
@@ -193,6 +194,46 @@ class TestMapIndex:
     def test_fault_independent_configs_ignore_the_index(self, session):
         assert session.task_key("gzip", LV_BASELINE, -2) == session.task_key(
             "gzip", LV_BASELINE
+        )
+
+    @pytest.mark.parametrize("config", [LV_BLOCK, LV_BASELINE])
+    @pytest.mark.parametrize("index", [1.0, True, np.int64(1)])
+    def test_a_map_index_that_is_not_an_int_is_refused(self, session, config, index):
+        """``1.0`` and ``True`` equal ``1``: an equality-keyed memo would
+        hand them map 1's key, and ``pair(True)`` would simulate map 1
+        under another key.  Every entry point refuses them, before or
+        after map 1 is keyed, and nothing runs or is stored."""
+        for keyed_first in (False, True):
+            if keyed_first:
+                session.task_key("gzip", config, 1)
+            with pytest.raises(TypeError, match="fault-map index is an int"):
+                session.task_key("gzip", config, index)
+            with pytest.raises(TypeError, match="fault-map index is an int"):
+                session.simulate("gzip", config, index)
+        assert len(session.store) == 0
+        assert session.simulations_executed == 0
+
+
+class TestTaskKeyMemo:
+    """``Session.task_key`` memoises keys; the memo must never hand a
+    point another point's key."""
+
+    @pytest.mark.parametrize("order", [(0, 0.0), (0.0, 0)])
+    def test_configs_equal_in_python_keep_their_own_keys(self, order):
+        """``RunConfig`` equality merges ``victim_entries=0`` and ``0.0``,
+        which :func:`~repro.experiments.keys.task_key` encodes
+        differently; the session gives each its own key, in either
+        order."""
+        session = Session(SETTINGS)
+        configs = [dataclasses.replace(LV_BLOCK, victim_entries=v) for v in order]
+        assert configs[0] == configs[1]
+        for config in configs:
+            for m in (0, 1):
+                assert session.task_key("gzip", config, m) == task_key(
+                    SETTINGS, "gzip", config, m
+                )
+        assert session.task_key("gzip", configs[0], 0) != session.task_key(
+            "gzip", configs[1], 0
         )
 
 

@@ -228,6 +228,48 @@ def test_measure_from_zero_and_validation(session):
 
 
 @requires_kernel
+@pytest.mark.parametrize(
+    "where", ["first", "second", "middle", "last", "redirect", "memory"]
+)
+@pytest.mark.parametrize("prefetch_degree", [0, 2])
+def test_a_pass_counts_its_measured_region_at_every_edge(
+    session, where, prefetch_degree
+):
+    """The schedule holds no count of a measured region: a pass counts
+    its predictions, mispredictions and I- and D-accesses from the
+    schedule's index columns and the trace's classes.  At the first
+    instruction, the second, mid-trace, the last one, a redirecting
+    (mispredicted) one and a load or store, they equal the object
+    loop's, which resets its own counters at the boundary."""
+    trace = session.trace("gzip")
+    n = len(trace)
+    lanes = [
+        dataclasses.replace(lane, prefetch_degree=prefetch_degree)
+        for lane in _lanes(session, [(LV_BASELINE, None), (LV_BLOCK_V10, 1)])
+    ]
+    redirects = frontend_schedule(
+        trace, lanes[0].config, lanes[0].geometries[0].offset_bits
+    ).redirect_index[:-1]
+    memory = np.flatnonzero((trace.iclass == 4) | (trace.iclass == 5))
+    warmup = {
+        "first": 0, "second": 1, "middle": n // 2, "last": n - 1,
+        "redirect": int(redirects[len(redirects) // 2]),
+        "memory": int(memory[len(memory) // 2]),
+    }[where]
+    results = OutOfOrderPipeline.run_batch(lanes, trace, measure_from=warmup)
+    for lane, got in zip(lanes, results):
+        expected = lane.pipeline("object").run(trace, measure_from=warmup)
+        assert got.branch_predictions == expected.branch_predictions
+        assert got.branch_mispredictions == expected.branch_mispredictions
+        for cache in ("l1i", "l1d"):
+            assert (
+                got.hierarchy_stats[cache]["accesses"]
+                == expected.hierarchy_stats[cache]["accesses"]
+            ), cache
+        assert got == expected
+
+
+@requires_kernel
 def test_mixed_scheme_lanes_batch_vectorised(session):
     """Lanes need not share a configuration: the fault-free baseline and
     block-disabling fault maps share one lane structure (same latencies,
@@ -352,7 +394,7 @@ def test_a_kernel_pass_allocates_nothing_of_the_trace_length(session):
     n, warmup = 200_000, 50_000
     trace = generate_trace("mcf", n, seed=3)
     lane = _lanes(session, [(LV_BLOCK, 0)])[0]
-    frontend_schedule(trace, lane.config, lane.geometries[0].offset_bits, warmup)
+    frontend_schedule(trace, lane.config, lane.geometries[0].offset_bits)
     tracemalloc.start()
     try:
         OutOfOrderPipeline.run_batch([lane], trace, measure_from=warmup)
@@ -367,14 +409,14 @@ def test_a_schedule_build_retains_only_the_schedule(session):
     """Building the front-end schedule of a fresh 200k-instruction trace
     retains the schedule's own arrays (about 10 B per instruction) and
     under 64 KB beside them: ``_build_schedule``'s fetch lines, change
-    mask, branch and call/return positions and memory mask, memoised on
-    the trace, would retain 11.4 B per instruction more (2.3 MB here)."""
-    n, warmup = 200_000, 50_000
+    mask and branch and call/return positions, memoised on the trace,
+    would retain 10.4 B per instruction more (2.1 MB here)."""
+    n = 200_000
     trace = generate_trace("mcf", n, seed=3)
     tracemalloc.start()
     try:
         schedule = frontend_schedule(
-            trace, session.pipeline_config, L1_GEOMETRY.offset_bits, warmup
+            trace, session.pipeline_config, L1_GEOMETRY.offset_bits
         )
         retained, _ = tracemalloc.get_traced_memory()
     finally:

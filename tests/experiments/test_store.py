@@ -324,7 +324,7 @@ class TestDiskStore:
         reopened = disk_store(tmp_path)
         assert reopened.get("good") == make_result(300)
         assert reopened.get("half") is None
-        assert reopened.skipped_lines == 1
+        assert reopened.health().malformed == 1
 
     def test_garbage_and_blank_lines_tolerated(self, disk_store, tmp_path):
         store = disk_store(tmp_path)
@@ -336,7 +336,7 @@ class TestDiskStore:
             fh.write('{"key": "bad", "result": {"cycles": 1}}\n')
         reopened = disk_store(tmp_path)
         assert len(reopened) == 1
-        assert reopened.skipped_lines == 3  # blank lines are not counted
+        assert reopened.health().malformed == 3  # blank lines are not counted
 
     def test_resumed_writes_survive_a_truncated_tail(self, disk_store, tmp_path):
         """A crash can leave the file without a trailing newline; the next
@@ -351,7 +351,7 @@ class TestDiskStore:
         reopened = disk_store(tmp_path)
         assert reopened.get("good") == make_result(300)
         assert reopened.get("after-crash") == make_result(400)
-        assert reopened.skipped_lines == 1
+        assert reopened.health().malformed == 1
 
     def test_last_write_wins(self, disk_store, tmp_path):
         store = disk_store(tmp_path)
@@ -421,10 +421,10 @@ class TestDuplicateKeys:
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
         reopened = disk_store(tmp_path)
-        assert reopened.skipped_lines == 1
+        assert reopened.health().malformed == 1
         assert reopened.compact() == 1
         fresh = disk_store(tmp_path)
-        assert fresh.skipped_lines == 0
+        assert fresh.health().malformed == 0
         assert fresh.get("good") == make_result(7)
 
     def test_compact_noop_on_clean_store(self, tmp_path):
@@ -494,7 +494,7 @@ class TestStoreLifecycle:
         final = disk_store(tmp_path)
         assert final.get("k") == make_result(2)
         assert final.get("k2") == make_result(3)
-        assert final.duplicate_lines == final.skipped_lines == 0
+        assert final.duplicate_lines == final.health().malformed == 0
 
 
 class TestCampaignResume:

@@ -211,7 +211,7 @@ def _set(column: np.ndarray, index: int, value: int) -> np.ndarray:
 class TestEntryFormat:
     def test_fresh_entries_are_stored_uncompressed(self, tmp_path):
         trace = TraceProvider(settings(), cache_dir=tmp_path).get("gzip")
-        frontend_schedule(trace, PAPER_PIPELINE, L1_GEOMETRY.offset_bits, 500)
+        frontend_schedule(trace, PAPER_PIPELINE, L1_GEOMETRY.offset_bits)
         entries = sorted(tmp_path.glob("*.npz"))
         assert len(entries) == 2  # the trace and its schedule
         for entry in entries:
@@ -250,7 +250,7 @@ class TestDiscardedEntriesAreClosed:
 
     @staticmethod
     def _schedule(trace):
-        return frontend_schedule(trace, PAPER_PIPELINE, L1_GEOMETRY.offset_bits, 500)
+        return frontend_schedule(trace, PAPER_PIPELINE, L1_GEOMETRY.offset_bits)
 
     @pytest.mark.parametrize("corruption", ["garbage", "truncated", "schedule"])
     def test_discarded_entry_leaves_no_open_file(self, tmp_path, corruption):
