@@ -1046,10 +1046,12 @@ def smoke_service(json_dir: str) -> list[str]:
     ``submit`` clients send overlapping specs.  Each client must receive
     a complete event stream (one PointResult per distinct key of its
     spec); the server must execute the overlap once (executed_A +
-    executed_B == |union| < total_A + total_B); a figure re-render from
-    the server's store must be pure store hits and byte-identical to a
-    chaos-free serial reference; ``store verify`` must find the store
-    clean.
+    executed_B == |union| < total_A + total_B), and its ``/healthz``,
+    read before SIGTERM, must agree (store_hits + simulations_executed
+    == total_A + total_B, simulations_executed == |union|); a figure
+    re-render from the server's store must be pure store hits and
+    byte-identical to a chaos-free serial reference; ``store verify``
+    must find the store clean.
     """
     with tempfile.TemporaryDirectory() as tmp:
         traces = os.path.join(tmp, "traces")
@@ -1074,6 +1076,7 @@ def _service_round(
     Returns (failures, the clients' summary)."""
     import signal
     import time
+    import urllib.request
 
     failures: list[str] = []
     chaos_env = _env()
@@ -1093,6 +1096,7 @@ def _service_round(
     )
     url = None
     stats = {}
+    health = {}
     all_keys = set()
     event_kinds = set()
     try:
@@ -1159,8 +1163,24 @@ def _service_round(
                 )
             if executed >= standalone:
                 failures.append(
-                    f"no coalescing: executed {executed} >= standalone "
+                    f"no dedup: executed {executed} >= standalone "
                     f"sum {standalone}"
+                )
+            # The server's own ledger: every key of each client was either
+            # streamed from the store or simulated, and the union once.
+            with urllib.request.urlopen(f"{url}/healthz", timeout=30) as reply:
+                health = json.load(reply)
+            served = health["store_hits"] + health["simulations_executed"]
+            if served != standalone:
+                failures.append(
+                    f"/healthz store_hits + simulations_executed = {served}, "
+                    f"expected the clients' {standalone} distinct keys"
+                )
+            if health["simulations_executed"] != len(all_keys):
+                failures.append(
+                    f"/healthz simulations_executed = "
+                    f"{health['simulations_executed']}, expected the "
+                    f"{len(all_keys)}-key union"
                 )
         if not event_kinds & {"WorkerCrashed", "TaskRetried"}:
             failures.append(
@@ -1198,6 +1218,7 @@ def _service_round(
         "clients": stats,
         "distinct_keys": len(all_keys),
         "event_kinds": sorted(event_kinds),
+        "healthz": health,
     }
 
 

@@ -14,7 +14,7 @@ Walks the ``repro.predict`` subsystem end to end:
    is pure dedup for everything the loop simulated;
 4. run the same loop against a **remote** campaign server via
    ``Session.connect`` — the driver only speaks the Session surface —
-   and read the server's claim/coalescing counters off ``GET /healthz``.
+   and read the server's dedup counters off ``GET /healthz``.
 
 Run:  PYTHONPATH=src python examples/predictive_campaign.py
 """
@@ -98,8 +98,7 @@ with Session(settings) as backing:
     )
     print(
         "  server counters: "
-        f"claimed={health['claimed']} store_hits={health['store_hits']} "
-        f"awaited={health['awaited']} reclaim_rounds={health['reclaim_rounds']} "
+        f"campaigns={health['campaigns']} store_hits={health['store_hits']} "
         f"simulations={health['simulations_executed']}"
     )
     # The server's estimate matches the local loop's byte for byte: same

@@ -42,7 +42,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.budget import cpu_budget, set_cpu_budget, worker_budget
@@ -272,6 +272,8 @@ class PoolExecutor(Executor):
     always drains: healthy results land regardless of how many siblings
     misbehave, and ``Session.run`` raises
     :class:`~repro.campaign.resilience.CampaignError` only afterwards.
+    A campaign that needs one worker (one batch, or ``workers=1``) runs
+    in this process, through the same fault seam, quarantine and replay.
     """
 
     def __init__(
@@ -397,7 +399,7 @@ class PoolExecutor(Executor):
         workers = self.workers if self.workers is not None else cpu_budget()
         workers = min(workers, len(batches))
         if workers <= 1:
-            yield from SerialExecutor().run(session, plan)
+            yield from self._run_in_process(session, plan)
             return
         policy = self.retry
         size = adaptive_chunksize(len(batches), workers)
@@ -565,40 +567,55 @@ class PoolExecutor(Executor):
             aggregate_counters()
             self._shutdown(pool)
 
-        # In-process replay of the quarantine ledger: worker-environment
-        # failures (chaos injection, broken toolchains) recover here and
-        # land normally; deterministic bugs fail again and stay
-        # quarantined with both errors on record.
+        yield from self._replay(session, quarantine, done, total)
+
+    def _run_in_process(self, session: "Session", plan: Plan) -> Iterator[Event]:
+        """One worker's campaign, run in this process: each group is one
+        pass through the workers' fault seam (:func:`run_batch_locally`),
+        and a group that raises joins the quarantine ledger task by task,
+        so a failure is quarantined here too instead of escaping the
+        executor."""
+        quarantine: list[Quarantined] = []
+        done, total = 0, plan.pending
+        for group in plan.groups:
+            try:
+                pairs = run_batch_locally(session, [item.task for item in group.items])
+            except Exception as exc:
+                quarantine.extend(
+                    Quarantined(item.task, item.key, 1, repr(exc))
+                    for item in group.items
+                )
+                continue
+            for item, (_, result) in zip(group.items, pairs):
+                done += 1
+                yield PointResult(*item.task, item.key, result)
+            yield Progress(
+                done, total, session.simulations_executed, session.schedule_passes
+            )
+        if quarantine:
+            yield from self._replay(session, quarantine, done, total)
+
+    def _replay(
+        self, session: "Session", quarantine: "list[Quarantined]", done: int, total: int
+    ) -> Iterator[Event]:
+        """In-process replay of the quarantine ledger: worker-environment
+        failures (chaos injection, broken toolchains) recover here and
+        land normally; deterministic bugs fail again and stay
+        quarantined with both errors on record.  Ends with the final
+        checkpoint, whose counters include the pool-wide ones (the
+        per-chunk Progress events only see the parent's own)."""
         for entry in quarantine:
             replay_error: str | None = None
-            if policy.replay_quarantined:
+            if self.retry.replay_quarantined:
                 try:
-                    pairs = run_batch_locally(session, [entry.task])
+                    [(_, result)] = run_batch_locally(session, [entry.task])
                 except Exception as exc:
                     replay_error = repr(exc)
                 else:
-                    for task, result in pairs:
-                        benchmark, config, map_index = task
-                        done += 1
-                        yield PointResult(
-                            benchmark,
-                            config,
-                            map_index,
-                            session.task_key(benchmark, config, map_index),
-                            result,
-                        )
+                    done += 1
+                    yield PointResult(*entry.task, entry.key, result)
                     continue
-            yield TaskFailed(
-                Quarantined(
-                    entry.task,
-                    entry.key,
-                    entry.attempts,
-                    entry.error,
-                    replay_error=replay_error,
-                )
-            )
-        # Final checkpoint with the aggregated pool-wide counters (the
-        # per-chunk Progress events above only see the parent's own).
+            yield TaskFailed(replace(entry, replay_error=replay_error))
         yield Progress(
             done, total, session.simulations_executed, session.schedule_passes
         )

@@ -42,7 +42,7 @@ from repro.cpu.config import (
 from repro.cpu.pipeline import KernelLane, OutOfOrderPipeline, SimResult
 from repro.cpu.trace import Trace
 from repro.experiments.configs import RunConfig
-from repro.experiments.providers import FaultMapProvider, TraceProvider
+from repro.experiments.providers import FaultMapProvider, TraceProvider, require_int
 from repro.experiments.keys import config_members, fidelity_fingerprint, task_key
 from repro.store import MemoryStore, ResultStore
 from repro.faults.fault_map import FaultMap, FaultMapPair
@@ -163,7 +163,7 @@ class Session:
         """A :class:`~repro.service.client.RemoteSession` for the
         campaign server at ``url`` — same streaming ``run(spec)`` /
         ``run_all(spec)`` surface as a local session, with the server
-        doing the simulating (and the coalescing, when other clients
+        doing the simulating (and the dedup, when other clients
         overlap)::
 
             with Session.connect("http://127.0.0.1:8631") as remote:
@@ -215,15 +215,9 @@ class Session:
         """``map_index`` is required iff performance depends on the fault
         draw; fault-independent configs canonicalise to ``None`` so every
         caller agrees on one key per physical simulation.  An index that
-        is not an ``int`` (``True`` and ``1.0`` included) raises
-        ``TypeError``: it would key, or draw, map 1 under another key."""
-        if map_index is not None and (
-            type(map_index) is bool or not isinstance(map_index, int)
-        ):
-            raise TypeError(
-                f"a fault-map index is an int, got {type(map_index).__name__} "
-                f"{map_index!r}"
-            )
+        is not an ``int`` raises ``TypeError`` (:func:`require_int`)."""
+        if map_index is not None:
+            require_int(map_index, "index")
         if config.needs_fault_map:
             if map_index is None or map_index < 0:
                 raise ValueError(

@@ -533,7 +533,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments serve",
         description="Run a campaign server: accept CampaignSpec JSON from "
-        "concurrent clients over HTTP, coalesce overlapping specs against "
+        "concurrent clients over HTTP, deduplicate overlapping specs against "
         "the shared store, and stream typed campaign events back as NDJSON.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")

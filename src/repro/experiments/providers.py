@@ -142,6 +142,16 @@ class TraceProvider:
         return len(self._traces)
 
 
+def require_int(value, what: str) -> None:
+    """Refuse a fault-map ``what`` (index or count) that is not an
+    ``int``, ``True`` and ``1.0`` included: it would draw, or key, map 1
+    under another name."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(
+            f"a fault-map {what} is an int, got {type(value).__name__} {value!r}"
+        )
+
+
 class FaultMapProvider:
     """Memoised fault-map pairs for the campaign's (pfail, seed).
 
@@ -167,6 +177,7 @@ class FaultMapProvider:
         only the missing ones."""
         settings = self.settings
         count = settings.n_fault_maps if count is None else count
+        require_int(count, "count")
         if count < 0:
             raise ValueError(f"fault-map count must be >= 0, got {count}")
         drawn = self._pairs
@@ -189,6 +200,7 @@ class FaultMapProvider:
         return drawn[:count]
 
     def pair(self, index: int) -> FaultMapPair:
+        require_int(index, "index")
         if index < 0:
             raise ValueError(f"fault-map index must be >= 0, got {index}")
         return self.pairs(index + 1)[index]

@@ -6,8 +6,9 @@ Two pieces, layered on the campaign and store seams:
   (``python -m repro.experiments serve``) accepting
   :class:`~repro.campaign.spec.CampaignSpec` JSON from many concurrent
   clients over HTTP and streaming typed campaign events back as NDJSON,
-  coalescing overlapping specs against the shared store (in-flight keys
-  are awaited, never re-simulated).  It simulates through any
+  deduplicating overlapping specs against the shared store (one
+  campaign simulates at a time and re-plans when its turn comes, so a
+  key is never simulated twice).  It simulates through any
   :class:`~repro.campaign.executors.Executor`; ``serve --workers N``
   uses the same :class:`~repro.campaign.executors.PoolExecutor` as
   ``run``, so every chunk lands in the shared store as it completes.

@@ -109,10 +109,10 @@ class RemoteSession:
     def run(self, spec: "CampaignSpec") -> Iterator[Event]:
         """Stream ``spec``'s campaign from the server: ``PlanReady``
         first, then one ``PointResult`` per distinct point of the spec
-        (simulated, coalesced with other clients, or read from the
-        server's store — the client cannot tell, by design), raising
-        :class:`CampaignError` after the stream drains if any task
-        failed terminally."""
+        (simulated for this campaign, or read from the server's store
+        after another campaign simulated it — the client cannot tell,
+        by design), raising :class:`CampaignError` after the stream
+        drains if any task failed terminally."""
         body = json.dumps(spec.to_dict()).encode("utf-8")
         response = self._request("POST", "/campaign", body)
         try:

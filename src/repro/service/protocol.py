@@ -17,7 +17,10 @@ stream ends with exactly one **done line** (``{"done": true,
 "failures": N, "simulations_executed": M, "server_simulations": S}``)
 followed by connection close; a request-level failure is a single
 **error line** (``{"error": msg}``) on a non-200 response.  Lines are
-UTF-8, one JSON object each, no pretty-printing.
+UTF-8, one JSON object each, no pretty-printing.  ``/healthz`` is one
+JSON object: ``campaigns``, ``active_clients``,
+``simulations_executed``, ``store_hits`` (keys streamed from the
+store), ``store`` and ``store_entries``.
 
 The helpers here are shared by the asyncio server and the blocking
 client so both sides agree on framing by construction.

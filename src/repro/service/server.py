@@ -6,39 +6,45 @@ one shared :class:`~repro.campaign.session.Session`.  Clients POST
 receive the campaign's typed event stream back as NDJSON (see
 :mod:`repro.service.protocol`).  The scaling story is the store-dedup
 one from the ROADMAP: equal specs produce equal content-hash task keys,
-so concurrent users sharing points is a key-coalescing problem, not a
+so concurrent users sharing points is a store-dedup problem, not a
 simulation one.
 
-Coalescing contract
--------------------
-For every distinct task key of a client's spec, exactly one of:
+Dedup contract
+--------------
+One campaign simulates at a time, and the
+:class:`~repro.campaign.plan.Planner` is the only dedup.  A campaign
 
-* **store hit** — the key is already durable: a ``PointResult`` is
-  streamed straight from the store, no simulation;
-* **claimed** — the key is pending and nobody is simulating it: this
-  client claims it (registering an in-flight marker), simulates it via
-  the unified Planner/Executor machinery, and streams the result (other
-  clients wanting the key await the marker instead of re-simulating);
-* **shared** — another client's campaign is already simulating the key:
-  this client awaits the in-flight marker and then streams the result
-  from the store.  If the claimer fails (its worker crashed terminally,
-  its client vanished), the waiter re-claims the key and simulates it
-  itself — one re-claim round, then a ``TaskFailed``.
+1. plans its spec and streams ``PlanReady`` (never waiting behind
+   another campaign);
+2. streams every key of its spec already in the store as a
+   ``PointResult``;
+3. if a key is still missing, takes the simulation lock, streams what
+   other campaigns stored while it waited, and re-plans its spec: under
+   the lock the plan holds exactly the keys no campaign has stored;
+4. runs that plan through the server's executor, streaming its
+   ``PointResult``, ``TaskRetried``, ``WorkerCrashed`` and
+   ``StoreRecovered`` events as they happen;
+5. ends with one ``TaskFailed`` per terminal failure, a
+   campaign-scoped ``Progress`` and the done line.
 
-So every client receives a *complete* stream — one ``PointResult`` per
-distinct key of its spec, byte-identical to a standalone run — while
-the server as a whole executes each simulation at most once (the
-``server_simulations`` counter on the done line proves it).
+So every client receives a *complete* stream — a ``PointResult`` or a
+``TaskFailed`` for every distinct key of its spec, the results
+byte-identical to a standalone run — while the server executes each
+simulation at most once (the ``server_simulations`` counter on the done
+line proves it).  A key in flight in another campaign reaches a queued
+client when that campaign releases the lock; a key another campaign
+quarantined is re-planned, and run again under the queued campaign's
+executor.
 
-Concurrency model: the event loop owns all coalescing state (claims are
-made atomically between awaits); actual simulation runs in a worker
-thread under a global lock (one campaign simulates at a time — the
-Session and its providers are not thread-safe), streaming its events
-back through an ``asyncio.Queue``.  Every spec runs on
-:meth:`~repro.campaign.session.Session.derived`: the server's own
-session whenever the spec's fidelity fingerprint is the session's —
-whatever its benchmarks and map count — and a child session over the
-same store and trace cache only for a foreign fingerprint, so
+Concurrency model: the event loop parses requests and streams events;
+simulation runs in a worker thread while its campaign holds one
+``asyncio.Lock`` (a Session and its providers are not thread-safe),
+streaming its events back through an ``asyncio.Queue``.  The first plan
+runs off the loop and outside the lock: it only reads the store.  Every
+spec runs on :meth:`~repro.campaign.session.Session.derived`: the
+server's own session whenever the spec's fidelity fingerprint is the
+session's — whatever its benchmarks and map count — and a child session
+over the same store and trace cache only for a foreign fingerprint, so
 mixed-fidelity clients still share everything shareable.
 """
 
@@ -60,7 +66,7 @@ from repro.campaign.events import (
     TaskRetried,
     WorkerCrashed,
 )
-from repro.campaign.plan import Plan, PlanGroup, WorkItem
+from repro.campaign.executors import SerialExecutor
 from repro.campaign.resilience import Quarantined
 from repro.campaign.spec import CampaignSpec
 from repro.service import protocol
@@ -91,27 +97,20 @@ class CampaignServer:
         self.port = port
         self._server: "asyncio.base_events.Server | None" = None
         #: One campaign simulates at a time (Session is not thread-safe);
-        #: coalescing makes the serialisation cheap — a queued campaign
-        #: claims only what is still unclaimed when its turn comes.
+        #: dedup makes the serialisation cheap — a queued campaign
+        #: re-plans when its turn comes and simulates only what no
+        #: campaign has stored.
         self._sim_lock = asyncio.Lock()
-        #: task key -> set when the key lands (or its claimer gives up).
-        self._inflight: "dict[str, asyncio.Event]" = {}
-        #: Coalescing/claim counters, all served verbatim on /healthz so
-        #: remote clients (the predict loop among them) can observe how
-        #: effective dedup is: ``store_hits`` (answered from the store),
-        #: ``claimed`` (work items this server took ownership of),
-        #: ``awaited`` (items served by waiting on another client's
-        #: in-flight claim), ``reclaim_rounds`` (campaigns that needed
-        #: the second claim round after a claimer failed or vanished).
+        #: Served verbatim on /healthz so remote clients (the predict
+        #: loop among them) can observe how effective dedup is:
+        #: campaigns received, clients streaming now, simulations this
+        #: server executed, and ``store_hits``, the keys streamed from
+        #: the store (on arrival, or after waiting for the lock).
         self.stats = {
             "campaigns": 0,
             "active_clients": 0,
             "simulations_executed": 0,
-            "shared_hits": 0,
             "store_hits": 0,
-            "claimed": 0,
-            "awaited": 0,
-            "reclaim_rounds": 0,
         }
 
     # ----- lifecycle ------------------------------------------------------------
@@ -121,11 +120,6 @@ class CampaignServer:
             self._handle_connection, host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -203,7 +197,6 @@ class CampaignServer:
             **self.stats,
             "store": self.session.store.description,
             "store_entries": len(self.session.store),
-            "inflight": len(self._inflight),
         }
 
     @staticmethod
@@ -236,208 +229,69 @@ class CampaignServer:
 
     async def _run_campaign(self, sender: "_StreamSender", spec: CampaignSpec) -> None:
         session = self.session.derived(spec)
-        # Planning reads the store but never simulates; off-thread so a
-        # cold trace/signature build cannot stall the event loop.
+        # This plan only feeds PlanReady, so that event never waits
+        # behind another campaign.  Planning reads the store but never
+        # simulates; off-thread so a cold trace/signature build cannot
+        # stall the event loop.
         plan = await asyncio.to_thread(session.plan, spec)
         await sender.send_head()
         await sender.send_event(PlanReady(plan))
 
         # Every distinct key of the spec, with one representative task
-        # (the stream's completeness contract: one PointResult per key).
-        key_tasks: "dict[str, tuple]" = {}
-        for benchmark, config, m in spec.work_items():
-            m = session._normalize_map_index(config, m)
-            key = session.task_key(benchmark, config, m)
-            key_tasks.setdefault(key, (benchmark, config, m))
-
-        executed = 0
+        # (the stream's completeness contract: one event per key).
+        tasks: "dict[str, tuple]" = {}
+        for task in spec.work_items():
+            tasks.setdefault(session.task_key(*task), task)
+        sent: "set[str]" = set()
         failed: "list[Quarantined]" = []
-        sent_keys: "set[str]" = set()
 
-        async def send_point(key: str, task: tuple) -> None:
-            result = session.store.get(key)
-            assert result is not None
-            benchmark, config, m = task
-            await sender.send_event(PointResult(benchmark, config, m, key, result))
-            sent_keys.add(key)
+        async def stream_store_hits() -> None:
+            for key, task in tasks.items():
+                result = None if key in sent else session.store.get(key)
+                if result is not None:
+                    sent.add(key)
+                    self.stats["store_hits"] += 1
+                    await sender.send_event(PointResult(*task, key, result))
 
-        # Plan-time dedup hits (and anything that landed since): streamed
-        # straight from the store, one PointResult per distinct key.
-        for key, task in key_tasks.items():
-            if session.store.get(key) is not None:
-                self.stats["store_hits"] += 1
-                await send_point(key, task)
-
-        # Round 0 claims whatever is pending and unclaimed; the re-claim
-        # round picks up keys whose claimer failed or vanished.
-        pending_items = [
-            item for group in plan.groups for item in group.items
-        ]
-        for round_index in range(2):
-            if round_index:
-                self.stats["reclaim_rounds"] += 1
-            failed_keys = {entry.key for entry in failed}
-            # -- atomic partition (no awaits between inflight reads/writes) --
-            claimed: "list[WorkItem]" = []
-            shared: "list[WorkItem]" = []
-            hits: "list[WorkItem]" = []
-            for item in pending_items:
-                if item.key in sent_keys or item.key in failed_keys:
-                    continue
-                if item.key in self._inflight:
-                    shared.append(item)
-                elif session.store.get(item.key) is not None:
-                    hits.append(item)  # landed mid-coalesce
-                else:
-                    self._inflight[item.key] = asyncio.Event()
-                    claimed.append(item)
-            self.stats["claimed"] += len(claimed)
-            self.stats["awaited"] += len(shared)
-
-            for item in hits:
-                self.stats["store_hits"] += 1
-                await send_point(item.key, item.task)
-
-            # -- simulate this client's claim -------------------------------
-            if claimed:
-                delta, run_failed = await self._execute_claim(
-                    sender, session, plan, claimed, sent_keys
-                )
-                executed += delta
-                failed.extend(run_failed)
-
-            # -- await keys other clients are simulating --------------------
-            for item in shared:
-                if item.key in sent_keys:
-                    continue
-                marker = self._inflight.get(item.key)
-                if marker is not None:
-                    await marker.wait()
-                if session.store.get(item.key) is not None:
-                    self.stats["shared_hits"] += 1
-                    await send_point(item.key, item.task)
-
-            failed_keys = {entry.key for entry in failed}
-            missing = [
-                item
-                for item in pending_items
-                if item.key not in sent_keys and item.key not in failed_keys
-            ]
-            if not missing:
-                break
-            pending_items = missing
-        else:
-            # The re-claim round still left holes (a shared claimer failed
-            # terminally and our own re-claim did too without reporting):
-            # each is terminal here.
-            for item in pending_items:
-                failed.append(
-                    Quarantined(
-                        item.task,
-                        item.key,
-                        0,
-                        "shared simulation never landed "
-                        "(claimer failed terminally)",
-                    )
-                )
-        for entry in failed:
-            await sender.send_event(TaskFailed(entry))
-
-        await sender.send_event(
-            Progress(
-                done=len(sent_keys),
-                total=len(key_tasks),
-                simulations_executed=executed,
-                schedule_passes=session.schedule_passes,
-            )
-        )
-        await sender.send_done(
-            failures=len(failed),
-            simulations_executed=executed,
-            server_simulations=self.stats["simulations_executed"],
-        )
-
-    async def _execute_claim(
-        self,
-        sender: "_StreamSender",
-        session: "Session",
-        plan: Plan,
-        claimed: "list[WorkItem]",
-        sent_keys: "set[str]",
-    ) -> "tuple[int, list[Quarantined]]":
-        """Simulate ``claimed`` (a sub-plan of ``plan``) in a worker
-        thread under the global simulation lock, streaming executor
-        events to this client as they happen and resolving each key's
-        in-flight marker as it lands.  Returns (simulations executed,
-        terminal failures)."""
-        claimed_keys = {item.key for item in claimed}
-        groups = []
-        for group in plan.groups:
-            kept = tuple(
-                item for item in group.items if item.key in claimed_keys
-            )
-            if kept:
-                groups.append(
-                    PlanGroup(
-                        benchmark=group.benchmark,
-                        items=kept,
-                        signature=group.signature,
-                    )
-                )
-        subplan = Plan(
-            spec=plan.spec,
-            groups=tuple(groups),
-            total_points=len(claimed_keys),
-            dedup_hits=0,
-        )
-        failures: "list[Quarantined]" = []
-        try:
+        await stream_store_hits()
+        executed = passes = 0
+        if len(sent) < len(tasks):
             async with self._sim_lock:
-                from repro.campaign.executors import SerialExecutor
-
+                # What other campaigns stored while this one waited.  Under
+                # the lock the re-plan holds exactly what no campaign has
+                # stored: the Planner is the only dedup.
+                await stream_store_hits()
                 executor = self.executor or SerialExecutor()
-                before = session.simulations_executed
+                sims_before = session.simulations_executed
+                passes_before = session.schedule_passes
                 loop = asyncio.get_running_loop()
                 queue: "asyncio.Queue" = asyncio.Queue()
 
                 def pump() -> None:
                     try:
-                        for event in executor.run(session, subplan):
-                            loop.call_soon_threadsafe(
-                                queue.put_nowait, ("event", event)
-                            )
+                        for event in executor.run(session, session.plan(spec)):
+                            loop.call_soon_threadsafe(queue.put_nowait, event)
                     except BaseException as exc:  # surfaced to the client
-                        loop.call_soon_threadsafe(queue.put_nowait, ("error", exc))
-                    else:
-                        loop.call_soon_threadsafe(queue.put_nowait, ("end", None))
+                        loop.call_soon_threadsafe(queue.put_nowait, exc)
+                    finally:
+                        loop.call_soon_threadsafe(queue.put_nowait, None)
 
-                thread = threading.Thread(
-                    target=pump, name="campaign-sim", daemon=True
-                )
+                thread = threading.Thread(target=pump, name="campaign-sim", daemon=True)
                 thread.start()
                 try:
-                    while True:
-                        kind, payload = await queue.get()
-                        if kind == "end":
-                            break
-                        if kind == "error":
-                            failures.extend(
-                                Quarantined(
-                                    item.task, item.key, 0, repr(payload)
-                                )
-                                for item in claimed
-                                if item.key not in sent_keys
+                    while (event := await queue.get()) is not None:
+                        if isinstance(event, BaseException):
+                            reported = sent | {entry.key for entry in failed}
+                            failed.extend(
+                                Quarantined(task, key, 0, repr(event))
+                                for key, task in tasks.items()
+                                if key not in reported
                             )
-                            break
-                        event = payload
-                        if isinstance(event, PointResult):
-                            sent_keys.add(event.key)
-                            self._resolve(event.key)
+                        elif isinstance(event, PointResult):
+                            sent.add(event.key)
                             await sender.send_event(event)
                         elif isinstance(event, TaskFailed):
-                            # Collected only: _run_campaign streams every
-                            # terminal failure exactly once at the end.
-                            failures.append(event.quarantined)
+                            failed.append(event.quarantined)
                         elif isinstance(
                             event, (TaskRetried, WorkerCrashed, StoreRecovered)
                         ):
@@ -447,50 +301,44 @@ class CampaignServer:
                         # ends with its own campaign-scoped Progress.
                 finally:
                     thread.join()
-                    self.stats["simulations_executed"] += (
-                        session.simulations_executed - before
-                    )
-        finally:
-            # Whatever is still claimed did not land: wake the waiters
-            # (they will find the store hole and re-claim).
-            for key in claimed_keys:
-                self._resolve(key)
-        return session.simulations_executed - before, failures
-
-    def _resolve(self, key: str) -> None:
-        marker = self._inflight.pop(key, None)
-        if marker is not None:
-            marker.set()
+                    executed = session.simulations_executed - sims_before
+                    passes = session.schedule_passes - passes_before
+                    self.stats["simulations_executed"] += executed
+        for entry in failed:
+            await sender.send_event(TaskFailed(entry))
+        await sender.send_event(
+            Progress(
+                done=len(sent),
+                total=len(tasks),
+                simulations_executed=executed,
+                schedule_passes=passes,
+            )
+        )
+        server_total = self.stats["simulations_executed"]
+        await sender.write(protocol.done_line(len(failed), executed, server_total))
 
 
 class _StreamSender:
     """One client's NDJSON output half: survives client disconnects
-    (a vanished client must not break the claim bookkeeping — events
-    keep 'sending' into the void so the campaign completes and shared
-    keys resolve)."""
+    (events keep 'sending' into the void, so a vanished client's
+    campaign still drains its executor and stores its results before
+    the simulation lock passes on)."""
 
     def __init__(self, writer) -> None:
         self.writer = writer
         self.alive = True
 
     async def send_head(self) -> None:
-        await self._write(
+        await self.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Connection: close\r\n\r\n"
         )
 
     async def send_event(self, event) -> None:
-        await self._write(protocol.event_line(event))
+        await self.write(protocol.event_line(event))
 
-    async def send_done(
-        self, failures: int, simulations_executed: int, server_simulations: int
-    ) -> None:
-        await self._write(
-            protocol.done_line(failures, simulations_executed, server_simulations)
-        )
-
-    async def _write(self, data: bytes) -> None:
+    async def write(self, data: bytes) -> None:
         if not self.alive:
             return
         try:

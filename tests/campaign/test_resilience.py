@@ -523,6 +523,51 @@ class TestRealChaos:
         assert excinfo.value.summary_lines()
 
 
+class TestOneWorkerInProcess:
+    """A pool campaign of one worker (one batch, or ``PoolExecutor(1)``)
+    runs in the parent, through the same fault seam as a worker: a
+    poisoned task is quarantined there too, never run clean."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
+        yield
+
+    def test_poison_quarantines_a_one_batch_plan(self, monkeypatch):
+        monkeypatch.setenv(chaos.CHAOS_ENV, "poison:1.0")
+        session = Session(SETTINGS)
+        spec = session.spec((LV_BASELINE, LV_BLOCK))
+        assert len(session.plan(spec).worker_batches()) == 1
+        with pytest.raises(CampaignError) as excinfo:
+            list(session.run(spec, executor=PoolExecutor(2)))
+        failures = excinfo.value.failures
+        assert len(failures) == 3  # baseline + block x 2 maps
+        assert all("poison" in f.error and f.replay_error for f in failures)
+        assert len(session.store) == 0 and session.simulations_executed == 0
+
+    def test_healthy_siblings_of_a_failed_group_land(self, monkeypatch):
+        # poison:0.2,seed:11 marks one of the six keys: its group fails
+        # in-process, and the replay lands every healthy sibling.
+        reference = json.loads(reference_snapshot())
+        monkeypatch.setenv(chaos.CHAOS_ENV, "poison:0.2,seed:11")
+        session = Session(SETTINGS)
+        with pytest.raises(CampaignError) as excinfo:
+            list(session.run(session.spec(CONFIGS), executor=PoolExecutor(1)))
+        (failure,) = excinfo.value.failures
+        assert "poison" in failure.error and failure.replay_error
+        stored = json.loads(store_snapshot(session))
+        assert stored == {k: v for k, v in reference.items() if k != failure.key}
+        assert session.simulations_executed == 5
+
+    def test_a_clean_run_streams_what_the_serial_executor_streams(self):
+        serial = Session(SETTINGS)
+        serial_events = list(serial.run(serial.spec(CONFIGS)))
+        session = Session(SETTINGS)
+        events = list(session.run(session.spec(CONFIGS), executor=PoolExecutor(1)))
+        assert events == serial_events
+        assert store_snapshot(session) == store_snapshot(serial)
+
+
 #: A campaign-server-shaped parent: an asyncio loop with a SIGTERM
 #: handler forks one pool worker, whose initializer reports in and then
 #: lingers before shedding the parent's signal plumbing; the parent

@@ -194,6 +194,21 @@ class TestFaultMapProvider:
         assert provider.pairs(0) == []
         assert len(provider._pairs) == drawn
 
+    @pytest.mark.parametrize("drawn", [0, 5])
+    @pytest.mark.parametrize("value", [True, 1.0, np.int64(1)])
+    def test_counts_and_indices_that_are_not_ints_rejected(self, drawn, value):
+        """``True`` would index pair 1 and count one pair, ``1.0`` and
+        ``np.int64(1)`` likewise: none is an ``int``, and a rejected call
+        draws nothing."""
+        provider = FaultMapProvider(RunnerSettings(n_fault_maps=5, seed=5))
+        if drawn:
+            provider.pairs()
+        with pytest.raises(TypeError, match="fault-map index is an int"):
+            provider.pair(value)
+        with pytest.raises(TypeError, match="fault-map count is an int"):
+            provider.pairs(value)
+        assert len(provider._pairs) == drawn
+
     def test_concurrent_draws_past_n_fault_maps_keep_every_index(self):
         """The campaign server plans on one thread while another simulates
         on the same session: concurrent on-demand draws must never shift

@@ -1,8 +1,8 @@
 """Distributed execution behind the campaign server.
 
-``serve --workers N`` fans each claim out to worker processes through
-the :class:`~repro.campaign.executors.PoolExecutor` the CLI builds from
-its execution flags.  The claim under test: when real workers crash
+``serve --workers N`` fans each campaign's plan out to worker processes
+through the :class:`~repro.campaign.executors.PoolExecutor` the CLI
+builds from its execution flags.  The claim under test: when real workers crash
 mid-campaign, that executor, with the retry budget ``--max-retries``
 gives it, still drains to the exact serial store.
 """

@@ -1,4 +1,4 @@
-"""The campaign server: wire behaviour, coalescing, multi-client dedup.
+"""The campaign server: wire behaviour, multi-client dedup.
 
 The acceptance claims under test:
 
@@ -9,9 +9,11 @@ The acceptance claims under test:
   builds, which streams each chunk's results as the chunk lands;
 * two concurrent clients with overlapping specs each get full streams
   while the server executes strictly fewer simulations than the sum of
-  standalone runs (the coalescing contract);
-* keys another client is already simulating are *awaited*, never
-  re-simulated (forced deterministically with a gated executor);
+  standalone runs (the dedup contract);
+* keys another client is already simulating reach a queued client from
+  the store once that campaign ends, never re-simulated (forced
+  deterministically with a gated executor), and a key it quarantined
+  fails again under the queued campaign's own executor;
 * a client that differs from the server's session only in scope runs on
   that session; mixed-fidelity clients get one child session per
   fidelity fingerprint over the shared store;
@@ -155,6 +157,24 @@ class TestSingleClient:
             assert remote.last_done["server_simulations"] == 4
             assert remote.healthz()["store_hits"] == 4
 
+    def test_the_closing_progress_is_campaign_scoped(self):
+        # Simulations and schedule passes on the closing Progress are
+        # the campaign's own, not the server session's lifetime totals:
+        # a re-run of a stored spec reads 0 and 0.
+        with Session(SETTINGS) as session, ServerThread(session) as server:
+            remote = Session.connect(server.url)
+
+            def closing_progress() -> Progress:
+                return [e for e in remote.run(SPEC_A) if isinstance(e, Progress)][-1]
+
+            first = closing_progress()
+            second = closing_progress()
+            assert (first.done, first.total) == (4, 4)
+            assert first.simulations_executed == 4
+            assert first.schedule_passes == session.schedule_passes > 0
+            assert (second.done, second.total) == (4, 4)
+            assert (second.simulations_executed, second.schedule_passes) == (0, 0)
+
     def test_run_all_returns_the_plan(self):
         with Session(SETTINGS) as session, ServerThread(session) as server:
             plan = Session.connect(server.url).run_all(SPEC_A)
@@ -215,11 +235,11 @@ class TestConcurrentClients:
             assert session.simulations_executed == 6
 
     def test_inflight_keys_are_awaited_not_resimulated(self):
-        # Deterministic forced overlap: client A's executor blocks until
-        # both campaigns have partitioned SPEC_A's four keys (claimed or
-        # awaited; a campaign is counted when it arrives, before it
-        # plans), so B provably finds A's keys in flight (identical
-        # specs: B claims nothing).
+        # Deterministic forced overlap: the first campaign to take the
+        # simulation lock simulates only once both campaigns have
+        # arrived (a campaign is counted when it arrives, before it
+        # plans), so the other arrives while SPEC_A's four keys are in
+        # flight: it waits for the lock and streams them from the store.
         with Session(SETTINGS) as session:
             server_box: list = []
 
@@ -227,10 +247,7 @@ class TestConcurrentClients:
                 def run(self, sess, plan):
                     deadline = time.monotonic() + 30
                     stats = server_box[0].server.stats
-                    while (
-                        stats["claimed"] + stats["awaited"] < 2 * 4
-                        and time.monotonic() < deadline
-                    ):
+                    while stats["campaigns"] < 2 and time.monotonic() < deadline:
                         time.sleep(0.01)
                     yield from super().run(sess, plan)
 
@@ -248,16 +265,14 @@ class TestConcurrentClients:
                 first = threading.Thread(target=client, args=("A",))
                 second = threading.Thread(target=client, args=("B",))
                 first.start()
-                time.sleep(0.3)  # let A plan and claim before B arrives
                 second.start()
                 first.join(timeout=120)
                 second.join(timeout=120)
                 assert out["A"][0] == out["B"][0] == standalone_results(SPEC_A)
                 executed = [d["simulations_executed"] for _, d in out.values()]
-                assert sorted(executed) == [0, 4]  # one simulated, one shared
+                assert sorted(executed) == [0, 4]  # one simulated, one waited
                 stats = server.server.stats
-                assert stats["simulations_executed"] == 4
-                assert stats["shared_hits"] + stats["store_hits"] >= 4
+                assert stats["simulations_executed"] == stats["store_hits"] == 4
 
 
 class TestFailureSurface:
@@ -291,6 +306,50 @@ class TestFailureSurface:
                 assert len(points) == 5
                 assert failed[0].key not in points
                 assert remote.last_done["failures"] == 1
+
+    def test_a_queued_campaign_reruns_a_quarantined_key(self, monkeypatch):
+        # Two concurrent clients on the poisoned six-key spec: whichever
+        # campaign waits for the simulation lock streams the five
+        # healthy keys from the store and re-plans the poisoned one,
+        # which fails again under its own executor.  Both clients see
+        # five PointResults and one TaskFailed; the five healthy keys
+        # simulate once.
+        monkeypatch.setenv(chaos.CHAOS_ENV, "poison:0.2,seed:11")
+        spec = CampaignSpec.from_settings(
+            SETTINGS, (LV_BASELINE, LV_WORD, LV_BLOCK, LV_BLOCK_V10)
+        )
+        with Session(SETTINGS) as session:
+            executor = PoolExecutor(
+                2, retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
+            )
+            with ServerThread(session, executor=executor) as server:
+                out: dict = {}
+
+                def client(name: str) -> None:
+                    events: list = []
+                    try:
+                        for event in Session.connect(server.url).run(spec):
+                            events.append(event)
+                    except CampaignError as exc:
+                        out[name] = (events, exc)
+
+                threads = [
+                    threading.Thread(target=client, args=(name,))
+                    for name in "AB"
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert set(out) == {"A", "B"}  # both raised CampaignError
+                for events, exc in out.values():
+                    failed = [e for e in events if isinstance(e, TaskFailed)]
+                    points = stream_points(events)
+                    assert len(points) == 5 and len(failed) == 1
+                    assert "poison" in exc.failures[0].error
+                    assert failed[0].key not in points
+                stats = server.server.stats
+                assert stats["simulations_executed"] == stats["store_hits"] == 5
 
 
 class TestServeExecutor:
