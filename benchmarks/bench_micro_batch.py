@@ -237,7 +237,9 @@ def _run_hetero(args, instructions, warmup) -> dict:
         plan = session.plan(spec)
         start = time.perf_counter()
         for group in plan.groups:
-            session.execute_group(group)
+            session.run_group(
+                group.benchmark, [(i.config, i.map_index) for i in group.items]
+            )
         elapsed = time.perf_counter() - start
         identical = all(
             session.store.get(session.task_key(args.benchmark, config, m))

@@ -32,9 +32,12 @@ The ``store-chaos`` smoke gates the crash-consistent storage subsystem:
 a pool campaign checkpointing into a jsonl store under I/O fault
 injection is SIGKILLed mid-write with its whole process group (no pool
 worker may survive), resumed to byte-identical figures, then repaired
-and verified clean; a legacy sqlite copy and a legacy sharded copy of
-it, each migrated in place, must resolve to a log holding the same
-records byte for byte and serve the same figures from pure store hits.
+and verified clean; the same campaign run in-process under the same
+faults must finish byte-identical, repair and verify clean, and re-run
+as pure store hits; a legacy sqlite copy and a legacy sharded copy of
+the resumed store, each migrated in place, must resolve to a log
+holding the same records byte for byte and serve the same figures from
+pure store hits.
 The ``examples`` smoke runs every script under ``examples/`` against the
 source tree: each must exit 0.  The ``perfbench`` smoke runs the
 benchmark harness's own checks (pinned digests, layer self-tests) on
@@ -565,7 +568,9 @@ def smoke_kernel(json_dir: str) -> list[str]:
         with Session(settings) as session:
             plan = session.plan(CampaignSpec.from_settings(settings, configs))
             for group in plan.groups:
-                session.execute_group(group)
+                session.run_group(
+                    group.benchmark, [(i.config, i.map_index) for i in group.items]
+                )
             divergences = sum(
                 session.store.get(session.task_key("gzip", config, m))
                 != reference[(config.label, m)]
@@ -876,7 +881,11 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
     pool workers) may outlive it; a chaos-free resume against the
     survivor directory must regenerate figures byte-identical to a
     storeless reference run; ``store repair`` then ``store verify`` must
-    leave zero undetected-corrupt records.  Then a sqlite copy and a
+    leave zero undetected-corrupt records.  The same campaign run
+    in-process (the default ``--workers 1``, ``--max-retries 7``) under
+    the same I/O faults must exit 0 with stdout byte-identical to the
+    reference, repair and verify cleanly, and re-run as pure store hits.
+    Then a sqlite copy and a
     sharded copy of the resumed store (laid out by the test helpers:
     this build writes neither) each migrate in place: the directory must
     resolve to jsonl, the migrated log's sorted lines must equal the
@@ -982,6 +991,51 @@ def smoke_store_chaos(json_dir: str) -> list[str]:
             repair_rc=repair.returncode,
             verify_rc=verify.returncode,
         )
+
+        # In-process: one worker lands results through the same retrying
+        # path as a pool, so the faults above cost retries, not the run.
+        inproc = os.path.join(tmp, "in-process")
+        inproc_args = _STORE_ARGS + [
+            "--store", inproc, "--trace-cache", traces, "--max-retries", "7",
+        ]
+        faulted = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", *inproc_args],
+            cwd=ROOT,
+            env=chaos_env,
+            capture_output=True,
+            text=True,
+        )
+        if faulted.returncode != 0:
+            failures.append(
+                f"in-process run under I/O chaos exited {faulted.returncode}:"
+                f"\n{faulted.stderr}"
+            )
+        if faulted.stdout != reference.stdout:
+            failures.append(
+                "in-process figures under I/O chaos differ from the clean reference"
+            )
+        inproc_repair = _cli(["store", "repair", inproc])
+        inproc_verify = _cli(["store", "verify", inproc])
+        for name, proc in (("repair", inproc_repair), ("verify", inproc_verify)):
+            if proc.returncode != 0:
+                failures.append(
+                    f"in-process store {name} exited {proc.returncode}:"
+                    f"\n{proc.stdout}{proc.stderr}"
+                )
+        inproc_rerun = _cli(inproc_args)
+        if "simulations executed=0" not in inproc_rerun.stderr:
+            failures.append(
+                f"in-process store re-run was not pure store hits: "
+                f"{inproc_rerun.stderr}"
+            )
+        summary["in_process"] = {
+            "rc": faulted.returncode,
+            "byte_identical": faulted.stdout == reference.stdout,
+            "writes_recovered": faulted.stderr.count("store write recovered"),
+            "repair_rc": inproc_repair.returncode,
+            "verify_rc": inproc_verify.returncode,
+            "rerun_pure_hits": "simulations executed=0" in inproc_rerun.stderr,
+        }
 
         # A legacy copy of the resumed store per layout, migrated in
         # place: the next open must resolve to the migrated log, which

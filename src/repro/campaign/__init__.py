@@ -11,13 +11,14 @@ the sweep into data plus one execution seam:
   :class:`~repro.campaign.plan.Plan` — the single place a spec is
   resolved against a result store into explicit work: pending items,
   dedup holes, and ``(trace, batch signature)`` lane passes of at most
-  ``PASS_LANES`` lanes that the serial and process-pool executors
-  consume identically.
+  ``PASS_LANES`` lanes.
 * :class:`~repro.campaign.session.Session` — opens store, trace cache,
   and fault maps once; ``session.run(spec)`` streams typed
-  :mod:`~repro.campaign.events` with schedule-pass counters through a
-  pluggable :class:`~repro.campaign.executors.Executor`; every plan
-  group, whatever its shape, executes through ``Session.run_group``.
+  :mod:`~repro.campaign.events` with schedule-pass counters through the
+  one executor, :class:`~repro.campaign.executors.PoolExecutor`: in this
+  process at one worker (the default), across a process pool at more.
+  Every plan group is one ``Session.run_pass``, and every result lands
+  in the store through the same retrying path at any worker count.
 
 Figure bytes are pinned by a digest in ``benchmarks/ci_smokes.py
 campaign``.
@@ -36,12 +37,7 @@ from repro.campaign.events import (
     WorkerCrashed,
     signature_digest,
 )
-from repro.campaign.executors import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    adaptive_chunksize,
-)
+from repro.campaign.executors import PoolExecutor, adaptive_chunksize
 from repro.campaign.plan import Plan, PlanGroup, Planner, Task, WorkItem
 from repro.campaign.resilience import CampaignError, Quarantined, RetryPolicy
 from repro.campaign.session import NormalizedSeries, Session
@@ -78,8 +74,6 @@ __all__ = [
     "RetryPolicy",
     "Quarantined",
     "CampaignError",
-    "Executor",
-    "SerialExecutor",
     "PoolExecutor",
     "adaptive_chunksize",
 ]

@@ -1,30 +1,30 @@
-"""Pluggable campaign executors: serial in-process and process-pool.
+"""The campaign executor: one resilient executor at every worker count.
 
-An executor turns a resolved :class:`~repro.campaign.plan.Plan` into
-events: it drives every plan group, checkpoints results into the
+:class:`PoolExecutor` turns a resolved :class:`~repro.campaign.plan.Plan`
+into events: it simulates every plan group, checkpoints results into the
 session's store, keeps the session's simulation/schedule-pass counters
 truthful, and yields :class:`~repro.campaign.events.PointResult` /
-:class:`~repro.campaign.events.Progress` as work lands.  Both built-in
-executors consume the *same* plan objects from the planner — the pool
-merely ships ``Plan.worker_batches`` (one task list per group) to
-workers — and every group executes through ``Session.run_group``, so
-serial and parallel campaigns are bit-identical by construction.  The
-pool executor is the only process-pool executor: ``run``, ``predict``
-and the campaign server (``serve --workers N``) all build it, and the
-parent process is the store's only writer.
+:class:`~repro.campaign.events.Progress` as work lands.  At one worker
+(the default of ``Session.run``, ``--workers 1`` and the campaign
+server) it runs the groups in this process; at more it ships
+``Plan.worker_batches`` (one task list per group) to a process pool.
+Either way a group is one ``Session.run_pass`` and every result lands
+through :meth:`PoolExecutor._land_chunk`, so campaigns are
+bit-identical at any worker count and the parent process is the store's
+only writer.
 
-The pool executor is *resilient*: failures are handled per
-:class:`~repro.campaign.resilience.RetryPolicy` — failed chunks retry
-with deterministic backoff, a dead worker (``BrokenProcessPool``)
-rebuilds the pool and resubmits in-flight chunks, a hung worker trips
-the per-chunk watchdog instead of stalling ``Session.run`` forever,
-and a chunk that drains its retry budget is bisected until the poison
-task is isolated and quarantined while every healthy sibling lands in
-the store.  Quarantined tasks optionally replay in-process to separate
-worker-environment failures from deterministic simulation bugs.  The
-:mod:`repro.testing.chaos` harness injects faults on the worker
-dispatch path to prove all of this stays bit-identical to a clean
-serial run.
+Failures are handled per :class:`~repro.campaign.resilience.RetryPolicy`.
+At every worker count a transient store-write failure retries with
+deterministic backoff, a task that cannot simulate or be written is
+quarantined while every healthy sibling lands, and quarantined tasks
+optionally replay in-process to separate worker-environment failures
+from deterministic simulation bugs.  A pool also retries failed chunks,
+rebuilds itself when a worker dies (``BrokenProcessPool``), abandons a
+hung worker on the per-chunk watchdog instead of stalling
+``Session.run`` forever, and bisects a chunk that drains its retry
+budget until the poison task is isolated.  The :mod:`repro.testing.chaos`
+harness injects faults on the dispatch and store-write paths to prove
+all of this stays bit-identical to a clean run.
 
 Workers never receive traces or fault maps over the wire: both are
 deterministic functions of ``RunnerSettings`` (seeded generators), so
@@ -35,14 +35,13 @@ and bit-identical to the single-process path.
 
 from __future__ import annotations
 
-import abc
 import os
 import signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
 from repro.budget import cpu_budget, set_cpu_budget, worker_budget
@@ -63,33 +62,6 @@ from repro.testing import chaos
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.session import Session
-
-
-class Executor(abc.ABC):
-    """Drives a plan's groups against a session, streaming events."""
-
-    @abc.abstractmethod
-    def run(self, session: "Session", plan: Plan) -> Iterator[Event]:
-        """Execute every pending group of ``plan``, yielding a
-        :class:`PointResult` per completed simulation and a
-        :class:`Progress` checkpoint per executed group/chunk."""
-
-
-class SerialExecutor(Executor):
-    """In-process execution, one plan group at a time (the default)."""
-
-    def run(self, session: "Session", plan: Plan) -> Iterator[Event]:
-        done = 0
-        total = plan.pending
-        for group in plan.groups:
-            for item, result in session.execute_group(group):
-                done += 1
-                yield PointResult(
-                    item.benchmark, item.config, item.map_index, item.key, result
-                )
-            yield Progress(
-                done, total, session.simulations_executed, session.schedule_passes
-            )
 
 
 # --------------------------------------------------------------------------
@@ -154,19 +126,21 @@ def _worker_init(
 def run_batch_locally(
     session: "Session", batch: list[Task]
 ) -> list[tuple[Task, SimResult]]:
-    """Run one dispatch batch — one plan group (or a bisected part of
-    one), so every task shares a benchmark — through
-    :meth:`Session.run_group` in a session (worker or parent).
+    """Simulate one dispatch batch — one plan group (or a bisected part
+    of one), so every task shares a benchmark and a batch signature — as
+    one :meth:`Session.run_pass` in a session (worker or parent).  The
+    store is not touched: the parent lands the results
+    (:meth:`PoolExecutor._land_chunk`).
 
     This is the fault-injection seam: when ``REPRO_CHAOS`` is armed,
     every task consults the deterministic chaos schedule before the
     batch simulates (worker-only kinds stay disarmed in the parent, so
-    in-process replays are clean)."""
+    in-process runs and replays never see them)."""
     if chaos.config_from_env() is not None:
         for task in batch:
             chaos.maybe_inject(session.task_key(*task))
     items = [(config, map_index) for (_, config, map_index) in batch]
-    results = session.run_group(batch[0][0], items)
+    results = session.run_pass(batch[0][0], items)
     return list(zip(batch, results))
 
 
@@ -251,29 +225,27 @@ class _Chunk:
 _POLL_SECONDS = 5.0
 
 
-class PoolExecutor(Executor):
-    """Streaming, fault-tolerant process-pool execution for paper-scale
-    campaigns.
+class PoolExecutor:
+    """Streaming, fault-tolerant campaign execution: in this process at
+    one worker, across a :class:`ProcessPoolExecutor` at more.
 
-    The plan's groups become worker dispatch units
-    (:meth:`Plan.worker_batches`) fanned across a
-    :class:`ProcessPoolExecutor`; results are checkpointed to the
-    parent's store as each chunk completes — not after the pool drains —
-    so a killed paper-scale run against a disk-backed store resumes from its
-    last completed chunk.  Worker trace/schedule counters aggregate into
-    the parent session when the pool drains (even on exception paths).
+    ``workers`` caps the worker count (``None``: one per CPU of the
+    process's budget); a one-group plan also runs in this process.
+    Results are checkpointed to the parent's store as each group or
+    chunk completes, so a killed paper-scale run against a disk-backed
+    store resumes from its last landed result.  Worker trace/schedule
+    counters aggregate into the parent session when the pool drains
+    (even on exception paths).
 
     Failure handling follows ``retry``
-    (:class:`~repro.campaign.resilience.RetryPolicy`): worker exceptions
-    and ``BrokenProcessPool`` retry the chunk (rebuilding the pool when
-    it broke), a per-chunk watchdog abandons hung workers, and repeated
-    failures bisect the chunk until the poison task is isolated,
-    quarantined, and — optionally — replayed in-process.  The campaign
-    always drains: healthy results land regardless of how many siblings
-    misbehave, and ``Session.run`` raises
-    :class:`~repro.campaign.resilience.CampaignError` only afterwards.
-    A campaign that needs one worker (one batch, or ``workers=1``) runs
-    in this process, through the same fault seam, quarantine and replay.
+    (:class:`~repro.campaign.resilience.RetryPolicy`): store writes
+    retry, and a failed task is quarantined and optionally replayed, at
+    any worker count; a pool also retries, resubmits and bisects failed
+    chunks and abandons hung workers (``chunk_timeout`` has no effect
+    in-process).  The campaign always drains: healthy results land
+    regardless of how many siblings misbehave, and ``Session.run``
+    raises :class:`~repro.campaign.resilience.CampaignError` only
+    afterwards.
     """
 
     def __init__(
@@ -332,7 +304,7 @@ class PoolExecutor(Executor):
     # ----- result landing ------------------------------------------------------
 
     def _store_with_retry(
-        self, session: "Session", key: str, task: Task, result: SimResult
+        self, session: "Session", key: str, result: SimResult
     ) -> "tuple[bool, int, str | None]":
         """Checkpoint one finished simulation, absorbing *transient*
         store-write failures (an :class:`OSError`: torn write, fsync
@@ -340,13 +312,12 @@ class PoolExecutor(Executor):
         worker faults use — a flaky disk must not kill the drain loop
         while the result is already in hand.  Returns (stored,
         failed_attempts, last_error)."""
-        benchmark, config, map_index = task
         policy = self.retry
         failed = 0
         last_error: "str | None" = None
         while True:
             try:
-                session.store_result(benchmark, config, map_index, result)
+                session.store.put(key, result)
                 return True, failed, last_error
             except OSError as exc:
                 failed += 1
@@ -361,22 +332,19 @@ class PoolExecutor(Executor):
         chunk_results: list,
         quarantine: "list[Quarantined]",
     ) -> "tuple[list[Event], int]":
-        """Land one completed chunk's payload: checkpoint each
-        ``(task, result)`` pair into the session store (retrying
-        transient write failures; quarantining a task whose write budget
-        drains), and return the events to stream plus how many points
-        completed."""
+        """Land simulated results — a worker's chunk, an in-process group
+        or a replayed task: checkpoint each ``(task, result)`` pair into
+        the session store (retrying transient write failures;
+        quarantining a task whose write budget drains), and return the
+        events to stream plus how many points completed."""
         events: list[Event] = []
         landed = 0
         for task, result in chunk_results:
-            benchmark, config, map_index = task
-            key = session.task_key(benchmark, config, map_index)
-            stored, failed, error = self._store_with_retry(
-                session, key, task, result
-            )
+            key = session.task_key(*task)
+            stored, failed, error = self._store_with_retry(session, key, result)
             if not stored:
                 # The write budget drained: quarantine the task (replay
-                # below re-simulates and re-puts) instead of losing the
+                # re-simulates and re-lands it) instead of losing the
                 # point or the loop.
                 quarantine.append(
                     Quarantined(task, key, failed, f"store write failed: {error}")
@@ -386,12 +354,15 @@ class PoolExecutor(Executor):
                 events.append(StoreRecovered(key, failed, error))
             session.simulations_executed += 1
             landed += 1
-            events.append(PointResult(benchmark, config, map_index, key, result))
+            events.append(PointResult(*task, key, result))
         return events, landed
 
     # ----- the drain loop -------------------------------------------------------
 
     def run(self, session: "Session", plan: Plan) -> Iterator[Event]:
+        """Execute every pending group of ``plan``, yielding a
+        :class:`PointResult` per landed simulation and a
+        :class:`Progress` checkpoint per executed group or chunk."""
         batches = plan.worker_batches()
         total = plan.pending
         if total == 0:
@@ -399,7 +370,7 @@ class PoolExecutor(Executor):
         workers = self.workers if self.workers is not None else cpu_budget()
         workers = min(workers, len(batches))
         if workers <= 1:
-            yield from self._run_in_process(session, plan)
+            yield from self._run_in_process(session, batches, total)
             return
         policy = self.retry
         size = adaptive_chunksize(len(batches), workers)
@@ -569,26 +540,28 @@ class PoolExecutor(Executor):
 
         yield from self._replay(session, quarantine, done, total)
 
-    def _run_in_process(self, session: "Session", plan: Plan) -> Iterator[Event]:
+    def _run_in_process(
+        self, session: "Session", batches: "list[list[Task]]", total: int
+    ) -> Iterator[Event]:
         """One worker's campaign, run in this process: each group is one
-        pass through the workers' fault seam (:func:`run_batch_locally`),
-        and a group that raises joins the quarantine ledger task by task,
-        so a failure is quarantined here too instead of escaping the
-        executor."""
+        pass through the workers' fault seam (:func:`run_batch_locally`)
+        and lands through :meth:`_land_chunk`.  A group whose pass raises
+        joins the quarantine ledger task by task, with that one error,
+        and a task whose write budget drains joins it alone."""
         quarantine: list[Quarantined] = []
-        done, total = 0, plan.pending
-        for group in plan.groups:
+        done = 0
+        for batch in batches:
             try:
-                pairs = run_batch_locally(session, [item.task for item in group.items])
+                pairs = run_batch_locally(session, batch)
             except Exception as exc:
                 quarantine.extend(
-                    Quarantined(item.task, item.key, 1, repr(exc))
-                    for item in group.items
+                    Quarantined(task, session.task_key(*task), 1, repr(exc))
+                    for task in batch
                 )
                 continue
-            for item, (_, result) in zip(group.items, pairs):
-                done += 1
-                yield PointResult(*item.task, item.key, result)
+            events, landed = self._land_chunk(session, pairs, quarantine)
+            done += landed
+            yield from events
             yield Progress(
                 done, total, session.simulations_executed, session.schedule_passes
             )
@@ -600,21 +573,27 @@ class PoolExecutor(Executor):
     ) -> Iterator[Event]:
         """In-process replay of the quarantine ledger: worker-environment
         failures (chaos injection, broken toolchains) recover here and
-        land normally; deterministic bugs fail again and stay
-        quarantined with both errors on record.  Ends with the final
-        checkpoint, whose counters include the pool-wide ones (the
-        per-chunk Progress events only see the parent's own)."""
+        land through :meth:`_land_chunk`; deterministic bugs fail again
+        and stay quarantined with both errors on record, as does a task
+        whose replayed result cannot be written (its ``replay_error`` is
+        the store error).  Ends with the final checkpoint, whose counters
+        include the pool-wide ones (the per-chunk Progress events only
+        see the parent's own)."""
         for entry in quarantine:
             replay_error: str | None = None
             if self.retry.replay_quarantined:
+                unwritten: list[Quarantined] = []
                 try:
-                    [(_, result)] = run_batch_locally(session, [entry.task])
+                    pairs = run_batch_locally(session, [entry.task])
                 except Exception as exc:
                     replay_error = repr(exc)
                 else:
-                    done += 1
-                    yield PointResult(*entry.task, entry.key, result)
-                    continue
+                    events, landed = self._land_chunk(session, pairs, unwritten)
+                    yield from events
+                    if landed:
+                        done += landed
+                        continue
+                    replay_error = unwritten[0].error
             yield TaskFailed(replace(entry, replay_error=replay_error))
         yield Progress(
             done, total, session.simulations_executed, session.schedule_passes

@@ -17,11 +17,10 @@
 A plan never depends on the host: whether a pass runs in the C lane
 kernel or on the object loop is decided when it runs
 (``OutOfOrderPipeline.run_batch``).  The resulting :class:`Plan` is a
-frozen value consumed *identically* by the serial and process-pool
-executors (``Plan.worker_batches`` ships one group per pool dispatch
-unit; every group runs through ``Session.run_group``, which applies the
-same rule), rendered by the CLI's ``--dry-run``, and asserted on by
-tests.
+frozen value the executor consumes identically at any worker count
+(``Plan.worker_batches`` is one dispatch unit per group, and each runs
+as one ``Session.run_pass``), rendered by the CLI's ``--dry-run``, and
+asserted on by tests.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class WorkItem:
 class PlanGroup:
     """One schedule pass of a plan: at most :data:`PASS_LANES` pending
     work items sharing a benchmark trace and a batch signature, whatever
-    points and figures their lanes come from.  It executes through
-    ``Session.run_group`` as one ``run_batch`` pass.
+    points and figures their lanes come from.  It executes as one
+    ``Session.run_pass``: one ``run_batch`` pass.
     """
 
     benchmark: str
@@ -108,8 +107,7 @@ class Plan:
     @property
     def predicted_passes(self) -> int:
         """Schedule passes the groups will cost as planned, one per group
-        (mirrors the executors' pass accounting; store races can only
-        lower it)."""
+        (mirrors the executor's pass accounting)."""
         return len(self.groups)
 
     @property
@@ -118,10 +116,10 @@ class Plan:
         return sum(len(group) for group in self.groups)
 
     def worker_batches(self) -> list[list[Task]]:
-        """The plan's groups as process-pool dispatch units, one
-        ``(benchmark, config, map_index)`` task list per group.  Serial
-        and pool executors therefore consume the *same* plan objects —
-        the pool merely ships each group to a worker."""
+        """The plan's groups as the executor's dispatch units, one
+        ``(benchmark, config, map_index)`` task list per group, each
+        simulated as one ``Session.run_pass``: in this process at one
+        worker, shipped to a pool worker at more."""
         return [[item.task for item in group.items] for group in self.groups]
 
     def describe(self) -> str:

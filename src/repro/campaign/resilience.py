@@ -45,19 +45,21 @@ def stable_unit(*parts) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a pool executor treats failing, hanging, or poison chunks.
+    """How the executor treats failing store writes and failing, hanging,
+    or poison chunks.
 
-    ``max_attempts`` is the per-chunk budget: a chunk that fails (worker
+    ``max_attempts`` is the budget of each store write, at any worker
+    count, and of each pool chunk: a chunk that fails (worker
     exception, worker death, watchdog timeout) is resubmitted until the
     budget drains, then *bisected* — each half inherits one remaining
     attempt, so a poison task is isolated in ``O(log n)`` extra
     failures while every healthy sibling still lands in the store.  A
     single-task chunk that drains its budget is quarantined.
 
-    ``chunk_timeout`` (seconds) arms a watchdog per in-flight chunk: a
-    hung worker triggers abandon + resubmit instead of stalling the
-    campaign forever.  ``None`` (the default) keeps the legacy blocking
-    behaviour.
+    ``chunk_timeout`` (seconds) arms a watchdog per in-flight pool
+    chunk: a hung worker triggers abandon + resubmit instead of stalling
+    the campaign forever.  ``None`` (the default) keeps the legacy
+    blocking behaviour; in-process there is no worker to abandon.
 
     ``replay_quarantined`` replays each quarantined task in-process
     after the pool drains, distinguishing worker-environment failures

@@ -4,18 +4,20 @@ A :class:`Session` opens everything a campaign needs exactly once — the
 result store, the persistent trace/schedule caches, the fault-map
 provider — and exposes the whole experiment surface behind two layers:
 
-* **point API** (:meth:`simulate`, :meth:`run_group`) — the simulation
-  primitives: one lazy point, or a list of ``(config, map_index)`` lanes
+* **point API** (:meth:`simulate`, :meth:`run_group`) — lazy and
+  store-deduped: one point, or a list of ``(config, map_index)`` lanes
   over a trace, split into schedule passes by the planner's one grouping
   rule (:func:`~repro.campaign.plan.lane_passes`).  A lazy point is a
-  one-item :meth:`run_group`, and every plan group executes through
-  :meth:`run_group` too, store-deduped;
+  one-item :meth:`run_group`;
 * **campaign API** (:meth:`plan`, :meth:`run`) — declarative:
   :meth:`run` takes a :class:`~repro.campaign.spec.CampaignSpec`,
   resolves it through the unified :class:`~repro.campaign.plan.Planner`,
-  and streams typed :mod:`~repro.campaign.events` while a pluggable
-  executor (serial in-process by default, a process pool via
-  ``PoolExecutor``) drives the plan's groups.
+  and streams typed :mod:`~repro.campaign.events` while a
+  :class:`~repro.campaign.executors.PoolExecutor` (one worker, in this
+  process, by default) drives the plan's groups.
+
+Both simulate through one primitive, :meth:`run_pass`: one schedule
+pass over a trace, which never touches the store.
 
 Sessions are context managers: ``with Session(...) as session`` flushes
 and closes the store on exit (the ``ResultStore`` context-manager
@@ -55,12 +57,12 @@ from repro.campaign.events import (
     StoreCorruption,
     TaskFailed,
 )
-from repro.campaign.plan import Plan, PlanGroup, Planner, WorkItem, lane_passes
+from repro.campaign.plan import Plan, Planner, WorkItem, lane_passes
 from repro.campaign.resilience import CampaignError, Quarantined
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.campaign.executors import Executor
+    from repro.campaign.executors import PoolExecutor
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,9 @@ class Session:
         # Under armed I/O chaos (REPRO_CHAOS=torn-write:...), checkpoint
         # writes go through the fault-injecting wrapper so the executor's
         # store-retry path is exercised exactly like worker faults are.
-        # Only the parent session wraps: pool workers' private stores are
-        # not the durable checkpoint path (see chaos.in_worker), and a
-        # store handed down from another session is already wrapped.
+        # Only the parent session wraps: pool workers never write their
+        # stores (see chaos.in_worker), and a store handed down from
+        # another session is already wrapped.
         from repro.testing import chaos as _chaos
 
         _chaos_config = _chaos.config_from_env()
@@ -136,15 +138,15 @@ class Session:
         # times a memo hit; memoise them so warm-store reads stay
         # dict-lookup cheap.
         self._key_cache: dict[tuple, str] = {}
-        #: Simulations actually executed (not read from the store): what
-        #: :meth:`run_group` ran, lazy :meth:`simulate` misses included,
-        #: plus what the pool executor's workers ran, added as it
-        #: checkpoints their results.  Store hits never count.
+        #: Simulations actually executed (not read from the store) and
+        #: stored: what :meth:`run_group` ran, lazy :meth:`simulate`
+        #: misses included, plus what the executor landed, in this
+        #: process or from its workers.  Store hits never count.
         self.simulations_executed = 0
         #: Passes over a trace this session paid for: +1 per
-        #: :meth:`OutOfOrderPipeline.run_batch` call :meth:`run_group`
-        #: makes, however many lanes it drives and whichever engine runs
-        #: them — what ``Plan.predicted_passes`` predicts.
+        #: :meth:`run_pass`, however many lanes it drives and whichever
+        #: engine runs them — what ``Plan.predicted_passes`` predicts.
+        #: A pool's workers' passes are added when it drains.
         self.schedule_passes = 0
         #: Quarantine ledger: every task a resilient executor gave up on
         #: across this session's runs (see
@@ -217,7 +219,7 @@ class Session:
         caller agrees on one key per physical simulation.  An index that
         is not an ``int`` raises ``TypeError`` (:func:`require_int`)."""
         if map_index is not None:
-            require_int(map_index, "index")
+            require_int(map_index, "a fault-map index")
         if config.needs_fault_map:
             if map_index is None or map_index < 0:
                 raise ValueError(
@@ -250,16 +252,6 @@ class Session:
         """The stored result for this point, or ``None`` if unsimulated."""
         return self.store.get(self.task_key(benchmark, config, map_index))
 
-    def store_result(
-        self,
-        benchmark: str,
-        config: RunConfig,
-        map_index: int | None,
-        result: SimResult,
-    ) -> None:
-        """Checkpoint an externally-computed result (parallel workers)."""
-        self.store.put(self.task_key(benchmark, config, map_index), result)
-
     # ----- point API ------------------------------------------------------------
 
     def simulate(
@@ -289,21 +281,12 @@ class Session:
     def run_group(
         self, benchmark: str, items: "list[tuple[RunConfig, int | None]]"
     ) -> list[SimResult]:
-        """Execute ``(config, map_index)`` lanes over one benchmark trace.
-
-        Lanes already in the store are never re-simulated.  The rest
-        split into schedule passes by
-        :func:`~repro.campaign.plan.lane_passes` — the planner's rule, so
-        a plan group is exactly one pass — and each pass scatters back to
-        the store under per-point keys.  A pass hands
-        :meth:`OutOfOrderPipeline.run_batch` one
-        :class:`~repro.cpu.pipeline.KernelLane` per item, built from the
-        scheme's enabled-way matrices, and ``run_batch`` picks the
-        engine: one kernel pass, with statistics from the kernel's
-        counters and no object hierarchy on either side, or each lane's
-        object-loop twin on a host without the kernel.  Results return
-        in ``items`` order, bit-identical to the object engine.
-        """
+        """The lazy point API: ``(config, map_index)`` lanes over one
+        benchmark trace.  Lanes already in the store are never
+        re-simulated; the rest split into schedule passes by the
+        planner's rule (:func:`~repro.campaign.plan.lane_passes`), each
+        a :meth:`run_pass` scattered back to the store under per-point
+        keys.  Results return in ``items`` order."""
         results: dict[str, SimResult | None] = {}
         pending: list[WorkItem] = []
         resolved: list[str] = []
@@ -316,14 +299,9 @@ class Session:
             results[key] = self.store.get(key)
             if results[key] is None:
                 pending.append(WorkItem(benchmark, config, m, key))
-        warmup = self.settings.warmup_instructions
         for group in lane_passes(pending, self.batch_signature):
-            trace = self.trace(benchmark)
-            self.schedule_passes += 1
-            outs = OutOfOrderPipeline.run_batch(
-                [self._kernel_lane(i.config, i.map_index) for i in group.items],
-                trace,
-                measure_from=warmup,
+            outs = self.run_pass(
+                benchmark, [(item.config, item.map_index) for item in group.items]
             )
             for item, result in zip(group.items, outs):
                 self.store.put(item.key, result)
@@ -331,15 +309,29 @@ class Session:
                 results[item.key] = result
         return [results[key] for key in resolved]
 
-    def execute_group(
-        self, group: PlanGroup
-    ) -> list[tuple[WorkItem, SimResult]]:
-        """Execute one plan group through :meth:`run_group`; returns
-        item/result pairs in plan order."""
-        results = self.run_group(
-            group.benchmark, [(item.config, item.map_index) for item in group.items]
+    def run_pass(
+        self, benchmark: str, items: "list[tuple[RunConfig, int | None]]"
+    ) -> list[SimResult]:
+        """Simulate ``items`` — ``(config, map_index)`` lanes sharing one
+        batch signature, map indices canonical as a plan holds them — as
+        one schedule pass over ``benchmark``'s trace.  Neither the store
+        nor ``simulations_executed`` is touched: whoever stores the
+        results counts them.
+
+        :meth:`OutOfOrderPipeline.run_batch` gets one
+        :class:`~repro.cpu.pipeline.KernelLane` per item, built from the
+        scheme's enabled-way matrices, and picks the engine: one kernel
+        pass, or each lane's object-loop twin on a host without the
+        kernel.  Results return in ``items`` order, bit-identical to the
+        object engine.
+        """
+        trace = self.trace(benchmark)
+        self.schedule_passes += 1
+        return OutOfOrderPipeline.run_batch(
+            [self._kernel_lane(config, m) for config, m in items],
+            trace,
+            measure_from=self.settings.warmup_instructions,
         )
-        return list(zip(group.items, results))
 
     # ----- campaign API ---------------------------------------------------------
 
@@ -361,14 +353,17 @@ class Session:
         return Planner(self).resolve(spec)
 
     def run(
-        self, spec: CampaignSpec, executor: "Executor | None" = None
+        self, spec: CampaignSpec, executor: "PoolExecutor | None" = None
     ) -> Iterator[Event]:
         """Stream a campaign: resolve ``spec`` into a plan, then drive
-        every pending group through ``executor`` (in-process serial by
-        default; ``PoolExecutor(workers=N)`` fans groups across a
-        process pool), yielding :class:`PlanReady` first, then
+        every pending group through ``executor`` (by default
+        ``PoolExecutor(1)``, which runs the groups in this process;
+        ``PoolExecutor(workers=N)`` fans them across a process pool),
+        yielding :class:`PlanReady` first, then
         :class:`PointResult`/:class:`Progress` events as simulations
-        land in the store.
+        land in the store.  A group that fails is quarantined and
+        replayed, and :class:`~repro.campaign.resilience.CampaignError`
+        is raised once the plan drains.
 
         Any benchmark subset and any map count run here; a spec whose
         :func:`~repro.experiments.keys.fidelity_fingerprint` differs from
@@ -390,12 +385,12 @@ class Session:
             )
         plan = self.plan(spec)
         if executor is None:
-            from repro.campaign.executors import SerialExecutor
+            from repro.campaign.executors import PoolExecutor
 
-            executor = SerialExecutor()
+            executor = PoolExecutor(1)
         return self._stream(plan, executor)
 
-    def _stream(self, plan: Plan, executor: "Executor") -> Iterator[Event]:
+    def _stream(self, plan: Plan, executor: "PoolExecutor") -> Iterator[Event]:
         yield PlanReady(plan)
         health = self.store.health()
         if health.damaged:
@@ -428,7 +423,7 @@ class Session:
             raise CampaignError(failed)
 
     def run_all(
-        self, spec: CampaignSpec, executor: "Executor | None" = None
+        self, spec: CampaignSpec, executor: "PoolExecutor | None" = None
     ) -> Plan:
         """Drain :meth:`run` for its side effect (a filled store) and
         return the resolved plan."""

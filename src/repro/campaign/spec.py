@@ -30,6 +30,7 @@ from typing import Iterator
 from repro.core.schemes import VoltageMode
 from repro.experiments.configs import RunConfig
 from repro.experiments.keys import task_key
+from repro.experiments.providers import require_int
 from repro.workloads.spec2000 import ALL_BENCHMARKS
 
 #: Bump when the spec's JSON shape changes incompatibly.
@@ -56,6 +57,9 @@ class RunnerSettings:
             raise ValueError("n_fault_maps must be positive")
         if self.warmup_instructions < 0:
             raise ValueError("warmup_instructions must be non-negative")
+        # Range only (NaN fails it): pfail=True still keys apart from 1.0.
+        if not 0.0 <= self.pfail <= 1.0:
+            raise ValueError(f"pfail must be in [0, 1], got {self.pfail!r}")
         unknown = set(self.benchmarks) - set(ALL_BENCHMARKS)
         if unknown:
             raise ValueError(f"unknown benchmarks: {sorted(unknown)}")
@@ -122,12 +126,14 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Inverse of :func:`config_to_dict` (raises on malformed input)."""
+    """Inverse of :func:`config_to_dict` (raises on malformed input,
+    ``TypeError`` for a victim size that is not an ``int``)."""
+    require_int(data.get("victim_entries", 0), "victim_entries")
     return RunConfig(
         label=str(data["label"]),
         scheme=str(data["scheme"]),
         voltage=VoltageMode[str(data["voltage"])],
-        victim_entries=int(data.get("victim_entries", 0)),
+        victim_entries=data.get("victim_entries", 0),
     )
 
 
@@ -137,6 +143,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
 #: The RunnerSettings fidelity/scope fields a spec carries verbatim.
 _SETTINGS_FIELDS = tuple(f.name for f in fields(RunnerSettings))
+
+#: The spec fields :meth:`CampaignSpec.from_dict` takes only as ``int``.
+_INT_FIELDS = ("n_instructions", "n_fault_maps", "seed", "warmup_instructions")
 
 
 @dataclass(frozen=True)
@@ -219,22 +228,23 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict` (raises on malformed input)."""
+        """Inverse of :meth:`to_dict` (raises on malformed input).  A count,
+        seed or victim size that is not an ``int`` raises ``TypeError``:
+        coerced, ``2.9`` maps would run another campaign, of 2."""
         schema = data.get("schema", SPEC_SCHEMA_VERSION)
         if schema != SPEC_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported campaign spec schema {schema!r} "
                 f"(this build reads {SPEC_SCHEMA_VERSION})"
             )
+        for name in _INT_FIELDS:
+            require_int(data[name], name)
         return cls(
             configs=tuple(config_from_dict(c) for c in data["configs"]),
             benchmarks=tuple(str(b) for b in data["benchmarks"]),
-            n_instructions=int(data["n_instructions"]),
-            n_fault_maps=int(data["n_fault_maps"]),
             pfail=float(data["pfail"]),
-            seed=int(data["seed"]),
-            warmup_instructions=int(data["warmup_instructions"]),
             figure=data.get("figure"),
+            **{name: data[name] for name in _INT_FIELDS},
         )
 
     def to_json(self, indent: int | None = None) -> str:

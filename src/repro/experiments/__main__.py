@@ -25,11 +25,11 @@ tooling).
 The CLI is a thin shell over the campaign layer: flags build a
 :class:`~repro.campaign.session.Session` and one union
 :class:`~repro.campaign.spec.CampaignSpec` covering every requested
-performance target, the session streams the campaign (serial or through
-a ``--workers N`` process pool), and figures render from pure store
-hits.  ``--dry-run`` prints the resolved plan — work items, store-dedup
-hits, schedule-pass groups, predicted schedule passes — without
-simulating.
+performance target, the session streams the campaign (in this process
+at the default ``--workers 1``, else through a process pool), and
+figures render from pure store hits.  ``--dry-run`` prints the resolved
+plan — work items, store-dedup hits, schedule-pass groups, predicted
+schedule passes — without simulating.
 
 Campaigns: pass ``--store DIR`` (or set ``REPRO_STORE``) to persist every
 simulation result under ``DIR``; reruns — including after a crash —
@@ -157,9 +157,9 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """The ``--workers`` pool, its resilience budget and the trace cache,
-    shared by ``run``, ``serve`` and ``predict`` (read back by
-    :func:`_executor_from_args`)."""
+    """The executor's ``--workers`` count, its resilience budget and the
+    trace cache, shared by ``run``, ``serve`` and ``predict`` (read back
+    by :func:`_executor_from_args`)."""
     parser.add_argument(
         "--workers",
         type=_positive_int,
@@ -174,19 +174,21 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         type=_non_negative_int,
         default=2,
         metavar="N",
-        help="resilience budget for --workers pools: a failed, crashed, or "
-        "timed-out chunk is retried up to N times (deterministic backoff), "
-        "then bisected to isolate and quarantine the poison task while "
-        "healthy siblings still land (default: 2; 0 disables retries)",
+        help="resilience budget: a failed store write is retried up to N "
+        "times, and with --workers above 1 so is a failed, crashed, or "
+        "timed-out chunk, which is then bisected to isolate and quarantine "
+        "the poison task while healthy siblings still land (deterministic "
+        "backoff; default: 2; 0 disables retries)",
     )
     parser.add_argument(
         "--chunk-timeout",
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-chunk watchdog for --workers pools: a chunk still running "
-        "after SECONDS is abandoned and resubmitted instead of hanging the "
-        "campaign (default: no timeout)",
+        help="per-chunk watchdog for --workers above 1: a chunk still "
+        "running after SECONDS is abandoned and resubmitted instead of "
+        "hanging the campaign; no effect in-process, where there is no "
+        "worker to abandon (default: no timeout)",
     )
     parser.add_argument(
         "--trace-cache",
@@ -276,12 +278,10 @@ def _open_session(args: argparse.Namespace, settings: RunnerSettings) -> Session
     return session
 
 
-def _executor_from_args(args: argparse.Namespace) -> "PoolExecutor | None":
+def _executor_from_args(args: argparse.Namespace) -> PoolExecutor:
     """The executor ``run``, ``serve`` and ``predict`` simulate through:
-    a :class:`PoolExecutor` for ``--workers`` above 1, else ``None`` (the
-    session's in-process serial default)."""
-    if args.workers == 1:
-        return None
+    a :class:`PoolExecutor` of ``--workers`` workers (in-process at 1)
+    under the ``--max-retries`` and ``--chunk-timeout`` budget."""
     return PoolExecutor(
         args.workers,
         retry=RetryPolicy(

@@ -143,13 +143,12 @@ class TraceProvider:
 
 
 def require_int(value, what: str) -> None:
-    """Refuse a fault-map ``what`` (index or count) that is not an
-    ``int``, ``True`` and ``1.0`` included: it would draw, or key, map 1
-    under another name."""
+    """Refuse a ``value`` that is not an ``int``, ``True`` and ``1.0``
+    included, with a ``TypeError`` naming it as ``what``.  Coercing one
+    would run, and key, another point under its name: ``True`` draws map
+    1, and a ``2.9`` map count runs 2 maps."""
     if type(value) is bool or not isinstance(value, int):
-        raise TypeError(
-            f"a fault-map {what} is an int, got {type(value).__name__} {value!r}"
-        )
+        raise TypeError(f"{what} is an int, got {type(value).__name__} {value!r}")
 
 
 class FaultMapProvider:
@@ -177,7 +176,7 @@ class FaultMapProvider:
         only the missing ones."""
         settings = self.settings
         count = settings.n_fault_maps if count is None else count
-        require_int(count, "count")
+        require_int(count, "a fault-map count")
         if count < 0:
             raise ValueError(f"fault-map count must be >= 0, got {count}")
         drawn = self._pairs
@@ -200,7 +199,7 @@ class FaultMapProvider:
         return drawn[:count]
 
     def pair(self, index: int) -> FaultMapPair:
-        require_int(index, "index")
+        require_int(index, "a fault-map index")
         if index < 0:
             raise ValueError(f"fault-map index must be >= 0, got {index}")
         return self.pairs(index + 1)[index]

@@ -13,7 +13,7 @@ simulated next:
   :class:`~repro.campaign.spec.CampaignSpec` s;
 * :class:`~repro.predict.loop.ActiveCampaign` — the propose -> plan ->
   run -> retrain -> converge driver over any Session-surface runner
-  (serial, pool, or ``Session.connect`` remote), streaming
+  (in-process, pool, or ``Session.connect`` remote), streaming
   ``BatchProposed`` / ``SurrogateFit`` / ``Converged`` events through
   the campaign wire layer.
 

@@ -16,7 +16,7 @@ much of it as the figure needs:
    (:mod:`~repro.predict.acquisition`) turns the uncertainty field into
    per-cell map-prefix extensions, emitted as ordinary campaign specs.
 4. **Run** — each proposed spec streams through the caller's session
-   (serial, pool, or a :meth:`Session.connect` remote — the driver
+   (in-process, pool, or a :meth:`Session.connect` remote — the driver
    never looks behind it).  A session serves any map depth at its
    fidelity fingerprint, so there is no depth bridging: every proposal
    runs on the one session.  Store task keys exclude ``n_fault_maps``,
@@ -239,7 +239,8 @@ class ActiveCampaign:
     """One active-learning campaign over a reference spec's grid.
 
     ``session`` is anything with the Session surface: a local
-    :class:`~repro.campaign.session.Session` (serial or pool executor),
+    :class:`~repro.campaign.session.Session` (with any
+    :class:`~repro.campaign.executors.PoolExecutor`),
     or the :class:`~repro.service.client.RemoteSession` from
     ``Session.connect``.  A local session must have the spec's fidelity
     fingerprint; its map count and benchmarks may differ, and every

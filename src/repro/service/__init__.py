@@ -8,10 +8,11 @@ Two pieces, layered on the campaign and store seams:
   clients over HTTP and streaming typed campaign events back as NDJSON,
   deduplicating overlapping specs against the shared store (one
   campaign simulates at a time and re-plans when its turn comes, so a
-  key is never simulated twice).  It simulates through any
-  :class:`~repro.campaign.executors.Executor`; ``serve --workers N``
-  uses the same :class:`~repro.campaign.executors.PoolExecutor` as
-  ``run``, so every chunk lands in the shared store as it completes.
+  key is never simulated twice).  It simulates through the same
+  :class:`~repro.campaign.executors.PoolExecutor` as ``run`` —
+  ``PoolExecutor(1)`` in its simulation thread by default, a pool under
+  ``serve --workers N`` — so every group or chunk lands in the shared
+  store as it completes, with the same write retries and quarantine.
 * :class:`~repro.service.client.RemoteSession` — the thin blocking
   client (``Session.connect(url)``), exposing the same streaming
   iterator API as a local ``Session.run``.

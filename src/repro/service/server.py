@@ -27,24 +27,29 @@ One campaign simulates at a time, and the
 5. ends with one ``TaskFailed`` per terminal failure, a
    campaign-scoped ``Progress`` and the done line.
 
+A spec that does not decode, or whose first plan fails (an unknown
+scheme, a negative victim size), is answered ``400 bad campaign spec``
+before any stream begins.
+
 So every client receives a *complete* stream — a ``PointResult`` or a
 ``TaskFailed`` for every distinct key of its spec, the results
 byte-identical to a standalone run — while the server executes each
 simulation at most once (the ``server_simulations`` counter on the done
 line proves it).  A key in flight in another campaign reaches a queued
 client when that campaign releases the lock; a key another campaign
-quarantined is re-planned, and run again under the queued campaign's
-executor.
+quarantined is re-planned, and run again for the queued campaign.
 
 Concurrency model: the event loop parses requests and streams events;
 simulation runs in a worker thread while its campaign holds one
 ``asyncio.Lock`` (a Session and its providers are not thread-safe),
-streaming its events back through an ``asyncio.Queue``.  The first plan
-runs off the loop and outside the lock: it only reads the store.  Every
-spec runs on :meth:`~repro.campaign.session.Session.derived`: the
-server's own session whenever the spec's fidelity fingerprint is the
-session's — whatever its benchmarks and map count — and a child session
-over the same store and trace cache only for a foreign fingerprint, so
+streaming its events back through an ``asyncio.Queue``; the executor
+is ``PoolExecutor(1)``, in that thread, unless ``serve --workers N``
+built a pool.  The first plan runs off the loop and outside the lock:
+it only reads the store.  Every spec runs on
+:meth:`~repro.campaign.session.Session.derived`: the server's own
+session whenever the spec's fidelity fingerprint is the session's —
+whatever its benchmarks and map count — and a child session over the
+same store and trace cache only for a foreign fingerprint, so
 mixed-fidelity clients still share everything shareable.
 """
 
@@ -55,6 +60,7 @@ import json
 import sys
 import threading
 import traceback
+from http import HTTPStatus
 from typing import TYPE_CHECKING
 
 from repro.campaign.events import (
@@ -66,13 +72,12 @@ from repro.campaign.events import (
     TaskRetried,
     WorkerCrashed,
 )
-from repro.campaign.executors import SerialExecutor
+from repro.campaign.executors import PoolExecutor
 from repro.campaign.resilience import Quarantined
 from repro.campaign.spec import CampaignSpec
 from repro.service import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.campaign.executors import Executor
     from repro.campaign.session import Session
 
 #: Maximum accepted request body (a spec is a few KB; this is generous).
@@ -87,12 +92,12 @@ class CampaignServer:
     def __init__(
         self,
         session: "Session",
-        executor: "Executor | None" = None,
+        executor: "PoolExecutor | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.session = session
-        self.executor = executor
+        self.executor = executor if executor is not None else PoolExecutor(1)
         self.host = host
         self.port = port
         self._server: "asyncio.base_events.Server | None" = None
@@ -134,6 +139,7 @@ class CampaignServer:
     # ----- HTTP plumbing --------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        sender = _StreamSender(writer)
         try:
             try:
                 head = await reader.readuntil(b"\r\n\r\n")
@@ -173,16 +179,20 @@ class CampaignServer:
             except (ValueError, KeyError, TypeError) as exc:
                 await self._respond_error(writer, 400, f"bad campaign spec: {exc!r}")
                 return
-            await self._stream_campaign(writer, spec)
+            await self._stream_campaign(sender, spec)
         except (ConnectionError, asyncio.CancelledError):
             pass  # client vanished / server stopping: nothing to salvage
         except Exception:
             # A handler bug must not die silently inside a forgotten task:
-            # log it and try to tell the client before closing.
+            # log it and try to tell the client before closing — with a
+            # status line unless a stream's head already went out.
             traceback.print_exc(file=sys.stderr)
             try:
-                writer.write(protocol.error_line("internal server error"))
-                await writer.drain()
+                if sender.head_sent:
+                    writer.write(protocol.error_line("internal server error"))
+                    await writer.drain()
+                else:
+                    await self._respond_error(writer, 500, "internal server error")
             except (ConnectionError, OSError):
                 pass
         finally:
@@ -202,11 +212,8 @@ class CampaignServer:
     @staticmethod
     async def _respond_json(writer, status: int, payload: dict) -> None:
         body = protocol.encode_line(payload)
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Error"
-        )
         writer.write(
-            f"HTTP/1.1 {status} {reason}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n".encode("latin-1") + body
@@ -218,22 +225,28 @@ class CampaignServer:
 
     # ----- the campaign stream --------------------------------------------------
 
-    async def _stream_campaign(self, writer, spec: CampaignSpec) -> None:
+    async def _stream_campaign(self, sender, spec: CampaignSpec) -> None:
         self.stats["campaigns"] += 1
         self.stats["active_clients"] += 1
-        sender = _StreamSender(writer)
         try:
             await self._run_campaign(sender, spec)
         finally:
             self.stats["active_clients"] -= 1
 
     async def _run_campaign(self, sender: "_StreamSender", spec: CampaignSpec) -> None:
-        session = self.session.derived(spec)
-        # This plan only feeds PlanReady, so that event never waits
-        # behind another campaign.  Planning reads the store but never
-        # simulates; off-thread so a cold trace/signature build cannot
-        # stall the event loop.
-        plan = await asyncio.to_thread(session.plan, spec)
+        try:
+            session = self.session.derived(spec)
+            # This plan only feeds PlanReady, so that event never waits
+            # behind another campaign.  Planning reads the store but
+            # never simulates; off-thread so a cold trace/signature
+            # build cannot stall the event loop.
+            plan = await asyncio.to_thread(session.plan, spec)
+        except (ValueError, KeyError, TypeError) as exc:
+            # A spec that decodes but cannot be planned (an unknown
+            # scheme, a negative victim size) is answered as one that
+            # does not decode.
+            await self._respond_error(sender.writer, 400, f"bad campaign spec: {exc!r}")
+            return
         await sender.send_head()
         await sender.send_event(PlanReady(plan))
 
@@ -261,7 +274,6 @@ class CampaignServer:
                 # the lock the re-plan holds exactly what no campaign has
                 # stored: the Planner is the only dedup.
                 await stream_store_hits()
-                executor = self.executor or SerialExecutor()
                 sims_before = session.simulations_executed
                 passes_before = session.schedule_passes
                 loop = asyncio.get_running_loop()
@@ -269,7 +281,7 @@ class CampaignServer:
 
                 def pump() -> None:
                     try:
-                        for event in executor.run(session, session.plan(spec)):
+                        for event in self.executor.run(session, session.plan(spec)):
                             loop.call_soon_threadsafe(queue.put_nowait, event)
                     except BaseException as exc:  # surfaced to the client
                         loop.call_soon_threadsafe(queue.put_nowait, exc)
@@ -327,8 +339,10 @@ class _StreamSender:
     def __init__(self, writer) -> None:
         self.writer = writer
         self.alive = True
+        self.head_sent = False
 
     async def send_head(self) -> None:
+        self.head_sent = True
         await self.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -372,7 +386,7 @@ async def _serve(server: CampaignServer, announce) -> None:
 
 def serve_blocking(
     session: "Session",
-    executor: "Executor | None" = None,
+    executor: "PoolExecutor | None" = None,
     host: str = "127.0.0.1",
     port: int = 0,
     announce=None,
@@ -411,7 +425,7 @@ class ServerThread:
     def __init__(
         self,
         session: "Session",
-        executor: "Executor | None" = None,
+        executor: "PoolExecutor | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:

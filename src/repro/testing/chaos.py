@@ -176,9 +176,8 @@ def enter_worker(epoch: int) -> None:
 
 def in_worker() -> bool:
     """Whether this process entered pool-worker context.  I/O kinds stay
-    disarmed in workers: their private in-memory stores are not the
-    campaign's durable checkpoint path, so injecting there would model
-    nothing and mask the parent-side retry machinery under test."""
+    disarmed in workers: a worker never writes its store (the parent
+    lands every result), so injecting there would model nothing."""
     return _worker_epoch is not None
 
 

@@ -111,7 +111,9 @@ class TestPredictedPasses:
             assert plan_shape(plan) == plan_shape(kernel_plan)
             assert plan.predicted_passes == kernel_plan.predicted_passes
         for group in plan.groups:
-            session.execute_group(group)
+            session.run_group(
+                group.benchmark, [(item.config, item.map_index) for item in group.items]
+            )
         assert session.schedule_passes == plan.predicted_passes
 
     def test_prediction_matches_execution(self, session):

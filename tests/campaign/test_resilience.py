@@ -36,7 +36,6 @@ from repro.campaign.events import (
     WorkerCrashed,
 )
 from repro.campaign.executors import (
-    Executor,
     PoolExecutor,
     _Chunk,
     merge_counters,
@@ -56,7 +55,7 @@ from repro.experiments.configs import (
     LV_BLOCK_V10,
     LV_WORD,
 )
-from repro.store import result_to_dict
+from repro.store import DiskStore, result_to_dict
 from repro.testing import chaos
 from repro.testing.chaos import ChaosConfig, ChaosError
 
@@ -285,8 +284,9 @@ class FakePool:
 @lru_cache(maxsize=1)
 def scripted_worker_session() -> Session:
     """The hidden in-process 'worker' computing real results for scripted
-    ``ok`` outcomes.  Long-lived: its store dedups repeated tasks, so
-    scripted tests and hypothesis examples stay cheap."""
+    ``ok`` outcomes.  Long-lived, like a real worker: its trace and
+    fault maps are built once for every scripted test and hypothesis
+    example."""
     return Session(SETTINGS)
 
 
@@ -524,9 +524,10 @@ class TestRealChaos:
 
 
 class TestOneWorkerInProcess:
-    """A pool campaign of one worker (one batch, or ``PoolExecutor(1)``)
-    runs in the parent, through the same fault seam as a worker: a
-    poisoned task is quarantined there too, never run clean."""
+    """A campaign of one worker (one batch, or ``PoolExecutor(1)``, the
+    default) runs in the parent, through the same fault seam as a worker
+    and the same landing path as a pool: a poisoned task is quarantined
+    there too, never run clean."""
 
     @pytest.fixture(autouse=True)
     def clean_env(self, monkeypatch):
@@ -559,13 +560,29 @@ class TestOneWorkerInProcess:
         assert stored == {k: v for k, v in reference.items() if k != failure.key}
         assert session.simulations_executed == 5
 
-    def test_a_clean_run_streams_what_the_serial_executor_streams(self):
-        serial = Session(SETTINGS)
-        serial_events = list(serial.run(serial.spec(CONFIGS)))
-        session = Session(SETTINGS)
-        events = list(session.run(session.spec(CONFIGS), executor=PoolExecutor(1)))
-        assert events == serial_events
-        assert store_snapshot(session) == store_snapshot(serial)
+    def test_a_one_worker_run_lands_what_a_two_worker_pool_lands(self, tmp_path):
+        runs = {}
+        for workers in (1, 2):
+            with DiskStore(tmp_path / str(workers)) as store:
+                session = Session(SETTINGS, store=store)
+                spec = session.spec(CONFIGS)
+                groups = len(session.plan(spec).groups)
+                events = list(session.run(spec, executor=PoolExecutor(workers)))
+            lines = (tmp_path / str(workers) / "results.jsonl").read_text()
+            runs[workers] = (events, sorted(lines.splitlines()))
+        (one, one_lines), (pool, pool_lines) = runs[1], runs[2]
+
+        def points(events):
+            found = [e for e in events if isinstance(e, PointResult)]
+            return sorted(found, key=lambda e: e.key)
+
+        assert len(points(one)) == 6 and points(one) == points(pool)
+        assert one_lines == pool_lines  # the same records, byte for byte
+        # In-process: one Progress per group, no replay checkpoint.
+        assert len([e for e in one if isinstance(e, Progress)]) == groups
+        # The default executor is PoolExecutor(1).
+        default = Session(SETTINGS)
+        assert list(default.run(default.spec(CONFIGS))) == one
 
 
 #: A campaign-server-shaped parent: an asyncio loop with a SIGTERM
@@ -689,7 +706,7 @@ class TestWorkerSignalHygiene:
 # --------------------------------------------------------------------------
 
 
-class _InterruptingExecutor(Executor):
+class _InterruptingExecutor(PoolExecutor):
     def run(self, session, plan):
         raise KeyboardInterrupt
 

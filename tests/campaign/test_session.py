@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.capacity_dist import capacity_distribution_for_geometry
 from repro.analysis.urn import expected_capacity_fraction
 from repro.campaign.events import PlanReady, PointResult, Progress
-from repro.campaign.executors import PoolExecutor, SerialExecutor
+from repro.campaign.executors import PoolExecutor
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.cpu.config import L1_GEOMETRY
@@ -118,8 +118,8 @@ class TestStreaming:
         final = [e for e in events if isinstance(e, Progress)][-1]
         assert final.schedule_passes == parallel.schedule_passes > 0
 
-    def test_explicit_serial_executor(self, session, reference):
-        plan = session.run_all(session.spec(CONFIGS), executor=SerialExecutor())
+    def test_explicit_one_worker_executor(self, session, reference):
+        plan = session.run_all(session.spec(CONFIGS), executor=PoolExecutor(1))
         assert plan.pending == 6
         for config in CONFIGS:
             indices = (

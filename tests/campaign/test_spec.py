@@ -102,6 +102,37 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             CampaignSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_fault_maps", 2.9),
+            ("seed", True),
+            ("n_instructions", "3000"),
+            ("warmup_instructions", 1000.0),
+            ("victim_entries", 15.5),
+            ("victim_entries", False),
+        ],
+    )
+    def test_mistyped_numbers_rejected_not_coerced(self, field, value):
+        # A spec from outside the program must name the campaign it
+        # runs: 2.9 maps would run 2, a True seed would run seed 1.
+        data = spec(configs=(LV_BASELINE, LV_BLOCK_V10)).to_dict()
+        if field == "victim_entries":
+            data["configs"][1][field] = value
+        else:
+            data[field] = value
+        with pytest.raises(TypeError, match=f"{field} is an int"):
+            CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("pfail", [5.0, -0.001, float("nan")])
+    def test_pfail_outside_a_probability_rejected(self, pfail):
+        data = spec().to_dict()
+        data["pfail"] = pfail
+        with pytest.raises(ValueError, match="pfail must be in"):
+            CampaignSpec.from_dict(data)
+        with pytest.raises(ValueError, match="pfail must be in"):
+            RunnerSettings(pfail=pfail)
+
     def test_round_trip_preserves_task_keys(self):
         s = spec(configs=(LV_BASELINE, LV_WORD, LV_BLOCK, LV_BLOCK_V10))
         assert CampaignSpec.from_json(s.to_json()).task_keys() == s.task_keys()

@@ -6,7 +6,7 @@ import pytest
 
 import repro.experiments.__main__ as cli
 from repro.campaign import plan as plan_module
-from repro.campaign.executors import SerialExecutor
+from repro.campaign.executors import PoolExecutor
 from repro.campaign.resilience import RetryPolicy
 from repro.experiments.__main__ import main
 
@@ -161,10 +161,11 @@ class TestCLI:
     ):
         captured = {}
 
-        class Recorder(SerialExecutor):
+        class Recorder(PoolExecutor):
             def __init__(self, workers, retry=None):
                 captured["workers"] = workers
                 captured["retry"] = retry
+                super().__init__(1, retry=retry)  # simulate in-process
 
         monkeypatch.setattr(cli, "PoolExecutor", Recorder)
         args = FAST_PERF_ARGS + [
@@ -183,20 +184,40 @@ class TestCLI:
     def test_max_retries_zero_disables_retries(self, capsys, monkeypatch):
         captured = {}
 
-        class Recorder(SerialExecutor):
+        class Recorder(PoolExecutor):
             def __init__(self, workers, retry=None):
                 captured["retry"] = retry
+                super().__init__(1, retry=retry)  # simulate in-process
 
         monkeypatch.setattr(cli, "PoolExecutor", Recorder)
         assert main(FAST_PERF_ARGS + ["--workers", "2", "--max-retries", "0"]) == 0
         capsys.readouterr()
         assert captured["retry"].max_attempts == 1
 
-    def test_quarantine_exits_nonzero_with_summary(self, capsys, monkeypatch):
+    def test_one_worker_is_a_one_worker_pool_executor(self, capsys, monkeypatch):
+        captured = {}
+
+        class Recorder(PoolExecutor):
+            def __init__(self, workers, retry=None):
+                captured["workers"] = workers
+                captured["retry"] = retry
+                super().__init__(workers, retry=retry)
+
+        monkeypatch.setattr(cli, "PoolExecutor", Recorder)
+        assert main(FAST_PERF_ARGS + ["--max-retries", "6"]) == 0
+        capsys.readouterr()
+        assert captured["workers"] == 1
+        assert captured["retry"] == RetryPolicy(max_attempts=7)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_quarantine_exits_nonzero_with_summary(
+        self, capsys, monkeypatch, workers
+    ):
         # Deterministic poison on every task: the campaign must not dump
-        # a traceback but report the quarantine ledger and exit 3.
+        # a traceback but report the quarantine ledger and exit 3, in
+        # this process as from a pool.
         monkeypatch.setenv("REPRO_CHAOS", "poison:1.0")
-        code = main(FAST_PERF_ARGS + ["--workers", "2", "--max-retries", "0"])
+        code = main(FAST_PERF_ARGS + ["--workers", workers, "--max-retries", "0"])
         monkeypatch.delenv("REPRO_CHAOS")
         assert code == 3
         err = capsys.readouterr().err
@@ -208,10 +229,7 @@ class TestCLI:
     def test_keyboard_interrupt_exits_130_with_resume_hint(
         self, capsys, monkeypatch
     ):
-        class Interrupting(SerialExecutor):
-            def __init__(self, workers, retry=None):
-                pass
-
+        class Interrupting(PoolExecutor):
             def run(self, session, plan):
                 raise KeyboardInterrupt
 

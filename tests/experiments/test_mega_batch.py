@@ -150,8 +150,8 @@ class TestGroupExecution:
         assert session.schedule_passes == 2  # one pass per signature
 
     def test_store_holes_in_the_middle_of_a_group(self, session, reference):
-        session.store_result(
-            "gzip", LV_BLOCK, 0, reference[("block disabling", 0)]
+        session.store.put(
+            session.task_key("gzip", LV_BLOCK, 0), reference[("block disabling", 0)]
         )
         items = [(LV_BASELINE, None), (LV_BLOCK, 0), (LV_BLOCK, 1)]
         results = session.run_group("gzip", items)

@@ -8,7 +8,6 @@ from repro.campaign import (
     PoolExecutor,
     Progress,
     RunnerSettings,
-    SerialExecutor,
     Session,
 )
 from repro.campaign.executors import adaptive_chunksize
@@ -70,7 +69,7 @@ class TestPrefill:
         """Two workers produce bit-identical results to in-process runs."""
         serial = Session(SMALL)
         parallel = Session(SMALL)
-        prefill(serial, (LV_BASELINE, LV_BLOCK), SerialExecutor())
+        prefill(serial, (LV_BASELINE, LV_BLOCK))
         executed = prefill(parallel, (LV_BASELINE, LV_BLOCK), PoolExecutor(2))
         assert executed == 6
         for bench in SMALL.benchmarks:

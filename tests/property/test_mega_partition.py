@@ -74,7 +74,9 @@ def test_any_partition_scatters_bit_identical(partition):
     reference = _reference()
     session = Session(TINY)
     for config, m in holes:
-        session.store_result("gzip", config, m, reference[(config.label, m)])
+        session.store.put(
+            session.task_key("gzip", config, m), reference[(config.label, m)]
+        )
     for group in groups:
         results = session.run_group("gzip", list(group))
         assert results == [

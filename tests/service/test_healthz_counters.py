@@ -17,7 +17,7 @@ import threading
 import time
 import urllib.request
 
-from repro.campaign.executors import SerialExecutor
+from repro.campaign.executors import PoolExecutor
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
 from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
@@ -101,7 +101,7 @@ class TestCounters:
         with Session(SETTINGS) as session:
             server_box: list = []
 
-            class GatedSerial(SerialExecutor):
+            class GatedSerial(PoolExecutor):
                 def run(self, sess, plan):
                     deadline = time.monotonic() + 30
                     stats = server_box[0].server.stats
@@ -109,7 +109,7 @@ class TestCounters:
                         time.sleep(0.01)
                     yield from super().run(sess, plan)
 
-            with ServerThread(session, executor=GatedSerial()) as server:
+            with ServerThread(session, executor=GatedSerial(1)) as server:
                 server_box.append(server)
                 done = run_two_clients(server)
                 executed = sorted(d["simulations_executed"] for d in done)

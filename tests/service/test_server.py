@@ -5,8 +5,9 @@ The acceptance claims under test:
 * a remote campaign is **complete and byte-identical** — every distinct
   key of the client's spec arrives as exactly one ``PointResult`` whose
   payload equals a standalone local run's — whether the server simulates
-  serially or through the ``PoolExecutor`` that ``serve --workers N``
-  builds, which streams each chunk's results as the chunk lands;
+  in-process (``PoolExecutor(1)``, its default) or through the pool that
+  ``serve --workers N`` builds, which streams each chunk's results as
+  the chunk lands;
 * two concurrent clients with overlapping specs each get full streams
   while the server executes strictly fewer simulations than the sum of
   standalone runs (the dedup contract);
@@ -17,7 +18,9 @@ The acceptance claims under test:
 * a client that differs from the server's session only in scope runs on
   that session; mixed-fidelity clients get one child session per
   fidelity fingerprint over the shared store;
-* malformed requests get a 400 status line, never a bare error line;
+* malformed requests, and specs that decode but cannot be planned, get
+  a 400 status line, and a handler bug before the stream's head a 500 —
+  never a bare error line;
 * terminal failures stream as ``TaskFailed`` and surface client-side as
   ``CampaignError`` — same semantics as local ``Session.run``.
 """
@@ -32,7 +35,7 @@ import urllib.request
 import pytest
 
 from repro.campaign.events import PlanReady, PointResult, Progress, TaskFailed
-from repro.campaign.executors import PoolExecutor, SerialExecutor
+from repro.campaign.executors import PoolExecutor
 from repro.campaign.resilience import CampaignError, RetryPolicy
 from repro.campaign.session import Session
 from repro.campaign.spec import CampaignSpec, RunnerSettings
@@ -126,8 +129,8 @@ class TestWireBasics:
 
 class TestSingleClient:
     @pytest.mark.parametrize(
-        "make_executor", [SerialExecutor, lambda: PoolExecutor(2)],
-        ids=["serial", "pool"],
+        "make_executor", [lambda: PoolExecutor(1), lambda: PoolExecutor(2)],
+        ids=["in-process", "pool"],
     )
     def test_stream_is_complete_and_byte_identical(self, make_executor):
         reference = standalone_results(SPEC_A)
@@ -243,7 +246,7 @@ class TestConcurrentClients:
         with Session(SETTINGS) as session:
             server_box: list = []
 
-            class GatedSerial(SerialExecutor):
+            class GatedSerial(PoolExecutor):
                 def run(self, sess, plan):
                     deadline = time.monotonic() + 30
                     stats = server_box[0].server.stats
@@ -251,7 +254,7 @@ class TestConcurrentClients:
                         time.sleep(0.01)
                     yield from super().run(sess, plan)
 
-            with ServerThread(session, executor=GatedSerial()) as server:
+            with ServerThread(session, executor=GatedSerial(1)) as server:
                 server_box.append(server)
                 out: dict = {}
 
@@ -426,3 +429,52 @@ class TestMalformedRequests:
                     reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
         assert b"spec JSON body" in reply
+
+    def test_unplannable_specs_get_400_and_the_server_serves_on(self):
+        # Both specs decode, but their first plan fails, before any
+        # stream head goes out: the client gets a 400 naming the cause.
+        unplannable = {
+            "no-such-scheme": {"scheme": "no-such-scheme"},
+            "victim_entries": {"victim_entries": -3},
+        }
+        with Session(SETTINGS) as session, ServerThread(session) as server:
+            for cause, change in unplannable.items():
+                data = SPEC_A.to_dict()
+                data["configs"][0].update(change)
+                request = urllib.request.Request(
+                    f"{server.url}/campaign",
+                    data=json.dumps(data).encode(),
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request)
+                error = json.loads(excinfo.value.read())["error"]
+                excinfo.value.close()
+                assert excinfo.value.code == 400
+                assert error.startswith("bad campaign spec: ") and cause in error
+                with pytest.raises(RemoteCampaignError, match="bad campaign spec"):
+                    list(Session.connect(server.url).run(CampaignSpec.from_dict(data)))
+            with Session.connect(server.url) as remote:
+                events = list(remote.run(SPEC_A))
+            assert stream_points(events) == standalone_results(SPEC_A)
+            assert isinstance(events[-1], Progress) and events[-1].done == 4
+
+    def test_a_handler_bug_before_the_head_gets_a_500(self, capsys):
+        def broken(spec):
+            raise RuntimeError("handler bug")
+
+        with Session(SETTINGS) as session, ServerThread(session) as server:
+            session.derived = broken
+            with pytest.raises(RemoteCampaignError, match="internal server error"):
+                list(Session.connect(server.url).run(SPEC_A))
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    urllib.request.Request(
+                        f"{server.url}/campaign",
+                        data=SPEC_A.to_json().encode(),
+                        method="POST",
+                    )
+                )
+            excinfo.value.close()
+            assert excinfo.value.code == 500
+        assert "handler bug" in capsys.readouterr().err  # logged, not lost

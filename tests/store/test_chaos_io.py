@@ -6,10 +6,11 @@ Unit half: each armed kind produces exactly its documented observable —
 silently persists an unterminated record — deterministically from
 ``(seed, kind, key, attempt)``, with retries re-rolling their fate.
 
-Integration half: a real pool campaign checkpointing through a chaos-
-wrapped disk store must absorb transient write faults via the retry
-policy (``StoreRecovered``), quarantine only exhausted budgets, and
-still drain to a store byte-identical to a clean serial run.
+Integration half: a campaign checkpointing through a chaos-wrapped disk
+store — in this process or from a real pool — must absorb transient
+write faults via the retry policy (``StoreRecovered``), quarantine only
+exhausted budgets, and still drain to a store byte-identical to a clean
+run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.campaign.executors import PoolExecutor
 from repro.campaign.resilience import CampaignError, RetryPolicy
 from repro.campaign.session import Session
 from repro.campaign.spec import RunnerSettings
-from repro.experiments.configs import LV_BASELINE, LV_WORD
+from repro.experiments.configs import LV_BASELINE, LV_BLOCK, LV_WORD
 from repro.store import DiskStore, MemoryStore
 from repro.store.format import result_to_dict
 from repro.testing import chaos
@@ -40,6 +41,15 @@ SETTINGS = RunnerSettings(
 )
 
 CONFIGS = (LV_BASELINE, LV_WORD)
+
+#: Executors every landing-path test runs under: the default
+#: (``PoolExecutor(1)`` with the default retry policy), one worker and a
+#: two-worker pool, the last two on the test's own policy.
+EXECUTORS = {
+    "default": lambda retry: None,
+    "one-worker": lambda retry: PoolExecutor(1, retry=retry),
+    "pool": lambda retry: PoolExecutor(2, retry=retry),
+}
 
 
 def snapshot(store) -> str:
@@ -201,8 +211,9 @@ class TestCampaignUnderIOChaos:
         session.run_all(session.spec(CONFIGS))
         return snapshot(session.store)
 
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_transient_store_faults_recover_to_identical_figures(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, executor
     ):
         # Mixed transient faults (validated to fire for these keys/seed):
         # every raise routes through store_with_retry's backoff, every
@@ -215,10 +226,10 @@ class TestCampaignUnderIOChaos:
         store = DiskStore(tmp_path)
         session = Session(SETTINGS, store=store)
         assert isinstance(session.store, ChaosStore)
-        executor = PoolExecutor(
-            2, retry=RetryPolicy(max_attempts=8, backoff_base=0.0)
+        retry = RetryPolicy(max_attempts=8, backoff_base=0.0)
+        events = list(
+            session.run(session.spec(CONFIGS), executor=EXECUTORS[executor](retry))
         )
-        events = list(session.run(session.spec(CONFIGS), executor=executor))
         monkeypatch.delenv(chaos.CHAOS_ENV)
         assert any(isinstance(e, StoreRecovered) for e in events)
         assert not session.failures
@@ -234,8 +245,9 @@ class TestCampaignUnderIOChaos:
                 assert clean.simulations_executed == 0  # all cached
                 assert snapshot(clean.store) == self.reference()
 
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_exhausted_write_budget_quarantines_not_crashes(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, executor
     ):
         # A disk that never accepts a write must not kill the drain
         # loop: every task ends quarantined with the store error on
@@ -243,17 +255,45 @@ class TestCampaignUnderIOChaos:
         monkeypatch.setenv(chaos.CHAOS_ENV, "disk-full:1.0,seed:1")
         store = DiskStore(tmp_path)
         session = Session(SETTINGS, store=store)
-        executor = PoolExecutor(
-            2, retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
-        )
+        retry = RetryPolicy(max_attempts=2, backoff_base=0.0)
         with pytest.raises(CampaignError) as excinfo:
-            for _ in session.run(session.spec(CONFIGS), executor=executor):
+            for _ in session.run(
+                session.spec(CONFIGS), executor=EXECUTORS[executor](retry)
+            ):
                 pass
         monkeypatch.delenv(chaos.CHAOS_ENV)
         failures = excinfo.value.failures
-        assert failures
-        assert all("store write failed" in f.error for f in failures)
-        assert all(f.replay_error is not None for f in failures)
+        assert len(failures) == 2  # each point alone, with its own error
+        assert all(
+            "store write failed" in f.error and f.key[:12] in f.error
+            for f in failures
+        )
+        # The replays simulate, and their writes fail on the same disk.
+        assert all("store write failed" in f.replay_error for f in failures)
+        assert len(store) == 0
+        store.close()
+
+    def test_one_worker_retries_fsync_failures_per_point(
+        self, tmp_path, monkeypatch
+    ):
+        # The campaign of `fig8 --instructions 2000 --maps 2 --benchmarks
+        # gzip`: fsync-fail:0.3,seed:1 fails the first write of two of its
+        # four points (validated); each is retried on its own and lands.
+        monkeypatch.setenv(chaos.CHAOS_ENV, "fsync-fail:0.3,seed:1")
+        store = DiskStore(tmp_path)
+        settings = RunnerSettings(
+            n_instructions=2_000, n_fault_maps=2, benchmarks=("gzip",)
+        )
+        session = Session(settings, store=store)
+        spec = session.spec((LV_BASELINE, LV_WORD, LV_BLOCK))
+        events = list(session.run(spec, executor=PoolExecutor(1)))
+        monkeypatch.delenv(chaos.CHAOS_ENV)
+        recovered = [e for e in events if isinstance(e, StoreRecovered)]
+        points = [e for e in events if isinstance(e, PointResult)]
+        assert len(recovered) == 2 and len(points) == 4
+        assert not session.failures
+        assert {e.key for e in points} == set(spec.task_keys())
+        assert len(store) == 4
         store.close()
 
     def test_session_reports_damage_on_open(self, tmp_path):
